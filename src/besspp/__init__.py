@@ -20,6 +20,7 @@ from besspp.flows import (
     FlowNetwork,
     FlowSolution,
     InfeasibleFlowError,
+    deliverable_energy,
     fpp_deliverable,
     max_deliverable_energy,
     min_peak_flow,

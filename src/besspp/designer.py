@@ -1,9 +1,11 @@
 """Sparse-layer design and budget tradeoff sweeps.
 
 Layer 1 placement is an exhaustive search: for every size-``m`` set of
-module pairs, solve the uncapped deliverable-energy LP on the expected
-(flattened) pack and keep the set with the largest output.  Ties are broken
-by the smaller peak flow and then by enumeration order, so designs are
+module pairs, evaluate the uncapped deliverable energy on the expected
+(flattened) pack and keep the set with the largest output.  The search uses
+the cut form of :mod:`besspp.flows`, so it solves no LP per placement.
+Ties are broken by the smaller minimum-peak flow (two simplex passes per
+tied placement) and then by enumeration order, so designs are
 deterministic.  The shared layer-1 converter rating is the peak optimal
 flow over the discharge horizon.
 
@@ -13,12 +15,12 @@ the utilization distribution over sampled packs.
 
 ``tradeoff_curve`` evaluates any architecture family on a grid of total
 normalized ratings ``R`` with common random packs, so curves for different
-families are directly comparable.
+families are directly comparable.  Every sweep point's packs share their
+wiring and caps and are evaluated together by the cut form.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -35,8 +37,9 @@ from besspp.architectures import (
 from besspp.flows import (
     ConverterEdge,
     FlowNetwork,
-    max_deliverable_energy,
+    deliverable_energy,
     min_peak_flow,
+    uncapped_placement_energy,
 )
 from besspp.supply import (
     BatteryModule,
@@ -120,9 +123,6 @@ def enumerate_placements(
     return list(itertools.combinations(pairs, n_edges))
 
 
-# The search is deterministic in its arguments and all of them are
-# hashable, so repeated designs (tradeoff, plaza, validation) hit a cache.
-@functools.lru_cache(maxsize=32)
 def design_layer1(
     expected: ExpectedSet,
     n_edges: int,
@@ -140,21 +140,8 @@ def design_layer1(
     batteries = expected.batteries
     placements = enumerate_placements(len(batteries), n_edges, max_span)
 
-    best_output = -math.inf
-    candidates: list[tuple[tuple[int, int], ...]] = []
-    for placement in placements:
-        net = _uncapped_network(batteries, placement, horizon_h)
-        output = max_deliverable_energy(net).total_output
-        if not candidates:
-            best_output = output
-            candidates = [placement]
-            continue
-        tie = _TIE_RTOL * (1.0 + abs(best_output))
-        if output > best_output + tie:
-            best_output = output
-            candidates = [placement]
-        elif output >= best_output - tie:
-            candidates.append(placement)
+    outputs = uncapped_placement_energy(batteries, placements)
+    best_output, candidates = _tied_candidates(placements, outputs.tolist())
 
     best_placement = None
     best_flows: tuple[float, ...] = ()
@@ -178,6 +165,30 @@ def design_layer1(
         expected_output_kwh=best_output,
         horizon_h=horizon_h,
     )
+
+
+def _tied_candidates(
+    placements: list[tuple[tuple[int, int], ...]], outputs: list[float]
+) -> tuple[float, list[tuple[tuple[int, int], ...]]]:
+    """Best output and the placements tied with it, in enumeration order.
+
+    The best output is that of the placement which last beat the running
+    best by more than the relative tie slack.
+    """
+    best_output = -math.inf
+    candidates: list[tuple[tuple[int, int], ...]] = []
+    for placement, output in zip(placements, outputs):
+        if not candidates:
+            best_output = output
+            candidates = [placement]
+            continue
+        tie = _TIE_RTOL * (1.0 + abs(best_output))
+        if output > best_output + tie:
+            best_output = output
+            candidates = [placement]
+        elif output >= best_output - tie:
+            candidates.append(placement)
+    return best_output, candidates
 
 
 def default_lambda_grid(n_points: int = 20) -> list[float]:
@@ -218,17 +229,8 @@ def design_layer2(
     points = []
     for lam in lambda_grid:
         cap2 = lam * layer1_aggregate_kwh / (n - 1)
-        utils = []
-        for pack in packs:
-            net = _frozen_layer1_network(pack, layer1, cap2)
-            sol = max_deliverable_energy(net)
-            for k, flow in enumerate(sol.edge_flows[:m]):
-                limit = abs(layer1.optimal_flows_kwh[k]) + 1e-6
-                if abs(flow) > limit:  # pragma: no cover - enforced by caps
-                    raise RuntimeError(
-                        f"layer-1 flow {flow} exceeds its designed duty"
-                    )
-            utils.append(sol.total_output / sum(b.capacity_kwh for b in pack))
+        nets = [_frozen_layer1_network(pack, layer1, cap2) for pack in packs]
+        utils = _utilizations(nets)
         total_r = (1 + lam) * layer1_aggregate_kwh / expected_total
         points.append(
             _make_point(
@@ -290,7 +292,7 @@ def tradeoff_curve(
     for r in r_grid:
         lam = math.nan
         layer2_kw = 0.0
-        utils = []
+        nets = []
         for pack in packs:
             if kind is ArchitectureKind.FPP:
                 net = build_fpp(pack, r, horizon_h, budget_basis_kwh=basis)
@@ -303,10 +305,9 @@ def tradeoff_curve(
                     pack, layer1, r, horizon_h, budget_basis_kwh=basis
                 )
                 layer2_kw = net.converter_edges[-1].energy_cap_kwh / horizon_h
-            sol = max_deliverable_energy(net)
-            utils.append(sol.total_output / sum(b.capacity_kwh for b in pack))
+            nets.append(net)
         points.append(
-            _make_point(kind.value, float(r), lam, layer2_kw, utils)
+            _make_point(kind.value, float(r), lam, layer2_kw, _utilizations(nets))
         )
     return points
 
@@ -316,6 +317,14 @@ def derive_seed(master: int, *parts: object) -> int:
     text = "/".join([str(master), *(str(p) for p in parts)])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "little")
+
+
+def _utilizations(nets: list[FlowNetwork]) -> list[float]:
+    """Deliverable energy of each network over its pack's total energy."""
+    return [
+        output / net.total_capacity_kwh
+        for net, output in zip(nets, deliverable_energy(nets).tolist())
+    ]
 
 
 def _uncapped_network(

@@ -1,9 +1,9 @@
-"""Energy-flow optimization over a series string with converter edges.
+"""Energy-flow evaluation over a series string with converter edges.
 
 A pack is a series string of modules: one shared string charge passes
 through every module, and battery-to-battery converter edges move a bounded
 amount of energy between modules over the discharge horizon.  Deliverable
-energy is found by a small LP:
+energy is the optimum of a small LP:
 
     maximize   sum_j q * V_j                     (energy into the output bus)
     subject to q * V_j + outflow_j - inflow_j <= E_j   for every module j,
@@ -12,14 +12,30 @@ energy is found by a small LP:
 
 The per-module inequality is the singular-depletion rule: a module may not
 be driven past its own usable energy even if its neighbours still hold
-charge.  Networks built for dedicated per-module converters (no series
-string; ``output_caps`` set) bypass the LP with the closed form
+charge.  Because the edges are lossless and bidirectional, the LP has a
+closed form by max-flow/min-cut (Gale 1957, Hoffman 1960): a string charge
+``q`` is feasible exactly when no module subset ``S`` needs more energy
+than it holds plus what its cut can import, so
+
+    Q* = V_tot * min over nonempty S of (E(S) + cap(dS)) / V(S),
+
+where ``dS`` is the set of edges with exactly one end in ``S``.
+:func:`deliverable_energy` evaluates that form for many networks at once and
+:func:`uncapped_placement_energy` for many uncapped placements on one pack;
+both enumerate the ``2**n - 1`` subsets, so series strings are limited to
+:data:`MAX_CUT_MODULES` modules.  Networks built for dedicated per-module
+converters (no series string; ``output_caps`` set) use the closed form
 ``sum_j min(E_j, cap_j)``.
+
+The simplex remains where flows are needed: :func:`min_peak_flow` fixes the
+designed converter flows, and :func:`max_deliverable_energy` solves the LP
+above with its flows and serves as the reference for the cut form.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +52,21 @@ __all__ = [
     "FlowNetwork",
     "FlowSolution",
     "InfeasibleFlowError",
+    "MAX_CUT_MODULES",
+    "deliverable_energy",
+    "uncapped_placement_energy",
     "max_deliverable_energy",
     "min_peak_flow",
     "fpp_deliverable",
 ]
+
+
+# The cut form enumerates every nonempty module subset: 2**16 - 1 = 65,535
+# subsets at this limit.  Larger series strings are rejected, not attempted.
+MAX_CUT_MODULES = 16
+
+# Entries per temporary table of the cut form; bounds its working memory.
+_CHUNK_ENTRIES = 1 << 14
 
 
 class InfeasibleFlowError(Exception):
@@ -149,6 +176,98 @@ def max_deliverable_energy(net: FlowNetwork) -> FlowSolution:
 
     sol = solve_bounded_lp(BoundedLp(c, a, caps, lower, upper))
     return _assemble(net, float(sol.x[0]), sol.x[1 : 1 + n_edges])
+
+
+def deliverable_energy(nets: Sequence[FlowNetwork]) -> np.ndarray:
+    """Maximum deliverable energy of each network, by the cut form.
+
+    Agrees with ``max_deliverable_energy(net).total_output`` without solving
+    an LP.  Series strings that share their wiring and caps (the sampled
+    packs of one sweep point) are evaluated together, one row per pack.
+    Raises ``ValueError`` for an invalid network or a series string with
+    more than :data:`MAX_CUT_MODULES` modules.
+    """
+    out = np.empty(len(nets))
+    groups: dict[tuple, list[int]] = {}
+    for idx, net in enumerate(nets):
+        _check_network(net)
+        if net.output_caps is not None:
+            out[idx] = _fpp_solution(net).total_output
+        else:
+            key = (len(net.batteries), net.converter_edges)
+            groups.setdefault(key, []).append(idx)
+    for (n, edges), members in groups.items():
+        _check_cut_size(n)
+        energy = np.array(
+            [[b.capacity_kwh for b in nets[i].batteries] for i in members]
+        )
+        volts = np.array([[b.voltage_v for b in nets[i].batteries] for i in members])
+        ids = np.arange(1 << n)
+        cut = np.zeros(1 << n)
+        for edge in edges:
+            crossed = ((ids >> edge.from_battery) ^ (ids >> edge.to_battery)) & 1
+            cut += np.where(crossed == 1, edge.energy_cap_kwh, 0.0)
+        rows = max(1, _CHUNK_ENTRIES >> n)
+        q = np.empty(len(members))
+        for lo in range(0, len(members), rows):
+            e_sub = _subset_sums(energy[lo : lo + rows])
+            v_sub = _subset_sums(volts[lo : lo + rows])
+            q[lo : lo + rows] = ((e_sub + cut)[:, 1:] / v_sub[:, 1:]).min(axis=1)
+        out[members] = (q[:, None] * volts).sum(axis=1)
+    return out
+
+
+def uncapped_placement_energy(
+    batteries: tuple[BatteryModule, ...],
+    placements: Sequence[tuple[tuple[int, int], ...]],
+) -> np.ndarray:
+    """Deliverable energy of one pack under each placement of uncapped edges.
+
+    An uncapped edge makes every subset it crosses unbounded, so a
+    placement's optimum is the smallest ``E(S) / V(S)`` over the subsets
+    none of its edges cross.  The subsets are sorted by that ratio once and
+    each placement takes the first one it leaves uncrossed.  Placements are
+    evaluated in fixed-size chunks so memory stays bounded.
+    """
+    _check_network(FlowNetwork(tuple(batteries)))
+    n = len(batteries)
+    _check_cut_size(n)
+    pairs = np.asarray(placements, dtype=np.intp)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError("placements must be equal-size tuples of module pairs")
+    if pairs.min() < 0 or pairs.max() >= n or np.any(pairs[..., 0] == pairs[..., 1]):
+        raise ValueError(f"placement pairs must join two distinct modules of 0..{n - 1}")
+    energy = np.array([[b.capacity_kwh for b in batteries]])
+    volts = np.array([[b.voltage_v for b in batteries]])
+    ratio = _subset_sums(energy)[0, 1:] / _subset_sums(volts)[0, 1:]
+    order = np.argsort(ratio, kind="stable")
+    ratio = ratio[order]
+    member = (((order + 1)[None, :] >> np.arange(n)[:, None]) & 1).astype(bool)
+
+    q = np.empty(len(pairs))
+    step = max(1, _CHUNK_ENTRIES // (pairs.shape[1] * len(order)))
+    for lo in range(0, len(pairs), step):
+        chunk = pairs[lo : lo + step]
+        crossed = (member[chunk[..., 0]] != member[chunk[..., 1]]).any(axis=1)
+        q[lo : lo + step] = ratio[crossed.argmin(axis=1)]
+    return (q[:, None] * volts).sum(axis=1)
+
+
+def _check_cut_size(n: int) -> None:
+    if n > MAX_CUT_MODULES:
+        raise ValueError(
+            f"the cut form enumerates 2**n - 1 module subsets and supports at "
+            f"most {MAX_CUT_MODULES} modules in series, got {n}"
+        )
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """Per-row sums over every module subset, indexed by its bit mask."""
+    rows, n = values.shape
+    table = np.zeros((rows, 1 << n))
+    for j in range(n):
+        table[:, 1 << j : 2 << j] = table[:, : 1 << j] + values[:, j : j + 1]
+    return table
 
 
 def min_peak_flow(net: FlowNetwork, required_output_kwh: float) -> FlowSolution:

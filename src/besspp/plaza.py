@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from besspp.flows import FlowNetwork, max_deliverable_energy
+from besspp.flows import FlowNetwork, deliverable_energy
 
 __all__ = [
     "GridProfile",
@@ -216,7 +216,7 @@ class CurtailmentStats:
 
 def effective_capacity(net: FlowNetwork) -> float:
     """Usable monolith energy: the architecture's deliverable energy."""
-    return max_deliverable_energy(net).total_output
+    return float(deliverable_energy([net])[0])
 
 
 def evaluate_cycle(

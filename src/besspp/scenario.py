@@ -15,6 +15,7 @@ from pathlib import Path
 
 from besspp.architectures import ArchitectureConfig, ArchitectureKind
 from besspp.designer import default_lambda_grid
+from besspp.flows import MAX_CUT_MODULES
 from besspp.plaza import DemandModel, GridProfile
 from besspp.supply import SupplyDistribution
 
@@ -102,6 +103,11 @@ class Scenario:
             problems.append("seed must be a nonnegative integer")
         if self.n_modules < 2:
             problems.append("n_modules must be >= 2")
+        if self.n_modules > MAX_CUT_MODULES:
+            problems.append(
+                f"n_modules must be <= {MAX_CUT_MODULES}: deliverable energy "
+                f"enumerates all 2**n_modules - 1 module subsets"
+            )
         if not 1 <= self.n_layer1 < self.n_modules:
             problems.append("n_layer1 must satisfy 1 <= n_layer1 < n_modules")
         if self.rated_power_kw <= 0:

@@ -9,6 +9,7 @@ exactly while staying fast.
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -288,6 +289,14 @@ def prop_cap_monotonicity(net, scale):
     assert small <= full + 1e-7
 
 
+@functools.cache
+def _default_layer1():
+    """The default scenario's layer-1 design, searched once for the suite."""
+    scenario = default_scenario()
+    expected = flatten_distribution(scenario.supply, scenario.n_modules)
+    return design_layer1(expected, scenario.n_layer1, 2.25)
+
+
 @settings(max_examples=1000)
 @given(
     pack_seed=st.integers(0, 2**32 - 1),
@@ -295,8 +304,7 @@ def prop_cap_monotonicity(net, scale):
 )
 def prop_sparse_layer_flows_within_ratings(pack_seed, lambda_h):
     scenario = default_scenario()
-    expected = flatten_distribution(scenario.supply, scenario.n_modules)
-    layer1 = design_layer1(expected, scenario.n_layer1, 2.25)
+    layer1 = _default_layer1()
     modules = sample_pack(scenario.supply, scenario.n_modules, pack_seed)
     net = build_lshippp(modules, layer1, lambda_h, 2.25)
     sol = max_deliverable_energy(net)

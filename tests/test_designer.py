@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from besspp.designer import (
+    _frozen_layer1_network,
+    _tied_candidates,
+    _uncapped_network,
     default_lambda_grid,
     derive_seed,
     design_layer1,
@@ -12,7 +15,13 @@ from besspp.designer import (
     enumerate_placements,
     tradeoff_curve,
 )
-from besspp.flows import ConverterEdge, FlowNetwork, max_deliverable_energy
+from besspp.flows import (
+    ConverterEdge,
+    FlowNetwork,
+    max_deliverable_energy,
+    min_peak_flow,
+    uncapped_placement_energy,
+)
 from besspp.supply import (
     BatteryModule,
     ExpectedSet,
@@ -126,7 +135,54 @@ class TestDesignLayer1:
             assert design.expected_output_kwh == pytest.approx(best)
 
 
+class TestSearchAgainstLpSweep:
+    def test_same_outputs_candidates_winner(self, supply9):
+        # A reduced search: the cut form against the per-placement LP sweep.
+        expected = flatten_distribution(supply9, 7)
+        placements = enumerate_placements(7, 2)
+        lp_outputs = [
+            max_deliverable_energy(
+                _uncapped_network(expected.batteries, p, 1.0)
+            ).total_output
+            for p in placements
+        ]
+        cut = uncapped_placement_energy(expected.batteries, placements).tolist()
+        np.testing.assert_allclose(cut, lp_outputs, rtol=1e-12, atol=0)
+
+        lp_best, lp_candidates = _tied_candidates(placements, lp_outputs)
+        cut_best, cut_candidates = _tied_candidates(placements, cut)
+        assert cut_candidates == lp_candidates
+        assert len(lp_candidates) > 1  # the tie-break is exercised
+        assert cut_best == pytest.approx(lp_best, rel=1e-12)
+
+        # The LP path's winner: smallest min-peak flow, first in order.
+        peaks = [
+            max(abs(f) for f in min_peak_flow(
+                _uncapped_network(expected.batteries, p, 1.0), lp_best
+            ).edge_flows)
+            for p in lp_candidates
+        ]
+        winner = lp_candidates[peaks.index(min(peaks))]
+        design = design_layer1(expected, 2, 1.0)
+        assert design.edges == winner
+        assert design.expected_output_kwh == pytest.approx(lp_best, rel=1e-12)
+
+
 class TestDesignLayer2:
+    def test_lp_flows_stay_within_designed_duty(self, layer1_9, supply9):
+        # The sweep's cut form computes no flows; the LP's flows on the same
+        # networks show that the layer-1 caps hold every converter to its
+        # designed duty.
+        m = len(layer1_9.edges)
+        aggregate = m * layer1_9.rating_kw * layer1_9.horizon_h
+        for i in range(12):
+            pack = sample_pack(supply9, 9, derive_seed(7, "pack", i))
+            for lam in (0.0, 0.3, 1.0, 5.0):
+                net = _frozen_layer1_network(pack, layer1_9, lam * aggregate / 8)
+                flows = max_deliverable_energy(net).edge_flows[:m]
+                for flow, duty in zip(flows, layer1_9.optimal_flows_kwh):
+                    assert abs(flow) <= abs(duty) + 1e-6
+
     def test_layer1_duty_respected_and_utilization_monotone(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         points = design_layer2(layer1_9, dist, [0.0, 0.5, 1.5], 30, seed=7)

@@ -3,18 +3,24 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besspp.architectures import build_cppp, build_lshippp_for_budget
+from besspp.designer import _frozen_layer1_network, derive_seed
 from besspp.flows import (
+    MAX_CUT_MODULES,
     ConverterEdge,
     FlowNetwork,
     InfeasibleFlowError,
+    deliverable_energy,
     fpp_deliverable,
     max_deliverable_energy,
     min_peak_flow,
+    uncapped_placement_energy,
 )
-from besspp.supply import BatteryModule
+from besspp.supply import BatteryModule, SupplyDistribution, sample_pack
 
 
 def pack(*caps: float, voltage: float = 1.0) -> tuple[BatteryModule, ...]:
@@ -318,3 +324,133 @@ class TestFlowProperties:
             FlowNetwork(net.batteries)
         ).total_output
         assert with_edges >= string_only - 1e-7
+
+
+def scipy_deliverable(net: FlowNetwork) -> float:
+    """Deliverable energy from ``scipy.optimize.linprog`` (HiGHS)."""
+    energy = [b.capacity_kwh for b in net.batteries]
+    if net.output_caps is not None:
+        bounds = [(0.0, min(e, c)) for e, c in zip(energy, net.output_caps)]
+        res = scipy.optimize.linprog(-np.ones(len(energy)), bounds=bounds)
+        assert res.status == 0
+        return -res.fun
+    volts = np.array([b.voltage_v for b in net.batteries])
+    edges = net.converter_edges
+    a_ub = np.zeros((len(energy), 1 + len(edges)))
+    a_ub[:, 0] = volts
+    bounds = [(0.0, None)]
+    for k, edge in enumerate(edges):
+        a_ub[edge.from_battery, 1 + k] += 1.0
+        a_ub[edge.to_battery, 1 + k] -= 1.0
+        cap = edge.energy_cap_kwh
+        bounds.append((-cap, cap) if math.isfinite(cap) else (None, None))
+    c = np.zeros(1 + len(edges))
+    c[0] = -volts.sum()
+    res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=energy, bounds=bounds)
+    assert res.status == 0
+    return -res.fun
+
+
+def assert_three_way(nets: list[FlowNetwork], rel: float = 1e-12) -> None:
+    cut = deliverable_energy(nets)
+    for net, got in zip(nets, cut):
+        lp = max_deliverable_energy(net).total_output
+        oracle = scipy_deliverable(net)
+        scale = max(1.0, abs(lp))
+        assert abs(got - lp) <= rel * scale, (got, lp)
+        assert abs(got - oracle) <= rel * scale, (got, oracle)
+
+
+def sampled_packs(n_packs: int = 8, n: int = 9):
+    dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
+    return [sample_pack(dist, n, derive_seed(5, "cut-pack", i)) for i in range(n_packs)]
+
+
+class TestCutForm:
+    def test_three_way_random_networks(self):
+        rng = np.random.Generator(np.random.Philox(key=424242))
+        nets = [random_network(rng) for _ in range(200)]
+        assert_three_way(nets)
+
+    @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.6])
+    def test_three_way_cppp_packs(self, rating_r):
+        packs = sampled_packs()
+        nets = [build_cppp(p, rating_r, 2.25, budget_basis_kwh=337.5) for p in packs]
+        assert_three_way(nets)
+
+    @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.6])
+    def test_three_way_lshippp_budget_packs(self, layer1_9, rating_r):
+        packs = sampled_packs()
+        nets = [
+            build_lshippp_for_budget(
+                p, layer1_9, rating_r, 2.25, budget_basis_kwh=337.5
+            )[0]
+            for p in packs
+        ]
+        assert_three_way(nets)
+
+    @pytest.mark.parametrize("cap2", [0.0, 0.5, 3.0, 40.0])
+    def test_three_way_frozen_layer1_packs(self, layer1_9, cap2):
+        # More packs than one chunk of the batched evaluator holds.
+        packs = sampled_packs(n_packs=40)
+        nets = [_frozen_layer1_network(p, layer1_9, cap2) for p in packs]
+        assert_three_way(nets)
+
+    def test_mixed_batch_keeps_order(self):
+        rng = np.random.Generator(np.random.Philox(key=7))
+        nets = [random_network(rng) for _ in range(40)]
+        batched = deliverable_energy(nets)
+        one_by_one = [deliverable_energy([net])[0] for net in nets]
+        assert batched.tolist() == one_by_one
+
+    def test_uncapped_placements_match_lp(self):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        caps = rng.uniform(1.0, 9.0, size=6)
+        batteries = tuple(
+            BatteryModule(float(c), float(v))
+            for c, v in zip(caps, rng.choice([0.5, 1.0, 2.0], size=6))
+        )
+        placements = list(itertools.combinations(
+            list(itertools.combinations(range(6), 2)), 2
+        ))
+        got = uncapped_placement_energy(batteries, placements)
+        for placement, value in zip(placements, got):
+            net = FlowNetwork(
+                batteries,
+                tuple(ConverterEdge(i, j, math.inf) for i, j in placement),
+            )
+            lp = max_deliverable_energy(net).total_output
+            assert value == pytest.approx(lp, rel=1e-12, abs=1e-12)
+
+    def test_largest_supported_string(self):
+        batteries = tuple(
+            BatteryModule(float(c), 1.0) for c in np.linspace(1.0, 4.0, MAX_CUT_MODULES)
+        )
+        net = build_cppp(batteries, 0.1, 1.0)
+        (got,) = deliverable_energy([net])
+        assert got == pytest.approx(
+            max_deliverable_energy(net).total_output, rel=1e-12
+        )
+
+    def test_rejects_strings_above_the_subset_limit(self):
+        batteries = pack(*([2.0] * (MAX_CUT_MODULES + 1)))
+        with pytest.raises(ValueError, match="subsets"):
+            deliverable_energy([FlowNetwork(batteries)])
+        with pytest.raises(ValueError, match="subsets"):
+            uncapped_placement_energy(batteries, [((0, 1),)])
+
+    def test_dedicated_converters_have_no_subset_limit(self):
+        n = MAX_CUT_MODULES + 1
+        net = FlowNetwork(pack(*([2.0] * n)), (), 1.0, output_caps=(1.5,) * n)
+        assert deliverable_energy([net])[0] == pytest.approx(1.5 * n)
+
+    def test_invalid_network_rejected(self):
+        net = FlowNetwork(pack(1, 2), (ConverterEdge(0, 2, 1.0),))
+        with pytest.raises(ValueError, match="invalid flow network"):
+            deliverable_energy([net])
+
+    def test_invalid_placement_rejected(self):
+        with pytest.raises(ValueError, match="distinct modules"):
+            uncapped_placement_energy(pack(1, 2, 3), [((0, 3),)])
+        with pytest.raises(ValueError, match="distinct modules"):
+            uncapped_placement_energy(pack(1, 2, 3), [((1, 1),)])

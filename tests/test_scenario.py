@@ -3,6 +3,7 @@ import json
 import pytest
 
 from besspp.architectures import ArchitectureKind
+from besspp.flows import MAX_CUT_MODULES
 from besspp.scenario import (
     Scenario,
     ScenarioError,
@@ -177,3 +178,14 @@ class TestScenarioValidation:
                     "n_layer1": 9,
                 }
             )
+
+    def test_module_count_above_subset_limit(self, tmp_path):
+        doc = minimal_doc()
+        doc["supply"]["n_modules"] = MAX_CUT_MODULES + 1
+        with pytest.raises(ScenarioError, match="n_modules must be <= 16"):
+            load_scenario(write_doc(tmp_path, doc))
+
+    def test_module_count_at_subset_limit(self, tmp_path):
+        doc = minimal_doc()
+        doc["supply"]["n_modules"] = MAX_CUT_MODULES
+        assert load_scenario(write_doc(tmp_path, doc)).n_modules == 16

@@ -217,6 +217,16 @@ class TestCli:
         assert main(["validate", "--scenario", str(path)]) == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_module_count_above_subset_limit_exits_1(self, tmp_path, capsys):
+        doc = small_doc()
+        doc["supply"]["n_modules"] = 17
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code = main(["design", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "n_modules must be <= 16" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_scenario_exits_1(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 1
 
