@@ -21,6 +21,7 @@ from pathlib import Path
 import besspp
 from besspp.scenario import Scenario, ScenarioError, default_scenario, load_scenario
 from besspp.studies import (
+    StageTimer,
     run_day,
     run_design,
     run_ensemble,
@@ -73,6 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
                 type=Path,
                 required=True,
                 help="output directory for study artifacts",
+            )
+            p.add_argument(
+                "--timings",
+                action="store_true",
+                help="print wall and CPU seconds per study stage to stderr",
             )
 
     add_common(sub.add_parser("design", help="design the sparse layer"))
@@ -128,18 +134,21 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         workers = max(1, args.workers)
+        timer = StageTimer()
         if args.command == "design":
-            result = run_design(scenario, args.out, workers)
+            result = run_design(scenario, args.out, workers, timer=timer)
         elif args.command == "tradeoff":
-            result = run_tradeoff(scenario, args.out, workers)
+            result = run_tradeoff(scenario, args.out, workers, timer=timer)
         elif args.command == "day":
             try:
-                result = run_day(scenario, args.out, workers, kinds=args.kind)
+                result = run_day(
+                    scenario, args.out, workers, kinds=args.kind, timer=timer
+                )
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
         else:
-            result = run_ensemble(scenario, args.out, workers)
+            result = run_ensemble(scenario, args.out, workers, timer=timer)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -149,6 +158,13 @@ def main(argv=None) -> int:
 
     for name in result.files:
         print(result.out_dir / name)
+    if args.timings:
+        for stage, wall_s, cpu_s in timer.stages:
+            print(
+                f"timing {args.command} {stage}: "
+                f"wall {wall_s:.3f} s, cpu {cpu_s:.3f} s",
+                file=sys.stderr,
+            )
     return EXIT_OK
 
 

@@ -18,9 +18,15 @@ Service policy per cycle:
 
 EVs arrive with exponential interarrival times and Gaussian demands
 (clamped to [0, 2 mean]); arrivals outside standby leave unserved.  One
-demand is drawn per arrival whether or not it is served, so two simulations
-with the same seed see identical arrival and demand streams regardless of
-the storage unit's size.
+demand is drawn per arrival whether or not it is served, so the arrival
+and demand stream depends on the seed alone, never on the storage unit.
+
+A day is therefore two steps: :func:`draw_stream` draws the stream and
+:func:`replay_stream`, the event loop, serves it from one storage unit and
+returns the cycles and the dropped arrivals.  :func:`simulate_day` runs
+both and adds the 1-minute series; the ensemble draws each (cell,
+trajectory) stream once and replays it for every architecture kind,
+without building series it does not use.
 """
 
 from __future__ import annotations
@@ -39,10 +45,13 @@ __all__ = [
     "BessMonolith",
     "ChargeCycle",
     "CyclePhases",
+    "ArrivalStream",
     "DayTrajectory",
     "CurtailmentStats",
     "effective_capacity",
     "evaluate_cycle",
+    "draw_stream",
+    "replay_stream",
     "simulate_day",
     "curtailed_minutes_per_ev",
 ]
@@ -83,6 +92,13 @@ class GridProfile:
                 break
             level = kw
         return level
+
+    def powers_at(self, times_h: np.ndarray) -> np.ndarray:
+        """:meth:`power_at` over an array of nonnegative times."""
+        starts = np.array([s for s, _ in self.segments], dtype=float)
+        levels = np.array([kw for _, kw in self.segments], dtype=float)
+        index = np.searchsorted(starts, times_h % HOURS_PER_DAY, side="right")
+        return levels[index - 1]
 
     @classmethod
     def constant(cls, kw: float) -> "GridProfile":
@@ -196,6 +212,15 @@ class CyclePhases:
 
 
 @dataclass(frozen=True)
+class ArrivalStream:
+    """One day's EV arrivals: times within the horizon and their demands."""
+
+    horizon_h: float
+    times_h: tuple[float, ...]
+    demands_kwh: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class DayTrajectory:
     cycles: tuple[ChargeCycle, ...]
     horizon_h: float
@@ -265,6 +290,66 @@ def evaluate_cycle(
     )
 
 
+def draw_stream(
+    arrivals: ArrivalModel, demand: DemandModel, horizon_h: float, seed: int
+) -> ArrivalStream:
+    """Arrival times and clamped demands over ``[0, horizon_h)`` from ``seed``.
+
+    Draws alternate interarrival, demand, interarrival, ... from one Philox
+    stream, so the sequence depends only on the models, the horizon and the
+    seed, never on the storage unit that later serves it.
+    """
+    if horizon_h <= 0:
+        raise ValueError("horizon_h must be positive")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    scale_h = 1.0 / arrivals.rate_per_h
+    max_kwh = float(demand.max_kwh)
+    times: list[float] = []
+    demands: list[float] = []
+    t_arrival = float(rng.exponential(scale_h))
+    while t_arrival < horizon_h:
+        # Scalar clamp: np.clip gives the same value for a finite draw at
+        # several times the cost.
+        draw = float(rng.normal(demand.mean_kwh, demand.std_kwh))
+        times.append(t_arrival)
+        demands.append(min(max(draw, 0.0), max_kwh))
+        t_arrival += float(rng.exponential(scale_h))
+    return ArrivalStream(horizon_h, tuple(times), tuple(demands))
+
+
+def replay_stream(
+    bess: BessMonolith,
+    grid: GridProfile,
+    stream: ArrivalStream,
+    charger_max_kw: float,
+) -> tuple[tuple[ChargeCycle, ...], int]:
+    """Serve ``stream`` from a full ``bess``: the cycles and the dropped count.
+
+    This is the plaza's event loop; ``simulate_day`` and the ensemble both
+    run it, the ensemble once per storage unit on a shared stream.
+    """
+    if charger_max_kw <= 0:
+        raise ValueError("charger_max_kw must be positive")
+    horizon_h = stream.horizon_h
+    cycles: list[ChargeCycle] = []
+    dropped = 0
+    busy_until = 0.0
+    for t_arrival, demand_kwh in zip(stream.times_h, stream.demands_kwh):
+        if t_arrival < busy_until:
+            dropped += 1
+            continue
+        cycle = _serve(
+            len(cycles), t_arrival, demand_kwh, bess, grid, charger_max_kw,
+            horizon_h,
+        )
+        cycles.append(cycle)
+        end = t_arrival + cycle.full_h + cycle.curtailed_h + cycle.recharge_h
+        if cycle.bess_delivered_kwh > 0 and cycle.grid_kw <= 0:
+            end = math.inf  # recharge can never complete
+        busy_until = end
+    return tuple(cycles), dropped
+
+
 def simulate_day(
     bess: BessMonolith,
     grid: GridProfile,
@@ -275,40 +360,13 @@ def simulate_day(
     seed: int,
 ) -> DayTrajectory:
     """Simulate one day of plaza service; the unit starts the day full."""
-    if horizon_h <= 0:
-        raise ValueError("horizon_h must be positive")
-    if charger_max_kw <= 0:
-        raise ValueError("charger_max_kw must be positive")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-
-    cycles: list[ChargeCycle] = []
-    dropped = 0
-    busy_until = 0.0
-    t_arrival = float(rng.exponential(1.0 / arrivals.rate_per_h))
-    while t_arrival < horizon_h:
-        demand_kwh = float(
-            np.clip(rng.normal(demand.mean_kwh, demand.std_kwh), 0.0, demand.max_kwh)
-        )
-        if t_arrival < busy_until:
-            dropped += 1
-        else:
-            cycle = _serve(
-                len(cycles), t_arrival, demand_kwh, bess, grid, charger_max_kw,
-                horizon_h,
-            )
-            cycles.append(cycle)
-            end = t_arrival + cycle.full_h + cycle.curtailed_h + cycle.recharge_h
-            if cycle.bess_delivered_kwh > 0 and cycle.grid_kw <= 0:
-                end = math.inf  # recharge can never complete
-            busy_until = end
-        t_arrival += float(rng.exponential(1.0 / arrivals.rate_per_h))
-
-    series = _minute_series(tuple(cycles), bess, grid, horizon_h)
+    stream = draw_stream(arrivals, demand, horizon_h, seed)
+    cycles, dropped = replay_stream(bess, grid, stream, charger_max_kw)
     return DayTrajectory(
-        cycles=tuple(cycles),
+        cycles=cycles,
         horizon_h=horizon_h,
         dropped_arrivals=dropped,
-        **series,
+        **_minute_series(cycles, bess, grid, horizon_h),
     )
 
 
@@ -375,7 +433,7 @@ def _minute_series(
 ) -> dict:
     n = int(round(horizon_h * MINUTES_PER_HOUR)) + 1
     time_h = np.arange(n) / MINUTES_PER_HOUR
-    grid_kw = np.array([grid.power_at(float(t)) for t in time_h])
+    grid_kw = grid.powers_at(time_h)
     bess_kw = np.zeros(n)
     ev_kw = np.zeros(n)
     bess_kwh = np.full(n, bess.effective_capacity_kwh)

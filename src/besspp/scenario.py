@@ -148,13 +148,6 @@ class Scenario:
         expected = flatten_distribution(self.supply, self.n_modules)
         return expected.total_kwh / self.rated_power_kw
 
-    @property
-    def plaza_horizon_h(self) -> float:
-        from besspp.supply import flatten_distribution
-
-        expected = flatten_distribution(self.plaza.supply, self.n_modules)
-        return expected.total_kwh / self.plaza.bess_power_kw
-
 
 def default_scenario() -> Scenario:
     """Built-in scenario used when the CLI is given no --scenario file."""

@@ -17,7 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,8 +54,10 @@ from besspp.plaza import (
     DemandModel,
     GridProfile,
     curtailed_minutes_per_ev,
+    draw_stream,
     effective_capacity,
     evaluate_cycle,
+    replay_stream,
     simulate_day,
 )
 from besspp.scenario import Scenario, scenario_to_dict
@@ -60,6 +65,7 @@ from besspp.supply import flatten_distribution, sample_pack
 
 __all__ = [
     "StudyResult",
+    "StageTimer",
     "scenario_fingerprint",
     "run_design",
     "run_tradeoff",
@@ -87,6 +93,32 @@ class StudyResult:
     study: str
     out_dir: Path
     files: tuple[str, ...]
+
+
+class StageTimer:
+    """Wall and CPU seconds per named stage of one study run.
+
+    CPU time covers this process and the pool workers it has reaped.  The
+    timings never reach the artifacts, which must stay byte-deterministic.
+    """
+
+    def __init__(self) -> None:
+        self.stages: list[tuple[str, float, float]] = []
+
+    @contextmanager
+    def stage(self, name: str):
+        wall0, cpu0 = time.perf_counter(), _cpu_s()
+        try:
+            yield
+        finally:
+            self.stages.append(
+                (name, time.perf_counter() - wall0, _cpu_s() - cpu0)
+            )
+
+
+def _cpu_s() -> float:
+    children = os.times()
+    return time.process_time() + children.children_user + children.children_system
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +189,17 @@ def _parallel_map(fn, items, workers: int):
 # design study
 
 
-def run_design(scenario: Scenario, out_dir, workers: int = 1) -> StudyResult:
+def run_design(
+    scenario: Scenario, out_dir, workers: int = 1, timer: StageTimer | None = None
+) -> StudyResult:
     """Design the sparse layer, then sweep the adjacent-ladder ratio."""
+    timer = timer or StageTimer()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    expected = flatten_distribution(scenario.supply, scenario.n_modules)
-    horizon = scenario.design_horizon_h
-    layer1 = design_layer1(expected, scenario.n_layer1, horizon)
+    with timer.stage("search"):
+        expected = flatten_distribution(scenario.supply, scenario.n_modules)
+        horizon = scenario.design_horizon_h
+        layer1 = design_layer1(expected, scenario.n_layer1, horizon)
 
     design_doc = {
         "n_modules": layer1.n_batteries,
@@ -176,22 +212,25 @@ def run_design(scenario: Scenario, out_dir, workers: int = 1) -> StudyResult:
         "expected_utilization": layer1.expected_output_kwh / expected.total_kwh,
         "expected_module_kwh": [b.capacity_kwh for b in expected.batteries],
     }
-    _write_json(out_dir / "design.json", design_doc)
 
-    points = design_layer2(
-        layer1,
-        scenario.supply,
-        list(scenario.lambda_grid),
-        scenario.n_packs,
-        derive_seed(scenario.seed, "design-packs"),
-    )
-    _write_csv(
-        out_dir / "lambda_sweep.csv",
-        TRADEOFF_HEADER,
-        [_point_row(p) for p in points],
-    )
-    files = ["design.json", "lambda_sweep.csv"]
-    return _finish("design", scenario, out_dir, files)
+    with timer.stage("sweep"):
+        points = design_layer2(
+            layer1,
+            scenario.supply,
+            list(scenario.lambda_grid),
+            scenario.n_packs,
+            derive_seed(scenario.seed, "design-packs"),
+        )
+
+    with timer.stage("writes"):
+        _write_json(out_dir / "design.json", design_doc)
+        _write_csv(
+            out_dir / "lambda_sweep.csv",
+            TRADEOFF_HEADER,
+            [_point_row(p) for p in points],
+        )
+        files = ["design.json", "lambda_sweep.csv"]
+        return _finish("design", scenario, out_dir, files)
 
 
 def _point_row(point) -> tuple:
@@ -227,13 +266,17 @@ def _tradeoff_task(args) -> list[tuple]:
     return [_point_row(p) for p in points]
 
 
-def run_tradeoff(scenario: Scenario, out_dir, workers: int = 1) -> StudyResult:
+def run_tradeoff(
+    scenario: Scenario, out_dir, workers: int = 1, timer: StageTimer | None = None
+) -> StudyResult:
     """Utilization-versus-rating curves for every architecture family."""
+    timer = timer or StageTimer()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    expected = flatten_distribution(scenario.supply, scenario.n_modules)
-    horizon = scenario.design_horizon_h
-    layer1 = design_layer1(expected, scenario.n_layer1, horizon)
+    with timer.stage("search"):
+        expected = flatten_distribution(scenario.supply, scenario.n_modules)
+        horizon = scenario.design_horizon_h
+        layer1 = design_layer1(expected, scenario.n_layer1, horizon)
     pack_seed = derive_seed(scenario.seed, "tradeoff-packs")
 
     kinds = []
@@ -256,10 +299,12 @@ def run_tradeoff(scenario: Scenario, out_dir, workers: int = 1) -> StudyResult:
         for r in scenario.r_grid
     ]
     rows: list[tuple] = []
-    for chunk in _parallel_map(_tradeoff_task, tasks, workers):
-        rows.extend(chunk)
-    _write_csv(out_dir / "tradeoff.csv", TRADEOFF_HEADER, rows)
-    return _finish("tradeoff", scenario, out_dir, ["tradeoff.csv"])
+    with timer.stage("sweep"):
+        for chunk in _parallel_map(_tradeoff_task, tasks, workers):
+            rows.extend(chunk)
+    with timer.stage("writes"):
+        _write_csv(out_dir / "tradeoff.csv", TRADEOFF_HEADER, rows)
+        return _finish("tradeoff", scenario, out_dir, ["tradeoff.csv"])
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +366,23 @@ def _plaza_setup(scenario: Scenario) -> _PlazaSetup:
 
 
 def run_day(
-    scenario: Scenario, out_dir, workers: int = 1, kinds=None
+    scenario: Scenario,
+    out_dir,
+    workers: int = 1,
+    kinds=None,
+    timer: StageTimer | None = None,
 ) -> StudyResult:
     """One exemplar day per architecture kind, on a common sampled pack.
 
     All kinds replay the same arrival and demand stream against the same
     pack; only the effective monolith capacity differs.
     """
+    timer = timer or StageTimer()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     plaza = scenario.plaza
-    setup = _plaza_setup(scenario)
+    with timer.stage("plaza setup"):
+        setup = _plaza_setup(scenario)
     if kinds is None:
         kinds = [k.value for k in plaza.kinds]
     else:
@@ -343,64 +394,73 @@ def run_day(
             )
 
     day_seed = derive_seed(scenario.seed, "day")
-    files: list[str] = []
-    for kind in kinds:
-        capacity = setup.capacities[kind][0]
-        bess = BessMonolith.full(capacity, plaza.bess_power_kw)
-        trajectory = simulate_day(
-            bess,
-            scenario.grid_profile,
-            ArrivalModel(plaza.exemplar_rate_per_h),
-            plaza.exemplar_demand,
-            plaza.charger_max_kw,
-            DAY_HORIZON_H,
-            day_seed,
-        )
-        csv_name = f"day_{kind}.csv"
-        json_name = f"day_{kind}.json"
-        _write_csv(
-            out_dir / csv_name,
-            TRAJECTORY_HEADER,
-            zip(
-                (float(v) for v in trajectory.time_h),
-                (float(v) for v in trajectory.grid_kw),
-                (float(v) for v in trajectory.bess_kw),
-                (float(v) for v in trajectory.bess_kwh),
-                (float(v) for v in trajectory.ev_kw),
-            ),
-        )
-        stats = curtailed_minutes_per_ev(trajectory)
-        _write_json(
-            out_dir / json_name,
-            {
-                "kind": kind,
-                "effective_capacity_kwh": capacity,
-                "pack_total_kwh": setup.pack_totals[0],
-                "horizon_h": trajectory.horizon_h,
-                "dropped_arrivals": trajectory.dropped_arrivals,
-                "n_cycles": len(trajectory.cycles),
-                "curtailed_mean_min": stats.mean_min,
-                "curtailed_max_min": stats.max_min,
-                "cycles": [
-                    {
-                        "index": c.index,
-                        "start_h": c.start_h,
-                        "demand_kwh": c.demand_kwh,
-                        "grid_kw": c.grid_kw,
-                        "full_power_kw": c.full_power_kw,
-                        "full_h": c.full_h,
-                        "curtailed_h": c.curtailed_h,
-                        "bess_delivered_kwh": c.bess_delivered_kwh,
-                        "recharge_h": c.recharge_h,
-                        "unmet_kwh": c.unmet_kwh,
-                        "truncated": c.truncated,
-                    }
-                    for c in trajectory.cycles
-                ],
-            },
-        )
-        files.extend([csv_name, json_name])
-    return _finish("day", scenario, out_dir, files)
+    with timer.stage("days"):
+        days = [
+            (
+                kind,
+                simulate_day(
+                    BessMonolith.full(
+                        setup.capacities[kind][0], plaza.bess_power_kw
+                    ),
+                    scenario.grid_profile,
+                    ArrivalModel(plaza.exemplar_rate_per_h),
+                    plaza.exemplar_demand,
+                    plaza.charger_max_kw,
+                    DAY_HORIZON_H,
+                    day_seed,
+                ),
+            )
+            for kind in kinds
+        ]
+
+    with timer.stage("writes"):
+        files: list[str] = []
+        for kind, trajectory in days:
+            csv_name = f"day_{kind}.csv"
+            json_name = f"day_{kind}.json"
+            _write_csv(
+                out_dir / csv_name,
+                TRAJECTORY_HEADER,
+                zip(
+                    (float(v) for v in trajectory.time_h),
+                    (float(v) for v in trajectory.grid_kw),
+                    (float(v) for v in trajectory.bess_kw),
+                    (float(v) for v in trajectory.bess_kwh),
+                    (float(v) for v in trajectory.ev_kw),
+                ),
+            )
+            stats = curtailed_minutes_per_ev(trajectory)
+            _write_json(
+                out_dir / json_name,
+                {
+                    "kind": kind,
+                    "effective_capacity_kwh": setup.capacities[kind][0],
+                    "pack_total_kwh": setup.pack_totals[0],
+                    "horizon_h": trajectory.horizon_h,
+                    "dropped_arrivals": trajectory.dropped_arrivals,
+                    "n_cycles": len(trajectory.cycles),
+                    "curtailed_mean_min": stats.mean_min,
+                    "curtailed_max_min": stats.max_min,
+                    "cycles": [
+                        {
+                            "index": c.index,
+                            "start_h": c.start_h,
+                            "demand_kwh": c.demand_kwh,
+                            "grid_kw": c.grid_kw,
+                            "full_power_kw": c.full_power_kw,
+                            "full_h": c.full_h,
+                            "curtailed_h": c.curtailed_h,
+                            "bess_delivered_kwh": c.bess_delivered_kwh,
+                            "recharge_h": c.recharge_h,
+                            "unmet_kwh": c.unmet_kwh,
+                            "truncated": c.truncated,
+                        }
+                        for c in trajectory.cycles
+                    ],
+                },
+            )
+            files.extend([csv_name, json_name])
+        return _finish("day", scenario, out_dir, files)
 
 
 DISPERSION_HEADER = (
@@ -443,19 +503,21 @@ def _reference_schedule(scenario: Scenario) -> list[tuple[float, float, float]]:
     per completed cycle.
     """
     plaza = scenario.plaza
-    reference = BessMonolith.full(math.inf, plaza.bess_power_kw)
-    trajectory = simulate_day(
-        reference,
-        scenario.grid_profile,
+    stream = draw_stream(
         ArrivalModel(plaza.exemplar_rate_per_h),
         plaza.exemplar_demand,
-        plaza.charger_max_kw,
         DAY_HORIZON_H,
         derive_seed(scenario.seed, "exemplar-day"),
     )
+    cycles, _ = replay_stream(
+        BessMonolith.full(math.inf, plaza.bess_power_kw),
+        scenario.grid_profile,
+        stream,
+        plaza.charger_max_kw,
+    )
     return [
         (c.start_h, c.grid_kw, c.demand_kwh)
-        for c in trajectory.cycles
+        for c in cycles
         if not c.truncated and c.demand_kwh > 0
     ]
 
@@ -553,15 +615,53 @@ def _dispersion_rows(
     return rows, reports
 
 
-def _cell_task(args) -> tuple:
+class _CellTally:
+    """Per-kind accumulators for one demand cell."""
+
+    def __init__(self, n_traj: int) -> None:
+        self.n_cycles = 0
+        self.utils: list[float] = []
+        self.curtailed: list[float] = []
+        self.unmet = np.zeros(n_traj)
+        self.dropped = np.zeros(n_traj)
+        self.served = np.zeros(n_traj)
+
+    def add(self, t: int, cycles, dropped: int, pack_total: float) -> None:
+        for c in cycles:
+            if not c.truncated:
+                self.n_cycles += 1
+                self.curtailed.append(c.curtailed_h * 60.0)
+                self.utils.append(c.bess_delivered_kwh / pack_total)
+        self.unmet[t] = sum(c.unmet_kwh for c in cycles)
+        self.dropped[t] = dropped
+        self.served[t] = len(cycles)
+
+    def row(self) -> tuple:
+        utils, curtailed = self.utils, self.curtailed
+        return (
+            self.n_cycles,
+            float(np.mean(utils)) if utils else math.nan,
+            float(np.mean(curtailed)) if curtailed else math.nan,
+            float(np.max(curtailed)) if curtailed else math.nan,
+            float(self.unmet.mean()),
+            float(self.dropped.mean()),
+            float(self.served.mean()),
+        )
+
+
+def _cell_task(args) -> list[tuple]:
+    """``cells.csv`` rows of one demand cell, one per plaza kind.
+
+    Each trajectory's arrival stream is drawn once and replayed against
+    every kind's storage unit on the same pack.
+    """
     (
-        kind,
         mean,
         std,
         rate,
         n_traj,
         seed,
-        capacities,
+        capacities_by_kind,
         pack_totals,
         grid_segments,
         charger_kw,
@@ -570,62 +670,39 @@ def _cell_task(args) -> tuple:
     grid = GridProfile(grid_segments)
     demand = DemandModel(mean_kwh=mean, std_kwh=std)
     arrivals = ArrivalModel(rate)
-    n_packs = len(capacities)
+    n_packs = len(pack_totals)
 
-    n_cycles = 0
-    utils: list[float] = []
-    curtailed: list[float] = []
-    unmet_by_traj = np.zeros(n_traj)
-    dropped = np.zeros(n_traj)
-    served = np.zeros(n_traj)
+    tallies = [_CellTally(n_traj) for _ in capacities_by_kind]
     for t in range(n_traj):
         pack_idx = t % n_packs
-        bess = BessMonolith.full(capacities[pack_idx], bess_kw)
-        trajectory = simulate_day(
-            bess, grid, arrivals, demand, charger_kw, DAY_HORIZON_H,
+        stream = draw_stream(
+            arrivals, demand, DAY_HORIZON_H,
             derive_seed(seed, "traj", mean, std, rate, t),
         )
-        curtailed.extend(
-            c.curtailed_h * 60.0 for c in trajectory.cycles if not c.truncated
-        )
-        for c in trajectory.cycles:
-            if not c.truncated:
-                n_cycles += 1
-                utils.append(c.bess_delivered_kwh / pack_totals[pack_idx])
-        unmet_by_traj[t] = sum(c.unmet_kwh for c in trajectory.cycles)
-        dropped[t] = trajectory.dropped_arrivals
-        served[t] = len(trajectory.cycles)
+        for tally, (_, capacities) in zip(tallies, capacities_by_kind):
+            bess = BessMonolith.full(capacities[pack_idx], bess_kw)
+            cycles, dropped = replay_stream(bess, grid, stream, charger_kw)
+            tally.add(t, cycles, dropped, pack_totals[pack_idx])
 
-    return (
-        kind,
-        mean,
-        std,
-        rate,
-        n_traj,
-        n_cycles,
-        float(np.mean(utils)) if utils else math.nan,
-        float(np.mean(curtailed)) if curtailed else math.nan,
-        float(np.max(curtailed)) if curtailed else math.nan,
-        float(unmet_by_traj.mean()),
-        float(dropped.mean()),
-        float(served.mean()),
-    )
+    return [
+        (kind, mean, std, rate, n_traj, *tally.row())
+        for tally, (kind, _) in zip(tallies, capacities_by_kind)
+    ]
 
 
-def run_ensemble(scenario: Scenario, out_dir, workers: int = 1) -> StudyResult:
+def run_ensemble(
+    scenario: Scenario, out_dir, workers: int = 1, timer: StageTimer | None = None
+) -> StudyResult:
     """Dispersion statistics plus the stochastic service-cell sweep."""
+    timer = timer or StageTimer()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     plaza = scenario.plaza
-    setup = _plaza_setup(scenario)
+    with timer.stage("plaza setup"):
+        setup = _plaza_setup(scenario)
 
-    rows, reports = _dispersion_rows(scenario, setup)
-    _write_csv(out_dir / "dispersion.csv", DISPERSION_HEADER, rows)
-    files = ["dispersion.csv"]
-    for kind, report in reports.items():
-        name = f"metrics_{kind}.json"
-        (out_dir / name).write_text(report.to_json() + "\n")
-        files.append(name)
+    with timer.stage("dispersion"):
+        rows, reports = _dispersion_rows(scenario, setup)
 
     cells = [
         (mean, std, rate)
@@ -635,27 +712,39 @@ def run_ensemble(scenario: Scenario, out_dir, workers: int = 1) -> StudyResult:
     ]
     per_cell = max(1, scenario.n_trajectories // len(cells))
     traj_seed = derive_seed(scenario.seed, "ensemble")
+    capacities_by_kind = tuple(
+        (kind.value, setup.capacities[kind.value]) for kind in plaza.kinds
+    )
     tasks = [
         (
-            kind.value,
             mean,
             std,
             rate,
             per_cell,
             traj_seed,
-            setup.capacities[kind.value],
+            capacities_by_kind,
             setup.pack_totals,
             scenario.grid_profile.segments,
             plaza.charger_max_kw,
             plaza.bess_power_kw,
         )
-        for kind in plaza.kinds
         for (mean, std, rate) in cells
     ]
-    cell_rows = _parallel_map(_cell_task, tasks, workers)
-    _write_csv(out_dir / "cells.csv", CELLS_HEADER, cell_rows)
-    files.append("cells.csv")
-    return _finish("ensemble", scenario, out_dir, files)
+    with timer.stage("cells"):
+        by_cell = _parallel_map(_cell_task, tasks, workers)
+    # Kind-major: every cell of the first kind, then of the next.
+    cell_rows = [cell[k] for k in range(len(capacities_by_kind)) for cell in by_cell]
+
+    with timer.stage("writes"):
+        _write_csv(out_dir / "dispersion.csv", DISPERSION_HEADER, rows)
+        files = ["dispersion.csv"]
+        for kind, report in reports.items():
+            name = f"metrics_{kind}.json"
+            (out_dir / name).write_text(report.to_json() + "\n")
+            files.append(name)
+        _write_csv(out_dir / "cells.csv", CELLS_HEADER, cell_rows)
+        files.append("cells.csv")
+        return _finish("ensemble", scenario, out_dir, files)
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:

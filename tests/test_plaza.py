@@ -11,11 +11,14 @@ from besspp.plaza import (
     DemandModel,
     GridProfile,
     curtailed_minutes_per_ev,
+    draw_stream,
     effective_capacity,
     evaluate_cycle,
+    replay_stream,
     simulate_day,
 )
 from besspp.flows import ConverterEdge, FlowNetwork
+from besspp.scenario import default_scenario
 from besspp.supply import BatteryModule
 
 
@@ -31,6 +34,19 @@ class TestGridProfile:
 
     def test_constant(self):
         assert GridProfile.constant(42.0).power_at(13.7) == 42.0
+
+    @pytest.mark.parametrize(
+        "grid",
+        [default_scenario().grid_profile, GridProfile.constant(42.0)],
+        ids=["default", "constant"],
+    )
+    def test_powers_at_matches_scalar_lookup(self, grid):
+        starts = np.array([start for start, _ in grid.segments])
+        times = np.concatenate(
+            [np.arange(48 * 60 + 1) / 60.0, starts, starts + 24.0, starts + 48.0]
+        )
+        expected = [grid.power_at(float(t)) for t in times]
+        assert np.array_equal(grid.powers_at(times), expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -233,6 +249,51 @@ class TestSimulateDay:
         last = trajectory.cycles[-1]
         end = last.start_h + last.full_h + last.curtailed_h + last.recharge_h
         assert end <= 24.0 + 1e-9
+
+
+_GRIDS = st.sampled_from(
+    [
+        GridProfile.constant(40.0),
+        GridProfile.constant(0.0),
+        GridProfile(((0.0, 55.0), (6.0, 0.0), (9.0, 20.0), (17.0, 160.0))),
+    ]
+)
+
+
+class TestSharedStream:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grid=_GRIDS,
+        small=st.floats(0.1, 10.0),
+        large=st.floats(50.0, 500.0),
+        rate=st.floats(0.25, 4.0),
+        mean=st.floats(5.0, 80.0),
+        std=st.floats(0.0, 40.0),
+        horizon=st.sampled_from([0.5, 24.0, 30.5]),
+    )
+    @settings(max_examples=150)
+    def test_one_stream_replays_like_separate_days(
+        self, seed, grid, small, large, rate, mean, std, horizon
+    ):
+        arrivals, demand = ArrivalModel(rate), _demand(mean, std)
+        stream = draw_stream(arrivals, demand, horizon, seed)
+        for capacity in (0.0, small, large, math.inf):
+            bess = BessMonolith.full(capacity, 150.0)
+            cycles, dropped = replay_stream(bess, grid, stream, 150.0)
+            day = simulate_day(bess, grid, arrivals, demand, 150.0, horizon, seed)
+            assert cycles == day.cycles
+            assert dropped == day.dropped_arrivals
+            assert len(cycles) + dropped == len(stream.times_h)
+
+    def test_stream_validation(self):
+        with pytest.raises(ValueError, match="horizon_h"):
+            draw_stream(ArrivalModel(1.0), _demand(), 0.0, 1)
+        stream = draw_stream(ArrivalModel(1.0), _demand(), 24.0, 1)
+        with pytest.raises(ValueError, match="charger_max_kw"):
+            replay_stream(
+                BessMonolith.full(10.0, 150.0), GridProfile.constant(40.0),
+                stream, 0.0,
+            )
 
 
 class TestCurtailedMinutes:

@@ -11,7 +11,7 @@ from besspp.scenario import (
     load_scenario,
     scenario_to_dict,
 )
-from besspp.studies import scenario_fingerprint
+from besspp.studies import _plaza_setup, scenario_fingerprint
 
 
 def minimal_doc() -> dict:
@@ -66,7 +66,7 @@ class TestDefaultScenario:
         assert scenario.n_layer1 == 3
         assert scenario.supply.heterogeneity == pytest.approx(0.25)
         assert scenario.design_horizon_h == pytest.approx(2.25)
-        assert scenario.plaza_horizon_h == pytest.approx(0.25)
+        assert _plaza_setup(scenario).horizon_h == pytest.approx(0.25)
         assert len(scenario.r_grid) == 20
         kinds = [c.kind for c in scenario.architectures]
         assert kinds == [

@@ -3,14 +3,28 @@ import hashlib
 import json
 from pathlib import Path
 
+import math
+
+import numpy as np
 import pytest
 
 from besspp.cli import main
+from besspp.designer import derive_seed
 from besspp.metrics import MetricReport
+from besspp.plaza import (
+    ArrivalModel,
+    BessMonolith,
+    DemandModel,
+    draw_stream,
+    simulate_day,
+)
 from besspp.scenario import load_scenario
 from besspp.studies import (
+    CELLS_HEADER,
+    DAY_HORIZON_H,
     TRADEOFF_HEADER,
     TRAJECTORY_HEADER,
+    _plaza_setup,
     run_day,
     run_design,
     run_ensemble,
@@ -147,16 +161,26 @@ class TestRunDay:
             run_day(scenario, tmp_path / "day", workers=1, kinds=("fpp",))
 
     def test_same_demand_stream_across_kinds(self, small_scenario, tmp_path):
+        # Every kind serves a subsequence of one arrival stream and drops
+        # the rest of it.
         _, scenario = small_scenario
+        plaza = scenario.plaza
+        stream = draw_stream(
+            ArrivalModel(plaza.exemplar_rate_per_h),
+            plaza.exemplar_demand,
+            DAY_HORIZON_H,
+            derive_seed(scenario.seed, "day"),
+        )
+        arrivals = list(zip(stream.times_h, stream.demands_kwh))
         result = run_day(scenario, tmp_path / "day", workers=1)
         out = Path(result.out_dir)
-        a = json.loads((out / "day_lshippp.json").read_text())
-        b = json.loads((out / "day_cppp.json").read_text())
-        starts_a = [c["start_h"] for c in a["cycles"]]
-        starts_b = [c["start_h"] for c in b["cycles"]]
-        shared = min(len(starts_a), len(starts_b))
-        assert starts_a[:1] == starts_b[:1]
-        assert shared >= 1
+        for kind in ("lshippp", "cppp"):
+            day = json.loads((out / f"day_{kind}.json").read_text())
+            served = [(c["start_h"], c["demand_kwh"]) for c in day["cycles"]]
+            assert served[0] == arrivals[0]
+            remaining = iter(arrivals)
+            assert all(arrival in remaining for arrival in served)
+            assert len(served) + day["dropped_arrivals"] == len(arrivals)
 
 
 class TestRunEnsemble:
@@ -184,6 +208,74 @@ class TestRunEnsemble:
             assert float(cell["curtailed_max_min"]) >= float(
                 cell["curtailed_mean_min"]
             )
+
+    def test_cells_are_kind_major_per_kind_days(self, tmp_path):
+        # Four cells, two trajectories each; every row must equal the
+        # aggregate of separate simulate_day runs for its kind.
+        doc = small_doc()
+        doc["arrival_rates_per_h"] = [2.0, 0.667]
+        doc["demand_stds_kwh"] = [10.0, 25.0]
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(doc))
+        scenario = load_scenario(path)
+        plaza = scenario.plaza
+        setup = _plaza_setup(scenario)
+        seed = derive_seed(scenario.seed, "ensemble")
+        n_traj = 2
+
+        def fmt(value):
+            if isinstance(value, float):
+                return "" if math.isnan(value) else repr(value)
+            return str(value)
+
+        expected = []
+        for kind in (k.value for k in plaza.kinds):
+            for mean in scenario.demand_means_kwh:
+                for std in scenario.demand_stds_kwh:
+                    for rate in scenario.arrival_rates_per_h:
+                        completed, unmet, dropped, served = [], [], [], []
+                        for t in range(n_traj):
+                            pack = t % scenario.n_packs
+                            day = simulate_day(
+                                BessMonolith.full(
+                                    setup.capacities[kind][pack],
+                                    plaza.bess_power_kw,
+                                ),
+                                scenario.grid_profile,
+                                ArrivalModel(rate),
+                                DemandModel(mean, std),
+                                plaza.charger_max_kw,
+                                DAY_HORIZON_H,
+                                derive_seed(seed, "traj", mean, std, rate, t),
+                            )
+                            completed += [
+                                (c, setup.pack_totals[pack])
+                                for c in day.cycles
+                                if not c.truncated
+                            ]
+                            unmet.append(sum(c.unmet_kwh for c in day.cycles))
+                            dropped.append(day.dropped_arrivals)
+                            served.append(len(day.cycles))
+                        curtailed = [c.curtailed_h * 60.0 for c, _ in completed]
+                        utils = [c.bess_delivered_kwh / total for c, total in completed]
+                        row = (
+                            kind, mean, std, rate, n_traj, len(completed),
+                            float(np.mean(utils)) if utils else math.nan,
+                            float(np.mean(curtailed)) if curtailed else math.nan,
+                            float(np.max(curtailed)) if curtailed else math.nan,
+                            float(np.mean(unmet)),
+                            float(np.mean(dropped)),
+                            float(np.mean(served)),
+                        )
+                        expected.append([fmt(v) for v in row])
+
+        result = run_ensemble(scenario, tmp_path / "e", workers=1)
+        with (Path(result.out_dir) / "cells.csv").open(newline="") as fh:
+            reader = csv.reader(fh)
+            assert tuple(next(reader)) == CELLS_HEADER
+            rows = list(reader)
+        assert [r[0] for r in rows] == ["lshippp"] * 4 + ["cppp"] * 4
+        assert rows == expected
 
     def test_rerun_and_workers_byte_identical(self, small_scenario, tmp_path):
         _, scenario = small_scenario
@@ -290,6 +382,29 @@ class TestCli:
         a = read_bytes(base / "tradeoff.csv")
         b = read_bytes(alt / "tradeoff.csv")
         assert a != b
+
+    @pytest.mark.parametrize(
+        "study, stages",
+        [
+            ("design", ("search", "sweep", "writes")),
+            ("tradeoff", ("search", "sweep", "writes")),
+            ("day", ("plaza setup", "days", "writes")),
+            ("ensemble", ("plaza setup", "dispersion", "cells", "writes")),
+        ],
+    )
+    def test_timings_reach_stderr_not_out(
+        self, small_scenario, tmp_path, capsys, study, stages
+    ):
+        path, _ = small_scenario
+        plain, timed = tmp_path / "plain", tmp_path / "timed"
+        assert main([study, "--scenario", str(path), "--out", str(plain)]) == 0
+        assert "timing" not in capsys.readouterr().err
+        args = [study, "--scenario", str(path), "--out", str(timed), "--timings"]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert tree_digest(timed) == tree_digest(plain)
+        for stage in stages:
+            assert f"timing {study} {stage}: wall " in err
 
     def test_unreadable_output_dir_exits_2(self, small_scenario, tmp_path):
         path, _ = small_scenario
