@@ -3,6 +3,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import itertools
 import math
 
 import numpy as np
@@ -229,45 +230,46 @@ class TestRunEnsemble:
             return str(value)
 
         expected = []
-        for kind in (k.value for k in plaza.kinds):
-            for mean in scenario.demand_means_kwh:
-                for std in scenario.demand_stds_kwh:
-                    for rate in scenario.arrival_rates_per_h:
-                        completed, unmet, dropped, served = [], [], [], []
-                        for t in range(n_traj):
-                            pack = t % scenario.n_packs
-                            day = simulate_day(
-                                BessMonolith.full(
-                                    setup.capacities[kind][pack],
-                                    plaza.bess_power_kw,
-                                ),
-                                scenario.grid_profile,
-                                ArrivalModel(rate),
-                                DemandModel(mean, std),
-                                plaza.charger_max_kw,
-                                DAY_HORIZON_H,
-                                derive_seed(seed, "traj", mean, std, rate, t),
-                            )
-                            completed += [
-                                (c, setup.pack_totals[pack])
-                                for c in day.cycles
-                                if not c.truncated
-                            ]
-                            unmet.append(sum(c.unmet_kwh for c in day.cycles))
-                            dropped.append(day.dropped_arrivals)
-                            served.append(len(day.cycles))
-                        curtailed = [c.curtailed_h * 60.0 for c, _ in completed]
-                        utils = [c.bess_delivered_kwh / total for c, total in completed]
-                        row = (
-                            kind, mean, std, rate, n_traj, len(completed),
-                            float(np.mean(utils)) if utils else math.nan,
-                            float(np.mean(curtailed)) if curtailed else math.nan,
-                            float(np.max(curtailed)) if curtailed else math.nan,
-                            float(np.mean(unmet)),
-                            float(np.mean(dropped)),
-                            float(np.mean(served)),
-                        )
-                        expected.append([fmt(v) for v in row])
+        for kind, mean, std, rate in itertools.product(
+            [k.value for k in plaza.kinds],
+            scenario.demand_means_kwh,
+            scenario.demand_stds_kwh,
+            scenario.arrival_rates_per_h,
+        ):
+            completed, unmet, dropped, served = [], [], [], []
+            for t in range(n_traj):
+                pack = t % scenario.n_packs
+                day = simulate_day(
+                    BessMonolith.full(
+                        setup.capacities[kind][pack], plaza.bess_power_kw
+                    ),
+                    scenario.grid_profile,
+                    ArrivalModel(rate),
+                    DemandModel(mean, std),
+                    plaza.charger_max_kw,
+                    DAY_HORIZON_H,
+                    derive_seed(seed, "traj", mean, std, rate, t),
+                )
+                completed += [
+                    (c, setup.pack_totals[pack])
+                    for c in day.cycles
+                    if not c.truncated
+                ]
+                unmet.append(sum(c.unmet_kwh for c in day.cycles))
+                dropped.append(day.dropped_arrivals)
+                served.append(len(day.cycles))
+            curtailed = [c.curtailed_h * 60.0 for c, _ in completed]
+            utils = [c.bess_delivered_kwh / total for c, total in completed]
+            row = (
+                kind, mean, std, rate, n_traj, len(completed),
+                float(np.mean(utils)) if utils else math.nan,
+                float(np.mean(curtailed)) if curtailed else math.nan,
+                float(np.max(curtailed)) if curtailed else math.nan,
+                float(np.mean(unmet)),
+                float(np.mean(dropped)),
+                float(np.mean(served)),
+            )
+            expected.append([fmt(v) for v in row])
 
         result = run_ensemble(scenario, tmp_path / "e", workers=1)
         with (Path(result.out_dir) / "cells.csv").open(newline="") as fh:
