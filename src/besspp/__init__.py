@@ -51,7 +51,6 @@ from besspp.plaza import (
     DemandModel,
     GridProfile,
     curtailed_minutes_per_ev,
-    effective_capacity,
     simulate_day,
 )
 from besspp.metrics import (

@@ -22,21 +22,23 @@ demand is drawn per arrival whether or not it is served, so the arrival
 and demand stream depends on the seed alone, never on the storage unit.
 
 A day is therefore two steps: :func:`draw_stream` draws the stream and
-:func:`replay_stream`, the event loop, serves it from one storage unit and
-returns the cycles and the dropped arrivals.  :func:`simulate_day` runs
-both and adds the 1-minute series; the ensemble draws each (cell,
-trajectory) stream once and replays it for every architecture kind,
-without building series it does not use.
+:func:`replay_lanes`, the event loop, serves it from a storage unit and
+returns the cycles and the dropped arrivals.  The loop runs many
+(capacity, stream) lanes in lockstep as numpy arrays: each step serves the
+next servable arrival of every lane still active, with the phase arithmetic
+of :func:`cycle_phases`.  :func:`replay_stream` is the one-lane call and
+:func:`simulate_day` adds the 1-minute series to it; the ensemble draws each
+demand cell's trajectory streams once and replays every trajectory x kind
+as one lane of a single call, without building series it does not use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
-
-from besspp.flows import FlowNetwork, deliverable_energy
 
 __all__ = [
     "GridProfile",
@@ -48,9 +50,11 @@ __all__ = [
     "ArrivalStream",
     "DayTrajectory",
     "CurtailmentStats",
-    "effective_capacity",
+    "LaneCycles",
+    "cycle_phases",
     "evaluate_cycle",
     "draw_stream",
+    "replay_lanes",
     "replay_stream",
     "simulate_day",
     "curtailed_minutes_per_ev",
@@ -200,7 +204,11 @@ class ChargeCycle:
 
 @dataclass(frozen=True)
 class CyclePhases:
-    """Closed-form outcome of a single charging cycle, before truncation."""
+    """Closed-form outcome of charging cycles, before truncation.
+
+    Floats from :func:`evaluate_cycle`; arrays of the arguments' broadcast
+    shape from :func:`cycle_phases`.
+    """
 
     full_power_kw: float
     bess_kw: float
@@ -239,9 +247,51 @@ class CurtailmentStats:
     n_cycles: int
 
 
-def effective_capacity(net: FlowNetwork) -> float:
-    """Usable monolith energy: the architecture's deliverable energy."""
-    return float(deliverable_energy([net])[0])
+# The per-cycle fields of ChargeCycle after ``index``, in its order.
+_CYCLE_FIELDS = tuple(f.name for f in fields(ChargeCycle))[1:]
+
+
+@dataclass(frozen=True)
+class LaneCycles:
+    """The cycles of many replays, flattened lane by lane.
+
+    Lane ``i`` served ``counts[i]`` cycles, which follow those of lanes
+    ``0 .. i-1`` in every per-cycle array, in service order, and dropped
+    ``dropped[i]`` arrivals.  ``unmet_total_kwh[i]`` is the lane's unmet
+    energy summed cycle by cycle, in service order.
+    """
+
+    counts: np.ndarray
+    dropped: np.ndarray
+    unmet_total_kwh: np.ndarray
+    start_h: np.ndarray
+    demand_kwh: np.ndarray
+    grid_kw: np.ndarray
+    full_power_kw: np.ndarray
+    full_h: np.ndarray
+    curtailed_h: np.ndarray
+    bess_delivered_kwh: np.ndarray
+    recharge_h: np.ndarray
+    unmet_kwh: np.ndarray
+    truncated: np.ndarray
+
+
+def cycle_phases(
+    capacity_kwh, grid_kw, demand_kwh, charger_max_kw: float, bess_power_kw
+) -> CyclePhases:
+    """Phase arithmetic of cycles that start from a full storage unit.
+
+    Capacity, grid power, demand and storage power may be arrays; each
+    element of the result is the outcome of its own cycle.
+    """
+    if charger_max_kw <= 0:
+        raise ValueError("charger_max_kw must be positive")
+    demand = np.asarray(demand_kwh, dtype=float)
+    if (demand < 0).any():
+        raise ValueError("demand_kwh must be nonnegative")
+    return CyclePhases(
+        *_phases(capacity_kwh, grid_kw, demand, charger_max_kw, bess_power_kw)
+    )
 
 
 def evaluate_cycle(
@@ -251,42 +301,61 @@ def evaluate_cycle(
     charger_max_kw: float,
     bess_power_kw: float,
 ) -> CyclePhases:
-    """Phase arithmetic for one cycle starting from a full storage unit."""
-    if charger_max_kw <= 0:
-        raise ValueError("charger_max_kw must be positive")
-    if demand_kwh < 0:
-        raise ValueError("demand_kwh must be nonnegative")
-    bess_kw = min(bess_power_kw, max(0.0, charger_max_kw - grid_kw))
-    full_power = min(charger_max_kw, grid_kw + bess_kw)
-    if full_power <= 0:
-        # No source at all: nothing can be delivered.
-        return CyclePhases(0.0, 0.0, 0.0, 0.0, 0.0, demand_kwh, 0.0)
-    t_demand = demand_kwh / full_power
-    if not math.isfinite(t_demand):
-        # Source power is vanishingly small: the cycle would never finish.
-        return CyclePhases(full_power, bess_kw, 0.0, 0.0, 0.0, demand_kwh, 0.0)
-    t_deplete = capacity_kwh / bess_kw if bess_kw > 0 else math.inf
-    if t_demand <= t_deplete:
-        delivered = bess_kw * t_demand
-        phases = (t_demand, 0.0, delivered, 0.0)
-    else:
-        delivered = capacity_kwh
-        rest = demand_kwh - full_power * t_deplete
-        curtailed = rest / grid_kw if grid_kw > 0 else math.inf
-        if math.isfinite(curtailed):
-            phases = (t_deplete, curtailed, delivered, 0.0)
-        else:
-            # Pedestal power is zero for practical purposes: terminate.
-            phases = (t_deplete, 0.0, delivered, rest)
-    full_h, curtailed_h, delivered, unmet = phases
-    if delivered > 0 and grid_kw > 0:
-        recharge_h = delivered / grid_kw
-    elif delivered > 0:
-        recharge_h = math.inf
-    else:
-        recharge_h = 0.0
-    return CyclePhases(
-        full_power, bess_kw, full_h, curtailed_h, delivered, unmet, recharge_h
+    """Phase arithmetic for one cycle starting from a full storage unit.
+
+    :func:`cycle_phases` on scalars, with float fields.
+    """
+    phases = cycle_phases(
+        capacity_kwh, grid_kw, demand_kwh, charger_max_kw, bess_power_kw
+    )
+    return CyclePhases(*(float(getattr(phases, f.name)) for f in fields(phases)))
+
+
+def _phases(capacity, grid, demand, charger, bess_power) -> tuple:
+    """:class:`CyclePhases` fields, element-wise, with no validation.
+
+    ``np.where(b > a, b, a)`` is Python's ``max(a, b)`` and
+    ``np.where(b < a, b, a)`` its ``min(a, b)``, NaN included.  Divisors
+    that a branch does not use are replaced by 1 so that no element divides
+    by zero; an overflow to infinity is an outcome (a vanishingly small
+    source), not an error.
+    """
+    headroom = charger - grid
+    headroom = np.where(headroom > 0.0, headroom, 0.0)
+    bess_kw = np.where(headroom < bess_power, headroom, bess_power)
+    source = grid + bess_kw
+    full_power = np.where(source < charger, source, charger)
+    dead = full_power <= 0  # no source at all: nothing can be delivered
+    tapped = bess_kw > 0
+    lit = grid > 0
+    with np.errstate(over="ignore"):
+        t_demand = demand / np.where(dead, 1.0, full_power)
+        # A source too small to finish the cycle delivers nothing either.
+        stuck = dead | ~np.isfinite(t_demand)
+        t_demand = np.where(stuck, 0.0, t_demand)
+        t_deplete = np.where(
+            tapped, capacity / np.where(tapped, bess_kw, 1.0), math.inf
+        )
+        # The unit runs empty before the demand is met.
+        short = ~stuck & ~(t_demand <= t_deplete)
+        t_deplete = np.where(short, t_deplete, 0.0)
+        rest = demand - full_power * t_deplete
+        curtailed = np.where(lit, rest / np.where(lit, grid, 1.0), math.inf)
+        # Pedestal power is zero for practical purposes: terminate.
+        pedestal = np.isfinite(curtailed)
+        delivered = np.where(short, capacity, bess_kw * t_demand)
+        drew = delivered > 0
+        recharge_h = np.where(
+            drew & lit, delivered / np.where(drew & lit, grid, 1.0), 0.0
+        )
+    return (
+        np.where(dead, 0.0, full_power),
+        np.where(dead, 0.0, bess_kw),
+        np.where(short, t_deplete, t_demand),
+        np.where(short & pedestal, curtailed, 0.0),
+        delivered,
+        np.where(stuck, demand, np.where(short & ~pedestal, rest, 0.0)),
+        np.where(drew & ~lit, math.inf, recharge_h),
     )
 
 
@@ -302,19 +371,103 @@ def draw_stream(
     if horizon_h <= 0:
         raise ValueError("horizon_h must be positive")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    # Scalar draws return Python floats; bound methods save a lookup each.
+    exponential, normal = rng.exponential, rng.normal
     scale_h = 1.0 / arrivals.rate_per_h
+    mean_kwh, std_kwh = demand.mean_kwh, demand.std_kwh
     max_kwh = float(demand.max_kwh)
     times: list[float] = []
     demands: list[float] = []
-    t_arrival = float(rng.exponential(scale_h))
+    t_arrival = exponential(scale_h)
     while t_arrival < horizon_h:
-        # Scalar clamp: np.clip gives the same value for a finite draw at
-        # several times the cost.
-        draw = float(rng.normal(demand.mean_kwh, demand.std_kwh))
+        draw = normal(mean_kwh, std_kwh)
         times.append(t_arrival)
-        demands.append(min(max(draw, 0.0), max_kwh))
-        t_arrival += float(rng.exponential(scale_h))
+        # min(max(draw, 0.0), max_kwh) without the calls; np.clip gives the
+        # same value for a finite draw at several times the cost.
+        draw = 0.0 if draw < 0.0 else draw
+        demands.append(max_kwh if max_kwh < draw else draw)
+        t_arrival += exponential(scale_h)
     return ArrivalStream(horizon_h, tuple(times), tuple(demands))
+
+
+def replay_lanes(
+    streams: Sequence[ArrivalStream],
+    stream_index,
+    capacities_kwh,
+    bess_power_kw: float,
+    grid: GridProfile,
+    charger_max_kw: float,
+) -> LaneCycles:
+    """Serve ``streams[stream_index[i]]`` from a full unit of ``capacities_kwh[i]``.
+
+    This is the plaza's event loop, run for every lane ``i`` in lockstep.
+    Lanes index the stream arrays instead of copying them, so the kinds of
+    an ensemble cell share one draw.  Each step serves, on every lane still
+    active, the first arrival after the last one served whose time is at
+    least the lane's busy-until time; the arrivals skipped on the way are
+    dropped, and a lane with no such arrival left is done.
+    """
+    if charger_max_kw <= 0:
+        raise ValueError("charger_max_kw must be positive")
+    rows = np.asarray(stream_index, dtype=np.intp)
+    capacity = np.asarray(capacities_kwh, dtype=float)
+    lengths = np.array([len(s.times_h) for s in streams], dtype=np.intp)
+    horizons = np.array([s.horizon_h for s in streams], dtype=float)
+    width = int(lengths.max(initial=0))
+    # A -inf pad never finds the charger idle: busy-until is never negative.
+    times = np.full((len(streams), width), -math.inf)
+    demands = np.zeros((len(streams), width))
+    for row, stream in enumerate(streams):
+        times[row, : lengths[row]] = stream.times_h
+        demands[row, : lengths[row]] = stream.demands_kwh
+    columns = np.arange(width)
+
+    n_lanes = len(rows)
+    unmet_total = np.zeros(n_lanes)
+    live = np.flatnonzero(lengths[rows] > 0)
+    first = np.zeros(live.size, dtype=np.intp)  # next index a lane may serve
+    busy = np.zeros(live.size)
+    served: list[tuple] = []
+    # Every step moves each live lane past one more arrival.
+    for _ in range(width):
+        row = rows[live]
+        idle = (times[row] >= busy[:, None]) & (columns >= first[:, None])
+        pick = idle.argmax(axis=1)
+        found = idle[np.arange(live.size), pick]
+        if not found.all():
+            live, row, pick = live[found], row[found], pick[found]
+        if not live.size:
+            break
+        cycle, busy = _serve(
+            times[row, pick],
+            demands[row, pick],
+            capacity[live],
+            horizons[row],
+            grid,
+            charger_max_kw,
+            bess_power_kw,
+        )
+        unmet_total[live] += cycle[-2]  # unmet_kwh, in service order
+        served.append((live, *cycle))
+        first = pick + 1
+
+    if served:
+        lane = np.concatenate([step[0] for step in served])
+        order = np.argsort(lane, kind="stable")
+        values = [
+            np.concatenate([step[k] for step in served])[order]
+            for k in range(1, len(_CYCLE_FIELDS) + 1)
+        ]
+    else:
+        lane = np.empty(0, dtype=np.intp)
+        values = [np.empty(0)] * (len(_CYCLE_FIELDS) - 1) + [np.empty(0, bool)]
+    counts = np.bincount(lane, minlength=n_lanes)
+    return LaneCycles(
+        counts=counts,
+        dropped=lengths[rows] - counts,
+        unmet_total_kwh=unmet_total,
+        **dict(zip(_CYCLE_FIELDS, values)),
+    )
 
 
 def replay_stream(
@@ -325,29 +478,18 @@ def replay_stream(
 ) -> tuple[tuple[ChargeCycle, ...], int]:
     """Serve ``stream`` from a full ``bess``: the cycles and the dropped count.
 
-    This is the plaza's event loop; ``simulate_day`` and the ensemble both
-    run it, the ensemble once per storage unit on a shared stream.
+    The one-lane call of :func:`replay_lanes`, with Python numbers in every
+    :class:`ChargeCycle`.
     """
-    if charger_max_kw <= 0:
-        raise ValueError("charger_max_kw must be positive")
-    horizon_h = stream.horizon_h
-    cycles: list[ChargeCycle] = []
-    dropped = 0
-    busy_until = 0.0
-    for t_arrival, demand_kwh in zip(stream.times_h, stream.demands_kwh):
-        if t_arrival < busy_until:
-            dropped += 1
-            continue
-        cycle = _serve(
-            len(cycles), t_arrival, demand_kwh, bess, grid, charger_max_kw,
-            horizon_h,
-        )
-        cycles.append(cycle)
-        end = t_arrival + cycle.full_h + cycle.curtailed_h + cycle.recharge_h
-        if cycle.bess_delivered_kwh > 0 and cycle.grid_kw <= 0:
-            end = math.inf  # recharge can never complete
-        busy_until = end
-    return tuple(cycles), dropped
+    lanes = replay_lanes(
+        [stream], [0], [bess.effective_capacity_kwh], bess.max_discharge_kw,
+        grid, charger_max_kw,
+    )
+    columns = [getattr(lanes, name).tolist() for name in _CYCLE_FIELDS]
+    cycles = tuple(
+        ChargeCycle(index, *values) for index, values in enumerate(zip(*columns))
+    )
+    return cycles, int(lanes.dropped[0])
 
 
 def simulate_day(
@@ -370,59 +512,59 @@ def simulate_day(
     )
 
 
-def _serve(
-    index: int,
-    start_h: float,
-    demand_kwh: float,
-    bess: BessMonolith,
-    grid: GridProfile,
-    charger_max_kw: float,
-    horizon_h: float,
-) -> ChargeCycle:
-    grid_kw = grid.power_at(start_h)
-    phases = evaluate_cycle(
-        bess.effective_capacity_kwh,
-        grid_kw,
-        demand_kwh,
-        charger_max_kw,
-        bess.max_discharge_kw,
+def _serve(start_h, demand_kwh, capacity, horizon_h, grid, charger, bess_power):
+    """The served arrivals' cycles, cut at the horizon, and their end times.
+
+    The cycle values come in :data:`_CYCLE_FIELDS` order.
+    """
+    grid_kw = grid.powers_at(start_h)
+    full_power, bess_kw, full_h, curtailed_h, delivered, unmet, recharge_h = (
+        _phases(capacity, grid_kw, demand_kwh, charger, bess_power)
     )
-    full_h = phases.full_h
-    curtailed_h = phases.curtailed_h
-    delivered = phases.bess_delivered_kwh
-    unmet = phases.unmet_kwh
-    recharge_h = phases.recharge_h
     room = horizon_h - start_h
-    truncated = False
-    if full_h > room:
-        # Day ends mid full-power phase.
-        full_h = room
-        delivered = phases.bess_kw * full_h
-        unmet = demand_kwh - phases.full_power_kw * full_h
-        curtailed_h = 0.0
-        recharge_h = 0.0
-        truncated = True
-    elif full_h + curtailed_h > room:
-        curtailed_h = room - full_h
-        unmet = demand_kwh - phases.full_power_kw * full_h - grid_kw * curtailed_h
-        recharge_h = 0.0
-        truncated = True
-    elif not math.isfinite(recharge_h) or full_h + curtailed_h + recharge_h > room:
-        # Service completed; only the refill is cut short by the day's end.
-        recharge_h = room - full_h - curtailed_h
-    return ChargeCycle(
-        index=index,
-        start_h=start_h,
-        demand_kwh=demand_kwh,
-        grid_kw=grid_kw,
-        full_power_kw=phases.full_power_kw,
-        full_h=full_h,
-        curtailed_h=curtailed_h,
-        bess_delivered_kwh=delivered,
-        recharge_h=recharge_h,
-        unmet_kwh=max(0.0, unmet),
-        truncated=truncated,
+    # Day ends mid full-power phase.
+    in_full = full_h > room
+    in_curtailed = ~in_full & (full_h + curtailed_h > room)
+    truncated = in_full | in_curtailed
+    # Service completed; only the refill (maybe endless) is cut short by the
+    # day's end.
+    in_recharge = ~truncated & (full_h + curtailed_h + recharge_h > room)
+    cut_curtailed = room - full_h
+    unmet = np.where(
+        in_full,
+        demand_kwh - full_power * room,
+        np.where(
+            in_curtailed,
+            demand_kwh - full_power * full_h - grid_kw * cut_curtailed,
+            unmet,
+        ),
     )
+    recharge_h = np.where(
+        truncated,
+        0.0,
+        np.where(in_recharge, room - full_h - curtailed_h, recharge_h),
+    )
+    curtailed_h = np.where(
+        in_full, 0.0, np.where(in_curtailed, cut_curtailed, curtailed_h)
+    )
+    delivered = np.where(in_full, bess_kw * room, delivered)
+    full_h = np.where(in_full, room, full_h)
+    end = start_h + full_h + curtailed_h + recharge_h
+    # A refill with no grid power can never complete.
+    end = np.where((delivered > 0) & (grid_kw <= 0), math.inf, end)
+    cycle = (
+        start_h,
+        demand_kwh,
+        grid_kw,
+        full_power,
+        full_h,
+        curtailed_h,
+        delivered,
+        recharge_h,
+        np.where(unmet > 0.0, unmet, 0.0),
+        truncated,
+    )
+    return cycle, end
 
 
 def _minute_series(

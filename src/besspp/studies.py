@@ -41,6 +41,7 @@ from besspp.designer import (
     design_layer2,
     tradeoff_curve,
 )
+from besspp.flows import deliverable_energy
 from besspp.metrics import (
     MetricReport,
     captured_value,
@@ -54,9 +55,9 @@ from besspp.plaza import (
     DemandModel,
     GridProfile,
     curtailed_minutes_per_ev,
+    cycle_phases,
     draw_stream,
-    effective_capacity,
-    evaluate_cycle,
+    replay_lanes,
     replay_stream,
     simulate_day,
 )
@@ -322,7 +323,12 @@ class _PlazaSetup:
     lambda_by_kind: dict[str, float]
 
 
-def _plaza_setup(scenario: Scenario) -> _PlazaSetup:
+def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
+    """Capacities of the first ``n_packs`` plaza packs (all by default).
+
+    Pack ``i`` is seeded by its index alone, so a shorter prefix leaves
+    every pack and capacity it keeps unchanged.
+    """
     plaza = scenario.plaza
     n = scenario.n_modules
     expected = flatten_distribution(plaza.supply, n)
@@ -330,12 +336,12 @@ def _plaza_setup(scenario: Scenario) -> _PlazaSetup:
     layer1 = design_layer1(expected, scenario.n_layer1, horizon)
     packs = [
         sample_pack(plaza.supply, n, derive_seed(scenario.seed, "plaza-pack", i))
-        for i in range(scenario.n_packs)
+        for i in range(scenario.n_packs if n_packs is None else n_packs)
     ]
     capacities: dict[str, tuple[float, ...]] = {}
     lambdas: dict[str, float] = {}
     for kind in plaza.kinds:
-        caps = []
+        nets = []
         lam = math.nan
         for pack in packs:
             if kind is ArchitectureKind.FPP:
@@ -353,8 +359,8 @@ def _plaza_setup(scenario: Scenario) -> _PlazaSetup:
                     pack, layer1, plaza.rating_r, horizon,
                     budget_basis_kwh=expected.total_kwh,
                 )
-            caps.append(effective_capacity(net))
-        capacities[kind.value] = tuple(caps)
+            nets.append(net)
+        capacities[kind.value] = tuple(deliverable_energy(nets).tolist())
         lambdas[kind.value] = lam
     return _PlazaSetup(
         horizon_h=horizon,
@@ -375,14 +381,15 @@ def run_day(
     """One exemplar day per architecture kind, on a common sampled pack.
 
     All kinds replay the same arrival and demand stream against the same
-    pack; only the effective monolith capacity differs.
+    pack, pack 0, the only one sampled; only the effective monolith
+    capacity differs.
     """
     timer = timer or StageTimer()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     plaza = scenario.plaza
     with timer.stage("plaza setup"):
-        setup = _plaza_setup(scenario)
+        setup = _plaza_setup(scenario, n_packs=1)
     if kinds is None:
         kinds = [k.value for k in plaza.kinds]
     else:
@@ -537,17 +544,17 @@ def _dispersion_rows(
 
     rows: list[tuple] = []
     reports: dict[str, MetricReport] = {}
+    pack_totals = np.array(setup.pack_totals)
     for kind in (k.value for k in plaza.kinds):
         caps = setup.capacities[kind]
+        caps_kwh = np.array(caps)
         worst_stats: dict[str, float] = {}
         for k_int, (start_h, grid_kw, demand) in enumerate(schedule):
-            utils = np.empty(len(caps))
-            for i, cap in enumerate(caps):
-                phases = evaluate_cycle(
-                    cap, grid_kw, demand, plaza.charger_max_kw,
-                    plaza.bess_power_kw,
-                )
-                utils[i] = phases.bess_delivered_kwh / setup.pack_totals[i]
+            phases = cycle_phases(
+                caps_kwh, grid_kw, demand, plaza.charger_max_kw,
+                plaza.bess_power_kw,
+            )
+            utils = phases.bess_delivered_kwh / pack_totals
             mean = float(utils.mean())
             p10 = float(np.quantile(utils, 0.1))
             p90 = float(np.quantile(utils, 0.9))
@@ -615,45 +622,12 @@ def _dispersion_rows(
     return rows, reports
 
 
-class _CellTally:
-    """Per-kind accumulators for one demand cell."""
-
-    def __init__(self, n_traj: int) -> None:
-        self.n_cycles = 0
-        self.utils: list[float] = []
-        self.curtailed: list[float] = []
-        self.unmet = np.zeros(n_traj)
-        self.dropped = np.zeros(n_traj)
-        self.served = np.zeros(n_traj)
-
-    def add(self, t: int, cycles, dropped: int, pack_total: float) -> None:
-        for c in cycles:
-            if not c.truncated:
-                self.n_cycles += 1
-                self.curtailed.append(c.curtailed_h * 60.0)
-                self.utils.append(c.bess_delivered_kwh / pack_total)
-        self.unmet[t] = sum(c.unmet_kwh for c in cycles)
-        self.dropped[t] = dropped
-        self.served[t] = len(cycles)
-
-    def row(self) -> tuple:
-        utils, curtailed = self.utils, self.curtailed
-        return (
-            self.n_cycles,
-            float(np.mean(utils)) if utils else math.nan,
-            float(np.mean(curtailed)) if curtailed else math.nan,
-            float(np.max(curtailed)) if curtailed else math.nan,
-            float(self.unmet.mean()),
-            float(self.dropped.mean()),
-            float(self.served.mean()),
-        )
-
-
 def _cell_task(args) -> list[tuple]:
     """``cells.csv`` rows of one demand cell, one per plaza kind.
 
-    Each trajectory's arrival stream is drawn once and replayed against
-    every kind's storage unit on the same pack.
+    Each trajectory's arrival stream is drawn once; every trajectory x kind
+    is one lane of a single :func:`replay_lanes` call, trajectory ``t`` on
+    pack ``t % n_packs``.
     """
     (
         mean,
@@ -667,27 +641,53 @@ def _cell_task(args) -> list[tuple]:
         charger_kw,
         bess_kw,
     ) = args
-    grid = GridProfile(grid_segments)
     demand = DemandModel(mean_kwh=mean, std_kwh=std)
     arrivals = ArrivalModel(rate)
-    n_packs = len(pack_totals)
-
-    tallies = [_CellTally(n_traj) for _ in capacities_by_kind]
-    for t in range(n_traj):
-        pack_idx = t % n_packs
-        stream = draw_stream(
+    streams = [
+        draw_stream(
             arrivals, demand, DAY_HORIZON_H,
             derive_seed(seed, "traj", mean, std, rate, t),
         )
-        for tally, (_, capacities) in zip(tallies, capacities_by_kind):
-            bess = BessMonolith.full(capacities[pack_idx], bess_kw)
-            cycles, dropped = replay_stream(bess, grid, stream, charger_kw)
-            tally.add(t, cycles, dropped, pack_totals[pack_idx])
-
-    return [
-        (kind, mean, std, rate, n_traj, *tally.row())
-        for tally, (kind, _) in zip(tallies, capacities_by_kind)
+        for t in range(n_traj)
     ]
+    packs = np.arange(n_traj) % len(pack_totals)
+    lanes = replay_lanes(
+        streams,
+        np.tile(np.arange(n_traj), len(capacities_by_kind)),
+        np.concatenate([np.array(caps)[packs] for _, caps in capacities_by_kind]),
+        bess_kw,
+        GridProfile(grid_segments),
+        charger_kw,
+    )
+    totals = np.array(pack_totals)[packs]
+    # Kind k owns lanes k*n_traj .. (k+1)*n_traj - 1, and so one run of
+    # cycles in (trajectory, cycle) order.
+    bounds = np.concatenate([[0], np.cumsum(lanes.counts)])
+    rows = []
+    for k, (kind, _) in enumerate(capacities_by_kind):
+        traj = slice(k * n_traj, (k + 1) * n_traj)
+        cycles = slice(bounds[traj.start], bounds[traj.stop])
+        counts = lanes.counts[traj]
+        done = ~lanes.truncated[cycles]
+        utils = (lanes.bess_delivered_kwh[cycles] / np.repeat(totals, counts))[done]
+        curtailed = lanes.curtailed_h[cycles][done] * 60.0
+        rows.append(
+            (
+                kind,
+                mean,
+                std,
+                rate,
+                n_traj,
+                int(done.sum()),
+                float(np.mean(utils)) if utils.size else math.nan,
+                float(np.mean(curtailed)) if curtailed.size else math.nan,
+                float(np.max(curtailed)) if curtailed.size else math.nan,
+                float(lanes.unmet_total_kwh[traj].mean()),
+                float(lanes.dropped[traj].mean()),
+                float(counts.mean()),
+            )
+        )
+    return rows
 
 
 def run_ensemble(

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,17 +9,21 @@ from hypothesis import strategies as st
 
 from besspp.plaza import (
     ArrivalModel,
+    ArrivalStream,
     BessMonolith,
+    ChargeCycle,
+    CyclePhases,
     DemandModel,
     GridProfile,
     curtailed_minutes_per_ev,
+    cycle_phases,
     draw_stream,
-    effective_capacity,
     evaluate_cycle,
+    replay_lanes,
     replay_stream,
     simulate_day,
 )
-from besspp.flows import ConverterEdge, FlowNetwork
+from besspp.flows import ConverterEdge, FlowNetwork, deliverable_energy
 from besspp.scenario import default_scenario
 from besspp.supply import BatteryModule
 
@@ -71,9 +77,10 @@ class TestGridProfile:
 
 class TestEffectiveCapacity:
     def test_matches_deliverable_energy(self):
+        # The monolith's usable energy is the network's deliverable energy.
         batteries = tuple(BatteryModule(c, 50.0) for c in (3.0, 4.0, 5.0))
         net = FlowNetwork(batteries, (ConverterEdge(0, 2, math.inf),), 1.0)
-        assert effective_capacity(net) == pytest.approx(12.0)
+        assert deliverable_energy([net])[0] == pytest.approx(12.0)
 
 
 class TestEvaluateCycle:
@@ -124,6 +131,40 @@ class TestEvaluateCycle:
         phases = evaluate_cycle(100.0, 50.0, 30.0, 150.0, 60.0)
         assert phases.bess_kw == 60.0
         assert phases.full_power_kw == 110.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="charger_max_kw"):
+            evaluate_cycle(10.0, 50.0, 30.0, 0.0, 150.0)
+        with pytest.raises(ValueError, match="demand_kwh"):
+            evaluate_cycle(10.0, 50.0, -1.0, 150.0, 150.0)
+        with pytest.raises(ValueError, match="demand_kwh"):
+            cycle_phases([10.0, 10.0], 50.0, [30.0, -1.0], 150.0, 150.0)
+
+    @given(
+        cases=st.lists(
+            st.tuples(
+                st.floats(0.0, 300.0) | st.sampled_from([0.0, math.inf]),
+                st.floats(0.0, 200.0) | st.sampled_from([0.0, 5e-324, 1e-300]),
+                st.floats(0.0, 300.0) | st.just(0.0),
+                st.floats(0.0, 300.0) | st.just(0.0),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        charger=st.floats(1.0, 300.0) | st.just(150.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_array_phases_equal_scalar_reference(self, cases, charger):
+        capacity, grid, demand, bess_power = map(np.array, zip(*cases))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phases = cycle_phases(capacity, grid, demand, charger, bess_power)
+        names = [f.name for f in fields(CyclePhases)]
+        for k, (cap, grid_kw, dem, power) in enumerate(cases):
+            expected = _reference_phases(cap, grid_kw, dem, charger, power)
+            got = CyclePhases(*(float(getattr(phases, n)[k]) for n in names))
+            assert got == expected
+            assert evaluate_cycle(cap, grid_kw, dem, charger, power) == expected
 
     def test_zero_demand(self):
         phases = evaluate_cycle(100.0, 50.0, 0.0, 150.0, 150.0)
@@ -258,6 +299,179 @@ _GRIDS = st.sampled_from(
         GridProfile(((0.0, 55.0), (6.0, 0.0), (9.0, 20.0), (17.0, 160.0))),
     ]
 )
+
+
+# The scalar phase arithmetic and per-arrival event loop that the lane core
+# replaced, kept in pure Python as the oracle it must equal bit for bit.
+
+
+def _reference_phases(capacity, grid_kw, demand, charger, bess_power):
+    bess_kw = min(bess_power, max(0.0, charger - grid_kw))
+    full_power = min(charger, grid_kw + bess_kw)
+    if full_power <= 0:
+        return CyclePhases(0.0, 0.0, 0.0, 0.0, 0.0, demand, 0.0)
+    t_demand = demand / full_power
+    if not math.isfinite(t_demand):
+        return CyclePhases(full_power, bess_kw, 0.0, 0.0, 0.0, demand, 0.0)
+    t_deplete = capacity / bess_kw if bess_kw > 0 else math.inf
+    if t_demand <= t_deplete:
+        full_h, curtailed_h, delivered, unmet = (
+            t_demand, 0.0, bess_kw * t_demand, 0.0
+        )
+    else:
+        rest = demand - full_power * t_deplete
+        curtailed = rest / grid_kw if grid_kw > 0 else math.inf
+        if math.isfinite(curtailed):
+            full_h, curtailed_h, delivered, unmet = t_deplete, curtailed, capacity, 0.0
+        else:
+            full_h, curtailed_h, delivered, unmet = t_deplete, 0.0, capacity, rest
+    if delivered > 0 and grid_kw > 0:
+        recharge_h = delivered / grid_kw
+    elif delivered > 0:
+        recharge_h = math.inf
+    else:
+        recharge_h = 0.0
+    return CyclePhases(
+        full_power, bess_kw, full_h, curtailed_h, delivered, unmet, recharge_h
+    )
+
+
+def _reference_replay(capacity, bess_power, grid, stream, charger):
+    cycles, dropped, busy_until = [], 0, 0.0
+    for start, demand in zip(stream.times_h, stream.demands_kwh):
+        if start < busy_until:
+            dropped += 1
+            continue
+        grid_kw = grid.power_at(start)
+        phases = _reference_phases(capacity, grid_kw, demand, charger, bess_power)
+        full_h, curtailed_h = phases.full_h, phases.curtailed_h
+        delivered, unmet = phases.bess_delivered_kwh, phases.unmet_kwh
+        recharge_h = phases.recharge_h
+        room = stream.horizon_h - start
+        truncated = False
+        if full_h > room:
+            full_h = room
+            delivered = phases.bess_kw * full_h
+            unmet = demand - phases.full_power_kw * full_h
+            curtailed_h = recharge_h = 0.0
+            truncated = True
+        elif full_h + curtailed_h > room:
+            curtailed_h = room - full_h
+            unmet = demand - phases.full_power_kw * full_h - grid_kw * curtailed_h
+            recharge_h = 0.0
+            truncated = True
+        elif not math.isfinite(recharge_h) or full_h + curtailed_h + recharge_h > room:
+            recharge_h = room - full_h - curtailed_h
+        cycles.append(
+            ChargeCycle(
+                len(cycles), start, demand, grid_kw, phases.full_power_kw,
+                full_h, curtailed_h, delivered, recharge_h, max(0.0, unmet),
+                truncated,
+            )
+        )
+        busy_until = start + full_h + curtailed_h + recharge_h
+        if delivered > 0 and grid_kw <= 0:
+            busy_until = math.inf
+    return cycles, dropped
+
+
+@st.composite
+def _streams(draw):
+    horizon = draw(st.sampled_from([0.5, 24.0, 30.5]))
+    if draw(st.booleans()):
+        return draw_stream(
+            ArrivalModel(draw(st.floats(0.25, 4.0))),
+            _demand(draw(st.floats(1.0, 80.0)), draw(st.floats(0.0, 60.0))),
+            horizon,
+            draw(st.integers(0, 2**32 - 1)),
+        )
+    # Hand-made: empty streams, equal arrival times and zero demands, i.e.
+    # cycles that end where they start.
+    times = sorted(
+        draw(st.lists(st.floats(0.0, horizon, exclude_max=True), max_size=12))
+    )
+    demands = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 20.0, 60.0, 100.0]) | st.floats(0.0, 100.0),
+            min_size=len(times),
+            max_size=len(times),
+        )
+    )
+    return ArrivalStream(horizon, tuple(times), tuple(demands))
+
+
+_CAPACITIES = (
+    st.sampled_from([0.0, math.inf]) | st.floats(0.1, 10.0) | st.floats(50.0, 500.0)
+)
+
+
+class TestReplayLanes:
+    @given(
+        streams=st.lists(_streams(), min_size=1, max_size=4),
+        data=st.data(),
+        grid=_GRIDS,
+        bess_power=st.sampled_from([150.0, 60.0, 0.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lanes_equal_reference_loop(self, streams, data, grid, bess_power):
+        lanes_spec = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(streams) - 1), _CAPACITIES),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lanes = replay_lanes(
+                streams,
+                [row for row, _ in lanes_spec],
+                [capacity for _, capacity in lanes_spec],
+                bess_power,
+                grid,
+                150.0,
+            )
+        names = [f.name for f in fields(ChargeCycle)][1:]
+        first = 0
+        for lane, (row, capacity) in enumerate(lanes_spec):
+            stream = streams[row]
+            cycles, dropped = _reference_replay(
+                capacity, bess_power, grid, stream, 150.0
+            )
+            n = int(lanes.counts[lane])
+            columns = [
+                getattr(lanes, name)[first : first + n].tolist() for name in names
+            ]
+            assert [
+                ChargeCycle(k, *values) for k, values in enumerate(zip(*columns))
+            ] == cycles
+            assert lanes.dropped[lane] == dropped
+            total = 0.0
+            for cycle in cycles:
+                total += cycle.unmet_kwh
+            assert lanes.unmet_total_kwh[lane] == total
+            first += n
+
+            one = replay_stream(
+                BessMonolith.full(capacity, bess_power), grid, stream, 150.0
+            )
+            assert one == (tuple(cycles), dropped)
+            for cycle in one[0]:
+                assert type(cycle.truncated) is bool
+                assert all(type(getattr(cycle, n)) is float for n in names[:-1])
+        assert first == lanes.start_h.size
+
+    def test_no_lanes_and_empty_streams(self):
+        grid = GridProfile.constant(40.0)
+        empty = ArrivalStream(24.0, (), ())
+        lanes = replay_lanes([empty], [0, 0], [0.0, 10.0], 150.0, grid, 150.0)
+        assert lanes.counts.tolist() == [0, 0]
+        assert lanes.dropped.tolist() == [0, 0]
+        assert lanes.start_h.size == 0 and lanes.truncated.dtype == bool
+        none = replay_lanes([empty], [], [], 150.0, grid, 150.0)
+        assert none.counts.size == 0
+        with pytest.raises(ValueError, match="charger_max_kw"):
+            replay_lanes([empty], [0], [1.0], 150.0, grid, 0.0)
 
 
 class TestSharedStream:

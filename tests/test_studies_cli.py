@@ -5,6 +5,7 @@ from pathlib import Path
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,19 @@ class TestRunDay:
             assert stats["kind"] == kind
             assert stats["n_cycles"] >= 1
 
+    def test_pack_prefix_keeps_every_capacity(self, small_scenario):
+        # run_day samples only pack 0; packs are seeded by index and each
+        # kind's packs are evaluated in one batch, so a shorter prefix must
+        # give the same leading capacities bit for bit.
+        _, scenario = small_scenario
+        full = _plaza_setup(scenario)
+        for n_packs in (1, 2):
+            prefix = _plaza_setup(scenario, n_packs=n_packs)
+            assert prefix.pack_totals == full.pack_totals[:n_packs]
+            assert prefix.horizon_h == full.horizon_h
+            for kind, caps in full.capacities.items():
+                assert prefix.capacities[kind] == caps[:n_packs]
+
     def test_unknown_kind_rejected(self, small_scenario, tmp_path):
         _, scenario = small_scenario
         with pytest.raises(ValueError, match="not part"):
@@ -209,6 +223,14 @@ class TestRunEnsemble:
             assert float(cell["curtailed_max_min"]) >= float(
                 cell["curtailed_mean_min"]
             )
+
+    def test_no_numpy_warnings(self, small_scenario, tmp_path):
+        # The lane core computes only on active lanes; a finished lane is
+        # busy until inf, and inf % 24 or 0/0 would warn.
+        _, scenario = small_scenario
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_ensemble(scenario, tmp_path / "e", workers=1)
 
     def test_cells_are_kind_major_per_kind_days(self, tmp_path):
         # Four cells, two trajectories each; every row must equal the
