@@ -17,11 +17,16 @@ over intrinsic pack energy):
 
 Converter energy caps are sized from a reference (expected) pack so that
 hardware is identical across Monte Carlo packs; pass ``budget_basis_kwh``
-to pin that reference when evaluating sampled packs.
+to pin that reference when evaluating sampled packs.  The budget arithmetic
+lives only in :func:`split_budget` (and :func:`split_lambda` for the
+frozen-layer-1 ladder sweep): the builders assemble a network from its
+:class:`BudgetSplit`, and the sweeps hand the same caps to the cut-form
+kernel without building networks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -35,7 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ArchitectureKind",
     "ArchitectureConfig",
+    "BudgetSplit",
     "ConfigurationError",
+    "assemble_network",
+    "converter_pairs",
+    "layer1_aggregate_kwh",
+    "split_budget",
+    "split_lambda",
     "build_fpp",
     "build_cppp",
     "build_lshippp",
@@ -45,6 +56,10 @@ __all__ = [
 
 SPARSE_LAYER = 1
 ADJACENT_LAYER = 2
+
+# Rated output power of a pack; with the expected pack energy it sets the
+# default discharge horizon.
+DEFAULT_RATED_POWER_KW = 150.0
 
 
 class ConfigurationError(ValueError):
@@ -128,17 +143,116 @@ class ArchitectureConfig:
         )
 
 
-def _budget_kwh(
-    batteries: tuple[BatteryModule, ...],
+@dataclass(frozen=True)
+class BudgetSplit:
+    """A converter budget spread over an architecture's converters.
+
+    ``caps_kwh`` holds one energy cap per converter in build order: one per
+    module for fpp, one per edge (the designed layer first, then the ladder
+    rungs) for the string families.  ``rung_kwh`` is the cap of one ladder
+    rung (for fpp, of one module's converter) and ``lambda_h`` the
+    ladder-to-layer-1 aggregate ratio (NaN outside lshippp).
+    """
+
+    caps_kwh: tuple[float, ...]
+    rung_kwh: float
+    lambda_h: float
+
+
+def layer1_aggregate_kwh(layer1: "Layer1Design", horizon_h: float) -> float:
+    """Energy cap of the whole designed layer at its procured rating."""
+    return len(layer1.edges) * layer1.rating_kw * horizon_h
+
+
+def split_budget(
+    kind: ArchitectureKind | str,
+    n_modules: int,
     rating_r: float,
-    budget_basis_kwh: float | None,
-) -> float:
-    basis = (
-        budget_basis_kwh
-        if budget_basis_kwh is not None
-        else sum(b.capacity_kwh for b in batteries)
+    budget_basis_kwh: float,
+    horizon_h: float,
+    layer1: "Layer1Design | None" = None,
+) -> BudgetSplit:
+    """Spread the budget ``rating_r * budget_basis_kwh`` over ``kind``.
+
+    fpp splits it evenly over the N module converters and cppp over the
+    N-1 rungs.  lshippp funds layer 1 first: below its design point the
+    layer-1 caps are scaled down uniformly and the ladder gets nothing;
+    above it, the surplus is spread evenly over the ladder and ``lambda_h``
+    is the resulting aggregate ratio.
+    """
+    kind = ArchitectureKind(kind)
+    if kind is ArchitectureKind.LSHIPPP:
+        _check_layer1(layer1, n_modules)
+    _check_build(n_modules, rating_r, horizon_h)
+    budget = rating_r * budget_basis_kwh
+    if kind is ArchitectureKind.FPP:
+        cap = budget / n_modules
+        return BudgetSplit((cap,) * n_modules, cap, math.nan)
+    if kind is ArchitectureKind.CPPP:
+        cap = budget / (n_modules - 1)
+        return BudgetSplit((cap,) * (n_modules - 1), cap, math.nan)
+    m = len(layer1.edges)
+    design_point = layer1_aggregate_kwh(layer1, horizon_h)
+    if budget <= design_point:
+        cap1 = budget / m
+        lambda_h = 0.0
+        cap2 = 0.0
+    else:
+        cap1 = layer1.rating_kw * horizon_h
+        lambda_h = (budget - design_point) / design_point
+        cap2 = (budget - design_point) / (n_modules - 1)
+    return BudgetSplit((cap1,) * m + (cap2,) * (n_modules - 1), cap2, lambda_h)
+
+
+def split_lambda(layer1: "Layer1Design", lambda_h: float) -> BudgetSplit:
+    """lshippp with layer 1 capped at its designed duty and a ``lambda_h`` ladder.
+
+    Each layer-1 edge is capped at the magnitude of its designed optimal
+    flow, so no pack can work it past that duty; the ladder splits
+    ``lambda_h`` times the layer-1 aggregate evenly over its N-1 rungs.
+    """
+    if lambda_h < 0:
+        raise ConfigurationError("lambda_h must be >= 0")
+    rung = _ladder_rung_kwh(layer1, lambda_h, layer1.horizon_h)
+    duty = tuple(abs(flow) for flow in layer1.optimal_flows_kwh)
+    return BudgetSplit(duty + (rung,) * (layer1.n_batteries - 1), rung, lambda_h)
+
+
+def converter_pairs(
+    kind: ArchitectureKind | str,
+    n_modules: int,
+    layer1: "Layer1Design | None" = None,
+) -> tuple[tuple[int, int], ...]:
+    """Module pairs of ``kind``'s edges in build order (none for fpp)."""
+    kind = ArchitectureKind(kind)
+    if kind is ArchitectureKind.FPP:
+        return ()
+    ladder = tuple((j, j + 1) for j in range(n_modules - 1))
+    if kind is ArchitectureKind.CPPP:
+        return ladder
+    return tuple(layer1.edges) + ladder
+
+
+def assemble_network(
+    kind: ArchitectureKind | str,
+    batteries: tuple[BatteryModule, ...],
+    split: BudgetSplit,
+    horizon_h: float,
+    layer1: "Layer1Design | None" = None,
+) -> FlowNetwork:
+    """The ``kind`` network on ``batteries`` with the converter caps of ``split``."""
+    kind = ArchitectureKind(kind)
+    if kind is ArchitectureKind.FPP:
+        return FlowNetwork(
+            tuple(batteries), (), horizon_h, output_caps=split.caps_kwh
+        )
+    n_sparse = len(layer1.edges) if kind is ArchitectureKind.LSHIPPP else 0
+    pairs = converter_pairs(kind, len(batteries), layer1)
+    edges = tuple(
+        ConverterEdge(i, j, cap, SPARSE_LAYER if k < n_sparse else ADJACENT_LAYER)
+        for k, ((i, j), cap) in enumerate(zip(pairs, split.caps_kwh))
     )
-    return rating_r * basis
+    return FlowNetwork(tuple(batteries), edges, horizon_h)
 
 
 def build_fpp(
@@ -149,15 +263,8 @@ def build_fpp(
     budget_basis_kwh: float | None = None,
 ) -> FlowNetwork:
     """Dedicated converter per module, budget split evenly over all N."""
-    n = len(batteries)
-    _check_build(n, rating_r, horizon_h)
-    per_converter = _budget_kwh(batteries, rating_r, budget_basis_kwh) / n
-    return FlowNetwork(
-        batteries=tuple(batteries),
-        converter_edges=(),
-        horizon_h=horizon_h,
-        output_caps=(per_converter,) * n,
-    )
+    kind = ArchitectureKind.FPP
+    return _build(kind, batteries, rating_r, horizon_h, budget_basis_kwh)[0]
 
 
 def build_cppp(
@@ -168,14 +275,8 @@ def build_cppp(
     budget_basis_kwh: float | None = None,
 ) -> FlowNetwork:
     """Adjacent converter ladder, budget split evenly over the N-1 rungs."""
-    n = len(batteries)
-    _check_build(n, rating_r, horizon_h)
-    per_converter = _budget_kwh(batteries, rating_r, budget_basis_kwh) / (n - 1)
-    edges = tuple(
-        ConverterEdge(j, j + 1, per_converter, layer=ADJACENT_LAYER)
-        for j in range(n - 1)
-    )
-    return FlowNetwork(tuple(batteries), edges, horizon_h)
+    kind = ArchitectureKind.CPPP
+    return _build(kind, batteries, rating_r, horizon_h, budget_basis_kwh)[0]
 
 
 def build_lshippp(
@@ -191,17 +292,18 @@ def build_lshippp(
     of ``lambda_h`` times the layer-1 aggregate evenly over its N-1 rungs.
     """
     n = len(batteries)
-    if layer1.n_batteries != n:
-        raise ConfigurationError(
-            f"layer-1 design is for {layer1.n_batteries} modules, pack has {n}"
-        )
+    _check_layer1(layer1, n)
     if lambda_h < 0:
         raise ConfigurationError("lambda_h must be >= 0")
     if horizon_h <= 0:
         raise ConfigurationError("horizon_h must be positive")
     cap1 = layer1.rating_kw * horizon_h
-    cap2 = lambda_h * (len(layer1.edges) * cap1) / (n - 1)
-    return _assemble_lshippp(batteries, layer1, cap1, cap2, horizon_h)
+    rung = _ladder_rung_kwh(layer1, lambda_h, horizon_h)
+    caps = (cap1,) * len(layer1.edges) + (rung,) * (n - 1)
+    return assemble_network(
+        ArchitectureKind.LSHIPPP, batteries, BudgetSplit(caps, rung, lambda_h),
+        horizon_h, layer1,
+    )
 
 
 def build_lshippp_for_budget(
@@ -214,46 +316,43 @@ def build_lshippp_for_budget(
 ) -> tuple[FlowNetwork, float]:
     """Realize a total budget ``R`` over both layers; returns ``(net, lambda_h)``.
 
-    Layer 1 is funded first.  Below its design point the layer-1 caps are
-    scaled down uniformly and the ladder gets nothing; above it, the surplus
-    is spread evenly over the ladder and ``lambda_h`` is the resulting
-    aggregate ratio.
+    The split is :func:`split_budget`'s: layer 1 is funded first and the
+    surplus goes to the ladder.
     """
-    n = len(batteries)
+    kind = ArchitectureKind.LSHIPPP
+    return _build(kind, batteries, rating_r, horizon_h, budget_basis_kwh, layer1)
+
+
+def _build(
+    kind: ArchitectureKind,
+    batteries: tuple[BatteryModule, ...],
+    rating_r: float,
+    horizon_h: float,
+    budget_basis_kwh: float | None,
+    layer1: "Layer1Design | None" = None,
+) -> tuple[FlowNetwork, float]:
+    if budget_basis_kwh is None:
+        budget_basis_kwh = sum(b.capacity_kwh for b in batteries)
+    split = split_budget(
+        kind, len(batteries), rating_r, budget_basis_kwh, horizon_h, layer1
+    )
+    return assemble_network(kind, batteries, split, horizon_h, layer1), split.lambda_h
+
+
+def _ladder_rung_kwh(
+    layer1: "Layer1Design", lambda_h: float, horizon_h: float
+) -> float:
+    aggregate = layer1_aggregate_kwh(layer1, horizon_h)
+    return lambda_h * aggregate / (layer1.n_batteries - 1)
+
+
+def _check_layer1(layer1: "Layer1Design | None", n: int) -> None:
+    if layer1 is None:
+        raise ConfigurationError("lshippp needs a layer-1 design")
     if layer1.n_batteries != n:
         raise ConfigurationError(
             f"layer-1 design is for {layer1.n_batteries} modules, pack has {n}"
         )
-    _check_build(n, rating_r, horizon_h)
-    budget = _budget_kwh(batteries, rating_r, budget_basis_kwh)
-    m = len(layer1.edges)
-    design_point = m * layer1.rating_kw * horizon_h
-    if budget <= design_point:
-        cap1 = budget / m
-        lambda_h = 0.0
-        cap2 = 0.0
-    else:
-        cap1 = layer1.rating_kw * horizon_h
-        lambda_h = (budget - design_point) / design_point
-        cap2 = (budget - design_point) / (n - 1)
-    return _assemble_lshippp(batteries, layer1, cap1, cap2, horizon_h), lambda_h
-
-
-def _assemble_lshippp(
-    batteries: tuple[BatteryModule, ...],
-    layer1: "Layer1Design",
-    cap1: float,
-    cap2: float,
-    horizon_h: float,
-) -> FlowNetwork:
-    n = len(batteries)
-    sparse = tuple(
-        ConverterEdge(i, j, cap1, layer=SPARSE_LAYER) for i, j in layer1.edges
-    )
-    ladder = tuple(
-        ConverterEdge(j, j + 1, cap2, layer=ADJACENT_LAYER) for j in range(n - 1)
-    )
-    return FlowNetwork(tuple(batteries), sparse + ladder, horizon_h)
 
 
 def _check_build(n: int, rating_r: float, horizon_h: float) -> None:

@@ -15,8 +15,11 @@ the utilization distribution over sampled packs.
 
 ``tradeoff_curve`` evaluates any architecture family on a grid of total
 normalized ratings ``R`` with common random packs, so curves for different
-families are directly comparable.  Every sweep point's packs share their
-wiring and caps and are evaluated together by the cut form.
+families are directly comparable.  Both sweeps sample their packs once,
+take each point's converter caps from the budget split of
+:mod:`besspp.architectures` and evaluate every point x pack in one
+:func:`sweep_energy` call: one cut-form kernel call for the string
+families, the closed form for fpp, and no network per pack.
 """
 
 from __future__ import annotations
@@ -29,15 +32,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from besspp.architectures import (
+    DEFAULT_RATED_POWER_KW,
     ArchitectureKind,
-    build_cppp,
-    build_fpp,
-    build_lshippp_for_budget,
+    BudgetSplit,
+    converter_pairs,
+    layer1_aggregate_kwh,
+    split_budget,
+    split_lambda,
 )
 from besspp.flows import (
     ConverterEdge,
     FlowNetwork,
-    deliverable_energy,
+    cut_form_energy,
+    fpp_deliverable,
     min_peak_flow,
     uncapped_placement_energy,
 )
@@ -56,6 +63,7 @@ __all__ = [
     "design_layer1",
     "design_layer2",
     "tradeoff_curve",
+    "sweep_energy",
     "default_lambda_grid",
 ]
 
@@ -223,25 +231,20 @@ def design_layer2(
     packs = [sample_pack(dist, n, s) for s in pack_seeds]
     expected_total = flatten_distribution(dist, n).total_kwh
 
-    m = len(layer1.edges)
-    horizon = layer1.horizon_h
-    layer1_aggregate_kwh = m * layer1.rating_kw * horizon
-    points = []
-    for lam in lambda_grid:
-        cap2 = lam * layer1_aggregate_kwh / (n - 1)
-        nets = [_frozen_layer1_network(pack, layer1, cap2) for pack in packs]
-        utils = _utilizations(nets)
-        total_r = (1 + lam) * layer1_aggregate_kwh / expected_total
-        points.append(
-            _make_point(
-                kind=ArchitectureKind.LSHIPPP.value,
-                rating_r=total_r,
-                lambda_h=lam,
-                layer2_kw=cap2 / horizon,
-                utils=utils,
-            )
+    kind = ArchitectureKind.LSHIPPP
+    aggregate = layer1_aggregate_kwh(layer1, layer1.horizon_h)
+    splits = [split_lambda(layer1, lam) for lam in lambda_grid]
+    utils = _utilization_rows(sweep_energy(kind, packs, splits, layer1), packs)
+    return [
+        _make_point(
+            kind=kind.value,
+            rating_r=(1 + lam) * aggregate / expected_total,
+            lambda_h=lam,
+            layer2_kw=split.rung_kwh / layer1.horizon_h,
+            utils=row,
         )
-    return points
+        for lam, split, row in zip(lambda_grid, splits, utils)
+    ]
 
 
 def tradeoff_curve(
@@ -279,37 +282,50 @@ def tradeoff_curve(
         raise ValueError("n_packs must be >= 1")
     expected = flatten_distribution(dist, n_modules)
     if horizon_h is None:
-        power = rated_power_kw if rated_power_kw else 150.0
+        power = rated_power_kw if rated_power_kw else DEFAULT_RATED_POWER_KW
         horizon_h = expected.total_kwh / power
     if kind is ArchitectureKind.LSHIPPP and layer1 is None:
         layer1 = design_layer1(expected, n_layer1, horizon_h, max_span)
     if pack_seeds is None:
         pack_seeds = [derive_seed(seed, "pack", i) for i in range(n_packs)]
     packs = [sample_pack(dist, n_modules, s) for s in pack_seeds]
-    basis = expected.total_kwh
 
-    points = []
-    for r in r_grid:
-        lam = math.nan
-        layer2_kw = 0.0
-        nets = []
-        for pack in packs:
-            if kind is ArchitectureKind.FPP:
-                net = build_fpp(pack, r, horizon_h, budget_basis_kwh=basis)
-                layer2_kw = net.output_caps[0] / horizon_h
-            elif kind is ArchitectureKind.CPPP:
-                net = build_cppp(pack, r, horizon_h, budget_basis_kwh=basis)
-                layer2_kw = net.converter_edges[0].energy_cap_kwh / horizon_h
-            else:
-                net, lam = build_lshippp_for_budget(
-                    pack, layer1, r, horizon_h, budget_basis_kwh=basis
-                )
-                layer2_kw = net.converter_edges[-1].energy_cap_kwh / horizon_h
-            nets.append(net)
-        points.append(
-            _make_point(kind.value, float(r), lam, layer2_kw, _utilizations(nets))
+    splits = [
+        split_budget(kind, n_modules, r, expected.total_kwh, horizon_h, layer1)
+        for r in r_grid
+    ]
+    utils = _utilization_rows(sweep_energy(kind, packs, splits, layer1), packs)
+    return [
+        _make_point(
+            kind.value, float(r), split.lambda_h, split.rung_kwh / horizon_h, row
         )
-    return points
+        for r, split, row in zip(r_grid, splits, utils)
+    ]
+
+
+def sweep_energy(
+    kind: ArchitectureKind | str,
+    packs: list[tuple[BatteryModule, ...]],
+    splits: list[BudgetSplit],
+    layer1: Layer1Design | None = None,
+) -> list[list[float]]:
+    """Deliverable energy of every pack under every split, one row per split.
+
+    fpp takes the closed form :func:`~besspp.flows.fpp_deliverable`; the
+    string families are one :func:`~besspp.flows.cut_form_energy` call with
+    one cap row per split, so no per-pack network is built.
+    """
+    kind = ArchitectureKind(kind)
+    if not packs:
+        raise ValueError("a sweep needs at least one pack")
+    if kind is ArchitectureKind.FPP:
+        return [[fpp_deliverable(pack, s.rung_kwh) for pack in packs] for s in splits]
+    return cut_form_energy(
+        [[b.capacity_kwh for b in pack] for pack in packs],
+        [[b.voltage_v for b in pack] for pack in packs],
+        converter_pairs(kind, len(packs[0]), layer1),
+        [s.caps_kwh for s in splits],
+    ).tolist()
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -319,12 +335,12 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
-def _utilizations(nets: list[FlowNetwork]) -> list[float]:
-    """Deliverable energy of each network over its pack's total energy."""
-    return [
-        output / net.total_capacity_kwh
-        for net, output in zip(nets, deliverable_energy(nets).tolist())
-    ]
+def _utilization_rows(
+    outputs: list[list[float]], packs: list[tuple[BatteryModule, ...]]
+) -> list[list[float]]:
+    """Each row's deliverable energies over the packs' total energies."""
+    totals = [sum(b.capacity_kwh for b in pack) for pack in packs]
+    return [[out / total for out, total in zip(row, totals)] for row in outputs]
 
 
 def _uncapped_network(
@@ -334,20 +350,6 @@ def _uncapped_network(
 ) -> FlowNetwork:
     edges = tuple(ConverterEdge(i, j, math.inf, layer=1) for i, j in placement)
     return FlowNetwork(batteries, edges, horizon_h)
-
-
-def _frozen_layer1_network(
-    pack: tuple[BatteryModule, ...], layer1: Layer1Design, cap2_kwh: float
-) -> FlowNetwork:
-    sparse = tuple(
-        ConverterEdge(i, j, abs(flow), layer=1)
-        for (i, j), flow in zip(layer1.edges, layer1.optimal_flows_kwh)
-    )
-    ladder = tuple(
-        ConverterEdge(j, j + 1, cap2_kwh, layer=2)
-        for j in range(layer1.n_batteries - 1)
-    )
-    return FlowNetwork(pack, sparse + ladder, layer1.horizon_h)
 
 
 def _make_point(

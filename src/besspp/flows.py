@@ -20,9 +20,13 @@ than it holds plus what its cut can import, so
     Q* = V_tot * min over nonempty S of (E(S) + cap(dS)) / V(S),
 
 where ``dS`` is the set of edges with exactly one end in ``S``.
-:func:`deliverable_energy` evaluates that form for many networks at once and
-:func:`uncapped_placement_energy` for many uncapped placements on one pack;
-both enumerate the ``2**n - 1`` subsets, so series strings are limited to
+:func:`cut_form_energy` is the kernel: it evaluates that form for every
+pack x row of edge caps of one wiring, building the subset sums once per
+chunk of packs and the cut table once per cap row; the sweeps call it once
+per curve, and :func:`deliverable_energy` is its per-network wrapper, which
+groups networks of equal wiring and caps.  :func:`uncapped_placement_energy`
+evaluates many uncapped placements on one pack.  All enumerate the
+``2**n - 1`` subsets, so series strings are limited to
 :data:`MAX_CUT_MODULES` modules.  Networks built for dedicated per-module
 converters (no series string; ``output_caps`` set) use the closed form
 ``sum_j min(E_j, cap_j)``.
@@ -54,6 +58,7 @@ __all__ = [
     "InfeasibleFlowError",
     "MAX_CUT_MODULES",
     "deliverable_energy",
+    "cut_form_energy",
     "uncapped_placement_energy",
     "max_deliverable_energy",
     "min_peak_flow",
@@ -183,9 +188,9 @@ def deliverable_energy(nets: Sequence[FlowNetwork]) -> np.ndarray:
 
     Agrees with ``max_deliverable_energy(net).total_output`` without solving
     an LP.  Series strings that share their wiring and caps (the sampled
-    packs of one sweep point) are evaluated together, one row per pack.
-    Raises ``ValueError`` for an invalid network or a series string with
-    more than :data:`MAX_CUT_MODULES` modules.
+    packs of one sweep point) go to :func:`cut_form_energy` together, one
+    row per pack.  Raises ``ValueError`` for an invalid network or a series
+    string with more than :data:`MAX_CUT_MODULES` modules.
     """
     out = np.empty(len(nets))
     groups: dict[tuple, list[int]] = {}
@@ -196,25 +201,62 @@ def deliverable_energy(nets: Sequence[FlowNetwork]) -> np.ndarray:
         else:
             key = (len(net.batteries), net.converter_edges)
             groups.setdefault(key, []).append(idx)
-    for (n, edges), members in groups.items():
-        _check_cut_size(n)
-        energy = np.array(
-            [[b.capacity_kwh for b in nets[i].batteries] for i in members]
+    for (_, edges), members in groups.items():
+        batteries = [nets[i].batteries for i in members]
+        (out[members],) = cut_form_energy(
+            [[b.capacity_kwh for b in pack] for pack in batteries],
+            [[b.voltage_v for b in pack] for pack in batteries],
+            [(e.from_battery, e.to_battery) for e in edges],
+            [[e.energy_cap_kwh for e in edges]],
         )
-        volts = np.array([[b.voltage_v for b in nets[i].batteries] for i in members])
-        ids = np.arange(1 << n)
-        cut = np.zeros(1 << n)
-        for edge in edges:
-            crossed = ((ids >> edge.from_battery) ^ (ids >> edge.to_battery)) & 1
-            cut += np.where(crossed == 1, edge.energy_cap_kwh, 0.0)
-        rows = max(1, _CHUNK_ENTRIES >> n)
-        q = np.empty(len(members))
-        for lo in range(0, len(members), rows):
-            e_sub = _subset_sums(energy[lo : lo + rows])
-            v_sub = _subset_sums(volts[lo : lo + rows])
-            q[lo : lo + rows] = ((e_sub + cut)[:, 1:] / v_sub[:, 1:]).min(axis=1)
-        out[members] = (q[:, None] * volts).sum(axis=1)
     return out
+
+
+def cut_form_energy(energy_kwh, volts_v, pairs, caps_kwh) -> np.ndarray:
+    """Deliverable energy of every pack under every row of edge caps.
+
+    ``energy_kwh`` and ``volts_v`` are (packs x n) module energies and
+    voltages, ``pairs`` the ``(i, j)`` module pairs of the edges and
+    ``caps_kwh`` a (rows x edges) matrix of their energy caps (``math.inf``
+    allowed).  Returns the (rows x packs) optima of the series string.  The
+    subset sums are built once per chunk of packs and the cut table once per
+    cap row; no table holds more than ``_CHUNK_ENTRIES`` entries or one row
+    of ``2**n``.
+    """
+    energy = np.asarray(energy_kwh, dtype=float)
+    volts = np.asarray(volts_v, dtype=float)
+    caps = np.asarray(caps_kwh, dtype=float)
+    if energy.ndim != 2 or volts.shape != energy.shape:
+        raise ValueError("energy_kwh and volts_v must be equal (packs x n) arrays")
+    n = energy.shape[1]
+    if n < 1:
+        raise ValueError("a series string needs at least one module")
+    _check_cut_size(n)
+    if caps.ndim != 2 or caps.shape[1] != len(pairs):
+        raise ValueError("caps_kwh must hold one cap per edge in every row")
+    if not (np.all(energy >= 0) and np.all(volts > 0) and np.all(caps >= 0)):
+        raise ValueError("energies and caps must be >= 0 and voltages > 0")
+    ids = np.arange(1 << n)
+    crossed = []
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise ValueError(
+                f"edge pairs must join two distinct modules of 0..{n - 1}"
+            )
+        crossed.append(((ids >> i) ^ (ids >> j)) & 1 == 1)
+
+    step = max(1, _CHUNK_ENTRIES >> n)
+    q = np.empty((len(caps), len(energy)))
+    for top in range(0, len(caps), step):
+        cuts = np.zeros((len(caps[top : top + step]), 1 << n))
+        for e, mask in enumerate(crossed):
+            cuts += np.where(mask, caps[top : top + step, e : e + 1], 0.0)
+        for lo in range(0, len(energy), step):
+            e_sub = _subset_sums(energy[lo : lo + step])[:, 1:]
+            v_sub = _subset_sums(volts[lo : lo + step])[:, 1:]
+            for k, cut in enumerate(cuts, top):
+                q[k, lo : lo + step] = ((e_sub + cut[1:]) / v_sub).min(axis=1)
+    return (q[..., None] * volts).sum(axis=-1)
 
 
 def uncapped_placement_energy(

@@ -40,6 +40,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from besspp.supply import _philox
+
 __all__ = [
     "GridProfile",
     "ArrivalModel",
@@ -370,7 +372,7 @@ def draw_stream(
     """
     if horizon_h <= 0:
         raise ValueError("horizon_h must be positive")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _philox(seed)
     # Scalar draws return Python floats; bound methods save a lookup each.
     exponential, normal = rng.exponential, rng.normal
     scale_h = 1.0 / arrivals.rate_per_h

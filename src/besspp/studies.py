@@ -29,9 +29,8 @@ import numpy as np
 import besspp
 from besspp.architectures import (
     ArchitectureKind,
-    build_cppp,
-    build_fpp,
-    build_lshippp_for_budget,
+    assemble_network,
+    split_budget,
     validate_network,
 )
 from besspp.designer import (
@@ -39,9 +38,9 @@ from besspp.designer import (
     derive_seed,
     design_layer1,
     design_layer2,
+    sweep_energy,
     tradeoff_curve,
 )
-from besspp.flows import deliverable_energy
 from besspp.metrics import (
     MetricReport,
     captured_value,
@@ -252,11 +251,11 @@ def _point_row(point) -> tuple:
 
 
 def _tradeoff_task(args) -> list[tuple]:
-    (kind, dist, r, n_packs, seed, n_modules, n_layer1, horizon, layer1) = args
+    (kind, dist, r_grid, n_packs, seed, n_modules, n_layer1, horizon, layer1) = args
     points = tradeoff_curve(
         kind,
         dist,
-        [r],
+        r_grid,
         n_packs,
         seed,
         n_modules=n_modules,
@@ -284,11 +283,12 @@ def run_tradeoff(
     for config in scenario.architectures:
         if config.kind not in kinds:
             kinds.append(config.kind)
+    # One task per kind: each samples its packs once and sweeps every R.
     tasks = [
         (
             kind.value,
             scenario.supply,
-            r,
+            list(scenario.r_grid),
             scenario.n_packs,
             pack_seed,
             scenario.n_modules,
@@ -297,7 +297,6 @@ def run_tradeoff(
             layer1 if kind is ArchitectureKind.LSHIPPP else None,
         )
         for kind in kinds
-        for r in scenario.r_grid
     ]
     rows: list[tuple] = []
     with timer.stage("sweep"):
@@ -320,7 +319,6 @@ class _PlazaSetup:
     expected_total_kwh: float
     pack_totals: tuple[float, ...]
     capacities: dict[str, tuple[float, ...]]
-    lambda_by_kind: dict[str, float]
 
 
 def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
@@ -339,35 +337,17 @@ def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
         for i in range(scenario.n_packs if n_packs is None else n_packs)
     ]
     capacities: dict[str, tuple[float, ...]] = {}
-    lambdas: dict[str, float] = {}
     for kind in plaza.kinds:
-        nets = []
-        lam = math.nan
-        for pack in packs:
-            if kind is ArchitectureKind.FPP:
-                net = build_fpp(
-                    pack, plaza.rating_r, horizon,
-                    budget_basis_kwh=expected.total_kwh,
-                )
-            elif kind is ArchitectureKind.CPPP:
-                net = build_cppp(
-                    pack, plaza.rating_r, horizon,
-                    budget_basis_kwh=expected.total_kwh,
-                )
-            else:
-                net, lam = build_lshippp_for_budget(
-                    pack, layer1, plaza.rating_r, horizon,
-                    budget_basis_kwh=expected.total_kwh,
-                )
-            nets.append(net)
-        capacities[kind.value] = tuple(deliverable_energy(nets).tolist())
-        lambdas[kind.value] = lam
+        split = split_budget(
+            kind, n, plaza.rating_r, expected.total_kwh, horizon, layer1
+        )
+        (row,) = sweep_energy(kind, packs, [split], layer1)
+        capacities[kind.value] = tuple(row)
     return _PlazaSetup(
         horizon_h=horizon,
         expected_total_kwh=expected.total_kwh,
         pack_totals=tuple(sum(b.capacity_kwh for b in pack) for pack in packs),
         capacities=capacities,
-        lambda_by_kind=lambdas,
     )
 
 
@@ -760,14 +740,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 f"match the supply ({scenario.n_modules})"
             )
             continue
-        if config.kind is ArchitectureKind.FPP:
-            net = build_fpp(expected.batteries, config.rating_r, horizon)
-        elif config.kind is ArchitectureKind.CPPP:
-            net = build_cppp(expected.batteries, config.rating_r, horizon)
-        else:
-            net, _ = build_lshippp_for_budget(
-                expected.batteries, layer1, config.rating_r, horizon
-            )
+        split = split_budget(
+            config.kind, scenario.n_modules, config.rating_r, expected.total_kwh,
+            horizon, layer1,
+        )
+        net = assemble_network(
+            config.kind, expected.batteries, split, horizon, layer1
+        )
         problems.extend(
             f"{config.kind.value}: {issue}" for issue in validate_network(net)
         )

@@ -16,6 +16,7 @@ intrinsic Gaussian draw scaled by the second-use depth of discharge.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -31,6 +32,11 @@ __all__ = [
 ]
 
 _STD_NORMAL = NormalDist()
+
+# One Philox bit generator and its Generator per thread, made on first use
+# so that importing the package does not import ``numpy.random``.
+_PHILOX = threading.local()
+_WORD = (1 << 64) - 1
 
 # Beyond 50% relative spread the curated-supply Gaussian model is no longer
 # a sensible description (negative-capacity mass stops being negligible).
@@ -145,7 +151,36 @@ def sample_pack(
         raise ValueError(f"n_modules must be >= 1, got {n_modules}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _philox(seed)
     intrinsic = dist.mean_kwh + dist.std_kwh * rng.standard_normal(n_modules)
     caps = np.sort(np.clip(intrinsic, 0.0, None)) * dist.dod
     return tuple(BatteryModule(float(c), dist.voltage_v) for c in caps)
+
+
+def _philox(key: int) -> np.random.Generator:
+    """A generator that draws exactly as ``Generator(Philox(key=key))``.
+
+    The calling thread's Philox is re-keyed in place, at counter 0 with an
+    empty buffer, instead of building a generator (and seeding an unused
+    ``SeedSequence``) per draw.  The returned generator is valid until the
+    thread's next call.
+    """
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"Philox keys are 128-bit and nonnegative, got {key}")
+    pair = getattr(_PHILOX, "pair", None)
+    if pair is None:
+        bit_generator = np.random.Philox(key=0)
+        pair = _PHILOX.pair = (bit_generator, np.random.Generator(bit_generator))
+    bit_generator, generator = pair
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([key & _WORD, key >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator

@@ -12,6 +12,9 @@ from besspp.architectures import (
     build_fpp,
     build_lshippp,
     build_lshippp_for_budget,
+    converter_pairs,
+    split_budget,
+    split_lambda,
     validate_network,
 )
 from besspp.designer import design_layer1
@@ -175,6 +178,30 @@ class TestBudgetedLshippp:
             net, _ = build_lshippp_for_budget(pack(3, 4, 5), layer1_345, r, 1.0)
             total = sum(e.energy_cap_kwh for e in net.converter_edges)
             assert total == pytest.approx(r * 12.0, abs=1e-9)
+
+
+class TestBudgetSplit:
+    @pytest.mark.parametrize("kind", ["fpp", "cppp", "lshippp"])
+    def test_one_cap_per_converter(self, kind, layer1_345):
+        split = split_budget(kind, 3, 0.25, 12.0, 1.0, layer1_345)
+        n_converters = 3 if kind == "fpp" else len(converter_pairs(kind, 3, layer1_345))
+        assert len(split.caps_kwh) == n_converters
+        assert sum(split.caps_kwh) == pytest.approx(0.25 * 12.0)
+        assert split.rung_kwh == split.caps_kwh[-1]
+        assert math.isnan(split.lambda_h) == (kind != "lshippp")
+
+    def test_lshippp_needs_a_layer1_design(self):
+        with pytest.raises(ConfigurationError, match="layer-1 design"):
+            split_budget("lshippp", 3, 0.25, 12.0, 1.0)
+
+    def test_lambda_split_caps_layer1_at_designed_duty(self, layer1_345):
+        split = split_lambda(layer1_345, 0.8)
+        (flow,) = layer1_345.optimal_flows_kwh
+        aggregate = layer1_345.rating_kw * layer1_345.horizon_h
+        assert split.caps_kwh == (abs(flow), split.rung_kwh, split.rung_kwh)
+        assert split.rung_kwh == pytest.approx(0.8 * aggregate / 2)
+        with pytest.raises(ConfigurationError):
+            split_lambda(layer1_345, -0.1)
 
 
 class TestValidateNetwork:

@@ -1,11 +1,19 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from besspp.architectures import (
+    assemble_network,
+    build_cppp,
+    build_fpp,
+    build_lshippp_for_budget,
+    split_lambda,
+)
 from besspp.designer import (
-    _frozen_layer1_network,
+    _make_point,
     _tied_candidates,
     _uncapped_network,
     default_lambda_grid,
@@ -13,11 +21,13 @@ from besspp.designer import (
     design_layer1,
     design_layer2,
     enumerate_placements,
+    sweep_energy,
     tradeoff_curve,
 )
 from besspp.flows import (
     ConverterEdge,
     FlowNetwork,
+    deliverable_energy,
     max_deliverable_energy,
     min_peak_flow,
     uncapped_placement_energy,
@@ -174,11 +184,13 @@ class TestDesignLayer2:
         # networks show that the layer-1 caps hold every converter to its
         # designed duty.
         m = len(layer1_9.edges)
-        aggregate = m * layer1_9.rating_kw * layer1_9.horizon_h
         for i in range(12):
             pack = sample_pack(supply9, 9, derive_seed(7, "pack", i))
             for lam in (0.0, 0.3, 1.0, 5.0):
-                net = _frozen_layer1_network(pack, layer1_9, lam * aggregate / 8)
+                net = assemble_network(
+                    "lshippp", pack, split_lambda(layer1_9, lam),
+                    layer1_9.horizon_h, layer1_9,
+                )
                 flows = max_deliverable_energy(net).edge_flows[:m]
                 for flow, duty in zip(flows, layer1_9.optimal_flows_kwh):
                     assert abs(flow) <= abs(duty) + 1e-6
@@ -260,6 +272,72 @@ class TestTradeoffCurve:
         assert point.utilization_idr == pytest.approx(
             point.utilization_p90 - point.utilization_p10
         )
+
+
+def network_point(kind, r, lam, layer2_kw, nets):
+    """The point of one sweep value, from ``deliverable_energy`` on ``nets``."""
+    outputs = deliverable_energy(nets).tolist()
+    utils = [out / net.total_capacity_kwh for net, out in zip(nets, outputs)]
+    return _make_point(kind, r, lam, layer2_kw, utils)
+
+
+class TestSweepsEqualBuiltNetworks:
+    """Every sweep point equals, bit for bit, one network per pack."""
+
+    @pytest.mark.parametrize("kind", ["fpp", "cppp", "lshippp"])
+    def test_tradeoff_curve(self, kind, layer1_9, supply9, expected9):
+        r_grid = [0.0, 0.05, 0.1, 0.2, 0.35, 0.6, 1.5]
+        horizon = layer1_9.horizon_h
+        points = tradeoff_curve(
+            kind, supply9, r_grid, n_packs=45, seed=4, n_modules=9,
+            horizon_h=horizon, layer1=layer1_9,
+        )
+        packs = [sample_pack(supply9, 9, derive_seed(4, "pack", i)) for i in range(45)]
+        basis = {"budget_basis_kwh": expected9.total_kwh}
+        assert len(points) == len(r_grid)
+        for r, point in zip(r_grid, points):
+            lam = math.nan
+            if kind == "fpp":
+                nets = [build_fpp(p, r, horizon, **basis) for p in packs]
+                rung = nets[0].output_caps[0]
+            elif kind == "cppp":
+                nets = [build_cppp(p, r, horizon, **basis) for p in packs]
+                rung = nets[0].converter_edges[0].energy_cap_kwh
+            else:
+                built = [
+                    build_lshippp_for_budget(p, layer1_9, r, horizon, **basis)
+                    for p in packs
+                ]
+                nets = [net for net, _ in built]
+                lam = built[0][1]
+                rung = nets[0].converter_edges[-1].energy_cap_kwh
+            expected = network_point(kind, r, lam, rung / horizon, nets)
+            assert repr(point) == repr(expected)
+
+    def test_design_layer2(self, layer1_9, supply9, expected9):
+        lambda_grid = [0.0, 0.05, 0.3, 1.0, 2.5, 5.0]
+        points = design_layer2(layer1_9, supply9, lambda_grid, 45, seed=8)
+        packs = [sample_pack(supply9, 9, derive_seed(8, "pack", i)) for i in range(45)]
+        horizon = layer1_9.horizon_h
+        aggregate = 3 * layer1_9.rating_kw * horizon
+        sparse = tuple(
+            ConverterEdge(i, j, abs(flow), layer=1)
+            for (i, j), flow in zip(layer1_9.edges, layer1_9.optimal_flows_kwh)
+        )
+        for lam, point in zip(lambda_grid, points):
+            cap2 = lam * aggregate / 8
+            ladder = tuple(ConverterEdge(j, j + 1, cap2, layer=2) for j in range(8))
+            nets = [FlowNetwork(p, sparse + ladder, horizon) for p in packs]
+            expected = network_point("lshippp", 0.0, lam, cap2 / horizon, nets)
+            rating_r = (1 + lam) * aggregate / expected9.total_kwh
+            assert repr(point) == repr(
+                dataclasses.replace(expected, rating_r=rating_r)
+            )
+
+
+    def test_sweep_needs_a_pack(self):
+        with pytest.raises(ValueError, match="at least one pack"):
+            sweep_energy("cppp", [], [])
 
 
 class TestDeriveSeed:

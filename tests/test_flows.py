@@ -7,13 +7,20 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besspp.architectures import build_cppp, build_lshippp_for_budget
-from besspp.designer import _frozen_layer1_network, derive_seed
+from besspp.architectures import (
+    assemble_network,
+    build_cppp,
+    build_lshippp_for_budget,
+    layer1_aggregate_kwh,
+    split_lambda,
+)
+from besspp.designer import derive_seed
 from besspp.flows import (
     MAX_CUT_MODULES,
     ConverterEdge,
     FlowNetwork,
     InfeasibleFlowError,
+    cut_form_energy,
     deliverable_energy,
     fpp_deliverable,
     max_deliverable_energy,
@@ -351,6 +358,30 @@ def scipy_deliverable(net: FlowNetwork) -> float:
     return -res.fun
 
 
+def cut_reference(net: FlowNetwork) -> float:
+    """The cut form for one series string, op for op as first written.
+
+    Every cut-form evaluation has produced exactly these floats since the
+    artifacts were pinned: the cut accumulated from 0.0 in edge order, the
+    subset sums built module by module, and the output as numpy's sum of
+    ``q * V_j``.  Comparing with ``==`` keeps the artifacts byte-identical.
+    """
+    n = len(net.batteries)
+    energy = np.array([b.capacity_kwh for b in net.batteries])
+    volts = np.array([b.voltage_v for b in net.batteries])
+    ids = np.arange(1 << n)
+    cut = np.zeros(1 << n)
+    for edge in net.converter_edges:
+        crossed = ((ids >> edge.from_battery) ^ (ids >> edge.to_battery)) & 1
+        cut += np.where(crossed == 1, edge.energy_cap_kwh, 0.0)
+    e_sub, v_sub = np.zeros(1 << n), np.zeros(1 << n)
+    for j in range(n):
+        e_sub[1 << j : 2 << j] = e_sub[: 1 << j] + energy[j]
+        v_sub[1 << j : 2 << j] = v_sub[: 1 << j] + volts[j]
+    q = ((e_sub + cut)[1:] / v_sub[1:]).min()
+    return float((q * volts).sum())
+
+
 def assert_three_way(nets: list[FlowNetwork], rel: float = 1e-12) -> None:
     cut = deliverable_energy(nets)
     for net, got in zip(nets, cut):
@@ -364,6 +395,39 @@ def assert_three_way(nets: list[FlowNetwork], rel: float = 1e-12) -> None:
 def sampled_packs(n_packs: int = 8, n: int = 9):
     dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
     return [sample_pack(dist, n, derive_seed(5, "cut-pack", i)) for i in range(n_packs)]
+
+
+@st.composite
+def cap_rows_strategy(draw):
+    """Packs of one size, an edge set and several rows of caps for it.
+
+    Caps mix 0, ``math.inf`` and finite values; strings may have no edges.
+    Nonzero energies and caps stay well above the LP oracles' ~1e-9
+    feasibility tolerance, so a 1e-12 comparison tests the cut form, not
+    the oracles' slack.
+    """
+    n = draw(st.integers(1, 5))
+    module = st.just(0.0) | st.floats(0.01, 10.0)
+    n_packs = draw(st.integers(1, 3))
+    energy = draw(st.lists(
+        st.lists(module, min_size=n, max_size=n), min_size=n_packs, max_size=n_packs
+    ))
+    volts = draw(st.lists(
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n),
+        min_size=n_packs, max_size=n_packs,
+    ))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(
+        st.lists(st.sampled_from(pairs), max_size=4, unique=True)
+        if pairs
+        else st.just([])
+    )
+    cap = st.sampled_from([0.0, math.inf]) | st.floats(0.01, 5.0)
+    rows = draw(st.lists(
+        st.lists(cap, min_size=len(edges), max_size=len(edges)),
+        min_size=1, max_size=4,
+    ))
+    return energy, volts, edges, rows
 
 
 class TestCutForm:
@@ -393,8 +457,70 @@ class TestCutForm:
     def test_three_way_frozen_layer1_packs(self, layer1_9, cap2):
         # More packs than one chunk of the batched evaluator holds.
         packs = sampled_packs(n_packs=40)
-        nets = [_frozen_layer1_network(p, layer1_9, cap2) for p in packs]
+        # The lambda whose ladder rungs get ``cap2`` each.
+        lam = cap2 * 8 / layer1_aggregate_kwh(layer1_9, layer1_9.horizon_h)
+        split = split_lambda(layer1_9, lam)
+        assert split.rung_kwh == pytest.approx(cap2, rel=1e-12)
+        nets = [
+            assemble_network("lshippp", p, split, layer1_9.horizon_h, layer1_9)
+            for p in packs
+        ]
         assert_three_way(nets)
+
+    @given(cap_rows_strategy())
+    @settings(max_examples=200)
+    def test_kernel_three_way_over_cap_rows(self, case):
+        energy, volts, edges, rows = case
+        got = cut_form_energy(energy, volts, edges, rows)
+        assert got.shape == (len(rows), len(energy))
+        for caps, row in zip(rows, got):
+            for e_pack, v_pack, value in zip(energy, volts, row):
+                net = FlowNetwork(
+                    tuple(BatteryModule(e, v) for e, v in zip(e_pack, v_pack)),
+                    tuple(ConverterEdge(i, j, c) for (i, j), c in zip(edges, caps)),
+                )
+                lp = max_deliverable_energy(net).total_output
+                oracle = scipy_deliverable(net)
+                scale = max(1.0, abs(lp))
+                assert abs(value - lp) <= 1e-12 * scale, (value, lp)
+                assert abs(value - oracle) <= 1e-12 * scale, (value, oracle)
+                assert value == cut_reference(net)
+                assert value == deliverable_energy([net])[0]
+
+    def test_kernel_chunks_match_the_reference(self, layer1_9):
+        # 40 packs and 21 cap rows span several chunks of packs and rows.
+        packs = sampled_packs(n_packs=40)
+        energy = [[b.capacity_kwh for b in p] for p in packs]
+        volts = [[b.voltage_v for b in p] for p in packs]
+        splits = [split_lambda(layer1_9, lam) for lam in np.linspace(0, 5, 21)]
+        pairs = [e for e in layer1_9.edges] + [(j, j + 1) for j in range(8)]
+        rows = [s.caps_kwh for s in splits]
+        got = cut_form_energy(energy, volts, pairs, rows)
+        for k, caps in enumerate(rows):
+            edges = tuple(ConverterEdge(i, j, c) for (i, j), c in zip(pairs, caps))
+            for p, batteries in enumerate(packs):
+                assert got[k, p] == cut_reference(FlowNetwork(batteries, edges))
+
+    def test_kernel_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="one cap per edge"):
+            cut_form_energy([[1.0, 2.0]], [[1.0, 1.0]], [(0, 1)], [[1.0, 2.0]])
+        with pytest.raises(ValueError, match="distinct modules"):
+            cut_form_energy([[1.0, 2.0]], [[1.0, 1.0]], [(0, 2)], [[1.0]])
+        with pytest.raises(ValueError, match="distinct modules"):
+            cut_form_energy([[1.0, 2.0]], [[1.0, 1.0]], [(1, 1)], [[1.0]])
+        with pytest.raises(ValueError, match=">= 0"):
+            cut_form_energy([[1.0, 2.0]], [[1.0, 1.0]], [(0, 1)], [[-1.0]])
+        with pytest.raises(ValueError, match=">= 0"):
+            cut_form_energy([[1.0, 2.0]], [[1.0, 1.0]], [(0, 1)], [[math.nan]])
+        with pytest.raises(ValueError, match="voltages > 0"):
+            cut_form_energy([[1.0, 2.0]], [[1.0, 0.0]], [], [[]])
+        with pytest.raises(ValueError, match="equal"):
+            cut_form_energy([[1.0, 2.0]], [[1.0]], [], [[]])
+        with pytest.raises(ValueError, match="at least one module"):
+            cut_form_energy([[]], [[]], [], [[]])
+        with pytest.raises(ValueError, match="subsets"):
+            n = MAX_CUT_MODULES + 1
+            cut_form_energy([[1.0] * n], [[1.0] * n], [], [[]])
 
     def test_mixed_batch_keeps_order(self):
         rng = np.random.Generator(np.random.Philox(key=7))

@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from besspp.supply import (
     BatteryModule,
     ExpectedSet,
     SupplyDistribution,
+    _philox,
     flatten_distribution,
     sample_pack,
     usable_energy,
@@ -140,6 +143,63 @@ class TestSamplePack:
             for b in sample_pack(dist, 9, seed=s)
         ]
         assert np.mean(caps) == pytest.approx(37.5, rel=0.02)
+
+
+class TestRekeyedPhilox:
+    @staticmethod
+    def _draws(rng) -> list:
+        return [
+            rng.standard_normal(5),
+            rng.exponential(2.0),
+            rng.normal(3.0, 4.0),
+            rng.integers(0, 1000, 3, dtype=np.int32),
+            rng.random(2),
+        ]
+
+    def test_draws_as_a_fresh_generator(self):
+        keys = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
+        keys += [(0x9E3779B97F4A7C15 * (i + 1)) % 2**128 for i in range(200)]
+        for key in keys:
+            expected = self._draws(np.random.Generator(np.random.Philox(key=key)))
+            rng = _philox(key)
+            got = self._draws(rng)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected)), key
+            # The next key starts from a spent counter and a half-used
+            # 32-bit buffer (three int32 draws), which it must not inherit.
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_sample_pack_matches_a_fresh_generator(self):
+        dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
+        for seed in (0, 5, 2**127 + 3):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            draws = dist.mean_kwh + dist.std_kwh * rng.standard_normal(9)
+            caps = np.sort(np.clip(draws, 0.0, None)) * dist.dod
+            got = [b.capacity_kwh for b in sample_pack(dist, 9, seed)]
+            assert got == caps.tolist()
+
+    def test_threads_draw_independently(self):
+        dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
+        seeds = list(range(200))
+        expected = [sample_pack(dist, 9, s) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between re-key and draw
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                results = [
+                    pool.submit(lambda: [sample_pack(dist, 9, s) for s in seeds])
+                    for _ in range(4)
+                ]
+                got = [f.result(timeout=60) for f in results]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(packs == expected for packs in got)
+
+    def test_rejects_keys_outside_128_bits(self):
+        with pytest.raises(ValueError, match="128-bit"):
+            _philox(-1)
+        with pytest.raises(ValueError, match="128-bit"):
+            _philox(2**128)
+
 
 
 class TestExpectedSet:
