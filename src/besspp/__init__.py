@@ -20,7 +20,6 @@ from besspp.flows import (
     FlowNetwork,
     FlowSolution,
     InfeasibleFlowError,
-    deliverable_energy,
     fpp_deliverable,
     max_deliverable_energy,
     min_peak_flow,
@@ -28,10 +27,10 @@ from besspp.flows import (
 from besspp.architectures import (
     ArchitectureConfig,
     ArchitectureKind,
-    build_cppp,
-    build_fpp,
-    build_lshippp,
-    build_lshippp_for_budget,
+    BudgetSplit,
+    assemble_network,
+    split_budget,
+    split_lambda,
     validate_network,
 )
 from besspp.designer import (
@@ -57,10 +56,7 @@ from besspp.metrics import (
     MetricReport,
     captured_value,
     derating_factor,
-    energy_utilization,
     grid_ev_energy_gap,
-    interdecile_range,
-    normalized_rating,
     system_efficiency,
 )
 

@@ -16,12 +16,15 @@ over intrinsic pack energy):
                  aggregate rating is ``lambda_h`` times layer 1's.
 
 Converter energy caps are sized from a reference (expected) pack so that
-hardware is identical across Monte Carlo packs; pass ``budget_basis_kwh``
-to pin that reference when evaluating sampled packs.  The budget arithmetic
-lives only in :func:`split_budget` (and :func:`split_lambda` for the
-frozen-layer-1 ladder sweep): the builders assemble a network from its
-:class:`BudgetSplit`, and the sweeps hand the same caps to the cut-form
-kernel without building networks.
+hardware is identical across Monte Carlo packs: ``budget_basis_kwh`` pins
+that reference when sampled packs are evaluated.  :func:`split_budget` (and
+:func:`split_lambda` for the frozen-layer-1 ladder sweep) is the only code
+that maps a kind to its wiring and caps; the :class:`BudgetSplit` it
+returns carries both.  The sweeps hand its pairs and caps to the cut-form
+kernel without building networks, fpp takes the closed form
+:func:`~besspp.flows.fpp_deliverable`, and :func:`assemble_network` turns a
+string split into a :class:`~besspp.flows.FlowNetwork` for the LP and for
+validation.
 """
 
 from __future__ import annotations
@@ -43,23 +46,14 @@ __all__ = [
     "BudgetSplit",
     "ConfigurationError",
     "assemble_network",
-    "converter_pairs",
     "layer1_aggregate_kwh",
     "split_budget",
     "split_lambda",
-    "build_fpp",
-    "build_cppp",
-    "build_lshippp",
-    "build_lshippp_for_budget",
     "validate_network",
 ]
 
 SPARSE_LAYER = 1
 ADJACENT_LAYER = 2
-
-# Rated output power of a pack; with the expected pack energy it sets the
-# default discharge horizon.
-DEFAULT_RATED_POWER_KW = 150.0
 
 
 class ConfigurationError(ValueError):
@@ -147,13 +141,18 @@ class ArchitectureConfig:
 class BudgetSplit:
     """A converter budget spread over an architecture's converters.
 
-    ``caps_kwh`` holds one energy cap per converter in build order: one per
-    module for fpp, one per edge (the designed layer first, then the ladder
-    rungs) for the string families.  ``rung_kwh`` is the cap of one ladder
-    rung (for fpp, of one module's converter) and ``lambda_h`` the
-    ladder-to-layer-1 aggregate ratio (NaN outside lshippp).
+    This is the one description of a wired architecture.  ``pairs`` are the
+    ``(i, j)`` module pairs of the string edges in build order, the designed
+    layer first and then the adjacent ladder; fpp has none.  ``caps_kwh``
+    holds one energy cap per converter in the same order: one per edge for
+    the string families, one per module for fpp.  ``rung_kwh`` is the cap
+    of one ladder rung (for fpp, of one module's converter) and
+    ``lambda_h`` the ladder-to-layer-1 aggregate ratio (NaN outside
+    lshippp).
     """
 
+    kind: ArchitectureKind
+    pairs: tuple[tuple[int, int], ...]
     caps_kwh: tuple[float, ...]
     rung_kwh: float
     lambda_h: float
@@ -183,14 +182,15 @@ def split_budget(
     kind = ArchitectureKind(kind)
     if kind is ArchitectureKind.LSHIPPP:
         _check_layer1(layer1, n_modules)
-    _check_build(n_modules, rating_r, horizon_h)
+    _check_split(n_modules, rating_r, horizon_h)
     budget = rating_r * budget_basis_kwh
     if kind is ArchitectureKind.FPP:
         cap = budget / n_modules
-        return BudgetSplit((cap,) * n_modules, cap, math.nan)
+        return BudgetSplit(kind, (), (cap,) * n_modules, cap, math.nan)
+    ladder = _ladder(n_modules)
     if kind is ArchitectureKind.CPPP:
         cap = budget / (n_modules - 1)
-        return BudgetSplit((cap,) * (n_modules - 1), cap, math.nan)
+        return BudgetSplit(kind, ladder, (cap,) * (n_modules - 1), cap, math.nan)
     m = len(layer1.edges)
     design_point = layer1_aggregate_kwh(layer1, horizon_h)
     if budget <= design_point:
@@ -201,7 +201,8 @@ def split_budget(
         cap1 = layer1.rating_kw * horizon_h
         lambda_h = (budget - design_point) / design_point
         cap2 = (budget - design_point) / (n_modules - 1)
-    return BudgetSplit((cap1,) * m + (cap2,) * (n_modules - 1), cap2, lambda_h)
+    caps = (cap1,) * m + (cap2,) * (n_modules - 1)
+    return BudgetSplit(kind, tuple(layer1.edges) + ladder, caps, cap2, lambda_h)
 
 
 def split_lambda(layer1: "Layer1Design", lambda_h: float) -> BudgetSplit:
@@ -213,137 +214,46 @@ def split_lambda(layer1: "Layer1Design", lambda_h: float) -> BudgetSplit:
     """
     if lambda_h < 0:
         raise ConfigurationError("lambda_h must be >= 0")
-    rung = _ladder_rung_kwh(layer1, lambda_h, layer1.horizon_h)
+    n = layer1.n_batteries
+    aggregate = layer1_aggregate_kwh(layer1, layer1.horizon_h)
+    rung = lambda_h * aggregate / (n - 1)
     duty = tuple(abs(flow) for flow in layer1.optimal_flows_kwh)
-    return BudgetSplit(duty + (rung,) * (layer1.n_batteries - 1), rung, lambda_h)
-
-
-def converter_pairs(
-    kind: ArchitectureKind | str,
-    n_modules: int,
-    layer1: "Layer1Design | None" = None,
-) -> tuple[tuple[int, int], ...]:
-    """Module pairs of ``kind``'s edges in build order (none for fpp)."""
-    kind = ArchitectureKind(kind)
-    if kind is ArchitectureKind.FPP:
-        return ()
-    ladder = tuple((j, j + 1) for j in range(n_modules - 1))
-    if kind is ArchitectureKind.CPPP:
-        return ladder
-    return tuple(layer1.edges) + ladder
+    return BudgetSplit(
+        ArchitectureKind.LSHIPPP,
+        tuple(layer1.edges) + _ladder(n),
+        duty + (rung,) * (n - 1),
+        rung,
+        lambda_h,
+    )
 
 
 def assemble_network(
-    kind: ArchitectureKind | str,
-    batteries: tuple[BatteryModule, ...],
-    split: BudgetSplit,
-    horizon_h: float,
-    layer1: "Layer1Design | None" = None,
+    batteries: tuple[BatteryModule, ...], split: BudgetSplit, horizon_h: float
 ) -> FlowNetwork:
-    """The ``kind`` network on ``batteries`` with the converter caps of ``split``."""
-    kind = ArchitectureKind(kind)
-    if kind is ArchitectureKind.FPP:
-        return FlowNetwork(
-            tuple(batteries), (), horizon_h, output_caps=split.caps_kwh
+    """The series-string network on ``batteries`` wired and capped by ``split``.
+
+    Edges take their pairs and caps from the split in order; those before
+    the trailing N-1 ladder rungs are the designed (sparse) layer.  An fpp
+    split has no series string and raises :class:`ConfigurationError`.
+    """
+    if not split.pairs:
+        raise ConfigurationError(
+            f"{split.kind.value} has no series string to assemble"
         )
-    n_sparse = len(layer1.edges) if kind is ArchitectureKind.LSHIPPP else 0
-    pairs = converter_pairs(kind, len(batteries), layer1)
+    n_sparse = len(split.pairs) - (len(batteries) - 1)
+    if n_sparse < 0 or split.pairs[n_sparse:] != _ladder(len(batteries)):
+        raise ConfigurationError(
+            f"the split's ladder does not fit a pack of {len(batteries)} modules"
+        )
     edges = tuple(
         ConverterEdge(i, j, cap, SPARSE_LAYER if k < n_sparse else ADJACENT_LAYER)
-        for k, ((i, j), cap) in enumerate(zip(pairs, split.caps_kwh))
+        for k, ((i, j), cap) in enumerate(zip(split.pairs, split.caps_kwh))
     )
     return FlowNetwork(tuple(batteries), edges, horizon_h)
 
 
-def build_fpp(
-    batteries: tuple[BatteryModule, ...],
-    rating_r: float,
-    horizon_h: float,
-    *,
-    budget_basis_kwh: float | None = None,
-) -> FlowNetwork:
-    """Dedicated converter per module, budget split evenly over all N."""
-    kind = ArchitectureKind.FPP
-    return _build(kind, batteries, rating_r, horizon_h, budget_basis_kwh)[0]
-
-
-def build_cppp(
-    batteries: tuple[BatteryModule, ...],
-    rating_r: float,
-    horizon_h: float,
-    *,
-    budget_basis_kwh: float | None = None,
-) -> FlowNetwork:
-    """Adjacent converter ladder, budget split evenly over the N-1 rungs."""
-    kind = ArchitectureKind.CPPP
-    return _build(kind, batteries, rating_r, horizon_h, budget_basis_kwh)[0]
-
-
-def build_lshippp(
-    batteries: tuple[BatteryModule, ...],
-    layer1: "Layer1Design",
-    lambda_h: float,
-    horizon_h: float,
-) -> FlowNetwork:
-    """Sparse designed layer plus an adjacent ladder scaled by ``lambda_h``.
-
-    All layer-1 converters carry the identical procured rating, so their
-    energy caps are ``rating * horizon`` each; the ladder splits an aggregate
-    of ``lambda_h`` times the layer-1 aggregate evenly over its N-1 rungs.
-    """
-    n = len(batteries)
-    _check_layer1(layer1, n)
-    if lambda_h < 0:
-        raise ConfigurationError("lambda_h must be >= 0")
-    if horizon_h <= 0:
-        raise ConfigurationError("horizon_h must be positive")
-    cap1 = layer1.rating_kw * horizon_h
-    rung = _ladder_rung_kwh(layer1, lambda_h, horizon_h)
-    caps = (cap1,) * len(layer1.edges) + (rung,) * (n - 1)
-    return assemble_network(
-        ArchitectureKind.LSHIPPP, batteries, BudgetSplit(caps, rung, lambda_h),
-        horizon_h, layer1,
-    )
-
-
-def build_lshippp_for_budget(
-    batteries: tuple[BatteryModule, ...],
-    layer1: "Layer1Design",
-    rating_r: float,
-    horizon_h: float,
-    *,
-    budget_basis_kwh: float | None = None,
-) -> tuple[FlowNetwork, float]:
-    """Realize a total budget ``R`` over both layers; returns ``(net, lambda_h)``.
-
-    The split is :func:`split_budget`'s: layer 1 is funded first and the
-    surplus goes to the ladder.
-    """
-    kind = ArchitectureKind.LSHIPPP
-    return _build(kind, batteries, rating_r, horizon_h, budget_basis_kwh, layer1)
-
-
-def _build(
-    kind: ArchitectureKind,
-    batteries: tuple[BatteryModule, ...],
-    rating_r: float,
-    horizon_h: float,
-    budget_basis_kwh: float | None,
-    layer1: "Layer1Design | None" = None,
-) -> tuple[FlowNetwork, float]:
-    if budget_basis_kwh is None:
-        budget_basis_kwh = sum(b.capacity_kwh for b in batteries)
-    split = split_budget(
-        kind, len(batteries), rating_r, budget_basis_kwh, horizon_h, layer1
-    )
-    return assemble_network(kind, batteries, split, horizon_h, layer1), split.lambda_h
-
-
-def _ladder_rung_kwh(
-    layer1: "Layer1Design", lambda_h: float, horizon_h: float
-) -> float:
-    aggregate = layer1_aggregate_kwh(layer1, horizon_h)
-    return lambda_h * aggregate / (layer1.n_batteries - 1)
+def _ladder(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((j, j + 1) for j in range(n - 1))
 
 
 def _check_layer1(layer1: "Layer1Design | None", n: int) -> None:
@@ -355,7 +265,7 @@ def _check_layer1(layer1: "Layer1Design | None", n: int) -> None:
         )
 
 
-def _check_build(n: int, rating_r: float, horizon_h: float) -> None:
+def _check_split(n: int, rating_r: float, horizon_h: float) -> None:
     if n < 2:
         raise ConfigurationError("need at least two modules")
     if rating_r < 0:
@@ -377,18 +287,6 @@ def validate_network(net: FlowNetwork) -> list[str]:
             problems.append(f"battery {j} has negative capacity")
         if battery.voltage_v <= 0:
             problems.append(f"battery {j} has nonpositive voltage")
-
-    if net.output_caps is not None:
-        if net.converter_edges:
-            problems.append("dedicated-converter network must not carry edges")
-        if len(net.output_caps) != n:
-            problems.append(
-                f"output_caps has {len(net.output_caps)} entries for {n} modules"
-            )
-        for j, cap in enumerate(net.output_caps):
-            if cap < 0:
-                problems.append(f"output cap {j} is negative")
-        return problems
 
     seen: set[tuple[int, int, int]] = set()
     for k, edge in enumerate(net.converter_edges):

@@ -18,8 +18,9 @@ normalized ratings ``R`` with common random packs, so curves for different
 families are directly comparable.  Both sweeps sample their packs once,
 take each point's converter caps from the budget split of
 :mod:`besspp.architectures` and evaluate every point x pack in one
-:func:`sweep_energy` call: one cut-form kernel call for the string
-families, the closed form for fpp, and no network per pack.
+:func:`sweep_energy` call, which reads the wiring from the splits: one
+cut-form kernel call for the string families, the closed form for fpp,
+and no network per pack.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from besspp.architectures import (
-    DEFAULT_RATED_POWER_KW,
     ArchitectureKind,
     BudgetSplit,
-    converter_pairs,
     layer1_aggregate_kwh,
     split_budget,
     split_lambda,
@@ -52,6 +51,7 @@ from besspp.supply import (
     BatteryModule,
     ExpectedSet,
     SupplyDistribution,
+    _left_sum,
     flatten_distribution,
     sample_pack,
 )
@@ -104,29 +104,19 @@ class TradeoffPoint:
 
 
 def enumerate_placements(
-    n_batteries: int, n_edges: int, max_span: int | None = None
+    n_batteries: int, n_edges: int
 ) -> list[tuple[tuple[int, int], ...]]:
     """All size-``n_edges`` sets of module pairs, lexicographically ordered.
 
-    Pairs are 0-based ``(i, j)`` with ``i < j`` and ``j - i <= max_span``
-    (default: unconstrained).  The search space is ``C(P, n_edges)`` where
-    ``P`` is the number of admissible pairs.
+    Pairs are 0-based ``(i, j)`` with ``i < j``.  The search space is
+    ``C(P, n_edges)`` with ``P = C(n_batteries, 2)`` pairs.
     """
     if n_batteries < 2:
         raise ValueError("n_batteries must be >= 2")
-    if max_span is None:
-        max_span = n_batteries - 1
-    if max_span < 1:
-        raise ValueError("max_span must be >= 1")
-    pairs = [
-        (i, j)
-        for i in range(n_batteries - 1)
-        for j in range(i + 1, min(n_batteries, i + max_span + 1))
-    ]
+    pairs = list(itertools.combinations(range(n_batteries), 2))
     if not 1 <= n_edges <= len(pairs):
         raise ValueError(
-            f"n_edges must be in 1..{len(pairs)} for n_batteries={n_batteries}, "
-            f"max_span={max_span}"
+            f"n_edges must be in 1..{len(pairs)} for n_batteries={n_batteries}"
         )
     return list(itertools.combinations(pairs, n_edges))
 
@@ -135,7 +125,6 @@ def design_layer1(
     expected: ExpectedSet,
     n_edges: int,
     horizon_h: float,
-    max_span: int | None = None,
 ) -> Layer1Design:
     """Exhaustively place ``n_edges`` uncapped converters on the expected set.
 
@@ -146,7 +135,7 @@ def design_layer1(
     if horizon_h <= 0:
         raise ValueError("horizon_h must be positive")
     batteries = expected.batteries
-    placements = enumerate_placements(len(batteries), n_edges, max_span)
+    placements = enumerate_placements(len(batteries), n_edges)
 
     outputs = uncapped_placement_energy(batteries, placements)
     best_output, candidates = _tied_candidates(placements, outputs.tolist())
@@ -231,13 +220,12 @@ def design_layer2(
     packs = [sample_pack(dist, n, s) for s in pack_seeds]
     expected_total = flatten_distribution(dist, n).total_kwh
 
-    kind = ArchitectureKind.LSHIPPP
     aggregate = layer1_aggregate_kwh(layer1, layer1.horizon_h)
     splits = [split_lambda(layer1, lam) for lam in lambda_grid]
-    utils = _utilization_rows(sweep_energy(kind, packs, splits, layer1), packs)
+    utils = _utilization_rows(sweep_energy(packs, splits), packs)
     return [
         _make_point(
-            kind=kind.value,
+            kind=ArchitectureKind.LSHIPPP.value,
             rating_r=(1 + lam) * aggregate / expected_total,
             lambda_h=lam,
             layer2_kw=split.rung_kwh / layer1.horizon_h,
@@ -255,10 +243,8 @@ def tradeoff_curve(
     seed: int,
     *,
     n_modules: int,
+    horizon_h: float,
     n_layer1: int = 3,
-    horizon_h: float | None = None,
-    max_span: int | None = None,
-    rated_power_kw: float | None = None,
     layer1: Layer1Design | None = None,
     pack_seeds: list[int] | None = None,
 ) -> list[TradeoffPoint]:
@@ -267,11 +253,10 @@ def tradeoff_curve(
     Packs are drawn once from ``seed`` and reused across the whole grid (and
     across families, when the caller fixes the seed), so curves share their
     random numbers.  Converter caps are sized from the expected pack, i.e.
-    hardware is procured once and applied to every sampled pack.
-
-    The discharge horizon defaults to expected pack energy over rated
-    power; it only scales energy caps consistently and cancels out of every
-    utilization figure.
+    hardware is procured once and applied to every sampled pack.  The
+    discharge horizon scales the energy caps and the layer-1 rating
+    consistently.  lshippp designs its layer 1 on the expected pack unless
+    ``layer1`` is given.
     """
     kind = ArchitectureKind(kind)
     if not r_grid:
@@ -281,11 +266,8 @@ def tradeoff_curve(
     if n_packs < 1:
         raise ValueError("n_packs must be >= 1")
     expected = flatten_distribution(dist, n_modules)
-    if horizon_h is None:
-        power = rated_power_kw if rated_power_kw else DEFAULT_RATED_POWER_KW
-        horizon_h = expected.total_kwh / power
     if kind is ArchitectureKind.LSHIPPP and layer1 is None:
-        layer1 = design_layer1(expected, n_layer1, horizon_h, max_span)
+        layer1 = design_layer1(expected, n_layer1, horizon_h)
     if pack_seeds is None:
         pack_seeds = [derive_seed(seed, "pack", i) for i in range(n_packs)]
     packs = [sample_pack(dist, n_modules, s) for s in pack_seeds]
@@ -294,7 +276,7 @@ def tradeoff_curve(
         split_budget(kind, n_modules, r, expected.total_kwh, horizon_h, layer1)
         for r in r_grid
     ]
-    utils = _utilization_rows(sweep_energy(kind, packs, splits, layer1), packs)
+    utils = _utilization_rows(sweep_energy(packs, splits), packs)
     return [
         _make_point(
             kind.value, float(r), split.lambda_h, split.rung_kwh / horizon_h, row
@@ -304,26 +286,28 @@ def tradeoff_curve(
 
 
 def sweep_energy(
-    kind: ArchitectureKind | str,
-    packs: list[tuple[BatteryModule, ...]],
-    splits: list[BudgetSplit],
-    layer1: Layer1Design | None = None,
+    packs: list[tuple[BatteryModule, ...]], splits: list[BudgetSplit]
 ) -> list[list[float]]:
     """Deliverable energy of every pack under every split, one row per split.
 
-    fpp takes the closed form :func:`~besspp.flows.fpp_deliverable`; the
-    string families are one :func:`~besspp.flows.cut_form_energy` call with
-    one cap row per split, so no per-pack network is built.
+    The splits must share one kind and one wiring.  Without string edges
+    (fpp) each pack takes the closed form
+    :func:`~besspp.flows.fpp_deliverable`; a string wiring is one
+    :func:`~besspp.flows.cut_form_energy` call with one cap row per split,
+    so no per-pack network is built.
     """
-    kind = ArchitectureKind(kind)
     if not packs:
         raise ValueError("a sweep needs at least one pack")
-    if kind is ArchitectureKind.FPP:
+    wirings = {(s.kind, s.pairs) for s in splits}
+    if len(wirings) != 1:
+        raise ValueError("a sweep needs splits of one kind and one wiring")
+    ((_, pairs),) = wirings
+    if not pairs:
         return [[fpp_deliverable(pack, s.rung_kwh) for pack in packs] for s in splits]
     return cut_form_energy(
         [[b.capacity_kwh for b in pack] for pack in packs],
         [[b.voltage_v for b in pack] for pack in packs],
-        converter_pairs(kind, len(packs[0]), layer1),
+        pairs,
         [s.caps_kwh for s in splits],
     ).tolist()
 
@@ -339,7 +323,7 @@ def _utilization_rows(
     outputs: list[list[float]], packs: list[tuple[BatteryModule, ...]]
 ) -> list[list[float]]:
     """Each row's deliverable energies over the packs' total energies."""
-    totals = [sum(b.capacity_kwh for b in pack) for pack in packs]
+    totals = [_left_sum(b.capacity_kwh for b in pack) for pack in packs]
     return [[out / total for out, total in zip(row, totals)] for row in outputs]
 
 

@@ -23,13 +23,13 @@ where ``dS`` is the set of edges with exactly one end in ``S``.
 :func:`cut_form_energy` is the kernel: it evaluates that form for every
 pack x row of edge caps of one wiring, building the subset sums once per
 chunk of packs and the cut table once per cap row; the sweeps call it once
-per curve, and :func:`deliverable_energy` is its per-network wrapper, which
-groups networks of equal wiring and caps.  :func:`uncapped_placement_energy`
-evaluates many uncapped placements on one pack.  All enumerate the
-``2**n - 1`` subsets, so series strings are limited to
-:data:`MAX_CUT_MODULES` modules.  Networks built for dedicated per-module
-converters (no series string; ``output_caps`` set) use the closed form
-``sum_j min(E_j, cap_j)``.
+per curve.  :func:`uncapped_placement_energy` evaluates many uncapped
+placements on one pack.  Both enumerate the ``2**n - 1`` subsets, so series
+strings are limited to :data:`MAX_CUT_MODULES` modules.
+
+A :class:`FlowNetwork` is always a series string.  Dedicated per-module
+converters (fpp) have no string and no network here: their deliverable
+energy is the closed form :func:`fpp_deliverable`, ``sum_j min(E_j, cap)``.
 
 The simplex remains where flows are needed: :func:`min_peak_flow` fixes the
 designed converter flows, and :func:`max_deliverable_energy` solves the LP
@@ -49,7 +49,7 @@ from besspp.simplex import (
     LpInfeasible,
     solve_bounded_lp,
 )
-from besspp.supply import BatteryModule
+from besspp.supply import BatteryModule, _left_sum
 
 __all__ = [
     "ConverterEdge",
@@ -57,7 +57,6 @@ __all__ = [
     "FlowSolution",
     "InfeasibleFlowError",
     "MAX_CUT_MODULES",
-    "deliverable_energy",
     "cut_form_energy",
     "uncapped_placement_energy",
     "max_deliverable_energy",
@@ -95,21 +94,11 @@ class ConverterEdge:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Pack plus converter wiring.
-
-    ``output_caps`` switches the network to dedicated per-module output
-    converters (one per module, no series string); it must then cover every
-    module and ``converter_edges`` must be empty.
-    """
+    """A series string of modules plus its converter edges."""
 
     batteries: tuple[BatteryModule, ...]
     converter_edges: tuple[ConverterEdge, ...] = ()
     horizon_h: float = 1.0
-    output_caps: tuple[float, ...] | None = None
-
-    @property
-    def total_capacity_kwh(self) -> float:
-        return sum(b.capacity_kwh for b in self.batteries)
 
 
 @dataclass(frozen=True)
@@ -117,9 +106,8 @@ class FlowSolution:
     """Optimal energy bookkeeping for one network over the horizon.
 
     ``string_energy`` is the per-module energy pushed through the series
-    string (``q * V_j``); for dedicated-converter networks it is the direct
-    per-module delivery.  ``extraction`` is what each module actually gives
-    up, string plus net converter outflow.
+    string (``q * V_j``).  ``extraction`` is what each module actually
+    gives up, string plus net converter outflow.
     """
 
     string_energy: tuple[float, ...]
@@ -136,25 +124,9 @@ def _check_network(net: FlowNetwork) -> None:
         raise ValueError("invalid flow network: " + "; ".join(problems))
 
 
-def _fpp_solution(net: FlowNetwork) -> FlowSolution:
-    taken = tuple(
-        float(min(b.capacity_kwh, cap))
-        for b, cap in zip(net.batteries, net.output_caps)
-    )
-    return FlowSolution(
-        string_energy=taken,
-        edge_flows=(),
-        extraction=taken,
-        total_output=float(sum(taken)),
-    )
-
-
 def max_deliverable_energy(net: FlowNetwork) -> FlowSolution:
     """Maximize the energy delivered to the output bus over the horizon."""
     _check_network(net)
-    if net.output_caps is not None:
-        return _fpp_solution(net)
-
     n = len(net.batteries)
     n_edges = len(net.converter_edges)
     volts = np.array([b.voltage_v for b in net.batteries])
@@ -181,35 +153,6 @@ def max_deliverable_energy(net: FlowNetwork) -> FlowSolution:
 
     sol = solve_bounded_lp(BoundedLp(c, a, caps, lower, upper))
     return _assemble(net, float(sol.x[0]), sol.x[1 : 1 + n_edges])
-
-
-def deliverable_energy(nets: Sequence[FlowNetwork]) -> np.ndarray:
-    """Maximum deliverable energy of each network, by the cut form.
-
-    Agrees with ``max_deliverable_energy(net).total_output`` without solving
-    an LP.  Series strings that share their wiring and caps (the sampled
-    packs of one sweep point) go to :func:`cut_form_energy` together, one
-    row per pack.  Raises ``ValueError`` for an invalid network or a series
-    string with more than :data:`MAX_CUT_MODULES` modules.
-    """
-    out = np.empty(len(nets))
-    groups: dict[tuple, list[int]] = {}
-    for idx, net in enumerate(nets):
-        _check_network(net)
-        if net.output_caps is not None:
-            out[idx] = _fpp_solution(net).total_output
-        else:
-            key = (len(net.batteries), net.converter_edges)
-            groups.setdefault(key, []).append(idx)
-    for (_, edges), members in groups.items():
-        batteries = [nets[i].batteries for i in members]
-        (out[members],) = cut_form_energy(
-            [[b.capacity_kwh for b in pack] for pack in batteries],
-            [[b.voltage_v for b in pack] for pack in batteries],
-            [(e.from_battery, e.to_battery) for e in edges],
-            [[e.energy_cap_kwh for e in edges]],
-        )
-    return out
 
 
 def cut_form_energy(energy_kwh, volts_v, pairs, caps_kwh) -> np.ndarray:
@@ -321,8 +264,6 @@ def min_peak_flow(net: FlowNetwork, required_output_kwh: float) -> FlowSolution:
     for reporting and rating purposes.
     """
     _check_network(net)
-    if net.output_caps is not None:
-        raise ValueError("min_peak_flow applies to series-string networks only")
     if required_output_kwh < 0:
         raise ValueError("required_output_kwh must be nonnegative")
 
@@ -351,7 +292,7 @@ def fpp_deliverable(
     """Deliverable energy with one dedicated converter per module."""
     if energy_cap_kwh < 0:
         raise ValueError("energy_cap_kwh must be nonnegative")
-    return float(sum(min(b.capacity_kwh, energy_cap_kwh) for b in batteries))
+    return _left_sum(min(b.capacity_kwh, energy_cap_kwh) for b in batteries)
 
 
 def _split_flow_rows(

@@ -1,8 +1,7 @@
 """Evaluation metrics for pack output and plaza service quality.
 
-Dispersion statistics use population moments (``ddof=0``) and type-7
-linearly interpolated quantiles, numpy's defaults, so frozen expected
-values are reproducible bit-for-bit.
+Dispersion statistics use population moments (``ddof=0``), numpy's
+default, so frozen expected values are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,44 +13,11 @@ import numpy as np
 
 __all__ = [
     "MetricReport",
-    "energy_utilization",
-    "normalized_rating",
     "system_efficiency",
-    "interdecile_range",
     "grid_ev_energy_gap",
     "derating_factor",
     "captured_value",
 ]
-
-
-def energy_utilization(output_kwh: float, batteries) -> float:
-    """Delivered energy as a fraction of the pack's usable energy.
-
-    ``batteries`` is either a sequence of modules or the total usable
-    energy in kWh.
-    """
-    if isinstance(batteries, (int, float)):
-        total = float(batteries)
-    else:
-        total = sum(b.capacity_kwh for b in batteries)
-    if total <= 0:
-        raise ValueError("pack usable energy must be positive")
-    if output_kwh < 0:
-        raise ValueError("output_kwh must be nonnegative")
-    return output_kwh / total
-
-
-def normalized_rating(
-    aggregate_power_kw: float, energy_kwh: float, horizon_h: float
-) -> float:
-    """Converter budget R: aggregate rating times horizon over pack energy."""
-    if energy_kwh <= 0:
-        raise ValueError("energy_kwh must be positive")
-    if horizon_h <= 0:
-        raise ValueError("horizon_h must be positive")
-    if aggregate_power_kw < 0:
-        raise ValueError("aggregate_power_kw must be nonnegative")
-    return aggregate_power_kw * horizon_h / energy_kwh
 
 
 def system_efficiency(converter_efficiency: float, rating_r: float) -> float:
@@ -66,14 +32,6 @@ def system_efficiency(converter_efficiency: float, rating_r: float) -> float:
     if rating_r < 0:
         raise ValueError("rating_r must be nonnegative")
     return 1.0 - (1.0 - converter_efficiency) * min(rating_r, 1.0)
-
-
-def interdecile_range(samples) -> float:
-    """p90 - p10 with type-7 interpolation; needs at least 10 samples."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size < 10:
-        raise ValueError("interdecile_range needs a flat sample of size >= 10")
-    return float(np.quantile(arr, 0.9) - np.quantile(arr, 0.1))
 
 
 def grid_ev_energy_gap(

@@ -13,11 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from besspp.architectures import (
-    DEFAULT_RATED_POWER_KW,
-    ArchitectureConfig,
-    ArchitectureKind,
-)
+from besspp.architectures import ArchitectureConfig, ArchitectureKind
 from besspp.designer import default_lambda_grid
 from besspp.flows import MAX_CUT_MODULES
 from besspp.plaza import DemandModel, GridProfile
@@ -31,6 +27,10 @@ __all__ = [
     "default_scenario",
     "scenario_to_dict",
 ]
+
+# Rated output power of a pack, kW; with the expected pack energy it sets
+# the design horizon.
+DEFAULT_RATED_POWER_KW = 150.0
 
 # Available grid power over a day, kW: generous at night, pinched during
 # the morning and evening load peaks.

@@ -27,12 +27,7 @@ from pathlib import Path
 import numpy as np
 
 import besspp
-from besspp.architectures import (
-    ArchitectureKind,
-    assemble_network,
-    split_budget,
-    validate_network,
-)
+from besspp.architectures import assemble_network, split_budget, validate_network
 from besspp.designer import (
     Layer1Design,
     derive_seed,
@@ -61,7 +56,7 @@ from besspp.plaza import (
     simulate_day,
 )
 from besspp.scenario import Scenario, scenario_to_dict
-from besspp.supply import flatten_distribution, sample_pack
+from besspp.supply import _left_sum, flatten_distribution, sample_pack
 
 __all__ = [
     "StudyResult",
@@ -294,7 +289,7 @@ def run_tradeoff(
             scenario.n_modules,
             scenario.n_layer1,
             horizon,
-            layer1 if kind is ArchitectureKind.LSHIPPP else None,
+            layer1,
         )
         for kind in kinds
     ]
@@ -341,12 +336,14 @@ def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
         split = split_budget(
             kind, n, plaza.rating_r, expected.total_kwh, horizon, layer1
         )
-        (row,) = sweep_energy(kind, packs, [split], layer1)
+        (row,) = sweep_energy(packs, [split])
         capacities[kind.value] = tuple(row)
     return _PlazaSetup(
         horizon_h=horizon,
         expected_total_kwh=expected.total_kwh,
-        pack_totals=tuple(sum(b.capacity_kwh for b in pack) for pack in packs),
+        pack_totals=tuple(
+            _left_sum(b.capacity_kwh for b in pack) for pack in packs
+        ),
         capacities=capacities,
     )
 
@@ -728,7 +725,12 @@ def run_ensemble(
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """Structural check of every architecture the scenario will build."""
+    """Structural check of every architecture the scenario will build.
+
+    Every configured architecture is split over the expected set; the
+    string kinds are also assembled into a network and validated, while
+    fpp, which has no series string, is checked by its split alone.
+    """
     problems: list[str] = []
     expected = flatten_distribution(scenario.supply, scenario.n_modules)
     horizon = scenario.design_horizon_h
@@ -744,10 +746,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             config.kind, scenario.n_modules, config.rating_r, expected.total_kwh,
             horizon, layer1,
         )
-        net = assemble_network(
-            config.kind, expected.batteries, split, horizon, layer1
-        )
-        problems.extend(
-            f"{config.kind.value}: {issue}" for issue in validate_network(net)
-        )
+        if split.pairs:
+            net = assemble_network(expected.batteries, split, horizon)
+            problems.extend(
+                f"{config.kind.value}: {issue}" for issue in validate_network(net)
+            )
     return problems

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -106,7 +107,21 @@ class ExpectedSet:
 
     @property
     def total_kwh(self) -> float:
-        return sum(b.capacity_kwh for b in self.batteries)
+        return _left_sum(b.capacity_kwh for b in self.batteries)
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """Float sum added left to right from 0.0, on every Python version.
+
+    The builtin ``sum`` of floats is compensated from Python 3.12 on and so
+    rounds differently than on 3.10 and 3.11; every float total that reaches
+    an artifact goes through this fold instead, which is what ``sum`` did
+    before 3.12.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return float(total)
 
 
 def usable_energy(intrinsic_kwh: float, dod: float) -> float:

@@ -21,7 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besspp.architectures import SPARSE_LAYER, build_lshippp
+from besspp.architectures import (
+    SPARSE_LAYER,
+    ArchitectureKind,
+    BudgetSplit,
+    assemble_network,
+    layer1_aggregate_kwh,
+)
 from besspp.designer import (
     derive_seed,
     design_layer1,
@@ -80,7 +86,7 @@ def tradeoff_points():
             scenario.seed,
             n_modules=scenario.n_modules,
             n_layer1=scenario.n_layer1,
-            rated_power_kw=scenario.rated_power_kw,
+            horizon_h=scenario.design_horizon_h,
             pack_seeds=pack_seeds,
         )
         curves[kind] = {round(p.rating_r, 6): p for p in points}
@@ -306,7 +312,17 @@ def prop_sparse_layer_flows_within_ratings(pack_seed, lambda_h):
     scenario = default_scenario()
     layer1 = _default_layer1()
     modules = sample_pack(scenario.supply, scenario.n_modules, pack_seed)
-    net = build_lshippp(modules, layer1, lambda_h, 2.25)
+    n = len(modules)
+    # Layer 1 at its procured rating, a lambda_h ladder on top.
+    rung = lambda_h * layer1_aggregate_kwh(layer1, 2.25) / (n - 1)
+    split = BudgetSplit(
+        ArchitectureKind.LSHIPPP,
+        layer1.edges + tuple((j, j + 1) for j in range(n - 1)),
+        (layer1.rating_kw * 2.25,) * len(layer1.edges) + (rung,) * (n - 1),
+        rung,
+        lambda_h,
+    )
+    net = assemble_network(modules, split, 2.25)
     sol = max_deliverable_energy(net)
     cap1 = layer1.rating_kw * 2.25
     cap2 = lambda_h * len(layer1.edges) * cap1 / (len(modules) - 1)
@@ -383,7 +399,7 @@ def test_criterion_5_invariant_suite():
 
 def test_criterion_6_search_space_count():
     with criterion(6, "sparse placement count"):
-        placements = enumerate_placements(9, 3, 8)
+        placements = enumerate_placements(9, 3)
         assert len(placements) == 7140
         assert len(placements) == math.comb(36, 3)
 

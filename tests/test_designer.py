@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from besspp.architectures import (
-    assemble_network,
-    build_cppp,
-    build_fpp,
-    build_lshippp_for_budget,
-    split_lambda,
-)
+from besspp.architectures import assemble_network, split_budget, split_lambda
 from besspp.designer import (
     _make_point,
     _tied_candidates,
@@ -27,7 +21,7 @@ from besspp.designer import (
 from besspp.flows import (
     ConverterEdge,
     FlowNetwork,
-    deliverable_energy,
+    fpp_deliverable,
     max_deliverable_energy,
     min_peak_flow,
     uncapped_placement_energy,
@@ -36,9 +30,15 @@ from besspp.supply import (
     BatteryModule,
     ExpectedSet,
     SupplyDistribution,
+    _left_sum,
     flatten_distribution,
     sample_pack,
 )
+
+from test_flows import cut_reference
+
+# Expected pack energy over the 150 kW rating for the 9-module reference.
+HORIZON_H = 2.25
 
 
 def expected_set(*caps: float) -> ExpectedSet:
@@ -83,10 +83,6 @@ class TestEnumeratePlacements:
         placements = enumerate_placements(4, 2)
         assert placements == sorted(placements)
         assert len(placements) == math.comb(6, 2)
-
-    def test_span_limit(self):
-        placements = enumerate_placements(4, 1, max_span=1)
-        assert placements == [((0, 1),), ((1, 2),), ((2, 3),)]
 
     def test_rejects_too_many_edges(self):
         with pytest.raises(ValueError):
@@ -188,8 +184,7 @@ class TestDesignLayer2:
             pack = sample_pack(supply9, 9, derive_seed(7, "pack", i))
             for lam in (0.0, 0.3, 1.0, 5.0):
                 net = assemble_network(
-                    "lshippp", pack, split_lambda(layer1_9, lam),
-                    layer1_9.horizon_h, layer1_9,
+                    pack, split_lambda(layer1_9, lam), layer1_9.horizon_h
                 )
                 flows = max_deliverable_energy(net).edge_flows[:m]
                 for flow, duty in zip(flows, layer1_9.optimal_flows_kwh):
@@ -216,7 +211,8 @@ class TestTradeoffCurve:
     def test_fpp_matches_closed_form(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         (point,) = tradeoff_curve(
-            "fpp", dist, [0.2], n_packs=25, seed=3, n_modules=9
+            "fpp", dist, [0.2], n_packs=25, seed=3, n_modules=9,
+            horizon_h=HORIZON_H,
         )
         # Re-derive one pack by hand through the public pieces.
         from besspp.designer import derive_seed as ds
@@ -233,7 +229,7 @@ class TestTradeoffCurve:
 
     def test_common_random_packs_across_kinds(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        kw = dict(n_packs=15, seed=11, n_modules=9)
+        kw = dict(n_packs=15, seed=11, n_modules=9, horizon_h=HORIZON_H)
         a = tradeoff_curve("cppp", dist, [10.0], **kw)
         b = tradeoff_curve("lshippp", dist, [10.0], **kw)
         # At absurdly generous budgets both families deliver everything,
@@ -245,7 +241,10 @@ class TestTradeoffCurve:
 
     def test_zero_rating_collapses_to_string(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        (cp,) = tradeoff_curve("cppp", dist, [0.0], n_packs=10, seed=5, n_modules=9)
+        (cp,) = tradeoff_curve(
+            "cppp", dist, [0.0], n_packs=10, seed=5, n_modules=9,
+            horizon_h=HORIZON_H,
+        )
         utils = []
         for i in range(10):
             pack = sample_pack(dist, 9, derive_seed(5, "pack", i))
@@ -255,17 +254,17 @@ class TestTradeoffCurve:
 
     def test_lambda_reported_for_lshippp_only(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        (ls,) = tradeoff_curve(
-            "lshippp", dist, [0.25], n_packs=5, seed=2, n_modules=9
-        )
-        (fp,) = tradeoff_curve("fpp", dist, [0.25], n_packs=5, seed=2, n_modules=9)
+        kw = dict(n_packs=5, seed=2, n_modules=9, horizon_h=HORIZON_H)
+        (ls,) = tradeoff_curve("lshippp", dist, [0.25], **kw)
+        (fp,) = tradeoff_curve("fpp", dist, [0.25], **kw)
         assert ls.lambda_h >= 0
         assert math.isnan(fp.lambda_h)
 
     def test_quantile_fields_consistent(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         (point,) = tradeoff_curve(
-            "cppp", dist, [0.3], n_packs=40, seed=9, n_modules=9
+            "cppp", dist, [0.3], n_packs=40, seed=9, n_modules=9,
+            horizon_h=HORIZON_H,
         )
         assert point.utilization_p10 <= point.utilization_mean + 1e-9
         assert point.utilization_mean <= point.utilization_p90 + 1e-9
@@ -274,15 +273,17 @@ class TestTradeoffCurve:
         )
 
 
-def network_point(kind, r, lam, layer2_kw, nets):
-    """The point of one sweep value, from ``deliverable_energy`` on ``nets``."""
-    outputs = deliverable_energy(nets).tolist()
-    utils = [out / net.total_capacity_kwh for net, out in zip(nets, outputs)]
+def reference_point(kind, r, lam, layer2_kw, packs, outputs):
+    """The point of one sweep value from per-pack reference outputs."""
+    utils = [
+        out / _left_sum(b.capacity_kwh for b in pack)
+        for pack, out in zip(packs, outputs)
+    ]
     return _make_point(kind, r, lam, layer2_kw, utils)
 
 
 class TestSweepsEqualBuiltNetworks:
-    """Every sweep point equals, bit for bit, one network per pack."""
+    """Every sweep point equals, bit for bit, one reference per pack."""
 
     @pytest.mark.parametrize("kind", ["fpp", "cppp", "lshippp"])
     def test_tradeoff_curve(self, kind, layer1_9, supply9, expected9):
@@ -293,25 +294,19 @@ class TestSweepsEqualBuiltNetworks:
             horizon_h=horizon, layer1=layer1_9,
         )
         packs = [sample_pack(supply9, 9, derive_seed(4, "pack", i)) for i in range(45)]
-        basis = {"budget_basis_kwh": expected9.total_kwh}
         assert len(points) == len(r_grid)
         for r, point in zip(r_grid, points):
-            lam = math.nan
+            split = split_budget(kind, 9, r, expected9.total_kwh, horizon, layer1_9)
             if kind == "fpp":
-                nets = [build_fpp(p, r, horizon, **basis) for p in packs]
-                rung = nets[0].output_caps[0]
-            elif kind == "cppp":
-                nets = [build_cppp(p, r, horizon, **basis) for p in packs]
-                rung = nets[0].converter_edges[0].energy_cap_kwh
+                outputs = [fpp_deliverable(p, split.caps_kwh[0]) for p in packs]
             else:
-                built = [
-                    build_lshippp_for_budget(p, layer1_9, r, horizon, **basis)
-                    for p in packs
+                outputs = [
+                    cut_reference(assemble_network(p, split, horizon)) for p in packs
                 ]
-                nets = [net for net, _ in built]
-                lam = built[0][1]
-                rung = nets[0].converter_edges[-1].energy_cap_kwh
-            expected = network_point(kind, r, lam, rung / horizon, nets)
+            rung = split.caps_kwh[-1]
+            expected = reference_point(
+                kind, r, split.lambda_h, rung / horizon, packs, outputs
+            )
             assert repr(point) == repr(expected)
 
     def test_design_layer2(self, layer1_9, supply9, expected9):
@@ -327,17 +322,42 @@ class TestSweepsEqualBuiltNetworks:
         for lam, point in zip(lambda_grid, points):
             cap2 = lam * aggregate / 8
             ladder = tuple(ConverterEdge(j, j + 1, cap2, layer=2) for j in range(8))
-            nets = [FlowNetwork(p, sparse + ladder, horizon) for p in packs]
-            expected = network_point("lshippp", 0.0, lam, cap2 / horizon, nets)
+            outputs = [
+                cut_reference(FlowNetwork(p, sparse + ladder, horizon)) for p in packs
+            ]
+            expected = reference_point(
+                "lshippp", 0.0, lam, cap2 / horizon, packs, outputs
+            )
             rating_r = (1 + lam) * aggregate / expected9.total_kwh
             assert repr(point) == repr(
                 dataclasses.replace(expected, rating_r=rating_r)
             )
 
-
     def test_sweep_needs_a_pack(self):
         with pytest.raises(ValueError, match="at least one pack"):
-            sweep_energy("cppp", [], [])
+            sweep_energy([], [])
+
+    def test_sweep_rejects_mixed_wiring(self, layer1_9, supply9, expected9):
+        packs = [sample_pack(supply9, 9, derive_seed(8, "pack", 0))]
+        basis = expected9.total_kwh
+
+        def split(kind, r=0.2):
+            return split_budget(kind, 9, r, basis, 2.25, layer1_9)
+
+        ladder = tuple((j, j + 1) for j in range(8))
+        other_layer1 = dataclasses.replace(
+            split("lshippp"), pairs=((0, 1), (0, 2), (0, 3)) + ladder
+        )
+        for splits in (
+            [split("cppp"), split("fpp")],
+            [split("cppp"), split_lambda(layer1_9, 0.5)],
+            [split("lshippp"), other_layer1],
+            [],
+        ):
+            with pytest.raises(ValueError, match="one kind and one wiring"):
+                sweep_energy(packs, splits)
+        # One kind and wiring at several budgets is one sweep.
+        assert len(sweep_energy(packs, [split("cppp", 0.1), split("cppp")])) == 2
 
 
 class TestDeriveSeed:

@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 
 from besspp.architectures import (
     assemble_network,
-    build_cppp,
-    build_lshippp_for_budget,
     layer1_aggregate_kwh,
+    split_budget,
     split_lambda,
 )
-from besspp.designer import derive_seed
+from besspp.designer import derive_seed, sweep_energy
 from besspp.flows import (
     MAX_CUT_MODULES,
     ConverterEdge,
     FlowNetwork,
     InfeasibleFlowError,
     cut_form_energy,
-    deliverable_energy,
     fpp_deliverable,
     max_deliverable_energy,
     min_peak_flow,
@@ -55,28 +53,11 @@ def _enumerate_polytope_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> floa
 def vertex_oracle(net: FlowNetwork) -> float:
     """Independent route to the maximum deliverable energy.
 
-    String networks are posed as ``max q * sum(V)`` over the inequality
-    polytope in ``z = (q, f_1..f_k)``; dedicated-converter networks as
-    ``max sum(y_j)`` over the per-module delivery box.  Both are solved by
-    enumerating every vertex.  Edge caps must be finite so the polytope is
-    bounded.
+    The network is posed as ``max q * sum(V)`` over the inequality polytope
+    in ``z = (q, f_1..f_k)`` and solved by enumerating every vertex.  Edge
+    caps must be finite so the polytope is bounded.
     """
-    n = len(net.batteries)
     volts = np.array([b.voltage_v for b in net.batteries])
-
-    if net.output_caps is not None:
-        # No series string: module j independently delivers y_j, limited
-        # by its energy and its dedicated converter.
-        rows = np.vstack([np.eye(n), np.eye(n), -np.eye(n)])
-        rhs = np.concatenate(
-            [
-                [b.capacity_kwh for b in net.batteries],
-                net.output_caps,
-                np.zeros(n),
-            ]
-        )
-        return _enumerate_polytope_max(rows, rhs, np.ones(n))
-
     k = len(net.converter_edges)
     d = 1 + k
     rows: list[np.ndarray] = []
@@ -192,8 +173,24 @@ class TestDedicatedConverters:
         assert fpp_deliverable(pack(3, 4, 5), 1.5) == pytest.approx(4.5)
 
     def test_network_route_matches_closed_form(self):
-        net = FlowNetwork(pack(3, 4, 5), (), 1.0, output_caps=(1.5, 1.5, 1.5))
-        assert max_deliverable_energy(net).total_output == pytest.approx(4.5)
+        # The sweeps' route for an fpp split: 3 x 1.5 kWh converters.
+        split = split_budget("fpp", 3, 0.375, 12.0, 1.0)
+        assert sweep_energy([pack(3, 4, 5)], [split]) == [[4.5]]
+
+    @given(
+        energy=st.lists(st.just(0.0) | st.floats(0.01, 10.0), min_size=1, max_size=9),
+        cap=st.just(0.0) | st.floats(0.01, 10.0),
+    )
+    @settings(max_examples=200)
+    def test_closed_form_matches_linprog(self, energy, cap):
+        # Each module delivers y_j <= min(E_j, cap), independently.
+        modules = pack(*energy)
+        bounds = [(0.0, min(e, cap)) for e in energy]
+        res = scipy.optimize.linprog(-np.ones(len(energy)), bounds=bounds)
+        assert res.status == 0
+        assert abs(fpp_deliverable(modules, cap) + res.fun) <= 1e-12 * max(
+            1.0, -res.fun
+        )
 
     def test_small_modules_saturate_before_cap(self):
         assert fpp_deliverable(pack(1, 4, 5), 2.0) == pytest.approx(1 + 2 + 2)
@@ -267,10 +264,7 @@ def random_network(rng: np.random.Generator) -> FlowNetwork:
         )
     else:
         edges = ()
-    output_caps = None
-    if not edges and rng.random() < 0.4:
-        output_caps = tuple(float(v) for v in rng.uniform(0.3, 1.5, size=n))
-    return FlowNetwork(batteries, edges, 1.0, output_caps)
+    return FlowNetwork(batteries, edges, 1.0)
 
 
 class TestAgainstVertexOracle:
@@ -320,7 +314,7 @@ class TestFlowProperties:
     @settings(max_examples=300)
     def test_output_bounded_by_pack_energy(self, net):
         sol = max_deliverable_energy(net)
-        assert sol.total_output <= net.total_capacity_kwh + 1e-6
+        assert sol.total_output <= sum(b.capacity_kwh for b in net.batteries) + 1e-6
         assert sol.total_output >= -1e-9
 
     @given(network_strategy(min_n=2))
@@ -336,11 +330,6 @@ class TestFlowProperties:
 def scipy_deliverable(net: FlowNetwork) -> float:
     """Deliverable energy from ``scipy.optimize.linprog`` (HiGHS)."""
     energy = [b.capacity_kwh for b in net.batteries]
-    if net.output_caps is not None:
-        bounds = [(0.0, min(e, c)) for e, c in zip(energy, net.output_caps)]
-        res = scipy.optimize.linprog(-np.ones(len(energy)), bounds=bounds)
-        assert res.status == 0
-        return -res.fun
     volts = np.array([b.voltage_v for b in net.batteries])
     edges = net.converter_edges
     a_ub = np.zeros((len(energy), 1 + len(edges)))
@@ -382,9 +371,23 @@ def cut_reference(net: FlowNetwork) -> float:
     return float((q * volts).sum())
 
 
+def kernel_energy(net: FlowNetwork) -> float:
+    """The cut-form kernel on one network: one pack, one row of caps."""
+    edges = net.converter_edges
+    ((got,),) = cut_form_energy(
+        [[b.capacity_kwh for b in net.batteries]],
+        [[b.voltage_v for b in net.batteries]],
+        [(e.from_battery, e.to_battery) for e in edges],
+        [[e.energy_cap_kwh for e in edges]],
+    )
+    return float(got)
+
+
 def assert_three_way(nets: list[FlowNetwork], rel: float = 1e-12) -> None:
-    cut = deliverable_energy(nets)
-    for net, got in zip(nets, cut):
+    """The kernel against the in-house LP and scipy, and ``==`` its reference."""
+    for net in nets:
+        got = kernel_energy(net)
+        assert got == cut_reference(net)
         lp = max_deliverable_energy(net).total_output
         oracle = scipy_deliverable(net)
         scale = max(1.0, abs(lp))
@@ -438,19 +441,14 @@ class TestCutForm:
 
     @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.6])
     def test_three_way_cppp_packs(self, rating_r):
-        packs = sampled_packs()
-        nets = [build_cppp(p, rating_r, 2.25, budget_basis_kwh=337.5) for p in packs]
+        split = split_budget("cppp", 9, rating_r, 337.5, 2.25)
+        nets = [assemble_network(p, split, 2.25) for p in sampled_packs()]
         assert_three_way(nets)
 
     @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.6])
     def test_three_way_lshippp_budget_packs(self, layer1_9, rating_r):
-        packs = sampled_packs()
-        nets = [
-            build_lshippp_for_budget(
-                p, layer1_9, rating_r, 2.25, budget_basis_kwh=337.5
-            )[0]
-            for p in packs
-        ]
+        split = split_budget("lshippp", 9, rating_r, 337.5, 2.25, layer1_9)
+        nets = [assemble_network(p, split, 2.25) for p in sampled_packs()]
         assert_three_way(nets)
 
     @pytest.mark.parametrize("cap2", [0.0, 0.5, 3.0, 40.0])
@@ -461,10 +459,7 @@ class TestCutForm:
         lam = cap2 * 8 / layer1_aggregate_kwh(layer1_9, layer1_9.horizon_h)
         split = split_lambda(layer1_9, lam)
         assert split.rung_kwh == pytest.approx(cap2, rel=1e-12)
-        nets = [
-            assemble_network("lshippp", p, split, layer1_9.horizon_h, layer1_9)
-            for p in packs
-        ]
+        nets = [assemble_network(p, split, layer1_9.horizon_h) for p in packs]
         assert_three_way(nets)
 
     @given(cap_rows_strategy())
@@ -485,7 +480,6 @@ class TestCutForm:
                 assert abs(value - lp) <= 1e-12 * scale, (value, lp)
                 assert abs(value - oracle) <= 1e-12 * scale, (value, oracle)
                 assert value == cut_reference(net)
-                assert value == deliverable_energy([net])[0]
 
     def test_kernel_chunks_match_the_reference(self, layer1_9):
         # 40 packs and 21 cap rows span several chunks of packs and rows.
@@ -522,12 +516,16 @@ class TestCutForm:
             n = MAX_CUT_MODULES + 1
             cut_form_energy([[1.0] * n], [[1.0] * n], [], [[]])
 
-    def test_mixed_batch_keeps_order(self):
-        rng = np.random.Generator(np.random.Philox(key=7))
-        nets = [random_network(rng) for _ in range(40)]
-        batched = deliverable_energy(nets)
-        one_by_one = [deliverable_energy([net])[0] for net in nets]
-        assert batched.tolist() == one_by_one
+    def test_mixed_batch_keeps_order(self, layer1_9):
+        # Packs and cap rows of one wiring: the batch equals pack by pack.
+        packs = sampled_packs(n_packs=40)
+        splits = [split_lambda(layer1_9, lam) for lam in (0.0, 0.4, 2.0)]
+        batched = sweep_energy(packs, splits)
+        one_by_one = [
+            [cut_reference(assemble_network(p, s, 2.25)) for p in packs]
+            for s in splits
+        ]
+        assert batched == one_by_one
 
     def test_uncapped_placements_match_lp(self):
         rng = np.random.Generator(np.random.Philox(key=11))
@@ -552,8 +550,9 @@ class TestCutForm:
         batteries = tuple(
             BatteryModule(float(c), 1.0) for c in np.linspace(1.0, 4.0, MAX_CUT_MODULES)
         )
-        net = build_cppp(batteries, 0.1, 1.0)
-        (got,) = deliverable_energy([net])
+        split = split_budget("cppp", MAX_CUT_MODULES, 0.1, 40.0, 1.0)
+        net = assemble_network(batteries, split, 1.0)
+        got = kernel_energy(net)
         assert got == pytest.approx(
             max_deliverable_energy(net).total_output, rel=1e-12
         )
@@ -561,19 +560,19 @@ class TestCutForm:
     def test_rejects_strings_above_the_subset_limit(self):
         batteries = pack(*([2.0] * (MAX_CUT_MODULES + 1)))
         with pytest.raises(ValueError, match="subsets"):
-            deliverable_energy([FlowNetwork(batteries)])
+            kernel_energy(FlowNetwork(batteries))
         with pytest.raises(ValueError, match="subsets"):
             uncapped_placement_energy(batteries, [((0, 1),)])
 
     def test_dedicated_converters_have_no_subset_limit(self):
         n = MAX_CUT_MODULES + 1
-        net = FlowNetwork(pack(*([2.0] * n)), (), 1.0, output_caps=(1.5,) * n)
-        assert deliverable_energy([net])[0] == pytest.approx(1.5 * n)
+        split = split_budget("fpp", n, 0.75, 2.0 * n, 1.0)
+        assert sweep_energy([pack(*([2.0] * n))], [split]) == [[1.5 * n]]
 
     def test_invalid_network_rejected(self):
         net = FlowNetwork(pack(1, 2), (ConverterEdge(0, 2, 1.0),))
         with pytest.raises(ValueError, match="invalid flow network"):
-            deliverable_energy([net])
+            max_deliverable_energy(net)
 
     def test_invalid_placement_rejected(self):
         with pytest.raises(ValueError, match="distinct modules"):

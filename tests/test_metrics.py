@@ -4,39 +4,48 @@ import math
 import numpy as np
 import pytest
 
+from besspp.architectures import split_budget
+from besspp.designer import _make_point, _utilization_rows
 from besspp.metrics import (
     MetricReport,
     captured_value,
     derating_factor,
-    energy_utilization,
     grid_ev_energy_gap,
-    interdecile_range,
-    normalized_rating,
     system_efficiency,
 )
 from besspp.supply import BatteryModule
 
 
 class TestEnergyUtilization:
+    """Delivered energy over the pack's usable energy, as the sweeps report it."""
+
     def test_from_total(self):
-        assert energy_utilization(270.0, 337.5) == pytest.approx(0.8)
+        pack = tuple(BatteryModule(37.5, 50.0) for _ in range(9))
+        assert _utilization_rows([[270.0]], [pack]) == [[pytest.approx(0.8)]]
 
     def test_from_modules(self):
-        modules = [BatteryModule(3.0, 50.0), BatteryModule(5.0, 50.0)]
-        assert energy_utilization(4.0, modules) == pytest.approx(0.5)
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            energy_utilization(1.0, 0.0)
+        modules = (BatteryModule(3.0, 50.0), BatteryModule(5.0, 50.0))
+        assert _utilization_rows([[4.0]], [modules]) == [[0.5]]
 
 
 class TestNormalizedRating:
-    def test_reference_point(self):
-        # 30 kW of converters against 337.5 kWh discharged over 2.25 h.
-        assert normalized_rating(30.0, 337.5, 2.25) == pytest.approx(0.2)
+    """R = P * T / E, read back from the budget split of every kind."""
 
-    def test_linear_in_power(self):
-        assert normalized_rating(60.0, 337.5, 2.25) == pytest.approx(0.4)
+    @staticmethod
+    def aggregate_power_kw(kind, rating_r, layer1):
+        split = split_budget(kind, 9, rating_r, 337.5, 2.25, layer1)
+        return sum(split.caps_kwh) / 2.25
+
+    def test_reference_point(self, layer1_9):
+        # 30 kW of converters against 337.5 kWh discharged over 2.25 h.
+        for kind in ("fpp", "cppp", "lshippp"):
+            power = self.aggregate_power_kw(kind, 0.2, layer1_9)
+            assert power == pytest.approx(30.0, rel=1e-12)
+
+    def test_linear_in_power(self, layer1_9):
+        for kind in ("fpp", "cppp", "lshippp"):
+            power = self.aggregate_power_kw(kind, 0.4, layer1_9)
+            assert power == pytest.approx(60.0, rel=1e-12)
 
 
 class TestSystemEfficiency:
@@ -60,22 +69,24 @@ class TestSystemEfficiency:
 
 
 class TestInterdecileRange:
+    """The ``util_idr`` of a sweep point: type-7 p90 - p10."""
+
+    @staticmethod
+    def idr(samples):
+        return _make_point("cppp", 0.2, math.nan, 0.0, list(samples)).utilization_idr
+
     def test_eleven_point_ramp(self):
         # 0..100 in steps of 10: deciles sit on sample points exactly.
-        assert interdecile_range(range(0, 101, 10)) == pytest.approx(80.0)
+        assert self.idr(range(0, 101, 10)) == pytest.approx(80.0)
 
     def test_constant_samples(self):
-        assert interdecile_range([5.0] * 12) == 0.0
-
-    def test_needs_ten_samples(self):
-        with pytest.raises(ValueError):
-            interdecile_range([1.0] * 9)
+        assert self.idr([5.0] * 12) == 0.0
 
     def test_matches_numpy_quantiles(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         samples = rng.uniform(0, 1, 97)
         expected = np.quantile(samples, 0.9) - np.quantile(samples, 0.1)
-        assert interdecile_range(samples) == pytest.approx(float(expected))
+        assert self.idr(samples) == float(expected)
 
 
 class TestGridEvGap:

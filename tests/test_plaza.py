@@ -23,9 +23,8 @@ from besspp.plaza import (
     replay_stream,
     simulate_day,
 )
-from besspp.flows import ConverterEdge, FlowNetwork, deliverable_energy
+from besspp.flows import cut_form_energy
 from besspp.scenario import default_scenario
-from besspp.supply import BatteryModule
 
 
 class TestGridProfile:
@@ -78,9 +77,11 @@ class TestGridProfile:
 class TestEffectiveCapacity:
     def test_matches_deliverable_energy(self):
         # The monolith's usable energy is the network's deliverable energy.
-        batteries = tuple(BatteryModule(c, 50.0) for c in (3.0, 4.0, 5.0))
-        net = FlowNetwork(batteries, (ConverterEdge(0, 2, math.inf),), 1.0)
-        assert deliverable_energy([net])[0] == pytest.approx(12.0)
+        # A 3/4/5 kWh string with one uncapped converter across its ends.
+        ((got,),) = cut_form_energy(
+            [[3.0, 4.0, 5.0]], [[50.0] * 3], [(0, 2)], [[math.inf]]
+        )
+        assert got == pytest.approx(12.0)
 
 
 class TestEvaluateCycle:

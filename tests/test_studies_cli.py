@@ -34,6 +34,7 @@ from besspp.studies import (
     scenario_fingerprint,
     validate_scenario,
 )
+from besspp.supply import _left_sum
 
 
 def small_doc() -> dict:
@@ -277,7 +278,7 @@ class TestRunEnsemble:
                     for c in day.cycles
                     if not c.truncated
                 ]
-                unmet.append(sum(c.unmet_kwh for c in day.cycles))
+                unmet.append(_left_sum(c.unmet_kwh for c in day.cycles))
                 dropped.append(day.dropped_arrivals)
                 served.append(len(day.cycles))
             curtailed = [c.curtailed_h * 60.0 for c, _ in completed]

@@ -1,7 +1,9 @@
+import ast
 import concurrent.futures
 import math
 import statistics
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from besspp.supply import (
     BatteryModule,
     ExpectedSet,
     SupplyDistribution,
+    _left_sum,
     _philox,
     flatten_distribution,
     sample_pack,
@@ -224,3 +227,33 @@ class TestExpectedSet:
     def test_nan_capacity_rejected(self):
         with pytest.raises(ValueError):
             BatteryModule(math.nan, 50.0)
+
+
+class TestLeftSum:
+    """Float totals are folded left to right on every Python version."""
+
+    def test_differs_from_a_compensated_sum(self):
+        # Python >= 3.12's builtin sum is compensated and reads 1.0 here.
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+        assert _left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert math.fsum([0.1] * 10) == 1.0
+        assert _left_sum([0.1] * 10) == 0.9999999999999999
+        assert _left_sum(iter([0.5, 0.25])) == 0.75
+
+    def test_empty_and_signed_zero(self):
+        assert repr(_left_sum([])) == "0.0"
+        assert repr(_left_sum([-0.0])) == "0.0"
+
+    def test_no_builtin_sum_in_the_package(self):
+        # The builtin sum of floats rounds differently from Python 3.12 on;
+        # the package folds with ``_left_sum`` instead.
+        root = Path(sys.modules["besspp"].__file__).parent
+        calls = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(root.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+        ]
+        assert calls == []
