@@ -14,13 +14,29 @@ bad arguments, failed validation), 2 for runtime failures.
 
 from __future__ import annotations
 
-import argparse
-import sys
-from pathlib import Path
+import os
+import time
 
-import besspp
-from besspp.scenario import Scenario, ScenarioError, default_scenario, load_scenario
-from besspp.studies import (
+_START_WALL_S = time.perf_counter()
+
+# OpenBLAS would start a helper thread as numpy loads.  The only BLAS calls
+# are simplex solves of at most ~30 rows, where it never pays off, yet it
+# nearly doubles numpy's import time or spins on a core of its own.  Set
+# before numpy first loads; a user's own value wins, pool workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse  # noqa: E402 - after the start-up clock and the variable above
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import besspp  # noqa: E402
+from besspp.scenario import (  # noqa: E402
+    Scenario,
+    ScenarioError,
+    default_scenario,
+    load_scenario,
+)
+from besspp.studies import (  # noqa: E402
     StageTimer,
     run_day,
     run_design,
@@ -134,6 +150,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         workers = max(1, args.workers)
+        startup = (time.perf_counter() - _START_WALL_S, time.process_time())
         timer = StageTimer()
         if args.command == "design":
             result = run_design(scenario, args.out, workers, timer=timer)
@@ -159,7 +176,7 @@ def main(argv=None) -> int:
     for name in result.files:
         print(result.out_dir / name)
     if args.timings:
-        for stage, wall_s, cpu_s in timer.stages:
+        for stage, wall_s, cpu_s in [("startup", *startup), *timer.stages]:
             print(
                 f"timing {args.command} {stage}: "
                 f"wall {wall_s:.3f} s, cpu {cpu_s:.3f} s",

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,6 @@ import numpy as np
 import besspp
 from besspp.architectures import assemble_network, split_budget, validate_network
 from besspp.designer import (
-    Layer1Design,
     derive_seed,
     design_layer1,
     design_layer2,
@@ -176,7 +174,12 @@ def _parallel_map(fn, items, workers: int):
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Imported here because it loads multiprocessing, which one worker never
+    # uses.  Under fork the executor starts all max_workers processes at once,
+    # so it gets no more than there are items.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

@@ -1,6 +1,10 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import itertools
@@ -26,6 +30,7 @@ from besspp.studies import (
     DAY_HORIZON_H,
     TRADEOFF_HEADER,
     TRAJECTORY_HEADER,
+    _parallel_map,
     _plaza_setup,
     run_day,
     run_design,
@@ -428,7 +433,7 @@ class TestCli:
         assert main(args) == 0
         err = capsys.readouterr().err
         assert tree_digest(timed) == tree_digest(plain)
-        for stage in stages:
+        for stage in ("startup", *stages):
             assert f"timing {study} {stage}: wall " in err
 
     def test_unreadable_output_dir_exits_2(self, small_scenario, tmp_path):
@@ -445,3 +450,79 @@ class TestCli:
             ]
         )
         assert code == 2
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("workers, expected", [(2, 2), (3, 3), (8, 3)])
+    def test_pool_is_no_larger_than_its_tasks(self, monkeypatch, workers, expected):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert _parallel_map(abs, [-1, 2, -3], workers) == [1, 2, 3]
+        assert sizes == [expected]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, *args: str, env: dict | None = None) -> str:
+    """Run ``code`` in a fresh interpreter with this checkout's ``src``.
+
+    ``env`` overrides the inherited environment; a ``None`` value unsets.
+    """
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={k: v for k, v in env.items() if v is not None},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return done.stdout.strip()
+
+
+class TestStartup:
+    def test_package_import_loads_no_numpy(self):
+        code = "import besspp, sys; print('numpy' in sys.modules)"
+        assert run_python(code) == "False"
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_cli_sets_single_blas_thread_unless_preset(self, preset, expected):
+        code = "import os, besspp.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_python(code, env={"OPENBLAS_NUM_THREADS": preset}) == expected
+
+    def test_one_worker_study_never_imports_the_pool(self, small_scenario, tmp_path):
+        path, _ = small_scenario
+        code = (
+            "import sys\n"
+            "from besspp.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('concurrent.futures.process' in sys.modules)"
+        )
+        args = ["design", "--scenario", str(path), "--out", str(tmp_path / "d")]
+        assert run_python(code, *args).splitlines()[-1] == "False"
+
+    def test_blas_thread_count_leaves_bytes_alone(self, small_scenario, tmp_path):
+        path, _ = small_scenario
+        code = "import sys; from besspp.cli import main; sys.exit(main(sys.argv[1:]))"
+        manifests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            args = ["design", "--scenario", str(path), "--out", str(out)]
+            run_python(code, *args, env={"OPENBLAS_NUM_THREADS": threads})
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
