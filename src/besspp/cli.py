@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="worker processes for independent sweep points",
+                help="worker processes for the ensemble's demand cells; the other "
+                "studies run in one process",
             )
             p.add_argument(
                 "--out",

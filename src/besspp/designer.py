@@ -3,11 +3,15 @@
 Layer 1 placement is an exhaustive search: for every size-``m`` set of
 module pairs, evaluate the uncapped deliverable energy on the expected
 (flattened) pack and keep the set with the largest output.  The search uses
-the cut form of :mod:`besspp.flows`, so it solves no LP per placement.
-Ties are broken by the smaller minimum-peak flow (two simplex passes per
-tied placement) and then by enumeration order, so designs are
-deterministic.  The shared layer-1 converter rating is the peak optimal
-flow over the discharge horizon.
+the cut form of :mod:`besspp.flows`, so it solves no LP per placement, and
+at most :data:`MAX_PLACEMENTS` placements are searched.  Ties are broken by
+the smaller minimum-peak flow, which the parametric cut form
+:func:`~besspp.flows.uncapped_min_peak` gives for every tied placement in
+one array pass, and then by enumeration order, so designs are
+deterministic.  Only the winner is solved as an LP
+(:func:`~besspp.flows.min_peak_flow`, two simplex passes), which fixes its
+flows; the shared layer-1 converter rating is their peak over the
+discharge horizon.
 
 Layer 2 sizing is Monte Carlo: with layer-1 flows capped at their designed
 optima, sweep the ladder-to-layer-1 aggregate ratio ``lambda_h`` and record
@@ -15,12 +19,12 @@ the utilization distribution over sampled packs.
 
 ``tradeoff_curve`` evaluates any architecture family on a grid of total
 normalized ratings ``R`` with common random packs, so curves for different
-families are directly comparable.  Both sweeps sample their packs once,
-take each point's converter caps from the budget split of
-:mod:`besspp.architectures` and evaluate every point x pack in one
-:func:`sweep_energy` call, which reads the wiring from the splits: one
-cut-form kernel call for the string families, the closed form for fpp,
-and no network per pack.
+families are directly comparable; :func:`sample_packs` draws such packs
+once for any number of curves.  Both sweeps take each point's converter
+caps from the budget split of :mod:`besspp.architectures` and evaluate
+every point x pack in one :func:`sweep_energy` call, which reads the
+wiring from the splits: one cut-form kernel call for the string families,
+one array pass of the closed form for fpp, and no network per pack.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from besspp.flows import (
     cut_form_energy,
     fpp_deliverable,
     min_peak_flow,
+    uncapped_min_peak,
     uncapped_placement_energy,
 )
 from besspp.supply import (
@@ -59,16 +64,24 @@ from besspp.supply import (
 __all__ = [
     "Layer1Design",
     "TradeoffPoint",
+    "MAX_PLACEMENTS",
     "enumerate_placements",
     "design_layer1",
     "design_layer2",
     "tradeoff_curve",
     "sweep_energy",
+    "sample_packs",
     "default_lambda_grid",
 ]
 
 # Relative slack used when comparing candidate objectives during the search.
 _TIE_RTOL = 1e-9
+
+# Largest layer-1 search, in placements: C(C(n, 2), m) for m converters on
+# n modules.  The default 9 modules with 3 converters search 7,140; 16
+# modules with 3 search 280,840, and with 4 already 8.2 million, so larger
+# searches are refused rather than left to run for hours.
+MAX_PLACEMENTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,8 @@ def enumerate_placements(
     """All size-``n_edges`` sets of module pairs, lexicographically ordered.
 
     Pairs are 0-based ``(i, j)`` with ``i < j``.  The search space is
-    ``C(P, n_edges)`` with ``P = C(n_batteries, 2)`` pairs.
+    ``C(P, n_edges)`` with ``P = C(n_batteries, 2)`` pairs, and at most
+    :data:`MAX_PLACEMENTS`.
     """
     if n_batteries < 2:
         raise ValueError("n_batteries must be >= 2")
@@ -117,6 +131,12 @@ def enumerate_placements(
     if not 1 <= n_edges <= len(pairs):
         raise ValueError(
             f"n_edges must be in 1..{len(pairs)} for n_batteries={n_batteries}"
+        )
+    count = math.comb(len(pairs), n_edges)
+    if count > MAX_PLACEMENTS:
+        raise ValueError(
+            f"{n_edges} converters on {n_batteries} modules give {count:,} "
+            f"placements; the search supports at most {MAX_PLACEMENTS:,}"
         )
     return list(itertools.combinations(pairs, n_edges))
 
@@ -130,7 +150,8 @@ def design_layer1(
 
     Keeps the placement maximizing deliverable energy; among optima, the one
     whose minimum-peak flow is smallest, and among those the first in
-    enumeration order.
+    enumeration order.  The tied placements' peaks come from the parametric
+    cut form; the winner's flows, and so its rating, from the min-peak LP.
     """
     if horizon_h <= 0:
         raise ValueError("horizon_h must be positive")
@@ -140,25 +161,20 @@ def design_layer1(
     outputs = uncapped_placement_energy(batteries, placements)
     best_output, candidates = _tied_candidates(placements, outputs.tolist())
 
-    best_placement = None
-    best_flows: tuple[float, ...] = ()
-    best_peak = math.inf
-    for placement in candidates:
-        net = _uncapped_network(batteries, placement, horizon_h)
-        sol = min_peak_flow(net, best_output)
-        peak = max((abs(f) for f in sol.edge_flows), default=0.0)
-        if peak < best_peak * (1 - _TIE_RTOL) - _TIE_RTOL:
-            best_peak = peak
-            best_placement = placement
-            best_flows = sol.edge_flows
-    if best_placement is None:  # pragma: no cover - candidates is never empty
-        raise RuntimeError("layer-1 search produced no candidate")
+    peaks = uncapped_min_peak(batteries, candidates, best_output).tolist()
+    best = 0
+    for k, peak in enumerate(peaks):
+        if peak < peaks[best] * (1 - _TIE_RTOL) - _TIE_RTOL:
+            best = k
+    placement = candidates[best]
+    sol = min_peak_flow(_uncapped_network(batteries, placement, horizon_h), best_output)
+    peak = max((abs(f) for f in sol.edge_flows), default=0.0)
 
     return Layer1Design(
         n_batteries=len(batteries),
-        edges=best_placement,
-        optimal_flows_kwh=best_flows,
-        rating_kw=best_peak / horizon_h,
+        edges=placement,
+        optimal_flows_kwh=sol.edge_flows,
+        rating_kw=peak / horizon_h,
         expected_output_kwh=best_output,
         horizon_h=horizon_h,
     )
@@ -200,7 +216,6 @@ def design_layer2(
     lambda_grid: list[float],
     n_packs: int,
     seed: int,
-    pack_seeds: list[int] | None = None,
 ) -> list[TradeoffPoint]:
     """Sweep the adjacent-ladder ratio with layer-1 flows frozen at design.
 
@@ -215,9 +230,7 @@ def design_layer2(
     if n_packs < 1:
         raise ValueError("n_packs must be >= 1")
     n = layer1.n_batteries
-    if pack_seeds is None:
-        pack_seeds = [derive_seed(seed, "pack", i) for i in range(n_packs)]
-    packs = [sample_pack(dist, n, s) for s in pack_seeds]
+    packs = sample_packs(dist, n, n_packs, seed)
     expected_total = flatten_distribution(dist, n).total_kwh
 
     aggregate = layer1_aggregate_kwh(layer1, layer1.horizon_h)
@@ -246,13 +259,15 @@ def tradeoff_curve(
     horizon_h: float,
     n_layer1: int = 3,
     layer1: Layer1Design | None = None,
-    pack_seeds: list[int] | None = None,
+    packs: list[tuple[BatteryModule, ...]] | None = None,
 ) -> list[TradeoffPoint]:
     """Utilization distribution versus total normalized rating ``R``.
 
     Packs are drawn once from ``seed`` and reused across the whole grid (and
     across families, when the caller fixes the seed), so curves share their
-    random numbers.  Converter caps are sized from the expected pack, i.e.
+    random numbers; a caller drawing several curves passes ``packs`` from
+    one :func:`sample_packs` call instead, and ``n_packs`` and ``seed`` then
+    go unused.  Converter caps are sized from the expected pack, i.e.
     hardware is procured once and applied to every sampled pack.  The
     discharge horizon scales the energy caps and the layer-1 rating
     consistently.  lshippp designs its layer 1 on the expected pack unless
@@ -268,9 +283,8 @@ def tradeoff_curve(
     expected = flatten_distribution(dist, n_modules)
     if kind is ArchitectureKind.LSHIPPP and layer1 is None:
         layer1 = design_layer1(expected, n_layer1, horizon_h)
-    if pack_seeds is None:
-        pack_seeds = [derive_seed(seed, "pack", i) for i in range(n_packs)]
-    packs = [sample_pack(dist, n_modules, s) for s in pack_seeds]
+    if packs is None:
+        packs = sample_packs(dist, n_modules, n_packs, seed)
 
     splits = [
         split_budget(kind, n_modules, r, expected.total_kwh, horizon_h, layer1)
@@ -291,10 +305,9 @@ def sweep_energy(
     """Deliverable energy of every pack under every split, one row per split.
 
     The splits must share one kind and one wiring.  Without string edges
-    (fpp) each pack takes the closed form
-    :func:`~besspp.flows.fpp_deliverable`; a string wiring is one
-    :func:`~besspp.flows.cut_form_energy` call with one cap row per split,
-    so no per-pack network is built.
+    (fpp) it is one :func:`~besspp.flows.fpp_deliverable` call with one cap
+    per split; a string wiring is one :func:`~besspp.flows.cut_form_energy`
+    call with one cap row per split, so no per-pack network is built.
     """
     if not packs:
         raise ValueError("a sweep needs at least one pack")
@@ -302,14 +315,25 @@ def sweep_energy(
     if len(wirings) != 1:
         raise ValueError("a sweep needs splits of one kind and one wiring")
     ((_, pairs),) = wirings
+    energy = [[b.capacity_kwh for b in pack] for pack in packs]
     if not pairs:
-        return [[fpp_deliverable(pack, s.rung_kwh) for pack in packs] for s in splits]
+        return fpp_deliverable(energy, [s.rung_kwh for s in splits]).tolist()
     return cut_form_energy(
-        [[b.capacity_kwh for b in pack] for pack in packs],
+        energy,
         [[b.voltage_v for b in pack] for pack in packs],
         pairs,
         [s.caps_kwh for s in splits],
     ).tolist()
+
+
+def sample_packs(
+    dist: SupplyDistribution, n_modules: int, n_packs: int, seed: int
+) -> list[tuple[BatteryModule, ...]]:
+    """The ``n_packs`` packs of one sweep, pack ``i`` keyed by ``(seed, i)``."""
+    return [
+        sample_pack(dist, n_modules, derive_seed(seed, "pack", i))
+        for i in range(n_packs)
+    ]
 
 
 def derive_seed(master: int, *parts: object) -> int:

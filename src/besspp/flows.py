@@ -24,12 +24,15 @@ where ``dS`` is the set of edges with exactly one end in ``S``.
 pack x row of edge caps of one wiring, building the subset sums once per
 chunk of packs and the cut table once per cap row; the sweeps call it once
 per curve.  :func:`uncapped_placement_energy` evaluates many uncapped
-placements on one pack.  Both enumerate the ``2**n - 1`` subsets, so series
-strings are limited to :data:`MAX_CUT_MODULES` modules.
+placements on one pack, and :func:`uncapped_min_peak` the same argument's
+parametric form: the smallest shared edge rating at which each placement
+meets a required output.  All three enumerate the ``2**n - 1`` subsets, so
+series strings are limited to :data:`MAX_CUT_MODULES` modules.
 
 A :class:`FlowNetwork` is always a series string.  Dedicated per-module
 converters (fpp) have no string and no network here: their deliverable
-energy is the closed form :func:`fpp_deliverable`, ``sum_j min(E_j, cap)``.
+energy is the closed form :func:`fpp_deliverable`, ``sum_j min(E_j, cap)``,
+evaluated for every pack x cap in one array pass.
 
 The simplex remains where flows are needed: :func:`min_peak_flow` fixes the
 designed converter flows, and :func:`max_deliverable_energy` solves the LP
@@ -38,6 +41,7 @@ above with its flows and serves as the reference for the cut form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -49,7 +53,7 @@ from besspp.simplex import (
     LpInfeasible,
     solve_bounded_lp,
 )
-from besspp.supply import BatteryModule, _left_sum
+from besspp.supply import BatteryModule
 
 __all__ = [
     "ConverterEdge",
@@ -59,6 +63,7 @@ __all__ = [
     "MAX_CUT_MODULES",
     "cut_form_energy",
     "uncapped_placement_energy",
+    "uncapped_min_peak",
     "max_deliverable_energy",
     "min_peak_flow",
     "fpp_deliverable",
@@ -214,14 +219,8 @@ def uncapped_placement_energy(
     each placement takes the first one it leaves uncrossed.  Placements are
     evaluated in fixed-size chunks so memory stays bounded.
     """
-    _check_network(FlowNetwork(tuple(batteries)))
+    pairs = _placement_pairs(batteries, placements)
     n = len(batteries)
-    _check_cut_size(n)
-    pairs = np.asarray(placements, dtype=np.intp)
-    if pairs.ndim != 3 or pairs.shape[2] != 2:
-        raise ValueError("placements must be equal-size tuples of module pairs")
-    if pairs.min() < 0 or pairs.max() >= n or np.any(pairs[..., 0] == pairs[..., 1]):
-        raise ValueError(f"placement pairs must join two distinct modules of 0..{n - 1}")
     energy = np.array([[b.capacity_kwh for b in batteries]])
     volts = np.array([[b.voltage_v for b in batteries]])
     ratio = _subset_sums(energy)[0, 1:] / _subset_sums(volts)[0, 1:]
@@ -236,6 +235,73 @@ def uncapped_placement_energy(
         crossed = (member[chunk[..., 0]] != member[chunk[..., 1]]).any(axis=1)
         q[lo : lo + step] = ratio[crossed.argmin(axis=1)]
     return (q[:, None] * volts).sum(axis=1)
+
+
+def uncapped_min_peak(
+    batteries: tuple[BatteryModule, ...],
+    placements: Sequence[tuple[tuple[int, int], ...]],
+    output_kwh: float,
+) -> np.ndarray:
+    """Smallest peak edge flow that meets ``output_kwh`` under each placement.
+
+    Every edge of a placement ``P`` is uncapped and all of them share one
+    rating ``t``.  At string charge ``q = output_kwh / V_tot`` a module
+    subset ``S`` needs ``q * V(S) - E(S)`` from outside, and its cut can
+    import at most ``t * |dS & P|``, so (Gale 1957, as for the cut form)
+
+        peak(P) = max(0, max over S with |dS & P| > 0 of
+                          (q * V(S) - E(S)) / |dS & P|).
+
+    Subsets that no edge crosses are left out: each must hold its own
+    share, which is what ``output_kwh`` not exceeding the placement's
+    :func:`uncapped_placement_energy` means.  The caller guarantees that,
+    up to its own tie slack.  Placements are evaluated in fixed-size chunks
+    so memory stays bounded.
+    """
+    pairs = _placement_pairs(batteries, placements)
+    n = len(batteries)
+    volts = np.array([b.voltage_v for b in batteries])
+    energy = np.array([b.capacity_kwh for b in batteries])
+    # The string energy per module exactly as min_peak_flow fixes it.
+    string = volts * (output_kwh / volts.sum())
+    need = _subset_sums((string - energy)[None, :])[0, 1:]
+    ids = np.arange(1, 1 << n)
+    member = ((ids[None, :] >> np.arange(n)[:, None]) & 1).astype(bool)
+
+    peaks = np.empty(len(pairs))
+    step = max(1, _CHUNK_ENTRIES // (pairs.shape[1] * len(ids)))
+    for lo in range(0, len(pairs), step):
+        chunk = pairs[lo : lo + step]
+        crossing = (member[chunk[..., 0]] != member[chunk[..., 1]]).sum(axis=1)
+        # Uncrossed subsets read 0, which is also the floor of the peak.
+        share = np.where(crossing > 0, need / np.maximum(crossing, 1), 0.0)
+        peaks[lo : lo + step] = share.max(axis=1)
+    return peaks
+
+
+def _placement_pairs(
+    batteries: tuple[BatteryModule, ...],
+    placements: Sequence[tuple[tuple[int, int], ...]],
+) -> np.ndarray:
+    """Checked (placements x edges x 2) module indices of one pack's placements.
+
+    The array is filled from a flat iterator over the pairs, without an
+    intermediate nested-sequence conversion.
+    """
+    _check_network(FlowNetwork(tuple(batteries)))
+    n = len(batteries)
+    _check_cut_size(n)
+    m = len(placements[0]) if len(placements) else 0
+    if m == 0 or any(len(p) != m for p in placements):
+        raise ValueError("placements must be equal-size tuples of module pairs")
+    pairs = np.fromiter(
+        itertools.chain.from_iterable(placements),
+        dtype=np.dtype((np.intp, 2)),
+        count=len(placements) * m,
+    ).reshape(len(placements), m, 2)
+    if pairs.min() < 0 or pairs.max() >= n or np.any(pairs[..., 0] == pairs[..., 1]):
+        raise ValueError(f"placement pairs must join two distinct modules of 0..{n - 1}")
+    return pairs
 
 
 def _check_cut_size(n: int) -> None:
@@ -286,13 +352,28 @@ def min_peak_flow(net: FlowNetwork, required_output_kwh: float) -> FlowSolution:
     return _assemble(net, float(required_output_kwh / volts.sum()), flows)
 
 
-def fpp_deliverable(
-    batteries: tuple[BatteryModule, ...], energy_cap_kwh: float
-) -> float:
-    """Deliverable energy with one dedicated converter per module."""
-    if energy_cap_kwh < 0:
-        raise ValueError("energy_cap_kwh must be nonnegative")
-    return _left_sum(min(b.capacity_kwh, energy_cap_kwh) for b in batteries)
+def fpp_deliverable(energy_kwh, caps_kwh) -> np.ndarray:
+    """Deliverable energy with one dedicated converter per module.
+
+    ``energy_kwh`` holds (packs x n) module energies and ``caps_kwh`` one
+    converter energy cap per row, shared by the n converters of that row.
+    Returns the (rows x packs) totals ``sum_j min(E_j, cap)``.  The columns
+    are added left to right from 0.0, the fold of ``supply._left_sum``, so
+    every total is the same float on every Python version.
+    """
+    energy = np.asarray(energy_kwh, dtype=float)
+    caps = np.asarray(caps_kwh, dtype=float)
+    if energy.ndim != 2:
+        raise ValueError("energy_kwh must be a (packs x n) array")
+    if caps.ndim != 1:
+        raise ValueError("caps_kwh must hold one cap per row")
+    if not np.all(caps >= 0):
+        raise ValueError("energy caps must be nonnegative")
+    taken = np.minimum(energy[None, :, :], caps[:, None, None])
+    total = np.zeros(taken.shape[:2])
+    for j in range(energy.shape[1]):
+        total += taken[:, :, j]
+    return total
 
 
 def _split_flow_rows(

@@ -31,6 +31,7 @@ from besspp.designer import (
     derive_seed,
     design_layer1,
     design_layer2,
+    sample_packs,
     sweep_energy,
     tradeoff_curve,
 )
@@ -248,26 +249,15 @@ def _point_row(point) -> tuple:
 # tradeoff study
 
 
-def _tradeoff_task(args) -> list[tuple]:
-    (kind, dist, r_grid, n_packs, seed, n_modules, n_layer1, horizon, layer1) = args
-    points = tradeoff_curve(
-        kind,
-        dist,
-        r_grid,
-        n_packs,
-        seed,
-        n_modules=n_modules,
-        n_layer1=n_layer1,
-        horizon_h=horizon,
-        layer1=layer1,
-    )
-    return [_point_row(p) for p in points]
-
-
 def run_tradeoff(
     scenario: Scenario, out_dir, workers: int = 1, timer: StageTimer | None = None
 ) -> StudyResult:
-    """Utilization-versus-rating curves for every architecture family."""
+    """Utilization-versus-rating curves for every architecture family.
+
+    The packs are sampled once and every kind's R grid is one sweep over
+    them, in this process: the whole study is a few array passes, so
+    ``workers`` changes nothing here.
+    """
     timer = timer or StageTimer()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,31 +265,30 @@ def run_tradeoff(
         expected = flatten_distribution(scenario.supply, scenario.n_modules)
         horizon = scenario.design_horizon_h
         layer1 = design_layer1(expected, scenario.n_layer1, horizon)
-    pack_seed = derive_seed(scenario.seed, "tradeoff-packs")
 
     kinds = []
     for config in scenario.architectures:
         if config.kind not in kinds:
             kinds.append(config.kind)
-    # One task per kind: each samples its packs once and sweeps every R.
-    tasks = [
-        (
-            kind.value,
-            scenario.supply,
-            list(scenario.r_grid),
-            scenario.n_packs,
-            pack_seed,
-            scenario.n_modules,
-            scenario.n_layer1,
-            horizon,
-            layer1,
-        )
-        for kind in kinds
-    ]
     rows: list[tuple] = []
     with timer.stage("sweep"):
-        for chunk in _parallel_map(_tradeoff_task, tasks, workers):
-            rows.extend(chunk)
+        pack_seed = derive_seed(scenario.seed, "tradeoff-packs")
+        packs = sample_packs(
+            scenario.supply, scenario.n_modules, scenario.n_packs, pack_seed
+        )
+        for kind in kinds:
+            points = tradeoff_curve(
+                kind,
+                scenario.supply,
+                list(scenario.r_grid),
+                scenario.n_packs,
+                pack_seed,
+                n_modules=scenario.n_modules,
+                horizon_h=horizon,
+                layer1=layer1,
+                packs=packs,
+            )
+            rows.extend(_point_row(p) for p in points)
     with timer.stage("writes"):
         _write_csv(out_dir / "tradeoff.csv", TRADEOFF_HEADER, rows)
         return _finish("tradeoff", scenario, out_dir, ["tradeoff.csv"])

@@ -73,8 +73,13 @@ R_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 @pytest.fixture(scope="module")
 def tradeoff_points():
     scenario = default_scenario()
-    pack_seeds = [
-        derive_seed(scenario.seed, "tradeoff-packs", i) for i in range(100)
+    packs = [
+        sample_pack(
+            scenario.supply,
+            scenario.n_modules,
+            derive_seed(scenario.seed, "tradeoff-packs", i),
+        )
+        for i in range(100)
     ]
     curves = {}
     for kind in ("lshippp", "cppp", "fpp"):
@@ -87,7 +92,7 @@ def tradeoff_points():
             n_modules=scenario.n_modules,
             n_layer1=scenario.n_layer1,
             horizon_h=scenario.design_horizon_h,
-            pack_seeds=pack_seeds,
+            packs=packs,
         )
         curves[kind] = {round(p.rating_r, 6): p for p in points}
     return curves

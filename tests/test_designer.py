@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from besspp import flows
 from besspp.architectures import assemble_network, split_budget, split_lambda
 from besspp.designer import (
+    _TIE_RTOL,
+    MAX_PLACEMENTS,
     _make_point,
     _tied_candidates,
     _uncapped_network,
@@ -21,9 +24,9 @@ from besspp.designer import (
 from besspp.flows import (
     ConverterEdge,
     FlowNetwork,
-    fpp_deliverable,
     max_deliverable_energy,
     min_peak_flow,
+    uncapped_min_peak,
     uncapped_placement_energy,
 )
 from besspp.supply import (
@@ -88,6 +91,14 @@ class TestEnumeratePlacements:
         with pytest.raises(ValueError):
             enumerate_placements(3, 4)
 
+    def test_rejects_searches_above_the_placement_limit(self):
+        # 16 modules: C(120, 3) = 280,840 placements fit, C(120, 4) do not.
+        assert math.comb(120, 3) <= MAX_PLACEMENTS < math.comb(120, 4)
+        with pytest.raises(ValueError, match="at most 1,000,000"):
+            enumerate_placements(16, 4)
+        with pytest.raises(ValueError, match="190,578,024 placements"):
+            enumerate_placements(16, 5)
+
 
 class TestDesignLayer1:
     def test_three_module_reference(self):
@@ -141,6 +152,26 @@ class TestDesignLayer1:
             assert design.expected_output_kwh == pytest.approx(best)
 
 
+def lp_loop_design(expected, n_edges: int, horizon_h: float):
+    """The search's tie-break by one min-peak LP per tied placement.
+
+    Returns the winner, its LP flows and peak, the tied placements and
+    their LP peaks; the slack rule and enumeration order are the search's.
+    """
+    placements = enumerate_placements(len(expected.batteries), n_edges)
+    outputs = uncapped_placement_energy(expected.batteries, placements).tolist()
+    best_output, candidates = _tied_candidates(placements, outputs)
+    winner, flows_kwh, best_peak, peaks = None, (), math.inf, []
+    for placement in candidates:
+        net = _uncapped_network(expected.batteries, placement, horizon_h)
+        sol = min_peak_flow(net, best_output)
+        peak = max(abs(f) for f in sol.edge_flows)
+        peaks.append(peak)
+        if peak < best_peak * (1 - _TIE_RTOL) - _TIE_RTOL:
+            winner, flows_kwh, best_peak = placement, sol.edge_flows, peak
+    return winner, flows_kwh, best_peak, best_output, candidates, peaks
+
+
 class TestSearchAgainstLpSweep:
     def test_same_outputs_candidates_winner(self, supply9):
         # A reduced search: the cut form against the per-placement LP sweep.
@@ -162,16 +193,39 @@ class TestSearchAgainstLpSweep:
         assert cut_best == pytest.approx(lp_best, rel=1e-12)
 
         # The LP path's winner: smallest min-peak flow, first in order.
-        peaks = [
-            max(abs(f) for f in min_peak_flow(
-                _uncapped_network(expected.batteries, p, 1.0), lp_best
-            ).edge_flows)
-            for p in lp_candidates
-        ]
-        winner = lp_candidates[peaks.index(min(peaks))]
+        winner, *_ = lp_loop_design(expected, 2, 1.0)
         design = design_layer1(expected, 2, 1.0)
         assert design.edges == winner
         assert design.expected_output_kwh == pytest.approx(lp_best, rel=1e-12)
+
+    @pytest.mark.parametrize("n_edges, n_tied", [(3, 13), (2, 18)])
+    def test_closed_form_tie_break_is_the_lp_loop(self, expected9, n_edges, n_tied):
+        # The default expected set, where 13 (3 edges) or 18 (2 edges)
+        # placements tie: one LP per tied placement picks the same winner,
+        # with the same flows and rating, as the closed form plus one LP.
+        winner, flows_kwh, peak, best, candidates, lp_peaks = lp_loop_design(
+            expected9, n_edges, HORIZON_H
+        )
+        assert len(candidates) == n_tied
+        closed = uncapped_min_peak(expected9.batteries, candidates, best)
+        np.testing.assert_allclose(closed, lp_peaks, rtol=1e-9, atol=1e-9)
+        design = design_layer1(expected9, n_edges, HORIZON_H)
+        assert design.edges == winner
+        assert design.optimal_flows_kwh == flows_kwh
+        assert design.rating_kw == peak / HORIZON_H
+
+    def test_two_simplex_solves_per_search(self, expected9, monkeypatch):
+        # Only the winner's two min-peak passes reach the simplex.
+        solves = []
+        solve = flows.solve_bounded_lp
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "solve_bounded_lp", counting)
+        design_layer1(expected9, 3, HORIZON_H)
+        assert len(solves) == 2
 
 
 class TestDesignLayer2:
@@ -214,17 +268,14 @@ class TestTradeoffCurve:
             "fpp", dist, [0.2], n_packs=25, seed=3, n_modules=9,
             horizon_h=HORIZON_H,
         )
-        # Re-derive one pack by hand through the public pieces.
-        from besspp.designer import derive_seed as ds
-        from besspp.flows import fpp_deliverable
-
+        # Re-derive each pack by hand: sum_j min(E_j, cap) over its total.
         basis = flatten_distribution(dist, 9).total_kwh
         cap = 0.2 * basis / 9
         utils = []
         for i in range(25):
-            pack = sample_pack(dist, 9, ds(3, "pack", i))
+            pack = sample_pack(dist, 9, derive_seed(3, "pack", i))
             total = sum(b.capacity_kwh for b in pack)
-            utils.append(fpp_deliverable(pack, cap) / total)
+            utils.append(sum(min(b.capacity_kwh, cap) for b in pack) / total)
         assert point.utilization_mean == pytest.approx(float(np.mean(utils)))
 
     def test_common_random_packs_across_kinds(self):
@@ -298,7 +349,10 @@ class TestSweepsEqualBuiltNetworks:
         for r, point in zip(r_grid, points):
             split = split_budget(kind, 9, r, expected9.total_kwh, horizon, layer1_9)
             if kind == "fpp":
-                outputs = [fpp_deliverable(p, split.caps_kwh[0]) for p in packs]
+                outputs = [
+                    _left_sum(min(b.capacity_kwh, split.caps_kwh[0]) for b in p)
+                    for p in packs
+                ]
             else:
                 outputs = [
                     cut_reference(assemble_network(p, split, horizon)) for p in packs

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besspp.architectures import (
@@ -23,9 +23,10 @@ from besspp.flows import (
     fpp_deliverable,
     max_deliverable_energy,
     min_peak_flow,
+    uncapped_min_peak,
     uncapped_placement_energy,
 )
-from besspp.supply import BatteryModule, SupplyDistribution, sample_pack
+from besspp.supply import BatteryModule, SupplyDistribution, _left_sum, sample_pack
 
 
 def pack(*caps: float, voltage: float = 1.0) -> tuple[BatteryModule, ...]:
@@ -168,9 +169,36 @@ class TestConverterNetworks:
         assert sol.total_output == pytest.approx(sum(sol.extraction))
 
 
+def fpp_one(modules, cap: float) -> float:
+    """The closed form on one pack under one cap."""
+    ((value,),) = fpp_deliverable([[b.capacity_kwh for b in modules]], [cap])
+    return float(value)
+
+
 class TestDedicatedConverters:
     def test_closed_form(self):
-        assert fpp_deliverable(pack(3, 4, 5), 1.5) == pytest.approx(4.5)
+        assert fpp_one(pack(3, 4, 5), 1.5) == pytest.approx(4.5)
+
+    def test_every_cap_and_pack_is_the_left_fold(self):
+        # The (caps x packs) pass equals the scalar fold, bit for bit.
+        packs = sampled_packs(n_packs=30)
+        energy = [[b.capacity_kwh for b in p] for p in packs]
+        caps = [0.0, 0.5, 3.7, 7.5, 20.0, 41.25, 1e3]
+        got = fpp_deliverable(energy, caps)
+        assert got.shape == (len(caps), len(packs))
+        for k, cap in enumerate(caps):
+            for p, row in enumerate(energy):
+                assert got[k, p] == _left_sum(min(e, cap) for e in row)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fpp_deliverable([[1.0, 2.0]], [-1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            fpp_deliverable([[1.0, 2.0]], [math.nan])
+        with pytest.raises(ValueError, match="packs x n"):
+            fpp_deliverable([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="one cap per row"):
+            fpp_deliverable([[1.0, 2.0]], [[1.0]])
 
     def test_network_route_matches_closed_form(self):
         # The sweeps' route for an fpp split: 3 x 1.5 kWh converters.
@@ -188,18 +216,18 @@ class TestDedicatedConverters:
         bounds = [(0.0, min(e, cap)) for e in energy]
         res = scipy.optimize.linprog(-np.ones(len(energy)), bounds=bounds)
         assert res.status == 0
-        assert abs(fpp_deliverable(modules, cap) + res.fun) <= 1e-12 * max(
+        assert abs(fpp_one(modules, cap) + res.fun) <= 1e-12 * max(
             1.0, -res.fun
         )
 
     def test_small_modules_saturate_before_cap(self):
-        assert fpp_deliverable(pack(1, 4, 5), 2.0) == pytest.approx(1 + 2 + 2)
+        assert fpp_one(pack(1, 4, 5), 2.0) == pytest.approx(1 + 2 + 2)
 
     def test_reference_budget_point(self):
         # 9 equal shares of a 0.2 * 337.5 kWh budget: each module limited
         # to 7.5 kWh.
         modules = pack(*([37.5] * 9))
-        assert fpp_deliverable(modules, 7.5) == pytest.approx(67.5)
+        assert fpp_one(modules, 7.5) == pytest.approx(67.5)
 
 
 class TestMinPeakFlow:
@@ -245,6 +273,123 @@ class TestMinPeakFlow:
         required = max_deliverable_energy(net).total_output
         sol = min_peak_flow(net, required)
         assert abs(sol.edge_flows[0]) <= 0.5 + 1e-9
+
+
+def scipy_min_peak(batteries, placement, output_kwh: float) -> float:
+    """Minimum peak by ``scipy.optimize.linprog``: min t, |f_e| <= t."""
+    n, m = len(batteries), len(placement)
+    volts = np.array([b.voltage_v for b in batteries])
+    energy = np.array([b.capacity_kwh for b in batteries])
+    string = volts * (output_kwh / volts.sum())
+    # Columns [t, f_1..f_m]; module rows string + outflow - inflow <= E.
+    a_modules = np.zeros((n, 1 + m))
+    for e, (i, j) in enumerate(placement):
+        a_modules[i, 1 + e] = 1.0
+        a_modules[j, 1 + e] = -1.0
+    a_peak = np.zeros((2 * m, 1 + m))
+    a_peak[:, 0] = -1.0
+    a_peak[:m, 1:] = np.eye(m)
+    a_peak[m:, 1:] = -np.eye(m)
+    res = scipy.optimize.linprog(
+        np.eye(1 + m)[0],
+        A_ub=np.vstack([a_modules, a_peak]),
+        b_ub=np.concatenate([energy - string, np.zeros(2 * m)]),
+        bounds=[(0, None)] + [(None, None)] * m,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.x[0])
+
+
+@st.composite
+def placement_case(draw):
+    """A pack, a placement and an output no larger than it can deliver.
+
+    Energies come partly from a short menu, so modules often tie and a
+    placement often holds an edge that needs to carry nothing.
+    """
+    n = draw(st.integers(2, 6))
+    energy = draw(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 2.5, 4.0]) | st.floats(0.0, 10.0),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    volts = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    pairs = list(itertools.combinations(range(n), 2))
+    placement = draw(
+        st.lists(
+            st.sampled_from(pairs), min_size=1, max_size=min(4, len(pairs)),
+            unique=True,
+        )
+    )
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    return energy, volts, tuple(sorted(placement)), share
+
+
+class TestUncappedMinPeak:
+    """The parametric cut form against the two-pass LP and scipy."""
+
+    @given(case=placement_case())
+    # Edge (1, 3) joins two modules already at the string charge: no flow.
+    @example(case=([2.0, 4.0, 6.0, 4.0], [1.0] * 4, ((0, 2), (1, 3)), 1.0))
+    @settings(max_examples=150)
+    def test_matches_lp_and_scipy(self, case):
+        energy, volts, placement, share = case
+        batteries = tuple(BatteryModule(e, v) for e, v in zip(energy, volts))
+        (own,) = uncapped_placement_energy(batteries, [placement])
+        output = share * float(own)
+        (peak,) = uncapped_min_peak(batteries, [placement], output)
+        net = FlowNetwork(
+            batteries, tuple(ConverterEdge(i, j, math.inf) for i, j in placement)
+        )
+        lp = max(abs(f) for f in min_peak_flow(net, output).edge_flows)
+        oracle = scipy_min_peak(batteries, placement, output)
+        tol = 1e-9 * (1.0 + sum(energy))
+        assert peak == pytest.approx(lp, rel=1e-9, abs=tol)
+        assert peak == pytest.approx(oracle, rel=1e-9, abs=tol)
+
+    def test_an_idle_edge_still_counts_in_the_cut(self):
+        # (1, 3) carries nothing; (0, 2) lifts module 0 by 2 kWh.
+        batteries = pack(2, 4, 6, 4)
+        assert uncapped_min_peak(batteries, [((0, 2), (1, 3))], 16.0).tolist() == [2.0]
+        assert uncapped_min_peak(batteries, [((0, 2),)], 16.0).tolist() == [2.0]
+        net = FlowNetwork(
+            batteries, (ConverterEdge(0, 2, math.inf), ConverterEdge(1, 3, math.inf))
+        )
+        flows = min_peak_flow(net, 16.0).edge_flows
+        assert flows[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_parallel_routes_halve_the_peak(self):
+        batteries = pack(2, 5, 5)
+        both = uncapped_min_peak(batteries, [((0, 1), (0, 2)), ((0, 1), (1, 2))], 12.0)
+        assert both.tolist() == [1.0, 2.0]
+
+    def test_no_output_needs_no_flow(self):
+        assert uncapped_min_peak(pack(3, 4, 5), [((0, 2),)], 0.0).tolist() == [0.0]
+
+    def test_chunks_keep_placement_order(self):
+        # 7 modules x 2 edges: 210 placements over several chunks.
+        rng = np.random.Generator(np.random.Philox(key=5))
+        batteries = pack(*rng.uniform(1.0, 9.0, size=7))
+        placements = list(
+            itertools.combinations(list(itertools.combinations(range(7), 2)), 2)
+        )
+        output = float(uncapped_placement_energy(batteries, placements).min())
+        whole = uncapped_min_peak(batteries, placements, output)
+        one_by_one = [uncapped_min_peak(batteries, [p], output)[0] for p in placements]
+        assert whole.tolist() == one_by_one
+
+    def test_invalid_placement_rejected(self):
+        with pytest.raises(ValueError, match="distinct modules"):
+            uncapped_min_peak(pack(1, 2, 3), [((0, 3),)], 1.0)
+        with pytest.raises(ValueError, match="equal-size"):
+            uncapped_min_peak(pack(1, 2, 3), [((0, 1),), ((0, 1), (1, 2))], 1.0)
+        with pytest.raises(ValueError, match="equal-size"):
+            uncapped_min_peak(pack(1, 2, 3), [], 1.0)
+        with pytest.raises(ValueError, match="subsets"):
+            uncapped_min_peak(pack(*([2.0] * (MAX_CUT_MODULES + 1))), [((0, 1),)], 1.0)
 
 
 def random_network(rng: np.random.Generator) -> FlowNetwork:

@@ -1,8 +1,11 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from besspp.architectures import ArchitectureKind
+from besspp.designer import MAX_PLACEMENTS
 from besspp.flows import MAX_CUT_MODULES
 from besspp.scenario import (
     Scenario,
@@ -189,3 +192,18 @@ class TestScenarioValidation:
         doc = minimal_doc()
         doc["supply"]["n_modules"] = MAX_CUT_MODULES
         assert load_scenario(write_doc(tmp_path, doc)).n_modules == 16
+
+    @pytest.mark.parametrize("n_layer1", [4, 5])
+    def test_layer1_search_above_the_placement_limit(self, tmp_path, n_layer1):
+        # 16 modules have 120 pairs: C(120, 4) is 8.2 million placements.
+        doc = minimal_doc()
+        doc["supply"]["n_modules"] = 16
+        doc["n_layer1"] = n_layer1
+        with pytest.raises(ScenarioError, match="layer-1 placements"):
+            load_scenario(write_doc(tmp_path, doc))
+
+    def test_shipped_scenario_search_fits(self):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
+        scenario = load_scenario(path)
+        placements = math.comb(math.comb(scenario.n_modules, 2), scenario.n_layer1)
+        assert placements == 7140 <= MAX_PLACEMENTS

@@ -349,6 +349,17 @@ class TestCli:
         assert "n_modules must be <= 16" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_placement_search_above_the_limit_exits_1(self, tmp_path, capsys):
+        doc = small_doc()
+        doc["supply"]["n_modules"] = 16
+        doc["n_layer1"] = 5
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code = main(["design", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "190,578,024 layer-1 placements" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_scenario_exits_1(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 1
 
@@ -514,6 +525,22 @@ class TestStartup:
             "print('concurrent.futures.process' in sys.modules)"
         )
         args = ["design", "--scenario", str(path), "--out", str(tmp_path / "d")]
+        assert run_python(code, *args).splitlines()[-1] == "False"
+
+    def test_tradeoff_runs_in_one_process(self, small_scenario, tmp_path):
+        # Every kind sweeps the common packs in the study process, so
+        # --workers starts no pool for tradeoff.
+        path, _ = small_scenario
+        code = (
+            "import sys\n"
+            "from besspp.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('concurrent.futures.process' in sys.modules)"
+        )
+        args = [
+            "tradeoff", "--scenario", str(path), "--workers", "2",
+            "--out", str(tmp_path / "t"),
+        ]
         assert run_python(code, *args).splitlines()[-1] == "False"
 
     def test_blas_thread_count_leaves_bytes_alone(self, small_scenario, tmp_path):
