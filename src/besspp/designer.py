@@ -66,6 +66,7 @@ __all__ = [
     "TradeoffPoint",
     "MAX_PLACEMENTS",
     "enumerate_placements",
+    "check_placement_limit",
     "design_layer1",
     "design_layer2",
     "tradeoff_curve",
@@ -121,9 +122,8 @@ def enumerate_placements(
 ) -> list[tuple[tuple[int, int], ...]]:
     """All size-``n_edges`` sets of module pairs, lexicographically ordered.
 
-    Pairs are 0-based ``(i, j)`` with ``i < j``.  The search space is
-    ``C(P, n_edges)`` with ``P = C(n_batteries, 2)`` pairs, and at most
-    :data:`MAX_PLACEMENTS`.
+    Pairs are 0-based ``(i, j)`` with ``i < j``; the search space is checked
+    by :func:`check_placement_limit`.
     """
     if n_batteries < 2:
         raise ValueError("n_batteries must be >= 2")
@@ -132,13 +132,23 @@ def enumerate_placements(
         raise ValueError(
             f"n_edges must be in 1..{len(pairs)} for n_batteries={n_batteries}"
         )
-    count = math.comb(len(pairs), n_edges)
+    check_placement_limit(n_batteries, n_edges)
+    return list(itertools.combinations(pairs, n_edges))
+
+
+def check_placement_limit(n_batteries: int, n_edges: int) -> None:
+    """Refuse a layer-1 search of more than :data:`MAX_PLACEMENTS` placements.
+
+    The search space is ``C(P, n_edges)`` with ``P = C(n_batteries, 2)``
+    module pairs; a larger one raises ``ValueError``.
+    """
+    count = math.comb(math.comb(n_batteries, 2), n_edges)
     if count > MAX_PLACEMENTS:
         raise ValueError(
             f"{n_edges} converters on {n_batteries} modules give {count:,} "
-            f"placements; the search supports at most {MAX_PLACEMENTS:,}"
+            f"layer-1 placements; the exhaustive search supports at most "
+            f"{MAX_PLACEMENTS:,}"
         )
-    return list(itertools.combinations(pairs, n_edges))
 
 
 def design_layer1(
@@ -252,24 +262,20 @@ def tradeoff_curve(
     kind: ArchitectureKind | str,
     dist: SupplyDistribution,
     r_grid: list[float],
-    n_packs: int,
-    seed: int,
+    packs: list[tuple[BatteryModule, ...]],
     *,
-    n_modules: int,
     horizon_h: float,
     n_layer1: int = 3,
     layer1: Layer1Design | None = None,
-    packs: list[tuple[BatteryModule, ...]] | None = None,
 ) -> list[TradeoffPoint]:
     """Utilization distribution versus total normalized rating ``R``.
 
-    Packs are drawn once from ``seed`` and reused across the whole grid (and
-    across families, when the caller fixes the seed), so curves share their
-    random numbers; a caller drawing several curves passes ``packs`` from
-    one :func:`sample_packs` call instead, and ``n_packs`` and ``seed`` then
-    go unused.  Converter caps are sized from the expected pack, i.e.
-    hardware is procured once and applied to every sampled pack.  The
-    discharge horizon scales the energy caps and the layer-1 rating
+    Every grid point is evaluated on the same ``packs`` (from
+    :func:`sample_packs`), and a caller drawing several families passes the
+    same packs to each, so curves share their random numbers.  Converter
+    caps are sized from the expected pack of ``dist`` with the packs' module
+    count, i.e. hardware is procured once and applied to every sampled pack.
+    The discharge horizon scales the energy caps and the layer-1 rating
     consistently.  lshippp designs its layer 1 on the expected pack unless
     ``layer1`` is given.
     """
@@ -278,13 +284,14 @@ def tradeoff_curve(
         raise ValueError("r_grid must be nonempty")
     if any(r < 0 for r in r_grid):
         raise ValueError("rating values must be >= 0")
-    if n_packs < 1:
-        raise ValueError("n_packs must be >= 1")
+    if not packs:
+        raise ValueError("a tradeoff curve needs at least one pack")
+    n_modules = len(packs[0])
+    if any(len(pack) != n_modules for pack in packs):
+        raise ValueError("every pack must have the same number of modules")
     expected = flatten_distribution(dist, n_modules)
     if kind is ArchitectureKind.LSHIPPP and layer1 is None:
         layer1 = design_layer1(expected, n_layer1, horizon_h)
-    if packs is None:
-        packs = sample_packs(dist, n_modules, n_packs, seed)
 
     splits = [
         split_budget(kind, n_modules, r, expected.total_kwh, horizon_h, layer1)

@@ -10,12 +10,11 @@ run is reproducible by construction.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from besspp.architectures import ArchitectureConfig, ArchitectureKind
-from besspp.designer import MAX_PLACEMENTS, default_lambda_grid
+from besspp.designer import check_placement_limit, default_lambda_grid
 from besspp.flows import MAX_CUT_MODULES
 from besspp.plaza import DemandModel, GridProfile
 from besspp.supply import SupplyDistribution
@@ -114,13 +113,10 @@ class Scenario:
         if not 1 <= self.n_layer1 < self.n_modules:
             problems.append("n_layer1 must satisfy 1 <= n_layer1 < n_modules")
         elif 2 <= self.n_modules <= MAX_CUT_MODULES:
-            placements = math.comb(math.comb(self.n_modules, 2), self.n_layer1)
-            if placements > MAX_PLACEMENTS:
-                problems.append(
-                    f"n_layer1 = {self.n_layer1} on {self.n_modules} modules "
-                    f"gives {placements:,} layer-1 placements; the exhaustive "
-                    f"search supports at most {MAX_PLACEMENTS:,}"
-                )
+            try:
+                check_placement_limit(self.n_modules, self.n_layer1)
+            except ValueError as exc:
+                problems.append(f"n_layer1: {exc}")
         if self.rated_power_kw <= 0:
             problems.append("rated_power_kw must be positive")
         if not self.architectures:

@@ -281,12 +281,9 @@ def run_tradeoff(
                 kind,
                 scenario.supply,
                 list(scenario.r_grid),
-                scenario.n_packs,
-                pack_seed,
-                n_modules=scenario.n_modules,
+                packs,
                 horizon_h=horizon,
                 layer1=layer1,
-                packs=packs,
             )
             rows.extend(_point_row(p) for p in points)
     with timer.stage("writes"):

@@ -87,12 +87,9 @@ def tradeoff_points():
             kind,
             scenario.supply,
             list(R_GRID),
-            100,
-            scenario.seed,
-            n_modules=scenario.n_modules,
+            packs,
             n_layer1=scenario.n_layer1,
             horizon_h=scenario.design_horizon_h,
-            packs=packs,
         )
         curves[kind] = {round(p.rating_r, 6): p for p in points}
     return curves

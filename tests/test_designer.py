@@ -18,6 +18,7 @@ from besspp.designer import (
     design_layer1,
     design_layer2,
     enumerate_placements,
+    sample_packs,
     sweep_energy,
     tradeoff_curve,
 )
@@ -96,7 +97,7 @@ class TestEnumeratePlacements:
         assert math.comb(120, 3) <= MAX_PLACEMENTS < math.comb(120, 4)
         with pytest.raises(ValueError, match="at most 1,000,000"):
             enumerate_placements(16, 4)
-        with pytest.raises(ValueError, match="190,578,024 placements"):
+        with pytest.raises(ValueError, match="190,578,024 layer-1 placements"):
             enumerate_placements(16, 5)
 
 
@@ -264,25 +265,22 @@ class TestDesignLayer2:
 class TestTradeoffCurve:
     def test_fpp_matches_closed_form(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        (point,) = tradeoff_curve(
-            "fpp", dist, [0.2], n_packs=25, seed=3, n_modules=9,
-            horizon_h=HORIZON_H,
-        )
+        packs = sample_packs(dist, 9, 25, seed=3)
+        (point,) = tradeoff_curve("fpp", dist, [0.2], packs, horizon_h=HORIZON_H)
         # Re-derive each pack by hand: sum_j min(E_j, cap) over its total.
         basis = flatten_distribution(dist, 9).total_kwh
         cap = 0.2 * basis / 9
         utils = []
-        for i in range(25):
-            pack = sample_pack(dist, 9, derive_seed(3, "pack", i))
+        for pack in packs:
             total = sum(b.capacity_kwh for b in pack)
             utils.append(sum(min(b.capacity_kwh, cap) for b in pack) / total)
         assert point.utilization_mean == pytest.approx(float(np.mean(utils)))
 
     def test_common_random_packs_across_kinds(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        kw = dict(n_packs=15, seed=11, n_modules=9, horizon_h=HORIZON_H)
-        a = tradeoff_curve("cppp", dist, [10.0], **kw)
-        b = tradeoff_curve("lshippp", dist, [10.0], **kw)
+        packs = sample_packs(dist, 9, 15, seed=11)
+        a = tradeoff_curve("cppp", dist, [10.0], packs, horizon_h=HORIZON_H)
+        b = tradeoff_curve("lshippp", dist, [10.0], packs, horizon_h=HORIZON_H)
         # At absurdly generous budgets both families deliver everything,
         # so equal packs force exactly equal utilization statistics.
         assert a[0].utilization_mean == pytest.approx(
@@ -292,36 +290,42 @@ class TestTradeoffCurve:
 
     def test_zero_rating_collapses_to_string(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        (cp,) = tradeoff_curve(
-            "cppp", dist, [0.0], n_packs=10, seed=5, n_modules=9,
-            horizon_h=HORIZON_H,
-        )
+        packs = sample_packs(dist, 9, 10, seed=5)
+        (cp,) = tradeoff_curve("cppp", dist, [0.0], packs, horizon_h=HORIZON_H)
         utils = []
-        for i in range(10):
-            pack = sample_pack(dist, 9, derive_seed(5, "pack", i))
+        for pack in packs:
             total = sum(b.capacity_kwh for b in pack)
             utils.append(9 * min(b.capacity_kwh for b in pack) / total)
         assert cp.utilization_mean == pytest.approx(float(np.mean(utils)))
 
     def test_lambda_reported_for_lshippp_only(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        kw = dict(n_packs=5, seed=2, n_modules=9, horizon_h=HORIZON_H)
-        (ls,) = tradeoff_curve("lshippp", dist, [0.25], **kw)
-        (fp,) = tradeoff_curve("fpp", dist, [0.25], **kw)
+        packs = sample_packs(dist, 9, 5, seed=2)
+        (ls,) = tradeoff_curve("lshippp", dist, [0.25], packs, horizon_h=HORIZON_H)
+        (fp,) = tradeoff_curve("fpp", dist, [0.25], packs, horizon_h=HORIZON_H)
         assert ls.lambda_h >= 0
         assert math.isnan(fp.lambda_h)
 
     def test_quantile_fields_consistent(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        (point,) = tradeoff_curve(
-            "cppp", dist, [0.3], n_packs=40, seed=9, n_modules=9,
-            horizon_h=HORIZON_H,
-        )
+        packs = sample_packs(dist, 9, 40, seed=9)
+        (point,) = tradeoff_curve("cppp", dist, [0.3], packs, horizon_h=HORIZON_H)
         assert point.utilization_p10 <= point.utilization_mean + 1e-9
         assert point.utilization_mean <= point.utilization_p90 + 1e-9
         assert point.utilization_idr == pytest.approx(
             point.utilization_p90 - point.utilization_p10
         )
+
+    def test_module_count_comes_from_the_packs(self):
+        dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
+        packs = sample_packs(dist, 6, 8, seed=1)
+        (point,) = tradeoff_curve("fpp", dist, [10.0], packs, horizon_h=HORIZON_H)
+        assert point.utilization_mean == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="at least one pack"):
+            tradeoff_curve("fpp", dist, [0.2], [], horizon_h=HORIZON_H)
+        ragged = packs[:4] + sample_packs(dist, 9, 4, seed=1)
+        with pytest.raises(ValueError, match="same number of modules"):
+            tradeoff_curve("fpp", dist, [0.2], ragged, horizon_h=HORIZON_H)
 
 
 def reference_point(kind, r, lam, layer2_kw, packs, outputs):
@@ -340,11 +344,10 @@ class TestSweepsEqualBuiltNetworks:
     def test_tradeoff_curve(self, kind, layer1_9, supply9, expected9):
         r_grid = [0.0, 0.05, 0.1, 0.2, 0.35, 0.6, 1.5]
         horizon = layer1_9.horizon_h
-        points = tradeoff_curve(
-            kind, supply9, r_grid, n_packs=45, seed=4, n_modules=9,
-            horizon_h=horizon, layer1=layer1_9,
-        )
         packs = [sample_pack(supply9, 9, derive_seed(4, "pack", i)) for i in range(45)]
+        points = tradeoff_curve(
+            kind, supply9, r_grid, packs, horizon_h=horizon, layer1=layer1_9
+        )
         assert len(points) == len(r_grid)
         for r, point in zip(r_grid, points):
             split = split_budget(kind, 9, r, expected9.total_kwh, horizon, layer1_9)
