@@ -17,7 +17,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=Path("out/headline"))
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument(
         "--at", type=float, default=0.2, help="rating point to summarize"
     )
@@ -26,8 +25,8 @@ def main() -> None:
         load_scenario(args.scenario) if args.scenario else default_scenario()
     )
 
-    run_design(scenario, args.out / "design", args.workers)
-    result = run_tradeoff(scenario, args.out / "tradeoff", args.workers)
+    run_design(scenario, args.out / "design")
+    result = run_tradeoff(scenario, args.out / "tradeoff")
 
     with open(result.out_dir / "tradeoff.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))

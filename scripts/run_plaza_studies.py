@@ -24,7 +24,7 @@ def main() -> None:
         load_scenario(args.scenario) if args.scenario else default_scenario()
     )
 
-    run_day(scenario, args.out / "day", args.workers)
+    run_day(scenario, args.out / "day")
     result = run_ensemble(scenario, args.out / "ensemble", args.workers)
 
     for kind in (k.value for k in scenario.plaza.kinds):

@@ -150,22 +150,20 @@ def main(argv=None) -> int:
             print(f"scenario '{scenario.name}' is valid")
             return EXIT_OK
 
-        workers = max(1, args.workers)
         startup = (time.perf_counter() - _START_WALL_S, time.process_time())
         timer = StageTimer()
         if args.command == "design":
-            result = run_design(scenario, args.out, workers, timer=timer)
+            result = run_design(scenario, args.out, timer=timer)
         elif args.command == "tradeoff":
-            result = run_tradeoff(scenario, args.out, workers, timer=timer)
+            result = run_tradeoff(scenario, args.out, timer=timer)
         elif args.command == "day":
             try:
-                result = run_day(
-                    scenario, args.out, workers, kinds=args.kind, timer=timer
-                )
+                result = run_day(scenario, args.out, kinds=args.kind, timer=timer)
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
         else:
+            workers = max(1, args.workers)
             result = run_ensemble(scenario, args.out, workers, timer=timer)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

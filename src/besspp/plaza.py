@@ -22,21 +22,21 @@ demand is drawn per arrival whether or not it is served, so the arrival
 and demand stream depends on the seed alone, never on the storage unit.
 
 A day is therefore two steps: :func:`draw_stream` draws the stream and
-:func:`replay_lanes`, the event loop, serves it from a storage unit and
-returns the cycles and the dropped arrivals.  The loop runs many
-(capacity, stream) lanes in lockstep as numpy arrays: each step serves the
-next servable arrival of every lane still active, with the phase arithmetic
-of :func:`cycle_phases`.  :func:`replay_stream` is the one-lane call and
-:func:`simulate_day` adds the 1-minute series to it; the ensemble draws each
-demand cell's trajectory streams once and replays every trajectory x kind
-as one lane of a single call, without building series it does not use.
+:func:`replay_lanes`, the event loop, serves it from a full storage unit
+and returns the cycles and the dropped arrivals as :class:`LaneCycles`
+arrays.  The loop runs many (capacity, stream) lanes in lockstep: each step
+serves the next servable arrival of every lane still active, with the phase
+arithmetic of :func:`cycle_phases`.  Every study replays through it: the
+exemplar day draws its stream once and replays one lane per kind, the
+reference schedule is one lane with an unlimited unit, and an ensemble cell
+replays every trajectory x kind as one lane of a single call.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,24 +46,15 @@ __all__ = [
     "GridProfile",
     "ArrivalModel",
     "DemandModel",
-    "BessMonolith",
-    "ChargeCycle",
     "CyclePhases",
     "ArrivalStream",
-    "DayTrajectory",
-    "CurtailmentStats",
     "LaneCycles",
     "cycle_phases",
-    "evaluate_cycle",
     "draw_stream",
     "replay_lanes",
-    "replay_stream",
-    "simulate_day",
-    "curtailed_minutes_per_ev",
 ]
 
 HOURS_PER_DAY = 24.0
-MINUTES_PER_HOUR = 60
 
 
 @dataclass(frozen=True)
@@ -166,50 +157,11 @@ class DemandModel:
             raise ValueError("max_kwh must be positive")
 
 
-@dataclass
-class BessMonolith:
-    """The storage unit as the plaza sees it: one bucket of usable energy."""
-
-    effective_capacity_kwh: float
-    max_discharge_kw: float
-    remaining_kwh: float
-
-    def __post_init__(self) -> None:
-        if self.effective_capacity_kwh < 0:
-            raise ValueError("effective_capacity_kwh must be nonnegative")
-        if self.max_discharge_kw < 0:
-            raise ValueError("max_discharge_kw must be nonnegative")
-        if not 0 <= self.remaining_kwh <= self.effective_capacity_kwh + 1e-9:
-            raise ValueError("remaining_kwh must lie within [0, capacity]")
-
-    @classmethod
-    def full(cls, capacity_kwh: float, max_discharge_kw: float) -> "BessMonolith":
-        return cls(capacity_kwh, max_discharge_kw, capacity_kwh)
-
-
-@dataclass(frozen=True)
-class ChargeCycle:
-    """Bookkeeping for one served EV."""
-
-    index: int
-    start_h: float
-    demand_kwh: float
-    grid_kw: float
-    full_power_kw: float
-    full_h: float
-    curtailed_h: float
-    bess_delivered_kwh: float
-    recharge_h: float
-    unmet_kwh: float
-    truncated: bool
-
-
 @dataclass(frozen=True)
 class CyclePhases:
     """Closed-form outcome of charging cycles, before truncation.
 
-    Floats from :func:`evaluate_cycle`; arrays of the arguments' broadcast
-    shape from :func:`cycle_phases`.
+    Arrays of the arguments' broadcast shape from :func:`cycle_phases`.
     """
 
     full_power_kw: float
@@ -230,27 +182,19 @@ class ArrivalStream:
     demands_kwh: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class DayTrajectory:
-    cycles: tuple[ChargeCycle, ...]
-    horizon_h: float
-    dropped_arrivals: int
-    time_h: np.ndarray
-    grid_kw: np.ndarray
-    bess_kw: np.ndarray
-    bess_kwh: np.ndarray
-    ev_kw: np.ndarray
-
-
-@dataclass(frozen=True)
-class CurtailmentStats:
-    mean_min: float
-    max_min: float
-    n_cycles: int
-
-
-# The per-cycle fields of ChargeCycle after ``index``, in its order.
-_CYCLE_FIELDS = tuple(f.name for f in fields(ChargeCycle))[1:]
+# The per-cycle arrays of LaneCycles, in the order _serve returns them.
+_CYCLE_FIELDS = (
+    "start_h",
+    "demand_kwh",
+    "grid_kw",
+    "full_power_kw",
+    "full_h",
+    "curtailed_h",
+    "bess_delivered_kwh",
+    "recharge_h",
+    "unmet_kwh",
+    "truncated",
+)
 
 
 @dataclass(frozen=True)
@@ -294,23 +238,6 @@ def cycle_phases(
     return CyclePhases(
         *_phases(capacity_kwh, grid_kw, demand, charger_max_kw, bess_power_kw)
     )
-
-
-def evaluate_cycle(
-    capacity_kwh: float,
-    grid_kw: float,
-    demand_kwh: float,
-    charger_max_kw: float,
-    bess_power_kw: float,
-) -> CyclePhases:
-    """Phase arithmetic for one cycle starting from a full storage unit.
-
-    :func:`cycle_phases` on scalars, with float fields.
-    """
-    phases = cycle_phases(
-        capacity_kwh, grid_kw, demand_kwh, charger_max_kw, bess_power_kw
-    )
-    return CyclePhases(*(float(getattr(phases, f.name)) for f in fields(phases)))
 
 
 def _phases(capacity, grid, demand, charger, bess_power) -> tuple:
@@ -472,48 +399,6 @@ def replay_lanes(
     )
 
 
-def replay_stream(
-    bess: BessMonolith,
-    grid: GridProfile,
-    stream: ArrivalStream,
-    charger_max_kw: float,
-) -> tuple[tuple[ChargeCycle, ...], int]:
-    """Serve ``stream`` from a full ``bess``: the cycles and the dropped count.
-
-    The one-lane call of :func:`replay_lanes`, with Python numbers in every
-    :class:`ChargeCycle`.
-    """
-    lanes = replay_lanes(
-        [stream], [0], [bess.effective_capacity_kwh], bess.max_discharge_kw,
-        grid, charger_max_kw,
-    )
-    columns = [getattr(lanes, name).tolist() for name in _CYCLE_FIELDS]
-    cycles = tuple(
-        ChargeCycle(index, *values) for index, values in enumerate(zip(*columns))
-    )
-    return cycles, int(lanes.dropped[0])
-
-
-def simulate_day(
-    bess: BessMonolith,
-    grid: GridProfile,
-    arrivals: ArrivalModel,
-    demand: DemandModel,
-    charger_max_kw: float,
-    horizon_h: float,
-    seed: int,
-) -> DayTrajectory:
-    """Simulate one day of plaza service; the unit starts the day full."""
-    stream = draw_stream(arrivals, demand, horizon_h, seed)
-    cycles, dropped = replay_stream(bess, grid, stream, charger_max_kw)
-    return DayTrajectory(
-        cycles=cycles,
-        horizon_h=horizon_h,
-        dropped_arrivals=dropped,
-        **_minute_series(cycles, bess, grid, horizon_h),
-    )
-
-
 def _serve(start_h, demand_kwh, capacity, horizon_h, grid, charger, bess_power):
     """The served arrivals' cycles, cut at the horizon, and their end times.
 
@@ -567,81 +452,3 @@ def _serve(start_h, demand_kwh, capacity, horizon_h, grid, charger, bess_power):
         truncated,
     )
     return cycle, end
-
-
-def _minute_series(
-    cycles: tuple[ChargeCycle, ...],
-    bess: BessMonolith,
-    grid: GridProfile,
-    horizon_h: float,
-) -> dict:
-    n = int(round(horizon_h * MINUTES_PER_HOUR)) + 1
-    time_h = np.arange(n) / MINUTES_PER_HOUR
-    grid_kw = grid.powers_at(time_h)
-    bess_kw = np.zeros(n)
-    ev_kw = np.zeros(n)
-    bess_kwh = np.full(n, bess.effective_capacity_kwh)
-
-    for cycle in cycles:
-        t0 = cycle.start_h
-        t1 = t0 + cycle.full_h
-        t2 = t1 + cycle.curtailed_h
-        t3 = t2 + cycle.recharge_h
-        p_bess = (
-            cycle.bess_delivered_kwh / cycle.full_h if cycle.full_h > 0 else 0.0
-        )
-        recharge_kw = cycle.grid_kw if cycle.bess_delivered_kwh > 0 else 0.0
-        in_full = (time_h >= t0) & (time_h < t1)
-        in_curt = (time_h >= t1) & (time_h < t2)
-        in_rech = (time_h >= t2) & (time_h < t3)
-        after = time_h >= t3
-        ev_kw[in_full] = cycle.full_power_kw
-        ev_kw[in_curt] = cycle.grid_kw
-        bess_kw[in_full] = p_bess
-        bess_kw[in_rech] = -recharge_kw
-        bess_kwh[in_full] = bess.effective_capacity_kwh - p_bess * (
-            time_h[in_full] - t0
-        )
-        bess_kwh[in_curt] = (
-            bess.effective_capacity_kwh - cycle.bess_delivered_kwh
-        )
-        bess_kwh[in_rech] = (
-            bess.effective_capacity_kwh
-            - cycle.bess_delivered_kwh
-            + recharge_kw * (time_h[in_rech] - t2)
-        )
-        end_state = min(
-            bess.effective_capacity_kwh,
-            bess.effective_capacity_kwh
-            - cycle.bess_delivered_kwh
-            + recharge_kw * cycle.recharge_h,
-        )
-        bess_kwh[after] = end_state
-    np.clip(bess_kwh, 0.0, bess.effective_capacity_kwh, out=bess_kwh)
-    return {
-        "time_h": time_h,
-        "grid_kw": grid_kw,
-        "bess_kw": bess_kw,
-        "bess_kwh": bess_kwh,
-        "ev_kw": ev_kw,
-    }
-
-
-def curtailed_minutes_per_ev(trajectory: DayTrajectory) -> CurtailmentStats:
-    """Mean and worst pedestal duration over completed cycles.
-
-    Truncated cycles are excluded; an empty day yields NaN statistics with
-    ``n_cycles == 0``.
-    """
-    durations = [
-        cycle.curtailed_h * MINUTES_PER_HOUR
-        for cycle in trajectory.cycles
-        if not cycle.truncated
-    ]
-    if not durations:
-        return CurtailmentStats(math.nan, math.nan, 0)
-    return CurtailmentStats(
-        mean_min=float(np.mean(durations)),
-        max_min=float(np.max(durations)),
-        n_cycles=len(durations),
-    )

@@ -44,15 +44,12 @@ from besspp.metrics import (
 )
 from besspp.plaza import (
     ArrivalModel,
-    BessMonolith,
     DemandModel,
     GridProfile,
-    curtailed_minutes_per_ev,
+    _CYCLE_FIELDS,
     cycle_phases,
     draw_stream,
     replay_lanes,
-    replay_stream,
-    simulate_day,
 )
 from besspp.scenario import Scenario, scenario_to_dict
 from besspp.supply import _left_sum, flatten_distribution, sample_pack
@@ -80,6 +77,7 @@ TRADEOFF_HEADER = (
 )
 TRAJECTORY_HEADER = ("t", "p_grid", "p_bess", "e_bess", "p_ev")
 DAY_HORIZON_H = 24.0
+MINUTES_PER_HOUR = 60
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ def _parallel_map(fn, items, workers: int):
 
 
 def run_design(
-    scenario: Scenario, out_dir, workers: int = 1, timer: StageTimer | None = None
+    scenario: Scenario, out_dir, timer: StageTimer | None = None
 ) -> StudyResult:
     """Design the sparse layer, then sweep the adjacent-ladder ratio."""
     timer = timer or StageTimer()
@@ -250,13 +248,12 @@ def _point_row(point) -> tuple:
 
 
 def run_tradeoff(
-    scenario: Scenario, out_dir, workers: int = 1, timer: StageTimer | None = None
+    scenario: Scenario, out_dir, timer: StageTimer | None = None
 ) -> StudyResult:
     """Utilization-versus-rating curves for every architecture family.
 
     The packs are sampled once and every kind's R grid is one sweep over
-    them, in this process: the whole study is a few array passes, so
-    ``workers`` changes nothing here.
+    them, in this process: the whole study is a few array passes.
     """
     timer = timer or StageTimer()
     out_dir = Path(out_dir)
@@ -340,15 +337,15 @@ def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
 def run_day(
     scenario: Scenario,
     out_dir,
-    workers: int = 1,
     kinds=None,
     timer: StageTimer | None = None,
 ) -> StudyResult:
     """One exemplar day per architecture kind, on a common sampled pack.
 
-    All kinds replay the same arrival and demand stream against the same
-    pack, pack 0, the only one sampled; only the effective monolith
-    capacity differs.
+    The day's arrival and demand stream is drawn once and every kind
+    replays it as one lane of a single :func:`replay_lanes` call, against
+    pack 0, the only one sampled; only the effective monolith capacity
+    differs.  A kind named twice is simulated once.
     """
     timer = timer or StageTimer()
     out_dir = Path(out_dir)
@@ -359,6 +356,7 @@ def run_day(
     if kinds is None:
         kinds = [k.value for k in plaza.kinds]
     else:
+        kinds = list(dict.fromkeys(kinds))
         known = {k.value for k in plaza.kinds}
         unknown = [k for k in kinds if k not in known]
         if unknown:
@@ -366,74 +364,118 @@ def run_day(
                 f"kinds {unknown} are not part of the scenario plaza roster"
             )
 
-    day_seed = derive_seed(scenario.seed, "day")
     with timer.stage("days"):
-        days = [
-            (
-                kind,
-                simulate_day(
-                    BessMonolith.full(
-                        setup.capacities[kind][0], plaza.bess_power_kw
-                    ),
-                    scenario.grid_profile,
-                    ArrivalModel(plaza.exemplar_rate_per_h),
-                    plaza.exemplar_demand,
-                    plaza.charger_max_kw,
-                    DAY_HORIZON_H,
-                    day_seed,
-                ),
+        stream = draw_stream(
+            ArrivalModel(plaza.exemplar_rate_per_h),
+            plaza.exemplar_demand,
+            DAY_HORIZON_H,
+            derive_seed(scenario.seed, "day"),
+        )
+        capacities = [setup.capacities[kind][0] for kind in kinds]
+        lanes = replay_lanes(
+            [stream],
+            [0] * len(kinds),
+            capacities,
+            plaza.bess_power_kw,
+            scenario.grid_profile,
+            plaza.charger_max_kw,
+        )
+        # Lane i holds kind i's cycles, in service order.
+        bounds = np.concatenate([[0], np.cumsum(lanes.counts)])
+        days = []
+        for i, kind in enumerate(kinds):
+            lane = slice(bounds[i], bounds[i + 1])
+            columns = [getattr(lanes, name)[lane].tolist() for name in _CYCLE_FIELDS]
+            cycles = [
+                {"index": index, **dict(zip(_CYCLE_FIELDS, values))}
+                for index, values in enumerate(zip(*columns))
+            ]
+            mean_min, max_min, _ = _curtailed_minutes(
+                lanes.curtailed_h[lane], lanes.truncated[lane]
             )
-            for kind in kinds
-        ]
+            report = {
+                "kind": kind,
+                "effective_capacity_kwh": capacities[i],
+                "pack_total_kwh": setup.pack_totals[0],
+                "horizon_h": DAY_HORIZON_H,
+                "dropped_arrivals": int(lanes.dropped[i]),
+                "n_cycles": len(cycles),
+                "curtailed_mean_min": mean_min,
+                "curtailed_max_min": max_min,
+                "cycles": cycles,
+            }
+            series = _minute_series(cycles, capacities[i], scenario.grid_profile)
+            days.append((report, series))
 
     with timer.stage("writes"):
         files: list[str] = []
-        for kind, trajectory in days:
-            csv_name = f"day_{kind}.csv"
-            json_name = f"day_{kind}.json"
+        for report, series in days:
+            csv_name = f"day_{report['kind']}.csv"
+            json_name = f"day_{report['kind']}.json"
             _write_csv(
                 out_dir / csv_name,
                 TRAJECTORY_HEADER,
-                zip(
-                    (float(v) for v in trajectory.time_h),
-                    (float(v) for v in trajectory.grid_kw),
-                    (float(v) for v in trajectory.bess_kw),
-                    (float(v) for v in trajectory.bess_kwh),
-                    (float(v) for v in trajectory.ev_kw),
-                ),
+                zip(*(column.tolist() for column in series)),
             )
-            stats = curtailed_minutes_per_ev(trajectory)
-            _write_json(
-                out_dir / json_name,
-                {
-                    "kind": kind,
-                    "effective_capacity_kwh": setup.capacities[kind][0],
-                    "pack_total_kwh": setup.pack_totals[0],
-                    "horizon_h": trajectory.horizon_h,
-                    "dropped_arrivals": trajectory.dropped_arrivals,
-                    "n_cycles": len(trajectory.cycles),
-                    "curtailed_mean_min": stats.mean_min,
-                    "curtailed_max_min": stats.max_min,
-                    "cycles": [
-                        {
-                            "index": c.index,
-                            "start_h": c.start_h,
-                            "demand_kwh": c.demand_kwh,
-                            "grid_kw": c.grid_kw,
-                            "full_power_kw": c.full_power_kw,
-                            "full_h": c.full_h,
-                            "curtailed_h": c.curtailed_h,
-                            "bess_delivered_kwh": c.bess_delivered_kwh,
-                            "recharge_h": c.recharge_h,
-                            "unmet_kwh": c.unmet_kwh,
-                            "truncated": c.truncated,
-                        }
-                        for c in trajectory.cycles
-                    ],
-                },
-            )
+            _write_json(out_dir / json_name, report)
             files.extend([csv_name, json_name])
         return _finish("day", scenario, out_dir, files)
+
+
+def _minute_series(
+    cycles: list[dict], capacity_kwh: float, grid: GridProfile
+) -> tuple[np.ndarray, ...]:
+    """Time, grid power, storage power, stored energy and EV power per minute.
+
+    Over the exemplar day, for ``cycles`` served from a unit of
+    ``capacity_kwh`` that starts the day full.
+    """
+    n = int(round(DAY_HORIZON_H * MINUTES_PER_HOUR)) + 1
+    time_h = np.arange(n) / MINUTES_PER_HOUR
+    grid_kw = grid.powers_at(time_h)
+    bess_kw = np.zeros(n)
+    ev_kw = np.zeros(n)
+    bess_kwh = np.full(n, capacity_kwh)
+
+    for cycle in cycles:
+        t0 = cycle["start_h"]
+        t1 = t0 + cycle["full_h"]
+        t2 = t1 + cycle["curtailed_h"]
+        t3 = t2 + cycle["recharge_h"]
+        delivered = cycle["bess_delivered_kwh"]
+        p_bess = delivered / cycle["full_h"] if cycle["full_h"] > 0 else 0.0
+        recharge_kw = cycle["grid_kw"] if delivered > 0 else 0.0
+        in_full = (time_h >= t0) & (time_h < t1)
+        in_curt = (time_h >= t1) & (time_h < t2)
+        in_rech = (time_h >= t2) & (time_h < t3)
+        after = time_h >= t3
+        ev_kw[in_full] = cycle["full_power_kw"]
+        ev_kw[in_curt] = cycle["grid_kw"]
+        bess_kw[in_full] = p_bess
+        bess_kw[in_rech] = -recharge_kw
+        bess_kwh[in_full] = capacity_kwh - p_bess * (time_h[in_full] - t0)
+        bess_kwh[in_curt] = capacity_kwh - delivered
+        bess_kwh[in_rech] = (
+            capacity_kwh - delivered + recharge_kw * (time_h[in_rech] - t2)
+        )
+        end_kwh = capacity_kwh - delivered + recharge_kw * cycle["recharge_h"]
+        bess_kwh[after] = min(capacity_kwh, end_kwh)
+    np.clip(bess_kwh, 0.0, capacity_kwh, out=bess_kwh)
+    return time_h, grid_kw, bess_kw, bess_kwh, ev_kw
+
+
+def _curtailed_minutes(
+    curtailed_h: np.ndarray, truncated: np.ndarray
+) -> tuple[float, float, int]:
+    """Mean and worst pedestal minutes over the cycles the horizon left whole.
+
+    Also returns the number of those cycles; with none, both statistics
+    are NaN.
+    """
+    minutes = curtailed_h[~truncated] * MINUTES_PER_HOUR
+    if not minutes.size:
+        return math.nan, math.nan, 0
+    return float(np.mean(minutes)), float(np.max(minutes)), int(minutes.size)
 
 
 DISPERSION_HEADER = (
@@ -482,16 +524,23 @@ def _reference_schedule(scenario: Scenario) -> list[tuple[float, float, float]]:
         DAY_HORIZON_H,
         derive_seed(scenario.seed, "exemplar-day"),
     )
-    cycles, _ = replay_stream(
-        BessMonolith.full(math.inf, plaza.bess_power_kw),
+    lanes = replay_lanes(
+        [stream],
+        [0],
+        [math.inf],
+        plaza.bess_power_kw,
         scenario.grid_profile,
-        stream,
         plaza.charger_max_kw,
     )
     return [
-        (c.start_h, c.grid_kw, c.demand_kwh)
-        for c in cycles
-        if not c.truncated and c.demand_kwh > 0
+        (start_h, grid_kw, demand)
+        for start_h, grid_kw, demand, truncated in zip(
+            lanes.start_h.tolist(),
+            lanes.grid_kw.tolist(),
+            lanes.demand_kwh.tolist(),
+            lanes.truncated.tolist(),
+        )
+        if not truncated and demand > 0
     ]
 
 
@@ -636,7 +685,9 @@ def _cell_task(args) -> list[tuple]:
         counts = lanes.counts[traj]
         done = ~lanes.truncated[cycles]
         utils = (lanes.bess_delivered_kwh[cycles] / np.repeat(totals, counts))[done]
-        curtailed = lanes.curtailed_h[cycles][done] * 60.0
+        mean_min, max_min, n_done = _curtailed_minutes(
+            lanes.curtailed_h[cycles], lanes.truncated[cycles]
+        )
         rows.append(
             (
                 kind,
@@ -644,10 +695,10 @@ def _cell_task(args) -> list[tuple]:
                 std,
                 rate,
                 n_traj,
-                int(done.sum()),
+                n_done,
                 float(np.mean(utils)) if utils.size else math.nan,
-                float(np.mean(curtailed)) if curtailed.size else math.nan,
-                float(np.max(curtailed)) if curtailed.size else math.nan,
+                mean_min,
+                max_min,
                 float(lanes.unmet_total_kwh[traj].mean()),
                 float(lanes.dropped[traj].mean()),
                 float(counts.mean()),

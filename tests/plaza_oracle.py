@@ -1,0 +1,111 @@
+"""Pure-Python scalar oracle for the plaza's lane core.
+
+The scalar phase arithmetic and per-arrival event loop that
+:func:`besspp.plaza.replay_lanes` replaced, kept as the reference that the
+lane core, the day study and the ensemble cells must equal bit for bit.
+"""
+
+import math
+from dataclasses import dataclass, fields
+
+from besspp.plaza import CyclePhases
+
+
+@dataclass(frozen=True)
+class Cycle:
+    """One served EV, numbered by its position in the day."""
+
+    index: int
+    start_h: float
+    demand_kwh: float
+    grid_kw: float
+    full_power_kw: float
+    full_h: float
+    curtailed_h: float
+    bess_delivered_kwh: float
+    recharge_h: float
+    unmet_kwh: float
+    truncated: bool
+
+
+# The per-cycle fields after ``index``; each names a LaneCycles array.
+CYCLE_FIELDS = tuple(f.name for f in fields(Cycle))[1:]
+
+
+def reference_phases(capacity, grid_kw, demand, charger, bess_power):
+    bess_kw = min(bess_power, max(0.0, charger - grid_kw))
+    full_power = min(charger, grid_kw + bess_kw)
+    if full_power <= 0:
+        return CyclePhases(0.0, 0.0, 0.0, 0.0, 0.0, demand, 0.0)
+    t_demand = demand / full_power
+    if not math.isfinite(t_demand):
+        return CyclePhases(full_power, bess_kw, 0.0, 0.0, 0.0, demand, 0.0)
+    t_deplete = capacity / bess_kw if bess_kw > 0 else math.inf
+    if t_demand <= t_deplete:
+        full_h, curtailed_h, delivered, unmet = (
+            t_demand, 0.0, bess_kw * t_demand, 0.0
+        )
+    else:
+        rest = demand - full_power * t_deplete
+        curtailed = rest / grid_kw if grid_kw > 0 else math.inf
+        if math.isfinite(curtailed):
+            full_h, curtailed_h, delivered, unmet = t_deplete, curtailed, capacity, 0.0
+        else:
+            full_h, curtailed_h, delivered, unmet = t_deplete, 0.0, capacity, rest
+    if delivered > 0 and grid_kw > 0:
+        recharge_h = delivered / grid_kw
+    elif delivered > 0:
+        recharge_h = math.inf
+    else:
+        recharge_h = 0.0
+    return CyclePhases(
+        full_power, bess_kw, full_h, curtailed_h, delivered, unmet, recharge_h
+    )
+
+
+def reference_replay(capacity, bess_power, grid, stream, charger):
+    """Serve ``stream`` from a full unit: the cycles and the dropped count."""
+    cycles, dropped, busy_until = [], 0, 0.0
+    for start, demand in zip(stream.times_h, stream.demands_kwh):
+        if start < busy_until:
+            dropped += 1
+            continue
+        grid_kw = grid.power_at(start)
+        phases = reference_phases(capacity, grid_kw, demand, charger, bess_power)
+        full_h, curtailed_h = phases.full_h, phases.curtailed_h
+        delivered, unmet = phases.bess_delivered_kwh, phases.unmet_kwh
+        recharge_h = phases.recharge_h
+        room = stream.horizon_h - start
+        truncated = False
+        if full_h > room:
+            full_h = room
+            delivered = phases.bess_kw * full_h
+            unmet = demand - phases.full_power_kw * full_h
+            curtailed_h = recharge_h = 0.0
+            truncated = True
+        elif full_h + curtailed_h > room:
+            curtailed_h = room - full_h
+            unmet = demand - phases.full_power_kw * full_h - grid_kw * curtailed_h
+            recharge_h = 0.0
+            truncated = True
+        elif not math.isfinite(recharge_h) or full_h + curtailed_h + recharge_h > room:
+            recharge_h = room - full_h - curtailed_h
+        cycles.append(
+            Cycle(
+                len(cycles), start, demand, grid_kw, phases.full_power_kw,
+                full_h, curtailed_h, delivered, recharge_h, max(0.0, unmet),
+                truncated,
+            )
+        )
+        busy_until = start + full_h + curtailed_h + recharge_h
+        if delivered > 0 and grid_kw <= 0:
+            busy_until = math.inf
+    return cycles, dropped
+
+
+def lane_cycles(lanes, lane: int) -> list[Cycle]:
+    """Lane ``lane`` of a :class:`~besspp.plaza.LaneCycles` as oracle records."""
+    first = int(lanes.counts[:lane].sum())
+    served = slice(first, first + int(lanes.counts[lane]))
+    columns = [getattr(lanes, name)[served].tolist() for name in CYCLE_FIELDS]
+    return [Cycle(k, *values) for k, values in enumerate(zip(*columns))]

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,6 +29,7 @@ from besspp.architectures import (
     assemble_network,
     layer1_aggregate_kwh,
 )
+from besspp.cli import main
 from besspp.designer import (
     derive_seed,
     design_layer1,
@@ -38,16 +40,17 @@ from besspp.flows import ConverterEdge, FlowNetwork, max_deliverable_energy
 from besspp.metrics import MetricReport, system_efficiency
 from besspp.plaza import (
     ArrivalModel,
-    BessMonolith,
     DemandModel,
     GridProfile,
-    evaluate_cycle,
-    simulate_day,
+    cycle_phases,
+    draw_stream,
+    replay_lanes,
 )
-from besspp.scenario import default_scenario
-from besspp.studies import run_ensemble, run_tradeoff
+from besspp.scenario import default_scenario, scenario_to_dict
+from besspp.studies import _minute_series, run_ensemble
 from besspp.supply import BatteryModule, flatten_distribution, sample_pack
 
+from plaza_oracle import lane_cycles
 from test_flows import random_network, vertex_oracle
 
 TOL = 1e-8
@@ -342,7 +345,7 @@ def prop_sparse_layer_flows_within_ratings(pack_seed, lambda_h):
     bess_power=st.floats(0.0, 300.0, allow_nan=False),
 )
 def prop_cycle_energy_balance(capacity, grid, demand, charger, bess_power):
-    phases = evaluate_cycle(capacity, grid, demand, charger, bess_power)
+    phases = cycle_phases(capacity, grid, demand, charger, bess_power)
     served = (
         phases.full_power_kw * phases.full_h
         + min(grid, charger) * phases.curtailed_h
@@ -364,22 +367,21 @@ def prop_cycle_energy_balance(capacity, grid, demand, charger, bess_power):
     std=st.floats(0.0, 40.0, allow_nan=False),
 )
 def prop_storage_full_at_cycle_start(seed, capacity, grid, rate, mean, std):
-    day = simulate_day(
-        BessMonolith.full(capacity, 150.0),
-        GridProfile.constant(grid),
-        ArrivalModel(rate),
-        DemandModel(mean, std),
-        150.0,
-        24.0,
-        seed,
+    stream = draw_stream(ArrivalModel(rate), DemandModel(mean, std), 24.0, seed)
+    profile = GridProfile.constant(grid)
+    cycles = lane_cycles(
+        replay_lanes([stream], [0], [capacity], 150.0, profile, 150.0), 0
     )
-    assert day.bess_kwh[0] == pytest.approx(capacity)
-    for cycle in day.cycles:
+    _, _, _, bess_kwh, _ = _minute_series(
+        [dataclasses.asdict(c) for c in cycles], capacity, profile
+    )
+    assert bess_kwh[0] == pytest.approx(capacity)
+    for cycle in cycles:
         # Starting from full is only possible if the previous service and
         # recharge both finished; delivered energy can then never exceed
         # one full capacity.
         assert cycle.bess_delivered_kwh <= capacity + 1e-9
-    for prev, nxt in zip(day.cycles, day.cycles[1:]):
+    for prev, nxt in zip(cycles, cycles[1:]):
         end = prev.start_h + prev.full_h + prev.curtailed_h + prev.recharge_h
         assert nxt.start_h >= end - 1e-9
 
@@ -470,6 +472,9 @@ def test_criterion_9_determinism(tmp_path):
         digests = [_tree_digest(Path(r.out_dir)) for r in runs]
         assert digests[0] == digests[1], "rerun differs"
         assert digests[0] == digests[2], "worker count changed the bytes"
-        t1 = run_tradeoff(scenario, tmp_path / "t1", workers=1)
-        t2 = run_tradeoff(scenario, tmp_path / "t2", workers=2)
-        assert _tree_digest(Path(t1.out_dir)) == _tree_digest(Path(t2.out_dir))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_to_dict(scenario)))
+        for workers in ("1", "2"):
+            args = ["tradeoff", "--scenario", str(path), "--workers", workers]
+            assert main([*args, "--out", str(tmp_path / f"t{workers}")]) == 0
+        assert _tree_digest(tmp_path / "t1") == _tree_digest(tmp_path / "t2")

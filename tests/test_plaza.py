@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import warnings
 from dataclasses import fields
@@ -10,21 +12,18 @@ from hypothesis import strategies as st
 from besspp.plaza import (
     ArrivalModel,
     ArrivalStream,
-    BessMonolith,
-    ChargeCycle,
     CyclePhases,
     DemandModel,
     GridProfile,
-    curtailed_minutes_per_ev,
     cycle_phases,
     draw_stream,
-    evaluate_cycle,
     replay_lanes,
-    replay_stream,
-    simulate_day,
 )
 from besspp.flows import cut_form_energy
 from besspp.scenario import default_scenario
+from besspp.studies import _curtailed_minutes, run_day
+
+from plaza_oracle import lane_cycles, reference_phases, reference_replay
 
 
 class TestGridProfile:
@@ -84,10 +83,18 @@ class TestEffectiveCapacity:
         assert got == pytest.approx(12.0)
 
 
+def _scalar_phases(capacity, grid_kw, demand, charger, bess_power) -> CyclePhases:
+    """:func:`cycle_phases` of one cycle, with float fields."""
+    phases = cycle_phases(capacity, grid_kw, demand, charger, bess_power)
+    return CyclePhases(*(float(getattr(phases, f.name)) for f in fields(phases)))
+
+
 class TestEvaluateCycle:
+    """The phase arithmetic of a single cycle."""
+
     def test_reference_uncurtailed(self):
         # 200 kWh unit, 50 kW grid, 150 kW charger: the unit covers 100 kW.
-        phases = evaluate_cycle(200.0, 50.0, 30.0, 150.0, 150.0)
+        phases = _scalar_phases(200.0, 50.0, 30.0, 150.0, 150.0)
         assert phases.full_power_kw == 150.0
         assert phases.bess_kw == 100.0
         assert phases.full_h == pytest.approx(0.2)
@@ -99,7 +106,7 @@ class TestEvaluateCycle:
     def test_reference_curtailed(self):
         # Same cycle with a 10 kWh unit: depletion after 0.1 h, pedestal
         # covers the remaining 15 kWh at 50 kW.
-        phases = evaluate_cycle(10.0, 50.0, 30.0, 150.0, 150.0)
+        phases = _scalar_phases(10.0, 50.0, 30.0, 150.0, 150.0)
         assert phases.full_h == pytest.approx(0.1)
         assert phases.bess_delivered_kwh == pytest.approx(10.0)
         assert phases.curtailed_h == pytest.approx(0.3)
@@ -107,7 +114,7 @@ class TestEvaluateCycle:
         assert phases.recharge_h == pytest.approx(0.2)
 
     def test_no_grid_terminates_with_unmet(self):
-        phases = evaluate_cycle(10.0, 0.0, 30.0, 150.0, 150.0)
+        phases = _scalar_phases(10.0, 0.0, 30.0, 150.0, 150.0)
         assert phases.full_power_kw == 150.0
         assert phases.full_h == pytest.approx(10.0 / 150.0)
         assert phases.curtailed_h == 0.0
@@ -115,29 +122,29 @@ class TestEvaluateCycle:
         assert math.isinf(phases.recharge_h)
 
     def test_no_source_at_all(self):
-        phases = evaluate_cycle(0.0, 0.0, 30.0, 150.0, 150.0)
+        phases = _scalar_phases(0.0, 0.0, 30.0, 150.0, 150.0)
         assert phases.unmet_kwh == pytest.approx(30.0)
         assert phases.full_h == 0.0
         assert phases.recharge_h == 0.0
 
     def test_grid_larger_than_charger(self):
         # Grid alone saturates the charger: the unit is never tapped.
-        phases = evaluate_cycle(50.0, 200.0, 30.0, 150.0, 150.0)
+        phases = _scalar_phases(50.0, 200.0, 30.0, 150.0, 150.0)
         assert phases.bess_kw == 0.0
         assert phases.bess_delivered_kwh == 0.0
         assert phases.full_h == pytest.approx(0.2)
         assert phases.recharge_h == 0.0
 
     def test_bess_power_limit(self):
-        phases = evaluate_cycle(100.0, 50.0, 30.0, 150.0, 60.0)
+        phases = _scalar_phases(100.0, 50.0, 30.0, 150.0, 60.0)
         assert phases.bess_kw == 60.0
         assert phases.full_power_kw == 110.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="charger_max_kw"):
-            evaluate_cycle(10.0, 50.0, 30.0, 0.0, 150.0)
+            _scalar_phases(10.0, 50.0, 30.0, 0.0, 150.0)
         with pytest.raises(ValueError, match="demand_kwh"):
-            evaluate_cycle(10.0, 50.0, -1.0, 150.0, 150.0)
+            _scalar_phases(10.0, 50.0, -1.0, 150.0, 150.0)
         with pytest.raises(ValueError, match="demand_kwh"):
             cycle_phases([10.0, 10.0], 50.0, [30.0, -1.0], 150.0, 150.0)
 
@@ -162,13 +169,13 @@ class TestEvaluateCycle:
             phases = cycle_phases(capacity, grid, demand, charger, bess_power)
         names = [f.name for f in fields(CyclePhases)]
         for k, (cap, grid_kw, dem, power) in enumerate(cases):
-            expected = _reference_phases(cap, grid_kw, dem, charger, power)
+            expected = reference_phases(cap, grid_kw, dem, charger, power)
             got = CyclePhases(*(float(getattr(phases, n)[k]) for n in names))
             assert got == expected
-            assert evaluate_cycle(cap, grid_kw, dem, charger, power) == expected
+            assert _scalar_phases(cap, grid_kw, dem, charger, power) == expected
 
     def test_zero_demand(self):
-        phases = evaluate_cycle(100.0, 50.0, 0.0, 150.0, 150.0)
+        phases = _scalar_phases(100.0, 50.0, 0.0, 150.0, 150.0)
         assert phases.full_h == 0.0
         assert phases.bess_delivered_kwh == 0.0
         assert phases.recharge_h == 0.0
@@ -181,7 +188,7 @@ class TestEvaluateCycle:
     )
     @settings(max_examples=500)
     def test_energy_balance(self, capacity, grid, demand, bess_power):
-        phases = evaluate_cycle(capacity, grid, demand, 150.0, bess_power)
+        phases = _scalar_phases(capacity, grid, demand, 150.0, bess_power)
         delivered_to_ev = (
             phases.full_power_kw * phases.full_h
             + grid * phases.curtailed_h
@@ -198,42 +205,39 @@ def _demand(mean=50.0, std=25.0):
     return DemandModel(mean_kwh=mean, std_kwh=std)
 
 
+def _day(capacity, grid, rate, demand, seed, horizon=24.0):
+    """One day's cycles and dropped arrivals: a drawn stream replayed as one lane."""
+    stream = draw_stream(ArrivalModel(rate), demand, horizon, seed)
+    lanes = replay_lanes([stream], [0], [capacity], 150.0, grid, 150.0)
+    return lane_cycles(lanes, 0), int(lanes.dropped[0])
+
+
 class TestSimulateDay:
+    """One day of plaza service: a drawn stream replayed through the lanes."""
+
     def test_reproducible(self):
-        bess = BessMonolith.full(40.0, 150.0)
         grid = GridProfile.constant(40.0)
-        a = simulate_day(bess, grid, ArrivalModel(2.0), _demand(), 150.0, 24.0, 9)
-        b = simulate_day(bess, grid, ArrivalModel(2.0), _demand(), 150.0, 24.0, 9)
-        assert a.cycles == b.cycles
-        assert a.dropped_arrivals == b.dropped_arrivals
-        assert np.array_equal(a.bess_kwh, b.bess_kwh)
+        a = _day(40.0, grid, 2.0, _demand(), 9)
+        b = _day(40.0, grid, 2.0, _demand(), 9)
+        assert a == b
 
     def test_demand_stream_independent_of_capacity(self):
         # Same seed, different unit sizes: identical arrival set, and every
         # cycle served by both shares its demand draw.
         grid = GridProfile.constant(40.0)
-        small = simulate_day(
-            BessMonolith.full(5.0, 150.0), grid, ArrivalModel(1.0), _demand(),
-            150.0, 24.0, 33,
-        )
-        large = simulate_day(
-            BessMonolith.full(500.0, 150.0), grid, ArrivalModel(1.0), _demand(),
-            150.0, 24.0, 33,
-        )
-        small_by_start = {c.start_h: c.demand_kwh for c in small.cycles}
-        large_by_start = {c.start_h: c.demand_kwh for c in large.cycles}
+        small, _ = _day(5.0, grid, 1.0, _demand(), 33)
+        large, _ = _day(500.0, grid, 1.0, _demand(), 33)
+        small_by_start = {c.start_h: c.demand_kwh for c in small}
+        large_by_start = {c.start_h: c.demand_kwh for c in large}
         common = set(small_by_start) & set(large_by_start)
         assert common
         for start in common:
             assert small_by_start[start] == large_by_start[start]
 
     def test_cycles_do_not_overlap(self):
-        trajectory = simulate_day(
-            BessMonolith.full(30.0, 150.0), GridProfile.constant(45.0),
-            ArrivalModel(3.0), _demand(), 150.0, 24.0, 77,
-        )
-        assert len(trajectory.cycles) > 3
-        for before, after in zip(trajectory.cycles, trajectory.cycles[1:]):
+        cycles, _ = _day(30.0, GridProfile.constant(45.0), 3.0, _demand(), 77)
+        assert len(cycles) > 3
+        for before, after in zip(cycles, cycles[1:]):
             end = (
                 before.start_h
                 + before.full_h
@@ -243,52 +247,42 @@ class TestSimulateDay:
             assert after.start_h >= end - 1e-9
 
     def test_demands_clamped(self):
-        trajectory = simulate_day(
-            BessMonolith.full(30.0, 150.0), GridProfile.constant(45.0),
-            ArrivalModel(3.0), _demand(50.0, 200.0), 150.0, 24.0, 5,
-        )
-        for cycle in trajectory.cycles:
+        cycles, _ = _day(30.0, GridProfile.constant(45.0), 3.0, _demand(50.0, 200.0), 5)
+        for cycle in cycles:
             assert 0.0 <= cycle.demand_kwh <= 100.0
 
     def test_dropped_arrivals_counted(self):
         # Tiny grid: recharges take ages, so most arrivals find the charger
         # busy.
-        trajectory = simulate_day(
-            BessMonolith.full(60.0, 150.0), GridProfile.constant(5.0),
-            ArrivalModel(4.0), _demand(), 150.0, 24.0, 21,
-        )
-        assert trajectory.dropped_arrivals > 10
+        _, dropped = _day(60.0, GridProfile.constant(5.0), 4.0, _demand(), 21)
+        assert dropped > 10
 
     def test_zero_grid_strands_the_day_after_first_cycle(self):
-        trajectory = simulate_day(
-            BessMonolith.full(60.0, 150.0), GridProfile.constant(0.0),
-            ArrivalModel(2.0), _demand(), 150.0, 24.0, 13,
-        )
-        served = [c for c in trajectory.cycles if c.bess_delivered_kwh > 0]
+        cycles, _ = _day(60.0, GridProfile.constant(0.0), 2.0, _demand(), 13)
+        served = [c for c in cycles if c.bess_delivered_kwh > 0]
         assert len(served) == 1  # no recharge possible, charger never idles
 
-    def test_minute_series_shapes_and_bounds(self):
-        bess = BessMonolith.full(35.0, 150.0)
-        trajectory = simulate_day(
-            bess, GridProfile.constant(40.0), ArrivalModel(2.0), _demand(),
-            150.0, 24.0, 3,
-        )
-        n = 24 * 60 + 1
-        assert trajectory.time_h.shape == (n,)
-        assert trajectory.ev_kw.shape == (n,)
-        assert np.all(trajectory.bess_kwh >= -1e-9)
-        assert np.all(trajectory.bess_kwh <= 35.0 + 1e-9)
-        assert np.all(trajectory.ev_kw <= 150.0 + 1e-9)
+    def test_minute_series_shapes_and_bounds(self, tmp_path):
+        scenario = default_scenario()
+        result = run_day(scenario, tmp_path)
+        for kind in (k.value for k in scenario.plaza.kinds):
+            report = json.loads((result.out_dir / f"day_{kind}.json").read_text())
+            capacity = report["effective_capacity_kwh"]
+            with (result.out_dir / f"day_{kind}.csv").open(newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            _, _, _, e_bess, p_ev = np.array(rows, dtype=float).T
+            assert len(rows) == 24 * 60 + 1
+            assert report["n_cycles"] > 3
+            assert np.all(e_bess >= -1e-9)
+            assert np.all(e_bess <= capacity + 1e-9)
+            assert np.all(p_ev <= scenario.plaza.charger_max_kw + 1e-9)
 
     def test_truncation_flag_set_only_on_service_cut(self):
         # Demand so large the last cycle inevitably crosses midnight.
-        trajectory = simulate_day(
-            BessMonolith.full(20.0, 150.0), GridProfile.constant(8.0),
-            ArrivalModel(2.0), _demand(90.0, 5.0), 150.0, 24.0, 2,
-        )
-        for cycle in trajectory.cycles[:-1]:
+        cycles, _ = _day(20.0, GridProfile.constant(8.0), 2.0, _demand(90.0, 5.0), 2)
+        for cycle in cycles[:-1]:
             assert not cycle.truncated
-        last = trajectory.cycles[-1]
+        last = cycles[-1]
         end = last.start_h + last.full_h + last.curtailed_h + last.recharge_h
         assert end <= 24.0 + 1e-9
 
@@ -300,80 +294,6 @@ _GRIDS = st.sampled_from(
         GridProfile(((0.0, 55.0), (6.0, 0.0), (9.0, 20.0), (17.0, 160.0))),
     ]
 )
-
-
-# The scalar phase arithmetic and per-arrival event loop that the lane core
-# replaced, kept in pure Python as the oracle it must equal bit for bit.
-
-
-def _reference_phases(capacity, grid_kw, demand, charger, bess_power):
-    bess_kw = min(bess_power, max(0.0, charger - grid_kw))
-    full_power = min(charger, grid_kw + bess_kw)
-    if full_power <= 0:
-        return CyclePhases(0.0, 0.0, 0.0, 0.0, 0.0, demand, 0.0)
-    t_demand = demand / full_power
-    if not math.isfinite(t_demand):
-        return CyclePhases(full_power, bess_kw, 0.0, 0.0, 0.0, demand, 0.0)
-    t_deplete = capacity / bess_kw if bess_kw > 0 else math.inf
-    if t_demand <= t_deplete:
-        full_h, curtailed_h, delivered, unmet = (
-            t_demand, 0.0, bess_kw * t_demand, 0.0
-        )
-    else:
-        rest = demand - full_power * t_deplete
-        curtailed = rest / grid_kw if grid_kw > 0 else math.inf
-        if math.isfinite(curtailed):
-            full_h, curtailed_h, delivered, unmet = t_deplete, curtailed, capacity, 0.0
-        else:
-            full_h, curtailed_h, delivered, unmet = t_deplete, 0.0, capacity, rest
-    if delivered > 0 and grid_kw > 0:
-        recharge_h = delivered / grid_kw
-    elif delivered > 0:
-        recharge_h = math.inf
-    else:
-        recharge_h = 0.0
-    return CyclePhases(
-        full_power, bess_kw, full_h, curtailed_h, delivered, unmet, recharge_h
-    )
-
-
-def _reference_replay(capacity, bess_power, grid, stream, charger):
-    cycles, dropped, busy_until = [], 0, 0.0
-    for start, demand in zip(stream.times_h, stream.demands_kwh):
-        if start < busy_until:
-            dropped += 1
-            continue
-        grid_kw = grid.power_at(start)
-        phases = _reference_phases(capacity, grid_kw, demand, charger, bess_power)
-        full_h, curtailed_h = phases.full_h, phases.curtailed_h
-        delivered, unmet = phases.bess_delivered_kwh, phases.unmet_kwh
-        recharge_h = phases.recharge_h
-        room = stream.horizon_h - start
-        truncated = False
-        if full_h > room:
-            full_h = room
-            delivered = phases.bess_kw * full_h
-            unmet = demand - phases.full_power_kw * full_h
-            curtailed_h = recharge_h = 0.0
-            truncated = True
-        elif full_h + curtailed_h > room:
-            curtailed_h = room - full_h
-            unmet = demand - phases.full_power_kw * full_h - grid_kw * curtailed_h
-            recharge_h = 0.0
-            truncated = True
-        elif not math.isfinite(recharge_h) or full_h + curtailed_h + recharge_h > room:
-            recharge_h = room - full_h - curtailed_h
-        cycles.append(
-            ChargeCycle(
-                len(cycles), start, demand, grid_kw, phases.full_power_kw,
-                full_h, curtailed_h, delivered, recharge_h, max(0.0, unmet),
-                truncated,
-            )
-        )
-        busy_until = start + full_h + curtailed_h + recharge_h
-        if delivered > 0 and grid_kw <= 0:
-            busy_until = math.inf
-    return cycles, dropped
 
 
 @st.composite
@@ -432,35 +352,17 @@ class TestReplayLanes:
                 grid,
                 150.0,
             )
-        names = [f.name for f in fields(ChargeCycle)][1:]
-        first = 0
         for lane, (row, capacity) in enumerate(lanes_spec):
-            stream = streams[row]
-            cycles, dropped = _reference_replay(
-                capacity, bess_power, grid, stream, 150.0
+            cycles, dropped = reference_replay(
+                capacity, bess_power, grid, streams[row], 150.0
             )
-            n = int(lanes.counts[lane])
-            columns = [
-                getattr(lanes, name)[first : first + n].tolist() for name in names
-            ]
-            assert [
-                ChargeCycle(k, *values) for k, values in enumerate(zip(*columns))
-            ] == cycles
+            assert lane_cycles(lanes, lane) == cycles
             assert lanes.dropped[lane] == dropped
             total = 0.0
             for cycle in cycles:
                 total += cycle.unmet_kwh
             assert lanes.unmet_total_kwh[lane] == total
-            first += n
-
-            one = replay_stream(
-                BessMonolith.full(capacity, bess_power), grid, stream, 150.0
-            )
-            assert one == (tuple(cycles), dropped)
-            for cycle in one[0]:
-                assert type(cycle.truncated) is bool
-                assert all(type(getattr(cycle, n)) is float for n in names[:-1])
-        assert first == lanes.start_h.size
+        assert lanes.counts.sum() == lanes.start_h.size
 
     def test_no_lanes_and_empty_streams(self):
         grid = GridProfile.constant(40.0)
@@ -490,59 +392,60 @@ class TestSharedStream:
     def test_one_stream_replays_like_separate_days(
         self, seed, grid, small, large, rate, mean, std, horizon
     ):
+        # The exemplar day replays one draw for every kind; each lane must
+        # serve it as a day drawn and replayed on its own would.
         arrivals, demand = ArrivalModel(rate), _demand(mean, std)
         stream = draw_stream(arrivals, demand, horizon, seed)
-        for capacity in (0.0, small, large, math.inf):
-            bess = BessMonolith.full(capacity, 150.0)
-            cycles, dropped = replay_stream(bess, grid, stream, 150.0)
-            day = simulate_day(bess, grid, arrivals, demand, 150.0, horizon, seed)
-            assert cycles == day.cycles
-            assert dropped == day.dropped_arrivals
-            assert len(cycles) + dropped == len(stream.times_h)
+        capacities = (0.0, small, large, math.inf)
+        shared = replay_lanes([stream], [0] * 4, capacities, 150.0, grid, 150.0)
+        for lane, capacity in enumerate(capacities):
+            day = draw_stream(arrivals, demand, horizon, seed)
+            alone = replay_lanes([day], [0], [capacity], 150.0, grid, 150.0)
+            assert lane_cycles(shared, lane) == lane_cycles(alone, 0)
+            assert shared.dropped[lane] == alone.dropped[0]
+            assert shared.counts[lane] + shared.dropped[lane] == len(stream.times_h)
 
     def test_stream_validation(self):
         with pytest.raises(ValueError, match="horizon_h"):
             draw_stream(ArrivalModel(1.0), _demand(), 0.0, 1)
         stream = draw_stream(ArrivalModel(1.0), _demand(), 24.0, 1)
         with pytest.raises(ValueError, match="charger_max_kw"):
-            replay_stream(
-                BessMonolith.full(10.0, 150.0), GridProfile.constant(40.0),
-                stream, 0.0,
+            replay_lanes(
+                [stream], [0], [10.0], 150.0, GridProfile.constant(40.0), 0.0
             )
 
 
 class TestCurtailedMinutes:
     def test_excludes_truncated_and_averages(self):
-        trajectory = simulate_day(
-            BessMonolith.full(12.0, 150.0), GridProfile.constant(40.0),
-            ArrivalModel(2.0), _demand(), 150.0, 24.0, 101,
+        # A drawn day, and a day whose second cycle the horizon cuts in its
+        # curtailed phase.
+        drawn = draw_stream(ArrivalModel(2.0), _demand(), 24.0, 101)
+        cut = ArrivalStream(1.0, (0.0, 0.8), (30.0, 30.0))
+        lanes = replay_lanes(
+            [drawn, cut], [0, 1], [12.0, 12.0], 150.0, GridProfile.constant(40.0),
+            150.0,
         )
-        stats = curtailed_minutes_per_ev(trajectory)
+        assert lane_cycles(lanes, 1)[1].truncated
+        mean_min, max_min, n_cycles = _curtailed_minutes(
+            lanes.curtailed_h, lanes.truncated
+        )
         manual = [
-            c.curtailed_h * 60.0 for c in trajectory.cycles if not c.truncated
+            c.curtailed_h * 60.0
+            for lane in (0, 1)
+            for c in lane_cycles(lanes, lane)
+            if not c.truncated
         ]
-        assert stats.n_cycles == len(manual)
-        assert stats.mean_min == pytest.approx(float(np.mean(manual)))
-        assert stats.max_min == pytest.approx(float(np.max(manual)))
+        assert n_cycles == len(manual) == lanes.start_h.size - 1
+        assert mean_min == pytest.approx(float(np.mean(manual)))
+        assert max_min == pytest.approx(float(np.max(manual)))
 
     def test_empty_day(self):
-        trajectory = simulate_day(
-            BessMonolith.full(12.0, 150.0), GridProfile.constant(40.0),
-            ArrivalModel(0.001), _demand(), 150.0, 0.5, 3,
+        empty = ArrivalStream(0.5, (), ())
+        lanes = replay_lanes(
+            [empty], [0], [12.0], 150.0, GridProfile.constant(40.0), 150.0
         )
-        if not trajectory.cycles:
-            stats = curtailed_minutes_per_ev(trajectory)
-            assert stats.n_cycles == 0
-            assert math.isnan(stats.mean_min)
-
-
-class TestMonolith:
-    def test_full_constructor(self):
-        bess = BessMonolith.full(33.0, 150.0)
-        assert bess.remaining_kwh == 33.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BessMonolith(-1.0, 150.0, 0.0)
-        with pytest.raises(ValueError):
-            BessMonolith(10.0, 150.0, 11.0)
+        mean_min, max_min, n_cycles = _curtailed_minutes(
+            lanes.curtailed_h, lanes.truncated
+        )
+        assert n_cycles == 0
+        assert math.isnan(mean_min) and math.isnan(max_min)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,16 +15,11 @@ import warnings
 import numpy as np
 import pytest
 
+import besspp.studies
 from besspp.cli import main
 from besspp.designer import derive_seed
 from besspp.metrics import MetricReport
-from besspp.plaza import (
-    ArrivalModel,
-    BessMonolith,
-    DemandModel,
-    draw_stream,
-    simulate_day,
-)
+from besspp.plaza import ArrivalModel, DemandModel, draw_stream
 from besspp.scenario import load_scenario
 from besspp.studies import (
     CELLS_HEADER,
@@ -40,6 +36,8 @@ from besspp.studies import (
     validate_scenario,
 )
 from besspp.supply import _left_sum
+
+from plaza_oracle import reference_replay
 
 
 def small_doc() -> dict:
@@ -102,7 +100,7 @@ def tree_digest(out_dir: Path) -> dict:
 class TestRunDesign:
     def test_artifacts_and_manifest(self, small_scenario, tmp_path):
         _, scenario = small_scenario
-        result = run_design(scenario, tmp_path / "design", workers=1)
+        result = run_design(scenario, tmp_path / "design")
         out = Path(result.out_dir)
         design = json.loads((out / "design.json").read_text())
         assert design["n_layer1"] == 3
@@ -121,7 +119,7 @@ class TestRunDesign:
 class TestRunTradeoff:
     def test_columns_and_rows(self, small_scenario, tmp_path):
         _, scenario = small_scenario
-        result = run_tradeoff(scenario, tmp_path / "t", workers=1)
+        result = run_tradeoff(scenario, tmp_path / "t")
         path = Path(result.out_dir) / "tradeoff.csv"
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -137,18 +135,18 @@ class TestRunTradeoff:
             assert float(row[7]) >= float(row[6])
 
     def test_worker_count_invariance(self, small_scenario, tmp_path):
-        _, scenario = small_scenario
-        one = run_tradeoff(scenario, tmp_path / "w1", workers=1)
-        two = run_tradeoff(scenario, tmp_path / "w2", workers=3)
-        a = read_bytes(Path(one.out_dir) / "tradeoff.csv")
-        b = read_bytes(Path(two.out_dir) / "tradeoff.csv")
-        assert a == b
+        path, _ = small_scenario
+        for workers in ("1", "3"):
+            out = str(tmp_path / f"w{workers}")
+            args = ["tradeoff", "--scenario", str(path), "--workers", workers]
+            assert main([*args, "--out", out]) == 0
+        assert tree_digest(tmp_path / "w1") == tree_digest(tmp_path / "w3")
 
 
 class TestRunDay:
     def test_minute_series_shape(self, small_scenario, tmp_path):
         _, scenario = small_scenario
-        result = run_day(scenario, tmp_path / "day", workers=1)
+        result = run_day(scenario, tmp_path / "day")
         out = Path(result.out_dir)
         for kind in ("lshippp", "cppp"):
             with (out / f"day_{kind}.csv").open(newline="") as fh:
@@ -179,7 +177,7 @@ class TestRunDay:
     def test_unknown_kind_rejected(self, small_scenario, tmp_path):
         _, scenario = small_scenario
         with pytest.raises(ValueError, match="not part"):
-            run_day(scenario, tmp_path / "day", workers=1, kinds=("fpp",))
+            run_day(scenario, tmp_path / "day", kinds=("fpp",))
 
     def test_same_demand_stream_across_kinds(self, small_scenario, tmp_path):
         # Every kind serves a subsequence of one arrival stream and drops
@@ -193,7 +191,7 @@ class TestRunDay:
             derive_seed(scenario.seed, "day"),
         )
         arrivals = list(zip(stream.times_h, stream.demands_kwh))
-        result = run_day(scenario, tmp_path / "day", workers=1)
+        result = run_day(scenario, tmp_path / "day")
         out = Path(result.out_dir)
         for kind in ("lshippp", "cppp"):
             day = json.loads((out / f"day_{kind}.json").read_text())
@@ -202,6 +200,43 @@ class TestRunDay:
             remaining = iter(arrivals)
             assert all(arrival in remaining for arrival in served)
             assert len(served) + day["dropped_arrivals"] == len(arrivals)
+
+    def test_cycles_equal_reference_replay(self, small_scenario, tmp_path):
+        # Each kind's cycle records are the scalar oracle's replay of the
+        # day stream at that kind's pack-0 capacity, field by field.
+        _, scenario = small_scenario
+        plaza = scenario.plaza
+        stream = draw_stream(
+            ArrivalModel(plaza.exemplar_rate_per_h),
+            plaza.exemplar_demand,
+            DAY_HORIZON_H,
+            derive_seed(scenario.seed, "day"),
+        )
+        setup = _plaza_setup(scenario, n_packs=1)
+        result = run_day(scenario, tmp_path / "day")
+        for kind in ("lshippp", "cppp"):
+            day = json.loads((result.out_dir / f"day_{kind}.json").read_text())
+            capacity = setup.capacities[kind][0]
+            cycles, dropped = reference_replay(
+                capacity, plaza.bess_power_kw, scenario.grid_profile, stream,
+                plaza.charger_max_kw,
+            )
+            assert day["effective_capacity_kwh"] == capacity
+            assert day["cycles"] == [dataclasses.asdict(c) for c in cycles]
+            assert day["n_cycles"] == len(cycles)
+            assert day["dropped_arrivals"] == dropped
+
+    def test_draws_the_day_stream_once(self, small_scenario, tmp_path, monkeypatch):
+        _, scenario = small_scenario
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return draw_stream(*args, **kwargs)
+
+        monkeypatch.setattr(besspp.studies, "draw_stream", counting)
+        run_day(scenario, tmp_path / "day", kinds=("lshippp", "cppp"))
+        assert len(calls) == 1
 
 
 class TestRunEnsemble:
@@ -240,7 +275,7 @@ class TestRunEnsemble:
 
     def test_cells_are_kind_major_per_kind_days(self, tmp_path):
         # Four cells, two trajectories each; every row must equal the
-        # aggregate of separate simulate_day runs for its kind.
+        # aggregate of the scalar oracle's per-trajectory days for its kind.
         doc = small_doc()
         doc["arrival_rates_per_h"] = [2.0, 0.667]
         doc["demand_stds_kwh"] = [10.0, 25.0]
@@ -267,25 +302,25 @@ class TestRunEnsemble:
             completed, unmet, dropped, served = [], [], [], []
             for t in range(n_traj):
                 pack = t % scenario.n_packs
-                day = simulate_day(
-                    BessMonolith.full(
-                        setup.capacities[kind][pack], plaza.bess_power_kw
-                    ),
-                    scenario.grid_profile,
+                stream = draw_stream(
                     ArrivalModel(rate),
                     DemandModel(mean, std),
-                    plaza.charger_max_kw,
                     DAY_HORIZON_H,
                     derive_seed(seed, "traj", mean, std, rate, t),
                 )
+                cycles, day_dropped = reference_replay(
+                    setup.capacities[kind][pack],
+                    plaza.bess_power_kw,
+                    scenario.grid_profile,
+                    stream,
+                    plaza.charger_max_kw,
+                )
                 completed += [
-                    (c, setup.pack_totals[pack])
-                    for c in day.cycles
-                    if not c.truncated
+                    (c, setup.pack_totals[pack]) for c in cycles if not c.truncated
                 ]
-                unmet.append(_left_sum(c.unmet_kwh for c in day.cycles))
-                dropped.append(day.dropped_arrivals)
-                served.append(len(day.cycles))
+                unmet.append(_left_sum(c.unmet_kwh for c in cycles))
+                dropped.append(day_dropped)
+                served.append(len(cycles))
             curtailed = [c.curtailed_h * 60.0 for c, _ in completed]
             utils = [c.bess_delivered_kwh / total for c, total in completed]
             row = (
@@ -377,6 +412,16 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    def test_day_repeated_kind_listed_once(self, small_scenario, tmp_path, capsys):
+        path, _ = small_scenario
+        out = tmp_path / "d"
+        args = ["day", "--scenario", str(path), "--kind", "cppp", "--kind", "cppp"]
+        assert main([*args, "--out", str(out)]) == 0
+        names = ("day_cppp.csv", "day_cppp.json", "manifest.json")
+        assert capsys.readouterr().out.splitlines() == [str(out / n) for n in names]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == ["day_cppp.csv", "day_cppp.json"]
 
     def test_day_unknown_kind_exits_1(self, small_scenario, tmp_path):
         path, _ = small_scenario
