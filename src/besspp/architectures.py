@@ -20,11 +20,9 @@ hardware is identical across Monte Carlo packs: ``budget_basis_kwh`` pins
 that reference when sampled packs are evaluated.  :func:`split_budget` (and
 :func:`split_lambda` for the frozen-layer-1 ladder sweep) is the only code
 that maps a kind to its wiring and caps; the :class:`BudgetSplit` it
-returns carries both.  The sweeps hand its pairs and caps to the cut-form
-kernel without building networks, fpp takes the closed form
-:func:`~besspp.flows.fpp_deliverable`, and :func:`assemble_network` turns a
-string split into a :class:`~besspp.flows.FlowNetwork` for the LP and for
-validation.
+returns carries both.  The sweeps and the LPs take its pairs and caps as
+they are, and fpp takes the closed form
+:func:`~besspp.flows.fpp_deliverable`.
 """
 
 from __future__ import annotations
@@ -34,9 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from besspp.flows import ConverterEdge, FlowNetwork
-from besspp.supply import BatteryModule
-
 if TYPE_CHECKING:  # pragma: no cover
     from besspp.designer import Layer1Design
 
@@ -45,15 +40,10 @@ __all__ = [
     "ArchitectureConfig",
     "BudgetSplit",
     "ConfigurationError",
-    "assemble_network",
     "layer1_aggregate_kwh",
     "split_budget",
     "split_lambda",
-    "validate_network",
 ]
-
-SPARSE_LAYER = 1
-ADJACENT_LAYER = 2
 
 
 class ConfigurationError(ValueError):
@@ -227,31 +217,6 @@ def split_lambda(layer1: "Layer1Design", lambda_h: float) -> BudgetSplit:
     )
 
 
-def assemble_network(
-    batteries: tuple[BatteryModule, ...], split: BudgetSplit, horizon_h: float
-) -> FlowNetwork:
-    """The series-string network on ``batteries`` wired and capped by ``split``.
-
-    Edges take their pairs and caps from the split in order; those before
-    the trailing N-1 ladder rungs are the designed (sparse) layer.  An fpp
-    split has no series string and raises :class:`ConfigurationError`.
-    """
-    if not split.pairs:
-        raise ConfigurationError(
-            f"{split.kind.value} has no series string to assemble"
-        )
-    n_sparse = len(split.pairs) - (len(batteries) - 1)
-    if n_sparse < 0 or split.pairs[n_sparse:] != _ladder(len(batteries)):
-        raise ConfigurationError(
-            f"the split's ladder does not fit a pack of {len(batteries)} modules"
-        )
-    edges = tuple(
-        ConverterEdge(i, j, cap, SPARSE_LAYER if k < n_sparse else ADJACENT_LAYER)
-        for k, ((i, j), cap) in enumerate(zip(split.pairs, split.caps_kwh))
-    )
-    return FlowNetwork(tuple(batteries), edges, horizon_h)
-
-
 def _ladder(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, j + 1) for j in range(n - 1))
 
@@ -273,41 +238,3 @@ def _check_split(n: int, rating_r: float, horizon_h: float) -> None:
     if horizon_h <= 0:
         raise ConfigurationError("horizon_h must be positive")
 
-
-def validate_network(net: FlowNetwork) -> list[str]:
-    """Collect structural violations; an empty list means the network is valid."""
-    problems: list[str] = []
-    n = len(net.batteries)
-    if n < 1:
-        problems.append("network has no batteries")
-    if net.horizon_h <= 0:
-        problems.append(f"horizon_h must be positive, got {net.horizon_h}")
-    for j, battery in enumerate(net.batteries):
-        if battery.capacity_kwh < 0:
-            problems.append(f"battery {j} has negative capacity")
-        if battery.voltage_v <= 0:
-            problems.append(f"battery {j} has nonpositive voltage")
-
-    seen: set[tuple[int, int, int]] = set()
-    for k, edge in enumerate(net.converter_edges):
-        if not (0 <= edge.from_battery < n) or not (0 <= edge.to_battery < n):
-            problems.append(f"edge {k} references a module outside 0..{n - 1}")
-            continue
-        if edge.from_battery == edge.to_battery:
-            problems.append(f"edge {k} is a self-loop on module {edge.from_battery}")
-        if edge.energy_cap_kwh < 0:
-            problems.append(f"edge {k} has a negative energy cap")
-        if edge.layer not in (SPARSE_LAYER, ADJACENT_LAYER):
-            problems.append(f"edge {k} has unknown layer tag {edge.layer}")
-        key = (
-            min(edge.from_battery, edge.to_battery),
-            max(edge.from_battery, edge.to_battery),
-            edge.layer,
-        )
-        if key in seen:
-            problems.append(
-                f"duplicate converter between modules {key[0]} and {key[1]} "
-                f"in layer {key[2]}"
-            )
-        seen.add(key)
-    return problems

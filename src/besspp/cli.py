@@ -6,7 +6,7 @@ Subcommands map one-to-one onto the study drivers:
 * ``tradeoff`` - utilization versus normalized converter rating
 * ``day``      - one exemplar plaza day per architecture kind
 * ``ensemble`` - dispersion statistics and the stochastic service sweep
-* ``validate`` - parse the scenario and structurally check every network
+* ``validate`` - parse the scenario and split every configured architecture
 
 Exit codes: 0 on success, 1 for configuration problems (bad scenario file,
 bad arguments, failed validation), 2 for runtime failures.

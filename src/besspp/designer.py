@@ -44,14 +44,13 @@ from besspp.architectures import (
     split_lambda,
 )
 from besspp.flows import (
-    ConverterEdge,
-    FlowNetwork,
     cut_form_energy,
     fpp_deliverable,
     min_peak_flow,
     uncapped_min_peak,
     uncapped_placement_energy,
 )
+from besspp.metrics import utilization_stats
 from besspp.supply import (
     BatteryModule,
     ExpectedSet,
@@ -177,13 +176,19 @@ def design_layer1(
         if peak < peaks[best] * (1 - _TIE_RTOL) - _TIE_RTOL:
             best = k
     placement = candidates[best]
-    sol = min_peak_flow(_uncapped_network(batteries, placement, horizon_h), best_output)
-    peak = max((abs(f) for f in sol.edge_flows), default=0.0)
+    flows = min_peak_flow(
+        [b.capacity_kwh for b in batteries],
+        [b.voltage_v for b in batteries],
+        placement,
+        [math.inf] * len(placement),
+        best_output,
+    )
+    peak = max((abs(f) for f in flows), default=0.0)
 
     return Layer1Design(
         n_batteries=len(batteries),
         edges=placement,
-        optimal_flows_kwh=sol.edge_flows,
+        optimal_flows_kwh=flows,
         rating_kw=peak / horizon_h,
         expected_output_kwh=best_output,
         horizon_h=horizon_h,
@@ -265,7 +270,6 @@ def tradeoff_curve(
     packs: list[tuple[BatteryModule, ...]],
     *,
     horizon_h: float,
-    n_layer1: int = 3,
     layer1: Layer1Design | None = None,
 ) -> list[TradeoffPoint]:
     """Utilization distribution versus total normalized rating ``R``.
@@ -276,8 +280,8 @@ def tradeoff_curve(
     caps are sized from the expected pack of ``dist`` with the packs' module
     count, i.e. hardware is procured once and applied to every sampled pack.
     The discharge horizon scales the energy caps and the layer-1 rating
-    consistently.  lshippp designs its layer 1 on the expected pack unless
-    ``layer1`` is given.
+    consistently.  lshippp needs its ``layer1`` design; the other kinds
+    ignore it.
     """
     kind = ArchitectureKind(kind)
     if not r_grid:
@@ -290,9 +294,6 @@ def tradeoff_curve(
     if any(len(pack) != n_modules for pack in packs):
         raise ValueError("every pack must have the same number of modules")
     expected = flatten_distribution(dist, n_modules)
-    if kind is ArchitectureKind.LSHIPPP and layer1 is None:
-        layer1 = design_layer1(expected, n_layer1, horizon_h)
-
     splits = [
         split_budget(kind, n_modules, r, expected.total_kwh, horizon_h, layer1)
         for r in r_grid
@@ -358,32 +359,13 @@ def _utilization_rows(
     return [[out / total for out, total in zip(row, totals)] for row in outputs]
 
 
-def _uncapped_network(
-    batteries: tuple[BatteryModule, ...],
-    placement: tuple[tuple[int, int], ...],
-    horizon_h: float,
-) -> FlowNetwork:
-    edges = tuple(ConverterEdge(i, j, math.inf, layer=1) for i, j in placement)
-    return FlowNetwork(batteries, edges, horizon_h)
-
-
 def _make_point(
     kind: str, rating_r: float, lambda_h: float, layer2_kw: float, utils: list[float]
 ) -> TradeoffPoint:
-    arr = np.asarray(utils, dtype=float)
-    p10, p90 = (
-        (float(np.quantile(arr, 0.1)), float(np.quantile(arr, 0.9)))
-        if arr.size
-        else (math.nan, math.nan)
-    )
     return TradeoffPoint(
-        kind=kind,
-        rating_r=float(rating_r),
-        lambda_h=float(lambda_h),
-        layer2_rating_kw=float(layer2_kw),
-        utilization_mean=float(arr.mean()),
-        utilization_std=float(arr.std()),
-        utilization_idr=p90 - p10,
-        utilization_p10=p10,
-        utilization_p90=p90,
+        kind,
+        float(rating_r),
+        float(lambda_h),
+        float(layer2_kw),
+        *utilization_stats(utils),
     )

@@ -29,22 +29,30 @@ parametric form: the smallest shared edge rating at which each placement
 meets a required output.  All three enumerate the ``2**n - 1`` subsets, so
 series strings are limited to :data:`MAX_CUT_MODULES` modules.
 
-A :class:`FlowNetwork` is always a series string.  Dedicated per-module
-converters (fpp) have no string and no network here: their deliverable
+Dedicated per-module converters (fpp) have no string: their deliverable
 energy is the closed form :func:`fpp_deliverable`, ``sum_j min(E_j, cap)``,
 evaluated for every pack x cap in one array pass.
 
+The LPs and the cut form take a wired string in one form: module energies
+and voltages, the ``(i, j)`` module pairs of its edges and one energy cap
+per edge, the pairs and caps a :class:`~besspp.architectures.BudgetSplit`
+carries.  The uncapped evaluators take one pack and placements of uncapped
+edges.  One check, ``_check_wiring``, validates the wiring for all of them.
+A pair may be listed twice (an lshippp split puts a ladder rung beside a
+layer-1 edge on the same pair); its caps then add.
+
 The simplex remains where flows are needed: :func:`min_peak_flow` fixes the
-designed converter flows, and :func:`max_deliverable_energy` solves the LP
-above with its flows and serves as the reference for the cut form.
+designed converter flows.  :func:`max_deliverable_energy` solves the LP
+above and returns its optimum and flows.  No study calls it: it is the
+reference LP, kept in the package on purpose.  Criterion 4 checks it
+against vertex enumeration, and the cut-form tests check the kernel
+against it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +64,6 @@ from besspp.simplex import (
 from besspp.supply import BatteryModule
 
 __all__ = [
-    "ConverterEdge",
-    "FlowNetwork",
-    "FlowSolution",
     "InfeasibleFlowError",
     "MAX_CUT_MODULES",
     "cut_form_energy",
@@ -82,82 +87,41 @@ class InfeasibleFlowError(Exception):
     """Raised when a requested output cannot be met by any feasible flow."""
 
 
-@dataclass(frozen=True)
-class ConverterEdge:
-    """Directed tag of a bidirectional converter between two modules.
+def max_deliverable_energy(
+    energy_kwh, volts_v, pairs, caps_kwh
+) -> tuple[float, tuple[float, ...]]:
+    """Maximize the energy delivered to the output bus by one wired string.
 
-    ``energy_cap_kwh`` bounds ``|flow|`` over the horizon; it may be
-    ``math.inf`` while a sparse layer is being designed.  Positive flow moves
-    energy from ``from_battery`` to ``to_battery``.
+    ``energy_kwh`` and ``volts_v`` hold the n module energies and voltages,
+    ``pairs`` the ``(i, j)`` module pairs of the edges and ``caps_kwh`` one
+    energy cap per edge (``math.inf`` allowed).  Returns the optimum and the
+    edge flows; positive flow moves energy from ``i`` to ``j``.
     """
-
-    from_battery: int
-    to_battery: int
-    energy_cap_kwh: float
-    layer: int = 1
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """A series string of modules plus its converter edges."""
-
-    batteries: tuple[BatteryModule, ...]
-    converter_edges: tuple[ConverterEdge, ...] = ()
-    horizon_h: float = 1.0
-
-
-@dataclass(frozen=True)
-class FlowSolution:
-    """Optimal energy bookkeeping for one network over the horizon.
-
-    ``string_energy`` is the per-module energy pushed through the series
-    string (``q * V_j``).  ``extraction`` is what each module actually
-    gives up, string plus net converter outflow.
-    """
-
-    string_energy: tuple[float, ...]
-    edge_flows: tuple[float, ...]
-    extraction: tuple[float, ...]
-    total_output: float
-
-
-def _check_network(net: FlowNetwork) -> None:
-    from besspp.architectures import validate_network
-
-    problems = validate_network(net)
-    if problems:
-        raise ValueError("invalid flow network: " + "; ".join(problems))
-
-
-def max_deliverable_energy(net: FlowNetwork) -> FlowSolution:
-    """Maximize the energy delivered to the output bus over the horizon."""
-    _check_network(net)
-    n = len(net.batteries)
-    n_edges = len(net.converter_edges)
-    volts = np.array([b.voltage_v for b in net.batteries])
-    caps = np.array([b.capacity_kwh for b in net.batteries])
+    energy, volts, caps = _one_string(energy_kwh, volts_v, pairs, caps_kwh)
+    n = len(energy)
+    n_edges = len(pairs)
 
     # Columns: [q, flows..., slacks...]; rows: one extraction bound per module.
     n_vars = 1 + n_edges + n
     a = np.zeros((n, n_vars))
     a[:, 0] = volts
-    for k, edge in enumerate(net.converter_edges):
-        a[edge.from_battery, 1 + k] = 1.0
-        a[edge.to_battery, 1 + k] = -1.0
+    for k, (i, j) in enumerate(pairs):
+        a[i, 1 + k] = 1.0
+        a[j, 1 + k] = -1.0
     a[:, 1 + n_edges :] = np.eye(n)
 
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
-    for k, edge in enumerate(net.converter_edges):
-        cap = edge.energy_cap_kwh
-        lower[1 + k] = -cap if math.isfinite(cap) else -np.inf
-        upper[1 + k] = cap if math.isfinite(cap) else np.inf
+    lower[1 : 1 + n_edges] = -caps
+    upper[1 : 1 + n_edges] = caps
 
     c = np.zeros(n_vars)
     c[0] = volts.sum()
 
-    sol = solve_bounded_lp(BoundedLp(c, a, caps, lower, upper))
-    return _assemble(net, float(sol.x[0]), sol.x[1 : 1 + n_edges])
+    sol = solve_bounded_lp(BoundedLp(c, a, energy, lower, upper))
+    q = float(sol.x[0])
+    flows = tuple(float(v) for v in sol.x[1 : 1 + n_edges])
+    return float((q * volts).sum()), flows
 
 
 def cut_form_energy(energy_kwh, volts_v, pairs, caps_kwh) -> np.ndarray:
@@ -174,24 +138,15 @@ def cut_form_energy(energy_kwh, volts_v, pairs, caps_kwh) -> np.ndarray:
     energy = np.asarray(energy_kwh, dtype=float)
     volts = np.asarray(volts_v, dtype=float)
     caps = np.asarray(caps_kwh, dtype=float)
-    if energy.ndim != 2 or volts.shape != energy.shape:
+    if energy.ndim != 2:
         raise ValueError("energy_kwh and volts_v must be equal (packs x n) arrays")
-    n = energy.shape[1]
-    if n < 1:
-        raise ValueError("a series string needs at least one module")
-    _check_cut_size(n)
     if caps.ndim != 2 or caps.shape[1] != len(pairs):
         raise ValueError("caps_kwh must hold one cap per edge in every row")
-    if not (np.all(energy >= 0) and np.all(volts > 0) and np.all(caps >= 0)):
-        raise ValueError("energies and caps must be >= 0 and voltages > 0")
+    _check_wiring(energy, volts, pairs, caps)
+    n = energy.shape[1]
+    _check_cut_size(n)
     ids = np.arange(1 << n)
-    crossed = []
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n and i != j):
-            raise ValueError(
-                f"edge pairs must join two distinct modules of 0..{n - 1}"
-            )
-        crossed.append(((ids >> i) ^ (ids >> j)) & 1 == 1)
+    crossed = [((ids >> i) ^ (ids >> j)) & 1 == 1 for i, j in pairs]
 
     step = max(1, _CHUNK_ENTRIES >> n)
     q = np.empty((len(caps), len(energy)))
@@ -219,10 +174,10 @@ def uncapped_placement_energy(
     each placement takes the first one it leaves uncrossed.  Placements are
     evaluated in fixed-size chunks so memory stays bounded.
     """
-    pairs = _placement_pairs(batteries, placements)
     n = len(batteries)
     energy = np.array([[b.capacity_kwh for b in batteries]])
     volts = np.array([[b.voltage_v for b in batteries]])
+    pairs = _placement_pairs(energy, volts, placements)
     ratio = _subset_sums(energy)[0, 1:] / _subset_sums(volts)[0, 1:]
     order = np.argsort(ratio, kind="stable")
     ratio = ratio[order]
@@ -258,10 +213,10 @@ def uncapped_min_peak(
     up to its own tie slack.  Placements are evaluated in fixed-size chunks
     so memory stays bounded.
     """
-    pairs = _placement_pairs(batteries, placements)
     n = len(batteries)
     volts = np.array([b.voltage_v for b in batteries])
     energy = np.array([b.capacity_kwh for b in batteries])
+    pairs = _placement_pairs(energy, volts, placements)
     # The string energy per module exactly as min_peak_flow fixes it.
     string = volts * (output_kwh / volts.sum())
     need = _subset_sums((string - energy)[None, :])[0, 1:]
@@ -280,17 +235,16 @@ def uncapped_min_peak(
 
 
 def _placement_pairs(
-    batteries: tuple[BatteryModule, ...],
+    energy: np.ndarray,
+    volts: np.ndarray,
     placements: Sequence[tuple[tuple[int, int], ...]],
 ) -> np.ndarray:
     """Checked (placements x edges x 2) module indices of one pack's placements.
 
-    The array is filled from a flat iterator over the pairs, without an
-    intermediate nested-sequence conversion.
+    ``energy`` and ``volts`` are the pack's module arrays; the edges are
+    uncapped.  The array is filled from a flat iterator over the pairs,
+    without an intermediate nested-sequence conversion.
     """
-    _check_network(FlowNetwork(tuple(batteries)))
-    n = len(batteries)
-    _check_cut_size(n)
     m = len(placements[0]) if len(placements) else 0
     if m == 0 or any(len(p) != m for p in placements):
         raise ValueError("placements must be equal-size tuples of module pairs")
@@ -299,9 +253,45 @@ def _placement_pairs(
         dtype=np.dtype((np.intp, 2)),
         count=len(placements) * m,
     ).reshape(len(placements), m, 2)
-    if pairs.min() < 0 or pairs.max() >= n or np.any(pairs[..., 0] == pairs[..., 1]):
-        raise ValueError(f"placement pairs must join two distinct modules of 0..{n - 1}")
+    _check_wiring(energy, volts, pairs, np.empty(0))
+    _check_cut_size(energy.shape[-1])
     return pairs
+
+
+def _one_string(energy_kwh, volts_v, pairs, caps_kwh):
+    """Checked energy, voltage and cap arrays of one wired string."""
+    energy = np.asarray(energy_kwh, dtype=float)
+    volts = np.asarray(volts_v, dtype=float)
+    caps = np.asarray(caps_kwh, dtype=float)
+    if energy.ndim != 1:
+        raise ValueError("energy_kwh and volts_v must be equal (n,) arrays")
+    if caps.shape != (len(pairs),):
+        raise ValueError("caps_kwh must hold one cap per edge")
+    _check_wiring(energy, volts, pairs, caps)
+    return energy, volts, caps
+
+
+def _check_wiring(energy, volts, pairs, caps) -> None:
+    """The one check of a wired series string's values.
+
+    ``energy`` and ``volts`` are equal arrays whose last axis is the n
+    modules; ``pairs`` is any array of ``(i, j)`` module pairs and ``caps``
+    any array of edge caps.  Energies and caps must be >= 0, which NaN is
+    not, voltages > 0, and every pair must join two distinct modules of
+    ``0..n-1``.  A pair listed more than once is legal: its caps add.
+    """
+    if volts.shape != energy.shape:
+        raise ValueError("energy_kwh and volts_v must be equal arrays")
+    n = energy.shape[-1]
+    if n < 1:
+        raise ValueError("a series string needs at least one module")
+    if not (np.all(energy >= 0) and np.all(volts > 0) and np.all(caps >= 0)):
+        raise ValueError("energies and caps must be >= 0 and voltages > 0")
+    ends = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if ends.size and (
+        ends.min() < 0 or ends.max() >= n or np.any(ends[:, 0] == ends[:, 1])
+    ):
+        raise ValueError(f"edge pairs must join two distinct modules of 0..{n - 1}")
 
 
 def _check_cut_size(n: int) -> None:
@@ -321,35 +311,32 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def min_peak_flow(net: FlowNetwork, required_output_kwh: float) -> FlowSolution:
+def min_peak_flow(
+    energy_kwh, volts_v, pairs, caps_kwh, required_output_kwh: float
+) -> tuple[float, ...]:
     """Meet a required output while minimizing the largest converter flow.
 
-    The string charge is fixed by the required output; the LP chooses edge
+    The wired string is given as for :func:`max_deliverable_energy`.  The
+    string charge is fixed by the required output; the LP chooses edge
     flows.  A first pass minimizes the peak ``max_e |f_e|`` and a second pass
     minimizes total moved energy at that peak, which pins the flow vector
-    for reporting and rating purposes.
+    for reporting and rating purposes.  Returns the edge flows.
     """
-    _check_network(net)
+    energy, volts, caps = _one_string(energy_kwh, volts_v, pairs, caps_kwh)
     if required_output_kwh < 0:
         raise ValueError("required_output_kwh must be nonnegative")
-
-    n = len(net.batteries)
-    volts = np.array([b.voltage_v for b in net.batteries])
-    caps = np.array([b.capacity_kwh for b in net.batteries])
     string = volts * (required_output_kwh / volts.sum())
 
-    edges = net.converter_edges
-    n_edges = len(edges)
-    if n_edges == 0:
-        if np.any(string > caps + 1e-9 * (1 + caps.max(initial=0.0))):
+    if len(pairs) == 0:
+        if np.any(string > energy + 1e-9 * (1 + energy.max(initial=0.0))):
             raise InfeasibleFlowError(
                 "required output exceeds the stringwise deliverable energy"
             )
-        return _assemble(net, float(required_output_kwh / volts.sum()), np.zeros(0))
+        return ()
 
-    peak = _solve_peak_pass(edges, string, caps)
-    flows = _solve_movement_pass(edges, string, caps, peak)
-    return _assemble(net, float(required_output_kwh / volts.sum()), flows)
+    peak = _solve_peak_pass(pairs, caps, string, energy)
+    flows = _solve_movement_pass(pairs, caps, string, energy, peak)
+    return tuple(float(v) for v in flows)
 
 
 def fpp_deliverable(energy_kwh, caps_kwh) -> np.ndarray:
@@ -376,27 +363,25 @@ def fpp_deliverable(energy_kwh, caps_kwh) -> np.ndarray:
     return total
 
 
-def _split_flow_rows(
-    edges: tuple[ConverterEdge, ...], string: np.ndarray, caps: np.ndarray
-):
-    """Battery rows over split flow variables ``f+ - f-`` with slacks."""
+def _split_flow_rows(pairs, string: np.ndarray, energy: np.ndarray):
+    """Module rows over split flow variables ``f+ - f-`` with slacks."""
     n = len(string)
-    n_edges = len(edges)
+    n_edges = len(pairs)
     a = np.zeros((n, 2 * n_edges))
-    for k, edge in enumerate(edges):
-        a[edge.from_battery, 2 * k] = 1.0
-        a[edge.to_battery, 2 * k] = -1.0
-        a[edge.from_battery, 2 * k + 1] = -1.0
-        a[edge.to_battery, 2 * k + 1] = 1.0
-    return a, caps - string
+    for k, (i, j) in enumerate(pairs):
+        a[i, 2 * k] = 1.0
+        a[j, 2 * k] = -1.0
+        a[i, 2 * k + 1] = -1.0
+        a[j, 2 * k + 1] = 1.0
+    return a, energy - string
 
 
 def _solve_peak_pass(
-    edges: tuple[ConverterEdge, ...], string: np.ndarray, caps: np.ndarray
+    pairs, caps: np.ndarray, string: np.ndarray, energy: np.ndarray
 ) -> float:
-    n, n_edges = len(string), len(edges)
-    flow_rows, room = _split_flow_rows(edges, string, caps)
-    # Columns: [t, f+-, pair slacks, battery slacks].
+    n, n_edges = len(string), len(pairs)
+    flow_rows, room = _split_flow_rows(pairs, string, energy)
+    # Columns: [t, f+-, pair slacks, module slacks].
     n_vars = 1 + 2 * n_edges + n_edges + n
     a = np.zeros((n_edges + n, n_vars))
     b = np.zeros(n_edges + n)
@@ -411,10 +396,7 @@ def _solve_peak_pass(
 
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
-    for k, edge in enumerate(edges):
-        if math.isfinite(edge.energy_cap_kwh):
-            upper[1 + 2 * k] = edge.energy_cap_kwh
-            upper[1 + 2 * k + 1] = edge.energy_cap_kwh
+    upper[1 : 1 + 2 * n_edges] = np.repeat(caps, 2)
 
     c = np.zeros(n_vars)
     c[0] = -1.0  # minimize the peak
@@ -422,29 +404,30 @@ def _solve_peak_pass(
         sol = solve_bounded_lp(BoundedLp(c, a, b, lower, upper))
     except LpInfeasible as exc:
         raise InfeasibleFlowError(
-            "required output exceeds the deliverable energy of this network"
+            "required output exceeds the deliverable energy of this string"
         ) from exc
     return float(sol.x[0])
 
 
 def _solve_movement_pass(
-    edges: tuple[ConverterEdge, ...],
-    string: np.ndarray,
+    pairs,
     caps: np.ndarray,
+    string: np.ndarray,
+    energy: np.ndarray,
     peak: float,
 ) -> np.ndarray:
-    n, n_edges = len(string), len(edges)
-    flow_rows, room = _split_flow_rows(edges, string, caps)
+    n, n_edges = len(string), len(pairs)
+    flow_rows, room = _split_flow_rows(pairs, string, energy)
     peak_bound = peak * (1 + 1e-9) + 1e-12
-    # Columns: [f+-, pair slacks, battery slacks].
+    # Columns: [f+-, pair slacks, module slacks].
     n_vars = 2 * n_edges + n_edges + n
     a = np.zeros((n_edges + n, n_vars))
     b = np.zeros(n_edges + n)
-    for k, edge in enumerate(edges):  # f+ + f- + w_k = min(cap, peak)
+    for k in range(n_edges):  # f+ + f- + w_k = min(cap, peak)
         a[k, 2 * k] = 1.0
         a[k, 2 * k + 1] = 1.0
         a[k, 2 * n_edges + k] = 1.0
-        b[k] = min(edge.energy_cap_kwh, peak_bound)
+    b[:n_edges] = np.minimum(caps, peak_bound)
     a[n_edges:, : 2 * n_edges] = flow_rows
     a[n_edges:, 2 * n_edges + n_edges :] = np.eye(n)
     b[n_edges:] = room
@@ -459,18 +442,3 @@ def _solve_movement_pass(
         raise InfeasibleFlowError("movement pass infeasible") from exc
     split = sol.x[: 2 * n_edges]
     return split[0::2] - split[1::2]
-
-
-def _assemble(net: FlowNetwork, q: float, flows: np.ndarray) -> FlowSolution:
-    volts = np.array([b.voltage_v for b in net.batteries])
-    string = q * volts
-    extraction = string.copy()
-    for k, edge in enumerate(net.converter_edges):
-        extraction[edge.from_battery] += flows[k]
-        extraction[edge.to_battery] -= flows[k]
-    return FlowSolution(
-        string_energy=tuple(float(v) for v in string),
-        edge_flows=tuple(float(v) for v in flows),
-        extraction=tuple(float(v) for v in extraction),
-        total_output=float(string.sum()),
-    )

@@ -17,6 +17,7 @@ __all__ = [
     "grid_ev_energy_gap",
     "derating_factor",
     "captured_value",
+    "utilization_stats",
 ]
 
 
@@ -49,6 +50,18 @@ def grid_ev_energy_gap(
     if grid_kw < 0:
         raise ValueError("grid_kw must be nonnegative")
     return demand_kwh - grid_kw * interval_h
+
+
+def utilization_stats(samples) -> tuple[float, float, float, float, float]:
+    """Mean, population std, p90 - p10, p10 and p90 of a flat sample.
+
+    The order is that of the utilization columns of the tradeoff and
+    dispersion tables.
+    """
+    arr = np.asarray(samples, dtype=float)
+    p10 = float(np.quantile(arr, 0.1))
+    p90 = float(np.quantile(arr, 0.9))
+    return float(arr.mean()), float(arr.std()), p90 - p10, p10, p90
 
 
 def derating_factor(output_samples) -> float:

@@ -408,35 +408,38 @@ def _serve(start_h, demand_kwh, capacity, horizon_h, grid, charger, bess_power):
     full_power, bess_kw, full_h, curtailed_h, delivered, unmet, recharge_h = (
         _phases(capacity, grid_kw, demand_kwh, charger, bess_power)
     )
-    room = horizon_h - start_h
-    # Day ends mid full-power phase.
-    in_full = full_h > room
-    in_curtailed = ~in_full & (full_h + curtailed_h > room)
-    truncated = in_full | in_curtailed
-    # Service completed; only the refill (maybe endless) is cut short by the
-    # day's end.
-    in_recharge = ~truncated & (full_h + curtailed_h + recharge_h > room)
-    cut_curtailed = room - full_h
-    unmet = np.where(
-        in_full,
-        demand_kwh - full_power * room,
-        np.where(
-            in_curtailed,
-            demand_kwh - full_power * full_h - grid_kw * cut_curtailed,
-            unmet,
-        ),
-    )
-    recharge_h = np.where(
-        truncated,
-        0.0,
-        np.where(in_recharge, room - full_h - curtailed_h, recharge_h),
-    )
-    curtailed_h = np.where(
-        in_full, 0.0, np.where(in_curtailed, cut_curtailed, curtailed_h)
-    )
-    delivered = np.where(in_full, bess_kw * room, delivered)
-    full_h = np.where(in_full, room, full_h)
-    end = start_h + full_h + curtailed_h + recharge_h
+    # An endless refill is an outcome, not an error: sums that overflow to
+    # infinity only ever exceed the room left in the day.
+    with np.errstate(over="ignore"):
+        room = horizon_h - start_h
+        # Day ends mid full-power phase.
+        in_full = full_h > room
+        in_curtailed = ~in_full & (full_h + curtailed_h > room)
+        truncated = in_full | in_curtailed
+        # Service completed; only the refill (maybe endless) is cut short by
+        # the day's end.
+        in_recharge = ~truncated & (full_h + curtailed_h + recharge_h > room)
+        cut_curtailed = room - full_h
+        unmet = np.where(
+            in_full,
+            demand_kwh - full_power * room,
+            np.where(
+                in_curtailed,
+                demand_kwh - full_power * full_h - grid_kw * cut_curtailed,
+                unmet,
+            ),
+        )
+        recharge_h = np.where(
+            truncated,
+            0.0,
+            np.where(in_recharge, room - full_h - curtailed_h, recharge_h),
+        )
+        curtailed_h = np.where(
+            in_full, 0.0, np.where(in_curtailed, cut_curtailed, curtailed_h)
+        )
+        delivered = np.where(in_full, bess_kw * room, delivered)
+        full_h = np.where(in_full, room, full_h)
+        end = start_h + full_h + curtailed_h + recharge_h
     # A refill with no grid power can never complete.
     end = np.where((delivered > 0) & (grid_kw <= 0), math.inf, end)
     cycle = (

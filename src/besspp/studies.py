@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 import besspp
-from besspp.architectures import assemble_network, split_budget, validate_network
+from besspp.architectures import split_budget
 from besspp.designer import (
     derive_seed,
     design_layer1,
@@ -41,6 +41,7 @@ from besspp.metrics import (
     derating_factor,
     grid_ev_energy_gap,
     system_efficiency,
+    utilization_stats,
 )
 from besspp.plaza import (
     ArrivalModel,
@@ -570,31 +571,17 @@ def _dispersion_rows(
                 plaza.bess_power_kw,
             )
             utils = phases.bess_delivered_kwh / pack_totals
-            mean = float(utils.mean())
-            p10 = float(np.quantile(utils, 0.1))
-            p90 = float(np.quantile(utils, 0.9))
+            stats = utilization_stats(utils)
+            mean, _, idr, _, _ = stats
             rating = derating_factor(utils) if mean > 0 else math.nan
             rows.append(
-                (
-                    kind,
-                    k_int,
-                    start_h,
-                    demand,
-                    grid_kw,
-                    gaps[k_int],
-                    mean,
-                    float(utils.std()),
-                    p90 - p10,
-                    p10,
-                    p90,
-                    rating,
-                )
+                (kind, k_int, start_h, demand, grid_kw, gaps[k_int], *stats, rating)
             )
             if k_int == worst:
                 worst_stats = {
                     "derating_factor": rating,
                     "utilization_at_worst_gap": mean,
-                    "utilization_idr_at_worst_gap": p90 - p10,
+                    "utilization_idr_at_worst_gap": idr,
                     "worst_gap_kwh": gaps[k_int],
                     "worst_interval_start_h": start_h,
                 }
@@ -767,9 +754,9 @@ def run_ensemble(
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Structural check of every architecture the scenario will build.
 
-    Every configured architecture is split over the expected set; the
-    string kinds are also assembled into a network and validated, while
-    fpp, which has no series string, is checked by its split alone.
+    Each configured architecture must match the supply's module count and
+    split its budget over the expected set.  A split of a constructed
+    scenario is a valid wiring by construction, so nothing more is checked.
     """
     problems: list[str] = []
     expected = flatten_distribution(scenario.supply, scenario.n_modules)
@@ -782,13 +769,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 f"match the supply ({scenario.n_modules})"
             )
             continue
-        split = split_budget(
+        split_budget(
             config.kind, scenario.n_modules, config.rating_r, expected.total_kwh,
             horizon, layer1,
         )
-        if split.pairs:
-            net = assemble_network(expected.batteries, split, horizon)
-            problems.extend(
-                f"{config.kind.value}: {issue}" for issue in validate_network(net)
-            )
     return problems

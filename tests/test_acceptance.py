@@ -22,13 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besspp.architectures import (
-    SPARSE_LAYER,
-    ArchitectureKind,
-    BudgetSplit,
-    assemble_network,
-    layer1_aggregate_kwh,
-)
+from besspp.architectures import ArchitectureKind, BudgetSplit, layer1_aggregate_kwh
 from besspp.cli import main
 from besspp.designer import (
     derive_seed,
@@ -36,7 +30,7 @@ from besspp.designer import (
     enumerate_placements,
     tradeoff_curve,
 )
-from besspp.flows import ConverterEdge, FlowNetwork, max_deliverable_energy
+from besspp.flows import max_deliverable_energy
 from besspp.metrics import MetricReport, system_efficiency
 from besspp.plaza import (
     ArrivalModel,
@@ -48,10 +42,10 @@ from besspp.plaza import (
 )
 from besspp.scenario import default_scenario, scenario_to_dict
 from besspp.studies import _minute_series, run_ensemble
-from besspp.supply import BatteryModule, flatten_distribution, sample_pack
+from besspp.supply import flatten_distribution, sample_pack
 
 from plaza_oracle import lane_cycles
-from test_flows import random_network, vertex_oracle
+from test_flows import extraction, random_string, vertex_oracle, wiring
 
 TOL = 1e-8
 
@@ -84,6 +78,8 @@ def tradeoff_points():
         )
         for i in range(100)
     ]
+    expected = flatten_distribution(scenario.supply, scenario.n_modules)
+    layer1 = design_layer1(expected, scenario.n_layer1, scenario.design_horizon_h)
     curves = {}
     for kind in ("lshippp", "cppp", "fpp"):
         points = tradeoff_curve(
@@ -91,8 +87,8 @@ def tradeoff_points():
             scenario.supply,
             list(R_GRID),
             packs,
-            n_layer1=scenario.n_layer1,
             horizon_h=scenario.design_horizon_h,
+            layer1=layer1,
         )
         curves[kind] = {round(p.rating_r, 6): p for p in points}
     return curves
@@ -170,26 +166,22 @@ def test_criterion_3_system_efficiency():
 
 
 def test_criterion_4_lp_oracle_equivalence():
-    def chain(cap: float) -> FlowNetwork:
-        return FlowNetwork(
-            tuple(BatteryModule(c, 1.0) for c in (3.0, 4.0, 5.0)),
-            (ConverterEdge(0, 1, cap), ConverterEdge(1, 2, cap)),
+    def chain(cap: float) -> float:
+        total, _ = max_deliverable_energy(
+            [3.0, 4.0, 5.0], [1.0] * 3, [(0, 1), (1, 2)], [cap, cap]
         )
+        return total
 
     with criterion(4, "flow LP matches vertex enumeration"):
-        assert max_deliverable_energy(chain(1.0)).total_output == pytest.approx(
-            12.0, abs=TOL
-        )
-        assert max_deliverable_energy(chain(0.5)).total_output == pytest.approx(
-            10.5, abs=TOL
-        )
+        assert chain(1.0) == pytest.approx(12.0, abs=TOL)
+        assert chain(0.5) == pytest.approx(10.5, abs=TOL)
         rng = np.random.Generator(
             np.random.Philox(key=derive_seed(20240915, "acceptance-oracle"))
         )
         for _ in range(200):
-            net = random_network(rng)
-            got = max_deliverable_energy(net).total_output
-            want = vertex_oracle(net)
+            string = random_string(rng)
+            got, _ = max_deliverable_energy(*string)
+            want = vertex_oracle(*string)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
 
 
@@ -225,50 +217,35 @@ def _edges_for(n, caps_range=(0.0, 5.0)):
 
 
 def _network_with_edges():
+    """A wired string, ``(energy, volts, pairs, caps)``."""
     return _module_strategy().flatmap(
         lambda mv: _edges_for(len(mv[0])).map(
-            lambda ec: FlowNetwork(
-                tuple(
-                    BatteryModule(c, v) for c, v in zip(mv[0], mv[1])
-                ),
-                tuple(
-                    ConverterEdge(i, j, cap)
-                    for (i, j), cap in zip(ec[0], ec[1])
-                ),
-            )
+            lambda ec: (mv[0], mv[1], tuple(ec[0]), tuple(ec[1]))
         )
     )
 
 
 @settings(max_examples=1000)
-@given(net=_network_with_edges())
-def prop_flow_conservation(net):
-    sol = max_deliverable_energy(net)
-    assert sum(sol.extraction) == pytest.approx(sol.total_output, abs=1e-6)
-    outflow = [0.0] * len(net.batteries)
-    for edge, flow in zip(net.converter_edges, sol.edge_flows):
-        outflow[edge.from_battery] += flow
-        outflow[edge.to_battery] -= flow
-        assert abs(flow) <= edge.energy_cap_kwh + TOL
-    for j, battery in enumerate(net.batteries):
-        assert sol.extraction[j] == pytest.approx(
-            sol.string_energy[j] + outflow[j], abs=1e-7
-        )
-        assert sol.extraction[j] <= battery.capacity_kwh + TOL
+@given(string=_network_with_edges())
+def prop_flow_conservation(string):
+    energy, _, _, caps = string
+    total, flows = max_deliverable_energy(*string)
+    taken = extraction(*string, total, flows)
+    assert sum(taken) == pytest.approx(total, abs=1e-6)
+    for flow, cap in zip(flows, caps):
+        assert abs(flow) <= cap + TOL
+    for taken_j, energy_j in zip(taken, energy):
+        assert taken_j <= energy_j + TOL
 
 
 @settings(max_examples=1000)
 @given(data=_module_strategy(), n_zero_edges=st.integers(0, 3))
 def prop_zero_cap_matches_series_string(data, n_zero_edges):
     caps, volts = data
-    batteries = tuple(BatteryModule(c, v) for c, v in zip(caps, volts))
-    pairs = list(itertools.combinations(range(len(caps)), 2))
-    edges = tuple(
-        ConverterEdge(i, j, 0.0) for i, j in pairs[:n_zero_edges]
-    )
-    got = max_deliverable_energy(FlowNetwork(batteries, edges)).total_output
-    charge = min(b.capacity_kwh / b.voltage_v for b in batteries)
-    want = charge * sum(b.voltage_v for b in batteries)
+    pairs = list(itertools.combinations(range(len(caps)), 2))[:n_zero_edges]
+    got, _ = max_deliverable_energy(caps, volts, pairs, [0.0] * len(pairs))
+    charge = min(c / v for c, v in zip(caps, volts))
+    want = charge * sum(volts)
     assert got == pytest.approx(want, abs=1e-7)
 
 
@@ -276,27 +253,20 @@ def prop_zero_cap_matches_series_string(data, n_zero_edges):
 @given(data=_module_strategy())
 def prop_saturated_caps_reach_full_energy(data):
     caps, volts = data
-    batteries = tuple(BatteryModule(c, v) for c, v in zip(caps, volts))
     big = sum(caps) + 1.0
-    edges = tuple(
-        ConverterEdge(j, j + 1, big) for j in range(len(caps) - 1)
-    )
-    got = max_deliverable_energy(FlowNetwork(batteries, edges)).total_output
+    ladder = [(j, j + 1) for j in range(len(caps) - 1)]
+    got, _ = max_deliverable_energy(caps, volts, ladder, [big] * len(ladder))
     assert got == pytest.approx(sum(caps), abs=1e-6)
 
 
 @settings(max_examples=1000)
-@given(net=_network_with_edges(), scale=st.floats(0.0, 1.0, allow_nan=False))
-def prop_cap_monotonicity(net, scale):
-    shrunk = FlowNetwork(
-        net.batteries,
-        tuple(
-            ConverterEdge(e.from_battery, e.to_battery, e.energy_cap_kwh * scale)
-            for e in net.converter_edges
-        ),
+@given(string=_network_with_edges(), scale=st.floats(0.0, 1.0, allow_nan=False))
+def prop_cap_monotonicity(string, scale):
+    energy, volts, pairs, caps = string
+    full, _ = max_deliverable_energy(*string)
+    small, _ = max_deliverable_energy(
+        energy, volts, pairs, [cap * scale for cap in caps]
     )
-    full = max_deliverable_energy(net).total_output
-    small = max_deliverable_energy(shrunk).total_output
     assert small <= full + 1e-7
 
 
@@ -327,12 +297,11 @@ def prop_sparse_layer_flows_within_ratings(pack_seed, lambda_h):
         rung,
         lambda_h,
     )
-    net = assemble_network(modules, split, 2.25)
-    sol = max_deliverable_energy(net)
+    _, flows = max_deliverable_energy(*wiring(modules, split.pairs, split.caps_kwh))
     cap1 = layer1.rating_kw * 2.25
     cap2 = lambda_h * len(layer1.edges) * cap1 / (len(modules) - 1)
-    for edge, flow in zip(net.converter_edges, sol.edge_flows):
-        limit = cap1 if edge.layer == SPARSE_LAYER else cap2
+    for k, flow in enumerate(flows):
+        limit = cap1 if k < len(layer1.edges) else cap2
         assert abs(flow) <= limit + 1e-7
 
 

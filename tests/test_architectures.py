@@ -3,21 +3,24 @@ import math
 import pytest
 
 from besspp.architectures import (
-    ADJACENT_LAYER,
-    SPARSE_LAYER,
     ArchitectureConfig,
     ArchitectureKind,
     BudgetSplit,
     ConfigurationError,
-    assemble_network,
     layer1_aggregate_kwh,
     split_budget,
     split_lambda,
-    validate_network,
 )
-from besspp.designer import design_layer1
-from besspp.flows import ConverterEdge, FlowNetwork, max_deliverable_energy
+from besspp.designer import design_layer1, sweep_energy
+from besspp.flows import (
+    cut_form_energy,
+    max_deliverable_energy,
+    min_peak_flow,
+    uncapped_placement_energy,
+)
 from besspp.supply import BatteryModule, ExpectedSet
+
+from test_flows import wiring
 
 
 def pack(*caps: float) -> tuple[BatteryModule, ...]:
@@ -75,35 +78,32 @@ class TestConfig:
         assert config.kind is ArchitectureKind.CPPP
 
 
-def cppp_network(modules, rating_r, horizon_h, basis=None):
-    """The cppp network whose budget is ``rating_r`` times the pack's energy."""
+def cppp_split(modules, rating_r, horizon_h, basis=None):
+    """The cppp split whose budget is ``rating_r`` times the pack's energy."""
     if basis is None:
         basis = sum(b.capacity_kwh for b in modules)
-    split = split_budget("cppp", len(modules), rating_r, basis, horizon_h)
-    return assemble_network(modules, split, horizon_h)
+    return split_budget("cppp", len(modules), rating_r, basis, horizon_h)
 
 
-def lshippp_network(modules, layer1, lambda_h):
+def lshippp_split(modules, layer1, lambda_h):
     """Layer 1 at its procured rating plus a ``lambda_h`` ladder."""
     n = len(modules)
     cap1 = layer1.rating_kw * layer1.horizon_h
     rung = lambda_h * layer1_aggregate_kwh(layer1, layer1.horizon_h) / (n - 1)
     ladder = tuple((j, j + 1) for j in range(n - 1))
-    split = BudgetSplit(
+    return BudgetSplit(
         ArchitectureKind.LSHIPPP,
         tuple(layer1.edges) + ladder,
         (cap1,) * len(layer1.edges) + (rung,) * (n - 1),
         rung,
         lambda_h,
     )
-    return assemble_network(modules, split, layer1.horizon_h)
 
 
-def budget_network(modules, layer1, rating_r):
-    """The lshippp network and ``lambda_h`` of a total budget ``rating_r``."""
+def budget_split(modules, layer1, rating_r):
+    """The lshippp split of a total budget ``rating_r``."""
     basis = sum(b.capacity_kwh for b in modules)
-    split = split_budget("lshippp", len(modules), rating_r, basis, 1.0, layer1)
-    return assemble_network(modules, split, 1.0), split.lambda_h
+    return split_budget("lshippp", len(modules), rating_r, basis, 1.0, layer1)
 
 
 class TestFppBuilder:
@@ -125,91 +125,77 @@ class TestFppBuilder:
 
 class TestCpppBuilder:
     def test_adjacent_ladder(self):
-        net = cppp_network(pack(3, 4, 5), rating_r=0.5, horizon_h=1.0)
-        assert [
-            (e.from_battery, e.to_battery) for e in net.converter_edges
-        ] == [(0, 1), (1, 2)]
-        assert all(e.layer == ADJACENT_LAYER for e in net.converter_edges)
+        split = cppp_split(pack(3, 4, 5), rating_r=0.5, horizon_h=1.0)
+        assert split.pairs == ((0, 1), (1, 2))
         # Budget 0.5 * 12 split over 2 rungs.
-        assert [e.energy_cap_kwh for e in net.converter_edges] == pytest.approx(
-            [3.0, 3.0]
-        )
+        assert split.caps_kwh == pytest.approx((3.0, 3.0))
 
     def test_budget_invariant_exact(self):
-        net = cppp_network(pack(2, 2, 2, 2), 0.123, 1.5)
-        total = sum(e.energy_cap_kwh for e in net.converter_edges)
-        assert total == pytest.approx(0.123 * 8.0, abs=1e-12)
+        split = cppp_split(pack(2, 2, 2, 2), 0.123, 1.5)
+        assert sum(split.caps_kwh) == pytest.approx(0.123 * 8.0, abs=1e-12)
 
     def test_zero_rating_allowed(self):
-        net = cppp_network(pack(3, 4, 5), 0.0, 1.0)
-        assert all(e.energy_cap_kwh == 0.0 for e in net.converter_edges)
-        sol = max_deliverable_energy(net)
-        assert sol.total_output == pytest.approx(9.0)
+        modules = pack(3, 4, 5)
+        split = cppp_split(modules, 0.0, 1.0)
+        assert all(cap == 0.0 for cap in split.caps_kwh)
+        total, _ = max_deliverable_energy(*wiring(modules, split.pairs, split.caps_kwh))
+        assert total == pytest.approx(9.0)
 
 
 class TestLshipppBuilder:
     def test_two_layer_structure(self, layer1_345):
-        net = lshippp_network(pack(3, 4, 5), layer1_345, lambda_h=1.0)
-        layers = [e.layer for e in net.converter_edges]
-        assert layers == [SPARSE_LAYER, ADJACENT_LAYER, ADJACENT_LAYER]
+        # The designed layer first, then the adjacent ladder.
+        split = lshippp_split(pack(3, 4, 5), layer1_345, lambda_h=1.0)
+        assert split.pairs == layer1_345.edges + ((0, 1), (1, 2))
+        assert split_lambda(layer1_345, 1.0).pairs == split.pairs
 
     def test_identical_layer1_caps(self, layer1_345):
-        net = lshippp_network(pack(3, 4, 5), layer1_345, 0.5)
-        sparse = [e for e in net.converter_edges if e.layer == SPARSE_LAYER]
+        split = lshippp_split(pack(3, 4, 5), layer1_345, 0.5)
         cap = layer1_345.rating_kw * 1.0
-        assert [e.energy_cap_kwh for e in sparse] == pytest.approx([cap])
+        assert split.caps_kwh[:1] == pytest.approx((cap,))
 
     def test_ladder_cap_from_lambda(self, layer1_345):
         lam = 0.8
-        net = assemble_network(pack(3, 4, 5), split_lambda(layer1_345, lam), 1.0)
-        ladder = [e for e in net.converter_edges if e.layer == ADJACENT_LAYER]
+        split = split_lambda(layer1_345, lam)
         layer1_aggregate = 1 * layer1_345.rating_kw * 1.0
         expected = lam * layer1_aggregate / 2
-        assert [e.energy_cap_kwh for e in ladder] == pytest.approx(
-            [expected, expected]
-        )
+        assert split.caps_kwh[1:] == pytest.approx((expected, expected))
 
     def test_budget_invariant(self, layer1_345):
         lam = 1.3
-        net = lshippp_network(pack(3, 4, 5), layer1_345, lam)
-        total = sum(e.energy_cap_kwh for e in net.converter_edges)
+        split = lshippp_split(pack(3, 4, 5), layer1_345, lam)
         layer1_aggregate = layer1_345.rating_kw * 1.0
-        assert total == pytest.approx((1 + lam) * layer1_aggregate)
+        assert sum(split.caps_kwh) == pytest.approx((1 + lam) * layer1_aggregate)
 
     def test_mismatched_pack_size(self, layer1_345):
         with pytest.raises(ConfigurationError):
             split_budget("lshippp", 4, 0.25, 18.0, 1.0, layer1_345)
-        with pytest.raises(ConfigurationError, match="ladder"):
-            assemble_network(pack(3, 4, 5, 6), split_lambda(layer1_345, 1.0), 1.0)
 
 
 class TestBudgetedLshippp:
     def test_surplus_goes_to_ladder(self, layer1_345):
         # Layer 1 needs rating * T = 1 kWh of cap; budget 0.25 * 12 = 3.
-        net, lam = budget_network(pack(3, 4, 5), layer1_345, 0.25)
+        split = budget_split(pack(3, 4, 5), layer1_345, 0.25)
         layer1_aggregate = layer1_345.rating_kw * 1.0
-        assert lam == pytest.approx((3.0 - layer1_aggregate) / layer1_aggregate)
-        total = sum(e.energy_cap_kwh for e in net.converter_edges)
-        assert total == pytest.approx(3.0)
+        assert split.lambda_h == pytest.approx(
+            (3.0 - layer1_aggregate) / layer1_aggregate
+        )
+        assert sum(split.caps_kwh) == pytest.approx(3.0)
 
     def test_below_design_point_scales_layer1(self, layer1_345):
         # Budget smaller than the designed layer-1 aggregate: no ladder.
         layer1_aggregate = layer1_345.rating_kw * 1.0
         r_small = 0.5 * layer1_aggregate / 12.0
-        net, lam = budget_network(pack(3, 4, 5), layer1_345, r_small)
-        assert lam == 0.0
-        sparse = [e for e in net.converter_edges if e.layer == SPARSE_LAYER]
-        assert sum(e.energy_cap_kwh for e in sparse) == pytest.approx(
-            0.5 * layer1_aggregate
-        )
-        ladder = [e for e in net.converter_edges if e.layer == ADJACENT_LAYER]
-        assert all(e.energy_cap_kwh == 0.0 for e in ladder)
+        split = budget_split(pack(3, 4, 5), layer1_345, r_small)
+        assert split.lambda_h == 0.0
+        m = len(layer1_345.edges)
+        assert sum(split.caps_kwh[:m]) == pytest.approx(0.5 * layer1_aggregate)
+        assert all(cap == 0.0 for cap in split.caps_kwh[m:])
 
     def test_total_budget_invariant(self, layer1_345):
         for r in (0.05, 0.1, 0.2, 0.4, 0.8):
-            net, _ = budget_network(pack(3, 4, 5), layer1_345, r)
-            total = sum(e.energy_cap_kwh for e in net.converter_edges)
-            assert total == pytest.approx(r * 12.0, abs=1e-9)
+            split = budget_split(pack(3, 4, 5), layer1_345, r)
+            assert sum(split.caps_kwh) == pytest.approx(r * 12.0, abs=1e-9)
 
 
 class TestBudgetSplit:
@@ -242,9 +228,10 @@ class TestBudgetSplit:
         assert sum(split.caps_kwh) == pytest.approx(rating_r * basis, rel=1e-12)
 
     def test_fpp_split_has_no_network(self):
+        # No string edges: the sweep takes the closed form, one cap a module.
         split = split_budget("fpp", 3, 0.5, 12.0, 1.0)
-        with pytest.raises(ConfigurationError, match="no series string"):
-            assemble_network(pack(3, 4, 5), split, 1.0)
+        assert split.pairs == ()
+        assert sweep_energy([pack(3, 4, 5)], [split]) == [[2.0 + 2.0 + 2.0]]
 
     def test_lshippp_needs_a_layer1_design(self):
         with pytest.raises(ConfigurationError, match="layer-1 design"):
@@ -260,43 +247,52 @@ class TestBudgetSplit:
             split_lambda(layer1_345, -0.1)
 
 
+def every_evaluator(modules, pairs, caps) -> None:
+    """Evaluate one wired string by the cut form and both LPs."""
+    string = wiring(modules, pairs, caps)
+    cut_form_energy([string[0]], [string[1]], pairs, [caps])
+    max_deliverable_energy(*string)
+    min_peak_flow(*string, 0.0)
+
+
 class TestValidateNetwork:
+    """One wiring check guards the cut form, both LPs and the placements."""
+
     def test_valid_network_is_clean(self):
-        net = FlowNetwork(pack(3, 4, 5), (ConverterEdge(0, 2, 1.0),), 1.0)
-        assert validate_network(net) == []
+        every_evaluator(pack(3, 4, 5), [(0, 2)], [1.0])
 
     def test_self_loop(self):
-        net = FlowNetwork(pack(3, 4), (ConverterEdge(1, 1, 1.0),), 1.0)
-        assert any("self" in p for p in validate_network(net))
+        with pytest.raises(ValueError, match="distinct modules"):
+            every_evaluator(pack(3, 4), [(1, 1)], [1.0])
+        with pytest.raises(ValueError, match="distinct modules"):
+            uncapped_placement_energy(pack(3, 4), [((1, 1),)])
 
     def test_index_out_of_range(self):
-        net = FlowNetwork(pack(3, 4), (ConverterEdge(0, 5, 1.0),), 1.0)
-        assert validate_network(net)
+        for pair in ((0, 5), (-1, 0)):
+            with pytest.raises(ValueError, match="distinct modules of 0..1"):
+                every_evaluator(pack(3, 4), [pair], [1.0])
+            with pytest.raises(ValueError, match="distinct modules of 0..1"):
+                uncapped_placement_energy(pack(3, 4), [(pair,)])
 
     def test_negative_cap(self):
-        net = FlowNetwork(pack(3, 4), (ConverterEdge(0, 1, -2.0),), 1.0)
-        assert any("cap" in p for p in validate_network(net))
-
-    def test_duplicate_pair_same_layer(self):
-        edges = (ConverterEdge(0, 1, 1.0), ConverterEdge(1, 0, 1.0))
-        net = FlowNetwork(pack(3, 4), edges, 1.0)
-        assert any("duplicate" in p for p in validate_network(net))
+        for cap in (-2.0, math.nan):
+            with pytest.raises(ValueError, match="caps must be >= 0"):
+                every_evaluator(pack(3, 4), [(0, 1)], [cap])
 
     def test_duplicate_pair_other_layer_ok(self):
-        edges = (
-            ConverterEdge(0, 1, 1.0, layer=1),
-            ConverterEdge(0, 1, 1.0, layer=2),
+        # A layer-1 edge and a ladder rung on one pair, as lshippp splits
+        # wire them: legal, and their caps add.
+        modules = pack(3, 5)
+        every_evaluator(modules, [(0, 1), (0, 1)], [0.25, 0.5])
+        twice, _ = max_deliverable_energy(
+            *wiring(modules, [(0, 1), (1, 0)], [0.25, 0.5])
         )
-        net = FlowNetwork(pack(3, 4), edges, 1.0)
-        assert validate_network(net) == []
-
-    def test_bad_horizon(self):
-        net = FlowNetwork(pack(3, 4), (), 0.0)
-        assert any("horizon" in p for p in validate_network(net))
-
-    def test_bad_layer_tag(self):
-        net = FlowNetwork(pack(3, 4), (ConverterEdge(0, 1, 1.0, layer=3),), 1.0)
-        assert any("layer" in p for p in validate_network(net))
+        once, _ = max_deliverable_energy(*wiring(modules, [(0, 1)], [0.75]))
+        assert twice == pytest.approx(once) == pytest.approx(7.5)
+        ((cut,),) = cut_form_energy(
+            [[3.0, 5.0]], [[50.0, 50.0]], [(0, 1)] * 2, [[0.25, 0.5]]
+        )
+        assert cut == pytest.approx(7.5)
 
 
 class TestEfficiencyAcrossRatings:

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from besspp import flows
-from besspp.architectures import assemble_network, split_budget, split_lambda
+from besspp.architectures import ConfigurationError, split_budget, split_lambda
 from besspp.designer import (
     _TIE_RTOL,
     MAX_PLACEMENTS,
     _make_point,
     _tied_candidates,
-    _uncapped_network,
     default_lambda_grid,
     derive_seed,
     design_layer1,
@@ -23,8 +22,6 @@ from besspp.designer import (
     tradeoff_curve,
 )
 from besspp.flows import (
-    ConverterEdge,
-    FlowNetwork,
     max_deliverable_energy,
     min_peak_flow,
     uncapped_min_peak,
@@ -39,7 +36,7 @@ from besspp.supply import (
     sample_pack,
 )
 
-from test_flows import cut_reference
+from test_flows import cut_reference, wiring
 
 # Expected pack energy over the 150 kW rating for the 9-module reference.
 HORIZON_H = 2.25
@@ -153,6 +150,11 @@ class TestDesignLayer1:
             assert design.expected_output_kwh == pytest.approx(best)
 
 
+def uncapped(expected, placement):
+    """The expected set wired by ``placement``, every edge uncapped."""
+    return wiring(expected.batteries, placement, [math.inf] * len(placement))
+
+
 def lp_loop_design(expected, n_edges: int, horizon_h: float):
     """The search's tie-break by one min-peak LP per tied placement.
 
@@ -164,12 +166,11 @@ def lp_loop_design(expected, n_edges: int, horizon_h: float):
     best_output, candidates = _tied_candidates(placements, outputs)
     winner, flows_kwh, best_peak, peaks = None, (), math.inf, []
     for placement in candidates:
-        net = _uncapped_network(expected.batteries, placement, horizon_h)
-        sol = min_peak_flow(net, best_output)
-        peak = max(abs(f) for f in sol.edge_flows)
+        flows = min_peak_flow(*uncapped(expected, placement), best_output)
+        peak = max(abs(f) for f in flows)
         peaks.append(peak)
         if peak < best_peak * (1 - _TIE_RTOL) - _TIE_RTOL:
-            winner, flows_kwh, best_peak = placement, sol.edge_flows, peak
+            winner, flows_kwh, best_peak = placement, flows, peak
     return winner, flows_kwh, best_peak, best_output, candidates, peaks
 
 
@@ -179,10 +180,7 @@ class TestSearchAgainstLpSweep:
         expected = flatten_distribution(supply9, 7)
         placements = enumerate_placements(7, 2)
         lp_outputs = [
-            max_deliverable_energy(
-                _uncapped_network(expected.batteries, p, 1.0)
-            ).total_output
-            for p in placements
+            max_deliverable_energy(*uncapped(expected, p))[0] for p in placements
         ]
         cut = uncapped_placement_energy(expected.batteries, placements).tolist()
         np.testing.assert_allclose(cut, lp_outputs, rtol=1e-12, atol=0)
@@ -238,11 +236,11 @@ class TestDesignLayer2:
         for i in range(12):
             pack = sample_pack(supply9, 9, derive_seed(7, "pack", i))
             for lam in (0.0, 0.3, 1.0, 5.0):
-                net = assemble_network(
-                    pack, split_lambda(layer1_9, lam), layer1_9.horizon_h
+                split = split_lambda(layer1_9, lam)
+                _, flows = max_deliverable_energy(
+                    *wiring(pack, split.pairs, split.caps_kwh)
                 )
-                flows = max_deliverable_energy(net).edge_flows[:m]
-                for flow, duty in zip(flows, layer1_9.optimal_flows_kwh):
+                for flow, duty in zip(flows[:m], layer1_9.optimal_flows_kwh):
                     assert abs(flow) <= abs(duty) + 1e-6
 
     def test_layer1_duty_respected_and_utilization_monotone(self, layer1_9):
@@ -276,11 +274,13 @@ class TestTradeoffCurve:
             utils.append(sum(min(b.capacity_kwh, cap) for b in pack) / total)
         assert point.utilization_mean == pytest.approx(float(np.mean(utils)))
 
-    def test_common_random_packs_across_kinds(self):
+    def test_common_random_packs_across_kinds(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         packs = sample_packs(dist, 9, 15, seed=11)
         a = tradeoff_curve("cppp", dist, [10.0], packs, horizon_h=HORIZON_H)
-        b = tradeoff_curve("lshippp", dist, [10.0], packs, horizon_h=HORIZON_H)
+        b = tradeoff_curve(
+            "lshippp", dist, [10.0], packs, horizon_h=HORIZON_H, layer1=layer1_9
+        )
         # At absurdly generous budgets both families deliver everything,
         # so equal packs force exactly equal utilization statistics.
         assert a[0].utilization_mean == pytest.approx(
@@ -298,13 +298,21 @@ class TestTradeoffCurve:
             utils.append(9 * min(b.capacity_kwh for b in pack) / total)
         assert cp.utilization_mean == pytest.approx(float(np.mean(utils)))
 
-    def test_lambda_reported_for_lshippp_only(self):
+    def test_lambda_reported_for_lshippp_only(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         packs = sample_packs(dist, 9, 5, seed=2)
-        (ls,) = tradeoff_curve("lshippp", dist, [0.25], packs, horizon_h=HORIZON_H)
+        (ls,) = tradeoff_curve(
+            "lshippp", dist, [0.25], packs, horizon_h=HORIZON_H, layer1=layer1_9
+        )
         (fp,) = tradeoff_curve("fpp", dist, [0.25], packs, horizon_h=HORIZON_H)
         assert ls.lambda_h >= 0
         assert math.isnan(fp.lambda_h)
+
+    def test_lshippp_needs_its_layer1(self):
+        dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
+        packs = sample_packs(dist, 9, 2, seed=2)
+        with pytest.raises(ConfigurationError, match="layer-1 design"):
+            tradeoff_curve("lshippp", dist, [0.25], packs, horizon_h=HORIZON_H)
 
     def test_quantile_fields_consistent(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
@@ -358,7 +366,8 @@ class TestSweepsEqualBuiltNetworks:
                 ]
             else:
                 outputs = [
-                    cut_reference(assemble_network(p, split, horizon)) for p in packs
+                    cut_reference(*wiring(p, split.pairs, split.caps_kwh))
+                    for p in packs
                 ]
             rung = split.caps_kwh[-1]
             expected = reference_point(
@@ -372,16 +381,12 @@ class TestSweepsEqualBuiltNetworks:
         packs = [sample_pack(supply9, 9, derive_seed(8, "pack", i)) for i in range(45)]
         horizon = layer1_9.horizon_h
         aggregate = 3 * layer1_9.rating_kw * horizon
-        sparse = tuple(
-            ConverterEdge(i, j, abs(flow), layer=1)
-            for (i, j), flow in zip(layer1_9.edges, layer1_9.optimal_flows_kwh)
-        )
+        pairs = layer1_9.edges + tuple((j, j + 1) for j in range(8))
+        duty = tuple(abs(flow) for flow in layer1_9.optimal_flows_kwh)
         for lam, point in zip(lambda_grid, points):
             cap2 = lam * aggregate / 8
-            ladder = tuple(ConverterEdge(j, j + 1, cap2, layer=2) for j in range(8))
-            outputs = [
-                cut_reference(FlowNetwork(p, sparse + ladder, horizon)) for p in packs
-            ]
+            caps = duty + (cap2,) * 8
+            outputs = [cut_reference(*wiring(p, pairs, caps)) for p in packs]
             expected = reference_point(
                 "lshippp", 0.0, lam, cap2 / horizon, packs, outputs
             )

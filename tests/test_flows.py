@@ -1,5 +1,8 @@
+import ast
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,17 +10,10 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from besspp.architectures import (
-    assemble_network,
-    layer1_aggregate_kwh,
-    split_budget,
-    split_lambda,
-)
+from besspp.architectures import layer1_aggregate_kwh, split_budget, split_lambda
 from besspp.designer import derive_seed, sweep_energy
 from besspp.flows import (
     MAX_CUT_MODULES,
-    ConverterEdge,
-    FlowNetwork,
     InfeasibleFlowError,
     cut_form_energy,
     fpp_deliverable,
@@ -31,6 +27,32 @@ from besspp.supply import BatteryModule, SupplyDistribution, _left_sum, sample_p
 
 def pack(*caps: float, voltage: float = 1.0) -> tuple[BatteryModule, ...]:
     return tuple(BatteryModule(float(c), voltage) for c in caps)
+
+
+def wiring(modules, pairs=(), caps=()):
+    """``modules`` wired by ``pairs`` and ``caps``: ``(energy, volts, pairs, caps)``.
+
+    The one form every series-string evaluator takes.
+    """
+    return (
+        [b.capacity_kwh for b in modules],
+        [b.voltage_v for b in modules],
+        tuple(pairs),
+        tuple(caps),
+    )
+
+
+def extraction(energy, volts, pairs, caps, total, flows) -> list[float]:
+    """What each module gives up: ``q * V_j + outflow_j - inflow_j``.
+
+    The string charge ``q`` is the optimum over the total voltage.
+    """
+    q = total / sum(volts)
+    taken = [q * v for v in volts]
+    for (i, j), flow in zip(pairs, flows):
+        taken[i] += flow
+        taken[j] -= flow
+    return taken
 
 
 def _enumerate_polytope_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -51,15 +73,15 @@ def _enumerate_polytope_max(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> floa
     return best
 
 
-def vertex_oracle(net: FlowNetwork) -> float:
+def vertex_oracle(energy, volts, pairs, caps) -> float:
     """Independent route to the maximum deliverable energy.
 
-    The network is posed as ``max q * sum(V)`` over the inequality polytope
-    in ``z = (q, f_1..f_k)`` and solved by enumerating every vertex.  Edge
-    caps must be finite so the polytope is bounded.
+    The wired string is posed as ``max q * sum(V)`` over the inequality
+    polytope in ``z = (q, f_1..f_k)`` and solved by enumerating every
+    vertex.  Edge caps must be finite so the polytope is bounded.
     """
-    volts = np.array([b.voltage_v for b in net.batteries])
-    k = len(net.converter_edges)
+    volts = np.array(volts, dtype=float)
+    k = len(pairs)
     d = 1 + k
     rows: list[np.ndarray] = []
     rhs: list[float] = []
@@ -68,21 +90,21 @@ def vertex_oracle(net: FlowNetwork) -> float:
         rows.append(np.asarray(row, dtype=float))
         rhs.append(float(bound))
 
-    for j, battery in enumerate(net.batteries):
+    for j, energy_j in enumerate(energy):
         row = np.zeros(d)
         row[0] = volts[j]
-        for e, edge in enumerate(net.converter_edges):
-            if edge.from_battery == j:
+        for e, (a, b) in enumerate(pairs):
+            if a == j:
                 row[1 + e] += 1.0
-            if edge.to_battery == j:
+            if b == j:
                 row[1 + e] -= 1.0
-        add(row, battery.capacity_kwh)
-    for e, edge in enumerate(net.converter_edges):
-        assert math.isfinite(edge.energy_cap_kwh)
+        add(row, energy_j)
+    for e, cap in enumerate(caps):
+        assert math.isfinite(cap)
         row = np.zeros(d)
         row[1 + e] = 1.0
-        add(row, edge.energy_cap_kwh)
-        add(-row, edge.energy_cap_kwh)
+        add(row, cap)
+        add(-row, cap)
     row = np.zeros(d)
     row[0] = -1.0
     add(row, 0.0)
@@ -94,79 +116,67 @@ def vertex_oracle(net: FlowNetwork) -> float:
 
 class TestSeriesStringOnly:
     def test_weakest_module_limits_everyone(self):
-        net = FlowNetwork(pack(3, 4, 5))
-        sol = max_deliverable_energy(net)
-        assert sol.total_output == pytest.approx(9.0)
-        assert sol.string_energy == pytest.approx((3.0, 3.0, 3.0))
-        assert sol.extraction == pytest.approx((3.0, 3.0, 3.0))
+        string = wiring(pack(3, 4, 5))
+        total, flows = max_deliverable_energy(*string)
+        assert total == pytest.approx(9.0)
+        assert flows == ()
+        assert extraction(*string, total, flows) == pytest.approx([3.0, 3.0, 3.0])
 
     def test_homogeneous_pack_fully_used(self):
-        net = FlowNetwork(pack(5, 5, 5, 5))
-        assert max_deliverable_energy(net).total_output == pytest.approx(20.0)
+        total, _ = max_deliverable_energy(*wiring(pack(5, 5, 5, 5)))
+        assert total == pytest.approx(20.0)
 
     def test_voltage_weighting(self):
         # Q limited by min(E_j / V_j); output is Q * sum(V).
-        batteries = (BatteryModule(4.0, 2.0), BatteryModule(3.0, 1.0))
-        sol = max_deliverable_energy(FlowNetwork(batteries))
-        assert sol.total_output == pytest.approx(2.0 * 3.0)
+        total, _ = max_deliverable_energy([4.0, 3.0], [2.0, 1.0], (), ())
+        assert total == pytest.approx(2.0 * 3.0)
 
     def test_zero_capacity_module_blocks_string(self):
-        net = FlowNetwork(pack(0, 4, 5))
-        assert max_deliverable_energy(net).total_output == pytest.approx(0.0)
+        total, _ = max_deliverable_energy(*wiring(pack(0, 4, 5)))
+        assert total == pytest.approx(0.0)
+
+
+TRIANGLE = ((0, 1), (0, 2), (1, 2))
 
 
 class TestConverterNetworks:
     def test_full_triangle_caps_one(self):
-        edges = (
-            ConverterEdge(0, 1, 1.0),
-            ConverterEdge(0, 2, 1.0),
-            ConverterEdge(1, 2, 1.0),
-        )
-        sol = max_deliverable_energy(FlowNetwork(pack(3, 4, 5), edges))
-        assert sol.total_output == pytest.approx(12.0)
+        total, _ = max_deliverable_energy(*wiring(pack(3, 4, 5), TRIANGLE, [1.0] * 3))
+        assert total == pytest.approx(12.0)
 
     def test_full_triangle_caps_half_saturates(self):
         # The weak module can import 2 * 0.5, already enough to reach the
         # pack average, so halving the caps loses nothing here.
-        edges = (
-            ConverterEdge(0, 1, 0.5),
-            ConverterEdge(0, 2, 0.5),
-            ConverterEdge(1, 2, 0.5),
-        )
-        sol = max_deliverable_energy(FlowNetwork(pack(3, 4, 5), edges))
-        assert sol.total_output == pytest.approx(12.0)
+        total, _ = max_deliverable_energy(*wiring(pack(3, 4, 5), TRIANGLE, [0.5] * 3))
+        assert total == pytest.approx(12.0)
 
     def test_full_triangle_caps_quarter(self):
         # Q is pinned by the weak module: 3 + 2 * 0.25 per volt.
-        edges = (
-            ConverterEdge(0, 1, 0.25),
-            ConverterEdge(0, 2, 0.25),
-            ConverterEdge(1, 2, 0.25),
-        )
-        sol = max_deliverable_energy(FlowNetwork(pack(3, 4, 5), edges))
-        assert sol.total_output == pytest.approx(10.5)
+        total, _ = max_deliverable_energy(*wiring(pack(3, 4, 5), TRIANGLE, [0.25] * 3))
+        assert total == pytest.approx(10.5)
 
     def test_single_uncapped_edge_balances_extremes(self):
-        net = FlowNetwork(pack(3, 4, 5), (ConverterEdge(0, 2, math.inf),))
-        sol = max_deliverable_energy(net)
-        assert sol.total_output == pytest.approx(12.0)
-        assert sol.edge_flows[0] == pytest.approx(-1.0)
+        total, flows = max_deliverable_energy(
+            *wiring(pack(3, 4, 5), [(0, 2)], [math.inf])
+        )
+        assert total == pytest.approx(12.0)
+        assert flows[0] == pytest.approx(-1.0)
 
     def test_uncapped_connected_network_reaches_total(self):
-        edges = (ConverterEdge(0, 1, math.inf), ConverterEdge(1, 2, math.inf))
-        sol = max_deliverable_energy(FlowNetwork(pack(3, 4, 5), edges))
-        assert sol.total_output == pytest.approx(12.0)
+        string = wiring(pack(3, 4, 5), [(0, 1), (1, 2)], [math.inf, math.inf])
+        total, _ = max_deliverable_energy(*string)
+        assert total == pytest.approx(12.0)
 
     def test_extraction_never_exceeds_module_energy(self):
-        edges = (ConverterEdge(0, 2, 2.0), ConverterEdge(1, 2, 0.25))
-        sol = max_deliverable_energy(FlowNetwork(pack(2, 3.5, 6), edges))
-        for taken, battery in zip(sol.extraction, pack(2, 3.5, 6)):
-            assert taken <= battery.capacity_kwh + 1e-9
+        string = wiring(pack(2, 3.5, 6), [(0, 2), (1, 2)], [2.0, 0.25])
+        taken = extraction(*string, *max_deliverable_energy(*string))
+        for taken_j, energy_j in zip(taken, string[0]):
+            assert taken_j <= energy_j + 1e-9
 
     def test_total_output_is_sum_of_extraction(self):
-        edges = (ConverterEdge(0, 1, 0.7), ConverterEdge(1, 2, 0.3))
-        sol = max_deliverable_energy(FlowNetwork(pack(1, 2, 3), edges))
-        assert sol.total_output == pytest.approx(sum(sol.extraction))
+        string = wiring(pack(1, 2, 3), [(0, 1), (1, 2)], [0.7, 0.3])
+        total, flows = max_deliverable_energy(*string)
+        assert total == pytest.approx(sum(extraction(*string, total, flows)))
 
 
 def fpp_one(modules, cap: float) -> float:
@@ -232,47 +242,37 @@ class TestDedicatedConverters:
 
 class TestMinPeakFlow:
     def test_single_edge_reference(self):
-        net = FlowNetwork(pack(3, 4, 5), (ConverterEdge(0, 2, math.inf),))
-        sol = min_peak_flow(net, 12.0)
-        assert sol.total_output == pytest.approx(12.0)
-        assert sol.edge_flows[0] == pytest.approx(-1.0)
+        flows = min_peak_flow(*wiring(pack(3, 4, 5), [(0, 2)], [math.inf]), 12.0)
+        assert flows[0] == pytest.approx(-1.0)
 
     def test_redundant_edges_split_is_minimal(self):
         # Two parallel routes into the weak module: peak halves.
-        edges = (ConverterEdge(0, 1, math.inf), ConverterEdge(0, 2, math.inf))
-        net = FlowNetwork(pack(2, 5, 5), edges)
-        required = max_deliverable_energy(net).total_output
-        sol = min_peak_flow(net, required)
-        peak = max(abs(f) for f in sol.edge_flows)
+        string = wiring(pack(2, 5, 5), [(0, 1), (0, 2)], [math.inf, math.inf])
+        required, _ = max_deliverable_energy(*string)
+        peak = max(abs(f) for f in min_peak_flow(*string, required))
         balanced = (4.0 - 2.0) / 2.0
         assert peak == pytest.approx(balanced)
 
     def test_no_movement_needed(self):
-        net = FlowNetwork(pack(4, 4), (ConverterEdge(0, 1, math.inf),))
-        sol = min_peak_flow(net, 8.0)
-        assert sol.edge_flows[0] == pytest.approx(0.0)
+        flows = min_peak_flow(*wiring(pack(4, 4), [(0, 1)], [math.inf]), 8.0)
+        assert flows[0] == pytest.approx(0.0)
 
     def test_infeasible_requirement(self):
-        net = FlowNetwork(pack(3, 4, 5), (ConverterEdge(0, 2, math.inf),))
         with pytest.raises(InfeasibleFlowError):
-            min_peak_flow(net, 12.5)
+            min_peak_flow(*wiring(pack(3, 4, 5), [(0, 2)], [math.inf]), 12.5)
 
     def test_no_edges_feasible(self):
-        net = FlowNetwork(pack(3, 4, 5))
-        sol = min_peak_flow(net, 9.0)
-        assert sol.total_output == pytest.approx(9.0)
-        assert sol.edge_flows == ()
+        assert min_peak_flow(*wiring(pack(3, 4, 5)), 9.0) == ()
 
     def test_no_edges_infeasible(self):
         with pytest.raises(InfeasibleFlowError):
-            min_peak_flow(FlowNetwork(pack(3, 4, 5)), 9.1)
+            min_peak_flow(*wiring(pack(3, 4, 5)), 9.1)
 
     def test_capped_edges_respected(self):
-        edges = (ConverterEdge(0, 2, 0.5),)
-        net = FlowNetwork(pack(3, 4, 5), edges)
-        required = max_deliverable_energy(net).total_output
-        sol = min_peak_flow(net, required)
-        assert abs(sol.edge_flows[0]) <= 0.5 + 1e-9
+        string = wiring(pack(3, 4, 5), [(0, 2)], [0.5])
+        required, _ = max_deliverable_energy(*string)
+        flows = min_peak_flow(*string, required)
+        assert abs(flows[0]) <= 0.5 + 1e-9
 
 
 def scipy_min_peak(batteries, placement, output_kwh: float) -> float:
@@ -341,10 +341,8 @@ class TestUncappedMinPeak:
         (own,) = uncapped_placement_energy(batteries, [placement])
         output = share * float(own)
         (peak,) = uncapped_min_peak(batteries, [placement], output)
-        net = FlowNetwork(
-            batteries, tuple(ConverterEdge(i, j, math.inf) for i, j in placement)
-        )
-        lp = max(abs(f) for f in min_peak_flow(net, output).edge_flows)
+        string = wiring(batteries, placement, [math.inf] * len(placement))
+        lp = max(abs(f) for f in min_peak_flow(*string, output))
         oracle = scipy_min_peak(batteries, placement, output)
         tol = 1e-9 * (1.0 + sum(energy))
         assert peak == pytest.approx(lp, rel=1e-9, abs=tol)
@@ -355,10 +353,8 @@ class TestUncappedMinPeak:
         batteries = pack(2, 4, 6, 4)
         assert uncapped_min_peak(batteries, [((0, 2), (1, 3))], 16.0).tolist() == [2.0]
         assert uncapped_min_peak(batteries, [((0, 2),)], 16.0).tolist() == [2.0]
-        net = FlowNetwork(
-            batteries, (ConverterEdge(0, 2, math.inf), ConverterEdge(1, 3, math.inf))
-        )
-        flows = min_peak_flow(net, 16.0).edge_flows
+        string = wiring(batteries, [(0, 2), (1, 3)], [math.inf, math.inf])
+        flows = min_peak_flow(*string, 16.0)
         assert flows[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_parallel_routes_halve_the_peak(self):
@@ -392,48 +388,36 @@ class TestUncappedMinPeak:
             uncapped_min_peak(pack(*([2.0] * (MAX_CUT_MODULES + 1))), [((0, 1),)], 1.0)
 
 
-def random_network(rng: np.random.Generator) -> FlowNetwork:
+def random_string(rng: np.random.Generator):
+    """A random wired string, ``(energy, volts, pairs, caps)``, finite caps."""
     n = int(rng.integers(1, 5))
-    caps = rng.uniform(0.5, 3.0, size=n)
-    volts = rng.choice([0.5, 1.0, 2.0], size=n)
-    batteries = tuple(
-        BatteryModule(float(c), float(v)) for c, v in zip(caps, volts)
-    )
+    energy = [float(c) for c in rng.uniform(0.5, 3.0, size=n)]
+    volts = [float(v) for v in rng.choice([0.5, 1.0, 2.0], size=n)]
+    pairs, caps = (), ()
     if n >= 2 and rng.random() < 0.8:
-        pairs = list(itertools.combinations(range(n), 2))
-        k = int(rng.integers(1, min(3, len(pairs)) + 1))
-        chosen = rng.choice(len(pairs), size=k, replace=False)
-        edges = tuple(
-            ConverterEdge(*pairs[int(i)], float(rng.uniform(0.2, 2.0)))
-            for i in chosen
-        )
-    else:
-        edges = ()
-    return FlowNetwork(batteries, edges, 1.0)
+        candidates = list(itertools.combinations(range(n), 2))
+        k = int(rng.integers(1, min(3, len(candidates)) + 1))
+        chosen = rng.choice(len(candidates), size=k, replace=False)
+        edges = [(candidates[int(i)], float(rng.uniform(0.2, 2.0))) for i in chosen]
+        pairs = tuple(pair for pair, _ in edges)
+        caps = tuple(cap for _, cap in edges)
+    return energy, volts, pairs, caps
 
 
 class TestAgainstVertexOracle:
     def test_200_random_networks(self):
         rng = np.random.Generator(np.random.Philox(key=424242))
         for _ in range(200):
-            net = random_network(rng)
-            expected = vertex_oracle(net)
-            got = max_deliverable_energy(net).total_output
+            string = random_string(rng)
+            expected = vertex_oracle(*string)
+            got, _ = max_deliverable_energy(*string)
             assert got == pytest.approx(expected, abs=1e-6)
-
-
-def _build_net(caps, edge_pairs, edge_caps):
-    batteries = pack(*caps)
-    edges = tuple(
-        ConverterEdge(i, j, c) for (i, j), c in zip(edge_pairs, edge_caps)
-    )
-    return FlowNetwork(batteries, edges)
 
 
 @st.composite
 def network_strategy(draw, min_n=1, max_n=5):
     n = draw(st.integers(min_n, max_n))
-    caps = draw(
+    energy = draw(
         st.lists(
             st.floats(0.0, 10.0, allow_nan=False), min_size=n, max_size=n
         )
@@ -451,48 +435,44 @@ def network_strategy(draw, min_n=1, max_n=5):
             max_size=len(edge_pairs),
         )
     )
-    return _build_net(caps, edge_pairs, edge_caps)
+    return energy, [1.0] * n, tuple(edge_pairs), tuple(edge_caps)
 
 
 class TestFlowProperties:
     @given(network_strategy())
     @settings(max_examples=300)
-    def test_output_bounded_by_pack_energy(self, net):
-        sol = max_deliverable_energy(net)
-        assert sol.total_output <= sum(b.capacity_kwh for b in net.batteries) + 1e-6
-        assert sol.total_output >= -1e-9
+    def test_output_bounded_by_pack_energy(self, string):
+        total, _ = max_deliverable_energy(*string)
+        assert total <= sum(string[0]) + 1e-6
+        assert total >= -1e-9
 
     @given(network_strategy(min_n=2))
     @settings(max_examples=300)
-    def test_converters_never_hurt(self, net):
-        with_edges = max_deliverable_energy(net).total_output
-        string_only = max_deliverable_energy(
-            FlowNetwork(net.batteries)
-        ).total_output
+    def test_converters_never_hurt(self, string):
+        energy, volts, _, _ = string
+        with_edges, _ = max_deliverable_energy(*string)
+        string_only, _ = max_deliverable_energy(energy, volts, (), ())
         assert with_edges >= string_only - 1e-7
 
 
-def scipy_deliverable(net: FlowNetwork) -> float:
+def scipy_deliverable(energy, volts, pairs, caps) -> float:
     """Deliverable energy from ``scipy.optimize.linprog`` (HiGHS)."""
-    energy = [b.capacity_kwh for b in net.batteries]
-    volts = np.array([b.voltage_v for b in net.batteries])
-    edges = net.converter_edges
-    a_ub = np.zeros((len(energy), 1 + len(edges)))
+    volts = np.array(volts, dtype=float)
+    a_ub = np.zeros((len(energy), 1 + len(pairs)))
     a_ub[:, 0] = volts
     bounds = [(0.0, None)]
-    for k, edge in enumerate(edges):
-        a_ub[edge.from_battery, 1 + k] += 1.0
-        a_ub[edge.to_battery, 1 + k] -= 1.0
-        cap = edge.energy_cap_kwh
+    for k, ((i, j), cap) in enumerate(zip(pairs, caps)):
+        a_ub[i, 1 + k] += 1.0
+        a_ub[j, 1 + k] -= 1.0
         bounds.append((-cap, cap) if math.isfinite(cap) else (None, None))
-    c = np.zeros(1 + len(edges))
+    c = np.zeros(1 + len(pairs))
     c[0] = -volts.sum()
     res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=energy, bounds=bounds)
     assert res.status == 0
     return -res.fun
 
 
-def cut_reference(net: FlowNetwork) -> float:
+def cut_reference(energy, volts, pairs, caps) -> float:
     """The cut form for one series string, op for op as first written.
 
     Every cut-form evaluation has produced exactly these floats since the
@@ -500,14 +480,14 @@ def cut_reference(net: FlowNetwork) -> float:
     subset sums built module by module, and the output as numpy's sum of
     ``q * V_j``.  Comparing with ``==`` keeps the artifacts byte-identical.
     """
-    n = len(net.batteries)
-    energy = np.array([b.capacity_kwh for b in net.batteries])
-    volts = np.array([b.voltage_v for b in net.batteries])
+    n = len(energy)
+    energy = np.array(energy, dtype=float)
+    volts = np.array(volts, dtype=float)
     ids = np.arange(1 << n)
     cut = np.zeros(1 << n)
-    for edge in net.converter_edges:
-        crossed = ((ids >> edge.from_battery) ^ (ids >> edge.to_battery)) & 1
-        cut += np.where(crossed == 1, edge.energy_cap_kwh, 0.0)
+    for (i, j), cap in zip(pairs, caps):
+        crossed = ((ids >> i) ^ (ids >> j)) & 1
+        cut += np.where(crossed == 1, cap, 0.0)
     e_sub, v_sub = np.zeros(1 << n), np.zeros(1 << n)
     for j in range(n):
         e_sub[1 << j : 2 << j] = e_sub[: 1 << j] + energy[j]
@@ -516,25 +496,19 @@ def cut_reference(net: FlowNetwork) -> float:
     return float((q * volts).sum())
 
 
-def kernel_energy(net: FlowNetwork) -> float:
-    """The cut-form kernel on one network: one pack, one row of caps."""
-    edges = net.converter_edges
-    ((got,),) = cut_form_energy(
-        [[b.capacity_kwh for b in net.batteries]],
-        [[b.voltage_v for b in net.batteries]],
-        [(e.from_battery, e.to_battery) for e in edges],
-        [[e.energy_cap_kwh for e in edges]],
-    )
+def kernel_energy(energy, volts, pairs, caps) -> float:
+    """The cut-form kernel on one wired string: one pack, one row of caps."""
+    ((got,),) = cut_form_energy([energy], [volts], pairs, [caps])
     return float(got)
 
 
-def assert_three_way(nets: list[FlowNetwork], rel: float = 1e-12) -> None:
+def assert_three_way(strings, rel: float = 1e-12) -> None:
     """The kernel against the in-house LP and scipy, and ``==`` its reference."""
-    for net in nets:
-        got = kernel_energy(net)
-        assert got == cut_reference(net)
-        lp = max_deliverable_energy(net).total_output
-        oracle = scipy_deliverable(net)
+    for string in strings:
+        got = kernel_energy(*string)
+        assert got == cut_reference(*string)
+        lp, _ = max_deliverable_energy(*string)
+        oracle = scipy_deliverable(*string)
         scale = max(1.0, abs(lp))
         assert abs(got - lp) <= rel * scale, (got, lp)
         assert abs(got - oracle) <= rel * scale, (got, oracle)
@@ -581,20 +555,21 @@ def cap_rows_strategy(draw):
 class TestCutForm:
     def test_three_way_random_networks(self):
         rng = np.random.Generator(np.random.Philox(key=424242))
-        nets = [random_network(rng) for _ in range(200)]
-        assert_three_way(nets)
+        assert_three_way([random_string(rng) for _ in range(200)])
 
     @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.6])
     def test_three_way_cppp_packs(self, rating_r):
         split = split_budget("cppp", 9, rating_r, 337.5, 2.25)
-        nets = [assemble_network(p, split, 2.25) for p in sampled_packs()]
-        assert_three_way(nets)
+        assert_three_way(
+            [wiring(p, split.pairs, split.caps_kwh) for p in sampled_packs()]
+        )
 
     @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.6])
     def test_three_way_lshippp_budget_packs(self, layer1_9, rating_r):
         split = split_budget("lshippp", 9, rating_r, 337.5, 2.25, layer1_9)
-        nets = [assemble_network(p, split, 2.25) for p in sampled_packs()]
-        assert_three_way(nets)
+        assert_three_way(
+            [wiring(p, split.pairs, split.caps_kwh) for p in sampled_packs()]
+        )
 
     @pytest.mark.parametrize("cap2", [0.0, 0.5, 3.0, 40.0])
     def test_three_way_frozen_layer1_packs(self, layer1_9, cap2):
@@ -604,8 +579,7 @@ class TestCutForm:
         lam = cap2 * 8 / layer1_aggregate_kwh(layer1_9, layer1_9.horizon_h)
         split = split_lambda(layer1_9, lam)
         assert split.rung_kwh == pytest.approx(cap2, rel=1e-12)
-        nets = [assemble_network(p, split, layer1_9.horizon_h) for p in packs]
-        assert_three_way(nets)
+        assert_three_way([wiring(p, split.pairs, split.caps_kwh) for p in packs])
 
     @given(cap_rows_strategy())
     @settings(max_examples=200)
@@ -615,16 +589,13 @@ class TestCutForm:
         assert got.shape == (len(rows), len(energy))
         for caps, row in zip(rows, got):
             for e_pack, v_pack, value in zip(energy, volts, row):
-                net = FlowNetwork(
-                    tuple(BatteryModule(e, v) for e, v in zip(e_pack, v_pack)),
-                    tuple(ConverterEdge(i, j, c) for (i, j), c in zip(edges, caps)),
-                )
-                lp = max_deliverable_energy(net).total_output
-                oracle = scipy_deliverable(net)
+                string = (e_pack, v_pack, edges, caps)
+                lp, _ = max_deliverable_energy(*string)
+                oracle = scipy_deliverable(*string)
                 scale = max(1.0, abs(lp))
                 assert abs(value - lp) <= 1e-12 * scale, (value, lp)
                 assert abs(value - oracle) <= 1e-12 * scale, (value, oracle)
-                assert value == cut_reference(net)
+                assert value == cut_reference(*string)
 
     def test_kernel_chunks_match_the_reference(self, layer1_9):
         # 40 packs and 21 cap rows span several chunks of packs and rows.
@@ -636,9 +607,8 @@ class TestCutForm:
         rows = [s.caps_kwh for s in splits]
         got = cut_form_energy(energy, volts, pairs, rows)
         for k, caps in enumerate(rows):
-            edges = tuple(ConverterEdge(i, j, c) for (i, j), c in zip(pairs, caps))
             for p, batteries in enumerate(packs):
-                assert got[k, p] == cut_reference(FlowNetwork(batteries, edges))
+                assert got[k, p] == cut_reference(*wiring(batteries, pairs, caps))
 
     def test_kernel_rejects_bad_input(self):
         with pytest.raises(ValueError, match="one cap per edge"):
@@ -667,7 +637,7 @@ class TestCutForm:
         splits = [split_lambda(layer1_9, lam) for lam in (0.0, 0.4, 2.0)]
         batched = sweep_energy(packs, splits)
         one_by_one = [
-            [cut_reference(assemble_network(p, s, 2.25)) for p in packs]
+            [cut_reference(*wiring(p, s.pairs, s.caps_kwh)) for p in packs]
             for s in splits
         ]
         assert batched == one_by_one
@@ -684,11 +654,9 @@ class TestCutForm:
         ))
         got = uncapped_placement_energy(batteries, placements)
         for placement, value in zip(placements, got):
-            net = FlowNetwork(
-                batteries,
-                tuple(ConverterEdge(i, j, math.inf) for i, j in placement),
+            lp, _ = max_deliverable_energy(
+                *wiring(batteries, placement, [math.inf] * len(placement))
             )
-            lp = max_deliverable_energy(net).total_output
             assert value == pytest.approx(lp, rel=1e-12, abs=1e-12)
 
     def test_largest_supported_string(self):
@@ -696,16 +664,14 @@ class TestCutForm:
             BatteryModule(float(c), 1.0) for c in np.linspace(1.0, 4.0, MAX_CUT_MODULES)
         )
         split = split_budget("cppp", MAX_CUT_MODULES, 0.1, 40.0, 1.0)
-        net = assemble_network(batteries, split, 1.0)
-        got = kernel_energy(net)
-        assert got == pytest.approx(
-            max_deliverable_energy(net).total_output, rel=1e-12
-        )
+        string = wiring(batteries, split.pairs, split.caps_kwh)
+        lp, _ = max_deliverable_energy(*string)
+        assert kernel_energy(*string) == pytest.approx(lp, rel=1e-12)
 
     def test_rejects_strings_above_the_subset_limit(self):
         batteries = pack(*([2.0] * (MAX_CUT_MODULES + 1)))
         with pytest.raises(ValueError, match="subsets"):
-            kernel_energy(FlowNetwork(batteries))
+            kernel_energy(*wiring(batteries))
         with pytest.raises(ValueError, match="subsets"):
             uncapped_placement_energy(batteries, [((0, 1),)])
 
@@ -715,12 +681,45 @@ class TestCutForm:
         assert sweep_energy([pack(*([2.0] * n))], [split]) == [[1.5 * n]]
 
     def test_invalid_network_rejected(self):
-        net = FlowNetwork(pack(1, 2), (ConverterEdge(0, 2, 1.0),))
-        with pytest.raises(ValueError, match="invalid flow network"):
-            max_deliverable_energy(net)
+        # Both LPs check the wiring as the cut form does.
+        string = wiring(pack(1, 2), [(0, 2)], [1.0])
+        with pytest.raises(ValueError, match="distinct modules"):
+            max_deliverable_energy(*string)
+        with pytest.raises(ValueError, match="distinct modules"):
+            min_peak_flow(*string, 1.0)
+        with pytest.raises(ValueError, match="one cap per edge"):
+            max_deliverable_energy(*wiring(pack(1, 2), [(0, 1)], [1.0, 1.0]))
+        with pytest.raises(ValueError, match="voltages > 0"):
+            max_deliverable_energy([1.0, 2.0], [1.0, 0.0], (), ())
+        with pytest.raises(ValueError, match="at least one module"):
+            min_peak_flow([], [], (), (), 0.0)
 
     def test_invalid_placement_rejected(self):
         with pytest.raises(ValueError, match="distinct modules"):
             uncapped_placement_energy(pack(1, 2, 3), [((0, 3),)])
         with pytest.raises(ValueError, match="distinct modules"):
             uncapped_placement_energy(pack(1, 2, 3), [((1, 1),)])
+
+
+def _imported_modules(module: str) -> set[str]:
+    """Every module a ``besspp`` source file imports, at any depth."""
+    path = Path(sys.modules["besspp"].__file__).parent / f"{module}.py"
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, ["besspp", base]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestModuleBoundary:
+    def test_architectures_and_flows_import_nothing_from_each_other(self):
+        # The split describes the wiring and the evaluators take it as
+        # pairs and caps, so neither module needs the other.
+        assert "besspp.flows" not in _imported_modules("architectures")
+        assert "besspp.architectures" not in _imported_modules("flows")

@@ -377,6 +377,20 @@ class TestReplayLanes:
             replay_lanes([empty], [0], [1.0], 150.0, grid, 0.0)
 
 
+    def test_an_overflowing_refill_warns_nothing(self):
+        # 40 kWh refilled at 2.5e-307 kW: the curtailed and refill hours
+        # each fit a float, but their sum overflows to infinity.
+        stream = ArrivalStream(24.0, (1.0,), (50.0,))
+        grid = GridProfile.constant(2.5e-307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lanes = replay_lanes([stream], [0], [40.0], 150.0, grid, 150.0)
+        (cycle,) = lane_cycles(lanes, 0)
+        assert cycle.truncated
+        assert ([cycle], 0) == reference_replay(40.0, 150.0, grid, stream, 150.0)
+        assert lanes.dropped.tolist() == [0]
+
+
 class TestSharedStream:
     @given(
         seed=st.integers(0, 2**32 - 1),
