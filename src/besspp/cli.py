@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="worker processes for the ensemble's demand cells; the other "
-                "studies run in one process",
+                help="worker processes for the ensemble's replay batches; the "
+                "other studies run in one process",
             )
             p.add_argument(
                 "--out",

@@ -116,23 +116,30 @@ class TradeoffPoint:
     utilization_p90: float
 
 
-def enumerate_placements(
-    n_batteries: int, n_edges: int
-) -> list[tuple[tuple[int, int], ...]]:
+def enumerate_placements(n_batteries: int, n_edges: int) -> np.ndarray:
     """All size-``n_edges`` sets of module pairs, lexicographically ordered.
 
-    Pairs are 0-based ``(i, j)`` with ``i < j``; the search space is checked
-    by :func:`check_placement_limit`.
+    A (placements x n_edges x 2) array of 0-based ``(i, j)`` pairs with
+    ``i < j``, built from the combinations of pair ids; the search space is
+    checked by :func:`check_placement_limit`.
     """
     if n_batteries < 2:
         raise ValueError("n_batteries must be >= 2")
-    pairs = list(itertools.combinations(range(n_batteries), 2))
+    pairs = np.array(list(itertools.combinations(range(n_batteries), 2)))
     if not 1 <= n_edges <= len(pairs):
         raise ValueError(
             f"n_edges must be in 1..{len(pairs)} for n_batteries={n_batteries}"
         )
     check_placement_limit(n_batteries, n_edges)
-    return list(itertools.combinations(pairs, n_edges))
+    count = math.comb(len(pairs), n_edges)
+    ids = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(len(pairs)), n_edges)
+        ),
+        dtype=np.intp,
+        count=count * n_edges,
+    )
+    return pairs[ids.reshape(count, n_edges)]
 
 
 def check_placement_limit(n_batteries: int, n_edges: int) -> None:
@@ -168,14 +175,15 @@ def design_layer1(
     placements = enumerate_placements(len(batteries), n_edges)
 
     outputs = uncapped_placement_energy(batteries, placements)
-    best_output, candidates = _tied_candidates(placements, outputs.tolist())
+    best_output, tied = _tie_set(outputs)
+    candidates = placements[tied]
 
     peaks = uncapped_min_peak(batteries, candidates, best_output).tolist()
     best = 0
     for k, peak in enumerate(peaks):
         if peak < peaks[best] * (1 - _TIE_RTOL) - _TIE_RTOL:
             best = k
-    placement = candidates[best]
+    placement = tuple(tuple(pair) for pair in candidates[best].tolist())
     flows = min_peak_flow(
         [b.capacity_kwh for b in batteries],
         [b.voltage_v for b in batteries],
@@ -195,28 +203,28 @@ def design_layer1(
     )
 
 
-def _tied_candidates(
-    placements: list[tuple[tuple[int, int], ...]], outputs: list[float]
-) -> tuple[float, list[tuple[tuple[int, int], ...]]]:
-    """Best output and the placements tied with it, in enumeration order.
+def _tie_set(outputs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Best output and the indices of the outputs tied with it, in order.
 
-    The best output is that of the placement which last beat the running
-    best by more than the relative tie slack.
+    A running-best scan in array form: an output sets a new best when it
+    beats the current one by more than the relative tie slack, and the tie
+    set holds the last such output and every later one within the slack of
+    it.  The slack threshold only rises with the best, so no output before
+    the current best passes it and the next new best is the first place
+    where the running maximum (NaN ignored) does.
     """
-    best_output = -math.inf
-    candidates: list[tuple[tuple[int, int], ...]] = []
-    for placement, output in zip(placements, outputs):
-        if not candidates:
-            best_output = output
-            candidates = [placement]
-            continue
-        tie = _TIE_RTOL * (1.0 + abs(best_output))
-        if output > best_output + tie:
-            best_output = output
-            candidates = [placement]
-        elif output >= best_output - tie:
-            candidates.append(placement)
-    return best_output, candidates
+    running = np.fmax.accumulate(outputs)
+    last = 0
+    best = float(outputs[0])
+    while not math.isnan(best):
+        cut = best + _TIE_RTOL * (1.0 + abs(best))
+        nxt = int(np.searchsorted(running, cut, side="right"))
+        if nxt == len(outputs):
+            break
+        last, best = nxt, float(outputs[nxt])
+    tie = _TIE_RTOL * (1.0 + abs(best))
+    later = last + 1 + np.flatnonzero(outputs[last + 1 :] >= best - tie)
+    return best, np.concatenate([[last], later])
 
 
 def default_lambda_grid(n_points: int = 20) -> list[float]:
@@ -339,8 +347,8 @@ def sample_packs(
 ) -> list[tuple[BatteryModule, ...]]:
     """The ``n_packs`` packs of one sweep, pack ``i`` keyed by ``(seed, i)``."""
     return [
-        sample_pack(dist, n_modules, derive_seed(seed, "pack", i))
-        for i in range(n_packs)
+        sample_pack(dist, n_modules, key)
+        for key in derive_seeds(seed, "pack", indices=range(n_packs))
     ]
 
 
@@ -349,6 +357,23 @@ def derive_seed(master: int, *parts: object) -> int:
     text = "/".join([str(master), *(str(p) for p in parts)])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "little")
+
+
+def derive_seeds(master: int, *parts: object, indices: range) -> list[int]:
+    """``derive_seed(master, *parts, i)`` for every ``i`` of ``indices``.
+
+    The label path they share is hashed once and each key only adds its
+    index, so the keys are the same digests at a fraction of the cost.
+    """
+    prefix = hashlib.sha256(
+        "/".join([str(master), *(str(p) for p in parts), ""]).encode("utf-8")
+    )
+    keys = []
+    for i in indices:
+        digest = prefix.copy()
+        digest.update(str(i).encode("utf-8"))
+        keys.append(int.from_bytes(digest.digest()[:16], "little"))
+    return keys
 
 
 def _utilization_rows(

@@ -51,9 +51,6 @@ against it.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Sequence
-
 import numpy as np
 
 from besspp.simplex import (
@@ -163,42 +160,42 @@ def cut_form_energy(energy_kwh, volts_v, pairs, caps_kwh) -> np.ndarray:
 
 
 def uncapped_placement_energy(
-    batteries: tuple[BatteryModule, ...],
-    placements: Sequence[tuple[tuple[int, int], ...]],
+    batteries: tuple[BatteryModule, ...], placements
 ) -> np.ndarray:
     """Deliverable energy of one pack under each placement of uncapped edges.
 
-    An uncapped edge makes every subset it crosses unbounded, so a
-    placement's optimum is the smallest ``E(S) / V(S)`` over the subsets
-    none of its edges cross.  The subsets are sorted by that ratio once and
-    each placement takes the first one it leaves uncrossed.  Placements are
-    evaluated in fixed-size chunks so memory stays bounded.
+    ``placements`` is a (placements x edges x 2) array of module pairs, or
+    a sequence of equal-size tuples of pairs.  An uncapped edge makes every
+    subset it crosses unbounded, so a placement's optimum is the smallest
+    ``E(S) / V(S)`` over the subsets none of its edges cross.  The subsets
+    are scanned once in order of that ratio, and each placement is retired
+    at the first one it leaves uncrossed; the whole string is crossed by no
+    edge, so every placement retires, most of them within a few subsets.
     """
     n = len(batteries)
     energy = np.array([[b.capacity_kwh for b in batteries]])
     volts = np.array([[b.voltage_v for b in batteries]])
-    pairs = _placement_pairs(energy, volts, placements)
+    ends = _placement_pairs(energy, volts, placements)
     ratio = _subset_sums(energy)[0, 1:] / _subset_sums(volts)[0, 1:]
-    order = np.argsort(ratio, kind="stable")
-    ratio = ratio[order]
-    member = (((order + 1)[None, :] >> np.arange(n)[:, None]) & 1).astype(bool)
-
-    q = np.empty(len(pairs))
-    step = max(1, _CHUNK_ENTRIES // (pairs.shape[1] * len(order)))
-    for lo in range(0, len(pairs), step):
-        chunk = pairs[lo : lo + step]
-        crossed = (member[chunk[..., 0]] != member[chunk[..., 1]]).any(axis=1)
-        q[lo : lo + step] = ratio[crossed.argmin(axis=1)]
+    modules = np.arange(n)
+    q = np.empty(len(ends))
+    open_ = np.arange(len(ends))
+    for subset in np.argsort(ratio, kind="stable"):
+        side = ((subset + 1) >> modules & 1)[ends]
+        uncrossed = (side[..., 0] == side[..., 1]).all(axis=1)
+        q[open_[uncrossed]] = ratio[subset]
+        open_, ends = open_[~uncrossed], ends[~uncrossed]
+        if not open_.size:
+            break
     return (q[:, None] * volts).sum(axis=1)
 
 
 def uncapped_min_peak(
-    batteries: tuple[BatteryModule, ...],
-    placements: Sequence[tuple[tuple[int, int], ...]],
-    output_kwh: float,
+    batteries: tuple[BatteryModule, ...], placements, output_kwh: float
 ) -> np.ndarray:
     """Smallest peak edge flow that meets ``output_kwh`` under each placement.
 
+    ``placements`` are given as for :func:`uncapped_placement_energy`.
     Every edge of a placement ``P`` is uncapped and all of them share one
     rating ``t``.  At string charge ``q = output_kwh / V_tot`` a module
     subset ``S`` needs ``q * V(S) - E(S)`` from outside, and its cut can
@@ -235,24 +232,19 @@ def uncapped_min_peak(
 
 
 def _placement_pairs(
-    energy: np.ndarray,
-    volts: np.ndarray,
-    placements: Sequence[tuple[tuple[int, int], ...]],
+    energy: np.ndarray, volts: np.ndarray, placements
 ) -> np.ndarray:
     """Checked (placements x edges x 2) module indices of one pack's placements.
 
     ``energy`` and ``volts`` are the pack's module arrays; the edges are
-    uncapped.  The array is filled from a flat iterator over the pairs,
-    without an intermediate nested-sequence conversion.
+    uncapped.  An index array passes through without a copy.
     """
-    m = len(placements[0]) if len(placements) else 0
-    if m == 0 or any(len(p) != m for p in placements):
+    try:
+        pairs = np.asarray(placements, dtype=np.intp)
+    except ValueError:  # ragged placements
+        pairs = np.empty(0, dtype=np.intp)
+    if pairs.ndim != 3 or 0 in pairs.shape[:2] or pairs.shape[2] != 2:
         raise ValueError("placements must be equal-size tuples of module pairs")
-    pairs = np.fromiter(
-        itertools.chain.from_iterable(placements),
-        dtype=np.dtype((np.intp, 2)),
-        count=len(placements) * m,
-    ).reshape(len(placements), m, 2)
     _check_wiring(energy, volts, pairs, np.empty(0))
     _check_cut_size(energy.shape[-1])
     return pairs

@@ -7,6 +7,7 @@ default, so frozen expected values are reproducible bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +57,41 @@ def utilization_stats(samples) -> tuple[float, float, float, float, float]:
     """Mean, population std, p90 - p10, p10 and p90 of a flat sample.
 
     The order is that of the utilization columns of the tradeoff and
-    dispersion tables.
+    dispersion tables.  The deciles are numpy's default (``linear``)
+    quantiles, bit for bit.
     """
     arr = np.asarray(samples, dtype=float)
-    p10 = float(np.quantile(arr, 0.1))
-    p90 = float(np.quantile(arr, 0.9))
+    p10 = _linear_quantile(arr, 0.1)
+    p90 = _linear_quantile(arr, 0.9)
     return float(arr.mean()), float(arr.std()), p90 - p10, p10, p90
+
+
+def _linear_quantile(values: np.ndarray, q: float) -> float:
+    """``float(np.quantile(values, q))`` of a flat float sample, bit for bit.
+
+    The same steps as numpy's ``linear`` rule: the same partition of a copy
+    (a sort may order -0.0 and 0.0 differently), the same interpolation
+    with its ``t >= 0.5`` branch, and the last element when it is NaN.
+    ``np.quantile`` itself picks its partition points with ``np.unique``,
+    which imports ``numpy.ma``: about 17 ms and 1.2 MB in every study.
+    """
+    n = values.size
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        below = above = -1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    work = values.copy()
+    work.partition(sorted({0, -1, below, above}))
+    if math.isnan(work[-1]):
+        return float(work[-1])
+    low, high = work[below], work[above]
+    t = virtual - below
+    diff = high - low
+    if t >= 0.5:
+        return float(high - diff * (1 - t))
+    return float(low + diff * t)
 
 
 def derating_factor(output_samples) -> float:

@@ -22,20 +22,24 @@ demand is drawn per arrival whether or not it is served, so the arrival
 and demand stream depends on the seed alone, never on the storage unit.
 
 A day is therefore two steps: :func:`draw_stream` draws the stream and
-:func:`replay_lanes`, the event loop, serves it from a full storage unit
-and returns the cycles and the dropped arrivals as :class:`LaneCycles`
-arrays.  The loop runs many (capacity, stream) lanes in lockstep: each step
-serves the next servable arrival of every lane still active, with the phase
-arithmetic of :func:`cycle_phases`.  Every study replays through it: the
+:func:`replay_lanes`, the event loop, serves it from a full storage unit.
+The loop runs many (capacity, stream) lanes in lockstep over the streams
+flattened into float64 arrays: each step finds, on every lane still active,
+the next servable arrival by one exact search and serves it with the phase
+arithmetic of :func:`cycle_phases`.  It records only which arrivals each
+lane served, as a :class:`LaneReplay`; :meth:`LaneReplay.cycles` derives the
+cycles of any run of lanes as :class:`LaneCycles` arrays, so a caller can
+take them a few lanes at a time.  Every study replays through it: the
 exemplar day draws its stream once and replays one lane per kind, the
-reference schedule is one lane with an unlimited unit, and an ensemble cell
-replays every trajectory x kind as one lane of a single call.
+reference schedule is one lane with an unlimited unit, and the ensemble
+replays every trajectory x kind of a batch of demand cells as one lane of a
+single call.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +53,7 @@ __all__ = [
     "CyclePhases",
     "ArrivalStream",
     "LaneCycles",
+    "LaneReplay",
     "cycle_phases",
     "draw_stream",
     "replay_lanes",
@@ -173,13 +178,23 @@ class CyclePhases:
     recharge_h: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ArrivalStream:
-    """One day's EV arrivals: times within the horizon and their demands."""
+    """One day's EV arrivals: times within the horizon and their demands.
+
+    Both are float64 arrays of one length (sequences are converted), and
+    :func:`replay_lanes` requires the times never to decrease.
+    """
 
     horizon_h: float
-    times_h: tuple[float, ...]
-    demands_kwh: tuple[float, ...]
+    times_h: np.ndarray
+    demands_kwh: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "times_h", np.asarray(self.times_h, dtype=float))
+        object.__setattr__(
+            self, "demands_kwh", np.asarray(self.demands_kwh, dtype=float)
+        )
 
 
 # The per-cycle arrays of LaneCycles, in the order _serve returns them.
@@ -220,6 +235,61 @@ class LaneCycles:
     recharge_h: np.ndarray
     unmet_kwh: np.ndarray
     truncated: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class LaneReplay:
+    """Which arrivals every lane of one :func:`replay_lanes` call served.
+
+    Lane ``i`` served ``counts[i]`` arrivals and dropped ``dropped[i]``.
+    ``arrival`` indexes the flattened streams: the served arrivals lane by
+    lane, each lane's in service order.  The per-arrival arrays
+    (``start_h``, ``demand_kwh``, ``grid_kw``) and per-lane arrays
+    (``horizon_h``, ``capacity_kwh``) are what :meth:`cycles` serves them
+    with.
+    """
+
+    counts: np.ndarray
+    dropped: np.ndarray
+    arrival: np.ndarray
+    start_h: np.ndarray
+    demand_kwh: np.ndarray
+    grid_kw: np.ndarray
+    horizon_h: np.ndarray
+    capacity_kwh: np.ndarray
+    bess_power_kw: float
+    charger_max_kw: float
+
+    def cycles(self, start: int = 0, stop: int | None = None) -> LaneCycles:
+        """The cycles of lanes ``start .. stop - 1`` (all lanes by default).
+
+        They come from the served arrivals through the same arithmetic the
+        replay ran, so a caller may take the lanes a run at a time and keep
+        its temporaries small.
+        """
+        start, stop, _ = slice(start, stop).indices(self.counts.size)
+        stop = max(start, stop)
+        counts = self.counts[start:stop]
+        bounds = np.cumsum(self.counts[:stop])
+        first = int(bounds[start - 1]) if start else 0
+        arrival = self.arrival[first : first + int(counts.sum())]
+        lane = np.repeat(np.arange(start, stop), counts)
+        values, _ = _serve(
+            self.start_h[arrival],
+            self.demand_kwh[arrival],
+            self.grid_kw[arrival],
+            self.capacity_kwh[lane],
+            self.horizon_h[lane],
+            self.charger_max_kw,
+            self.bess_power_kw,
+        )
+        cycles = dict(zip(_CYCLE_FIELDS, values))
+        return LaneCycles(
+            counts=counts,
+            dropped=self.dropped[start:stop],
+            unmet_total_kwh=_lane_sums(cycles["unmet_kwh"], counts),
+            **cycles,
+        )
 
 
 def cycle_phases(
@@ -316,95 +386,153 @@ def draw_stream(
         draw = 0.0 if draw < 0.0 else draw
         demands.append(max_kwh if max_kwh < draw else draw)
         t_arrival += exponential(scale_h)
-    return ArrivalStream(horizon_h, tuple(times), tuple(demands))
+    return ArrivalStream(
+        horizon_h,
+        np.fromiter(times, float, len(times)),
+        np.fromiter(demands, float, len(demands)),
+    )
 
 
 def replay_lanes(
-    streams: Sequence[ArrivalStream],
+    streams: Iterable[ArrivalStream],
     stream_index,
     capacities_kwh,
     bess_power_kw: float,
     grid: GridProfile,
     charger_max_kw: float,
-) -> LaneCycles:
-    """Serve ``streams[stream_index[i]]`` from a full unit of ``capacities_kwh[i]``.
+) -> LaneReplay:
+    """Serve stream ``stream_index[i]`` from a full unit of ``capacities_kwh[i]``.
 
     This is the plaza's event loop, run for every lane ``i`` in lockstep.
-    Lanes index the stream arrays instead of copying them, so the kinds of
-    an ensemble cell share one draw.  Each step serves, on every lane still
-    active, the first arrival after the last one served whose time is at
-    least the lane's busy-until time; the arrivals skipped on the way are
-    dropped, and a lane with no such arrival left is done.
+    The streams are read once, in order, and flattened end to end; lanes
+    index the flat arrays instead of copying them, so the kinds of an
+    ensemble cell share one draw.  Each step serves, on every lane still
+    active, the first arrival at or after the lane's cursor (the arrival
+    after the last one served) whose time is at least the lane's busy-until
+    time; the arrivals skipped on the way are dropped, and a lane with no
+    such arrival left, a busy-until of +inf included, is done.  The loop
+    records only which arrivals each lane served; :meth:`LaneReplay.cycles`
+    derives their cycles.
     """
     if charger_max_kw <= 0:
         raise ValueError("charger_max_kw must be positive")
     rows = np.asarray(stream_index, dtype=np.intp)
     capacity = np.asarray(capacities_kwh, dtype=float)
-    lengths = np.array([len(s.times_h) for s in streams], dtype=np.intp)
-    horizons = np.array([s.horizon_h for s in streams], dtype=float)
-    width = int(lengths.max(initial=0))
-    # A -inf pad never finds the charger idle: busy-until is never negative.
-    times = np.full((len(streams), width), -math.inf)
-    demands = np.zeros((len(streams), width))
-    for row, stream in enumerate(streams):
-        times[row, : lengths[row]] = stream.times_h
-        demands[row, : lengths[row]] = stream.demands_kwh
-    columns = np.arange(width)
+    if rows.ndim != 1 or rows.shape != capacity.shape:
+        raise ValueError("every lane needs one stream index and one capacity")
+    times, demands, lengths, horizons = _flatten(streams)
+    offsets = np.cumsum(lengths) - lengths
+    n = times.size
+    # Arrival k of stream s has the key s * (n + 1) + p, where p is its
+    # position in a sort of every arrival time.  The arrivals before
+    # position r = searchsorted(ordered, b) are exactly those earlier than
+    # b, ties or not, so within each stream the keys below s * (n + 1) + r
+    # are the arrivals earlier than b, a prefix.  A lane on stream s that is
+    # busy until b finds its first arrival at b or later by searching the
+    # keys for s * (n + 1) + r: an exact integer search, with no float key
+    # to round.
+    order = np.argsort(times)
+    ordered = times[order]
+    keys = np.argsort(order)
+    del order
+    keys += np.repeat(np.arange(lengths.size) * (n + 1), lengths)
+    grid_kw = grid.powers_at(times)
+    horizon = horizons[rows]
 
-    n_lanes = len(rows)
-    unmet_total = np.zeros(n_lanes)
-    live = np.flatnonzero(lengths[rows] > 0)
-    first = np.zeros(live.size, dtype=np.intp)  # next index a lane may serve
+    lane_len = lengths[rows]
+    # Lane i's slots hold its stream's arrivals, slot = arrival + shift[i].
+    shift = np.cumsum(lane_len) - lane_len - offsets[rows]
+    served = np.zeros(int(lane_len.sum()), dtype=bool)
+    counts = np.zeros(rows.size, dtype=np.intp)
+    live = np.flatnonzero(lane_len > 0)
+    cursor = offsets[rows[live]]
+    end = cursor + lane_len[live]
+    base = rows[live] * (n + 1)
     busy = np.zeros(live.size)
-    served: list[tuple] = []
-    # Every step moves each live lane past one more arrival.
-    for _ in range(width):
-        row = rows[live]
-        idle = (times[row] >= busy[:, None]) & (columns >= first[:, None])
-        pick = idle.argmax(axis=1)
-        found = idle[np.arange(live.size), pick]
+    while live.size:
+        pick = np.searchsorted(keys, base + np.searchsorted(ordered, busy))
+        pick = np.maximum(pick, cursor)
+        found = pick < end
         if not found.all():
-            live, row, pick = live[found], row[found], pick[found]
-        if not live.size:
-            break
-        cycle, busy = _serve(
-            times[row, pick],
-            demands[row, pick],
+            live, pick, end, base = live[found], pick[found], end[found], base[found]
+            if not live.size:
+                break
+        served[pick + shift[live]] = True
+        counts[live] += 1
+        _, busy = _serve(
+            times[pick],
+            demands[pick],
+            grid_kw[pick],
             capacity[live],
-            horizons[row],
-            grid,
+            horizon[live],
             charger_max_kw,
             bess_power_kw,
         )
-        unmet_total[live] += cycle[-2]  # unmet_kwh, in service order
-        served.append((live, *cycle))
-        first = pick + 1
+        cursor = pick + 1
 
-    if served:
-        lane = np.concatenate([step[0] for step in served])
-        order = np.argsort(lane, kind="stable")
-        values = [
-            np.concatenate([step[k] for step in served])[order]
-            for k in range(1, len(_CYCLE_FIELDS) + 1)
-        ]
-    else:
-        lane = np.empty(0, dtype=np.intp)
-        values = [np.empty(0)] * (len(_CYCLE_FIELDS) - 1) + [np.empty(0, bool)]
-    counts = np.bincount(lane, minlength=n_lanes)
-    return LaneCycles(
+    return LaneReplay(
         counts=counts,
-        dropped=lengths[rows] - counts,
-        unmet_total_kwh=unmet_total,
-        **dict(zip(_CYCLE_FIELDS, values)),
+        dropped=lane_len - counts,
+        arrival=np.flatnonzero(served) - np.repeat(shift, counts),
+        start_h=times,
+        demand_kwh=demands,
+        grid_kw=grid_kw,
+        horizon_h=horizon,
+        capacity_kwh=capacity,
+        bess_power_kw=bess_power_kw,
+        charger_max_kw=charger_max_kw,
     )
 
 
-def _serve(start_h, demand_kwh, capacity, horizon_h, grid, charger, bess_power):
+def _flatten(
+    streams: Iterable[ArrivalStream],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The streams' times and demands end to end, their lengths and horizons.
+
+    The streams are taken in one pass, so a generator that draws them is
+    never held whole.  Rejects a stream whose demands do not match its
+    times, a NaN time, and times that decrease within a stream.
+    """
+    times, demands, horizons = [], [], []
+    for stream in streams:
+        if stream.demands_kwh.size != stream.times_h.size:
+            raise ValueError("every arrival needs one time and one demand")
+        times.append(stream.times_h)
+        demands.append(stream.demands_kwh)
+        horizons.append(stream.horizon_h)
+    lengths = np.array([t.size for t in times], dtype=np.intp)
+    times = np.concatenate(times or [np.empty(0)])
+    demands = np.concatenate(demands or [np.empty(0)])
+    falls = ~(times[1:] >= times[:-1])
+    # A pair that straddles two streams may fall.
+    starts = np.cumsum(lengths)[:-1]
+    falls[starts[(starts > 0) & (starts < times.size)] - 1] = False
+    if falls.any() or np.isnan(times).any():
+        raise ValueError(
+            "arrival times must be numbers that never decrease within a stream"
+        )
+    return times, demands, lengths, np.array(horizons, dtype=float)
+
+
+def _lane_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each lane's values added left to right from 0.0, in service order.
+
+    ``values`` holds ``counts[i]`` entries for lane ``i`` after those of
+    lanes ``0 .. i-1``.  They go down the columns of a table under a row of
+    zeros, and one running sum down the table is every lane's fold; the
+    zeros that pad a lane's column leave its sum as it is.
+    """
+    table = np.zeros((int(counts.max(initial=0)) + 1, counts.size))
+    rank = np.arange(values.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    table[rank + 1, np.repeat(np.arange(counts.size), counts)] = values
+    return np.add.accumulate(table, axis=0, out=table)[-1].copy()
+
+
+def _serve(start_h, demand_kwh, grid_kw, capacity, horizon_h, charger, bess_power):
     """The served arrivals' cycles, cut at the horizon, and their end times.
 
     The cycle values come in :data:`_CYCLE_FIELDS` order.
     """
-    grid_kw = grid.powers_at(start_h)
     full_power, bess_kw, full_h, curtailed_h, delivered, unmet, recharge_h = (
         _phases(capacity, grid_kw, demand_kwh, charger, bess_power)
     )

@@ -29,6 +29,7 @@ import besspp
 from besspp.architectures import split_budget
 from besspp.designer import (
     derive_seed,
+    derive_seeds,
     design_layer1,
     design_layer2,
     sample_packs,
@@ -171,16 +172,22 @@ def _finish(
 
 
 def _parallel_map(fn, items, workers: int):
+    """``fn`` of every item, yielded in order as the caller consumes them.
+
+    In one process each result is computed only when the caller asks for
+    it, so the caller can drop it before the next exists.
+    """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     # Imported here because it loads multiprocessing, which one worker never
     # uses.  Under fork the executor starts all max_workers processes at once,
     # so it gets no more than there are items.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +321,10 @@ def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
     expected = flatten_distribution(plaza.supply, n)
     horizon = expected.total_kwh / plaza.bess_power_kw
     layer1 = design_layer1(expected, scenario.n_layer1, horizon)
+    count = scenario.n_packs if n_packs is None else n_packs
     packs = [
-        sample_pack(plaza.supply, n, derive_seed(scenario.seed, "plaza-pack", i))
-        for i in range(scenario.n_packs if n_packs is None else n_packs)
+        sample_pack(plaza.supply, n, key)
+        for key in derive_seeds(scenario.seed, "plaza-pack", indices=range(count))
     ]
     capacities: dict[str, tuple[float, ...]] = {}
     for kind in plaza.kinds:
@@ -380,7 +388,7 @@ def run_day(
             plaza.bess_power_kw,
             scenario.grid_profile,
             plaza.charger_max_kw,
-        )
+        ).cycles()
         # Lane i holds kind i's cycles, in service order.
         bounds = np.concatenate([[0], np.cumsum(lanes.counts)])
         days = []
@@ -532,7 +540,7 @@ def _reference_schedule(scenario: Scenario) -> list[tuple[float, float, float]]:
         plaza.bess_power_kw,
         scenario.grid_profile,
         plaza.charger_max_kw,
-    )
+    ).cycles()
     return [
         (start_h, grid_kw, demand)
         for start_h, grid_kw, demand, truncated in zip(
@@ -624,18 +632,59 @@ def _dispersion_rows(
     return rows, reports
 
 
-def _cell_task(args) -> list[tuple]:
-    """``cells.csv`` rows of one demand cell, one per plaza kind.
+# Expected arrivals (rate x day x trajectories) per ensemble replay batch.
+# A batch's working set follows it, not the trajectory count.  Its cycles
+# are derived one run of trajectories and one kind at a time, and a run
+# holds at most half a batch, which bounds their temporaries too.
+_BATCH_ARRIVALS = 1 << 14
 
-    Each trajectory's arrival stream is drawn once; every trajectory x kind
-    is one lane of a single :func:`replay_lanes` call, trajectory ``t`` on
-    pack ``t % n_packs``.
+
+def _cell_batches(
+    rates: list[float], per_cell: int
+) -> list[list[tuple[int, int, int]]]:
+    """Consecutive ``(cell, first, stop)`` trajectory runs, cut into batches.
+
+    Cells are taken in order.  A run ends where its expected arrivals would
+    pass half of :data:`_BATCH_ARRIVALS`, and a batch where its own would
+    pass the whole; runs and batches hold at least one trajectory, and a
+    cell may span batches.
+    """
+    batches: list[list[tuple[int, int, int]]] = []
+    batch: list[tuple[int, int, int]] = []
+    load = 0.0
+    for cell, rate in enumerate(rates):
+        per_traj = rate * DAY_HORIZON_H
+        longest = max(1, int(_BATCH_ARRIVALS / 2 // per_traj))
+        first = 0
+        while first < per_cell:
+            room = int((_BATCH_ARRIVALS - load) // per_traj)
+            if room < 1 and batch:
+                batches.append(batch)
+                batch, load = [], 0.0
+                continue
+            stop = min(per_cell, first + longest, first + max(room, 1))
+            batch.append((cell, first, stop))
+            load += (stop - first) * per_traj
+            first = stop
+    if batch:
+        batches.append(batch)
+    return batches
+
+
+def _batch_task(args) -> list[tuple[int, int, list[tuple[np.ndarray, ...]]]]:
+    """Per trajectory run of a batch, its cell, stop and per-kind row inputs.
+
+    Each trajectory's arrival stream is drawn once, as the replay reads it,
+    and every trajectory x kind of the batch is one lane of a single
+    :func:`replay_lanes` call; trajectory ``t`` of a cell runs on pack
+    ``t % n_packs``.  The cycles are derived one run and kind at a time.
+    Per run and kind, the inputs are the utilization, curtailed hours and
+    truncation flag of every cycle, and the unmet energy, dropped and
+    served counts of every trajectory.  A run is ``(cell, mean, std, rate,
+    first, stop)``.
     """
     (
-        mean,
-        std,
-        rate,
-        n_traj,
+        runs,
         seed,
         capacities_by_kind,
         pack_totals,
@@ -643,51 +692,84 @@ def _cell_task(args) -> list[tuple]:
         charger_kw,
         bess_kw,
     ) = args
-    demand = DemandModel(mean_kwh=mean, std_kwh=std)
-    arrivals = ArrivalModel(rate)
-    streams = [
-        draw_stream(
-            arrivals, demand, DAY_HORIZON_H,
-            derive_seed(seed, "traj", mean, std, rate, t),
-        )
-        for t in range(n_traj)
-    ]
-    packs = np.arange(n_traj) % len(pack_totals)
-    lanes = replay_lanes(
-        streams,
-        np.tile(np.arange(n_traj), len(capacities_by_kind)),
-        np.concatenate([np.array(caps)[packs] for _, caps in capacities_by_kind]),
+    stream_index, capacities, packs = [], [], []
+    n_streams = 0
+    for *_, first, stop in runs:
+        pack = np.arange(first, stop) % len(pack_totals)
+        # Lanes run by run, kind by kind, trajectory by trajectory.
+        for _, caps in capacities_by_kind:
+            stream_index.append(np.arange(n_streams, n_streams + pack.size))
+            capacities.append(np.array(caps)[pack])
+        packs.append(pack)
+        n_streams += pack.size
+    replay = replay_lanes(
+        _draw_runs(runs, seed),
+        np.concatenate(stream_index),
+        np.concatenate(capacities),
         bess_kw,
         GridProfile(grid_segments),
         charger_kw,
     )
-    totals = np.array(pack_totals)[packs]
-    # Kind k owns lanes k*n_traj .. (k+1)*n_traj - 1, and so one run of
-    # cycles in (trajectory, cycle) order.
-    bounds = np.concatenate([[0], np.cumsum(lanes.counts)])
+    results = []
+    lane = 0
+    for (cell, *_, stop), pack in zip(runs, packs):
+        totals = np.array(pack_totals)[pack]
+        per_kind = []
+        for _ in capacities_by_kind:
+            cycles = replay.cycles(lane, lane + pack.size)
+            lane += pack.size
+            per_kind.append(
+                (
+                    cycles.bess_delivered_kwh / np.repeat(totals, cycles.counts),
+                    cycles.curtailed_h,
+                    cycles.truncated,
+                    cycles.unmet_total_kwh,
+                    cycles.dropped,
+                    cycles.counts,
+                )
+            )
+        results.append((cell, stop, per_kind))
+    return results
+
+
+def _draw_runs(runs, seed: int):
+    """Each run's trajectory streams in order, drawn as they are read.
+
+    Trajectory ``t`` of the cell with demand mean ``mean``, spread ``std``
+    and arrival rate ``rate`` is keyed ``(seed, "traj", mean, std, rate, t)``.
+    """
+    for _, mean, std, rate, first, stop in runs:
+        demand = DemandModel(mean_kwh=mean, std_kwh=std)
+        arrivals = ArrivalModel(rate)
+        keys = derive_seeds(seed, "traj", mean, std, rate, indices=range(first, stop))
+        for key in keys:
+            yield draw_stream(arrivals, demand, DAY_HORIZON_H, key)
+
+
+def _cell_rows(cell, n_traj: int, kinds, runs) -> list[tuple]:
+    """``cells.csv`` rows of one demand cell, one per plaza kind.
+
+    ``runs`` are the cell's :func:`_batch_task` results in trajectory order;
+    each statistic is taken over all of them at once.
+    """
     rows = []
-    for k, (kind, _) in enumerate(capacities_by_kind):
-        traj = slice(k * n_traj, (k + 1) * n_traj)
-        cycles = slice(bounds[traj.start], bounds[traj.stop])
-        counts = lanes.counts[traj]
-        done = ~lanes.truncated[cycles]
-        utils = (lanes.bess_delivered_kwh[cycles] / np.repeat(totals, counts))[done]
-        mean_min, max_min, n_done = _curtailed_minutes(
-            lanes.curtailed_h[cycles], lanes.truncated[cycles]
+    for k, kind in enumerate(kinds):
+        utils, curtailed_h, truncated, unmet, dropped, counts = (
+            np.concatenate(parts) for parts in zip(*(run[k] for run in runs))
         )
+        utils = utils[~truncated]
+        mean_min, max_min, n_done = _curtailed_minutes(curtailed_h, truncated)
         rows.append(
             (
                 kind,
-                mean,
-                std,
-                rate,
+                *cell,
                 n_traj,
                 n_done,
                 float(np.mean(utils)) if utils.size else math.nan,
                 mean_min,
                 max_min,
-                float(lanes.unmet_total_kwh[traj].mean()),
-                float(lanes.dropped[traj].mean()),
+                float(unmet.mean()),
+                float(dropped.mean()),
                 float(counts.mean()),
             )
         )
@@ -697,7 +779,12 @@ def _cell_task(args) -> list[tuple]:
 def run_ensemble(
     scenario: Scenario, out_dir, workers: int = 1, timer: StageTimer | None = None
 ) -> StudyResult:
-    """Dispersion statistics plus the stochastic service-cell sweep."""
+    """Dispersion statistics plus the stochastic service-cell sweep.
+
+    The cells' trajectories are replayed in batches (:func:`_cell_batches`),
+    one task each; a cell split over batches gets its row once its last
+    run is in, so at most a batch and one cell's runs are held at a time.
+    """
     timer = timer or StageTimer()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -719,12 +806,11 @@ def run_ensemble(
     capacities_by_kind = tuple(
         (kind.value, setup.capacities[kind.value]) for kind in plaza.kinds
     )
+    kinds = [kind for kind, _ in capacities_by_kind]
+    batches = _cell_batches([rate for _, _, rate in cells], per_cell)
     tasks = [
         (
-            mean,
-            std,
-            rate,
-            per_cell,
+            [(cell, *cells[cell], first, stop) for cell, first, stop in batch],
             traj_seed,
             capacities_by_kind,
             setup.pack_totals,
@@ -732,12 +818,21 @@ def run_ensemble(
             plaza.charger_max_kw,
             plaza.bess_power_kw,
         )
-        for (mean, std, rate) in cells
+        for batch in batches
     ]
+    by_cell: list[list[tuple]] = []
     with timer.stage("cells"):
-        by_cell = _parallel_map(_cell_task, tasks, workers)
+        runs: list = []
+        for results in _parallel_map(_batch_task, tasks, workers):
+            for cell, stop, result in results:
+                runs.append(result)
+                if stop == per_cell:
+                    by_cell.append(_cell_rows(cells[cell], per_cell, kinds, runs))
+                    runs = []
+            # Free this batch's arrays before the next batch is replayed.
+            del results, result
     # Kind-major: every cell of the first kind, then of the next.
-    cell_rows = [cell[k] for k in range(len(capacities_by_kind)) for cell in by_cell]
+    cell_rows = [cell[k] for k in range(len(kinds)) for cell in by_cell]
 
     with timer.stage("writes"):
         _write_csv(out_dir / "dispersion.csv", DISPERSION_HEADER, rows)

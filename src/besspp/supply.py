@@ -177,25 +177,33 @@ def _philox(key: int) -> np.random.Generator:
 
     The calling thread's Philox is re-keyed in place, at counter 0 with an
     empty buffer, instead of building a generator (and seeding an unused
-    ``SeedSequence``) per draw.  The returned generator is valid until the
-    thread's next call.
+    ``SeedSequence``) per draw.  The state setter copies every word out of
+    one state dict per thread, held as Python ints, so a re-key writes the
+    two key words and allocates no array.  The returned generator is valid
+    until the thread's next call.
     """
     if not 0 <= key < 1 << 128:
         raise ValueError(f"Philox keys are 128-bit and nonnegative, got {key}")
-    pair = getattr(_PHILOX, "pair", None)
-    if pair is None:
+    rekey = getattr(_PHILOX, "rekey", None)
+    if rekey is None:
         bit_generator = np.random.Philox(key=0)
-        pair = _PHILOX.pair = (bit_generator, np.random.Generator(bit_generator))
-    bit_generator, generator = pair
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([key & _WORD, key >> 64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        words = [0, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": words},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rekey = _PHILOX.rekey = (
+            bit_generator,
+            np.random.Generator(bit_generator),
+            state,
+            words,
+        )
+    bit_generator, generator, state, words = rekey
+    words[0] = key & _WORD
+    words[1] = key >> 64
+    bit_generator.state = state
     return generator

@@ -66,7 +66,7 @@ def reference_phases(capacity, grid_kw, demand, charger, bess_power):
 def reference_replay(capacity, bess_power, grid, stream, charger):
     """Serve ``stream`` from a full unit: the cycles and the dropped count."""
     cycles, dropped, busy_until = [], 0, 0.0
-    for start, demand in zip(stream.times_h, stream.demands_kwh):
+    for start, demand in zip(stream.times_h.tolist(), stream.demands_kwh.tolist()):
         if start < busy_until:
             dropped += 1
             continue

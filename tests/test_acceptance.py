@@ -339,7 +339,7 @@ def prop_storage_full_at_cycle_start(seed, capacity, grid, rate, mean, std):
     stream = draw_stream(ArrivalModel(rate), DemandModel(mean, std), 24.0, seed)
     profile = GridProfile.constant(grid)
     cycles = lane_cycles(
-        replay_lanes([stream], [0], [capacity], 150.0, profile, 150.0), 0
+        replay_lanes([stream], [0], [capacity], 150.0, profile, 150.0).cycles(), 0
     )
     _, _, _, bess_kwh, _ = _minute_series(
         [dataclasses.asdict(c) for c in cycles], capacity, profile

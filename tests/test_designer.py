@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besspp import flows
 from besspp.architectures import ConfigurationError, split_budget, split_lambda
@@ -11,9 +13,10 @@ from besspp.designer import (
     _TIE_RTOL,
     MAX_PLACEMENTS,
     _make_point,
-    _tied_candidates,
+    _tie_set,
     default_lambda_grid,
     derive_seed,
+    derive_seeds,
     design_layer1,
     design_layer2,
     enumerate_placements,
@@ -46,6 +49,34 @@ def expected_set(*caps: float) -> ExpectedSet:
     return ExpectedSet(tuple(BatteryModule(float(c), 50.0) for c in caps))
 
 
+def as_tuples(placements) -> list[tuple[tuple[int, int], ...]]:
+    """A placement array as a list of tuples of ``(i, j)`` pairs."""
+    return [tuple(tuple(pair) for pair in p) for p in np.asarray(placements).tolist()]
+
+
+def tied_candidates(placements, outputs):
+    """Reference tie set: the scalar running-best loop over the outputs.
+
+    The best output is that of the placement which last beat the running
+    best by more than the relative tie slack; the candidates are it and
+    every later placement within the slack of it, in enumeration order.
+    """
+    best_output = -math.inf
+    candidates = []
+    for placement, output in zip(placements, outputs):
+        if not candidates:
+            best_output = output
+            candidates = [placement]
+            continue
+        tie = _TIE_RTOL * (1.0 + abs(best_output))
+        if output > best_output + tie:
+            best_output = output
+            candidates = [placement]
+        elif output >= best_output - tie:
+            candidates.append(placement)
+    return best_output, candidates
+
+
 def component_average_bound(caps, placement) -> float:
     """Closed-form optimum for uncapped placements on a unit-voltage pack.
 
@@ -71,6 +102,34 @@ def component_average_bound(caps, placement) -> float:
     return per_module * n
 
 
+class TestTieSet:
+    """The array scan picks the scalar running-best loop's tie set."""
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 1.0 + 1e-10, 1.0 + 3e-9, 2.0, -1.0, math.nan])
+            | st.floats(-1e3, 1e3),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=300)
+    def test_equals_the_scalar_scan(self, outputs):
+        best, tied = _tie_set(np.array(outputs))
+        ref_best, ref_tied = tied_candidates(range(len(outputs)), outputs)
+        assert tied.tolist() == ref_tied
+        assert best == ref_best or (math.isnan(best) and math.isnan(ref_best))
+
+    def test_a_slack_chain_moves_the_best_once_it_is_passed(self):
+        # Each output is within the slack (2e-9 here) of the one before it;
+        # the best moves to the first output past the slack of the current
+        # best, and the tie set restarts there.
+        outputs = [1.0 + k * 0.6e-9 for k in range(6)]
+        best, tied = _tie_set(np.array(outputs))
+        assert (best, tied.tolist()) == (outputs[4], [4, 5])
+        assert (best, tied.tolist()) == tied_candidates(range(6), outputs)
+
+
 class TestEnumeratePlacements:
     def test_reference_count(self):
         # 9 modules give C(9,2) = 36 pairs; 3 edges among them.
@@ -78,11 +137,15 @@ class TestEnumeratePlacements:
 
     def test_small_case_explicit(self):
         placements = enumerate_placements(3, 1)
-        assert placements == [((0, 1),), ((0, 2),), ((1, 2),)]
+        assert placements.shape == (3, 1, 2)
+        assert as_tuples(placements) == [((0, 1),), ((0, 2),), ((1, 2),)]
 
     def test_lexicographic_order(self):
-        placements = enumerate_placements(4, 2)
+        placements = as_tuples(enumerate_placements(4, 2))
         assert placements == sorted(placements)
+        assert placements == list(
+            itertools.combinations(itertools.combinations(range(4), 2), 2)
+        )
         assert len(placements) == math.comb(6, 2)
 
     def test_rejects_too_many_edges(self):
@@ -163,7 +226,7 @@ def lp_loop_design(expected, n_edges: int, horizon_h: float):
     """
     placements = enumerate_placements(len(expected.batteries), n_edges)
     outputs = uncapped_placement_energy(expected.batteries, placements).tolist()
-    best_output, candidates = _tied_candidates(placements, outputs)
+    best_output, candidates = tied_candidates(as_tuples(placements), outputs)
     winner, flows_kwh, best_peak, peaks = None, (), math.inf, []
     for placement in candidates:
         flows = min_peak_flow(*uncapped(expected, placement), best_output)
@@ -178,15 +241,15 @@ class TestSearchAgainstLpSweep:
     def test_same_outputs_candidates_winner(self, supply9):
         # A reduced search: the cut form against the per-placement LP sweep.
         expected = flatten_distribution(supply9, 7)
-        placements = enumerate_placements(7, 2)
+        placements = as_tuples(enumerate_placements(7, 2))
         lp_outputs = [
             max_deliverable_energy(*uncapped(expected, p))[0] for p in placements
         ]
         cut = uncapped_placement_energy(expected.batteries, placements).tolist()
         np.testing.assert_allclose(cut, lp_outputs, rtol=1e-12, atol=0)
 
-        lp_best, lp_candidates = _tied_candidates(placements, lp_outputs)
-        cut_best, cut_candidates = _tied_candidates(placements, cut)
+        lp_best, lp_candidates = tied_candidates(placements, lp_outputs)
+        cut_best, cut_candidates = tied_candidates(placements, cut)
         assert cut_candidates == lp_candidates
         assert len(lp_candidates) > 1  # the tie-break is exercised
         assert cut_best == pytest.approx(lp_best, rel=1e-12)
@@ -434,6 +497,21 @@ class TestDeriveSeed:
 
     def test_fits_in_128_bits(self):
         assert 0 <= derive_seed(123, "x") < 2**128
+
+    @pytest.mark.parametrize("mean, std, rate", [(33.0, 5.0, 2.0), (50.0, 25.0, 0.4)])
+    def test_prefix_hashed_keys_are_the_cell_keys(self, mean, std, rate):
+        # An ensemble run keys trajectory t of a cell (seed, "traj", mean,
+        # std, rate, t); a run that starts mid-cell keeps the cell's keys.
+        keys = derive_seeds(99, "traj", mean, std, rate, indices=range(150))
+        cell = [derive_seed(99, "traj", mean, std, rate, t) for t in range(150)]
+        assert keys == cell
+        tail = derive_seeds(99, "traj", mean, std, rate, indices=range(111, 150))
+        assert tail == keys[111:]
+
+    def test_prefix_hashed_keys_without_a_label(self):
+        unlabelled = [derive_seed(7, i) for i in range(3)]
+        assert derive_seeds(7, indices=range(3)) == unlabelled
+        assert derive_seeds(7, "pack", indices=range(0)) == []
 
 
 class TestDefaultLambdaGrid:

@@ -1,8 +1,14 @@
+import ast
 import json
 import math
+import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besspp.architectures import split_budget
 from besspp.designer import _make_point, _utilization_rows
@@ -12,6 +18,7 @@ from besspp.metrics import (
     derating_factor,
     grid_ev_energy_gap,
     system_efficiency,
+    utilization_stats,
 )
 from besspp.supply import BatteryModule
 
@@ -87,6 +94,55 @@ class TestInterdecileRange:
         samples = rng.uniform(0, 1, 97)
         expected = np.quantile(samples, 0.9) - np.quantile(samples, 0.1)
         assert self.idr(samples) == float(expected)
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+_SAMPLE_VALUES = (
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, math.inf, -math.inf, math.nan])
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+class TestDeciles:
+    """The p10 and p90 of ``utilization_stats`` are ``np.quantile``'s."""
+
+    @given(st.lists(_SAMPLE_VALUES, min_size=1, max_size=500))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_np_quantile(self, values):
+        # Ties, both zeros, infinities and NaNs (any payload) included.
+        arr = np.array(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, _, _, p10, p90 = utilization_stats(arr)
+            expected = [float(np.quantile(arr, q)) for q in (0.1, 0.9)]
+        assert [bits(p10), bits(p90)] == [bits(q) for q in expected]
+
+    def test_the_sample_is_left_as_it_is(self):
+        samples = np.array([3.0, 1.0, 2.0, 0.0, 5.0])
+        utilization_stats(samples)
+        assert samples.tolist() == [3.0, 1.0, 2.0, 0.0, 5.0]
+
+    def test_no_numpy_quantile_in_the_package(self):
+        # np.quantile and np.percentile pick their partition points with
+        # np.unique, which imports numpy.ma; the package computes its deciles
+        # with metrics._linear_quantile instead.
+        names = {"quantile", "percentile", "nanquantile", "nanpercentile"}
+        root = Path(sys.modules["besspp"].__file__).parent
+        calls = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(root.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in names
+                or isinstance(node.func, ast.Name)
+                and node.func.id in names
+            )
+        ]
+        assert calls == []
 
 
 class TestGridEvGap:

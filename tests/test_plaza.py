@@ -208,7 +208,7 @@ def _demand(mean=50.0, std=25.0):
 def _day(capacity, grid, rate, demand, seed, horizon=24.0):
     """One day's cycles and dropped arrivals: a drawn stream replayed as one lane."""
     stream = draw_stream(ArrivalModel(rate), demand, horizon, seed)
-    lanes = replay_lanes([stream], [0], [capacity], 150.0, grid, 150.0)
+    lanes = replay_lanes([stream], [0], [capacity], 150.0, grid, 150.0).cycles()
     return lane_cycles(lanes, 0), int(lanes.dropped[0])
 
 
@@ -351,7 +351,7 @@ class TestReplayLanes:
                 bess_power,
                 grid,
                 150.0,
-            )
+            ).cycles()
         for lane, (row, capacity) in enumerate(lanes_spec):
             cycles, dropped = reference_replay(
                 capacity, bess_power, grid, streams[row], 150.0
@@ -364,14 +364,89 @@ class TestReplayLanes:
             assert lanes.unmet_total_kwh[lane] == total
         assert lanes.counts.sum() == lanes.start_h.size
 
+    @given(
+        cells=st.lists(
+            st.lists(_streams(), min_size=1, max_size=3), min_size=2, max_size=4
+        ),
+        data=st.data(),
+        grid=_GRIDS,
+        bess_power=st.sampled_from([150.0, 60.0, 0.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_batch_of_cells_equals_each_cell_alone(
+        self, cells, data, grid, bess_power
+    ):
+        # An ensemble batch replays the lanes of several demand cells in one
+        # call, kind by kind over each cell's streams, and takes each cell's
+        # cycles as a run of lanes.  Each run must be the cell replayed
+        # alone, and the scalar oracle's replay lane by lane.
+        caps = [data.draw(st.lists(_CAPACITIES, min_size=2, max_size=2)) for _ in cells]
+        specs = [
+            [(row, cap) for cap in kind_caps for row in range(len(streams))]
+            for streams, kind_caps in zip(cells, caps)
+        ]
+        offsets = np.cumsum([0] + [len(streams) for streams in cells])
+        rows = [at + row for at, spec in zip(offsets, specs) for row, _ in spec]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = replay_lanes(
+                (stream for streams in cells for stream in streams),
+                rows,
+                [cap for spec in specs for _, cap in spec],
+                bess_power,
+                grid,
+                150.0,
+            )
+            first = 0
+            for streams, spec in zip(cells, specs):
+                run = batch.cycles(first, first + len(spec))
+                first += len(spec)
+                alone = replay_lanes(
+                    streams,
+                    [row for row, _ in spec],
+                    [cap for _, cap in spec],
+                    bess_power,
+                    grid,
+                    150.0,
+                ).cycles()
+                for field in fields(run):
+                    got, want = getattr(run, field.name), getattr(alone, field.name)
+                    assert got.dtype == want.dtype, field.name
+                    assert got.tobytes() == want.tobytes(), field.name
+                for lane, (row, cap) in enumerate(spec):
+                    cycles, dropped = reference_replay(
+                        cap, bess_power, grid, streams[row], 150.0
+                    )
+                    assert lane_cycles(run, lane) == cycles
+                    assert run.dropped[lane] == dropped
+
+    def test_rejects_streams_it_cannot_search(self):
+        grid = GridProfile.constant(40.0)
+        for stream, match in [
+            (ArrivalStream(24.0, (2.0, 1.0), (5.0, 5.0)), "never decrease"),
+            (ArrivalStream(24.0, (math.nan,), (5.0,)), "numbers"),
+            (ArrivalStream(24.0, (1.0, 2.0), (5.0,)), "one time and one demand"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                replay_lanes([stream], [0], [10.0], 150.0, grid, 150.0)
+        # Times may fall from one stream to the next.
+        two = [ArrivalStream(24.0, (5.0,), (5.0,)), ArrivalStream(24.0, (1.0,), (5.0,))]
+        lanes = replay_lanes(two, [0, 1], [10.0, 10.0], 150.0, grid, 150.0)
+        assert lanes.counts.tolist() == [1, 1]
+        assert lanes.cycles(1).start_h.tolist() == [1.0]
+        with pytest.raises(ValueError, match="one stream index and one capacity"):
+            replay_lanes(two, [0, 1], [10.0], 150.0, grid, 150.0)
+
     def test_no_lanes_and_empty_streams(self):
         grid = GridProfile.constant(40.0)
         empty = ArrivalStream(24.0, (), ())
-        lanes = replay_lanes([empty], [0, 0], [0.0, 10.0], 150.0, grid, 150.0)
+        lanes = replay_lanes(
+            [empty], [0, 0], [0.0, 10.0], 150.0, grid, 150.0
+        ).cycles()
         assert lanes.counts.tolist() == [0, 0]
         assert lanes.dropped.tolist() == [0, 0]
         assert lanes.start_h.size == 0 and lanes.truncated.dtype == bool
-        none = replay_lanes([empty], [], [], 150.0, grid, 150.0)
+        none = replay_lanes([empty], [], [], 150.0, grid, 150.0).cycles()
         assert none.counts.size == 0
         with pytest.raises(ValueError, match="charger_max_kw"):
             replay_lanes([empty], [0], [1.0], 150.0, grid, 0.0)
@@ -384,7 +459,9 @@ class TestReplayLanes:
         grid = GridProfile.constant(2.5e-307)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            lanes = replay_lanes([stream], [0], [40.0], 150.0, grid, 150.0)
+            lanes = replay_lanes(
+                [stream], [0], [40.0], 150.0, grid, 150.0
+            ).cycles()
         (cycle,) = lane_cycles(lanes, 0)
         assert cycle.truncated
         assert ([cycle], 0) == reference_replay(40.0, 150.0, grid, stream, 150.0)
@@ -411,10 +488,14 @@ class TestSharedStream:
         arrivals, demand = ArrivalModel(rate), _demand(mean, std)
         stream = draw_stream(arrivals, demand, horizon, seed)
         capacities = (0.0, small, large, math.inf)
-        shared = replay_lanes([stream], [0] * 4, capacities, 150.0, grid, 150.0)
+        shared = replay_lanes(
+            [stream], [0] * 4, capacities, 150.0, grid, 150.0
+        ).cycles()
         for lane, capacity in enumerate(capacities):
             day = draw_stream(arrivals, demand, horizon, seed)
-            alone = replay_lanes([day], [0], [capacity], 150.0, grid, 150.0)
+            alone = replay_lanes(
+                [day], [0], [capacity], 150.0, grid, 150.0
+            ).cycles()
             assert lane_cycles(shared, lane) == lane_cycles(alone, 0)
             assert shared.dropped[lane] == alone.dropped[0]
             assert shared.counts[lane] + shared.dropped[lane] == len(stream.times_h)
@@ -438,7 +519,7 @@ class TestCurtailedMinutes:
         lanes = replay_lanes(
             [drawn, cut], [0, 1], [12.0, 12.0], 150.0, GridProfile.constant(40.0),
             150.0,
-        )
+        ).cycles()
         assert lane_cycles(lanes, 1)[1].truncated
         mean_min, max_min, n_cycles = _curtailed_minutes(
             lanes.curtailed_h, lanes.truncated
@@ -457,7 +538,7 @@ class TestCurtailedMinutes:
         empty = ArrivalStream(0.5, (), ())
         lanes = replay_lanes(
             [empty], [0], [12.0], 150.0, GridProfile.constant(40.0), 150.0
-        )
+        ).cycles()
         mean_min, max_min, n_cycles = _curtailed_minutes(
             lanes.curtailed_h, lanes.truncated
         )

@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import besspp.studies
 from besspp.cli import main
@@ -26,6 +28,7 @@ from besspp.studies import (
     DAY_HORIZON_H,
     TRADEOFF_HEADER,
     TRAJECTORY_HEADER,
+    _cell_batches,
     _parallel_map,
     _plaza_setup,
     run_day,
@@ -342,6 +345,51 @@ class TestRunEnsemble:
         assert [r[0] for r in rows] == ["lshippp"] * 4 + ["cppp"] * 4
         assert rows == expected
 
+    def test_batches_split_cells_without_moving_a_byte(
+        self, small_scenario, tmp_path, monkeypatch
+    ):
+        # The small scenario's one cell (8 trajectories, about 48 arrivals
+        # each) is one batch; a bound of 150 expected arrivals splits it into
+        # three batches of one-trajectory runs.  The bytes stay those of the
+        # one-batch run at every worker count.
+        _, scenario = small_scenario
+        whole = tree_digest(run_ensemble(scenario, tmp_path / "whole").out_dir)
+        assert len(_cell_batches([2.0], 8)) == 1
+        monkeypatch.setattr(besspp.studies, "_BATCH_ARRIVALS", 150)
+        batches = _cell_batches([2.0], 8)
+        assert len(batches) >= 3
+        assert all(stop - first == 1 for batch in batches for _, first, stop in batch)
+        for workers in (1, 2, 3):
+            split = run_ensemble(scenario, tmp_path / f"w{workers}", workers=workers)
+            assert tree_digest(split.out_dir) == whole
+
+    @given(
+        rates=st.lists(
+            st.sampled_from([0.05, 0.4, 2.0, 40.0, 5000.0]), min_size=1, max_size=12
+        ),
+        per_cell=st.integers(1, 400),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batches_cover_every_trajectory_once(self, rates, per_cell):
+        batches = _cell_batches(rates, per_cell)
+        runs = [run for batch in batches for run in batch]
+        expected_cell, expected_first = 0, 0
+        for cell, first, stop in runs:
+            if expected_first == per_cell:
+                expected_cell, expected_first = expected_cell + 1, 0
+            assert (cell, first) == (expected_cell, expected_first)
+            assert first < stop <= per_cell
+            expected_first = stop
+        assert (expected_cell, expected_first) == (len(rates) - 1, per_cell)
+        # The planner adds loads in floats: allow their rounding.
+        bound = besspp.studies._BATCH_ARRIVALS * (1 + 1e-12)
+        for batch in batches:
+            loads = [(stop - first) * rates[cell] * 24.0 for cell, first, stop in batch]
+            # A batch passes the bound only when it holds one trajectory.
+            assert sum(loads) <= bound or len(batch) == 1 == batch[0][2] - batch[0][1]
+            for load, (_, first, stop) in zip(loads, batch):
+                assert load <= bound / 2 or stop - first == 1
+
     def test_rerun_and_workers_byte_identical(self, small_scenario, tmp_path):
         _, scenario = small_scenario
         first = run_ensemble(scenario, tmp_path / "a", workers=1)
@@ -527,7 +575,7 @@ class TestParallelMap:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        assert _parallel_map(abs, [-1, 2, -3], workers) == [1, 2, 3]
+        assert list(_parallel_map(abs, [-1, 2, -3], workers)) == [1, 2, 3]
         assert sizes == [expected]
 
 
@@ -571,6 +619,19 @@ class TestStartup:
         )
         args = ["design", "--scenario", str(path), "--out", str(tmp_path / "d")]
         assert run_python(code, *args).splitlines()[-1] == "False"
+
+    def test_design_never_imports_numpy_ma(self, small_scenario, tmp_path):
+        # np.quantile would import numpy.ma (about 17 ms and 1.2 MB) through
+        # np.unique; the deciles of every sweep point avoid it.
+        path, _ = small_scenario
+        code = (
+            "import sys\n"
+            "from besspp.scenario import load_scenario\n"
+            "from besspp.studies import run_design\n"
+            "run_design(load_scenario(sys.argv[1]), sys.argv[2])\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        assert run_python(code, str(path), str(tmp_path / "d")) == "False"
 
     def test_tradeoff_runs_in_one_process(self, small_scenario, tmp_path):
         # Every kind sweeps the common packs in the study process, so

@@ -171,6 +171,20 @@ class TestRekeyedPhilox:
             # 32-bit buffer (three int32 draws), which it must not inherit.
             assert rng.bit_generator.state["has_uint32"] == 1
 
+    @given(st.integers(0, 2**128 - 1), st.integers(0, 2**128 - 1))
+    @settings(max_examples=100)
+    def test_scalar_draws_after_any_rekey(self, before, key):
+        # draw_stream's pattern, scalar exponential and normal draws, right
+        # after a re-key away from a key whose stream was left mid-buffer.
+        spent = _philox(before)
+        spent.standard_normal(3)
+        spent.integers(0, 9, dtype=np.int32)
+        rng = _philox(key)
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        for _ in range(20):
+            assert rng.exponential(0.5) == fresh.exponential(0.5)
+            assert rng.normal(33.0, 5.0) == fresh.normal(33.0, 5.0)
+
     def test_sample_pack_matches_a_fresh_generator(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         for seed in (0, 5, 2**127 + 3):
