@@ -73,14 +73,14 @@ class ArchitectureConfig:
         object.__setattr__(self, "kind", kind)
         if self.n_modules < 2:
             raise ConfigurationError("n_modules must be >= 2")
-        if self.rating_r < 0:
-            raise ConfigurationError("rating_r must be >= 0")
+        if not 0 <= self.rating_r < math.inf:
+            raise ConfigurationError("rating_r must be >= 0 and finite")
         if not 0 < self.eta_c <= 1:
             raise ConfigurationError("eta_c must be in (0, 1]")
-        if self.lambda_h is not None and self.lambda_h < 0:
-            raise ConfigurationError("lambda_h must be >= 0")
-        if self.horizon_h is not None and self.horizon_h <= 0:
-            raise ConfigurationError("horizon_h must be positive")
+        if self.lambda_h is not None and not 0 <= self.lambda_h < math.inf:
+            raise ConfigurationError("lambda_h must be >= 0 and finite")
+        if self.horizon_h is not None and not 0 < self.horizon_h < math.inf:
+            raise ConfigurationError("horizon_h must be positive and finite")
         if kind is ArchitectureKind.LSHIPPP:
             if self.n_layer1 is None or not 1 <= self.n_layer1 < self.n_modules:
                 raise ConfigurationError(

@@ -76,6 +76,8 @@ class GridProfile:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("grid profile needs at least one segment")
+        if not all(map(math.isfinite, (v for seg in self.segments for v in seg))):
+            raise ValueError("grid segment starts and powers must be finite")
         starts = [s for s, _ in self.segments]
         if starts[0] != 0:
             raise ValueError("first grid segment must start at hour 0")
@@ -139,8 +141,8 @@ class ArrivalModel:
     rate_per_h: float
 
     def __post_init__(self) -> None:
-        if not self.rate_per_h > 0:
-            raise ValueError("rate_per_h must be positive")
+        if not 0 < self.rate_per_h < math.inf:
+            raise ValueError("rate_per_h must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -152,14 +154,14 @@ class DemandModel:
     max_kwh: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.mean_kwh > 0:
-            raise ValueError("mean_kwh must be positive")
-        if self.std_kwh < 0:
-            raise ValueError("std_kwh must be nonnegative")
+        if not 0 < self.mean_kwh < math.inf:
+            raise ValueError("mean_kwh must be positive and finite")
+        if not 0 <= self.std_kwh < math.inf:
+            raise ValueError("std_kwh must be nonnegative and finite")
         if self.max_kwh is None:
             object.__setattr__(self, "max_kwh", 2.0 * self.mean_kwh)
-        elif self.max_kwh <= 0:
-            raise ValueError("max_kwh must be positive")
+        if not 0 < self.max_kwh < math.inf:
+            raise ValueError("max_kwh must be positive and finite")
 
 
 @dataclass(frozen=True)

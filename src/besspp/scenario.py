@@ -10,6 +10,7 @@ run is reproducible by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +69,18 @@ class PlazaSettings:
     exemplar_rate_per_h: float
 
     def __post_init__(self) -> None:
+        non_finite = [
+            name
+            for name in (
+                "charger_max_kw",
+                "bess_power_kw",
+                "rating_r",
+                "exemplar_rate_per_h",
+            )
+            if not math.isfinite(getattr(self, name))
+        ]
+        if non_finite:
+            raise ScenarioError(f"plaza {', '.join(non_finite)} must be finite")
         if self.charger_max_kw <= 0:
             raise ScenarioError("plaza charger_max_kw must be positive")
         if self.bess_power_kw <= 0:
@@ -117,8 +130,8 @@ class Scenario:
                 check_placement_limit(self.n_modules, self.n_layer1)
             except ValueError as exc:
                 problems.append(f"n_layer1: {exc}")
-        if self.rated_power_kw <= 0:
-            problems.append("rated_power_kw must be positive")
+        if not 0 < self.rated_power_kw < math.inf:
+            problems.append("rated_power_kw must be positive and finite")
         if not self.architectures:
             problems.append("architectures must be nonempty")
         for seq, label in [
@@ -130,6 +143,8 @@ class Scenario:
         ]:
             if not seq:
                 problems.append(f"{label} must be nonempty")
+            elif not all(map(math.isfinite, seq)):
+                problems.append(f"{label} must be finite")
         if any(r <= 0 for r in self.arrival_rates_per_h):
             problems.append("arrival rates must be positive")
         if any(m <= 0 for m in self.demand_means_kwh):
@@ -245,8 +260,11 @@ def load_scenario(path) -> Scenario:
 
     base_dir = path.parent
     supply = _supply_from_dict(data.get("supply", {}), "pack")
-    n_modules = int(data.get("supply", {}).get("n_modules", 0))
-    n_layer1 = int(data.get("n_layer1", 3))
+    try:
+        n_modules = int(data.get("supply", {}).get("n_modules", 0))
+        n_layer1 = int(data.get("n_layer1", 3))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"bad scenario field: {exc}") from exc
 
     arch_entries = data.get("architectures", [])
     architectures = []
@@ -255,7 +273,7 @@ def load_scenario(path) -> Scenario:
         entry.setdefault("n_modules", n_modules)
         try:
             architectures.append(ArchitectureConfig.from_dict(entry))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"bad architecture entry {entry}: {exc}") from exc
 
     plaza_data = data.get("plaza", {})
@@ -311,7 +329,7 @@ def load_scenario(path) -> Scenario:
         )
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"bad scenario field: {exc}") from exc
 
 

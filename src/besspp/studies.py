@@ -171,23 +171,18 @@ def _finish(
     return StudyResult(study, out_dir, tuple(sorted(files) + ["manifest.json"]))
 
 
-def _parallel_map(fn, items, workers: int):
-    """``fn`` of every item, yielded in order as the caller consumes them.
-
-    In one process each result is computed only when the caller asks for
-    it, so the caller can drop it before the next exists.
-    """
+def _parallel_map(fn, items, workers: int) -> list:
+    """``fn`` of every item, in order."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
-        yield from map(fn, items)
-        return
+        return [fn(item) for item in items]
     # Imported here because it loads multiprocessing, which one worker never
     # uses.  Under fork the executor starts all max_workers processes at once,
     # so it gets no more than there are items.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        yield from pool.map(fn, items)
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -381,33 +376,31 @@ def run_day(
             derive_seed(scenario.seed, "day"),
         )
         capacities = [setup.capacities[kind][0] for kind in kinds]
-        lanes = replay_lanes(
+        replay = replay_lanes(
             [stream],
             [0] * len(kinds),
             capacities,
             plaza.bess_power_kw,
             scenario.grid_profile,
             plaza.charger_max_kw,
-        ).cycles()
-        # Lane i holds kind i's cycles, in service order.
-        bounds = np.concatenate([[0], np.cumsum(lanes.counts)])
+        )
         days = []
         for i, kind in enumerate(kinds):
-            lane = slice(bounds[i], bounds[i + 1])
-            columns = [getattr(lanes, name)[lane].tolist() for name in _CYCLE_FIELDS]
+            lane = replay.cycles(i, i + 1)
+            columns = [getattr(lane, name).tolist() for name in _CYCLE_FIELDS]
             cycles = [
                 {"index": index, **dict(zip(_CYCLE_FIELDS, values))}
                 for index, values in enumerate(zip(*columns))
             ]
             mean_min, max_min, _ = _curtailed_minutes(
-                lanes.curtailed_h[lane], lanes.truncated[lane]
+                lane.curtailed_h, lane.truncated
             )
             report = {
                 "kind": kind,
                 "effective_capacity_kwh": capacities[i],
                 "pack_total_kwh": setup.pack_totals[0],
                 "horizon_h": DAY_HORIZON_H,
-                "dropped_arrivals": int(lanes.dropped[i]),
+                "dropped_arrivals": int(lane.dropped[0]),
                 "n_cycles": len(cycles),
                 "curtailed_mean_min": mean_min,
                 "curtailed_max_min": max_min,
@@ -633,146 +626,91 @@ def _dispersion_rows(
 
 
 # Expected arrivals (rate x day x trajectories) per ensemble replay batch.
-# A batch's working set follows it, not the trajectory count.  Its cycles
-# are derived one run of trajectories and one kind at a time, and a run
-# holds at most half a batch, which bounds their temporaries too.
+# A batch closes once it reaches this, and a cell is never split, so the
+# working set follows a batch's largest cell.
 _BATCH_ARRIVALS = 1 << 14
 
 
-def _cell_batches(
-    rates: list[float], per_cell: int
-) -> list[list[tuple[int, int, int]]]:
-    """Consecutive ``(cell, first, stop)`` trajectory runs, cut into batches.
+def _cell_batches(rates: list[float], per_cell: int) -> list[list[int]]:
+    """Consecutive cell indices, cut into batches of whole cells.
 
-    Cells are taken in order.  A run ends where its expected arrivals would
-    pass half of :data:`_BATCH_ARRIVALS`, and a batch where its own would
-    pass the whole; runs and batches hold at least one trajectory, and a
-    cell may span batches.
+    A batch closes once the expected arrivals of its cells (rate x day x
+    ``per_cell`` each) reach :data:`_BATCH_ARRIVALS`.
     """
-    batches: list[list[tuple[int, int, int]]] = []
-    batch: list[tuple[int, int, int]] = []
+    batches: list[list[int]] = []
+    batch: list[int] = []
     load = 0.0
     for cell, rate in enumerate(rates):
-        per_traj = rate * DAY_HORIZON_H
-        longest = max(1, int(_BATCH_ARRIVALS / 2 // per_traj))
-        first = 0
-        while first < per_cell:
-            room = int((_BATCH_ARRIVALS - load) // per_traj)
-            if room < 1 and batch:
-                batches.append(batch)
-                batch, load = [], 0.0
-                continue
-            stop = min(per_cell, first + longest, first + max(room, 1))
-            batch.append((cell, first, stop))
-            load += (stop - first) * per_traj
-            first = stop
+        batch.append(cell)
+        load += rate * DAY_HORIZON_H * per_cell
+        if load >= _BATCH_ARRIVALS:
+            batches.append(batch)
+            batch, load = [], 0.0
     if batch:
         batches.append(batch)
     return batches
 
 
-def _batch_task(args) -> list[tuple[int, int, list[tuple[np.ndarray, ...]]]]:
-    """Per trajectory run of a batch, its cell, stop and per-kind row inputs.
-
-    Each trajectory's arrival stream is drawn once, as the replay reads it,
-    and every trajectory x kind of the batch is one lane of a single
-    :func:`replay_lanes` call; trajectory ``t`` of a cell runs on pack
-    ``t % n_packs``.  The cycles are derived one run and kind at a time.
-    Per run and kind, the inputs are the utilization, curtailed hours and
-    truncation flag of every cycle, and the unmet energy, dropped and
-    served counts of every trajectory.  A run is ``(cell, mean, std, rate,
-    first, stop)``.
-    """
-    (
-        runs,
-        seed,
-        capacities_by_kind,
-        pack_totals,
-        grid_segments,
-        charger_kw,
-        bess_kw,
-    ) = args
-    stream_index, capacities, packs = [], [], []
-    n_streams = 0
-    for *_, first, stop in runs:
-        pack = np.arange(first, stop) % len(pack_totals)
-        # Lanes run by run, kind by kind, trajectory by trajectory.
-        for _, caps in capacities_by_kind:
-            stream_index.append(np.arange(n_streams, n_streams + pack.size))
-            capacities.append(np.array(caps)[pack])
-        packs.append(pack)
-        n_streams += pack.size
-    replay = replay_lanes(
-        _draw_runs(runs, seed),
-        np.concatenate(stream_index),
-        np.concatenate(capacities),
-        bess_kw,
-        GridProfile(grid_segments),
-        charger_kw,
-    )
-    results = []
-    lane = 0
-    for (cell, *_, stop), pack in zip(runs, packs):
-        totals = np.array(pack_totals)[pack]
-        per_kind = []
-        for _ in capacities_by_kind:
-            cycles = replay.cycles(lane, lane + pack.size)
-            lane += pack.size
-            per_kind.append(
-                (
-                    cycles.bess_delivered_kwh / np.repeat(totals, cycles.counts),
-                    cycles.curtailed_h,
-                    cycles.truncated,
-                    cycles.unmet_total_kwh,
-                    cycles.dropped,
-                    cycles.counts,
-                )
-            )
-        results.append((cell, stop, per_kind))
-    return results
-
-
-def _draw_runs(runs, seed: int):
-    """Each run's trajectory streams in order, drawn as they are read.
+def _batch_task(args) -> list[tuple]:
+    """The ``cells.csv`` rows of a batch of demand cells, cell by cell.
 
     Trajectory ``t`` of the cell with demand mean ``mean``, spread ``std``
-    and arrival rate ``rate`` is keyed ``(seed, "traj", mean, std, rate, t)``.
+    and arrival rate ``rate`` is keyed ``(seed, "traj", mean, std, rate, t)``
+    and runs on pack ``t % n_packs``.  Each trajectory's stream is drawn
+    once, as the replay reads it, and every trajectory x kind of the batch
+    is one lane of a single :func:`replay_lanes` call.  A cell's statistics
+    are taken over all of its cycles at once; its rows follow the kinds.
     """
-    for _, mean, std, rate, first, stop in runs:
-        demand = DemandModel(mean_kwh=mean, std_kwh=std)
-        arrivals = ArrivalModel(rate)
-        keys = derive_seeds(seed, "traj", mean, std, rate, indices=range(first, stop))
-        for key in keys:
-            yield draw_stream(arrivals, demand, DAY_HORIZON_H, key)
+    cells, per_cell, seed, kind_caps, pack_totals, grid, charger_kw, bess_kw = args
+    pack = np.arange(per_cell) % len(pack_totals)
+    totals = np.array(pack_totals)[pack]
 
+    def streams():
+        for mean, std, rate in cells:
+            demand = DemandModel(mean_kwh=mean, std_kwh=std)
+            arrivals = ArrivalModel(rate)
+            keys = derive_seeds(seed, "traj", mean, std, rate, indices=range(per_cell))
+            for key in keys:
+                yield draw_stream(arrivals, demand, DAY_HORIZON_H, key)
 
-def _cell_rows(cell, n_traj: int, kinds, runs) -> list[tuple]:
-    """``cells.csv`` rows of one demand cell, one per plaza kind.
-
-    ``runs`` are the cell's :func:`_batch_task` results in trajectory order;
-    each statistic is taken over all of them at once.
-    """
+    # Lanes run cell by cell, kind by kind, trajectory by trajectory.
+    trajectories = np.arange(len(cells) * per_cell).reshape(len(cells), 1, per_cell)
+    replay = replay_lanes(
+        streams(),
+        np.repeat(trajectories, len(kind_caps), axis=1).ravel(),
+        np.tile(
+            np.concatenate([np.array(caps)[pack] for _, caps in kind_caps]),
+            len(cells),
+        ),
+        bess_kw,
+        grid,
+        charger_kw,
+    )
     rows = []
-    for k, kind in enumerate(kinds):
-        utils, curtailed_h, truncated, unmet, dropped, counts = (
-            np.concatenate(parts) for parts in zip(*(run[k] for run in runs))
-        )
-        utils = utils[~truncated]
-        mean_min, max_min, n_done = _curtailed_minutes(curtailed_h, truncated)
-        rows.append(
-            (
-                kind,
-                *cell,
-                n_traj,
-                n_done,
-                float(np.mean(utils)) if utils.size else math.nan,
-                mean_min,
-                max_min,
-                float(unmet.mean()),
-                float(dropped.mean()),
-                float(counts.mean()),
+    lane = 0
+    for cell in cells:
+        for kind, _ in kind_caps:
+            cycles = replay.cycles(lane, lane + per_cell)
+            lane += per_cell
+            utils = cycles.bess_delivered_kwh / np.repeat(totals, cycles.counts)
+            utils = utils[~cycles.truncated]
+            mean_min, max_min, n_done = _curtailed_minutes(
+                cycles.curtailed_h, cycles.truncated
             )
-        )
+            rows.append(
+                (
+                    kind,
+                    *cell,
+                    per_cell,
+                    n_done,
+                    float(np.mean(utils)) if utils.size else math.nan,
+                    mean_min,
+                    max_min,
+                    float(cycles.unmet_total_kwh.mean()),
+                    float(cycles.dropped.mean()),
+                    float(cycles.counts.mean()),
+                )
+            )
     return rows
 
 
@@ -781,9 +719,9 @@ def run_ensemble(
 ) -> StudyResult:
     """Dispersion statistics plus the stochastic service-cell sweep.
 
-    The cells' trajectories are replayed in batches (:func:`_cell_batches`),
-    one task each; a cell split over batches gets its row once its last
-    run is in, so at most a batch and one cell's runs are held at a time.
+    The demand cells are replayed in batches of whole cells
+    (:func:`_cell_batches`), one task each, and every task returns its
+    cells' finished rows.
     """
     timer = timer or StageTimer()
     out_dir = Path(out_dir)
@@ -806,33 +744,29 @@ def run_ensemble(
     capacities_by_kind = tuple(
         (kind.value, setup.capacities[kind.value]) for kind in plaza.kinds
     )
-    kinds = [kind for kind, _ in capacities_by_kind]
     batches = _cell_batches([rate for _, _, rate in cells], per_cell)
     tasks = [
         (
-            [(cell, *cells[cell], first, stop) for cell, first, stop in batch],
+            [cells[cell] for cell in batch],
+            per_cell,
             traj_seed,
             capacities_by_kind,
             setup.pack_totals,
-            scenario.grid_profile.segments,
+            scenario.grid_profile,
             plaza.charger_max_kw,
             plaza.bess_power_kw,
         )
         for batch in batches
     ]
-    by_cell: list[list[tuple]] = []
     with timer.stage("cells"):
-        runs: list = []
-        for results in _parallel_map(_batch_task, tasks, workers):
-            for cell, stop, result in results:
-                runs.append(result)
-                if stop == per_cell:
-                    by_cell.append(_cell_rows(cells[cell], per_cell, kinds, runs))
-                    runs = []
-            # Free this batch's arrays before the next batch is replayed.
-            del results, result
+        lane_rows = [
+            row
+            for rows_of_batch in _parallel_map(_batch_task, tasks, workers)
+            for row in rows_of_batch
+        ]
     # Kind-major: every cell of the first kind, then of the next.
-    cell_rows = [cell[k] for k in range(len(kinds)) for cell in by_cell]
+    n_kinds = len(plaza.kinds)
+    cell_rows = [row for k in range(n_kinds) for row in lane_rows[k::n_kinds]]
 
     with timer.stage("writes"):
         _write_csv(out_dir / "dispersion.csv", DISPERSION_HEADER, rows)

@@ -70,8 +70,10 @@ class SupplyDistribution:
             )
         if not 0 < self.dod <= 1:
             raise ValueError(f"dod must be in (0, 1], got {self.dod}")
-        if not self.voltage_v > 0:
-            raise ValueError(f"voltage_v must be positive, got {self.voltage_v}")
+        if not 0 < self.voltage_v < math.inf:
+            raise ValueError(
+                f"voltage_v must be positive and finite, got {self.voltage_v}"
+            )
 
     @property
     def heterogeneity(self) -> float:

@@ -59,6 +59,10 @@ class TestGridProfile:
             GridProfile(((0.0, 50.0), (0.0, 40.0)))  # strictly increasing
         with pytest.raises(ValueError):
             GridProfile(((0.0, -1.0),))
+        with pytest.raises(ValueError, match="finite"):
+            GridProfile(((0.0, 50.0), (math.nan, 40.0)))
+        with pytest.raises(ValueError, match="finite"):
+            GridProfile(((0.0, math.inf),))
 
     def test_csv_roundtrip(self, tmp_path):
         grid = GridProfile(((0.0, 55.0), (7.5, 32.5), (21.0, 48.0)))
@@ -503,6 +507,14 @@ class TestSharedStream:
     def test_stream_validation(self):
         with pytest.raises(ValueError, match="horizon_h"):
             draw_stream(ArrivalModel(1.0), _demand(), 0.0, 1)
+        # An infinite rate would draw zero interarrivals forever.
+        for rate in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="rate_per_h"):
+                ArrivalModel(rate)
+        with pytest.raises(ValueError, match="std_kwh"):
+            DemandModel(mean_kwh=50.0, std_kwh=math.nan)
+        with pytest.raises(ValueError, match="max_kwh"):
+            DemandModel(mean_kwh=1e308, std_kwh=1.0)  # 2 x mean overflows
         stream = draw_stream(ArrivalModel(1.0), _demand(), 24.0, 1)
         with pytest.raises(ValueError, match="charger_max_kw"):
             replay_lanes(

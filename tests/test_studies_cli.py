@@ -345,20 +345,20 @@ class TestRunEnsemble:
         assert [r[0] for r in rows] == ["lshippp"] * 4 + ["cppp"] * 4
         assert rows == expected
 
-    def test_batches_split_cells_without_moving_a_byte(
-        self, small_scenario, tmp_path, monkeypatch
-    ):
-        # The small scenario's one cell (8 trajectories, about 48 arrivals
-        # each) is one batch; a bound of 150 expected arrivals splits it into
-        # three batches of one-trajectory runs.  The bytes stay those of the
-        # one-batch run at every worker count.
-        _, scenario = small_scenario
+    def test_one_cell_batches_leave_every_byte(self, tmp_path, monkeypatch):
+        # Four cells of two trajectories fit one batch at the default bound;
+        # a bound of one expected arrival makes every cell its own batch.
+        # The bytes stay those of the one-batch run at every worker count.
+        doc = small_doc()
+        doc["arrival_rates_per_h"] = [2.0, 0.667]
+        doc["demand_stds_kwh"] = [10.0, 25.0]
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(doc))
+        scenario = load_scenario(path)
         whole = tree_digest(run_ensemble(scenario, tmp_path / "whole").out_dir)
-        assert len(_cell_batches([2.0], 8)) == 1
-        monkeypatch.setattr(besspp.studies, "_BATCH_ARRIVALS", 150)
-        batches = _cell_batches([2.0], 8)
-        assert len(batches) >= 3
-        assert all(stop - first == 1 for batch in batches for _, first, stop in batch)
+        assert _cell_batches([2.0, 0.667] * 2, 2) == [[0, 1, 2, 3]]
+        monkeypatch.setattr(besspp.studies, "_BATCH_ARRIVALS", 1)
+        assert _cell_batches([2.0, 0.667] * 2, 2) == [[0], [1], [2], [3]]
         for workers in (1, 2, 3):
             split = run_ensemble(scenario, tmp_path / f"w{workers}", workers=workers)
             assert tree_digest(split.out_dir) == whole
@@ -370,25 +370,19 @@ class TestRunEnsemble:
         per_cell=st.integers(1, 400),
     )
     @settings(max_examples=100, deadline=None)
-    def test_batches_cover_every_trajectory_once(self, rates, per_cell):
+    def test_batches_hold_whole_cells_in_order(self, rates, per_cell):
         batches = _cell_batches(rates, per_cell)
-        runs = [run for batch in batches for run in batch]
-        expected_cell, expected_first = 0, 0
-        for cell, first, stop in runs:
-            if expected_first == per_cell:
-                expected_cell, expected_first = expected_cell + 1, 0
-            assert (cell, first) == (expected_cell, expected_first)
-            assert first < stop <= per_cell
-            expected_first = stop
-        assert (expected_cell, expected_first) == (len(rates) - 1, per_cell)
-        # The planner adds loads in floats: allow their rounding.
-        bound = besspp.studies._BATCH_ARRIVALS * (1 + 1e-12)
-        for batch in batches:
-            loads = [(stop - first) * rates[cell] * 24.0 for cell, first, stop in batch]
-            # A batch passes the bound only when it holds one trajectory.
-            assert sum(loads) <= bound or len(batch) == 1 == batch[0][2] - batch[0][1]
-            for load, (_, first, stop) in zip(loads, batch):
-                assert load <= bound / 2 or stop - first == 1
+        assert all(batches)
+        assert [cell for batch in batches for cell in batch] == list(range(len(rates)))
+        bound = besspp.studies._BATCH_ARRIVALS
+        for i, batch in enumerate(batches):
+            loads = list(
+                itertools.accumulate(rates[c] * 24.0 * per_cell for c in batch)
+            )
+            # Only a batch's last cell takes it to the bound, and every batch
+            # but the last reaches it.
+            assert all(load < bound for load in loads[:-1])
+            assert loads[-1] >= bound or i == len(batches) - 1
 
     def test_rerun_and_workers_byte_identical(self, small_scenario, tmp_path):
         _, scenario = small_scenario
@@ -442,6 +436,49 @@ class TestCli:
         assert code == 1
         assert "190,578,024 layer-1 placements" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("demand_stds_kwh", "[NaN]"),
+            ("arrival_rates_per_h", "[NaN]"),
+            ("arrival_rates_per_h", "[Infinity]"),
+            ("arrival_rates_per_h", "[1e999]"),
+            ("grid_profile", "[[0.0, 55.0], [NaN, 35.0]]"),
+            ("grid_profile", "[[0.0, NaN], [6.0, 35.0]]"),
+            ("r_grid", "[NaN]"),
+            ("lambda_grid", "[Infinity]"),
+            ("rated_power_kw", "NaN"),
+            ("seed", "Infinity"),
+            ("n_packs", "1e999"),
+            ("n_layer1", "NaN"),
+            ("supply.voltage_v", "Infinity"),
+            ("architectures.1.rating_r", "NaN"),
+            ("plaza.charger_max_kw", "NaN"),
+            ("plaza.exemplar.arrival_rate_per_h", "Infinity"),
+            ("plaza.exemplar.demand_std_kwh", "NaN"),
+        ],
+    )
+    def test_non_finite_numbers_exit_1(self, field, value, tmp_path, monkeypatch):
+        doc = small_doc()
+        *path_to, key = [int(k) if k.isdigit() else k for k in field.split(".")]
+        parent = doc
+        for step in path_to:
+            parent = parent[step]
+        parent[key] = "VALUE"
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+
+        # The check must stop the run before any study starts: an infinite
+        # arrival rate would never finish drawing its stream.
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study ran on a non-finite scenario")
+
+        monkeypatch.setattr(besspp.cli, "run_ensemble", no_study)
+        assert main(["validate", "--scenario", str(path)]) == 1
+        out = tmp_path / "o"
+        assert main(["ensemble", "--scenario", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_missing_scenario_exits_1(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 1
