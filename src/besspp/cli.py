@@ -6,7 +6,10 @@ Subcommands map one-to-one onto the study drivers:
 * ``tradeoff`` - utilization versus normalized converter rating
 * ``day``      - one exemplar plaza day per architecture kind
 * ``ensemble`` - dispersion statistics and the stochastic service sweep
-* ``validate`` - parse the scenario and split every configured architecture
+* ``validate`` - load and check the scenario, run no study
+
+Every command checks the scenario as it loads it, so a scenario that
+``validate`` rejects stops a study before it writes anything.
 
 Exit codes: 0 on success, 1 for configuration problems (bad scenario file,
 bad arguments, failed validation), 2 for runtime failures.
@@ -26,6 +29,7 @@ _START_WALL_S = time.perf_counter()
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402 - after the start-up clock and the variable above
+import dataclasses  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -42,7 +46,6 @@ from besspp.studies import (  # noqa: E402
     run_design,
     run_ensemble,
     run_tradeoff,
-    validate_scenario,
 )
 
 __all__ = ["main", "build_parser"]
@@ -109,7 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="architecture kind to simulate (repeatable; default: all)",
     )
     add_common(sub.add_parser("ensemble", help="stochastic plaza ensemble"))
-    add_common(sub.add_parser("validate", help="check a scenario"), needs_out=False)
+    add_common(
+        sub.add_parser("validate", help="load and check a scenario"),
+        needs_out=False,
+    )
     return parser
 
 
@@ -120,14 +126,7 @@ def _load(args) -> Scenario:
         else default_scenario()
     )
     if args.seed is not None:
-        if args.seed < 0:
-            raise ScenarioError("--seed must be nonnegative")
-        scenario = Scenario(
-            **{
-                **{f: getattr(scenario, f) for f in scenario.__dataclass_fields__},
-                "seed": args.seed,
-            }
-        )
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     return scenario
 
 
@@ -140,16 +139,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        if args.command == "validate":
-            problems = validate_scenario(scenario)
-            if problems:
-                for problem in problems:
-                    print(f"invalid: {problem}", file=sys.stderr)
-                return EXIT_CONFIG
-            print(f"scenario '{scenario.name}' is valid")
-            return EXIT_OK
+    if args.command == "validate":
+        print(f"scenario '{scenario.name}' is valid")
+        return EXIT_OK
 
+    try:
         startup = (time.perf_counter() - _START_WALL_S, time.process_time())
         timer = StageTimer()
         if args.command == "design":
@@ -157,11 +151,7 @@ def main(argv=None) -> int:
         elif args.command == "tradeoff":
             result = run_tradeoff(scenario, args.out, timer=timer)
         elif args.command == "day":
-            try:
-                result = run_day(scenario, args.out, kinds=args.kind, timer=timer)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+            result = run_day(scenario, args.out, kinds=args.kind, timer=timer)
         else:
             workers = max(1, args.workers)
             result = run_ensemble(scenario, args.out, workers, timer=timer)

@@ -108,7 +108,6 @@ class TradeoffPoint:
     kind: str
     rating_r: float
     lambda_h: float
-    layer2_rating_kw: float
     utilization_mean: float
     utilization_std: float
     utilization_idr: float
@@ -264,10 +263,9 @@ def design_layer2(
             kind=ArchitectureKind.LSHIPPP.value,
             rating_r=(1 + lam) * aggregate / expected_total,
             lambda_h=lam,
-            layer2_kw=split.rung_kwh / layer1.horizon_h,
             utils=row,
         )
-        for lam, split, row in zip(lambda_grid, splits, utils)
+        for lam, row in zip(lambda_grid, utils)
     ]
 
 
@@ -308,9 +306,7 @@ def tradeoff_curve(
     ]
     utils = _utilization_rows(sweep_energy(packs, splits), packs)
     return [
-        _make_point(
-            kind.value, float(r), split.lambda_h, split.rung_kwh / horizon_h, row
-        )
+        _make_point(kind.value, float(r), split.lambda_h, row)
         for r, split, row in zip(r_grid, splits, utils)
     ]
 
@@ -385,12 +381,8 @@ def _utilization_rows(
 
 
 def _make_point(
-    kind: str, rating_r: float, lambda_h: float, layer2_kw: float, utils: list[float]
+    kind: str, rating_r: float, lambda_h: float, utils: list[float]
 ) -> TradeoffPoint:
     return TradeoffPoint(
-        kind,
-        float(rating_r),
-        float(lambda_h),
-        float(layer2_kw),
-        *utilization_stats(utils),
+        kind, float(rating_r), float(lambda_h), *utilization_stats(utils)
     )

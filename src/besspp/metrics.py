@@ -6,14 +6,11 @@ default, so frozen expected values are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "MetricReport",
     "system_efficiency",
     "grid_ev_energy_gap",
     "derating_factor",
@@ -122,36 +119,3 @@ def captured_value(
         raise ValueError("intrinsic_kwh must be nonnegative")
     return derating * utilization * intrinsic_kwh
 
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Named metric values with units, JSON-serializable deterministically."""
-
-    study: str
-    values: dict[str, float] = field(default_factory=dict)
-    units: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        unknown = set(self.units) - set(self.values)
-        if unknown:
-            raise ValueError(f"units given for unknown metrics: {sorted(unknown)}")
-
-    def to_json(self) -> str:
-        payload = {
-            "study": self.study,
-            "metrics": {
-                name: {"value": float(value), "unit": self.units.get(name, "")}
-                for name, value in self.values.items()
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        payload = json.loads(text)
-        metrics = payload["metrics"]
-        return cls(
-            study=payload["study"],
-            values={k: float(v["value"]) for k, v in metrics.items()},
-            units={k: v["unit"] for k, v in metrics.items() if v["unit"]},
-        )

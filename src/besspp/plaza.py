@@ -88,25 +88,12 @@ class GridProfile:
         if any(kw < 0 for _, kw in self.segments):
             raise ValueError("available grid power must be nonnegative")
 
-    def power_at(self, t_h: float) -> float:
-        t = t_h % HOURS_PER_DAY
-        level = self.segments[0][1]
-        for start, kw in self.segments:
-            if start > t:
-                break
-            level = kw
-        return level
-
     def powers_at(self, times_h: np.ndarray) -> np.ndarray:
-        """:meth:`power_at` over an array of nonnegative times."""
+        """Available grid power at each of an array of nonnegative times."""
         starts = np.array([s for s, _ in self.segments], dtype=float)
         levels = np.array([kw for _, kw in self.segments], dtype=float)
         index = np.searchsorted(starts, times_h % HOURS_PER_DAY, side="right")
         return levels[index - 1]
-
-    @classmethod
-    def constant(cls, kw: float) -> "GridProfile":
-        return cls(((0.0, kw),))
 
     @classmethod
     def from_csv(cls, path) -> "GridProfile":

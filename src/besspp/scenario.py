@@ -134,6 +134,26 @@ class Scenario:
             problems.append("rated_power_kw must be positive and finite")
         if not self.architectures:
             problems.append("architectures must be nonempty")
+        for i, config in enumerate(self.architectures):
+            entry = f"architectures[{i}] ({config.kind.value})"
+            if config.n_modules != self.n_modules:
+                problems.append(
+                    f"{entry}: n_modules {config.n_modules} does not match "
+                    f"the supply ({self.n_modules})"
+                )
+            if (
+                config.kind is ArchitectureKind.LSHIPPP
+                and config.n_layer1 != self.n_layer1
+            ):
+                problems.append(
+                    f"{entry}: n_layer1 {config.n_layer1} does not match "
+                    f"the scenario's n_layer1 ({self.n_layer1})"
+                )
+            for name in ("lambda_h", "horizon_h"):
+                if getattr(config, name) is not None:
+                    problems.append(
+                        f"{entry}: {name} must be null; the studies derive it"
+                    )
         for seq, label in [
             (self.arrival_rates_per_h, "arrival_rates_per_h"),
             (self.demand_means_kwh, "demand_means_kwh"),

@@ -37,7 +37,6 @@ from besspp.designer import (
     tradeoff_curve,
 )
 from besspp.metrics import (
-    MetricReport,
     captured_value,
     derating_factor,
     grid_ev_energy_gap,
@@ -53,7 +52,7 @@ from besspp.plaza import (
     draw_stream,
     replay_lanes,
 )
-from besspp.scenario import Scenario, scenario_to_dict
+from besspp.scenario import Scenario, ScenarioError, scenario_to_dict
 from besspp.supply import _left_sum, flatten_distribution, sample_pack
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "run_tradeoff",
     "run_day",
     "run_ensemble",
-    "validate_scenario",
 ]
 
 TRADEOFF_HEADER = (
@@ -299,7 +297,6 @@ def run_tradeoff(
 class _PlazaSetup:
     """Per-kind effective capacities for the sampled plaza packs."""
 
-    horizon_h: float
     expected_total_kwh: float
     pack_totals: tuple[float, ...]
     capacities: dict[str, tuple[float, ...]]
@@ -329,7 +326,6 @@ def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
         (row,) = sweep_energy(packs, [split])
         capacities[kind.value] = tuple(row)
     return _PlazaSetup(
-        horizon_h=horizon,
         expected_total_kwh=expected.total_kwh,
         pack_totals=tuple(
             _left_sum(b.capacity_kwh for b in pack) for pack in packs
@@ -349,14 +345,10 @@ def run_day(
     The day's arrival and demand stream is drawn once and every kind
     replays it as one lane of a single :func:`replay_lanes` call, against
     pack 0, the only one sampled; only the effective monolith capacity
-    differs.  A kind named twice is simulated once.
+    differs.  A kind named twice is simulated once; a kind outside the
+    plaza roster raises :class:`ScenarioError` before anything is written.
     """
-    timer = timer or StageTimer()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     plaza = scenario.plaza
-    with timer.stage("plaza setup"):
-        setup = _plaza_setup(scenario, n_packs=1)
     if kinds is None:
         kinds = [k.value for k in plaza.kinds]
     else:
@@ -364,9 +356,14 @@ def run_day(
         known = {k.value for k in plaza.kinds}
         unknown = [k for k in kinds if k not in known]
         if unknown:
-            raise ValueError(
+            raise ScenarioError(
                 f"kinds {unknown} are not part of the scenario plaza roster"
             )
+    timer = timer or StageTimer()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with timer.stage("plaza setup"):
+        setup = _plaza_setup(scenario, n_packs=1)
 
     with timer.stage("days"):
         stream = draw_stream(
@@ -548,7 +545,8 @@ def _reference_schedule(scenario: Scenario) -> list[tuple[float, float, float]]:
 
 def _dispersion_rows(
     scenario: Scenario, setup: _PlazaSetup
-) -> tuple[list[tuple], dict[str, MetricReport]]:
+) -> tuple[list[tuple], dict[str, dict]]:
+    """``dispersion.csv`` rows and each kind's ``metrics_<kind>.json`` document."""
     plaza = scenario.plaza
     schedule = _reference_schedule(scenario)
     if not schedule:
@@ -559,8 +557,18 @@ def _dispersion_rows(
     ]
     worst = int(np.argmax(gaps))
 
+    units = {
+        "derating_factor": "fraction",
+        "utilization_at_worst_gap": "fraction",
+        "utilization_idr_at_worst_gap": "fraction",
+        "worst_gap_kwh": "kWh",
+        "worst_interval_start_h": "h",
+        "captured_value_kwh": "kWh",
+        "captured_fraction": "fraction",
+        "system_efficiency": "fraction",
+    }
     rows: list[tuple] = []
-    reports: dict[str, MetricReport] = {}
+    reports: dict[str, dict] = {}
     pack_totals = np.array(setup.pack_totals)
     for kind in (k.value for k in plaza.kinds):
         caps = setup.capacities[kind]
@@ -601,27 +609,21 @@ def _dispersion_rows(
             ),
             math.nan,
         )
-        reports[kind] = MetricReport(
-            study=f"ensemble-dispersion-{kind}",
-            values={
-                **worst_stats,
-                "captured_value_kwh": captured,
-                "captured_fraction": d_f * u_e,
-                "system_efficiency": eta,
-                "n_intervals": float(len(schedule)),
-                "n_packs": float(len(caps)),
+        values = {
+            **worst_stats,
+            "captured_value_kwh": captured,
+            "captured_fraction": d_f * u_e,
+            "system_efficiency": eta,
+            "n_intervals": len(schedule),
+            "n_packs": len(caps),
+        }
+        reports[kind] = {
+            "study": f"ensemble-dispersion-{kind}",
+            "metrics": {
+                name: {"value": float(value), "unit": units.get(name, "")}
+                for name, value in values.items()
             },
-            units={
-                "derating_factor": "fraction",
-                "utilization_at_worst_gap": "fraction",
-                "utilization_idr_at_worst_gap": "fraction",
-                "worst_gap_kwh": "kWh",
-                "worst_interval_start_h": "h",
-                "captured_value_kwh": "kWh",
-                "captured_fraction": "fraction",
-                "system_efficiency": "fraction",
-            },
-        )
+        }
     return rows, reports
 
 
@@ -773,33 +775,8 @@ def run_ensemble(
         files = ["dispersion.csv"]
         for kind, report in reports.items():
             name = f"metrics_{kind}.json"
-            (out_dir / name).write_text(report.to_json() + "\n")
+            _write_json(out_dir / name, report)
             files.append(name)
         _write_csv(out_dir / "cells.csv", CELLS_HEADER, cell_rows)
         files.append("cells.csv")
         return _finish("ensemble", scenario, out_dir, files)
-
-
-def validate_scenario(scenario: Scenario) -> list[str]:
-    """Structural check of every architecture the scenario will build.
-
-    Each configured architecture must match the supply's module count and
-    split its budget over the expected set.  A split of a constructed
-    scenario is a valid wiring by construction, so nothing more is checked.
-    """
-    problems: list[str] = []
-    expected = flatten_distribution(scenario.supply, scenario.n_modules)
-    horizon = scenario.design_horizon_h
-    layer1 = design_layer1(expected, scenario.n_layer1, horizon)
-    for config in scenario.architectures:
-        if config.n_modules != scenario.n_modules:
-            problems.append(
-                f"{config.kind.value}: n_modules {config.n_modules} does not "
-                f"match the supply ({scenario.n_modules})"
-            )
-            continue
-        split_budget(
-            config.kind, scenario.n_modules, config.rating_r, expected.total_kwh,
-            horizon, layer1,
-        )
-    return problems

@@ -49,8 +49,8 @@ class SupplyDistribution:
     """Gaussian population of second-use module energies.
 
     ``mean_kwh`` and ``std_kwh`` describe intrinsic module energy before the
-    depth-of-discharge derate.  ``heterogeneity`` is the relative spread
-    ``std/mean``.
+    depth-of-discharge derate.  Their relative spread ``std/mean`` is at
+    most :data:`MAX_HETEROGENEITY`.
     """
 
     mean_kwh: float
@@ -74,10 +74,6 @@ class SupplyDistribution:
             raise ValueError(
                 f"voltage_v must be positive and finite, got {self.voltage_v}"
             )
-
-    @property
-    def heterogeneity(self) -> float:
-        return self.std_kwh / self.mean_kwh
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ lane core, the day study and the ensemble cells must equal bit for bit.
 import math
 from dataclasses import dataclass, fields
 
-from besspp.plaza import CyclePhases
+from besspp.plaza import HOURS_PER_DAY, CyclePhases
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,21 @@ class Cycle:
 
 # The per-cycle fields after ``index``; each names a LaneCycles array.
 CYCLE_FIELDS = tuple(f.name for f in fields(Cycle))[1:]
+
+
+def power_at(grid, t_h):
+    """Available power of ``grid`` at hour ``t_h``, one segment at a time.
+
+    The scalar lookup that :meth:`besspp.plaza.GridProfile.powers_at` does
+    over an array of times.
+    """
+    t = t_h % HOURS_PER_DAY
+    level = grid.segments[0][1]
+    for start, kw in grid.segments:
+        if start > t:
+            break
+        level = kw
+    return level
 
 
 def reference_phases(capacity, grid_kw, demand, charger, bess_power):
@@ -70,7 +85,7 @@ def reference_replay(capacity, bess_power, grid, stream, charger):
         if start < busy_until:
             dropped += 1
             continue
-        grid_kw = grid.power_at(start)
+        grid_kw = power_at(grid, start)
         phases = reference_phases(capacity, grid_kw, demand, charger, bess_power)
         full_h, curtailed_h = phases.full_h, phases.curtailed_h
         delivered, unmet = phases.bess_delivered_kwh, phases.unmet_kwh

@@ -31,7 +31,7 @@ from besspp.designer import (
     tradeoff_curve,
 )
 from besspp.flows import max_deliverable_energy
-from besspp.metrics import MetricReport, system_efficiency
+from besspp.metrics import system_efficiency
 from besspp.plaza import (
     ArrivalModel,
     DemandModel,
@@ -110,9 +110,7 @@ def exemplar_ensemble(tmp_path_factory):
     result = run_ensemble(scenario, out, workers=2)
     out_dir = Path(result.out_dir)
     reports = {
-        kind: MetricReport.from_json(
-            (out_dir / f"metrics_{kind}.json").read_text()
-        )
+        kind: json.loads((out_dir / f"metrics_{kind}.json").read_text())["metrics"]
         for kind in ("lshippp", "cppp")
     }
     with (out_dir / "cells.csv").open(newline="") as fh:
@@ -337,7 +335,7 @@ def prop_cycle_energy_balance(capacity, grid, demand, charger, bess_power):
 )
 def prop_storage_full_at_cycle_start(seed, capacity, grid, rate, mean, std):
     stream = draw_stream(ArrivalModel(rate), DemandModel(mean, std), 24.0, seed)
-    profile = GridProfile.constant(grid)
+    profile = GridProfile(((0.0, grid),))
     cycles = lane_cycles(
         replay_lanes([stream], [0], [capacity], 150.0, profile, 150.0).cycles(), 0
     )
@@ -384,8 +382,8 @@ def test_criterion_6_search_space_count():
 def test_criterion_7_derating_and_captured_value(exemplar_ensemble):
     with criterion(7, "derating and captured value"):
         reports, _ = exemplar_ensemble
-        ls = reports["lshippp"].values
-        c = reports["cppp"].values
+        ls = {name: m["value"] for name, m in reports["lshippp"].items()}
+        c = {name: m["value"] for name, m in reports["cppp"].items()}
         assert ls["derating_factor"] > c["derating_factor"]
         assert ls["captured_value_kwh"] > c["captured_value_kwh"]
         assert abs(ls["captured_fraction"] - 0.798) <= 0.08, (

@@ -399,13 +399,13 @@ class TestTradeoffCurve:
             tradeoff_curve("fpp", dist, [0.2], ragged, horizon_h=HORIZON_H)
 
 
-def reference_point(kind, r, lam, layer2_kw, packs, outputs):
+def reference_point(kind, r, lam, packs, outputs):
     """The point of one sweep value from per-pack reference outputs."""
     utils = [
         out / _left_sum(b.capacity_kwh for b in pack)
         for pack, out in zip(packs, outputs)
     ]
-    return _make_point(kind, r, lam, layer2_kw, utils)
+    return _make_point(kind, r, lam, utils)
 
 
 class TestSweepsEqualBuiltNetworks:
@@ -432,10 +432,7 @@ class TestSweepsEqualBuiltNetworks:
                     cut_reference(*wiring(p, split.pairs, split.caps_kwh))
                     for p in packs
                 ]
-            rung = split.caps_kwh[-1]
-            expected = reference_point(
-                kind, r, split.lambda_h, rung / horizon, packs, outputs
-            )
+            expected = reference_point(kind, r, split.lambda_h, packs, outputs)
             assert repr(point) == repr(expected)
 
     def test_design_layer2(self, layer1_9, supply9, expected9):
@@ -450,9 +447,7 @@ class TestSweepsEqualBuiltNetworks:
             cap2 = lam * aggregate / 8
             caps = duty + (cap2,) * 8
             outputs = [cut_reference(*wiring(p, pairs, caps)) for p in packs]
-            expected = reference_point(
-                "lshippp", 0.0, lam, cap2 / horizon, packs, outputs
-            )
+            expected = reference_point("lshippp", 0.0, lam, packs, outputs)
             rating_r = (1 + lam) * aggregate / expected9.total_kwh
             assert repr(point) == repr(
                 dataclasses.replace(expected, rating_r=rating_r)

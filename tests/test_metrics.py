@@ -1,5 +1,4 @@
 import ast
-import json
 import math
 import struct
 import sys
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from besspp.architectures import split_budget
 from besspp.designer import _make_point, _utilization_rows
 from besspp.metrics import (
-    MetricReport,
     captured_value,
     derating_factor,
     grid_ev_energy_gap,
@@ -80,7 +78,7 @@ class TestInterdecileRange:
 
     @staticmethod
     def idr(samples):
-        return _make_point("cppp", 0.2, math.nan, 0.0, list(samples)).utilization_idr
+        return _make_point("cppp", 0.2, math.nan, list(samples)).utilization_idr
 
     def test_eleven_point_ramp(self):
         # 0..100 in steps of 10: deciles sit on sample points exactly.
@@ -192,21 +190,3 @@ class TestCapturedValue:
         with pytest.raises(ValueError):
             captured_value(0.5, 0.5, -1.0)
 
-
-class TestMetricReport:
-    def test_json_roundtrip(self):
-        report = MetricReport(
-            study="demo",
-            values={"alpha": 1.5, "beta": 2.0},
-            units={"alpha": "kWh"},
-        )
-        again = MetricReport.from_json(report.to_json())
-        assert again.study == "demo"
-        assert again.values == report.values
-        assert again.units.get("alpha") == "kWh"
-
-    def test_json_is_sorted_and_stable(self):
-        report = MetricReport(study="demo", values={"b": 2.0, "a": 1.0})
-        payload = json.loads(report.to_json())
-        assert list(payload["metrics"]) == ["a", "b"]
-        assert report.to_json() == report.to_json()

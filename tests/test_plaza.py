@@ -23,25 +23,30 @@ from besspp.flows import cut_form_energy
 from besspp.scenario import default_scenario
 from besspp.studies import _curtailed_minutes, run_day
 
-from plaza_oracle import lane_cycles, reference_phases, reference_replay
+from plaza_oracle import (
+    lane_cycles,
+    power_at,
+    reference_phases,
+    reference_replay,
+)
 
 
 class TestGridProfile:
     def test_piecewise_lookup_and_wrap(self):
         grid = GridProfile(((0.0, 50.0), (6.0, 30.0), (18.0, 40.0)))
-        assert grid.power_at(0.0) == 50.0
-        assert grid.power_at(5.99) == 50.0
-        assert grid.power_at(6.0) == 30.0
-        assert grid.power_at(17.9) == 30.0
-        assert grid.power_at(23.0) == 40.0
-        assert grid.power_at(24.5) == 50.0  # wraps into the next day
+        times = np.array([0.0, 5.99, 6.0, 17.9, 23.0, 24.5])
+        # 24.5 h wraps into the next day.
+        expected = [50.0, 50.0, 30.0, 30.0, 40.0, 50.0]
+        assert grid.powers_at(times).tolist() == expected
+        assert [power_at(grid, t) for t in times.tolist()] == expected
 
     def test_constant(self):
-        assert GridProfile.constant(42.0).power_at(13.7) == 42.0
+        grid = GridProfile(((0.0, 42.0),))
+        assert grid.powers_at(np.array([0.0, 13.7, 30.0])).tolist() == [42.0] * 3
 
     @pytest.mark.parametrize(
         "grid",
-        [default_scenario().grid_profile, GridProfile.constant(42.0)],
+        [default_scenario().grid_profile, GridProfile(((0.0, 42.0),))],
         ids=["default", "constant"],
     )
     def test_powers_at_matches_scalar_lookup(self, grid):
@@ -49,7 +54,7 @@ class TestGridProfile:
         times = np.concatenate(
             [np.arange(48 * 60 + 1) / 60.0, starts, starts + 24.0, starts + 48.0]
         )
-        expected = [grid.power_at(float(t)) for t in times]
+        expected = [power_at(grid, float(t)) for t in times]
         assert np.array_equal(grid.powers_at(times), expected)
 
     def test_validation(self):
@@ -220,7 +225,7 @@ class TestSimulateDay:
     """One day of plaza service: a drawn stream replayed through the lanes."""
 
     def test_reproducible(self):
-        grid = GridProfile.constant(40.0)
+        grid = GridProfile(((0.0, 40.0),))
         a = _day(40.0, grid, 2.0, _demand(), 9)
         b = _day(40.0, grid, 2.0, _demand(), 9)
         assert a == b
@@ -228,7 +233,7 @@ class TestSimulateDay:
     def test_demand_stream_independent_of_capacity(self):
         # Same seed, different unit sizes: identical arrival set, and every
         # cycle served by both shares its demand draw.
-        grid = GridProfile.constant(40.0)
+        grid = GridProfile(((0.0, 40.0),))
         small, _ = _day(5.0, grid, 1.0, _demand(), 33)
         large, _ = _day(500.0, grid, 1.0, _demand(), 33)
         small_by_start = {c.start_h: c.demand_kwh for c in small}
@@ -239,7 +244,7 @@ class TestSimulateDay:
             assert small_by_start[start] == large_by_start[start]
 
     def test_cycles_do_not_overlap(self):
-        cycles, _ = _day(30.0, GridProfile.constant(45.0), 3.0, _demand(), 77)
+        cycles, _ = _day(30.0, GridProfile(((0.0, 45.0),)), 3.0, _demand(), 77)
         assert len(cycles) > 3
         for before, after in zip(cycles, cycles[1:]):
             end = (
@@ -251,18 +256,19 @@ class TestSimulateDay:
             assert after.start_h >= end - 1e-9
 
     def test_demands_clamped(self):
-        cycles, _ = _day(30.0, GridProfile.constant(45.0), 3.0, _demand(50.0, 200.0), 5)
+        grid = GridProfile(((0.0, 45.0),))
+        cycles, _ = _day(30.0, grid, 3.0, _demand(50.0, 200.0), 5)
         for cycle in cycles:
             assert 0.0 <= cycle.demand_kwh <= 100.0
 
     def test_dropped_arrivals_counted(self):
         # Tiny grid: recharges take ages, so most arrivals find the charger
         # busy.
-        _, dropped = _day(60.0, GridProfile.constant(5.0), 4.0, _demand(), 21)
+        _, dropped = _day(60.0, GridProfile(((0.0, 5.0),)), 4.0, _demand(), 21)
         assert dropped > 10
 
     def test_zero_grid_strands_the_day_after_first_cycle(self):
-        cycles, _ = _day(60.0, GridProfile.constant(0.0), 2.0, _demand(), 13)
+        cycles, _ = _day(60.0, GridProfile(((0.0, 0.0),)), 2.0, _demand(), 13)
         served = [c for c in cycles if c.bess_delivered_kwh > 0]
         assert len(served) == 1  # no recharge possible, charger never idles
 
@@ -283,7 +289,8 @@ class TestSimulateDay:
 
     def test_truncation_flag_set_only_on_service_cut(self):
         # Demand so large the last cycle inevitably crosses midnight.
-        cycles, _ = _day(20.0, GridProfile.constant(8.0), 2.0, _demand(90.0, 5.0), 2)
+        grid = GridProfile(((0.0, 8.0),))
+        cycles, _ = _day(20.0, grid, 2.0, _demand(90.0, 5.0), 2)
         for cycle in cycles[:-1]:
             assert not cycle.truncated
         last = cycles[-1]
@@ -293,8 +300,8 @@ class TestSimulateDay:
 
 _GRIDS = st.sampled_from(
     [
-        GridProfile.constant(40.0),
-        GridProfile.constant(0.0),
+        GridProfile(((0.0, 40.0),)),
+        GridProfile(((0.0, 0.0),)),
         GridProfile(((0.0, 55.0), (6.0, 0.0), (9.0, 20.0), (17.0, 160.0))),
     ]
 )
@@ -425,7 +432,7 @@ class TestReplayLanes:
                     assert run.dropped[lane] == dropped
 
     def test_rejects_streams_it_cannot_search(self):
-        grid = GridProfile.constant(40.0)
+        grid = GridProfile(((0.0, 40.0),))
         for stream, match in [
             (ArrivalStream(24.0, (2.0, 1.0), (5.0, 5.0)), "never decrease"),
             (ArrivalStream(24.0, (math.nan,), (5.0,)), "numbers"),
@@ -442,7 +449,7 @@ class TestReplayLanes:
             replay_lanes(two, [0, 1], [10.0], 150.0, grid, 150.0)
 
     def test_no_lanes_and_empty_streams(self):
-        grid = GridProfile.constant(40.0)
+        grid = GridProfile(((0.0, 40.0),))
         empty = ArrivalStream(24.0, (), ())
         lanes = replay_lanes(
             [empty], [0, 0], [0.0, 10.0], 150.0, grid, 150.0
@@ -460,7 +467,7 @@ class TestReplayLanes:
         # 40 kWh refilled at 2.5e-307 kW: the curtailed and refill hours
         # each fit a float, but their sum overflows to infinity.
         stream = ArrivalStream(24.0, (1.0,), (50.0,))
-        grid = GridProfile.constant(2.5e-307)
+        grid = GridProfile(((0.0, 2.5e-307),))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             lanes = replay_lanes(
@@ -518,7 +525,7 @@ class TestSharedStream:
         stream = draw_stream(ArrivalModel(1.0), _demand(), 24.0, 1)
         with pytest.raises(ValueError, match="charger_max_kw"):
             replay_lanes(
-                [stream], [0], [10.0], 150.0, GridProfile.constant(40.0), 0.0
+                [stream], [0], [10.0], 150.0, GridProfile(((0.0, 40.0),)), 0.0
             )
 
 
@@ -529,7 +536,7 @@ class TestCurtailedMinutes:
         drawn = draw_stream(ArrivalModel(2.0), _demand(), 24.0, 101)
         cut = ArrivalStream(1.0, (0.0, 0.8), (30.0, 30.0))
         lanes = replay_lanes(
-            [drawn, cut], [0, 1], [12.0, 12.0], 150.0, GridProfile.constant(40.0),
+            [drawn, cut], [0, 1], [12.0, 12.0], 150.0, GridProfile(((0.0, 40.0),)),
             150.0,
         ).cycles()
         assert lane_cycles(lanes, 1)[1].truncated
@@ -549,7 +556,7 @@ class TestCurtailedMinutes:
     def test_empty_day(self):
         empty = ArrivalStream(0.5, (), ())
         lanes = replay_lanes(
-            [empty], [0], [12.0], 150.0, GridProfile.constant(40.0), 150.0
+            [empty], [0], [12.0], 150.0, GridProfile(((0.0, 40.0),)), 150.0
         ).cycles()
         mean_min, max_min, n_cycles = _curtailed_minutes(
             lanes.curtailed_h, lanes.truncated

@@ -16,6 +16,8 @@ from besspp.scenario import (
 )
 from besspp.studies import _plaza_setup, scenario_fingerprint
 
+from plaza_oracle import power_at
+
 
 def minimal_doc() -> dict:
     return {
@@ -67,9 +69,10 @@ class TestDefaultScenario:
         scenario = default_scenario()
         assert scenario.n_modules == 9
         assert scenario.n_layer1 == 3
-        assert scenario.supply.heterogeneity == pytest.approx(0.25)
+        assert scenario.supply.std_kwh / scenario.supply.mean_kwh == 0.25
         assert scenario.design_horizon_h == pytest.approx(2.25)
-        assert _plaza_setup(scenario).horizon_h == pytest.approx(0.25)
+        plaza_total_kwh = _plaza_setup(scenario).expected_total_kwh
+        assert plaza_total_kwh / scenario.plaza.bess_power_kw == pytest.approx(0.25)
         assert len(scenario.r_grid) == 20
         kinds = [c.kind for c in scenario.architectures]
         assert kinds == [
@@ -95,7 +98,7 @@ class TestLoadScenario:
         assert scenario.seed == 7
         assert scenario.n_modules == 9
         assert len(scenario.architectures) == 2
-        assert scenario.grid_profile.power_at(13.0) == 30.0
+        assert power_at(scenario.grid_profile, 13.0) == 30.0
         assert scenario.plaza.supply.mean_kwh == 4.0
 
     def test_seed_required(self, tmp_path):
@@ -127,7 +130,7 @@ class TestLoadScenario:
         )
         doc["grid_profile"] = "grid.csv"
         scenario = load_scenario(write_doc(tmp_path, doc))
-        assert scenario.grid_profile.power_at(9.0) == 22.0
+        assert power_at(scenario.grid_profile, 9.0) == 22.0
 
     def test_grid_profile_missing_csv(self, tmp_path):
         doc = minimal_doc()

@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 import besspp.studies
 from besspp.cli import main
 from besspp.designer import derive_seed
-from besspp.metrics import MetricReport
 from besspp.plaza import ArrivalModel, DemandModel, draw_stream
-from besspp.scenario import load_scenario
+from besspp.scenario import ScenarioError, load_scenario
 from besspp.studies import (
     CELLS_HEADER,
     DAY_HORIZON_H,
@@ -36,7 +35,6 @@ from besspp.studies import (
     run_ensemble,
     run_tradeoff,
     scenario_fingerprint,
-    validate_scenario,
 )
 from besspp.supply import _left_sum
 
@@ -173,14 +171,15 @@ class TestRunDay:
         for n_packs in (1, 2):
             prefix = _plaza_setup(scenario, n_packs=n_packs)
             assert prefix.pack_totals == full.pack_totals[:n_packs]
-            assert prefix.horizon_h == full.horizon_h
+            assert prefix.expected_total_kwh == full.expected_total_kwh
             for kind, caps in full.capacities.items():
                 assert prefix.capacities[kind] == caps[:n_packs]
 
     def test_unknown_kind_rejected(self, small_scenario, tmp_path):
         _, scenario = small_scenario
-        with pytest.raises(ValueError, match="not part"):
+        with pytest.raises(ScenarioError, match="not part"):
             run_day(scenario, tmp_path / "day", kinds=("fpp",))
+        assert not (tmp_path / "day").exists()
 
     def test_same_demand_stream_across_kinds(self, small_scenario, tmp_path):
         # Every kind serves a subsequence of one arrival stream and drops
@@ -252,12 +251,11 @@ class TestRunEnsemble:
         kinds = {r["kind"] for r in rows}
         assert kinds == {"lshippp", "cppp"}
         for kind in kinds:
-            report = MetricReport.from_json(
-                (out / f"metrics_{kind}.json").read_text()
-            )
-            assert report.study.endswith(kind)
-            assert 0.0 <= report.values["derating_factor"] <= 1.0
-            assert 0.0 < report.values["utilization_at_worst_gap"] <= 1.0
+            report = json.loads((out / f"metrics_{kind}.json").read_text())
+            assert report["study"].endswith(kind)
+            metrics = report["metrics"]
+            assert 0.0 <= metrics["derating_factor"]["value"] <= 1.0
+            assert 0.0 < metrics["utilization_at_worst_gap"]["value"] <= 1.0
         with (out / "cells.csv").open(newline="") as fh:
             cells = list(csv.DictReader(fh))
         assert len(cells) == 2
@@ -396,12 +394,6 @@ class TestRunEnsemble:
         assert da == dc
 
 
-class TestValidateScenario:
-    def test_default_is_clean(self, small_scenario):
-        _, scenario = small_scenario
-        assert validate_scenario(scenario) == []
-
-
 class TestCli:
     def test_validate_ok(self, small_scenario, capsys):
         path, _ = small_scenario
@@ -480,10 +472,42 @@ class TestCli:
         assert main(["ensemble", "--scenario", str(path), "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entry, field, value",
+        [
+            (1, "n_modules", 7),
+            (0, "n_layer1", 2),
+            (1, "lambda_h", 0.7),
+            (2, "horizon_h", 2.0),
+        ],
+        ids=["n_modules", "n_layer1", "lambda_h", "horizon_h"],
+    )
+    def test_unread_or_mismatched_architecture_field_exits_1(
+        self, entry, field, value, tmp_path, monkeypatch, capsys
+    ):
+        doc = small_doc()
+        doc["architectures"][entry][field] = value
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps(doc))
+
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study ran on a rejected scenario")
+
+        for study in ("run_design", "run_tradeoff", "run_day", "run_ensemble"):
+            monkeypatch.setattr(besspp.cli, study, no_study)
+        kind = doc["architectures"][entry]["kind"]
+        assert main(["validate", "--scenario", str(path)]) == 1
+        problem = f"architectures[{entry}] ({kind}): {field}"
+        assert problem in capsys.readouterr().err
+        for study in ("design", "tradeoff", "day", "ensemble"):
+            out = tmp_path / study
+            assert main([study, "--scenario", str(path), "--out", str(out)]) == 1
+            assert not out.exists()
+
     def test_missing_scenario_exits_1(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 1
 
-    def test_negative_seed_override_exits_1(self, small_scenario, tmp_path):
+    def test_negative_seed_override_exits_1(self, small_scenario, tmp_path, capsys):
         path, _ = small_scenario
         code = main(
             [
@@ -497,6 +521,8 @@ class TestCli:
             ]
         )
         assert code == 1
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_day_repeated_kind_listed_once(self, small_scenario, tmp_path, capsys):
         path, _ = small_scenario
@@ -522,6 +548,18 @@ class TestCli:
             ]
         )
         assert code == 1
+        assert not (tmp_path / "d").exists()
+
+    def test_day_runtime_value_error_exits_2(
+        self, small_scenario, tmp_path, monkeypatch
+    ):
+        def failing_day(*args, **kwargs):
+            raise ValueError("replay failed")
+
+        monkeypatch.setattr(besspp.cli, "run_day", failing_day)
+        path, _ = small_scenario
+        args = ["day", "--scenario", str(path), "--out", str(tmp_path / "d")]
+        assert main(args) == 2
 
     def test_design_success_prints_paths(self, small_scenario, tmp_path, capsys):
         path, _ = small_scenario

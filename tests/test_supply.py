@@ -27,10 +27,6 @@ Z_75 = statistics.NormalDist().inv_cdf(0.75)
 
 
 class TestSupplyDistribution:
-    def test_heterogeneity(self):
-        dist = SupplyDistribution(mean_kwh=40.0, std_kwh=10.0)
-        assert dist.heterogeneity == pytest.approx(0.25)
-
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ValueError):
             SupplyDistribution(mean_kwh=0.0, std_kwh=1.0)
@@ -271,3 +267,36 @@ class TestLeftSum:
             and node.func.id == "sum"
         ]
         assert calls == []
+
+    def test_every_public_name_has_a_caller(self):
+        # No public API that only tests call: each public function, class
+        # and method of the package is named in the package or in scripts/
+        # besides its own definition.  The one exception is the reference
+        # LP that the tests check the cut form against.
+        allowed = {"max_deliverable_energy"}
+        repo = Path(__file__).resolve().parents[1]
+        package = repo / "src" / "besspp"
+        trees = {
+            path: ast.parse(path.read_text(), str(path))
+            for path in [
+                *sorted(package.glob("*.py")),
+                *sorted((repo / "scripts").glob("*.py")),
+            ]
+        }
+        named = set()
+        defined = set()
+        for path, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name)
+                elif (
+                    isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and path.parent == package
+                    and not node.name.startswith("_")
+                ):
+                    defined.add(node.name)
+        assert sorted(defined - named - allowed) == []
