@@ -18,7 +18,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=Path("out/plaza"))
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     scenario = (
         load_scenario(args.scenario) if args.scenario else default_scenario()

@@ -21,19 +21,21 @@ EVs arrive with exponential interarrival times and Gaussian demands
 demand is drawn per arrival whether or not it is served, so the arrival
 and demand stream depends on the seed alone, never on the storage unit.
 
-A day is therefore two steps: :func:`draw_stream` draws the stream and
-:func:`replay_lanes`, the event loop, serves it from a full storage unit.
-The loop runs many (capacity, stream) lanes in lockstep over the streams
-flattened into float64 arrays: each step finds, on every lane still active,
-the next servable arrival by one exact search and serves it with the phase
-arithmetic of :func:`cycle_phases`.  It records only which arrivals each
-lane served, as a :class:`LaneReplay`; :meth:`LaneReplay.cycles` derives the
-cycles of any run of lanes as :class:`LaneCycles` arrays, so a caller can
-take them a few lanes at a time.  Every study replays through it: the
-exemplar day draws its stream once and replays one lane per kind, the
-reference schedule is one lane with an unlimited unit, and the ensemble
-replays every trajectory x kind of a batch of demand cells as one lane of a
-single call.
+A day is therefore two steps: :func:`draw_arrivals` draws the streams and
+:func:`replay_lanes`, the event loop, serves them from a full storage unit.
+The draw writes every stream of a call end to end into one
+:class:`Arrivals` table of float64 arrays over one horizon, and the loop
+runs many (capacity, stream) lanes in lockstep over that table as it is:
+each step finds, on every lane still active, the next servable arrival by
+one exact search and serves it with the phase arithmetic of
+:func:`cycle_phases`.  It records only which arrivals each lane served, as a
+:class:`LaneReplay`; :meth:`LaneReplay.cycles` derives the cycles of any run
+of lanes as :class:`LaneCycles` arrays, so a caller can take them a few
+lanes at a time.  Every study replays through it: the exemplar day draws
+its stream once and replays one lane per kind, the reference schedule is
+one lane with an unlimited unit, and the ensemble draws every trajectory of
+a batch of demand cells into one table and replays each trajectory x kind
+as one lane of a single call.
 """
 
 from __future__ import annotations
@@ -51,11 +53,11 @@ __all__ = [
     "ArrivalModel",
     "DemandModel",
     "CyclePhases",
-    "ArrivalStream",
+    "Arrivals",
     "LaneCycles",
     "LaneReplay",
     "cycle_phases",
-    "draw_stream",
+    "draw_arrivals",
     "replay_lanes",
 ]
 
@@ -168,22 +170,45 @@ class CyclePhases:
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class ArrivalStream:
-    """One day's EV arrivals: times within the horizon and their demands.
+class Arrivals:
+    """EV arrivals of many days over one horizon: a table of streams end to end.
 
-    Both are float64 arrays of one length (sequences are converted), and
-    :func:`replay_lanes` requires the times never to decrease.
+    Stream ``s`` is the ``lengths[s]`` arrivals that follow those of streams
+    ``0 .. s-1`` in ``times_h`` and ``demands_kwh``.  Both are float64
+    arrays (sequences are converted, buffers are not copied), and the
+    lengths are integers that sum to their size.  :func:`replay_lanes`
+    searches a stream by time, so its times must be numbers that never
+    decrease; they may fall from one stream to the next.
     """
 
-    horizon_h: float
     times_h: np.ndarray
     demands_kwh: np.ndarray
+    lengths: np.ndarray
+    horizon_h: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times_h", np.asarray(self.times_h, dtype=float))
-        object.__setattr__(
-            self, "demands_kwh", np.asarray(self.demands_kwh, dtype=float)
-        )
+        times = np.asarray(self.times_h, dtype=float)
+        demands = np.asarray(self.demands_kwh, dtype=float)
+        lengths = np.asarray(self.lengths, dtype=np.intp)
+        if not self.horizon_h > 0:
+            raise ValueError("horizon_h must be positive")
+        if times.ndim != 1 or demands.shape != times.shape:
+            raise ValueError("every arrival needs one time and one demand")
+        if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != times.size:
+            raise ValueError(
+                "stream lengths must be nonnegative and add up to the arrivals"
+            )
+        falls = ~(times[1:] >= times[:-1])
+        # A pair that straddles two streams may fall.
+        starts = np.cumsum(lengths)[:-1]
+        falls[starts[(starts > 0) & (starts < times.size)] - 1] = False
+        if falls.any() or np.isnan(times).any():
+            raise ValueError(
+                "arrival times must be numbers that never decrease within a stream"
+            )
+        object.__setattr__(self, "times_h", times)
+        object.__setattr__(self, "demands_kwh", demands)
+        object.__setattr__(self, "lengths", lengths)
 
 
 # The per-cycle arrays of LaneCycles, in the order _serve returns them.
@@ -231,11 +256,11 @@ class LaneReplay:
     """Which arrivals every lane of one :func:`replay_lanes` call served.
 
     Lane ``i`` served ``counts[i]`` arrivals and dropped ``dropped[i]``.
-    ``arrival`` indexes the flattened streams: the served arrivals lane by
-    lane, each lane's in service order.  The per-arrival arrays
-    (``start_h``, ``demand_kwh``, ``grid_kw``) and per-lane arrays
-    (``horizon_h``, ``capacity_kwh``) are what :meth:`cycles` serves them
-    with.
+    ``arrival`` indexes the :class:`Arrivals` table the lanes replayed: the
+    served arrivals lane by lane, each lane's in service order.  The
+    table's per-arrival arrays (``start_h``, ``demand_kwh``) with their grid
+    powers (``grid_kw``), each lane's ``capacity_kwh`` and the table's one
+    ``horizon_h`` are what :meth:`cycles` serves them with.
     """
 
     counts: np.ndarray
@@ -244,7 +269,7 @@ class LaneReplay:
     start_h: np.ndarray
     demand_kwh: np.ndarray
     grid_kw: np.ndarray
-    horizon_h: np.ndarray
+    horizon_h: float
     capacity_kwh: np.ndarray
     bess_power_kw: float
     charger_max_kw: float
@@ -268,7 +293,7 @@ class LaneReplay:
             self.demand_kwh[arrival],
             self.grid_kw[arrival],
             self.capacity_kwh[lane],
-            self.horizon_h[lane],
+            self.horizon_h,
             self.charger_max_kw,
             self.bess_power_kw,
         )
@@ -347,43 +372,47 @@ def _phases(capacity, grid, demand, charger, bess_power) -> tuple:
     )
 
 
-def draw_stream(
-    arrivals: ArrivalModel, demand: DemandModel, horizon_h: float, seed: int
-) -> ArrivalStream:
-    """Arrival times and clamped demands over ``[0, horizon_h)`` from ``seed``.
+def draw_arrivals(groups: Iterable[tuple], horizon_h: float) -> Arrivals:
+    """Arrival times and clamped demands over ``[0, horizon_h)``, one stream per key.
 
-    Draws alternate interarrival, demand, interarrival, ... from one Philox
-    stream, so the sequence depends only on the models, the horizon and the
-    seed, never on the storage unit that later serves it.
+    ``groups`` holds ``(arrival_model, demand_model, keys)`` triples, and the
+    table holds their streams group by group, key by key.  A key's draws
+    alternate interarrival, demand, interarrival, ... from one Philox
+    stream, so a stream depends only on its models, the horizon and its
+    key, never on the other streams or on the storage unit that later
+    serves it.
     """
-    if horizon_h <= 0:
-        raise ValueError("horizon_h must be positive")
-    rng = _philox(seed)
+    # Imported here because it loads an extension module, which the studies
+    # that draw no arrivals (design, tradeoff) would carry in their RSS.
+    from array import array
+
+    times, demands, lengths = array("d"), array("d"), []
     # Scalar draws return Python floats; bound methods save a lookup each.
-    exponential, normal = rng.exponential, rng.normal
-    scale_h = 1.0 / arrivals.rate_per_h
-    mean_kwh, std_kwh = demand.mean_kwh, demand.std_kwh
-    max_kwh = float(demand.max_kwh)
-    times: list[float] = []
-    demands: list[float] = []
-    t_arrival = exponential(scale_h)
-    while t_arrival < horizon_h:
-        draw = normal(mean_kwh, std_kwh)
-        times.append(t_arrival)
-        # min(max(draw, 0.0), max_kwh) without the calls; np.clip gives the
-        # same value for a finite draw at several times the cost.
-        draw = 0.0 if draw < 0.0 else draw
-        demands.append(max_kwh if max_kwh < draw else draw)
-        t_arrival += exponential(scale_h)
-    return ArrivalStream(
-        horizon_h,
-        np.fromiter(times, float, len(times)),
-        np.fromiter(demands, float, len(demands)),
-    )
+    add_time, add_demand = times.append, demands.append
+    for arrivals, demand, keys in groups:
+        scale_h = 1.0 / arrivals.rate_per_h
+        mean_kwh, std_kwh = demand.mean_kwh, demand.std_kwh
+        max_kwh = float(demand.max_kwh)
+        for key in keys:
+            rng = _philox(key)
+            exponential, normal = rng.exponential, rng.normal
+            before = len(times)
+            t_arrival = exponential(scale_h)
+            while t_arrival < horizon_h:
+                draw = normal(mean_kwh, std_kwh)
+                add_time(t_arrival)
+                # min(max(draw, 0.0), max_kwh) without the calls; np.clip
+                # gives the same value for a finite draw at several times the
+                # cost.
+                draw = 0.0 if draw < 0.0 else draw
+                add_demand(max_kwh if max_kwh < draw else draw)
+                t_arrival += exponential(scale_h)
+            lengths.append(len(times) - before)
+    return Arrivals(times, demands, lengths, horizon_h)
 
 
 def replay_lanes(
-    streams: Iterable[ArrivalStream],
+    arrivals: Arrivals,
     stream_index,
     capacities_kwh,
     bess_power_kw: float,
@@ -392,16 +421,15 @@ def replay_lanes(
 ) -> LaneReplay:
     """Serve stream ``stream_index[i]`` from a full unit of ``capacities_kwh[i]``.
 
-    This is the plaza's event loop, run for every lane ``i`` in lockstep.
-    The streams are read once, in order, and flattened end to end; lanes
-    index the flat arrays instead of copying them, so the kinds of an
-    ensemble cell share one draw.  Each step serves, on every lane still
-    active, the first arrival at or after the lane's cursor (the arrival
-    after the last one served) whose time is at least the lane's busy-until
-    time; the arrivals skipped on the way are dropped, and a lane with no
-    such arrival left, a busy-until of +inf included, is done.  The loop
-    records only which arrivals each lane served; :meth:`LaneReplay.cycles`
-    derives their cycles.
+    This is the plaza's event loop, run for every lane ``i`` in lockstep
+    over the table's one horizon.  Lanes index the table's arrays instead of
+    copying them, so the kinds of an ensemble cell share one draw.  Each
+    step serves, on every lane still active, the first arrival at or after
+    the lane's cursor (the arrival after the last one served) whose time is
+    at least the lane's busy-until time; the arrivals skipped on the way are
+    dropped, and a lane with no such arrival left, a busy-until of +inf
+    included, is done.  The loop records only which arrivals each lane
+    served; :meth:`LaneReplay.cycles` derives their cycles.
     """
     if charger_max_kw <= 0:
         raise ValueError("charger_max_kw must be positive")
@@ -409,7 +437,8 @@ def replay_lanes(
     capacity = np.asarray(capacities_kwh, dtype=float)
     if rows.ndim != 1 or rows.shape != capacity.shape:
         raise ValueError("every lane needs one stream index and one capacity")
-    times, demands, lengths, horizons = _flatten(streams)
+    times, demands = arrivals.times_h, arrivals.demands_kwh
+    lengths = arrivals.lengths
     offsets = np.cumsum(lengths) - lengths
     n = times.size
     # Arrival k of stream s has the key s * (n + 1) + p, where p is its
@@ -426,7 +455,6 @@ def replay_lanes(
     del order
     keys += np.repeat(np.arange(lengths.size) * (n + 1), lengths)
     grid_kw = grid.powers_at(times)
-    horizon = horizons[rows]
 
     lane_len = lengths[rows]
     # Lane i's slots hold its stream's arrivals, slot = arrival + shift[i].
@@ -453,7 +481,7 @@ def replay_lanes(
             demands[pick],
             grid_kw[pick],
             capacity[live],
-            horizon[live],
+            arrivals.horizon_h,
             charger_max_kw,
             bess_power_kw,
         )
@@ -466,41 +494,11 @@ def replay_lanes(
         start_h=times,
         demand_kwh=demands,
         grid_kw=grid_kw,
-        horizon_h=horizon,
+        horizon_h=arrivals.horizon_h,
         capacity_kwh=capacity,
         bess_power_kw=bess_power_kw,
         charger_max_kw=charger_max_kw,
     )
-
-
-def _flatten(
-    streams: Iterable[ArrivalStream],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The streams' times and demands end to end, their lengths and horizons.
-
-    The streams are taken in one pass, so a generator that draws them is
-    never held whole.  Rejects a stream whose demands do not match its
-    times, a NaN time, and times that decrease within a stream.
-    """
-    times, demands, horizons = [], [], []
-    for stream in streams:
-        if stream.demands_kwh.size != stream.times_h.size:
-            raise ValueError("every arrival needs one time and one demand")
-        times.append(stream.times_h)
-        demands.append(stream.demands_kwh)
-        horizons.append(stream.horizon_h)
-    lengths = np.array([t.size for t in times], dtype=np.intp)
-    times = np.concatenate(times or [np.empty(0)])
-    demands = np.concatenate(demands or [np.empty(0)])
-    falls = ~(times[1:] >= times[:-1])
-    # A pair that straddles two streams may fall.
-    starts = np.cumsum(lengths)[:-1]
-    falls[starts[(starts > 0) & (starts < times.size)] - 1] = False
-    if falls.any() or np.isnan(times).any():
-        raise ValueError(
-            "arrival times must be numbers that never decrease within a stream"
-        )
-    return times, demands, lengths, np.array(horizons, dtype=float)
 
 
 def _lane_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:

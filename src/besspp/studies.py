@@ -45,11 +45,12 @@ from besspp.metrics import (
 )
 from besspp.plaza import (
     ArrivalModel,
+    Arrivals,
     DemandModel,
     GridProfile,
     _CYCLE_FIELDS,
     cycle_phases,
-    draw_stream,
+    draw_arrivals,
     replay_lanes,
 )
 from besspp.scenario import Scenario, ScenarioError, scenario_to_dict
@@ -334,6 +335,14 @@ def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
     )
 
 
+def _exemplar_day(scenario: Scenario, label: str) -> Arrivals:
+    """One day of the exemplar cell's arrivals, keyed ``(seed, label)``."""
+    plaza = scenario.plaza
+    key = derive_seed(scenario.seed, label)
+    groups = [(ArrivalModel(plaza.exemplar_rate_per_h), plaza.exemplar_demand, [key])]
+    return draw_arrivals(groups, DAY_HORIZON_H)
+
+
 def run_day(
     scenario: Scenario,
     out_dir,
@@ -366,15 +375,10 @@ def run_day(
         setup = _plaza_setup(scenario, n_packs=1)
 
     with timer.stage("days"):
-        stream = draw_stream(
-            ArrivalModel(plaza.exemplar_rate_per_h),
-            plaza.exemplar_demand,
-            DAY_HORIZON_H,
-            derive_seed(scenario.seed, "day"),
-        )
+        arrivals = _exemplar_day(scenario, "day")
         capacities = [setup.capacities[kind][0] for kind in kinds]
         replay = replay_lanes(
-            [stream],
+            arrivals,
             [0] * len(kinds),
             capacities,
             plaza.bess_power_kw,
@@ -517,14 +521,8 @@ def _reference_schedule(scenario: Scenario) -> list[tuple[float, float, float]]:
     per completed cycle.
     """
     plaza = scenario.plaza
-    stream = draw_stream(
-        ArrivalModel(plaza.exemplar_rate_per_h),
-        plaza.exemplar_demand,
-        DAY_HORIZON_H,
-        derive_seed(scenario.seed, "exemplar-day"),
-    )
     lanes = replay_lanes(
-        [stream],
+        _exemplar_day(scenario, "exemplar-day"),
         [0],
         [math.inf],
         plaza.bess_power_kw,
@@ -603,7 +601,7 @@ def _dispersion_rows(
         )
         eta = next(
             (
-                system_efficiency(c.eta_c, c.rating_r)
+                system_efficiency(c.eta_c, plaza.rating_r)
                 for c in scenario.architectures
                 if c.kind.value == kind
             ),
@@ -658,27 +656,30 @@ def _batch_task(args) -> list[tuple]:
 
     Trajectory ``t`` of the cell with demand mean ``mean``, spread ``std``
     and arrival rate ``rate`` is keyed ``(seed, "traj", mean, std, rate, t)``
-    and runs on pack ``t % n_packs``.  Each trajectory's stream is drawn
-    once, as the replay reads it, and every trajectory x kind of the batch
-    is one lane of a single :func:`replay_lanes` call.  A cell's statistics
+    and runs on pack ``t % n_packs``.  One :func:`draw_arrivals` call draws
+    every trajectory of the batch, cell by cell, into one arrivals table,
+    and every trajectory x kind of the batch is one lane of a single
+    :func:`replay_lanes` call over that table.  A cell's statistics
     are taken over all of its cycles at once; its rows follow the kinds.
     """
     cells, per_cell, seed, kind_caps, pack_totals, grid, charger_kw, bess_kw = args
     pack = np.arange(per_cell) % len(pack_totals)
     totals = np.array(pack_totals)[pack]
-
-    def streams():
-        for mean, std, rate in cells:
-            demand = DemandModel(mean_kwh=mean, std_kwh=std)
-            arrivals = ArrivalModel(rate)
-            keys = derive_seeds(seed, "traj", mean, std, rate, indices=range(per_cell))
-            for key in keys:
-                yield draw_stream(arrivals, demand, DAY_HORIZON_H, key)
-
+    arrivals = draw_arrivals(
+        [
+            (
+                ArrivalModel(rate),
+                DemandModel(mean_kwh=mean, std_kwh=std),
+                derive_seeds(seed, "traj", mean, std, rate, indices=range(per_cell)),
+            )
+            for mean, std, rate in cells
+        ],
+        DAY_HORIZON_H,
+    )
     # Lanes run cell by cell, kind by kind, trajectory by trajectory.
     trajectories = np.arange(len(cells) * per_cell).reshape(len(cells), 1, per_cell)
     replay = replay_lanes(
-        streams(),
+        arrivals,
         np.repeat(trajectories, len(kind_caps), axis=1).ravel(),
         np.tile(
             np.concatenate([np.array(caps)[pack] for _, caps in kind_caps]),

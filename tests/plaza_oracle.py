@@ -1,12 +1,16 @@
-"""Pure-Python scalar oracle for the plaza's lane core.
+"""Pure-Python scalar oracle for the plaza's draw and lane core.
 
-The scalar phase arithmetic and per-arrival event loop that
-:func:`besspp.plaza.replay_lanes` replaced, kept as the reference that the
-lane core, the day study and the ensemble cells must equal bit for bit.
+The one-stream scalar draw that :func:`besspp.plaza.draw_arrivals` replaced,
+and the scalar phase arithmetic and per-arrival event loop that
+:func:`besspp.plaza.replay_lanes` replaced, kept as the references that the
+arrivals table, the lane core, the day study and the ensemble cells must
+equal bit for bit.
 """
 
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from besspp.plaza import HOURS_PER_DAY, CyclePhases
 
@@ -30,6 +34,25 @@ class Cycle:
 
 # The per-cycle fields after ``index``; each names a LaneCycles array.
 CYCLE_FIELDS = tuple(f.name for f in fields(Cycle))[1:]
+
+
+def reference_draw(arrivals, demand, horizon_h, key):
+    """One stream's arrival times and clamped demands, as two lists.
+
+    Interarrival, demand, interarrival, ... from a fresh
+    ``Generator(Philox(key=key))``, each demand clamped to
+    ``[0, max_kwh]``, until an arrival falls at or past the horizon.
+    """
+    rng = np.random.Generator(np.random.Philox(key=key))
+    scale_h = 1.0 / arrivals.rate_per_h
+    times, demands = [], []
+    t_arrival = rng.exponential(scale_h)
+    while t_arrival < horizon_h:
+        draw = rng.normal(demand.mean_kwh, demand.std_kwh)
+        times.append(t_arrival)
+        demands.append(min(max(draw, 0.0), demand.max_kwh))
+        t_arrival += rng.exponential(scale_h)
+    return times, demands
 
 
 def power_at(grid, t_h):
@@ -78,10 +101,17 @@ def reference_phases(capacity, grid_kw, demand, charger, bess_power):
     )
 
 
-def reference_replay(capacity, bess_power, grid, stream, charger):
-    """Serve ``stream`` from a full unit: the cycles and the dropped count."""
+def reference_replay(capacity, bess_power, grid, arrivals, stream, charger):
+    """Serve stream ``stream`` of the table ``arrivals`` from a full unit.
+
+    Returns the cycles and the dropped count.
+    """
+    first = int(arrivals.lengths[:stream].sum())
+    day = slice(first, first + int(arrivals.lengths[stream]))
     cycles, dropped, busy_until = [], 0, 0.0
-    for start, demand in zip(stream.times_h.tolist(), stream.demands_kwh.tolist()):
+    for start, demand in zip(
+        arrivals.times_h[day].tolist(), arrivals.demands_kwh[day].tolist()
+    ):
         if start < busy_until:
             dropped += 1
             continue
@@ -90,7 +120,7 @@ def reference_replay(capacity, bess_power, grid, stream, charger):
         full_h, curtailed_h = phases.full_h, phases.curtailed_h
         delivered, unmet = phases.bess_delivered_kwh, phases.unmet_kwh
         recharge_h = phases.recharge_h
-        room = stream.horizon_h - start
+        room = arrivals.horizon_h - start
         truncated = False
         if full_h > room:
             full_h = room

@@ -37,7 +37,7 @@ from besspp.plaza import (
     DemandModel,
     GridProfile,
     cycle_phases,
-    draw_stream,
+    draw_arrivals,
     replay_lanes,
 )
 from besspp.scenario import default_scenario, scenario_to_dict
@@ -334,10 +334,10 @@ def prop_cycle_energy_balance(capacity, grid, demand, charger, bess_power):
     std=st.floats(0.0, 40.0, allow_nan=False),
 )
 def prop_storage_full_at_cycle_start(seed, capacity, grid, rate, mean, std):
-    stream = draw_stream(ArrivalModel(rate), DemandModel(mean, std), 24.0, seed)
+    stream = draw_arrivals([(ArrivalModel(rate), DemandModel(mean, std), [seed])], 24.0)
     profile = GridProfile(((0.0, grid),))
     cycles = lane_cycles(
-        replay_lanes([stream], [0], [capacity], 150.0, profile, 150.0).cycles(), 0
+        replay_lanes(stream, [0], [capacity], 150.0, profile, 150.0).cycles(), 0
     )
     _, _, _, bess_kwh, _ = _minute_series(
         [dataclasses.asdict(c) for c in cycles], capacity, profile

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from besspp.plaza import (
     ArrivalModel,
-    ArrivalStream,
+    Arrivals,
     CyclePhases,
     DemandModel,
     GridProfile,
     cycle_phases,
-    draw_stream,
+    draw_arrivals,
     replay_lanes,
 )
 from besspp.flows import cut_form_energy
@@ -26,6 +26,7 @@ from besspp.studies import _curtailed_minutes, run_day
 from plaza_oracle import (
     lane_cycles,
     power_at,
+    reference_draw,
     reference_phases,
     reference_replay,
 )
@@ -214,10 +215,25 @@ def _demand(mean=50.0, std=25.0):
     return DemandModel(mean_kwh=mean, std_kwh=std)
 
 
+def _drawn(rate, demand, horizon, seed) -> Arrivals:
+    """A table of one stream, drawn from ``seed``."""
+    return draw_arrivals([(ArrivalModel(rate), demand, [seed])], horizon)
+
+
+def _table(streams, horizon) -> Arrivals:
+    """A table of ``streams``, ``(times, demands)`` pairs, end to end."""
+    return Arrivals(
+        [t for times, _ in streams for t in times],
+        [d for _, demands in streams for d in demands],
+        [len(times) for times, _ in streams],
+        horizon,
+    )
+
+
 def _day(capacity, grid, rate, demand, seed, horizon=24.0):
     """One day's cycles and dropped arrivals: a drawn stream replayed as one lane."""
-    stream = draw_stream(ArrivalModel(rate), demand, horizon, seed)
-    lanes = replay_lanes([stream], [0], [capacity], 150.0, grid, 150.0).cycles()
+    arrivals = _drawn(rate, demand, horizon, seed)
+    lanes = replay_lanes(arrivals, [0], [capacity], 150.0, grid, 150.0).cycles()
     return lane_cycles(lanes, 0), int(lanes.dropped[0])
 
 
@@ -307,16 +323,20 @@ _GRIDS = st.sampled_from(
 )
 
 
+_HORIZONS = st.sampled_from([0.5, 24.0, 30.5])
+
+
 @st.composite
-def _streams(draw):
-    horizon = draw(st.sampled_from([0.5, 24.0, 30.5]))
+def _streams(draw, horizon):
+    """One stream over ``horizon`` as ``(times, demands)`` lists."""
     if draw(st.booleans()):
-        return draw_stream(
-            ArrivalModel(draw(st.floats(0.25, 4.0))),
+        stream = _drawn(
+            draw(st.floats(0.25, 4.0)),
             _demand(draw(st.floats(1.0, 80.0)), draw(st.floats(0.0, 60.0))),
             horizon,
             draw(st.integers(0, 2**32 - 1)),
         )
+        return stream.times_h.tolist(), stream.demands_kwh.tolist()
     # Hand-made: empty streams, equal arrival times and zero demands, i.e.
     # cycles that end where they start.
     times = sorted(
@@ -329,7 +349,7 @@ def _streams(draw):
             max_size=len(times),
         )
     )
-    return ArrivalStream(horizon, tuple(times), tuple(demands))
+    return times, demands
 
 
 _CAPACITIES = (
@@ -339,13 +359,15 @@ _CAPACITIES = (
 
 class TestReplayLanes:
     @given(
-        streams=st.lists(_streams(), min_size=1, max_size=4),
+        horizon=_HORIZONS,
         data=st.data(),
         grid=_GRIDS,
         bess_power=st.sampled_from([150.0, 60.0, 0.0]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_lanes_equal_reference_loop(self, streams, data, grid, bess_power):
+    def test_lanes_equal_reference_loop(self, horizon, data, grid, bess_power):
+        streams = data.draw(st.lists(_streams(horizon), min_size=1, max_size=4))
+        arrivals = _table(streams, horizon)
         lanes_spec = data.draw(
             st.lists(
                 st.tuples(st.integers(0, len(streams) - 1), _CAPACITIES),
@@ -356,7 +378,7 @@ class TestReplayLanes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lanes = replay_lanes(
-                streams,
+                arrivals,
                 [row for row, _ in lanes_spec],
                 [capacity for _, capacity in lanes_spec],
                 bess_power,
@@ -365,7 +387,7 @@ class TestReplayLanes:
             ).cycles()
         for lane, (row, capacity) in enumerate(lanes_spec):
             cycles, dropped = reference_replay(
-                capacity, bess_power, grid, streams[row], 150.0
+                capacity, bess_power, grid, arrivals, row, 150.0
             )
             assert lane_cycles(lanes, lane) == cycles
             assert lanes.dropped[lane] == dropped
@@ -376,21 +398,26 @@ class TestReplayLanes:
         assert lanes.counts.sum() == lanes.start_h.size
 
     @given(
-        cells=st.lists(
-            st.lists(_streams(), min_size=1, max_size=3), min_size=2, max_size=4
-        ),
+        horizon=_HORIZONS,
         data=st.data(),
         grid=_GRIDS,
         bess_power=st.sampled_from([150.0, 60.0, 0.0]),
     )
     @settings(max_examples=150, deadline=None)
     def test_one_batch_of_cells_equals_each_cell_alone(
-        self, cells, data, grid, bess_power
+        self, horizon, data, grid, bess_power
     ):
         # An ensemble batch replays the lanes of several demand cells in one
         # call, kind by kind over each cell's streams, and takes each cell's
         # cycles as a run of lanes.  Each run must be the cell replayed
         # alone, and the scalar oracle's replay lane by lane.
+        cells = data.draw(
+            st.lists(
+                st.lists(_streams(horizon), min_size=1, max_size=3),
+                min_size=2,
+                max_size=4,
+            )
+        )
         caps = [data.draw(st.lists(_CAPACITIES, min_size=2, max_size=2)) for _ in cells]
         specs = [
             [(row, cap) for cap in kind_caps for row in range(len(streams))]
@@ -401,7 +428,7 @@ class TestReplayLanes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = replay_lanes(
-                (stream for streams in cells for stream in streams),
+                _table([stream for streams in cells for stream in streams], horizon),
                 rows,
                 [cap for spec in specs for _, cap in spec],
                 bess_power,
@@ -412,8 +439,9 @@ class TestReplayLanes:
             for streams, spec in zip(cells, specs):
                 run = batch.cycles(first, first + len(spec))
                 first += len(spec)
+                cell = _table(streams, horizon)
                 alone = replay_lanes(
-                    streams,
+                    cell,
                     [row for row, _ in spec],
                     [cap for _, cap in spec],
                     bess_power,
@@ -426,22 +454,28 @@ class TestReplayLanes:
                     assert got.tobytes() == want.tobytes(), field.name
                 for lane, (row, cap) in enumerate(spec):
                     cycles, dropped = reference_replay(
-                        cap, bess_power, grid, streams[row], 150.0
+                        cap, bess_power, grid, cell, row, 150.0
                     )
                     assert lane_cycles(run, lane) == cycles
                     assert run.dropped[lane] == dropped
 
     def test_rejects_streams_it_cannot_search(self):
         grid = GridProfile(((0.0, 40.0),))
-        for stream, match in [
-            (ArrivalStream(24.0, (2.0, 1.0), (5.0, 5.0)), "never decrease"),
-            (ArrivalStream(24.0, (math.nan,), (5.0,)), "numbers"),
-            (ArrivalStream(24.0, (1.0, 2.0), (5.0,)), "one time and one demand"),
+        for table, match in [
+            (((2.0, 1.0), (5.0, 5.0), (2,)), "never decrease"),
+            (((1.0, 2.0, 1.5), (5.0,) * 3, (1, 2)), "never decrease"),
+            (((math.nan,), (5.0,), (1,)), "numbers"),
+            (((1.0, 2.0), (5.0,), (2,)), "one time and one demand"),
+            (((1.0, 2.0), (5.0, 5.0), (1,)), "add up to the arrivals"),
+            (((1.0, 2.0), (5.0, 5.0), (3, -1)), "nonnegative"),
         ]:
             with pytest.raises(ValueError, match=match):
-                replay_lanes([stream], [0], [10.0], 150.0, grid, 150.0)
+                Arrivals(*table, 24.0)
+        for horizon in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="horizon_h"):
+                Arrivals((), (), (), horizon)
         # Times may fall from one stream to the next.
-        two = [ArrivalStream(24.0, (5.0,), (5.0,)), ArrivalStream(24.0, (1.0,), (5.0,))]
+        two = Arrivals((5.0, 1.0), (5.0, 5.0), (1, 1), 24.0)
         lanes = replay_lanes(two, [0, 1], [10.0, 10.0], 150.0, grid, 150.0)
         assert lanes.counts.tolist() == [1, 1]
         assert lanes.cycles(1).start_h.tolist() == [1.0]
@@ -450,33 +484,91 @@ class TestReplayLanes:
 
     def test_no_lanes_and_empty_streams(self):
         grid = GridProfile(((0.0, 40.0),))
-        empty = ArrivalStream(24.0, (), ())
+        empty = Arrivals((), (), (0,), 24.0)
         lanes = replay_lanes(
-            [empty], [0, 0], [0.0, 10.0], 150.0, grid, 150.0
+            empty, [0, 0], [0.0, 10.0], 150.0, grid, 150.0
         ).cycles()
         assert lanes.counts.tolist() == [0, 0]
         assert lanes.dropped.tolist() == [0, 0]
         assert lanes.start_h.size == 0 and lanes.truncated.dtype == bool
-        none = replay_lanes([empty], [], [], 150.0, grid, 150.0).cycles()
+        none = replay_lanes(empty, [], [], 150.0, grid, 150.0).cycles()
         assert none.counts.size == 0
         with pytest.raises(ValueError, match="charger_max_kw"):
-            replay_lanes([empty], [0], [1.0], 150.0, grid, 0.0)
+            replay_lanes(empty, [0], [1.0], 150.0, grid, 0.0)
 
 
     def test_an_overflowing_refill_warns_nothing(self):
         # 40 kWh refilled at 2.5e-307 kW: the curtailed and refill hours
         # each fit a float, but their sum overflows to infinity.
-        stream = ArrivalStream(24.0, (1.0,), (50.0,))
+        arrivals = Arrivals((1.0,), (50.0,), (1,), 24.0)
         grid = GridProfile(((0.0, 2.5e-307),))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             lanes = replay_lanes(
-                [stream], [0], [40.0], 150.0, grid, 150.0
+                arrivals, [0], [40.0], 150.0, grid, 150.0
             ).cycles()
         (cycle,) = lane_cycles(lanes, 0)
         assert cycle.truncated
-        assert ([cycle], 0) == reference_replay(40.0, 150.0, grid, stream, 150.0)
+        assert ([cycle], 0) == reference_replay(40.0, 150.0, grid, arrivals, 0, 150.0)
         assert lanes.dropped.tolist() == [0]
+
+
+def _assert_draws_like_reference(groups, horizon) -> Arrivals:
+    """``draw_arrivals(groups, horizon)``, checked key by key against the oracle."""
+    table = draw_arrivals(groups, horizon)
+    streams = [
+        reference_draw(arrivals, demand, horizon, key)
+        for arrivals, demand, keys in groups
+        for key in keys
+    ]
+    assert table.lengths.tolist() == [len(times) for times, _ in streams]
+    times = np.array([t for times, _ in streams for t in times], dtype=float)
+    demands = np.array([d for _, demands in streams for d in demands], dtype=float)
+    assert table.times_h.tobytes() == times.tobytes()
+    assert table.demands_kwh.tobytes() == demands.tobytes()
+    assert table.horizon_h == horizon
+    return table
+
+
+class TestDrawArrivals:
+    @given(
+        groups=st.lists(
+            st.tuples(
+                st.floats(0.25, 4.0),
+                st.floats(1.0, 80.0),
+                st.floats(0.0, 60.0) | st.floats(200.0, 2000.0),
+                st.none() | st.floats(1.0, 200.0),
+                st.lists(st.integers(0, 2**128 - 1), max_size=4),
+            ),
+            max_size=4,
+        ),
+        horizon=st.sampled_from([0.01, 0.5, 24.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_call_draws_every_key_like_the_reference(self, groups, horizon):
+        _assert_draws_like_reference(
+            [
+                (ArrivalModel(rate), DemandModel(mean, std, max_kwh), keys)
+                for rate, mean, std, max_kwh, keys in groups
+            ],
+            horizon,
+        )
+
+    def test_empty_streams_and_both_clamps(self):
+        # Two hours at 0.5 EV/h leave some streams empty, and a spread fifty
+        # times the mean clamps demands at 0 and at the default 2 x mean; the
+        # second group clamps at a max_kwh of its own.
+        table = _assert_draws_like_reference(
+            [
+                (ArrivalModel(0.5), DemandModel(10.0, 500.0), range(20)),
+                (ArrivalModel(4.0), DemandModel(50.0, 5.0, 52.0), range(20, 30)),
+            ],
+            2.0,
+        )
+        assert 0 in table.lengths[:20]
+        first = int(table.lengths[:20].sum())
+        assert {0.0, 20.0} <= set(table.demands_kwh[:first].tolist())
+        assert 52.0 in table.demands_kwh[first:]
 
 
 class TestSharedStream:
@@ -496,16 +588,16 @@ class TestSharedStream:
     ):
         # The exemplar day replays one draw for every kind; each lane must
         # serve it as a day drawn and replayed on its own would.
-        arrivals, demand = ArrivalModel(rate), _demand(mean, std)
-        stream = draw_stream(arrivals, demand, horizon, seed)
+        demand = _demand(mean, std)
+        stream = _drawn(rate, demand, horizon, seed)
         capacities = (0.0, small, large, math.inf)
         shared = replay_lanes(
-            [stream], [0] * 4, capacities, 150.0, grid, 150.0
+            stream, [0] * 4, capacities, 150.0, grid, 150.0
         ).cycles()
         for lane, capacity in enumerate(capacities):
-            day = draw_stream(arrivals, demand, horizon, seed)
+            day = _drawn(rate, demand, horizon, seed)
             alone = replay_lanes(
-                [day], [0], [capacity], 150.0, grid, 150.0
+                day, [0], [capacity], 150.0, grid, 150.0
             ).cycles()
             assert lane_cycles(shared, lane) == lane_cycles(alone, 0)
             assert shared.dropped[lane] == alone.dropped[0]
@@ -513,7 +605,7 @@ class TestSharedStream:
 
     def test_stream_validation(self):
         with pytest.raises(ValueError, match="horizon_h"):
-            draw_stream(ArrivalModel(1.0), _demand(), 0.0, 1)
+            _drawn(1.0, _demand(), 0.0, 1)
         # An infinite rate would draw zero interarrivals forever.
         for rate in (math.inf, math.nan):
             with pytest.raises(ValueError, match="rate_per_h"):
@@ -522,10 +614,10 @@ class TestSharedStream:
             DemandModel(mean_kwh=50.0, std_kwh=math.nan)
         with pytest.raises(ValueError, match="max_kwh"):
             DemandModel(mean_kwh=1e308, std_kwh=1.0)  # 2 x mean overflows
-        stream = draw_stream(ArrivalModel(1.0), _demand(), 24.0, 1)
+        stream = _drawn(1.0, _demand(), 24.0, 1)
         with pytest.raises(ValueError, match="charger_max_kw"):
             replay_lanes(
-                [stream], [0], [10.0], 150.0, GridProfile(((0.0, 40.0),)), 0.0
+                stream, [0], [10.0], 150.0, GridProfile(((0.0, 40.0),)), 0.0
             )
 
 
@@ -533,11 +625,12 @@ class TestCurtailedMinutes:
     def test_excludes_truncated_and_averages(self):
         # A drawn day, and a day whose second cycle the horizon cuts in its
         # curtailed phase.
-        drawn = draw_stream(ArrivalModel(2.0), _demand(), 24.0, 101)
-        cut = ArrivalStream(1.0, (0.0, 0.8), (30.0, 30.0))
+        drawn = _drawn(2.0, _demand(), 24.0, 101)
+        day = (drawn.times_h.tolist(), drawn.demands_kwh.tolist())
+        cut = ([23.0, 23.8], [30.0, 30.0])
         lanes = replay_lanes(
-            [drawn, cut], [0, 1], [12.0, 12.0], 150.0, GridProfile(((0.0, 40.0),)),
-            150.0,
+            _table([day, cut], 24.0), [0, 1], [12.0, 12.0], 150.0,
+            GridProfile(((0.0, 40.0),)), 150.0,
         ).cycles()
         assert lane_cycles(lanes, 1)[1].truncated
         mean_min, max_min, n_cycles = _curtailed_minutes(
@@ -554,9 +647,9 @@ class TestCurtailedMinutes:
         assert max_min == pytest.approx(float(np.max(manual)))
 
     def test_empty_day(self):
-        empty = ArrivalStream(0.5, (), ())
+        empty = Arrivals((), (), (0,), 0.5)
         lanes = replay_lanes(
-            [empty], [0], [12.0], 150.0, GridProfile(((0.0, 40.0),)), 150.0
+            empty, [0], [12.0], 150.0, GridProfile(((0.0, 40.0),)), 150.0
         ).cycles()
         mean_min, max_min, n_cycles = _curtailed_minutes(
             lanes.curtailed_h, lanes.truncated

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import besspp.studies
 from besspp.cli import main
 from besspp.designer import derive_seed
-from besspp.plaza import ArrivalModel, DemandModel, draw_stream
+from besspp.plaza import ArrivalModel, DemandModel, draw_arrivals
 from besspp.scenario import ScenarioError, load_scenario
 from besspp.studies import (
     CELLS_HEADER,
@@ -179,6 +179,16 @@ class TestRunTradeoff:
         assert tree_digest(tmp_path / "w1") == tree_digest(tmp_path / "w3")
 
 
+def _day_stream(scenario):
+    """The day study's one stream, drawn on its own."""
+    plaza = scenario.plaza
+    key = derive_seed(scenario.seed, "day")
+    return draw_arrivals(
+        [(ArrivalModel(plaza.exemplar_rate_per_h), plaza.exemplar_demand, [key])],
+        DAY_HORIZON_H,
+    )
+
+
 class TestRunDay:
     def test_minute_series_shape(self, small_scenario, tmp_path):
         _, scenario = small_scenario
@@ -220,13 +230,7 @@ class TestRunDay:
         # Every kind serves a subsequence of one arrival stream and drops
         # the rest of it.
         _, scenario = small_scenario
-        plaza = scenario.plaza
-        stream = draw_stream(
-            ArrivalModel(plaza.exemplar_rate_per_h),
-            plaza.exemplar_demand,
-            DAY_HORIZON_H,
-            derive_seed(scenario.seed, "day"),
-        )
+        stream = _day_stream(scenario)
         arrivals = list(zip(stream.times_h, stream.demands_kwh))
         result = run_day(scenario, tmp_path / "day")
         out = Path(result.out_dir)
@@ -243,19 +247,14 @@ class TestRunDay:
         # day stream at that kind's pack-0 capacity, field by field.
         _, scenario = small_scenario
         plaza = scenario.plaza
-        stream = draw_stream(
-            ArrivalModel(plaza.exemplar_rate_per_h),
-            plaza.exemplar_demand,
-            DAY_HORIZON_H,
-            derive_seed(scenario.seed, "day"),
-        )
+        stream = _day_stream(scenario)
         setup = _plaza_setup(scenario, n_packs=1)
         result = run_day(scenario, tmp_path / "day")
         for kind in ("lshippp", "cppp"):
             day = json.loads((result.out_dir / f"day_{kind}.json").read_text())
             capacity = setup.capacities[kind][0]
             cycles, dropped = reference_replay(
-                capacity, plaza.bess_power_kw, scenario.grid_profile, stream,
+                capacity, plaza.bess_power_kw, scenario.grid_profile, stream, 0,
                 plaza.charger_max_kw,
             )
             assert day["effective_capacity_kwh"] == capacity
@@ -267,13 +266,13 @@ class TestRunDay:
         _, scenario = small_scenario
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return draw_stream(*args, **kwargs)
+        def counting(groups, horizon_h):
+            calls.append([key for _, _, keys in groups for key in keys])
+            return draw_arrivals(groups, horizon_h)
 
-        monkeypatch.setattr(besspp.studies, "draw_stream", counting)
+        monkeypatch.setattr(besspp.studies, "draw_arrivals", counting)
         run_day(scenario, tmp_path / "day", kinds=("lshippp", "cppp"))
-        assert len(calls) == 1
+        assert calls == [[derive_seed(scenario.seed, "day")]]
 
 
 class TestRunEnsemble:
@@ -300,6 +299,21 @@ class TestRunEnsemble:
             assert float(cell["curtailed_max_min"]) >= float(
                 cell["curtailed_mean_min"]
             )
+
+    def test_system_efficiency_at_the_plaza_rating(self, tmp_path):
+        # Derating and captured value are read at the plaza's rating, and so
+        # is the efficiency beside them, whatever the tradeoff entries say.
+        doc = small_doc()
+        doc["plaza"]["rating_r"] = 0.5
+        for entry in doc["architectures"]:
+            entry["eta_c"] = 0.85
+        path = tmp_path / "rated.json"
+        path.write_text(json.dumps(doc))
+        out = run_ensemble(load_scenario(path), tmp_path / "e").out_dir
+        for kind in ("lshippp", "cppp"):
+            report = json.loads((out / f"metrics_{kind}.json").read_text())
+            efficiency = report["metrics"]["system_efficiency"]["value"]
+            assert efficiency == pytest.approx(1 - 0.15 * 0.5)
 
     def test_no_numpy_warnings(self, small_scenario, tmp_path):
         # The lane core computes only on active lanes; a finished lane is
@@ -338,17 +352,17 @@ class TestRunEnsemble:
             completed, unmet, dropped, served = [], [], [], []
             for t in range(n_traj):
                 pack = t % scenario.n_packs
-                stream = draw_stream(
-                    ArrivalModel(rate),
-                    DemandModel(mean, std),
+                key = derive_seed(seed, "traj", mean, std, rate, t)
+                stream = draw_arrivals(
+                    [(ArrivalModel(rate), DemandModel(mean, std), [key])],
                     DAY_HORIZON_H,
-                    derive_seed(seed, "traj", mean, std, rate, t),
                 )
                 cycles, day_dropped = reference_replay(
                     setup.capacities[kind][pack],
                     plaza.bess_power_kw,
                     scenario.grid_profile,
                     stream,
+                    0,
                     plaza.charger_max_kw,
                 )
                 completed += [
@@ -732,16 +746,18 @@ class TestStartup:
 
     def test_design_never_imports_numpy_ma(self, small_scenario, tmp_path):
         # np.quantile would import numpy.ma (about 17 ms and 1.2 MB) through
-        # np.unique; the deciles of every sweep point avoid it.
+        # np.unique; the deciles of every sweep point avoid it.  Nor does the
+        # design study, which draws no arrivals, load the array extension
+        # that the arrival draw writes into.
         path, _ = small_scenario
         code = (
             "import sys\n"
             "from besspp.scenario import load_scenario\n"
             "from besspp.studies import run_design\n"
             "run_design(load_scenario(sys.argv[1]), sys.argv[2])\n"
-            "print('numpy.ma' in sys.modules)"
+            "print('numpy.ma' in sys.modules, 'array' in sys.modules)"
         )
-        assert run_python(code, str(path), str(tmp_path / "d")) == "False"
+        assert run_python(code, str(path), str(tmp_path / "d")) == "False False"
 
     def test_tradeoff_runs_in_one_process(self, small_scenario, tmp_path):
         # Every kind sweeps the common packs in the study process, so

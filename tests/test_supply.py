@@ -170,7 +170,7 @@ class TestRekeyedPhilox:
     @given(st.integers(0, 2**128 - 1), st.integers(0, 2**128 - 1))
     @settings(max_examples=100)
     def test_scalar_draws_after_any_rekey(self, before, key):
-        # draw_stream's pattern, scalar exponential and normal draws, right
+        # draw_arrivals' pattern, scalar exponential and normal draws, right
         # after a re-key away from a key whose stream was left mid-buffer.
         spent = _philox(before)
         spent.standard_normal(3)
