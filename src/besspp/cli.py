@@ -12,7 +12,7 @@ Every command checks the scenario as it loads it, so a scenario that
 ``validate`` rejects stops a study before it writes anything.
 
 Exit codes: 0 on success, 1 for configuration problems (bad scenario file,
-bad arguments, failed validation), 2 for runtime failures.
+bad arguments or flags, failed validation), 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -55,6 +55,12 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="besspp",
@@ -84,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_out:
             p.add_argument(
                 "--workers",
-                type=int,
+                type=_worker_count,
                 default=1,
                 help="worker processes for the ensemble's replay batches; the "
                 "other studies run in one process",
@@ -131,8 +137,14 @@ def _load(args) -> Scenario:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code kept here for runtime
+        # failures; --help and --version still exit 0.
+        if exc.code == 2:
+            return EXIT_CONFIG
+        raise
     try:
         scenario = _load(args)
     except ScenarioError as exc:
@@ -153,8 +165,7 @@ def main(argv=None) -> int:
         elif args.command == "day":
             result = run_day(scenario, args.out, kinds=args.kind, timer=timer)
         else:
-            workers = max(1, args.workers)
-            result = run_ensemble(scenario, args.out, workers, timer=timer)
+            result = run_ensemble(scenario, args.out, args.workers, timer=timer)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

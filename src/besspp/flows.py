@@ -33,20 +33,20 @@ Dedicated per-module converters (fpp) have no string: their deliverable
 energy is the closed form :func:`fpp_deliverable`, ``sum_j min(E_j, cap)``,
 evaluated for every pack x cap in one array pass.
 
-The LPs and the cut form take a wired string in one form: module energies
-and voltages, the ``(i, j)`` module pairs of its edges and one energy cap
-per edge, the pairs and caps a :class:`~besspp.architectures.BudgetSplit`
-carries.  The uncapped evaluators take one pack and placements of uncapped
-edges.  One check, ``_check_wiring``, validates the wiring for all of them.
-A pair may be listed twice (an lshippp split puts a ladder rung beside a
-layer-1 edge on the same pair); its caps then add.
+The cut form and the min-peak LP take a wired string in one form: module
+energies and voltages, the ``(i, j)`` module pairs of its edges and one
+energy cap per edge, the pairs and caps a
+:class:`~besspp.architectures.BudgetSplit` carries.  The uncapped
+evaluators take one pack and placements of uncapped edges.  One check,
+``_check_wiring``, validates the wiring for all of them.  A pair may be
+listed twice (an lshippp split puts a ladder rung beside a layer-1 edge on
+the same pair); its caps then add.
 
-The simplex remains where flows are needed: :func:`min_peak_flow` fixes the
-designed converter flows.  :func:`max_deliverable_energy` solves the LP
-above and returns its optimum and flows.  No study calls it: it is the
-reference LP, kept in the package on purpose.  Criterion 4 checks it
-against vertex enumeration, and the cut-form tests check the kernel
-against it.
+The package evaluates each quantity one way: deliverable energy by the cut
+form, and flows by the simplex, where :func:`min_peak_flow` fixes the
+designed converter flows.  The LP above survives only as the tests'
+reference (``tests/lp_reference.py``), which criterion 4 checks against
+vertex enumeration and the cut-form tests check the kernels against.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ __all__ = [
     "cut_form_energy",
     "uncapped_placement_energy",
     "uncapped_min_peak",
-    "max_deliverable_energy",
     "min_peak_flow",
     "fpp_deliverable",
 ]
@@ -82,43 +81,6 @@ _CHUNK_ENTRIES = 1 << 14
 
 class InfeasibleFlowError(Exception):
     """Raised when a requested output cannot be met by any feasible flow."""
-
-
-def max_deliverable_energy(
-    energy_kwh, volts_v, pairs, caps_kwh
-) -> tuple[float, tuple[float, ...]]:
-    """Maximize the energy delivered to the output bus by one wired string.
-
-    ``energy_kwh`` and ``volts_v`` hold the n module energies and voltages,
-    ``pairs`` the ``(i, j)`` module pairs of the edges and ``caps_kwh`` one
-    energy cap per edge (``math.inf`` allowed).  Returns the optimum and the
-    edge flows; positive flow moves energy from ``i`` to ``j``.
-    """
-    energy, volts, caps = _one_string(energy_kwh, volts_v, pairs, caps_kwh)
-    n = len(energy)
-    n_edges = len(pairs)
-
-    # Columns: [q, flows..., slacks...]; rows: one extraction bound per module.
-    n_vars = 1 + n_edges + n
-    a = np.zeros((n, n_vars))
-    a[:, 0] = volts
-    for k, (i, j) in enumerate(pairs):
-        a[i, 1 + k] = 1.0
-        a[j, 1 + k] = -1.0
-    a[:, 1 + n_edges :] = np.eye(n)
-
-    lower = np.zeros(n_vars)
-    upper = np.full(n_vars, np.inf)
-    lower[1 : 1 + n_edges] = -caps
-    upper[1 : 1 + n_edges] = caps
-
-    c = np.zeros(n_vars)
-    c[0] = volts.sum()
-
-    sol = solve_bounded_lp(BoundedLp(c, a, energy, lower, upper))
-    q = float(sol.x[0])
-    flows = tuple(float(v) for v in sol.x[1 : 1 + n_edges])
-    return float((q * volts).sum()), flows
 
 
 def cut_form_energy(energy_kwh, volts_v, pairs, caps_kwh) -> np.ndarray:
@@ -250,19 +212,6 @@ def _placement_pairs(
     return pairs
 
 
-def _one_string(energy_kwh, volts_v, pairs, caps_kwh):
-    """Checked energy, voltage and cap arrays of one wired string."""
-    energy = np.asarray(energy_kwh, dtype=float)
-    volts = np.asarray(volts_v, dtype=float)
-    caps = np.asarray(caps_kwh, dtype=float)
-    if energy.ndim != 1:
-        raise ValueError("energy_kwh and volts_v must be equal (n,) arrays")
-    if caps.shape != (len(pairs),):
-        raise ValueError("caps_kwh must hold one cap per edge")
-    _check_wiring(energy, volts, pairs, caps)
-    return energy, volts, caps
-
-
 def _check_wiring(energy, volts, pairs, caps) -> None:
     """The one check of a wired series string's values.
 
@@ -308,13 +257,22 @@ def min_peak_flow(
 ) -> tuple[float, ...]:
     """Meet a required output while minimizing the largest converter flow.
 
-    The wired string is given as for :func:`max_deliverable_energy`.  The
-    string charge is fixed by the required output; the LP chooses edge
-    flows.  A first pass minimizes the peak ``max_e |f_e|`` and a second pass
-    minimizes total moved energy at that peak, which pins the flow vector
-    for reporting and rating purposes.  Returns the edge flows.
+    ``energy_kwh`` and ``volts_v`` hold the n module energies and voltages,
+    ``pairs`` the ``(i, j)`` module pairs of the edges and ``caps_kwh`` one
+    energy cap per edge (``math.inf`` allowed).  The string charge is fixed
+    by the required output; the LP chooses edge flows, positive from ``i``
+    to ``j``.  A first pass minimizes the peak ``max_e |f_e|`` and a second
+    pass minimizes total moved energy at that peak, which pins the flow
+    vector for reporting and rating purposes.  Returns the edge flows.
     """
-    energy, volts, caps = _one_string(energy_kwh, volts_v, pairs, caps_kwh)
+    energy = np.asarray(energy_kwh, dtype=float)
+    volts = np.asarray(volts_v, dtype=float)
+    caps = np.asarray(caps_kwh, dtype=float)
+    if energy.ndim != 1:
+        raise ValueError("energy_kwh and volts_v must be equal (n,) arrays")
+    if caps.shape != (len(pairs),):
+        raise ValueError("caps_kwh must hold one cap per edge")
+    _check_wiring(energy, volts, pairs, caps)
     if required_output_kwh < 0:
         raise ValueError("required_output_kwh must be nonnegative")
     string = volts * (required_output_kwh / volts.sum())

@@ -239,6 +239,22 @@ def default_scenario() -> Scenario:
     )
 
 
+def _integer(value, field: str) -> int:
+    """A count or seed: an int or an integral float, never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ScenarioError(f"{field} must be an integer, got {value!r}")
+
+
+def _object(value, label: str) -> dict:
+    """A block of the document that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{label} must be a JSON object")
+    return value
+
+
 def _supply_from_dict(data: dict, label: str) -> SupplyDistribution:
     try:
         return SupplyDistribution(
@@ -258,7 +274,10 @@ def _grid_from_value(value, base_dir: Path) -> GridProfile:
             path = base_dir / path
         if not path.exists():
             raise ScenarioError(f"grid profile file not found: {path}")
-        return GridProfile.from_csv(path)
+        try:
+            return GridProfile.from_csv(path)
+        except OSError as exc:
+            raise ScenarioError(f"cannot read grid profile {path}: {exc}") from exc
     if isinstance(value, (list, tuple)):
         return GridProfile(tuple((float(t), float(kw)) for t, kw in value))
     raise ScenarioError("grid_profile must be a CSV path or a segment list")
@@ -270,39 +289,43 @@ def load_scenario(path) -> Scenario:
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario document must be a JSON object")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    data = _object(data, "scenario document")
     if "seed" not in data:
         raise ScenarioError("scenario must pin a seed; wall-clock seeding is not allowed")
 
     base_dir = path.parent
-    supply = _supply_from_dict(data.get("supply", {}), "pack")
-    try:
-        n_modules = int(data.get("supply", {}).get("n_modules", 0))
-        n_layer1 = int(data.get("n_layer1", 3))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad scenario field: {exc}") from exc
+    supply_data = _object(data.get("supply", {}), "supply")
+    supply = _supply_from_dict(supply_data, "pack")
+    n_modules = _integer(supply_data.get("n_modules", 0), "supply.n_modules")
+    n_layer1 = _integer(data.get("n_layer1", 3), "n_layer1")
 
     arch_entries = data.get("architectures", [])
+    if not isinstance(arch_entries, list):
+        raise ScenarioError("architectures must be a JSON list")
     architectures = []
-    for entry in arch_entries:
-        entry = dict(entry)
-        entry.setdefault("n_modules", n_modules)
+    for i, entry in enumerate(arch_entries):
+        field = f"architectures[{i}]"
+        entry = {"n_modules": n_modules, **_object(entry, field)}
+        for key in ("n_modules", "n_layer1"):
+            if entry.get(key) is not None:
+                entry[key] = _integer(entry[key], f"{field}.{key}")
         try:
             architectures.append(ArchitectureConfig.from_dict(entry))
-        except (KeyError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"bad architecture entry {entry}: {exc}") from exc
 
-    plaza_data = data.get("plaza", {})
+    plaza_data = _object(data.get("plaza", {}), "plaza")
     plaza_supply = (
         _supply_from_dict(plaza_data["supply"], "plaza")
         if "supply" in plaza_data
         else supply
     )
-    exemplar = plaza_data.get("exemplar", {})
+    exemplar = _object(plaza_data.get("exemplar", {}), "plaza.exemplar")
     try:
         plaza = PlazaSettings(
             charger_max_kw=float(plaza_data.get("charger_max_kw", 150.0)),
@@ -327,7 +350,7 @@ def load_scenario(path) -> Scenario:
     try:
         return Scenario(
             name=str(data.get("name", path.stem)),
-            seed=int(data["seed"]),
+            seed=_integer(data["seed"], "seed"),
             supply=supply,
             n_modules=n_modules,
             n_layer1=n_layer1,
@@ -343,8 +366,8 @@ def load_scenario(path) -> Scenario:
             demand_stds_kwh=tuple(float(v) for v in data.get("demand_stds_kwh", [])),
             r_grid=tuple(float(v) for v in data.get("r_grid", [])),
             lambda_grid=tuple(float(v) for v in data.get("lambda_grid", [])),
-            n_packs=int(data.get("n_packs", 100)),
-            n_trajectories=int(data.get("n_trajectories", 1000)),
+            n_packs=_integer(data.get("n_packs", 100), "n_packs"),
+            n_trajectories=_integer(data.get("n_trajectories", 1000), "n_trajectories"),
             plaza=plaza,
         )
     except ScenarioError:

@@ -7,6 +7,7 @@ the cell roster, so the sliced runs reproduce the full study's numbers
 exactly while staying fast.
 """
 
+import collections
 import csv
 import dataclasses
 import functools
@@ -30,7 +31,13 @@ from besspp.designer import (
     enumerate_placements,
     tradeoff_curve,
 )
-from besspp.flows import max_deliverable_energy
+from besspp.flows import (
+    cut_form_energy,
+    fpp_deliverable,
+    min_peak_flow,
+    uncapped_min_peak,
+    uncapped_placement_energy,
+)
 from besspp.metrics import system_efficiency
 from besspp.plaza import (
     ArrivalModel,
@@ -42,8 +49,9 @@ from besspp.plaza import (
 )
 from besspp.scenario import default_scenario, scenario_to_dict
 from besspp.studies import _minute_series, run_ensemble
-from besspp.supply import flatten_distribution, sample_pack
+from besspp.supply import BatteryModule, flatten_distribution, sample_pack
 
+from lp_reference import max_deliverable_energy
 from plaza_oracle import lane_cycles
 from test_flows import extraction, random_string, vertex_oracle, wiring
 
@@ -303,6 +311,194 @@ def prop_sparse_layer_flows_within_ratings(pack_seed, lambda_h):
         assert abs(flow) <= limit + 1e-7
 
 
+# The kernels the studies run, in array form: each example draws one Philox
+# key from hypothesis and checks a batch of numpy-drawn cases under it.
+# ``_CASES`` counts the cases each property has checked, so criterion 5 can
+# hold each of them to its 1,000.
+
+_CASES: collections.Counter = collections.Counter()
+
+# Wirings per example of a kernel property, and packs sharing each wiring.
+_WIRINGS, _PACKS = 64, 16
+
+
+def _kernel_strings(seed: int, connected: bool = False):
+    """``_WIRINGS`` groups of ``_PACKS`` random packs that share one wiring.
+
+    Yields ``(energy, volts, pairs, caps)``: (packs x n) module energies and
+    voltages of 1-6 modules (a tenth of the energies 0), the edge pairs and
+    one random cap per edge (a fifth of them 0).  Each module after the
+    first joins an earlier one always when ``connected``, else on a coin
+    toss; up to two more edges join random pairs, so a pair may repeat.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for _ in range(_WIRINGS):
+        n = int(rng.integers(1, 7))
+        shape = (_PACKS, n)
+        energy = np.where(
+            rng.random(shape) < 0.1, 0.0, rng.uniform(0.0, 10.0, shape)
+        )
+        volts = rng.choice([0.5, 1.0, 2.0], size=shape)
+        pairs = [
+            (int(rng.integers(j)), j)
+            for j in range(1, n)
+            if connected or rng.random() < 0.5
+        ]
+        if n >= 2:
+            for _ in range(int(rng.integers(3))):
+                i, j = rng.choice(n, size=2, replace=False).tolist()
+                pairs.append((i, j))
+        caps = np.where(
+            rng.random(len(pairs)) < 0.2, 0.0, rng.uniform(0.0, 5.0, len(pairs))
+        )
+        yield energy, volts, pairs, caps
+
+
+def _pack_energy(energy: np.ndarray) -> np.ndarray:
+    """Each pack's energy, its modules added left to right from 0.0."""
+    total = np.zeros(len(energy))
+    for j in range(energy.shape[1]):
+        total += energy[:, j]
+    return total
+
+
+_KERNEL_SEED = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=3)
+@given(seed=_KERNEL_SEED)
+def prop_kernels_zero_caps(seed):
+    # Zero caps leave the bare series string: the weakest E_j / V_j sets
+    # the string charge.  Dedicated converters have no string, so fpp
+    # delivers nothing.
+    for energy, volts, pairs, _ in _kernel_strings(seed):
+        (got,) = cut_form_energy(energy, volts, pairs, [np.zeros(len(pairs))])
+        bare = (energy / volts).min(axis=1) * volts.sum(axis=1)
+        np.testing.assert_allclose(got, bare, rtol=1e-12, atol=0)
+        assert np.all(fpp_deliverable(energy, [0.0]) == 0.0)
+        _CASES["prop_kernels_zero_caps"] += len(energy)
+
+
+@settings(max_examples=3)
+@given(seed=_KERNEL_SEED)
+def prop_kernels_saturated_caps(seed):
+    # On a connected wiring, caps above the pack energy let every module
+    # give up all of its energy; so does an fpp converter cap above the
+    # largest module.
+    for energy, volts, pairs, _ in _kernel_strings(seed, connected=True):
+        full = _pack_energy(energy)
+        big = full.max() + 1.0
+        rows = [np.full(len(pairs), big), np.full(len(pairs), math.inf)]
+        got = cut_form_energy(energy, volts, pairs, rows)
+        np.testing.assert_allclose(got, [full, full], rtol=1e-12, atol=0)
+        dedicated = fpp_deliverable(energy, [energy.max(initial=0.0), big, math.inf])
+        assert np.all(dedicated == full)
+        _CASES["prop_kernels_saturated_caps"] += len(energy)
+
+
+@settings(max_examples=3)
+@given(seed=_KERNEL_SEED)
+def prop_kernels_monotone_in_caps(seed):
+    # Caps raised edge by edge never lower the output.  Every step of both
+    # kernels is monotone in floating point, so the check is exact.
+    scales = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+    for energy, volts, pairs, caps in _kernel_strings(seed):
+        rows = [*(s * caps for s in scales), np.full(len(pairs), math.inf)]
+        got = cut_form_energy(energy, volts, pairs, rows)
+        assert np.all(np.diff(got, axis=0) >= 0.0)
+        dedicated = fpp_deliverable(energy, [*(s * 5.0 for s in scales), math.inf])
+        assert np.all(np.diff(dedicated, axis=0) >= 0.0)
+        _CASES["prop_kernels_monotone_in_caps"] += len(energy)
+
+
+@settings(max_examples=3)
+@given(seed=_KERNEL_SEED)
+def prop_kernels_within_pack_energy(seed):
+    # No wiring or cap delivers more than the pack holds.
+    for energy, volts, pairs, caps in _kernel_strings(seed):
+        full = _pack_energy(energy)
+        rows = [caps, 10.0 * caps, np.where(caps > 0, math.inf, 0.0)]
+        got = cut_form_energy(energy, volts, pairs, rows)
+        assert np.all(got >= 0.0)
+        assert np.all(got <= full * (1 + 1e-12))
+        dedicated = fpp_deliverable(energy, [1.0, 5.0, math.inf])
+        assert np.all(dedicated <= full)
+        _CASES["prop_kernels_within_pack_energy"] += len(energy)
+
+
+@settings(max_examples=3)
+@given(seed=_KERNEL_SEED)
+def prop_uncapped_placements_are_the_cut_form(seed):
+    # The layer-1 search's evaluator is the cut form at infinite caps, bit
+    # for bit: 64 packs, each under 16 placements of one size.
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for _ in range(8):
+        n = int(rng.integers(2, 7))
+        candidates = list(itertools.combinations(range(n), 2))
+        k = int(rng.integers(1, min(4, len(candidates)) + 1))
+        placements = []
+        for _ in range(16):
+            chosen = rng.choice(len(candidates), size=k, replace=False)
+            flips = rng.random(k) < 0.5
+            placements.append(
+                [candidates[c][::-1] if f else candidates[c] for c, f in zip(chosen, flips)]
+            )
+        energy = rng.uniform(0.0, 10.0, (8, n))
+        volts = rng.choice([0.5, 1.0, 2.0], size=(8, n))
+        uncapped = [[math.inf] * k]
+        cut = np.array(
+            [cut_form_energy(energy, volts, p, uncapped)[0] for p in placements]
+        )
+        for p, (e, v) in enumerate(zip(energy, volts)):
+            batteries = tuple(BatteryModule(*m) for m in zip(e.tolist(), v.tolist()))
+            got = uncapped_placement_energy(batteries, placements)
+            assert got.tolist() == cut[:, p].tolist()
+        _CASES["prop_uncapped_placements_are_the_cut_form"] += cut.size
+
+
+# Min-peak LP cases per example.
+_LP_CASES = 100
+
+
+@settings(max_examples=10)
+@given(seed=_KERNEL_SEED)
+def prop_min_peak_lp(seed):
+    # The LP that fixes the layer-1 flows, and so its rating: its peak is
+    # the parametric cut form's, every flow keeps within its cap, and no
+    # module gives up more than it holds.
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for _ in range(_LP_CASES):
+        n = int(rng.integers(2, 7))
+        energy = np.where(
+            rng.random(n) < 0.3,
+            rng.choice([0.0, 1.0, 2.5, 4.0], size=n),
+            rng.uniform(0.0, 10.0, n),
+        )
+        volts = rng.choice([0.5, 1.0, 2.0], size=n)
+        candidates = list(itertools.combinations(range(n), 2))
+        k = int(rng.integers(1, min(4, len(candidates)) + 1))
+        chosen = np.sort(rng.choice(len(candidates), size=k, replace=False))
+        placement = [candidates[c] for c in chosen]
+        batteries = tuple(BatteryModule(*m) for m in zip(energy.tolist(), volts.tolist()))
+        (own,) = uncapped_placement_energy(batteries, [placement])
+        share = rng.choice([0.0, 0.5, 1.0]) if rng.random() < 0.3 else rng.random()
+        output = float(share * own)
+        (peak,) = uncapped_min_peak(batteries, [placement], output)
+        caps = np.where(
+            rng.random(k) < 0.5, math.inf, peak * rng.uniform(1.0, 2.0, k)
+        )
+        flows = np.array(min_peak_flow(energy, volts, placement, caps, output))
+        tol = 1e-9 * (1.0 + energy.sum())
+        assert abs(np.abs(flows).max() - peak) <= max(1e-9 * peak, tol)
+        assert np.all(np.abs(flows) <= caps + tol)
+        ends = np.array(placement)
+        given_up = volts * (output / volts.sum())
+        np.add.at(given_up, ends[:, 0], flows)
+        np.subtract.at(given_up, ends[:, 1], flows)
+        assert np.all(given_up <= energy + tol)
+        _CASES["prop_min_peak_lp"] += 1
+
+
 @settings(max_examples=1000)
 @given(
     capacity=st.floats(0.0, 100.0, allow_nan=False),
@@ -353,6 +549,16 @@ def prop_storage_full_at_cycle_start(seed, capacity, grid, rate, mean, std):
         assert nxt.start_h >= end - 1e-9
 
 
+_ARRAY_PROPERTIES = (
+    prop_kernels_zero_caps,
+    prop_kernels_saturated_caps,
+    prop_kernels_monotone_in_caps,
+    prop_kernels_within_pack_energy,
+    prop_uncapped_placements_are_the_cut_form,
+    prop_min_peak_lp,
+)
+
+
 def test_criterion_5_invariant_suite():
     with criterion(5, "randomized invariant suite"):
         prop_flow_conservation()
@@ -362,6 +568,11 @@ def test_criterion_5_invariant_suite():
         prop_sparse_layer_flows_within_ratings()
         prop_cycle_energy_balance()
         prop_storage_full_at_cycle_start()
+        _CASES.clear()
+        for prop in _ARRAY_PROPERTIES:
+            prop()
+        for prop in _ARRAY_PROPERTIES:
+            assert _CASES[prop.__name__] >= 1000, (prop.__name__, _CASES)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from besspp.architectures import (
 from besspp.designer import design_layer1, sweep_energy
 from besspp.flows import (
     cut_form_energy,
-    max_deliverable_energy,
     min_peak_flow,
     uncapped_placement_energy,
 )
 from besspp.supply import BatteryModule, ExpectedSet
 
+from lp_reference import max_deliverable_energy
 from test_flows import wiring
 
 

@@ -25,7 +25,6 @@ from besspp.designer import (
     tradeoff_curve,
 )
 from besspp.flows import (
-    max_deliverable_energy,
     min_peak_flow,
     uncapped_min_peak,
     uncapped_placement_energy,
@@ -39,6 +38,7 @@ from besspp.supply import (
     sample_pack,
 )
 
+from lp_reference import max_deliverable_energy
 from test_flows import cut_reference, wiring
 
 # Expected pack energy over the 150 kW rating for the 9-module reference.

@@ -17,12 +17,13 @@ from besspp.flows import (
     InfeasibleFlowError,
     cut_form_energy,
     fpp_deliverable,
-    max_deliverable_energy,
     min_peak_flow,
     uncapped_min_peak,
     uncapped_placement_energy,
 )
 from besspp.supply import BatteryModule, SupplyDistribution, _left_sum, sample_pack
+
+from lp_reference import max_deliverable_energy
 
 
 def pack(*caps: float, voltage: float = 1.0) -> tuple[BatteryModule, ...]:

@@ -101,6 +101,17 @@ class TestLoadScenario:
         assert power_at(scenario.grid_profile, 13.0) == 30.0
         assert scenario.plaza.supply.mean_kwh == 4.0
 
+    def test_integral_float_counts_load_as_ints(self, tmp_path):
+        # Counts and seeds written as integral floats load as the same ints.
+        doc = minimal_doc()
+        doc.update(seed=7.0, n_layer1=3.0, n_packs=5.0, n_trajectories=4.0)
+        doc["supply"]["n_modules"] = 9.0
+        doc["architectures"][0].update(n_modules=9.0, n_layer1=3.0)
+        scenario = load_scenario(write_doc(tmp_path, doc))
+        base = load_scenario(write_doc(tmp_path, minimal_doc()))
+        assert scenario == base
+        assert type(scenario.n_packs) is int and type(scenario.seed) is int
+
     def test_seed_required(self, tmp_path):
         doc = minimal_doc()
         del doc["seed"]

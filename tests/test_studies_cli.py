@@ -76,6 +76,23 @@ def small_doc() -> dict:
     }
 
 
+def write_doc_with(path: Path, field: str, literal: str) -> Path:
+    """Write ``small_doc()`` to ``path`` with one field set to raw JSON.
+
+    ``field`` is a dotted path (``"supply.n_modules"``, ``"architectures.1.rating_r"``)
+    and ``literal`` the JSON text of its value, so literals such as ``NaN``
+    that ``json.dumps`` would not write can be set.
+    """
+    doc = small_doc()
+    *path_to, key = [int(k) if k.isdigit() else k for k in field.split(".")]
+    parent = doc
+    for step in path_to:
+        parent = parent[step]
+    parent[key] = "VALUE"
+    path.write_text(json.dumps(doc).replace('"VALUE"', literal))
+    return path
+
+
 @pytest.fixture(scope="module")
 def small_scenario(tmp_path_factory):
     root = tmp_path_factory.mktemp("scenario")
@@ -501,14 +518,7 @@ class TestCli:
         ],
     )
     def test_non_finite_numbers_exit_1(self, field, value, tmp_path, monkeypatch):
-        doc = small_doc()
-        *path_to, key = [int(k) if k.isdigit() else k for k in field.split(".")]
-        parent = doc
-        for step in path_to:
-            parent = parent[step]
-        parent[key] = "VALUE"
-        path = tmp_path / "nonfinite.json"
-        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        path = write_doc_with(tmp_path / "nonfinite.json", field, value)
 
         # The check must stop the run before any study starts: an infinite
         # arrival rate would never finish drawing its stream.
@@ -520,6 +530,81 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["ensemble", "--scenario", str(path), "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_packs", "100.7"),
+            ("seed", "20240915.9"),
+            ("n_trajectories", "true"),
+            ("n_packs", '"100"'),
+            ("n_layer1", "3.5"),
+            ("supply.n_modules", "false"),
+            ("architectures.0.n_layer1", '"3"'),
+            ("architectures.1.n_modules", "9.25"),
+        ],
+    )
+    def test_non_integral_counts_exit_1(self, field, value, tmp_path, capsys):
+        # A count or seed is never truncated: 100.7 packs would run 100.
+        path = write_doc_with(tmp_path / "counts.json", field, value)
+        assert main(["validate", "--scenario", str(path)]) == 1
+        name = field.replace(".0.", "[0].").replace(".1.", "[1].")
+        assert f"{name} must be an integer" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["tradeoff", "--scenario", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["directory", "not utf-8", "architecture entry", "plaza block", "grid directory"],
+    )
+    def test_malformed_document_exits_1(self, case, tmp_path, capsys):
+        # Each of these ended in a Python traceback, not a one-line error.
+        path = tmp_path / "doc.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not utf-8":
+            path.write_bytes(json.dumps(small_doc()).encode("utf-16"))
+        elif case == "architecture entry":
+            write_doc_with(path, "architectures", "[1, 2]")
+        elif case == "plaza block":
+            write_doc_with(path, "plaza", "[1, 2]")
+        else:
+            (tmp_path / "grid").mkdir()
+            write_doc_with(path, "grid_profile", '"grid"')
+        assert main(["validate", "--scenario", str(path)]) == 1
+        out = tmp_path / "o"
+        assert main(["design", "--scenario", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["design", "--seed", "abc"],
+            ["design", "--no-such-flag"],
+            ["frobnicate"],
+            [],
+            ["ensemble", "--workers", "0"],
+            ["ensemble", "--workers", "-2"],
+        ],
+        ids=["seed", "flag", "subcommand", "none", "workers-0", "workers-neg"],
+    )
+    def test_usage_errors_exit_1(self, args, small_scenario, tmp_path, capsys):
+        path, _ = small_scenario
+        out = tmp_path / "o"
+        extra = ["--scenario", str(path), "--out", str(out)] if args else []
+        assert main([*args, *extra]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert "besspp" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "entry, field, value",

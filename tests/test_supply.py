@@ -271,9 +271,7 @@ class TestLeftSum:
     def test_every_public_name_has_a_caller(self):
         # No public API that only tests call: each public function, class
         # and method of the package is named in the package or in scripts/
-        # besides its own definition.  The one exception is the reference
-        # LP that the tests check the cut form against.
-        allowed = {"max_deliverable_energy"}
+        # besides its own definition.
         repo = Path(__file__).resolve().parents[1]
         package = repo / "src" / "besspp"
         trees = {
@@ -299,4 +297,4 @@ class TestLeftSum:
                     and not node.name.startswith("_")
                 ):
                     defined.add(node.name)
-        assert sorted(defined - named - allowed) == []
+        assert sorted(defined - named) == []
