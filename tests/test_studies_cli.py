@@ -115,39 +115,70 @@ def tree_digest(out_dir: Path) -> dict:
     return digests
 
 
-# Every study's output digests on small_doc(), as its manifest lists them.  A
-# change that must leave the artifacts alone keeps these; one that moves
-# them on purpose says why and re-pins them.
+# Every study's output digests on small_doc() and on the shipped default
+# scenario, as its manifest lists them.  A change that must leave the
+# artifacts alone keeps these; one that moves them on purpose says why and
+# re-pins them.
 PINNED_OUTPUTS = {
     "design": {
-        "design.json": "abb189450653eb53c0de6b86a2fb8fd621330eb3c2ce8352bbf15789ebb96d9a",
-        "lambda_sweep.csv": "fb0e24e2beb6d0b84891e5eb3fbb7a92b65dedc770410c673ab67166613cd426",
+        "small": {
+            "design.json": "abb189450653eb53c0de6b86a2fb8fd621330eb3c2ce8352bbf15789ebb96d9a",
+            "lambda_sweep.csv": "fb0e24e2beb6d0b84891e5eb3fbb7a92b65dedc770410c673ab67166613cd426",
+        },
+        "default": {
+            "design.json": "abb189450653eb53c0de6b86a2fb8fd621330eb3c2ce8352bbf15789ebb96d9a",
+            "lambda_sweep.csv": "0d829048823466190fbc9efc016ac2693f7e0ffd9138373fb9aebad204661492",
+        },
     },
     "tradeoff": {
-        "tradeoff.csv": "baebc6ebd4dc18f20d3fc3f46620129bd4bd3be7ccc4d886fd7fe001df17b40f",
+        "small": {
+            "tradeoff.csv": "baebc6ebd4dc18f20d3fc3f46620129bd4bd3be7ccc4d886fd7fe001df17b40f",
+        },
+        "default": {
+            "tradeoff.csv": "747fa82e8aab012c1806ee3768904b0cd642a6df81f308f7b493cbf528429c61",
+        },
     },
     "day": {
-        "day_cppp.csv": "ceaaee8f0f071499e9e86749e96afbb9deef6d5b904a2cc4fb82efd6daa65c9d",
-        "day_cppp.json": "53e79c1a67280f0d719e23b98e22e8209375c1d9b0f176a43e8529a4a05e1afc",
-        "day_lshippp.csv": "003b3fc815942216df913070b9e7510ee5f61ecfd3716dafb74d35e7edc7e31e",
-        "day_lshippp.json": "d1d351dc1c645c8e8150921ff141040f3e5fbde19a1187eb8f0dafa775e88f7c",
+        "small": {
+            "day_cppp.csv": "ceaaee8f0f071499e9e86749e96afbb9deef6d5b904a2cc4fb82efd6daa65c9d",
+            "day_cppp.json": "53e79c1a67280f0d719e23b98e22e8209375c1d9b0f176a43e8529a4a05e1afc",
+            "day_lshippp.csv": "003b3fc815942216df913070b9e7510ee5f61ecfd3716dafb74d35e7edc7e31e",
+            "day_lshippp.json": "d1d351dc1c645c8e8150921ff141040f3e5fbde19a1187eb8f0dafa775e88f7c",
+        },
+        "default": {
+            "day_cppp.csv": "c43cb411bdf9d765894cd2efcf7c0a9e1db401720ddee26fcc8c3c4317172319",
+            "day_cppp.json": "59f8c937e5eb48013756418e0aa68fd276607decd953d4281c1956fd84a4a6e1",
+            "day_lshippp.csv": "bfb1045ad4e5dcd3e0f40127ccbe12456d7511a0c85d2131fcfc1b9c54fc21ac",
+            "day_lshippp.json": "664cccce0459047cf255bc9a4b7b5bb700bf241b2ec931fb7957c1223c327bff",
+        },
     },
     "ensemble": {
-        "cells.csv": "43513c3ee22dad181c41e5d01e1c4e1b2d6c2b97f9688dcc6635e4bdaa8873f8",
-        "dispersion.csv": "dd1c2e98c9544ccfecdbe41a15e0e12ff09135701f71b28433e0db2c01dc216d",
-        "metrics_cppp.json": "7b18332befa8efbe0fab8cf95fd754796263a4241ae8dec070af6b84339cb00d",
-        "metrics_lshippp.json": "9f8fd153121751fd2ab7710088ac3342ca8f7e78523c8364857dcd3c1dd3791f",
+        "small": {
+            "cells.csv": "43513c3ee22dad181c41e5d01e1c4e1b2d6c2b97f9688dcc6635e4bdaa8873f8",
+            "dispersion.csv": "dd1c2e98c9544ccfecdbe41a15e0e12ff09135701f71b28433e0db2c01dc216d",
+            "metrics_cppp.json": "7b18332befa8efbe0fab8cf95fd754796263a4241ae8dec070af6b84339cb00d",
+            "metrics_lshippp.json": "9f8fd153121751fd2ab7710088ac3342ca8f7e78523c8364857dcd3c1dd3791f",
+        },
+        "default": {
+            "cells.csv": "9deb9b96c169da48fcf45781a8597f5b0b8cfe1ef110f7f50c8cede67c7089c3",
+            "dispersion.csv": "d1a44b5ca41ddddbaedb32884f11c7d3c8709a20929f8cbe3d3a8c0f443989f1",
+            "metrics_cppp.json": "6ec12a41653f286938984d5272f0a695d0f4fce32e06c15c914f0dfec039eaf0",
+            "metrics_lshippp.json": "4030a56b833232c2437ae6fe66ef7c35cbb4bcb6eaf8070c6e8589eb3bee6245",
+        },
     },
 }
+
+DEFAULT_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
 
 
 @pytest.mark.parametrize("study", list(PINNED_OUTPUTS))
 def test_study_outputs_keep_their_pinned_bytes(small_scenario, tmp_path, study):
-    path, _ = small_scenario
-    out = tmp_path / study
-    assert main([study, "--scenario", str(path), "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["outputs"] == PINNED_OUTPUTS[study]
+    small, _ = small_scenario
+    for name, path in [("small", small), ("default", DEFAULT_SCENARIO)]:
+        out = tmp_path / name
+        assert main([study, "--scenario", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == PINNED_OUTPUTS[study][name], name
 
 
 class TestRunDesign:
