@@ -10,6 +10,7 @@ import csv
 import json
 from pathlib import Path
 
+from besspp.cli import _worker_count
 from besspp.scenario import default_scenario, load_scenario
 from besspp.studies import run_day, run_ensemble
 
@@ -18,7 +19,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=Path("out/plaza"))
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_worker_count, default=1)
     args = parser.parse_args()
     scenario = (
         load_scenario(args.scenario) if args.scenario else default_scenario()

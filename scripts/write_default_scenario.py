@@ -8,6 +8,7 @@ file-driven and built-in runs are interchangeable.
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from besspp.scenario import default_scenario, load_scenario, scenario_to_dict
@@ -32,7 +33,13 @@ def main() -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     reloaded = load_scenario(path)
-    assert scenario_fingerprint(reloaded) == scenario_fingerprint(scenario)
+    if scenario_fingerprint(reloaded) != scenario_fingerprint(scenario):
+        print(
+            f"error: {path} does not load back to the built-in scenario "
+            "(fingerprints differ)",
+            file=sys.stderr,
+        )
+        sys.exit(1)
     print(f"wrote {path} and grid_default.csv (fingerprints match)")
 
 

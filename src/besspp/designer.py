@@ -19,8 +19,9 @@ the utilization distribution over sampled packs.
 
 ``tradeoff_curve`` evaluates any architecture family on a grid of total
 normalized ratings ``R`` with common random packs, so curves for different
-families are directly comparable; :func:`sample_packs` draws such packs
-once for any number of curves.  Both sweeps take each point's converter
+families are directly comparable.  Packs are (packs x n) matrices of
+module energies from :func:`~besspp.supply.sample_packs`, drawn once by the
+caller for any number of curves.  Both sweeps take each point's converter
 caps from the budget split of :mod:`besspp.architectures` and evaluate
 every point x pack in one :func:`sweep_energy` call, which reads the
 wiring from the splits: one cut-form kernel call for the string families,
@@ -44,6 +45,7 @@ from besspp.architectures import (
     split_lambda,
 )
 from besspp.flows import (
+    _module_totals,
     cut_form_energy,
     fpp_deliverable,
     min_peak_flow,
@@ -51,14 +53,7 @@ from besspp.flows import (
     uncapped_placement_energy,
 )
 from besspp.metrics import utilization_stats
-from besspp.supply import (
-    BatteryModule,
-    ExpectedSet,
-    SupplyDistribution,
-    _left_sum,
-    flatten_distribution,
-    sample_pack,
-)
+from besspp.supply import SupplyDistribution, flatten_distribution
 
 __all__ = [
     "Layer1Design",
@@ -70,7 +65,6 @@ __all__ = [
     "design_layer2",
     "tradeoff_curve",
     "sweep_energy",
-    "sample_packs",
     "default_lambda_grid",
 ]
 
@@ -157,43 +151,43 @@ def check_placement_limit(n_batteries: int, n_edges: int) -> None:
 
 
 def design_layer1(
-    expected: ExpectedSet,
+    expected_kwh: np.ndarray,
+    voltage_v: float,
     n_edges: int,
     horizon_h: float,
 ) -> Layer1Design:
     """Exhaustively place ``n_edges`` uncapped converters on the expected set.
 
-    Keeps the placement maximizing deliverable energy; among optima, the one
-    whose minimum-peak flow is smallest, and among those the first in
-    enumeration order.  The tied placements' peaks come from the parametric
-    cut form; the winner's flows, and so its rating, from the min-peak LP.
+    ``expected_kwh`` is the expected set's row of module energies and
+    ``voltage_v`` the voltage of every module.  Keeps the placement
+    maximizing deliverable energy; among optima, the one whose minimum-peak
+    flow is smallest, and among those the first in enumeration order.  The
+    tied placements' peaks come from the parametric cut form; the winner's
+    flows, and so its rating, from the min-peak LP.
     """
     if horizon_h <= 0:
         raise ValueError("horizon_h must be positive")
-    batteries = expected.batteries
-    placements = enumerate_placements(len(batteries), n_edges)
+    energy = np.asarray(expected_kwh, dtype=float)
+    volts = np.full(energy.shape, float(voltage_v))
+    placements = enumerate_placements(len(energy), n_edges)
 
-    outputs = uncapped_placement_energy(batteries, placements)
+    outputs = uncapped_placement_energy(energy, volts, placements)
     best_output, tied = _tie_set(outputs)
     candidates = placements[tied]
 
-    peaks = uncapped_min_peak(batteries, candidates, best_output).tolist()
+    peaks = uncapped_min_peak(energy, volts, candidates, best_output).tolist()
     best = 0
     for k, peak in enumerate(peaks):
         if peak < peaks[best] * (1 - _TIE_RTOL) - _TIE_RTOL:
             best = k
     placement = tuple(tuple(pair) for pair in candidates[best].tolist())
     flows = min_peak_flow(
-        [b.capacity_kwh for b in batteries],
-        [b.voltage_v for b in batteries],
-        placement,
-        [math.inf] * len(placement),
-        best_output,
+        energy, volts, placement, [math.inf] * len(placement), best_output
     )
     peak = max((abs(f) for f in flows), default=0.0)
 
     return Layer1Design(
-        n_batteries=len(batteries),
+        n_batteries=len(energy),
         edges=placement,
         optimal_flows_kwh=flows,
         rating_kw=peak / horizon_h,
@@ -236,28 +230,26 @@ def design_layer2(
     layer1: Layer1Design,
     dist: SupplyDistribution,
     lambda_grid: list[float],
-    n_packs: int,
-    seed: int,
+    packs: np.ndarray,
 ) -> list[TradeoffPoint]:
     """Sweep the adjacent-ladder ratio with layer-1 flows frozen at design.
 
-    Every ``lambda_h`` is evaluated on the same sampled packs (common random
-    numbers).  Layer-1 edge caps are the per-edge designed flow magnitudes,
-    so no sampled pack can work a layer-1 converter past its designed duty.
+    Every ``lambda_h`` is evaluated on the same (packs x n) ``packs`` of
+    ``dist`` (common random numbers).  Layer-1 edge caps are the per-edge
+    designed flow magnitudes, so no sampled pack can work a layer-1
+    converter past its designed duty.
     """
     if not lambda_grid:
         raise ValueError("lambda_grid must be nonempty")
     if any(lam < 0 for lam in lambda_grid):
         raise ValueError("lambda_h values must be >= 0")
-    if n_packs < 1:
-        raise ValueError("n_packs must be >= 1")
-    n = layer1.n_batteries
-    packs = sample_packs(dist, n, n_packs, seed)
-    expected_total = flatten_distribution(dist, n).total_kwh
+    expected_total = _module_totals(
+        flatten_distribution(dist, layer1.n_batteries)
+    ).item()
 
     aggregate = layer1_aggregate_kwh(layer1, layer1.horizon_h)
     splits = [split_lambda(layer1, lam) for lam in lambda_grid]
-    utils = _utilization_rows(sweep_energy(packs, splits), packs)
+    utils = _utilization_rows(sweep_energy(packs, dist.voltage_v, splits), packs)
     return [
         _make_point(
             kind=ArchitectureKind.LSHIPPP.value,
@@ -273,16 +265,17 @@ def tradeoff_curve(
     kind: ArchitectureKind | str,
     dist: SupplyDistribution,
     r_grid: list[float],
-    packs: list[tuple[BatteryModule, ...]],
+    packs: np.ndarray,
     *,
     horizon_h: float,
     layer1: Layer1Design | None = None,
 ) -> list[TradeoffPoint]:
     """Utilization distribution versus total normalized rating ``R``.
 
-    Every grid point is evaluated on the same ``packs`` (from
-    :func:`sample_packs`), and a caller drawing several families passes the
-    same packs to each, so curves share their random numbers.  Converter
+    Every grid point is evaluated on the same (packs x n) ``packs`` of
+    ``dist`` (from :func:`~besspp.supply.sample_packs`), and a caller drawing
+    several families passes the same packs to each, so curves share their
+    random numbers.  Converter
     caps are sized from the expected pack of ``dist`` with the packs' module
     count, i.e. hardware is procured once and applied to every sampled pack.
     The discharge horizon scales the energy caps and the layer-1 rating
@@ -294,17 +287,13 @@ def tradeoff_curve(
         raise ValueError("r_grid must be nonempty")
     if any(r < 0 for r in r_grid):
         raise ValueError("rating values must be >= 0")
-    if not packs:
-        raise ValueError("a tradeoff curve needs at least one pack")
-    n_modules = len(packs[0])
-    if any(len(pack) != n_modules for pack in packs):
-        raise ValueError("every pack must have the same number of modules")
-    expected = flatten_distribution(dist, n_modules)
+    n_modules = packs.shape[1]
+    expected_total = _module_totals(flatten_distribution(dist, n_modules)).item()
     splits = [
-        split_budget(kind, n_modules, r, expected.total_kwh, horizon_h, layer1)
+        split_budget(kind, n_modules, r, expected_total, horizon_h, layer1)
         for r in r_grid
     ]
-    utils = _utilization_rows(sweep_energy(packs, splits), packs)
+    utils = _utilization_rows(sweep_energy(packs, dist.voltage_v, splits), packs)
     return [
         _make_point(kind.value, float(r), split.lambda_h, row)
         for r, split, row in zip(r_grid, splits, utils)
@@ -312,40 +301,32 @@ def tradeoff_curve(
 
 
 def sweep_energy(
-    packs: list[tuple[BatteryModule, ...]], splits: list[BudgetSplit]
-) -> list[list[float]]:
+    packs: np.ndarray, voltage_v: float, splits: list[BudgetSplit]
+) -> np.ndarray:
     """Deliverable energy of every pack under every split, one row per split.
 
-    The splits must share one kind and one wiring.  Without string edges
-    (fpp) it is one :func:`~besspp.flows.fpp_deliverable` call with one cap
-    per split; a string wiring is one :func:`~besspp.flows.cut_form_energy`
-    call with one cap row per split, so no per-pack network is built.
+    ``packs`` is a (packs x n) matrix of module energies, every module at
+    ``voltage_v``.  The splits must share one kind and one wiring.  Without
+    string edges (fpp) it is one :func:`~besspp.flows.fpp_deliverable` call
+    with one cap per split; a string wiring is one
+    :func:`~besspp.flows.cut_form_energy` call with one cap row per split, so
+    no per-pack network is built.
     """
-    if not packs:
+    packs = np.asarray(packs, dtype=float)
+    if not len(packs):
         raise ValueError("a sweep needs at least one pack")
     wirings = {(s.kind, s.pairs) for s in splits}
     if len(wirings) != 1:
         raise ValueError("a sweep needs splits of one kind and one wiring")
     ((_, pairs),) = wirings
-    energy = [[b.capacity_kwh for b in pack] for pack in packs]
     if not pairs:
-        return fpp_deliverable(energy, [s.rung_kwh for s in splits]).tolist()
+        return fpp_deliverable(packs, [s.rung_kwh for s in splits])
     return cut_form_energy(
-        energy,
-        [[b.voltage_v for b in pack] for pack in packs],
+        packs,
+        np.full(packs.shape, float(voltage_v)),
         pairs,
         [s.caps_kwh for s in splits],
-    ).tolist()
-
-
-def sample_packs(
-    dist: SupplyDistribution, n_modules: int, n_packs: int, seed: int
-) -> list[tuple[BatteryModule, ...]]:
-    """The ``n_packs`` packs of one sweep, pack ``i`` keyed by ``(seed, i)``."""
-    return [
-        sample_pack(dist, n_modules, key)
-        for key in derive_seeds(seed, "pack", indices=range(n_packs))
-    ]
+    )
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -372,12 +353,9 @@ def derive_seeds(master: int, *parts: object, indices: range) -> list[int]:
     return keys
 
 
-def _utilization_rows(
-    outputs: list[list[float]], packs: list[tuple[BatteryModule, ...]]
-) -> list[list[float]]:
-    """Each row's deliverable energies over the packs' total energies."""
-    totals = [_left_sum(b.capacity_kwh for b in pack) for pack in packs]
-    return [[out / total for out, total in zip(row, totals)] for row in outputs]
+def _utilization_rows(outputs: np.ndarray, packs: np.ndarray) -> np.ndarray:
+    """Each row's deliverable energies over the (packs x n) packs' totals."""
+    return outputs / _module_totals(packs)
 
 
 def _make_point(

@@ -37,8 +37,10 @@ The cut form and the min-peak LP take a wired string in one form: module
 energies and voltages, the ``(i, j)`` module pairs of its edges and one
 energy cap per edge, the pairs and caps a
 :class:`~besspp.architectures.BudgetSplit` carries.  The uncapped
-evaluators take one pack and placements of uncapped edges.  One check,
-``_check_wiring``, validates the wiring for all of them.  A pair may be
+evaluators take one pack's energy and voltage arrays and placements of
+uncapped edges.  One check, ``_check_wiring``, validates the wiring for
+all of them.  Every pack total, fpp's included, is one fold,
+``_module_totals``, which adds module columns left to right.  A pair may be
 listed twice (an lshippp split puts a ladder rung beside a layer-1 edge on
 the same pair); its caps then add.
 
@@ -58,7 +60,6 @@ from besspp.simplex import (
     LpInfeasible,
     solve_bounded_lp,
 )
-from besspp.supply import BatteryModule
 
 __all__ = [
     "InfeasibleFlowError",
@@ -121,25 +122,22 @@ def cut_form_energy(energy_kwh, volts_v, pairs, caps_kwh) -> np.ndarray:
     return (q[..., None] * volts).sum(axis=-1)
 
 
-def uncapped_placement_energy(
-    batteries: tuple[BatteryModule, ...], placements
-) -> np.ndarray:
+def uncapped_placement_energy(energy_kwh, volts_v, placements) -> np.ndarray:
     """Deliverable energy of one pack under each placement of uncapped edges.
 
-    ``placements`` is a (placements x edges x 2) array of module pairs, or
-    a sequence of equal-size tuples of pairs.  An uncapped edge makes every
-    subset it crosses unbounded, so a placement's optimum is the smallest
-    ``E(S) / V(S)`` over the subsets none of its edges cross.  The subsets
-    are scanned once in order of that ratio, and each placement is retired
-    at the first one it leaves uncrossed; the whole string is crossed by no
-    edge, so every placement retires, most of them within a few subsets.
+    ``energy_kwh`` and ``volts_v`` hold the pack's n module energies and
+    voltages.  ``placements`` is a (placements x edges x 2) array of module
+    pairs, or a sequence of equal-size tuples of pairs.  An uncapped edge
+    makes every subset it crosses unbounded, so a placement's optimum is the
+    smallest ``E(S) / V(S)`` over the subsets none of its edges cross.  The
+    subsets are scanned once in order of that ratio, and each placement is
+    retired at the first one it leaves uncrossed; the whole string is
+    crossed by no edge, so every placement retires, most of them within a
+    few subsets.
     """
-    n = len(batteries)
-    energy = np.array([[b.capacity_kwh for b in batteries]])
-    volts = np.array([[b.voltage_v for b in batteries]])
-    ends = _placement_pairs(energy, volts, placements)
-    ratio = _subset_sums(energy)[0, 1:] / _subset_sums(volts)[0, 1:]
-    modules = np.arange(n)
+    energy, volts, ends = _placement_pairs(energy_kwh, volts_v, placements)
+    ratio = _subset_sums(energy[None])[0, 1:] / _subset_sums(volts[None])[0, 1:]
+    modules = np.arange(len(energy))
     q = np.empty(len(ends))
     open_ = np.arange(len(ends))
     for subset in np.argsort(ratio, kind="stable"):
@@ -153,15 +151,16 @@ def uncapped_placement_energy(
 
 
 def uncapped_min_peak(
-    batteries: tuple[BatteryModule, ...], placements, output_kwh: float
+    energy_kwh, volts_v, placements, output_kwh: float
 ) -> np.ndarray:
     """Smallest peak edge flow that meets ``output_kwh`` under each placement.
 
-    ``placements`` are given as for :func:`uncapped_placement_energy`.
-    Every edge of a placement ``P`` is uncapped and all of them share one
-    rating ``t``.  At string charge ``q = output_kwh / V_tot`` a module
-    subset ``S`` needs ``q * V(S) - E(S)`` from outside, and its cut can
-    import at most ``t * |dS & P|``, so (Gale 1957, as for the cut form)
+    The pack and ``placements`` are given as for
+    :func:`uncapped_placement_energy`.  Every edge of a placement ``P`` is
+    uncapped and all of them share one rating ``t``.  At string charge
+    ``q = output_kwh / V_tot`` a module subset ``S`` needs
+    ``q * V(S) - E(S)`` from outside, and its cut can import at most
+    ``t * |dS & P|``, so (Gale 1957, as for the cut form)
 
         peak(P) = max(0, max over S with |dS & P| > 0 of
                           (q * V(S) - E(S)) / |dS & P|).
@@ -172,10 +171,8 @@ def uncapped_min_peak(
     up to its own tie slack.  Placements are evaluated in fixed-size chunks
     so memory stays bounded.
     """
-    n = len(batteries)
-    volts = np.array([b.voltage_v for b in batteries])
-    energy = np.array([b.capacity_kwh for b in batteries])
-    pairs = _placement_pairs(energy, volts, placements)
+    energy, volts, pairs = _placement_pairs(energy_kwh, volts_v, placements)
+    n = len(energy)
     # The string energy per module exactly as min_peak_flow fixes it.
     string = volts * (output_kwh / volts.sum())
     need = _subset_sums((string - energy)[None, :])[0, 1:]
@@ -193,14 +190,17 @@ def uncapped_min_peak(
     return peaks
 
 
-def _placement_pairs(
-    energy: np.ndarray, volts: np.ndarray, placements
-) -> np.ndarray:
-    """Checked (placements x edges x 2) module indices of one pack's placements.
+def _placement_pairs(energy_kwh, volts_v, placements):
+    """One pack's checked energies, voltages and placement pairs.
 
-    ``energy`` and ``volts`` are the pack's module arrays; the edges are
-    uncapped.  An index array passes through without a copy.
+    Returns the pack's (n,) module energies and voltages as float arrays and
+    the (placements x edges x 2) module indices of its uncapped edges.  An
+    index array passes through without a copy.
     """
+    energy = np.asarray(energy_kwh, dtype=float)
+    volts = np.asarray(volts_v, dtype=float)
+    if energy.ndim != 1:
+        raise ValueError("energy_kwh and volts_v must be equal (n,) arrays")
     try:
         pairs = np.asarray(placements, dtype=np.intp)
     except ValueError:  # ragged placements
@@ -208,8 +208,8 @@ def _placement_pairs(
     if pairs.ndim != 3 or 0 in pairs.shape[:2] or pairs.shape[2] != 2:
         raise ValueError("placements must be equal-size tuples of module pairs")
     _check_wiring(energy, volts, pairs, np.empty(0))
-    _check_cut_size(energy.shape[-1])
-    return pairs
+    _check_cut_size(len(energy))
+    return energy, volts, pairs
 
 
 def _check_wiring(energy, volts, pairs, caps) -> None:
@@ -294,9 +294,8 @@ def fpp_deliverable(energy_kwh, caps_kwh) -> np.ndarray:
 
     ``energy_kwh`` holds (packs x n) module energies and ``caps_kwh`` one
     converter energy cap per row, shared by the n converters of that row.
-    Returns the (rows x packs) totals ``sum_j min(E_j, cap)``.  The columns
-    are added left to right from 0.0, the fold of ``supply._left_sum``, so
-    every total is the same float on every Python version.
+    Returns the (rows x packs) totals ``sum_j min(E_j, cap)``, folded by
+    :func:`_module_totals` like every pack total.
     """
     energy = np.asarray(energy_kwh, dtype=float)
     caps = np.asarray(caps_kwh, dtype=float)
@@ -306,10 +305,20 @@ def fpp_deliverable(energy_kwh, caps_kwh) -> np.ndarray:
         raise ValueError("caps_kwh must hold one cap per row")
     if not np.all(caps >= 0):
         raise ValueError("energy caps must be nonnegative")
-    taken = np.minimum(energy[None, :, :], caps[:, None, None])
-    total = np.zeros(taken.shape[:2])
-    for j in range(energy.shape[1]):
-        total += taken[:, :, j]
+    return _module_totals(np.minimum(energy[None, :, :], caps[:, None, None]))
+
+
+def _module_totals(energy: np.ndarray) -> np.ndarray:
+    """Totals over the last (module) axis, added left to right from 0.0.
+
+    Every pack total of the package is this fold, so each is the same float
+    on every Python and numpy version.  ``ndarray.sum`` may add pairwise,
+    and the builtin ``sum`` of floats is compensated from Python 3.12 on;
+    either can round differently.
+    """
+    total = np.zeros(energy.shape[:-1])
+    for j in range(energy.shape[-1]):
+        total += energy[..., j]
     return total
 
 

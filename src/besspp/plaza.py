@@ -136,21 +136,18 @@ class ArrivalModel:
 
 @dataclass(frozen=True)
 class DemandModel:
-    """Gaussian per-EV energy demand, clamped to [0, max_kwh]."""
+    """Gaussian per-EV energy demand, clamped to [0, 2 * mean_kwh]."""
 
     mean_kwh: float
     std_kwh: float
-    max_kwh: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.mean_kwh < math.inf:
             raise ValueError("mean_kwh must be positive and finite")
         if not 0 <= self.std_kwh < math.inf:
             raise ValueError("std_kwh must be nonnegative and finite")
-        if self.max_kwh is None:
-            object.__setattr__(self, "max_kwh", 2.0 * self.mean_kwh)
-        if not 0 < self.max_kwh < math.inf:
-            raise ValueError("max_kwh must be positive and finite")
+        if not 2.0 * self.mean_kwh < math.inf:
+            raise ValueError("2 x mean_kwh, the demand clamp, must be finite")
 
 
 @dataclass(frozen=True)
@@ -160,13 +157,13 @@ class CyclePhases:
     Arrays of the arguments' broadcast shape from :func:`cycle_phases`.
     """
 
-    full_power_kw: float
-    bess_kw: float
-    full_h: float
-    curtailed_h: float
-    bess_delivered_kwh: float
-    unmet_kwh: float
-    recharge_h: float
+    full_power_kw: np.ndarray
+    bess_kw: np.ndarray
+    full_h: np.ndarray
+    curtailed_h: np.ndarray
+    bess_delivered_kwh: np.ndarray
+    unmet_kwh: np.ndarray
+    recharge_h: np.ndarray
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -392,7 +389,7 @@ def draw_arrivals(groups: Iterable[tuple], horizon_h: float) -> Arrivals:
     for arrivals, demand, keys in groups:
         scale_h = 1.0 / arrivals.rate_per_h
         mean_kwh, std_kwh = demand.mean_kwh, demand.std_kwh
-        max_kwh = float(demand.max_kwh)
+        max_kwh = 2.0 * mean_kwh
         for key in keys:
             rng = _philox(key)
             exponential, normal = rng.exponential, rng.normal

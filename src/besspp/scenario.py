@@ -16,9 +16,9 @@ from pathlib import Path
 
 from besspp.architectures import ArchitectureConfig, ArchitectureKind
 from besspp.designer import check_placement_limit, default_lambda_grid
-from besspp.flows import MAX_CUT_MODULES
+from besspp.flows import MAX_CUT_MODULES, _module_totals
 from besspp.plaza import DemandModel, GridProfile
-from besspp.supply import SupplyDistribution
+from besspp.supply import SupplyDistribution, flatten_distribution
 
 __all__ = [
     "PlazaSettings",
@@ -32,6 +32,23 @@ __all__ = [
 # Rated output power of a pack, kW; with the expected pack energy it sets
 # the design horizon.
 DEFAULT_RATED_POWER_KW = 150.0
+
+# Hours of one plaza day: the horizon of every arrival stream.
+DAY_HORIZON_H = 24.0
+
+# Largest pack sample.  A sweep holds about 2 kB per pack at its peak (its
+# cap rows x modules of deliverable energy): on a 2-core host, tradeoff on
+# the default scenario traced 98 MB of peak and ran 5 s at 50,000 packs, so
+# this limit stands for about 200 MB and 10 s.  The default draws 100.
+MAX_PACKS = 10**5
+
+# Largest expected arrival count of one demand cell: its top arrival rate x
+# one day x the trajectories per cell.  A cell is never split across replay
+# batches, and ensemble traced about 136 B of peak per arrival of its
+# largest cell (6.55 MB at 48,000, i.e. 30,000 trajectories on the default
+# grid), so this limit stands for about 140 MB.  The default scenario's
+# cells expect 1,584.
+MAX_CELL_ARRIVALS = 10**6
 
 # Available grid power over a day, kW: generous at night, pinched during
 # the morning and evening load peaks.
@@ -177,18 +194,31 @@ class Scenario:
             problems.append("lambda_grid values must be nonnegative")
         if self.n_packs < 1:
             problems.append("n_packs must be >= 1")
+        if self.n_packs > MAX_PACKS:
+            problems.append(
+                f"n_packs must be <= {MAX_PACKS:,}, got {self.n_packs:,}"
+            )
         if self.n_trajectories < 1:
             problems.append("n_trajectories must be >= 1")
+        rates = self.arrival_rates_per_h
+        cells = len(rates) * len(self.demand_means_kwh) * len(self.demand_stds_kwh)
+        if cells and all(0 < r < math.inf for r in rates):
+            per_cell = max(1, self.n_trajectories // cells)
+            arrivals = max(rates) * DAY_HORIZON_H * per_cell
+            if arrivals > MAX_CELL_ARRIVALS:
+                problems.append(
+                    f"n_trajectories: {per_cell:,} trajectories per demand cell "
+                    f"expect {arrivals:,.0f} arrivals in one cell; at most "
+                    f"{MAX_CELL_ARRIVALS:,} are supported"
+                )
         if problems:
             raise ScenarioError("; ".join(problems))
 
     @property
     def design_horizon_h(self) -> float:
         """Discharge horizon: expected pack energy over rated output power."""
-        from besspp.supply import flatten_distribution
-
         expected = flatten_distribution(self.supply, self.n_modules)
-        return expected.total_kwh / self.rated_power_kw
+        return _module_totals(expected).item() / self.rated_power_kw
 
 
 def default_scenario() -> Scenario:

@@ -32,10 +32,10 @@ from besspp.designer import (
     derive_seeds,
     design_layer1,
     design_layer2,
-    sample_packs,
     sweep_energy,
     tradeoff_curve,
 )
+from besspp.flows import _module_totals
 from besspp.metrics import (
     captured_value,
     derating_factor,
@@ -53,8 +53,13 @@ from besspp.plaza import (
     draw_arrivals,
     replay_lanes,
 )
-from besspp.scenario import Scenario, ScenarioError, scenario_to_dict
-from besspp.supply import _left_sum, flatten_distribution, sample_pack
+from besspp.scenario import (
+    DAY_HORIZON_H,
+    Scenario,
+    ScenarioError,
+    scenario_to_dict,
+)
+from besspp.supply import flatten_distribution, sample_packs
 
 __all__ = [
     "StudyResult",
@@ -77,7 +82,6 @@ TRADEOFF_HEADER = (
     "util_p90",
 )
 TRAJECTORY_HEADER = ("t", "p_grid", "p_bess", "e_bess", "p_ev")
-DAY_HORIZON_H = 24.0
 MINUTES_PER_HOUR = 60
 
 
@@ -195,11 +199,13 @@ def run_design(
     timer = timer or StageTimer()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    supply = scenario.supply
     with timer.stage("search"):
-        expected = flatten_distribution(scenario.supply, scenario.n_modules)
+        expected = flatten_distribution(supply, scenario.n_modules)
         horizon = scenario.design_horizon_h
-        layer1 = design_layer1(expected, scenario.n_layer1, horizon)
+        layer1 = design_layer1(expected, supply.voltage_v, scenario.n_layer1, horizon)
 
+    expected_total = _module_totals(expected).item()
     design_doc = {
         "n_modules": layer1.n_batteries,
         "n_layer1": len(layer1.edges),
@@ -208,18 +214,13 @@ def run_design(
         "rating_kw": layer1.rating_kw,
         "horizon_h": layer1.horizon_h,
         "expected_output_kwh": layer1.expected_output_kwh,
-        "expected_utilization": layer1.expected_output_kwh / expected.total_kwh,
-        "expected_module_kwh": [b.capacity_kwh for b in expected.batteries],
+        "expected_utilization": layer1.expected_output_kwh / expected_total,
+        "expected_module_kwh": expected.tolist(),
     }
 
     with timer.stage("sweep"):
-        points = design_layer2(
-            layer1,
-            scenario.supply,
-            list(scenario.lambda_grid),
-            scenario.n_packs,
-            derive_seed(scenario.seed, "design-packs"),
-        )
+        packs = _sweep_packs(scenario, "design-packs")
+        points = design_layer2(layer1, supply, list(scenario.lambda_grid), packs)
 
     with timer.stage("writes"):
         _write_json(out_dir / "design.json", design_doc)
@@ -230,6 +231,16 @@ def run_design(
         )
         files = ["design.json", "lambda_sweep.csv"]
         return _finish("design", scenario, out_dir, files)
+
+
+def _sweep_packs(scenario: Scenario, label: str) -> np.ndarray:
+    """The ``n_packs`` packs of one sweep, as a (packs x modules) matrix.
+
+    Pack ``i`` is keyed by ``derive_seed(derive_seed(seed, label), "pack", i)``.
+    """
+    seed = derive_seed(scenario.seed, label)
+    keys = derive_seeds(seed, "pack", indices=range(scenario.n_packs))
+    return sample_packs(scenario.supply, scenario.n_modules, keys)
 
 
 def _point_row(point) -> tuple:
@@ -260,10 +271,11 @@ def run_tradeoff(
     timer = timer or StageTimer()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    supply = scenario.supply
     with timer.stage("search"):
-        expected = flatten_distribution(scenario.supply, scenario.n_modules)
+        expected = flatten_distribution(supply, scenario.n_modules)
         horizon = scenario.design_horizon_h
-        layer1 = design_layer1(expected, scenario.n_layer1, horizon)
+        layer1 = design_layer1(expected, supply.voltage_v, scenario.n_layer1, horizon)
 
     kinds = []
     for config in scenario.architectures:
@@ -271,14 +283,11 @@ def run_tradeoff(
             kinds.append(config.kind)
     rows: list[tuple] = []
     with timer.stage("sweep"):
-        pack_seed = derive_seed(scenario.seed, "tradeoff-packs")
-        packs = sample_packs(
-            scenario.supply, scenario.n_modules, scenario.n_packs, pack_seed
-        )
+        packs = _sweep_packs(scenario, "tradeoff-packs")
         for kind in kinds:
             points = tradeoff_curve(
                 kind,
-                scenario.supply,
+                supply,
                 list(scenario.r_grid),
                 packs,
                 horizon_h=horizon,
@@ -310,27 +319,22 @@ def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
     every pack and capacity it keeps unchanged.
     """
     plaza = scenario.plaza
-    n = scenario.n_modules
-    expected = flatten_distribution(plaza.supply, n)
-    horizon = expected.total_kwh / plaza.bess_power_kw
-    layer1 = design_layer1(expected, scenario.n_layer1, horizon)
+    supply, n = plaza.supply, scenario.n_modules
+    expected = flatten_distribution(supply, n)
+    expected_total = _module_totals(expected).item()
+    horizon = expected_total / plaza.bess_power_kw
+    layer1 = design_layer1(expected, supply.voltage_v, scenario.n_layer1, horizon)
     count = scenario.n_packs if n_packs is None else n_packs
-    packs = [
-        sample_pack(plaza.supply, n, key)
-        for key in derive_seeds(scenario.seed, "plaza-pack", indices=range(count))
-    ]
+    keys = derive_seeds(scenario.seed, "plaza-pack", indices=range(count))
+    packs = sample_packs(supply, n, keys)
     capacities: dict[str, tuple[float, ...]] = {}
     for kind in plaza.kinds:
-        split = split_budget(
-            kind, n, plaza.rating_r, expected.total_kwh, horizon, layer1
-        )
-        (row,) = sweep_energy(packs, [split])
-        capacities[kind.value] = tuple(row)
+        split = split_budget(kind, n, plaza.rating_r, expected_total, horizon, layer1)
+        (row,) = sweep_energy(packs, supply.voltage_v, [split])
+        capacities[kind.value] = tuple(row.tolist())
     return _PlazaSetup(
-        expected_total_kwh=expected.total_kwh,
-        pack_totals=tuple(
-            _left_sum(b.capacity_kwh for b in pack) for pack in packs
-        ),
+        expected_total_kwh=expected_total,
+        pack_totals=tuple(_module_totals(packs).tolist()),
         capacities=capacities,
     )
 

@@ -1,23 +1,22 @@
 """Supply-side model of heterogeneous second-use battery modules.
 
 The module pool is described by a Gaussian over per-module intrinsic energy.
-Two views of a pack are used downstream:
+A pack is a float64 row of usable module energies, sorted ascending: the
+intrinsic draw, clamped at zero and scaled by the second-use depth of
+discharge.  Every module of a supply has its one ``voltage_v``.  Two views
+of a pack are used downstream:
 
 * a deterministic "flattened" expected set built by mid-quantile
-  stratification, which stands in for the population during converter
-  network design, and
-* Monte Carlo packs drawn with a counter-based generator, so per-pack
-  streams are reproducible and independent of scheduling.
-
-Capacities carried by :class:`BatteryModule` are usable energies, i.e. the
-intrinsic Gaussian draw scaled by the second-use depth of discharge.
+  stratification, one row that stands in for the population during
+  converter network design, and
+* Monte Carlo packs drawn with a counter-based generator, a (packs x n)
+  matrix whose rows are reproducible and independent of scheduling.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterable
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -25,11 +24,8 @@ import numpy as np
 
 __all__ = [
     "SupplyDistribution",
-    "BatteryModule",
-    "ExpectedSet",
-    "usable_energy",
     "flatten_distribution",
-    "sample_pack",
+    "sample_packs",
 ]
 
 _STD_NORMAL = NormalDist()
@@ -76,66 +72,11 @@ class SupplyDistribution:
             )
 
 
-@dataclass(frozen=True)
-class BatteryModule:
-    """One series-string module: usable energy and nominal terminal voltage."""
-
-    capacity_kwh: float
-    voltage_v: float
-
-    def __post_init__(self) -> None:
-        if not (self.capacity_kwh >= 0 and math.isfinite(self.capacity_kwh)):
-            raise ValueError(f"capacity_kwh must be >= 0, got {self.capacity_kwh}")
-        if not self.voltage_v > 0:
-            raise ValueError(f"voltage_v must be positive, got {self.voltage_v}")
-
-
-@dataclass(frozen=True)
-class ExpectedSet:
-    """Deterministic stand-in pack used during design, sorted ascending."""
-
-    batteries: tuple[BatteryModule, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.batteries) < 2:
-            raise ValueError("an expected set needs at least two modules")
-        caps = [b.capacity_kwh for b in self.batteries]
-        if any(a > b for a, b in zip(caps, caps[1:])):
-            raise ValueError("expected-set modules must be sorted ascending")
-
-    @property
-    def total_kwh(self) -> float:
-        return _left_sum(b.capacity_kwh for b in self.batteries)
-
-
-def _left_sum(values: Iterable[float]) -> float:
-    """Float sum added left to right from 0.0, on every Python version.
-
-    The builtin ``sum`` of floats is compensated from Python 3.12 on and so
-    rounds differently than on 3.10 and 3.11; every float total that reaches
-    an artifact goes through this fold instead, which is what ``sum`` did
-    before 3.12.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return float(total)
-
-
-def usable_energy(intrinsic_kwh: float, dod: float) -> float:
-    """Usable energy of a module: intrinsic capacity times depth of discharge."""
-    if intrinsic_kwh < 0:
-        raise ValueError(f"intrinsic_kwh must be >= 0, got {intrinsic_kwh}")
-    if not 0 < dod <= 1:
-        raise ValueError(f"dod must be in (0, 1], got {dod}")
-    return intrinsic_kwh * dod
-
-
-def flatten_distribution(dist: SupplyDistribution, n_modules: int) -> ExpectedSet:
+def flatten_distribution(dist: SupplyDistribution, n_modules: int) -> np.ndarray:
     """Mid-quantile stratification of the supply into ``n_modules`` modules.
 
     Module ``i`` (1-based) takes the inverse CDF at ``(i - 0.5) / n``, clamped
-    at zero.  The set is symmetric about the mean, sorted ascending, and for
+    at zero.  The row is symmetric about the mean, sorted ascending, and for
     odd ``n`` its median module equals the mean exactly.
     """
     if n_modules < 2:
@@ -144,30 +85,25 @@ def flatten_distribution(dist: SupplyDistribution, n_modules: int) -> ExpectedSe
     for i in range(1, n_modules + 1):
         q = (i - 0.5) / n_modules
         z = _STD_NORMAL.inv_cdf(q) if dist.std_kwh > 0 else 0.0
-        intrinsic = max(0.0, dist.mean_kwh + dist.std_kwh * z)
-        caps.append(usable_energy(intrinsic, dist.dod))
-    return ExpectedSet(
-        tuple(BatteryModule(float(c), dist.voltage_v) for c in caps)
-    )
+        caps.append(max(0.0, dist.mean_kwh + dist.std_kwh * z) * dist.dod)
+    return np.array(caps)
 
 
-def sample_pack(
-    dist: SupplyDistribution, n_modules: int, seed: int
-) -> tuple[BatteryModule, ...]:
-    """Draw one pack of ``n_modules`` modules, sorted ascending.
+def sample_packs(dist: SupplyDistribution, n_modules: int, keys) -> np.ndarray:
+    """One pack of ``n_modules`` modules per key: a (len(keys) x n) matrix.
 
-    Draws are Gaussian, clamped at zero capacity, and generated with a
-    Philox counter-based generator keyed by ``seed``, so equal seeds give
-    byte-identical packs on every platform and worker layout.
+    Row ``i`` is drawn by a Philox counter-based generator keyed by
+    ``keys[i]``: Gaussian draws, clamped at zero and sorted ascending, so
+    equal keys give byte-identical packs on every platform and worker
+    layout.
     """
     if n_modules < 1:
         raise ValueError(f"n_modules must be >= 1, got {n_modules}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    rng = _philox(seed)
-    intrinsic = dist.mean_kwh + dist.std_kwh * rng.standard_normal(n_modules)
-    caps = np.sort(np.clip(intrinsic, 0.0, None)) * dist.dod
-    return tuple(BatteryModule(float(c), dist.voltage_v) for c in caps)
+    draws = np.empty((len(keys), n_modules))
+    for row, key in zip(draws, keys):
+        _philox(key).standard_normal(out=row)
+    intrinsic = dist.mean_kwh + dist.std_kwh * draws
+    return np.sort(np.clip(intrinsic, 0.0, None), axis=1) * dist.dod
 
 
 def _philox(key: int) -> np.random.Generator:

@@ -22,9 +22,9 @@ def expected9(supply9):
 
 
 @pytest.fixture(scope="session")
-def layer1_9(expected9):
+def layer1_9(supply9, expected9):
     # Rated output 150 kW against the 337.5 kWh expected pack.
-    return design_layer1(expected9, 3, 2.25)
+    return design_layer1(expected9, supply9.voltage_v, 3, 2.25)
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ def reference_draw(arrivals, demand, horizon_h, key):
 
     Interarrival, demand, interarrival, ... from a fresh
     ``Generator(Philox(key=key))``, each demand clamped to
-    ``[0, max_kwh]``, until an arrival falls at or past the horizon.
+    ``[0, 2 * mean_kwh]``, until an arrival falls at or past the horizon.
     """
     rng = np.random.Generator(np.random.Philox(key=key))
     scale_h = 1.0 / arrivals.rate_per_h
@@ -50,7 +50,7 @@ def reference_draw(arrivals, demand, horizon_h, key):
     while t_arrival < horizon_h:
         draw = rng.normal(demand.mean_kwh, demand.std_kwh)
         times.append(t_arrival)
-        demands.append(min(max(draw, 0.0), demand.max_kwh))
+        demands.append(min(max(draw, 0.0), 2.0 * demand.mean_kwh))
         t_arrival += rng.exponential(scale_h)
     return times, demands
 

@@ -49,11 +49,11 @@ from besspp.plaza import (
 )
 from besspp.scenario import default_scenario, scenario_to_dict
 from besspp.studies import _minute_series, run_ensemble
-from besspp.supply import BatteryModule, flatten_distribution, sample_pack
+from besspp.supply import flatten_distribution, sample_packs
 
 from lp_reference import max_deliverable_energy
 from plaza_oracle import lane_cycles
-from test_flows import extraction, random_string, vertex_oracle, wiring
+from test_flows import extraction, pack, random_string, vertex_oracle, wiring
 
 TOL = 1e-8
 
@@ -78,16 +78,13 @@ R_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 @pytest.fixture(scope="module")
 def tradeoff_points():
     scenario = default_scenario()
-    packs = [
-        sample_pack(
-            scenario.supply,
-            scenario.n_modules,
-            derive_seed(scenario.seed, "tradeoff-packs", i),
-        )
-        for i in range(100)
-    ]
-    expected = flatten_distribution(scenario.supply, scenario.n_modules)
-    layer1 = design_layer1(expected, scenario.n_layer1, scenario.design_horizon_h)
+    supply = scenario.supply
+    keys = [derive_seed(scenario.seed, "tradeoff-packs", i) for i in range(100)]
+    packs = sample_packs(supply, scenario.n_modules, keys)
+    expected = flatten_distribution(supply, scenario.n_modules)
+    layer1 = design_layer1(
+        expected, supply.voltage_v, scenario.n_layer1, scenario.design_horizon_h
+    )
     curves = {}
     for kind in ("lshippp", "cppp", "fpp"):
         points = tradeoff_curve(
@@ -280,8 +277,9 @@ def prop_cap_monotonicity(string, scale):
 def _default_layer1():
     """The default scenario's layer-1 design, searched once for the suite."""
     scenario = default_scenario()
-    expected = flatten_distribution(scenario.supply, scenario.n_modules)
-    return design_layer1(expected, scenario.n_layer1, 2.25)
+    supply = scenario.supply
+    expected = flatten_distribution(supply, scenario.n_modules)
+    return design_layer1(expected, supply.voltage_v, scenario.n_layer1, 2.25)
 
 
 @settings(max_examples=1000)
@@ -292,8 +290,10 @@ def _default_layer1():
 def prop_sparse_layer_flows_within_ratings(pack_seed, lambda_h):
     scenario = default_scenario()
     layer1 = _default_layer1()
-    modules = sample_pack(scenario.supply, scenario.n_modules, pack_seed)
-    n = len(modules)
+    supply = scenario.supply
+    (energy,) = sample_packs(supply, scenario.n_modules, [pack_seed])
+    modules = pack(*energy, voltage=supply.voltage_v)
+    n = len(energy)
     # Layer 1 at its procured rating, a lambda_h ladder on top.
     rung = lambda_h * layer1_aggregate_kwh(layer1, 2.25) / (n - 1)
     split = BudgetSplit(
@@ -305,7 +305,7 @@ def prop_sparse_layer_flows_within_ratings(pack_seed, lambda_h):
     )
     _, flows = max_deliverable_energy(*wiring(modules, split.pairs, split.caps_kwh))
     cap1 = layer1.rating_kw * 2.25
-    cap2 = lambda_h * len(layer1.edges) * cap1 / (len(modules) - 1)
+    cap2 = lambda_h * len(layer1.edges) * cap1 / (n - 1)
     for k, flow in enumerate(flows):
         limit = cap1 if k < len(layer1.edges) else cap2
         assert abs(flow) <= limit + 1e-7
@@ -450,8 +450,7 @@ def prop_uncapped_placements_are_the_cut_form(seed):
             [cut_form_energy(energy, volts, p, uncapped)[0] for p in placements]
         )
         for p, (e, v) in enumerate(zip(energy, volts)):
-            batteries = tuple(BatteryModule(*m) for m in zip(e.tolist(), v.tolist()))
-            got = uncapped_placement_energy(batteries, placements)
+            got = uncapped_placement_energy(e, v, placements)
             assert got.tolist() == cut[:, p].tolist()
         _CASES["prop_uncapped_placements_are_the_cut_form"] += cut.size
 
@@ -479,11 +478,10 @@ def prop_min_peak_lp(seed):
         k = int(rng.integers(1, min(4, len(candidates)) + 1))
         chosen = np.sort(rng.choice(len(candidates), size=k, replace=False))
         placement = [candidates[c] for c in chosen]
-        batteries = tuple(BatteryModule(*m) for m in zip(energy.tolist(), volts.tolist()))
-        (own,) = uncapped_placement_energy(batteries, [placement])
+        (own,) = uncapped_placement_energy(energy, volts, [placement])
         share = rng.choice([0.0, 0.5, 1.0]) if rng.random() < 0.3 else rng.random()
         output = float(share * own)
-        (peak,) = uncapped_min_peak(batteries, [placement], output)
+        (peak,) = uncapped_min_peak(energy, volts, [placement], output)
         caps = np.where(
             rng.random(k) < 0.5, math.inf, peak * rng.uniform(1.0, 2.0, k)
         )

@@ -17,20 +17,22 @@ from besspp.flows import (
     min_peak_flow,
     uncapped_placement_energy,
 )
-from besspp.supply import BatteryModule, ExpectedSet
 
 from lp_reference import max_deliverable_energy
-from test_flows import wiring
+from test_flows import left_fold, wiring
+from test_flows import pack as volt_pack
+
+# Module voltage of every pack here, the supply's default.
+VOLTS = 50.0
 
 
-def pack(*caps: float) -> tuple[BatteryModule, ...]:
-    return tuple(BatteryModule(float(c), 50.0) for c in caps)
+def pack(*caps: float) -> tuple[list, list]:
+    return volt_pack(*caps, voltage=VOLTS)
 
 
 @pytest.fixture(scope="module")
 def layer1_345():
-    expected = ExpectedSet(pack(3, 4, 5))
-    return design_layer1(expected, 1, 1.0)
+    return design_layer1([3.0, 4.0, 5.0], VOLTS, 1, 1.0)
 
 
 class TestConfig:
@@ -80,14 +82,15 @@ class TestConfig:
 
 def cppp_split(modules, rating_r, horizon_h, basis=None):
     """The cppp split whose budget is ``rating_r`` times the pack's energy."""
+    energy, _ = modules
     if basis is None:
-        basis = sum(b.capacity_kwh for b in modules)
-    return split_budget("cppp", len(modules), rating_r, basis, horizon_h)
+        basis = sum(energy)
+    return split_budget("cppp", len(energy), rating_r, basis, horizon_h)
 
 
 def lshippp_split(modules, layer1, lambda_h):
     """Layer 1 at its procured rating plus a ``lambda_h`` ladder."""
-    n = len(modules)
+    n = len(modules[0])
     cap1 = layer1.rating_kw * layer1.horizon_h
     rung = lambda_h * layer1_aggregate_kwh(layer1, layer1.horizon_h) / (n - 1)
     ladder = tuple((j, j + 1) for j in range(n - 1))
@@ -102,8 +105,8 @@ def lshippp_split(modules, layer1, lambda_h):
 
 def budget_split(modules, layer1, rating_r):
     """The lshippp split of a total budget ``rating_r``."""
-    basis = sum(b.capacity_kwh for b in modules)
-    return split_budget("lshippp", len(modules), rating_r, basis, 1.0, layer1)
+    energy, _ = modules
+    return split_budget("lshippp", len(energy), rating_r, sum(energy), 1.0, layer1)
 
 
 class TestFppBuilder:
@@ -213,7 +216,8 @@ class TestBudgetSplit:
         ladder = tuple((j, j + 1) for j in range(8))
         wiring = {"fpp": (), "cppp": ladder, "lshippp": layer1_9.edges + ladder}
         for kind, pairs in wiring.items():
-            split = split_budget(kind, 9, 0.2, expected9.total_kwh, 2.25, layer1_9)
+            basis = left_fold(expected9.tolist())
+            split = split_budget(kind, 9, 0.2, basis, 2.25, layer1_9)
             assert split.pairs == pairs
         assert split_lambda(layer1_9, 0.5).pairs == layer1_9.edges + ladder
 
@@ -223,7 +227,7 @@ class TestBudgetSplit:
         self, kind, rating_r, layer1_9, expected9
     ):
         # R = P * T / E: the caps of every kind add up to R times the basis.
-        basis = expected9.total_kwh
+        basis = left_fold(expected9.tolist())
         split = split_budget(kind, 9, rating_r, basis, 2.25, layer1_9)
         assert sum(split.caps_kwh) == pytest.approx(rating_r * basis, rel=1e-12)
 
@@ -231,7 +235,7 @@ class TestBudgetSplit:
         # No string edges: the sweep takes the closed form, one cap a module.
         split = split_budget("fpp", 3, 0.5, 12.0, 1.0)
         assert split.pairs == ()
-        assert sweep_energy([pack(3, 4, 5)], [split]) == [[2.0 + 2.0 + 2.0]]
+        assert sweep_energy([[3.0, 4.0, 5.0]], VOLTS, [split]).tolist() == [[6.0]]
 
     def test_lshippp_needs_a_layer1_design(self):
         with pytest.raises(ConfigurationError, match="layer-1 design"):
@@ -265,14 +269,14 @@ class TestValidateNetwork:
         with pytest.raises(ValueError, match="distinct modules"):
             every_evaluator(pack(3, 4), [(1, 1)], [1.0])
         with pytest.raises(ValueError, match="distinct modules"):
-            uncapped_placement_energy(pack(3, 4), [((1, 1),)])
+            uncapped_placement_energy(*pack(3, 4), [((1, 1),)])
 
     def test_index_out_of_range(self):
         for pair in ((0, 5), (-1, 0)):
             with pytest.raises(ValueError, match="distinct modules of 0..1"):
                 every_evaluator(pack(3, 4), [pair], [1.0])
             with pytest.raises(ValueError, match="distinct modules of 0..1"):
-                uncapped_placement_energy(pack(3, 4), [(pair,)])
+                uncapped_placement_energy(*pack(3, 4), [(pair,)])
 
     def test_negative_cap(self):
         for cap in (-2.0, math.nan):

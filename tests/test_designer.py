@@ -20,7 +20,6 @@ from besspp.designer import (
     design_layer1,
     design_layer2,
     enumerate_placements,
-    sample_packs,
     sweep_energy,
     tradeoff_curve,
 )
@@ -29,24 +28,30 @@ from besspp.flows import (
     uncapped_min_peak,
     uncapped_placement_energy,
 )
-from besspp.supply import (
-    BatteryModule,
-    ExpectedSet,
-    SupplyDistribution,
-    _left_sum,
-    flatten_distribution,
-    sample_pack,
-)
+from besspp.supply import SupplyDistribution, flatten_distribution, sample_packs
 
 from lp_reference import max_deliverable_energy
-from test_flows import cut_reference, wiring
+from test_flows import cut_reference, left_fold, pack, wiring
 
 # Expected pack energy over the 150 kW rating for the 9-module reference.
 HORIZON_H = 2.25
 
+# Module voltage of every pack here, the supply's default.
+VOLTS = 50.0
 
-def expected_set(*caps: float) -> ExpectedSet:
-    return ExpectedSet(tuple(BatteryModule(float(c), 50.0) for c in caps))
+
+def expected_set(*caps: float) -> np.ndarray:
+    return np.array([float(c) for c in caps])
+
+
+def keyed_packs(dist, n: int, n_packs: int, seed: int) -> np.ndarray:
+    """``n_packs`` packs of ``dist``, pack ``i`` keyed by ``(seed, "pack", i)``."""
+    return sample_packs(dist, n, derive_seeds(seed, "pack", indices=range(n_packs)))
+
+
+def wired(energy, pairs, caps):
+    """A row of module energies at ``VOLTS``, wired by ``pairs`` and ``caps``."""
+    return wiring(pack(*energy, voltage=VOLTS), pairs, caps)
 
 
 def as_tuples(placements) -> list[tuple[tuple[int, int], ...]]:
@@ -163,22 +168,22 @@ class TestEnumeratePlacements:
 
 class TestDesignLayer1:
     def test_three_module_reference(self):
-        design = design_layer1(expected_set(3, 4, 5), 1, 1.0)
+        design = design_layer1(expected_set(3, 4, 5), VOLTS, 1, 1.0)
         assert design.edges == ((0, 2),)
         assert design.expected_output_kwh == pytest.approx(12.0)
         assert design.optimal_flows_kwh[0] == pytest.approx(-1.0)
         assert design.rating_kw == pytest.approx(1.0)
 
     def test_horizon_scales_rating_only(self):
-        fast = design_layer1(expected_set(3, 4, 5), 1, 0.5)
-        slow = design_layer1(expected_set(3, 4, 5), 1, 2.0)
+        fast = design_layer1(expected_set(3, 4, 5), VOLTS, 1, 0.5)
+        slow = design_layer1(expected_set(3, 4, 5), VOLTS, 1, 2.0)
         assert fast.expected_output_kwh == slow.expected_output_kwh
         assert fast.rating_kw == pytest.approx(4 * slow.rating_kw)
 
     def test_nine_module_reference_design(self, expected9, layer1_9):
-        total = expected9.total_kwh
+        total = left_fold(expected9.tolist())
         # The binding constraint is the median-low module left unpaired.
-        caps = [b.capacity_kwh for b in expected9.batteries]
+        caps = expected9.tolist()
         assert layer1_9.expected_output_kwh == pytest.approx(9 * caps[3])
         assert layer1_9.expected_output_kwh / total == pytest.approx(
             0.9294, abs=2e-4
@@ -196,7 +201,7 @@ class TestDesignLayer1:
             component_average_bound(caps, placement)
             for placement in enumerate_placements(4, 2)
         )
-        design = design_layer1(expected_set(*caps), 2, 1.0)
+        design = design_layer1(expected_set(*caps), VOLTS, 2, 1.0)
         assert design.expected_output_kwh == pytest.approx(best)
 
     def test_exhaustive_oracle_agreement_random_sets(self):
@@ -209,13 +214,13 @@ class TestDesignLayer1:
                 component_average_bound(caps, placement)
                 for placement in enumerate_placements(n, m)
             )
-            design = design_layer1(expected_set(*caps), m, 1.0)
+            design = design_layer1(expected_set(*caps), VOLTS, m, 1.0)
             assert design.expected_output_kwh == pytest.approx(best)
 
 
 def uncapped(expected, placement):
     """The expected set wired by ``placement``, every edge uncapped."""
-    return wiring(expected.batteries, placement, [math.inf] * len(placement))
+    return wired(expected, placement, [math.inf] * len(placement))
 
 
 def lp_loop_design(expected, n_edges: int, horizon_h: float):
@@ -224,8 +229,9 @@ def lp_loop_design(expected, n_edges: int, horizon_h: float):
     Returns the winner, its LP flows and peak, the tied placements and
     their LP peaks; the slack rule and enumeration order are the search's.
     """
-    placements = enumerate_placements(len(expected.batteries), n_edges)
-    outputs = uncapped_placement_energy(expected.batteries, placements).tolist()
+    placements = enumerate_placements(len(expected), n_edges)
+    volts = np.full(len(expected), VOLTS)
+    outputs = uncapped_placement_energy(expected, volts, placements).tolist()
     best_output, candidates = tied_candidates(as_tuples(placements), outputs)
     winner, flows_kwh, best_peak, peaks = None, (), math.inf, []
     for placement in candidates:
@@ -245,7 +251,8 @@ class TestSearchAgainstLpSweep:
         lp_outputs = [
             max_deliverable_energy(*uncapped(expected, p))[0] for p in placements
         ]
-        cut = uncapped_placement_energy(expected.batteries, placements).tolist()
+        volts = np.full(7, VOLTS)
+        cut = uncapped_placement_energy(expected, volts, placements).tolist()
         np.testing.assert_allclose(cut, lp_outputs, rtol=1e-12, atol=0)
 
         lp_best, lp_candidates = tied_candidates(placements, lp_outputs)
@@ -256,7 +263,7 @@ class TestSearchAgainstLpSweep:
 
         # The LP path's winner: smallest min-peak flow, first in order.
         winner, *_ = lp_loop_design(expected, 2, 1.0)
-        design = design_layer1(expected, 2, 1.0)
+        design = design_layer1(expected, VOLTS, 2, 1.0)
         assert design.edges == winner
         assert design.expected_output_kwh == pytest.approx(lp_best, rel=1e-12)
 
@@ -269,9 +276,10 @@ class TestSearchAgainstLpSweep:
             expected9, n_edges, HORIZON_H
         )
         assert len(candidates) == n_tied
-        closed = uncapped_min_peak(expected9.batteries, candidates, best)
+        volts = np.full(9, VOLTS)
+        closed = uncapped_min_peak(expected9, volts, candidates, best)
         np.testing.assert_allclose(closed, lp_peaks, rtol=1e-9, atol=1e-9)
-        design = design_layer1(expected9, n_edges, HORIZON_H)
+        design = design_layer1(expected9, VOLTS, n_edges, HORIZON_H)
         assert design.edges == winner
         assert design.optimal_flows_kwh == flows_kwh
         assert design.rating_kw == peak / HORIZON_H
@@ -286,7 +294,7 @@ class TestSearchAgainstLpSweep:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(flows, "solve_bounded_lp", counting)
-        design_layer1(expected9, 3, HORIZON_H)
+        design_layer1(expected9, VOLTS, 3, HORIZON_H)
         assert len(solves) == 2
 
 
@@ -296,19 +304,19 @@ class TestDesignLayer2:
         # networks show that the layer-1 caps hold every converter to its
         # designed duty.
         m = len(layer1_9.edges)
-        for i in range(12):
-            pack = sample_pack(supply9, 9, derive_seed(7, "pack", i))
+        for energy in keyed_packs(supply9, 9, 12, seed=7):
             for lam in (0.0, 0.3, 1.0, 5.0):
                 split = split_lambda(layer1_9, lam)
                 _, flows = max_deliverable_energy(
-                    *wiring(pack, split.pairs, split.caps_kwh)
+                    *wired(energy, split.pairs, split.caps_kwh)
                 )
                 for flow, duty in zip(flows[:m], layer1_9.optimal_flows_kwh):
                     assert abs(flow) <= abs(duty) + 1e-6
 
     def test_layer1_duty_respected_and_utilization_monotone(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        points = design_layer2(layer1_9, dist, [0.0, 0.5, 1.5], 30, seed=7)
+        packs = keyed_packs(dist, 9, 30, seed=7)
+        points = design_layer2(layer1_9, dist, [0.0, 0.5, 1.5], packs)
         means = [p.utilization_mean for p in points]
         assert means == sorted(means)  # more ladder never hurts on average
         assert points[0].lambda_h == 0.0
@@ -317,7 +325,7 @@ class TestDesignLayer2:
 
     def test_rating_reporting(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        (point,) = design_layer2(layer1_9, dist, [1.0], 10, seed=7)
+        (point,) = design_layer2(layer1_9, dist, [1.0], keyed_packs(dist, 9, 10, 7))
         layer1_aggregate = 3 * layer1_9.rating_kw * layer1_9.horizon_h
         expected_r = 2 * layer1_aggregate / 337.5
         assert point.rating_r == pytest.approx(expected_r)
@@ -326,20 +334,20 @@ class TestDesignLayer2:
 class TestTradeoffCurve:
     def test_fpp_matches_closed_form(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        packs = sample_packs(dist, 9, 25, seed=3)
+        packs = keyed_packs(dist, 9, 25, seed=3)
         (point,) = tradeoff_curve("fpp", dist, [0.2], packs, horizon_h=HORIZON_H)
         # Re-derive each pack by hand: sum_j min(E_j, cap) over its total.
-        basis = flatten_distribution(dist, 9).total_kwh
+        basis = left_fold(flatten_distribution(dist, 9).tolist())
         cap = 0.2 * basis / 9
         utils = []
-        for pack in packs:
-            total = sum(b.capacity_kwh for b in pack)
-            utils.append(sum(min(b.capacity_kwh, cap) for b in pack) / total)
+        for energy in packs.tolist():
+            total = left_fold(energy)
+            utils.append(left_fold(min(e, cap) for e in energy) / total)
         assert point.utilization_mean == pytest.approx(float(np.mean(utils)))
 
     def test_common_random_packs_across_kinds(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        packs = sample_packs(dist, 9, 15, seed=11)
+        packs = keyed_packs(dist, 9, 15, seed=11)
         a = tradeoff_curve("cppp", dist, [10.0], packs, horizon_h=HORIZON_H)
         b = tradeoff_curve(
             "lshippp", dist, [10.0], packs, horizon_h=HORIZON_H, layer1=layer1_9
@@ -353,17 +361,16 @@ class TestTradeoffCurve:
 
     def test_zero_rating_collapses_to_string(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        packs = sample_packs(dist, 9, 10, seed=5)
+        packs = keyed_packs(dist, 9, 10, seed=5)
         (cp,) = tradeoff_curve("cppp", dist, [0.0], packs, horizon_h=HORIZON_H)
         utils = []
-        for pack in packs:
-            total = sum(b.capacity_kwh for b in pack)
-            utils.append(9 * min(b.capacity_kwh for b in pack) / total)
+        for energy in packs.tolist():
+            utils.append(9 * min(energy) / left_fold(energy))
         assert cp.utilization_mean == pytest.approx(float(np.mean(utils)))
 
     def test_lambda_reported_for_lshippp_only(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        packs = sample_packs(dist, 9, 5, seed=2)
+        packs = keyed_packs(dist, 9, 5, seed=2)
         (ls,) = tradeoff_curve(
             "lshippp", dist, [0.25], packs, horizon_h=HORIZON_H, layer1=layer1_9
         )
@@ -373,13 +380,13 @@ class TestTradeoffCurve:
 
     def test_lshippp_needs_its_layer1(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        packs = sample_packs(dist, 9, 2, seed=2)
+        packs = keyed_packs(dist, 9, 2, seed=2)
         with pytest.raises(ConfigurationError, match="layer-1 design"):
             tradeoff_curve("lshippp", dist, [0.25], packs, horizon_h=HORIZON_H)
 
     def test_quantile_fields_consistent(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        packs = sample_packs(dist, 9, 40, seed=9)
+        packs = keyed_packs(dist, 9, 40, seed=9)
         (point,) = tradeoff_curve("cppp", dist, [0.3], packs, horizon_h=HORIZON_H)
         assert point.utilization_p10 <= point.utilization_mean + 1e-9
         assert point.utilization_mean <= point.utilization_p90 + 1e-9
@@ -389,22 +396,16 @@ class TestTradeoffCurve:
 
     def test_module_count_comes_from_the_packs(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        packs = sample_packs(dist, 6, 8, seed=1)
+        packs = keyed_packs(dist, 6, 8, seed=1)
         (point,) = tradeoff_curve("fpp", dist, [10.0], packs, horizon_h=HORIZON_H)
         assert point.utilization_mean == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="at least one pack"):
-            tradeoff_curve("fpp", dist, [0.2], [], horizon_h=HORIZON_H)
-        ragged = packs[:4] + sample_packs(dist, 9, 4, seed=1)
-        with pytest.raises(ValueError, match="same number of modules"):
-            tradeoff_curve("fpp", dist, [0.2], ragged, horizon_h=HORIZON_H)
+            tradeoff_curve("fpp", dist, [0.2], packs[:0], horizon_h=HORIZON_H)
 
 
 def reference_point(kind, r, lam, packs, outputs):
     """The point of one sweep value from per-pack reference outputs."""
-    utils = [
-        out / _left_sum(b.capacity_kwh for b in pack)
-        for pack, out in zip(packs, outputs)
-    ]
+    utils = [out / left_fold(energy) for energy, out in zip(packs.tolist(), outputs)]
     return _make_point(kind, r, lam, utils)
 
 
@@ -415,21 +416,22 @@ class TestSweepsEqualBuiltNetworks:
     def test_tradeoff_curve(self, kind, layer1_9, supply9, expected9):
         r_grid = [0.0, 0.05, 0.1, 0.2, 0.35, 0.6, 1.5]
         horizon = layer1_9.horizon_h
-        packs = [sample_pack(supply9, 9, derive_seed(4, "pack", i)) for i in range(45)]
+        packs = keyed_packs(supply9, 9, 45, seed=4)
         points = tradeoff_curve(
             kind, supply9, r_grid, packs, horizon_h=horizon, layer1=layer1_9
         )
         assert len(points) == len(r_grid)
+        basis = left_fold(expected9.tolist())
         for r, point in zip(r_grid, points):
-            split = split_budget(kind, 9, r, expected9.total_kwh, horizon, layer1_9)
+            split = split_budget(kind, 9, r, basis, horizon, layer1_9)
             if kind == "fpp":
                 outputs = [
-                    _left_sum(min(b.capacity_kwh, split.caps_kwh[0]) for b in p)
-                    for p in packs
+                    left_fold(min(e, split.caps_kwh[0]) for e in p)
+                    for p in packs.tolist()
                 ]
             else:
                 outputs = [
-                    cut_reference(*wiring(p, split.pairs, split.caps_kwh))
+                    cut_reference(*wired(p, split.pairs, split.caps_kwh))
                     for p in packs
                 ]
             expected = reference_point(kind, r, split.lambda_h, packs, outputs)
@@ -437,8 +439,8 @@ class TestSweepsEqualBuiltNetworks:
 
     def test_design_layer2(self, layer1_9, supply9, expected9):
         lambda_grid = [0.0, 0.05, 0.3, 1.0, 2.5, 5.0]
-        points = design_layer2(layer1_9, supply9, lambda_grid, 45, seed=8)
-        packs = [sample_pack(supply9, 9, derive_seed(8, "pack", i)) for i in range(45)]
+        packs = keyed_packs(supply9, 9, 45, seed=8)
+        points = design_layer2(layer1_9, supply9, lambda_grid, packs)
         horizon = layer1_9.horizon_h
         aggregate = 3 * layer1_9.rating_kw * horizon
         pairs = layer1_9.edges + tuple((j, j + 1) for j in range(8))
@@ -446,20 +448,20 @@ class TestSweepsEqualBuiltNetworks:
         for lam, point in zip(lambda_grid, points):
             cap2 = lam * aggregate / 8
             caps = duty + (cap2,) * 8
-            outputs = [cut_reference(*wiring(p, pairs, caps)) for p in packs]
+            outputs = [cut_reference(*wired(p, pairs, caps)) for p in packs]
             expected = reference_point("lshippp", 0.0, lam, packs, outputs)
-            rating_r = (1 + lam) * aggregate / expected9.total_kwh
+            rating_r = (1 + lam) * aggregate / left_fold(expected9.tolist())
             assert repr(point) == repr(
                 dataclasses.replace(expected, rating_r=rating_r)
             )
 
     def test_sweep_needs_a_pack(self):
         with pytest.raises(ValueError, match="at least one pack"):
-            sweep_energy([], [])
+            sweep_energy(np.empty((0, 9)), VOLTS, [])
 
     def test_sweep_rejects_mixed_wiring(self, layer1_9, supply9, expected9):
-        packs = [sample_pack(supply9, 9, derive_seed(8, "pack", 0))]
-        basis = expected9.total_kwh
+        packs = keyed_packs(supply9, 9, 1, seed=8)
+        basis = left_fold(expected9.tolist())
 
         def split(kind, r=0.2):
             return split_budget(kind, 9, r, basis, 2.25, layer1_9)
@@ -475,9 +477,9 @@ class TestSweepsEqualBuiltNetworks:
             [],
         ):
             with pytest.raises(ValueError, match="one kind and one wiring"):
-                sweep_energy(packs, splits)
+                sweep_energy(packs, VOLTS, splits)
         # One kind and wiring at several budgets is one sweep.
-        assert len(sweep_energy(packs, [split("cppp", 0.1), split("cppp")])) == 2
+        assert len(sweep_energy(packs, VOLTS, [split("cppp", 0.1), split("cppp")])) == 2
 
 
 class TestDeriveSeed:

@@ -21,26 +21,35 @@ from besspp.flows import (
     uncapped_min_peak,
     uncapped_placement_energy,
 )
-from besspp.supply import BatteryModule, SupplyDistribution, _left_sum, sample_pack
+from besspp.supply import SupplyDistribution, sample_packs
 
 from lp_reference import max_deliverable_energy
 
 
-def pack(*caps: float, voltage: float = 1.0) -> tuple[BatteryModule, ...]:
-    return tuple(BatteryModule(float(c), voltage) for c in caps)
+def pack(*caps: float, voltage: float = 1.0) -> tuple[list, list]:
+    """Modules of energies ``caps``, all at ``voltage``: ``(energy, volts)``."""
+    return [float(c) for c in caps], [float(voltage)] * len(caps)
 
 
 def wiring(modules, pairs=(), caps=()):
-    """``modules`` wired by ``pairs`` and ``caps``: ``(energy, volts, pairs, caps)``.
+    """A ``pack`` wired by ``pairs`` and ``caps``: ``(energy, volts, pairs, caps)``.
 
     The one form every series-string evaluator takes.
     """
-    return (
-        [b.capacity_kwh for b in modules],
-        [b.voltage_v for b in modules],
-        tuple(pairs),
-        tuple(caps),
-    )
+    energy, volts = modules
+    return list(energy), list(volts), tuple(pairs), tuple(caps)
+
+
+def left_fold(values) -> float:
+    """Floats added one by one, left to right from 0.0, as scalar Python.
+
+    The reference for every pack total of the package, which folds array
+    columns in this order.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def extraction(energy, volts, pairs, caps, total, flows) -> list[float]:
@@ -182,7 +191,7 @@ class TestConverterNetworks:
 
 def fpp_one(modules, cap: float) -> float:
     """The closed form on one pack under one cap."""
-    ((value,),) = fpp_deliverable([[b.capacity_kwh for b in modules]], [cap])
+    ((value,),) = fpp_deliverable([modules[0]], [cap])
     return float(value)
 
 
@@ -192,14 +201,13 @@ class TestDedicatedConverters:
 
     def test_every_cap_and_pack_is_the_left_fold(self):
         # The (caps x packs) pass equals the scalar fold, bit for bit.
-        packs = sampled_packs(n_packs=30)
-        energy = [[b.capacity_kwh for b in p] for p in packs]
+        energy = sampled_packs(n_packs=30).tolist()
         caps = [0.0, 0.5, 3.7, 7.5, 20.0, 41.25, 1e3]
         got = fpp_deliverable(energy, caps)
-        assert got.shape == (len(caps), len(packs))
+        assert got.shape == (len(caps), len(energy))
         for k, cap in enumerate(caps):
             for p, row in enumerate(energy):
-                assert got[k, p] == _left_sum(min(e, cap) for e in row)
+                assert got[k, p] == left_fold(min(e, cap) for e in row)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -214,7 +222,7 @@ class TestDedicatedConverters:
     def test_network_route_matches_closed_form(self):
         # The sweeps' route for an fpp split: 3 x 1.5 kWh converters.
         split = split_budget("fpp", 3, 0.375, 12.0, 1.0)
-        assert sweep_energy([pack(3, 4, 5)], [split]) == [[4.5]]
+        assert sweep_energy([[3.0, 4.0, 5.0]], 1.0, [split]).tolist() == [[4.5]]
 
     @given(
         energy=st.lists(st.just(0.0) | st.floats(0.01, 10.0), min_size=1, max_size=9),
@@ -276,11 +284,11 @@ class TestMinPeakFlow:
         assert abs(flows[0]) <= 0.5 + 1e-9
 
 
-def scipy_min_peak(batteries, placement, output_kwh: float) -> float:
+def scipy_min_peak(energy, volts, placement, output_kwh: float) -> float:
     """Minimum peak by ``scipy.optimize.linprog``: min t, |f_e| <= t."""
-    n, m = len(batteries), len(placement)
-    volts = np.array([b.voltage_v for b in batteries])
-    energy = np.array([b.capacity_kwh for b in batteries])
+    n, m = len(energy), len(placement)
+    volts = np.array(volts, dtype=float)
+    energy = np.array(energy, dtype=float)
     string = volts * (output_kwh / volts.sum())
     # Columns [t, f_1..f_m]; module rows string + outflow - inflow <= E.
     a_modules = np.zeros((n, 1 + m))
@@ -338,13 +346,12 @@ class TestUncappedMinPeak:
     @settings(max_examples=150)
     def test_matches_lp_and_scipy(self, case):
         energy, volts, placement, share = case
-        batteries = tuple(BatteryModule(e, v) for e, v in zip(energy, volts))
-        (own,) = uncapped_placement_energy(batteries, [placement])
+        (own,) = uncapped_placement_energy(energy, volts, [placement])
         output = share * float(own)
-        (peak,) = uncapped_min_peak(batteries, [placement], output)
-        string = wiring(batteries, placement, [math.inf] * len(placement))
+        (peak,) = uncapped_min_peak(energy, volts, [placement], output)
+        string = (energy, volts, placement, [math.inf] * len(placement))
         lp = max(abs(f) for f in min_peak_flow(*string, output))
-        oracle = scipy_min_peak(batteries, placement, output)
+        oracle = scipy_min_peak(energy, volts, placement, output)
         tol = 1e-9 * (1.0 + sum(energy))
         assert peak == pytest.approx(lp, rel=1e-9, abs=tol)
         assert peak == pytest.approx(oracle, rel=1e-9, abs=tol)
@@ -352,19 +359,19 @@ class TestUncappedMinPeak:
     def test_an_idle_edge_still_counts_in_the_cut(self):
         # (1, 3) carries nothing; (0, 2) lifts module 0 by 2 kWh.
         batteries = pack(2, 4, 6, 4)
-        assert uncapped_min_peak(batteries, [((0, 2), (1, 3))], 16.0).tolist() == [2.0]
-        assert uncapped_min_peak(batteries, [((0, 2),)], 16.0).tolist() == [2.0]
+        assert uncapped_min_peak(*batteries, [((0, 2), (1, 3))], 16.0).tolist() == [2.0]
+        assert uncapped_min_peak(*batteries, [((0, 2),)], 16.0).tolist() == [2.0]
         string = wiring(batteries, [(0, 2), (1, 3)], [math.inf, math.inf])
         flows = min_peak_flow(*string, 16.0)
         assert flows[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_parallel_routes_halve_the_peak(self):
         batteries = pack(2, 5, 5)
-        both = uncapped_min_peak(batteries, [((0, 1), (0, 2)), ((0, 1), (1, 2))], 12.0)
+        both = uncapped_min_peak(*batteries, [((0, 1), (0, 2)), ((0, 1), (1, 2))], 12.0)
         assert both.tolist() == [1.0, 2.0]
 
     def test_no_output_needs_no_flow(self):
-        assert uncapped_min_peak(pack(3, 4, 5), [((0, 2),)], 0.0).tolist() == [0.0]
+        assert uncapped_min_peak(*pack(3, 4, 5), [((0, 2),)], 0.0).tolist() == [0.0]
 
     def test_chunks_keep_placement_order(self):
         # 7 modules x 2 edges: 210 placements over several chunks.
@@ -373,20 +380,22 @@ class TestUncappedMinPeak:
         placements = list(
             itertools.combinations(list(itertools.combinations(range(7), 2)), 2)
         )
-        output = float(uncapped_placement_energy(batteries, placements).min())
-        whole = uncapped_min_peak(batteries, placements, output)
-        one_by_one = [uncapped_min_peak(batteries, [p], output)[0] for p in placements]
+        output = float(uncapped_placement_energy(*batteries, placements).min())
+        whole = uncapped_min_peak(*batteries, placements, output)
+        one_by_one = [uncapped_min_peak(*batteries, [p], output)[0] for p in placements]
         assert whole.tolist() == one_by_one
 
     def test_invalid_placement_rejected(self):
         with pytest.raises(ValueError, match="distinct modules"):
-            uncapped_min_peak(pack(1, 2, 3), [((0, 3),)], 1.0)
+            uncapped_min_peak(*pack(1, 2, 3), [((0, 3),)], 1.0)
         with pytest.raises(ValueError, match="equal-size"):
-            uncapped_min_peak(pack(1, 2, 3), [((0, 1),), ((0, 1), (1, 2))], 1.0)
+            uncapped_min_peak(*pack(1, 2, 3), [((0, 1),), ((0, 1), (1, 2))], 1.0)
         with pytest.raises(ValueError, match="equal-size"):
-            uncapped_min_peak(pack(1, 2, 3), [], 1.0)
+            uncapped_min_peak(*pack(1, 2, 3), [], 1.0)
         with pytest.raises(ValueError, match="subsets"):
-            uncapped_min_peak(pack(*([2.0] * (MAX_CUT_MODULES + 1))), [((0, 1),)], 1.0)
+            uncapped_min_peak(*pack(*([2.0] * (MAX_CUT_MODULES + 1))), [((0, 1),)], 1.0)
+        with pytest.raises(ValueError, match=r"\(n,\) arrays"):
+            uncapped_min_peak([[1.0, 2.0]], [[1.0, 1.0]], [((0, 1),)], 1.0)
 
 
 def random_string(rng: np.random.Generator):
@@ -515,9 +524,23 @@ def assert_three_way(strings, rel: float = 1e-12) -> None:
         assert abs(got - oracle) <= rel * scale, (got, oracle)
 
 
-def sampled_packs(n_packs: int = 8, n: int = 9):
-    dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-    return [sample_pack(dist, n, derive_seed(5, "cut-pack", i)) for i in range(n_packs)]
+# Module voltage of the sampled packs, the supply's default.
+SAMPLED_VOLTS = 50.0
+
+
+def sampled_packs(n_packs: int = 8, n: int = 9) -> np.ndarray:
+    """A (packs x n) matrix of module energies, every module at ``SAMPLED_VOLTS``."""
+    dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375, voltage_v=SAMPLED_VOLTS)
+    keys = [derive_seed(5, "cut-pack", i) for i in range(n_packs)]
+    return sample_packs(dist, n, keys)
+
+
+def sampled_wirings(split, n_packs: int = 8) -> list:
+    """Each sampled pack wired by ``split``."""
+    return [
+        wiring(pack(*p, voltage=SAMPLED_VOLTS), split.pairs, split.caps_kwh)
+        for p in sampled_packs(n_packs)
+    ]
 
 
 @st.composite
@@ -561,26 +584,21 @@ class TestCutForm:
     @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.6])
     def test_three_way_cppp_packs(self, rating_r):
         split = split_budget("cppp", 9, rating_r, 337.5, 2.25)
-        assert_three_way(
-            [wiring(p, split.pairs, split.caps_kwh) for p in sampled_packs()]
-        )
+        assert_three_way(sampled_wirings(split))
 
     @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.6])
     def test_three_way_lshippp_budget_packs(self, layer1_9, rating_r):
         split = split_budget("lshippp", 9, rating_r, 337.5, 2.25, layer1_9)
-        assert_three_way(
-            [wiring(p, split.pairs, split.caps_kwh) for p in sampled_packs()]
-        )
+        assert_three_way(sampled_wirings(split))
 
     @pytest.mark.parametrize("cap2", [0.0, 0.5, 3.0, 40.0])
     def test_three_way_frozen_layer1_packs(self, layer1_9, cap2):
         # More packs than one chunk of the batched evaluator holds.
-        packs = sampled_packs(n_packs=40)
         # The lambda whose ladder rungs get ``cap2`` each.
         lam = cap2 * 8 / layer1_aggregate_kwh(layer1_9, layer1_9.horizon_h)
         split = split_lambda(layer1_9, lam)
         assert split.rung_kwh == pytest.approx(cap2, rel=1e-12)
-        assert_three_way([wiring(p, split.pairs, split.caps_kwh) for p in packs])
+        assert_three_way(sampled_wirings(split, n_packs=40))
 
     @given(cap_rows_strategy())
     @settings(max_examples=200)
@@ -600,16 +618,15 @@ class TestCutForm:
 
     def test_kernel_chunks_match_the_reference(self, layer1_9):
         # 40 packs and 21 cap rows span several chunks of packs and rows.
-        packs = sampled_packs(n_packs=40)
-        energy = [[b.capacity_kwh for b in p] for p in packs]
-        volts = [[b.voltage_v for b in p] for p in packs]
+        energy = sampled_packs(n_packs=40)
+        volts = np.full(energy.shape, SAMPLED_VOLTS)
         splits = [split_lambda(layer1_9, lam) for lam in np.linspace(0, 5, 21)]
         pairs = [e for e in layer1_9.edges] + [(j, j + 1) for j in range(8)]
         rows = [s.caps_kwh for s in splits]
         got = cut_form_energy(energy, volts, pairs, rows)
         for k, caps in enumerate(rows):
-            for p, batteries in enumerate(packs):
-                assert got[k, p] == cut_reference(*wiring(batteries, pairs, caps))
+            for p, (e, v) in enumerate(zip(energy, volts)):
+                assert got[k, p] == cut_reference(e, v, pairs, caps)
 
     def test_kernel_rejects_bad_input(self):
         with pytest.raises(ValueError, match="one cap per edge"):
@@ -622,6 +639,9 @@ class TestCutForm:
             cut_form_energy([[1.0, 2.0]], [[1.0, 1.0]], [(0, 1)], [[-1.0]])
         with pytest.raises(ValueError, match=">= 0"):
             cut_form_energy([[1.0, 2.0]], [[1.0, 1.0]], [(0, 1)], [[math.nan]])
+        for energy in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="energies and caps must be >= 0"):
+                cut_form_energy([[energy, 2.0]], [[1.0, 1.0]], [], [[]])
         with pytest.raises(ValueError, match="voltages > 0"):
             cut_form_energy([[1.0, 2.0]], [[1.0, 0.0]], [], [[]])
         with pytest.raises(ValueError, match="equal"):
@@ -636,34 +656,29 @@ class TestCutForm:
         # Packs and cap rows of one wiring: the batch equals pack by pack.
         packs = sampled_packs(n_packs=40)
         splits = [split_lambda(layer1_9, lam) for lam in (0.0, 0.4, 2.0)]
-        batched = sweep_energy(packs, splits)
+        batched = sweep_energy(packs, SAMPLED_VOLTS, splits)
         one_by_one = [
-            [cut_reference(*wiring(p, s.pairs, s.caps_kwh)) for p in packs]
+            [cut_reference(*string) for string in sampled_wirings(s, n_packs=40)]
             for s in splits
         ]
-        assert batched == one_by_one
+        assert batched.tolist() == one_by_one
 
     def test_uncapped_placements_match_lp(self):
         rng = np.random.Generator(np.random.Philox(key=11))
-        caps = rng.uniform(1.0, 9.0, size=6)
-        batteries = tuple(
-            BatteryModule(float(c), float(v))
-            for c, v in zip(caps, rng.choice([0.5, 1.0, 2.0], size=6))
-        )
+        energy = rng.uniform(1.0, 9.0, size=6)
+        volts = rng.choice([0.5, 1.0, 2.0], size=6)
         placements = list(itertools.combinations(
             list(itertools.combinations(range(6), 2)), 2
         ))
-        got = uncapped_placement_energy(batteries, placements)
+        got = uncapped_placement_energy(energy, volts, placements)
         for placement, value in zip(placements, got):
             lp, _ = max_deliverable_energy(
-                *wiring(batteries, placement, [math.inf] * len(placement))
+                energy, volts, placement, [math.inf] * len(placement)
             )
             assert value == pytest.approx(lp, rel=1e-12, abs=1e-12)
 
     def test_largest_supported_string(self):
-        batteries = tuple(
-            BatteryModule(float(c), 1.0) for c in np.linspace(1.0, 4.0, MAX_CUT_MODULES)
-        )
+        batteries = pack(*np.linspace(1.0, 4.0, MAX_CUT_MODULES))
         split = split_budget("cppp", MAX_CUT_MODULES, 0.1, 40.0, 1.0)
         string = wiring(batteries, split.pairs, split.caps_kwh)
         lp, _ = max_deliverable_energy(*string)
@@ -674,12 +689,12 @@ class TestCutForm:
         with pytest.raises(ValueError, match="subsets"):
             kernel_energy(*wiring(batteries))
         with pytest.raises(ValueError, match="subsets"):
-            uncapped_placement_energy(batteries, [((0, 1),)])
+            uncapped_placement_energy(*batteries, [((0, 1),)])
 
     def test_dedicated_converters_have_no_subset_limit(self):
         n = MAX_CUT_MODULES + 1
         split = split_budget("fpp", n, 0.75, 2.0 * n, 1.0)
-        assert sweep_energy([pack(*([2.0] * n))], [split]) == [[1.5 * n]]
+        assert sweep_energy([[2.0] * n], 1.0, [split]).tolist() == [[1.5 * n]]
 
     def test_invalid_network_rejected(self):
         # Both LPs check the wiring as the cut form does.
@@ -697,9 +712,9 @@ class TestCutForm:
 
     def test_invalid_placement_rejected(self):
         with pytest.raises(ValueError, match="distinct modules"):
-            uncapped_placement_energy(pack(1, 2, 3), [((0, 3),)])
+            uncapped_placement_energy(*pack(1, 2, 3), [((0, 3),)])
         with pytest.raises(ValueError, match="distinct modules"):
-            uncapped_placement_energy(pack(1, 2, 3), [((1, 1),)])
+            uncapped_placement_energy(*pack(1, 2, 3), [((1, 1),)])
 
 
 def _imported_modules(module: str) -> set[str]:

@@ -18,19 +18,18 @@ from besspp.metrics import (
     system_efficiency,
     utilization_stats,
 )
-from besspp.supply import BatteryModule
 
 
 class TestEnergyUtilization:
     """Delivered energy over the pack's usable energy, as the sweeps report it."""
 
     def test_from_total(self):
-        pack = tuple(BatteryModule(37.5, 50.0) for _ in range(9))
-        assert _utilization_rows([[270.0]], [pack]) == [[pytest.approx(0.8)]]
+        packs = np.full((1, 9), 37.5)
+        assert _utilization_rows([[270.0]], packs).tolist() == [[pytest.approx(0.8)]]
 
     def test_from_modules(self):
-        modules = (BatteryModule(3.0, 50.0), BatteryModule(5.0, 50.0))
-        assert _utilization_rows([[4.0]], [modules]) == [[0.5]]
+        packs = np.array([[3.0, 5.0], [1.0, 3.0]])
+        assert _utilization_rows([[4.0, 2.0]], packs).tolist() == [[0.5, 0.5]]
 
 
 class TestNormalizedRating:

@@ -537,7 +537,6 @@ class TestDrawArrivals:
                 st.floats(0.25, 4.0),
                 st.floats(1.0, 80.0),
                 st.floats(0.0, 60.0) | st.floats(200.0, 2000.0),
-                st.none() | st.floats(1.0, 200.0),
                 st.lists(st.integers(0, 2**128 - 1), max_size=4),
             ),
             max_size=4,
@@ -548,20 +547,20 @@ class TestDrawArrivals:
     def test_one_call_draws_every_key_like_the_reference(self, groups, horizon):
         _assert_draws_like_reference(
             [
-                (ArrivalModel(rate), DemandModel(mean, std, max_kwh), keys)
-                for rate, mean, std, max_kwh, keys in groups
+                (ArrivalModel(rate), DemandModel(mean, std), keys)
+                for rate, mean, std, keys in groups
             ],
             horizon,
         )
 
     def test_empty_streams_and_both_clamps(self):
         # Two hours at 0.5 EV/h leave some streams empty, and a spread fifty
-        # times the mean clamps demands at 0 and at the default 2 x mean; the
-        # second group clamps at a max_kwh of its own.
+        # times the mean clamps demands at 0 and at 2 x mean; the second
+        # group clamps at twice its own mean.
         table = _assert_draws_like_reference(
             [
                 (ArrivalModel(0.5), DemandModel(10.0, 500.0), range(20)),
-                (ArrivalModel(4.0), DemandModel(50.0, 5.0, 52.0), range(20, 30)),
+                (ArrivalModel(4.0), DemandModel(26.0, 30.0), range(20, 30)),
             ],
             2.0,
         )
@@ -612,7 +611,7 @@ class TestSharedStream:
                 ArrivalModel(rate)
         with pytest.raises(ValueError, match="std_kwh"):
             DemandModel(mean_kwh=50.0, std_kwh=math.nan)
-        with pytest.raises(ValueError, match="max_kwh"):
+        with pytest.raises(ValueError, match="2 x mean_kwh"):
             DemandModel(mean_kwh=1e308, std_kwh=1.0)  # 2 x mean overflows
         stream = _drawn(1.0, _demand(), 24.0, 1)
         with pytest.raises(ValueError, match="charger_max_kw"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,6 +9,8 @@ from besspp.architectures import ArchitectureKind
 from besspp.designer import MAX_PLACEMENTS
 from besspp.flows import MAX_CUT_MODULES
 from besspp.scenario import (
+    MAX_CELL_ARRIVALS,
+    MAX_PACKS,
     Scenario,
     ScenarioError,
     default_scenario,
@@ -221,3 +224,20 @@ class TestScenarioValidation:
         scenario = load_scenario(path)
         placements = math.comb(math.comb(scenario.n_modules, 2), scenario.n_layer1)
         assert placements == 7140 <= MAX_PLACEMENTS
+
+    def test_sample_counts_above_their_limits(self):
+        # Each limit names its field and admits 100x the default's counts,
+        # the 4,500-trajectory benchmark and a 30,000-trajectory ensemble.
+        base = default_scenario()
+        for n_trajectories in (100 * base.n_trajectories, 4_500, 30_000):
+            dataclasses.replace(base, n_trajectories=n_trajectories)
+        dataclasses.replace(base, n_packs=100 * base.n_packs)
+        dataclasses.replace(base, n_packs=MAX_PACKS)
+        with pytest.raises(ScenarioError, match=r"^n_packs must be <= 100,000"):
+            dataclasses.replace(base, n_packs=MAX_PACKS + 1)
+        # 30 demand cells at up to 2 arrivals an hour: 20,833 trajectories a
+        # cell expect 999,984 arrivals, 20,834 expect 1,000,032.
+        dataclasses.replace(base, n_trajectories=30 * 20_833)
+        with pytest.raises(ScenarioError, match=r"^n_trajectories: 20,834 traj"):
+            dataclasses.replace(base, n_trajectories=30 * 20_834)
+        assert 2.0 * 24 * 20_834 > MAX_CELL_ARRIVALS >= 2.0 * 24 * 20_833

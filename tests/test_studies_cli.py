@@ -36,9 +36,9 @@ from besspp.studies import (
     run_tradeoff,
     scenario_fingerprint,
 )
-from besspp.supply import _left_sum
 
 from plaza_oracle import reference_replay
+from test_flows import left_fold
 
 
 def small_doc() -> dict:
@@ -416,7 +416,7 @@ class TestRunEnsemble:
                 completed += [
                     (c, setup.pack_totals[pack]) for c in cycles if not c.truncated
                 ]
-                unmet.append(_left_sum(c.unmet_kwh for c in cycles))
+                unmet.append(left_fold(c.unmet_kwh for c in cycles))
                 dropped.append(day_dropped)
                 served.append(len(cycles))
             curtailed = [c.curtailed_h * 60.0 for c, _ in completed]
@@ -546,13 +546,17 @@ class TestCli:
             ("plaza.charger_max_kw", "NaN"),
             ("plaza.exemplar.arrival_rate_per_h", "Infinity"),
             ("plaza.exemplar.demand_std_kwh", "NaN"),
+            # Finite, but far beyond any run that could finish.
+            ("n_trajectories", "1e12"),
+            ("n_packs", "1000000000000"),
         ],
     )
     def test_non_finite_numbers_exit_1(self, field, value, tmp_path, monkeypatch):
         path = write_doc_with(tmp_path / "nonfinite.json", field, value)
 
         # The check must stop the run before any study starts: an infinite
-        # arrival rate would never finish drawing its stream.
+        # arrival rate would never finish drawing its stream, nor would 1e12
+        # trajectories.
         def no_study(*args, **kwargs):
             raise AssertionError("a study ran on a non-finite scenario")
 

@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besspp.designer import design_layer1
+
+from besspp.flows import _module_totals
 from besspp.supply import (
-    BatteryModule,
-    ExpectedSet,
     SupplyDistribution,
-    _left_sum,
     _philox,
     flatten_distribution,
-    sample_pack,
-    usable_energy,
+    sample_packs,
 )
+
+from test_flows import left_fold
 
 # Standard normal quartile; the n=4 flattening hits the +/-0.6745 sigma
 # quantiles exactly.
@@ -47,26 +48,28 @@ class TestSupplyDistribution:
 
 
 class TestUsableEnergy:
+    """A module's usable energy is its intrinsic energy times the depth of discharge."""
+
     def test_scales_by_depth_of_discharge(self):
-        assert usable_energy(40.0, 0.8) == pytest.approx(32.0)
+        expected = flatten_distribution(SupplyDistribution(40.0, 0.0, dod=0.8), 3)
+        assert expected.tolist() == pytest.approx([32.0] * 3)
 
     def test_full_depth__identity(self):
-        assert usable_energy(37.5, 1.0) == 37.5
+        expected = flatten_distribution(SupplyDistribution(37.5, 0.0), 3)
+        assert expected.tolist() == [37.5] * 3
 
 
 class TestFlatten:
     def test_two_modules_hit_the_quartiles(self):
         # Mid-quantiles of n=2 are 0.25 and 0.75.
         dist = SupplyDistribution(mean_kwh=40.0, std_kwh=10.0)
-        expected = flatten_distribution(dist, 2)
-        lo, hi = (b.capacity_kwh for b in expected.batteries)
+        lo, hi = flatten_distribution(dist, 2).tolist()
         assert lo == pytest.approx(40.0 - Z_75 * 10.0)
         assert hi == pytest.approx(40.0 + Z_75 * 10.0)
 
     def test_reference_nine_module_set(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        expected = flatten_distribution(dist, 9)
-        caps = [b.capacity_kwh for b in expected.batteries]
+        caps = flatten_distribution(dist, 9).tolist()
         assert caps[4] == pytest.approx(37.5)  # median module
         assert sum(caps) == pytest.approx(337.5)
         assert caps == sorted(caps)
@@ -81,13 +84,18 @@ class TestFlatten:
         derated = flatten_distribution(
             SupplyDistribution(mean_kwh=40.0, std_kwh=8.0, dod=0.8), 5
         )
-        for a, b in zip(full.batteries, derated.batteries):
-            assert b.capacity_kwh == pytest.approx(0.8 * a.capacity_kwh)
+        assert derated.tolist() == pytest.approx((0.8 * full).tolist())
 
     def test_voltage_carried_through(self):
+        # A pack holds energies alone; its modules' voltage is the supply's,
+        # which the designer wires the expected set with.
         dist = SupplyDistribution(mean_kwh=40.0, std_kwh=8.0, voltage_v=48.0)
         expected = flatten_distribution(dist, 3)
-        assert all(b.voltage_v == 48.0 for b in expected.batteries)
+        assert expected.shape == (3,) and expected.dtype == np.float64
+        design = design_layer1(expected, dist.voltage_v, 1, 1.0)
+        assert design.expected_output_kwh == pytest.approx(120.0)
+        with pytest.raises(ValueError, match="voltage_v"):
+            SupplyDistribution(mean_kwh=40.0, std_kwh=8.0, voltage_v=0.0)
 
     def test_rejects_single_module(self):
         with pytest.raises(ValueError):
@@ -101,8 +109,7 @@ class TestFlatten:
     @settings(max_examples=200)
     def test_flatten_properties(self, mean, het, n):
         dist = SupplyDistribution(mean_kwh=mean, std_kwh=het * mean)
-        expected = flatten_distribution(dist, n)
-        caps = [b.capacity_kwh for b in expected.batteries]
+        caps = flatten_distribution(dist, n).tolist()
         assert len(caps) == n
         assert all(c >= 0 for c in caps)
         assert caps == sorted(caps)
@@ -113,35 +120,33 @@ class TestFlatten:
 class TestSamplePack:
     def test_reproducible(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        a = sample_pack(dist, 9, seed=42)
-        b = sample_pack(dist, 9, seed=42)
-        assert a == b
+        a = sample_packs(dist, 9, [42, 7])
+        b = sample_packs(dist, 9, [42, 7])
+        assert a.shape == (2, 9) and a.dtype == np.float64
+        assert a.tolist() == b.tolist()
+        # A row depends on its key alone, not on the other keys.
+        assert sample_packs(dist, 9, [7]).tolist() == a[1:].tolist()
 
     def test_seed_changes_pack(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        assert sample_pack(dist, 9, seed=1) != sample_pack(dist, 9, seed=2)
+        one, two = sample_packs(dist, 9, [1, 2]).tolist()
+        assert one != two
 
     def test_sorted_and_nonnegative(self):
         dist = SupplyDistribution(mean_kwh=10.0, std_kwh=4.9)
-        for seed in range(25):
-            caps = [b.capacity_kwh for b in sample_pack(dist, 12, seed)]
+        for caps in sample_packs(dist, 12, range(25)).tolist():
             assert caps == sorted(caps)
             assert all(c >= 0 for c in caps)
 
     def test_dod_scales_samples(self):
-        full = sample_pack(SupplyDistribution(40.0, 8.0), 6, seed=7)
-        derated = sample_pack(SupplyDistribution(40.0, 8.0, dod=0.5), 6, seed=7)
-        for a, b in zip(full, derated):
-            assert b.capacity_kwh == pytest.approx(0.5 * a.capacity_kwh)
+        (full,) = sample_packs(SupplyDistribution(40.0, 8.0), 6, [7])
+        (derated,) = sample_packs(SupplyDistribution(40.0, 8.0, dod=0.5), 6, [7])
+        assert derated.tolist() == pytest.approx((0.5 * full).tolist())
 
     def test_sample_mean_approaches_distribution_mean(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        caps = [
-            b.capacity_kwh
-            for s in range(400)
-            for b in sample_pack(dist, 9, seed=s)
-        ]
-        assert np.mean(caps) == pytest.approx(37.5, rel=0.02)
+        packs = sample_packs(dist, 9, range(400))
+        assert np.mean(packs) == pytest.approx(37.5, rel=0.02)
 
 
 class TestRekeyedPhilox:
@@ -182,24 +187,30 @@ class TestRekeyedPhilox:
             assert rng.normal(33.0, 5.0) == fresh.normal(33.0, 5.0)
 
     def test_sample_pack_matches_a_fresh_generator(self):
-        dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        for seed in (0, 5, 2**127 + 3):
+        # Each row is one pack drawn as by its own fresh generator.
+        dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375, dod=0.8)
+        seeds = (0, 5, 2**127 + 3)
+        got = sample_packs(dist, 9, seeds).tolist()
+        for seed, row in zip(seeds, got):
             rng = np.random.Generator(np.random.Philox(key=seed))
             draws = dist.mean_kwh + dist.std_kwh * rng.standard_normal(9)
             caps = np.sort(np.clip(draws, 0.0, None)) * dist.dod
-            got = [b.capacity_kwh for b in sample_pack(dist, 9, seed)]
-            assert got == caps.tolist()
+            assert row == caps.tolist()
+        with pytest.raises(ValueError, match="128-bit"):
+            sample_packs(dist, 9, [-1])
 
     def test_threads_draw_independently(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         seeds = list(range(200))
-        expected = [sample_pack(dist, 9, s) for s in seeds]
+        expected = [sample_packs(dist, 9, [s]).tolist() for s in seeds]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads between re-key and draw
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
                 results = [
-                    pool.submit(lambda: [sample_pack(dist, 9, s) for s in seeds])
+                    pool.submit(
+                        lambda: [sample_packs(dist, 9, [s]).tolist() for s in seeds]
+                    )
                     for _ in range(4)
                 ]
                 got = [f.result(timeout=60) for f in results]
@@ -216,47 +227,35 @@ class TestRekeyedPhilox:
 
 
 class TestExpectedSet:
-    def test_requires_sorted_batteries(self):
-        modules = (BatteryModule(5.0, 50.0), BatteryModule(3.0, 50.0))
-        with pytest.raises(ValueError):
-            ExpectedSet(modules)
-
     def test_total(self):
-        modules = (BatteryModule(3.0, 50.0), BatteryModule(5.0, 50.0))
-        assert ExpectedSet(modules).total_kwh == pytest.approx(8.0)
-
-    def test_module_validation(self):
-        with pytest.raises(ValueError):
-            BatteryModule(-1.0, 50.0)
-        with pytest.raises(ValueError):
-            BatteryModule(10.0, 0.0)
-
-    def test_module_is_hashable(self):
-        assert hash(BatteryModule(3.0, 50.0)) == hash(BatteryModule(3.0, 50.0))
-
-    def test_nan_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            BatteryModule(math.nan, 50.0)
+        dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
+        expected = flatten_distribution(dist, 9)
+        assert _module_totals(expected).item() == left_fold(expected.tolist())
+        assert _module_totals(expected).item() == pytest.approx(337.5)
 
 
 class TestLeftSum:
-    """Float totals are folded left to right on every Python version."""
+    """Pack totals are folded left to right on every Python and numpy version."""
 
     def test_differs_from_a_compensated_sum(self):
-        # Python >= 3.12's builtin sum is compensated and reads 1.0 here.
+        # Python >= 3.12's builtin sum is compensated and reads 1.0 here;
+        # ndarray.sum of the second row reads 1.0 too under numpy 2.
         assert math.fsum([1e16, 1.0, -1e16]) == 1.0
-        assert _left_sum([1e16, 1.0, -1e16]) == 0.0
+        rows = np.array([[1e16, 1.0, -1e16] + [0.0] * 7, [0.1] * 10])
+        assert _module_totals(rows).tolist() == [0.0, 0.9999999999999999]
         assert math.fsum([0.1] * 10) == 1.0
-        assert _left_sum([0.1] * 10) == 0.9999999999999999
-        assert _left_sum(iter([0.5, 0.25])) == 0.75
+        # Every pack of a sample is its row's scalar fold, bit for bit.
+        packs = sample_packs(SupplyDistribution(37.5, 9.375), 9, range(100))
+        totals = [left_fold(row) for row in packs.tolist()]
+        assert _module_totals(packs).tolist() == totals
 
     def test_empty_and_signed_zero(self):
-        assert repr(_left_sum([])) == "0.0"
-        assert repr(_left_sum([-0.0])) == "0.0"
+        assert _module_totals(np.empty((2, 0))).tolist() == [0.0, 0.0]
+        assert repr(_module_totals(np.array([[-0.0]])).item()) == "0.0"
 
     def test_no_builtin_sum_in_the_package(self):
         # The builtin sum of floats rounds differently from Python 3.12 on;
-        # the package folds with ``_left_sum`` instead.
+        # the package folds pack totals with ``flows._module_totals`` instead.
         root = Path(sys.modules["besspp"].__file__).parent
         calls = [
             f"{path.name}:{node.lineno}"
