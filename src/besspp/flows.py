@@ -46,9 +46,13 @@ the same pair); its caps then add.
 
 The package evaluates each quantity one way: deliverable energy by the cut
 form, and flows by the simplex, where :func:`min_peak_flow` fixes the
-designed converter flows.  The LP above survives only as the tests'
-reference (``tests/lp_reference.py``), which criterion 4 checks against
-vertex enumeration and the cut-form tests check the kernels against.
+designed converter flows in two passes.  One builder, ``_flow_rows``,
+writes the rows both share (per edge ``f+ + f- + w_k``, per module the net
+outflow plus a slack against its energy minus its string energy); the
+peak pass puts its ``t`` column in front of them.  The LP above survives
+only as the tests' reference (``tests/lp_reference.py``), which criterion 4
+checks against vertex enumeration and the cut-form tests check the kernels
+against.
 """
 
 from __future__ import annotations
@@ -263,7 +267,10 @@ def min_peak_flow(
     by the required output; the LP chooses edge flows, positive from ``i``
     to ``j``.  A first pass minimizes the peak ``max_e |f_e|`` and a second
     pass minimizes total moved energy at that peak, which pins the flow
-    vector for reporting and rating purposes.  Returns the edge flows.
+    vector for reporting and rating purposes.  Both passes take their edge
+    and module rows from one builder, ``_flow_rows``; each adds only its
+    own column (the peak ``t``), bounds, right-hand side and objective.
+    Returns the edge flows.
     """
     energy = np.asarray(energy_kwh, dtype=float)
     volts = np.asarray(volts_v, dtype=float)
@@ -284,9 +291,49 @@ def min_peak_flow(
             )
         return ()
 
-    peak = _solve_peak_pass(pairs, caps, string, energy)
-    flows = _solve_movement_pass(pairs, caps, string, energy, peak)
-    return tuple(float(v) for v in flows)
+    n_edges, room = len(pairs), energy - string
+    try:
+        # Pass 1, columns [t, flows...]: f+ + f- - t + w_k = 0, f <= cap.
+        a, b, lower, upper = _flow_rows(pairs, room, 1)
+        a[:n_edges, 0] = -1.0
+        upper[1 : 1 + 2 * n_edges] = np.repeat(caps, 2)
+        c = np.zeros(len(lower))
+        c[0] = -1.0  # minimize the peak
+        peak = float(solve_bounded_lp(BoundedLp(c, a, b, lower, upper)).x[0])
+
+        # Pass 2: f+ + f- + w_k = min(cap, peak).
+        a, b, lower, upper = _flow_rows(pairs, room, 0)
+        b[:n_edges] = np.minimum(caps, peak * (1 + 1e-9) + 1e-12)
+        c = np.zeros(len(lower))
+        c[: 2 * n_edges] = -1.0  # minimize total moved energy
+        split = solve_bounded_lp(BoundedLp(c, a, b, lower, upper)).x[: 2 * n_edges]
+    except LpInfeasible as exc:
+        raise InfeasibleFlowError(
+            "required output exceeds the deliverable energy of this string"
+        ) from exc
+    return tuple(float(v) for v in split[0::2] - split[1::2])
+
+
+def _flow_rows(pairs, room: np.ndarray, lead: int):
+    """Rows, right-hand side and bounds that both min-peak passes share.
+
+    Columns: ``lead`` columns left to the caller, then each edge's split
+    flows ``f+, f-`` (positive from ``i`` to ``j``), one slack ``w_k`` per
+    edge and one per module, all in ``[0, inf)``.  Rows: ``f+ + f- + w_k``
+    per edge with right-hand side 0, then each module's net outflow plus its
+    slack with right-hand side ``room``, the module's energy minus its
+    string energy.  Returns ``(a, b, lower, upper)``.
+    """
+    n_edges, n = len(pairs), len(room)
+    a = np.zeros((n_edges + n, lead + 3 * n_edges + n))
+    for k, (i, j) in enumerate(pairs):
+        f = lead + 2 * k
+        a[k, f] = a[k, f + 1] = a[k, lead + 2 * n_edges + k] = 1.0
+        a[n_edges + i, f] = a[n_edges + j, f + 1] = 1.0
+        a[n_edges + j, f] = a[n_edges + i, f + 1] = -1.0
+    a[n_edges:, lead + 3 * n_edges :] = np.eye(n)
+    b = np.concatenate([np.zeros(n_edges), room])
+    return a, b, np.zeros(a.shape[1]), np.full(a.shape[1], np.inf)
 
 
 def fpp_deliverable(energy_kwh, caps_kwh) -> np.ndarray:
@@ -320,84 +367,3 @@ def _module_totals(energy: np.ndarray) -> np.ndarray:
     for j in range(energy.shape[-1]):
         total += energy[..., j]
     return total
-
-
-def _split_flow_rows(pairs, string: np.ndarray, energy: np.ndarray):
-    """Module rows over split flow variables ``f+ - f-`` with slacks."""
-    n = len(string)
-    n_edges = len(pairs)
-    a = np.zeros((n, 2 * n_edges))
-    for k, (i, j) in enumerate(pairs):
-        a[i, 2 * k] = 1.0
-        a[j, 2 * k] = -1.0
-        a[i, 2 * k + 1] = -1.0
-        a[j, 2 * k + 1] = 1.0
-    return a, energy - string
-
-
-def _solve_peak_pass(
-    pairs, caps: np.ndarray, string: np.ndarray, energy: np.ndarray
-) -> float:
-    n, n_edges = len(string), len(pairs)
-    flow_rows, room = _split_flow_rows(pairs, string, energy)
-    # Columns: [t, f+-, pair slacks, module slacks].
-    n_vars = 1 + 2 * n_edges + n_edges + n
-    a = np.zeros((n_edges + n, n_vars))
-    b = np.zeros(n_edges + n)
-    for k in range(n_edges):  # f+ + f- - t + w_k = 0
-        a[k, 1 + 2 * k] = 1.0
-        a[k, 1 + 2 * k + 1] = 1.0
-        a[k, 0] = -1.0
-        a[k, 1 + 2 * n_edges + k] = 1.0
-    a[n_edges:, 1 : 1 + 2 * n_edges] = flow_rows
-    a[n_edges:, 1 + 2 * n_edges + n_edges :] = np.eye(n)
-    b[n_edges:] = room
-
-    lower = np.zeros(n_vars)
-    upper = np.full(n_vars, np.inf)
-    upper[1 : 1 + 2 * n_edges] = np.repeat(caps, 2)
-
-    c = np.zeros(n_vars)
-    c[0] = -1.0  # minimize the peak
-    try:
-        sol = solve_bounded_lp(BoundedLp(c, a, b, lower, upper))
-    except LpInfeasible as exc:
-        raise InfeasibleFlowError(
-            "required output exceeds the deliverable energy of this string"
-        ) from exc
-    return float(sol.x[0])
-
-
-def _solve_movement_pass(
-    pairs,
-    caps: np.ndarray,
-    string: np.ndarray,
-    energy: np.ndarray,
-    peak: float,
-) -> np.ndarray:
-    n, n_edges = len(string), len(pairs)
-    flow_rows, room = _split_flow_rows(pairs, string, energy)
-    peak_bound = peak * (1 + 1e-9) + 1e-12
-    # Columns: [f+-, pair slacks, module slacks].
-    n_vars = 2 * n_edges + n_edges + n
-    a = np.zeros((n_edges + n, n_vars))
-    b = np.zeros(n_edges + n)
-    for k in range(n_edges):  # f+ + f- + w_k = min(cap, peak)
-        a[k, 2 * k] = 1.0
-        a[k, 2 * k + 1] = 1.0
-        a[k, 2 * n_edges + k] = 1.0
-    b[:n_edges] = np.minimum(caps, peak_bound)
-    a[n_edges:, : 2 * n_edges] = flow_rows
-    a[n_edges:, 2 * n_edges + n_edges :] = np.eye(n)
-    b[n_edges:] = room
-
-    lower = np.zeros(n_vars)
-    upper = np.full(n_vars, np.inf)
-    c = np.zeros(n_vars)
-    c[: 2 * n_edges] = -1.0  # minimize total moved energy
-    try:
-        sol = solve_bounded_lp(BoundedLp(c, a, b, lower, upper))
-    except LpInfeasible as exc:  # pragma: no cover - pass 1 already succeeded
-        raise InfeasibleFlowError("movement pass infeasible") from exc
-    split = sol.x[: 2 * n_edges]
-    return split[0::2] - split[1::2]

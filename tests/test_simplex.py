@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +160,17 @@ class TestHandLps:
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):
             BoundedLp([1.0], [[1.0]], [1.0], [2.0], [1.0])
+
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf])
+    def test_rejects_a_variable_fixed_at_an_infinite_bound(self, bound):
+        # Such a variable has no finite value; it is refused at construction,
+        # before any solver arithmetic can warn on inf - inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infinite bound"):
+                BoundedLp([1.0], np.zeros((0, 1)), [], [bound], [bound])
+            with pytest.raises(ValueError, match="infinite bound"):
+                BoundedLp([0.0, 0.0], [[1.0, 1.0]], [1.0], [0.0, bound], [1.0, bound])
 
 
 def _random_lp(rng: np.random.Generator) -> BoundedLp:

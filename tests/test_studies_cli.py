@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import besspp.studies
+from besspp import flows
 from besspp.cli import main
 from besspp.designer import derive_seed
 from besspp.plaza import ArrivalModel, DemandModel, draw_arrivals
@@ -179,6 +180,25 @@ def test_study_outputs_keep_their_pinned_bytes(small_scenario, tmp_path, study):
         assert main([study, "--scenario", str(path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == PINNED_OUTPUTS[study][name], name
+
+
+@pytest.mark.parametrize("name", ["small", "default"])
+def test_layer1_rating_keeps_its_pinned_pivots(small_scenario, tmp_path, monkeypatch, name):
+    # The winner's two min-peak passes take these simplex iteration counts.
+    # A change to the pivot rule moves them even where the vertex, and so
+    # every artifact byte, stays put.
+    path = small_scenario[0] if name == "small" else DEFAULT_SCENARIO
+    iterations = []
+    solve = flows.solve_bounded_lp
+
+    def counting(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        iterations.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(flows, "solve_bounded_lp", counting)
+    run_design(load_scenario(path), tmp_path / "design")
+    assert iterations == [13, 17]
 
 
 class TestRunDesign:
@@ -852,6 +872,17 @@ class TestStartup:
     def test_cli_sets_single_blas_thread_unless_preset(self, preset, expected):
         code = "import os, besspp.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert run_python(code, env={"OPENBLAS_NUM_THREADS": preset}) == expected
+
+    def test_start_up_loads_no_numpy_random(self):
+        # The Philox generators are made on first draw: numpy.random costs
+        # about 15-25 ms and 6 MB that start-up should not pay.
+        code = (
+            "import sys, besspp.cli\n"
+            "from besspp.scenario import load_scenario\n"
+            "load_scenario(sys.argv[1])\n"
+            "print('numpy.random' in sys.modules)"
+        )
+        assert run_python(code, str(DEFAULT_SCENARIO)) == "False"
 
     def test_one_worker_study_never_imports_the_pool(self, small_scenario, tmp_path):
         path, _ = small_scenario
