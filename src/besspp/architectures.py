@@ -20,9 +20,11 @@ hardware is identical across Monte Carlo packs: ``budget_basis_kwh`` pins
 that reference when sampled packs are evaluated.  :func:`split_budget` (and
 :func:`split_lambda` for the frozen-layer-1 ladder sweep) is the only code
 that maps a kind to its wiring and caps; the :class:`BudgetSplit` it
-returns carries both.  The sweeps and the LPs take its pairs and caps as
-they are, and fpp takes the closed form
-:func:`~besspp.flows.fpp_deliverable`.
+returns carries both, with the normalized rating ``R`` it spends over that
+basis.  A list of splits is a sweep: :func:`~besspp.designer.sweep_rows`
+writes one table row per split from its kind, ``R`` and ``lambda_h``.  The
+sweeps and the LPs take its pairs and caps as they are, and fpp takes the
+closed form :func:`~besspp.flows.fpp_deliverable`.
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ class BudgetSplit:
     layer first and then the adjacent ladder; fpp has none.  ``caps_kwh``
     holds one energy cap per converter in the same order: one per edge for
     the string families, one per module for fpp.  ``rung_kwh`` is the cap
-    of one ladder rung (for fpp, of one module's converter) and
+    of one ladder rung (for fpp, of one module's converter).  ``rating_r``
+    is the normalized rating the split spends, the R of its sweep row, and
     ``lambda_h`` the ladder-to-layer-1 aggregate ratio (NaN outside
     lshippp).
     """
@@ -145,6 +148,7 @@ class BudgetSplit:
     pairs: tuple[tuple[int, int], ...]
     caps_kwh: tuple[float, ...]
     rung_kwh: float
+    rating_r: float
     lambda_h: float
 
 
@@ -176,11 +180,12 @@ def split_budget(
     budget = rating_r * budget_basis_kwh
     if kind is ArchitectureKind.FPP:
         cap = budget / n_modules
-        return BudgetSplit(kind, (), (cap,) * n_modules, cap, math.nan)
+        return BudgetSplit(kind, (), (cap,) * n_modules, cap, rating_r, math.nan)
     ladder = _ladder(n_modules)
     if kind is ArchitectureKind.CPPP:
         cap = budget / (n_modules - 1)
-        return BudgetSplit(kind, ladder, (cap,) * (n_modules - 1), cap, math.nan)
+        caps = (cap,) * (n_modules - 1)
+        return BudgetSplit(kind, ladder, caps, cap, rating_r, math.nan)
     m = len(layer1.edges)
     design_point = layer1_aggregate_kwh(layer1, horizon_h)
     if budget <= design_point:
@@ -192,15 +197,20 @@ def split_budget(
         lambda_h = (budget - design_point) / design_point
         cap2 = (budget - design_point) / (n_modules - 1)
     caps = (cap1,) * m + (cap2,) * (n_modules - 1)
-    return BudgetSplit(kind, tuple(layer1.edges) + ladder, caps, cap2, lambda_h)
+    pairs = tuple(layer1.edges) + ladder
+    return BudgetSplit(kind, pairs, caps, cap2, rating_r, lambda_h)
 
 
-def split_lambda(layer1: "Layer1Design", lambda_h: float) -> BudgetSplit:
+def split_lambda(
+    layer1: "Layer1Design", lambda_h: float, budget_basis_kwh: float
+) -> BudgetSplit:
     """lshippp with layer 1 capped at its designed duty and a ``lambda_h`` ladder.
 
     Each layer-1 edge is capped at the magnitude of its designed optimal
     flow, so no pack can work it past that duty; the ladder splits
     ``lambda_h`` times the layer-1 aggregate evenly over its N-1 rungs.
+    The rating it reports is the layer-1 aggregate at its procured rating
+    plus the ladder, over ``budget_basis_kwh``.
     """
     if lambda_h < 0:
         raise ConfigurationError("lambda_h must be >= 0")
@@ -213,6 +223,7 @@ def split_lambda(layer1: "Layer1Design", lambda_h: float) -> BudgetSplit:
         tuple(layer1.edges) + _ladder(n),
         duty + (rung,) * (n - 1),
         rung,
+        (1 + lambda_h) * aggregate / budget_basis_kwh,
         lambda_h,
     )
 

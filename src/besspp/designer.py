@@ -15,17 +15,19 @@ discharge horizon.
 
 Layer 2 sizing is Monte Carlo: with layer-1 flows capped at their designed
 optima, sweep the ladder-to-layer-1 aggregate ratio ``lambda_h`` and record
-the utilization distribution over sampled packs.
-
-``tradeoff_curve`` evaluates any architecture family on a grid of total
-normalized ratings ``R`` with common random packs, so curves for different
-families are directly comparable.  Packs are (packs x n) matrices of
-module energies from :func:`~besspp.supply.sample_packs`, drawn once by the
-caller for any number of curves.  Both sweeps take each point's converter
-caps from the budget split of :mod:`besspp.architectures` and evaluate
-every point x pack in one :func:`sweep_energy` call, which reads the
-wiring from the splits: one cut-form kernel call for the string families,
-one array pass of the closed form for fpp, and no network per pack.
+the utilization distribution over sampled packs.  The budget tradeoff
+evaluates any architecture family on a grid of total normalized ratings
+``R``.  Both are lists of budget splits from :mod:`besspp.architectures`
+(:func:`~besspp.architectures.split_lambda` per ``lambda_h``,
+:func:`~besspp.architectures.split_budget` per kind and ``R``), and each
+split states the ``R`` it spends.  :func:`sweep_rows` turns one list of
+splits into :data:`TRADEOFF_HEADER` rows: every split x pack in one
+:func:`sweep_energy` call, which reads the wiring from the splits (one
+cut-form kernel call for the string families, one array pass of the
+closed form for fpp, and no network per pack), then the utilization
+statistics of each split.  Packs are (packs x n) matrices of module
+energies from :func:`~besspp.supply.sample_packs`, drawn once by the
+caller, so every row of a study shares its random numbers.
 """
 
 from __future__ import annotations
@@ -37,13 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from besspp.architectures import (
-    ArchitectureKind,
-    BudgetSplit,
-    layer1_aggregate_kwh,
-    split_budget,
-    split_lambda,
-)
+from besspp.architectures import BudgetSplit
 from besspp.flows import (
     _module_totals,
     cut_form_energy,
@@ -53,17 +49,15 @@ from besspp.flows import (
     uncapped_placement_energy,
 )
 from besspp.metrics import utilization_stats
-from besspp.supply import SupplyDistribution, flatten_distribution
 
 __all__ = [
     "Layer1Design",
-    "TradeoffPoint",
     "MAX_PLACEMENTS",
+    "TRADEOFF_HEADER",
     "enumerate_placements",
     "check_placement_limit",
     "design_layer1",
-    "design_layer2",
-    "tradeoff_curve",
+    "sweep_rows",
     "sweep_energy",
     "default_lambda_grid",
 ]
@@ -76,6 +70,19 @@ _TIE_RTOL = 1e-9
 # modules with 3 search 280,840, and with 4 already 8.2 million, so larger
 # searches are refused rather than left to run for hours.
 MAX_PLACEMENTS = 10**6
+
+# Columns of a sweep row: the split's kind, R and lambda_h, then the
+# utilization statistics in the order of metrics.utilization_stats.
+TRADEOFF_HEADER = (
+    "kind",
+    "R",
+    "lambda_h",
+    "util_mean",
+    "util_std",
+    "util_idr",
+    "util_p10",
+    "util_p90",
+)
 
 
 @dataclass(frozen=True)
@@ -93,20 +100,6 @@ class Layer1Design:
     rating_kw: float
     expected_output_kwh: float
     horizon_h: float
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """Utilization statistics of one architecture at one budget point."""
-
-    kind: str
-    rating_r: float
-    lambda_h: float
-    utilization_mean: float
-    utilization_std: float
-    utilization_idr: float
-    utilization_p10: float
-    utilization_p90: float
 
 
 def enumerate_placements(n_batteries: int, n_edges: int) -> np.ndarray:
@@ -220,83 +213,28 @@ def _tie_set(outputs: np.ndarray) -> tuple[float, np.ndarray]:
     return best, np.concatenate([[last], later])
 
 
-def default_lambda_grid(n_points: int = 20) -> list[float]:
-    """Zero plus ``n_points`` log-spaced ladder-to-layer-1 ratios in [0.05, 5]."""
-    grid = np.logspace(math.log10(0.05), math.log10(5.0), n_points)
+def default_lambda_grid() -> list[float]:
+    """Zero plus 20 log-spaced ladder-to-layer-1 ratios in [0.05, 5]."""
+    grid = np.logspace(math.log10(0.05), math.log10(5.0), 20)
     return [0.0] + [float(v) for v in grid]
 
 
-def design_layer2(
-    layer1: Layer1Design,
-    dist: SupplyDistribution,
-    lambda_grid: list[float],
-    packs: np.ndarray,
-) -> list[TradeoffPoint]:
-    """Sweep the adjacent-ladder ratio with layer-1 flows frozen at design.
+def sweep_rows(
+    packs: np.ndarray, voltage_v: float, splits: list[BudgetSplit]
+) -> list[tuple]:
+    """One :data:`TRADEOFF_HEADER` row per split, over every pack.
 
-    Every ``lambda_h`` is evaluated on the same (packs x n) ``packs`` of
-    ``dist`` (common random numbers).  Layer-1 edge caps are the per-edge
-    designed flow magnitudes, so no sampled pack can work a layer-1
-    converter past its designed duty.
+    A row is the split's kind, ``rating_r`` and ``lambda_h``, then the
+    :func:`~besspp.metrics.utilization_stats` of its deliverable energy
+    (:func:`sweep_energy`) over each pack's total.  Every split is
+    evaluated on the same packs, so rows of one call share their random
+    numbers.
     """
-    if not lambda_grid:
-        raise ValueError("lambda_grid must be nonempty")
-    if any(lam < 0 for lam in lambda_grid):
-        raise ValueError("lambda_h values must be >= 0")
-    expected_total = _module_totals(
-        flatten_distribution(dist, layer1.n_batteries)
-    ).item()
-
-    aggregate = layer1_aggregate_kwh(layer1, layer1.horizon_h)
-    splits = [split_lambda(layer1, lam) for lam in lambda_grid]
-    utils = _utilization_rows(sweep_energy(packs, dist.voltage_v, splits), packs)
+    packs = np.asarray(packs, dtype=float)
+    utils = sweep_energy(packs, voltage_v, splits) / _module_totals(packs)
     return [
-        _make_point(
-            kind=ArchitectureKind.LSHIPPP.value,
-            rating_r=(1 + lam) * aggregate / expected_total,
-            lambda_h=lam,
-            utils=row,
-        )
-        for lam, row in zip(lambda_grid, utils)
-    ]
-
-
-def tradeoff_curve(
-    kind: ArchitectureKind | str,
-    dist: SupplyDistribution,
-    r_grid: list[float],
-    packs: np.ndarray,
-    *,
-    horizon_h: float,
-    layer1: Layer1Design | None = None,
-) -> list[TradeoffPoint]:
-    """Utilization distribution versus total normalized rating ``R``.
-
-    Every grid point is evaluated on the same (packs x n) ``packs`` of
-    ``dist`` (from :func:`~besspp.supply.sample_packs`), and a caller drawing
-    several families passes the same packs to each, so curves share their
-    random numbers.  Converter
-    caps are sized from the expected pack of ``dist`` with the packs' module
-    count, i.e. hardware is procured once and applied to every sampled pack.
-    The discharge horizon scales the energy caps and the layer-1 rating
-    consistently.  lshippp needs its ``layer1`` design; the other kinds
-    ignore it.
-    """
-    kind = ArchitectureKind(kind)
-    if not r_grid:
-        raise ValueError("r_grid must be nonempty")
-    if any(r < 0 for r in r_grid):
-        raise ValueError("rating values must be >= 0")
-    n_modules = packs.shape[1]
-    expected_total = _module_totals(flatten_distribution(dist, n_modules)).item()
-    splits = [
-        split_budget(kind, n_modules, r, expected_total, horizon_h, layer1)
-        for r in r_grid
-    ]
-    utils = _utilization_rows(sweep_energy(packs, dist.voltage_v, splits), packs)
-    return [
-        _make_point(kind.value, float(r), split.lambda_h, row)
-        for r, split, row in zip(r_grid, splits, utils)
+        (split.kind.value, float(split.rating_r), float(split.lambda_h), *stats)
+        for split, stats in zip(splits, map(utilization_stats, utils))
     ]
 
 
@@ -351,16 +289,3 @@ def derive_seeds(master: int, *parts: object, indices: range) -> list[int]:
         digest.update(str(i).encode("utf-8"))
         keys.append(int.from_bytes(digest.digest()[:16], "little"))
     return keys
-
-
-def _utilization_rows(outputs: np.ndarray, packs: np.ndarray) -> np.ndarray:
-    """Each row's deliverable energies over the (packs x n) packs' totals."""
-    return outputs / _module_totals(packs)
-
-
-def _make_point(
-    kind: str, rating_r: float, lambda_h: float, utils: list[float]
-) -> TradeoffPoint:
-    return TradeoffPoint(
-        kind, float(rating_r), float(lambda_h), *utilization_stats(utils)
-    )

@@ -175,7 +175,8 @@ class Arrivals:
     arrays (sequences are converted, buffers are not copied), and the
     lengths are integers that sum to their size.  :func:`replay_lanes`
     searches a stream by time, so its times must be numbers that never
-    decrease; they may fall from one stream to the next.
+    decrease; they may fall from one stream to the next.  Every demand must
+    be a finite number >= 0, as the replay serves it.
     """
 
     times_h: np.ndarray
@@ -203,6 +204,8 @@ class Arrivals:
             raise ValueError(
                 "arrival times must be numbers that never decrease within a stream"
             )
+        if not ((demands >= 0) & (demands < math.inf)).all():
+            raise ValueError("arrival demands must be finite and >= 0")
         object.__setattr__(self, "times_h", times)
         object.__setattr__(self, "demands_kwh", demands)
         object.__setattr__(self, "lengths", lengths)

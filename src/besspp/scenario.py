@@ -192,8 +192,11 @@ class Scenario:
             problems.append("r_grid values must be nonnegative")
         if any(v < 0 for v in self.lambda_grid):
             problems.append("lambda_grid values must be nonnegative")
-        if self.n_packs < 1:
-            problems.append("n_packs must be >= 1")
+        if self.n_packs < 2:
+            problems.append(
+                "n_packs must be >= 2: derating is a three-sigma statistic "
+                "over the packs, and one pack has no spread"
+            )
         if self.n_packs > MAX_PACKS:
             problems.append(
                 f"n_packs must be <= {MAX_PACKS:,}, got {self.n_packs:,}"

@@ -26,14 +26,14 @@ from pathlib import Path
 import numpy as np
 
 import besspp
-from besspp.architectures import split_budget
+from besspp.architectures import split_budget, split_lambda
 from besspp.designer import (
+    TRADEOFF_HEADER,
     derive_seed,
     derive_seeds,
     design_layer1,
-    design_layer2,
     sweep_energy,
-    tradeoff_curve,
+    sweep_rows,
 )
 from besspp.flows import _module_totals
 from besspp.metrics import (
@@ -71,16 +71,6 @@ __all__ = [
     "run_ensemble",
 ]
 
-TRADEOFF_HEADER = (
-    "kind",
-    "R",
-    "lambda_h",
-    "util_mean",
-    "util_std",
-    "util_idr",
-    "util_p10",
-    "util_p90",
-)
 TRAJECTORY_HEADER = ("t", "p_grid", "p_bess", "e_bess", "p_ev")
 MINUTES_PER_HOUR = 60
 
@@ -220,15 +210,14 @@ def run_design(
 
     with timer.stage("sweep"):
         packs = _sweep_packs(scenario, "design-packs")
-        points = design_layer2(layer1, supply, list(scenario.lambda_grid), packs)
+        splits = [
+            split_lambda(layer1, lam, expected_total) for lam in scenario.lambda_grid
+        ]
+        rows = sweep_rows(packs, supply.voltage_v, splits)
 
     with timer.stage("writes"):
         _write_json(out_dir / "design.json", design_doc)
-        _write_csv(
-            out_dir / "lambda_sweep.csv",
-            TRADEOFF_HEADER,
-            [_point_row(p) for p in points],
-        )
+        _write_csv(out_dir / "lambda_sweep.csv", TRADEOFF_HEADER, rows)
         files = ["design.json", "lambda_sweep.csv"]
         return _finish("design", scenario, out_dir, files)
 
@@ -241,19 +230,6 @@ def _sweep_packs(scenario: Scenario, label: str) -> np.ndarray:
     seed = derive_seed(scenario.seed, label)
     keys = derive_seeds(seed, "pack", indices=range(scenario.n_packs))
     return sample_packs(scenario.supply, scenario.n_modules, keys)
-
-
-def _point_row(point) -> tuple:
-    return (
-        point.kind,
-        point.rating_r,
-        point.lambda_h,
-        point.utilization_mean,
-        point.utilization_std,
-        point.utilization_idr,
-        point.utilization_p10,
-        point.utilization_p90,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +257,17 @@ def run_tradeoff(
     for config in scenario.architectures:
         if config.kind not in kinds:
             kinds.append(config.kind)
+    n = scenario.n_modules
+    expected_total = _module_totals(expected).item()
     rows: list[tuple] = []
     with timer.stage("sweep"):
         packs = _sweep_packs(scenario, "tradeoff-packs")
         for kind in kinds:
-            points = tradeoff_curve(
-                kind,
-                supply,
-                list(scenario.r_grid),
-                packs,
-                horizon_h=horizon,
-                layer1=layer1,
-            )
-            rows.extend(_point_row(p) for p in points)
+            splits = [
+                split_budget(kind, n, r, expected_total, horizon, layer1)
+                for r in scenario.r_grid
+            ]
+            rows.extend(sweep_rows(packs, supply.voltage_v, splits))
     with timer.stage("writes"):
         _write_csv(out_dir / "tradeoff.csv", TRADEOFF_HEADER, rows)
         return _finish("tradeoff", scenario, out_dir, ["tradeoff.csv"])

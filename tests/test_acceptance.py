@@ -23,13 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besspp.architectures import ArchitectureKind, BudgetSplit, layer1_aggregate_kwh
+from besspp.architectures import (
+    ArchitectureKind,
+    BudgetSplit,
+    layer1_aggregate_kwh,
+    split_budget,
+)
 from besspp.cli import main
 from besspp.designer import (
+    TRADEOFF_HEADER,
     derive_seed,
     design_layer1,
     enumerate_placements,
-    tradeoff_curve,
+    sweep_rows,
 )
 from besspp.flows import (
     cut_form_energy,
@@ -53,7 +59,14 @@ from besspp.supply import flatten_distribution, sample_packs
 
 from lp_reference import max_deliverable_energy
 from plaza_oracle import lane_cycles
-from test_flows import extraction, pack, random_string, vertex_oracle, wiring
+from test_flows import (
+    extraction,
+    left_fold,
+    pack,
+    random_string,
+    vertex_oracle,
+    wiring,
+)
 
 TOL = 1e-8
 
@@ -82,20 +95,20 @@ def tradeoff_points():
     keys = [derive_seed(scenario.seed, "tradeoff-packs", i) for i in range(100)]
     packs = sample_packs(supply, scenario.n_modules, keys)
     expected = flatten_distribution(supply, scenario.n_modules)
-    layer1 = design_layer1(
-        expected, supply.voltage_v, scenario.n_layer1, scenario.design_horizon_h
-    )
+    horizon = scenario.design_horizon_h
+    layer1 = design_layer1(expected, supply.voltage_v, scenario.n_layer1, horizon)
+    basis = left_fold(expected.tolist())
     curves = {}
     for kind in ("lshippp", "cppp", "fpp"):
-        points = tradeoff_curve(
-            kind,
-            scenario.supply,
-            list(R_GRID),
-            packs,
-            horizon_h=scenario.design_horizon_h,
-            layer1=layer1,
-        )
-        curves[kind] = {round(p.rating_r, 6): p for p in points}
+        splits = [
+            split_budget(kind, scenario.n_modules, r, basis, horizon, layer1)
+            for r in R_GRID
+        ]
+        rows = [
+            dict(zip(TRADEOFF_HEADER, row))
+            for row in sweep_rows(packs, supply.voltage_v, splits)
+        ]
+        curves[kind] = {round(row["R"], 6): row for row in rows}
     return curves
 
 
@@ -129,9 +142,9 @@ def exemplar_ensemble(tmp_path_factory):
 
 def test_criterion_1_headline_utilization(tradeoff_points):
     with criterion(1, "headline utilization at R=0.2"):
-        ls = tradeoff_points["lshippp"][0.2].utilization_mean
-        c = tradeoff_points["cppp"][0.2].utilization_mean
-        f = tradeoff_points["fpp"][0.2].utilization_mean
+        ls = tradeoff_points["lshippp"][0.2]["util_mean"]
+        c = tradeoff_points["cppp"][0.2]["util_mean"]
+        f = tradeoff_points["fpp"][0.2]["util_mean"]
         assert ls >= 0.90, f"sparse-hierarchical mean {ls:.4f} < 0.90"
         assert 0.70 <= c <= 0.85, f"adjacent-ladder mean {c:.4f} outside band"
         assert 0.18 <= f <= 0.28, f"dedicated mean {f:.4f} outside band"
@@ -144,9 +157,9 @@ def test_criterion_1_headline_utilization(tradeoff_points):
 def test_criterion_2_dominance_ordering(tradeoff_points):
     with criterion(2, "utilization dominance over R sweep"):
         for r in R_GRID:
-            ls = tradeoff_points["lshippp"][r].utilization_mean
-            c = tradeoff_points["cppp"][r].utilization_mean
-            f = tradeoff_points["fpp"][r].utilization_mean
+            ls = tradeoff_points["lshippp"][r]["util_mean"]
+            c = tradeoff_points["cppp"][r]["util_mean"]
+            f = tradeoff_points["fpp"][r]["util_mean"]
             assert ls >= c - 1e-12, f"R={r}: {ls:.4f} < {c:.4f}"
             assert c >= f - 1e-12, f"R={r}: {c:.4f} < {f:.4f}"
             if r <= 0.3:
@@ -295,12 +308,14 @@ def prop_sparse_layer_flows_within_ratings(pack_seed, lambda_h):
     modules = pack(*energy, voltage=supply.voltage_v)
     n = len(energy)
     # Layer 1 at its procured rating, a lambda_h ladder on top.
-    rung = lambda_h * layer1_aggregate_kwh(layer1, 2.25) / (n - 1)
+    aggregate = layer1_aggregate_kwh(layer1, 2.25)
+    rung = lambda_h * aggregate / (n - 1)
     split = BudgetSplit(
         ArchitectureKind.LSHIPPP,
         layer1.edges + tuple((j, j + 1) for j in range(n - 1)),
         (layer1.rating_kw * 2.25,) * len(layer1.edges) + (rung,) * (n - 1),
         rung,
+        (1 + lambda_h) * aggregate / left_fold(energy.tolist()),
         lambda_h,
     )
     _, flows = max_deliverable_energy(*wiring(modules, split.pairs, split.caps_kwh))

@@ -90,15 +90,18 @@ def cppp_split(modules, rating_r, horizon_h, basis=None):
 
 def lshippp_split(modules, layer1, lambda_h):
     """Layer 1 at its procured rating plus a ``lambda_h`` ladder."""
-    n = len(modules[0])
+    energy, _ = modules
+    n = len(energy)
     cap1 = layer1.rating_kw * layer1.horizon_h
-    rung = lambda_h * layer1_aggregate_kwh(layer1, layer1.horizon_h) / (n - 1)
+    aggregate = layer1_aggregate_kwh(layer1, layer1.horizon_h)
+    rung = lambda_h * aggregate / (n - 1)
     ladder = tuple((j, j + 1) for j in range(n - 1))
     return BudgetSplit(
         ArchitectureKind.LSHIPPP,
         tuple(layer1.edges) + ladder,
         (cap1,) * len(layer1.edges) + (rung,) * (n - 1),
         rung,
+        (1 + lambda_h) * aggregate / sum(energy),
         lambda_h,
     )
 
@@ -150,7 +153,7 @@ class TestLshipppBuilder:
         # The designed layer first, then the adjacent ladder.
         split = lshippp_split(pack(3, 4, 5), layer1_345, lambda_h=1.0)
         assert split.pairs == layer1_345.edges + ((0, 1), (1, 2))
-        assert split_lambda(layer1_345, 1.0).pairs == split.pairs
+        assert split_lambda(layer1_345, 1.0, 12.0).pairs == split.pairs
 
     def test_identical_layer1_caps(self, layer1_345):
         split = lshippp_split(pack(3, 4, 5), layer1_345, 0.5)
@@ -159,7 +162,7 @@ class TestLshipppBuilder:
 
     def test_ladder_cap_from_lambda(self, layer1_345):
         lam = 0.8
-        split = split_lambda(layer1_345, lam)
+        split = split_lambda(layer1_345, lam, 12.0)
         layer1_aggregate = 1 * layer1_345.rating_kw * 1.0
         expected = lam * layer1_aggregate / 2
         assert split.caps_kwh[1:] == pytest.approx((expected, expected))
@@ -219,7 +222,7 @@ class TestBudgetSplit:
             basis = left_fold(expected9.tolist())
             split = split_budget(kind, 9, 0.2, basis, 2.25, layer1_9)
             assert split.pairs == pairs
-        assert split_lambda(layer1_9, 0.5).pairs == layer1_9.edges + ladder
+        assert split_lambda(layer1_9, 0.5, 337.5).pairs == layer1_9.edges + ladder
 
     @pytest.mark.parametrize("kind", ["fpp", "cppp", "lshippp"])
     @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.37, 1.5])
@@ -230,6 +233,23 @@ class TestBudgetSplit:
         basis = left_fold(expected9.tolist())
         split = split_budget(kind, 9, rating_r, basis, 2.25, layer1_9)
         assert sum(split.caps_kwh) == pytest.approx(rating_r * basis, rel=1e-12)
+
+    def test_rating_r_is_pinned_to_the_bit(self, layer1_9, expected9):
+        # The R column of a sweep row.  split_budget keeps the R it is given;
+        # split_lambda spends layer 1 at its procured rating plus the
+        # ladder, over the basis: the values the lambda sweep always wrote.
+        basis = left_fold(expected9.tolist())
+        for kind in ("fpp", "cppp", "lshippp"):
+            for r in (0.0, 0.19473684210526315, 0.2, 1.5):
+                split = split_budget(kind, 9, r, basis, 2.25, layer1_9)
+                assert split.rating_r.hex() == r.hex()
+        pinned = {
+            0.0: "0x1.bf7d2950fe035p-4",
+            0.5: "0x1.4f9ddefcbe827p-3",
+            5.0: "0x1.4f9ddefcbe827p-1",
+        }
+        for lam, bits in pinned.items():
+            assert split_lambda(layer1_9, lam, basis).rating_r.hex() == bits
 
     def test_fpp_split_has_no_network(self):
         # No string edges: the sweep takes the closed form, one cap a module.
@@ -242,13 +262,13 @@ class TestBudgetSplit:
             split_budget("lshippp", 3, 0.25, 12.0, 1.0)
 
     def test_lambda_split_caps_layer1_at_designed_duty(self, layer1_345):
-        split = split_lambda(layer1_345, 0.8)
+        split = split_lambda(layer1_345, 0.8, 12.0)
         (flow,) = layer1_345.optimal_flows_kwh
         aggregate = layer1_345.rating_kw * layer1_345.horizon_h
         assert split.caps_kwh == (abs(flow), split.rung_kwh, split.rung_kwh)
         assert split.rung_kwh == pytest.approx(0.8 * aggregate / 2)
         with pytest.raises(ConfigurationError):
-            split_lambda(layer1_345, -0.1)
+            split_lambda(layer1_345, -0.1, 12.0)
 
 
 def every_evaluator(modules, pairs, caps) -> None:

@@ -12,22 +12,22 @@ from besspp.architectures import ConfigurationError, split_budget, split_lambda
 from besspp.designer import (
     _TIE_RTOL,
     MAX_PLACEMENTS,
-    _make_point,
+    TRADEOFF_HEADER,
     _tie_set,
     default_lambda_grid,
     derive_seed,
     derive_seeds,
     design_layer1,
-    design_layer2,
     enumerate_placements,
     sweep_energy,
-    tradeoff_curve,
+    sweep_rows,
 )
 from besspp.flows import (
     min_peak_flow,
     uncapped_min_peak,
     uncapped_placement_energy,
 )
+from besspp.metrics import utilization_stats
 from besspp.supply import SupplyDistribution, flatten_distribution, sample_packs
 
 from lp_reference import max_deliverable_energy
@@ -52,6 +52,26 @@ def keyed_packs(dist, n: int, n_packs: int, seed: int) -> np.ndarray:
 def wired(energy, pairs, caps):
     """A row of module energies at ``VOLTS``, wired by ``pairs`` and ``caps``."""
     return wiring(pack(*energy, voltage=VOLTS), pairs, caps)
+
+
+def basis_kwh(dist, n: int) -> float:
+    """Total energy of the expected pack of ``dist``, the sweeps' budget basis."""
+    return left_fold(flatten_distribution(dist, n).tolist())
+
+
+def lambda_rows(layer1, dist, lambda_grid, packs) -> list[dict]:
+    """The lambda sweep over ``packs``, one row per ratio, keyed by column."""
+    basis = basis_kwh(dist, layer1.n_batteries)
+    splits = [split_lambda(layer1, lam, basis) for lam in lambda_grid]
+    return [dict(zip(TRADEOFF_HEADER, row)) for row in sweep_rows(packs, VOLTS, splits)]
+
+
+def curve_rows(kind, dist, r_grid, packs, layer1=None) -> list[dict]:
+    """The budget sweep of ``kind`` over ``packs``, one row per rating."""
+    n = packs.shape[1]
+    basis = basis_kwh(dist, n)
+    splits = [split_budget(kind, n, r, basis, HORIZON_H, layer1) for r in r_grid]
+    return [dict(zip(TRADEOFF_HEADER, row)) for row in sweep_rows(packs, VOLTS, splits)]
 
 
 def as_tuples(placements) -> list[tuple[tuple[int, int], ...]]:
@@ -306,7 +326,7 @@ class TestDesignLayer2:
         m = len(layer1_9.edges)
         for energy in keyed_packs(supply9, 9, 12, seed=7):
             for lam in (0.0, 0.3, 1.0, 5.0):
-                split = split_lambda(layer1_9, lam)
+                split = split_lambda(layer1_9, lam, 337.5)
                 _, flows = max_deliverable_energy(
                     *wired(energy, split.pairs, split.caps_kwh)
                 )
@@ -316,26 +336,26 @@ class TestDesignLayer2:
     def test_layer1_duty_respected_and_utilization_monotone(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         packs = keyed_packs(dist, 9, 30, seed=7)
-        points = design_layer2(layer1_9, dist, [0.0, 0.5, 1.5], packs)
-        means = [p.utilization_mean for p in points]
+        rows = lambda_rows(layer1_9, dist, [0.0, 0.5, 1.5], packs)
+        means = [row["util_mean"] for row in rows]
         assert means == sorted(means)  # more ladder never hurts on average
-        assert points[0].lambda_h == 0.0
+        assert rows[0]["lambda_h"] == 0.0
         # Every lambda evaluated on the same packs: common random numbers.
-        assert all(p.kind == "lshippp" for p in points)
+        assert all(row["kind"] == "lshippp" for row in rows)
 
     def test_rating_reporting(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-        (point,) = design_layer2(layer1_9, dist, [1.0], keyed_packs(dist, 9, 10, 7))
+        (row,) = lambda_rows(layer1_9, dist, [1.0], keyed_packs(dist, 9, 10, 7))
         layer1_aggregate = 3 * layer1_9.rating_kw * layer1_9.horizon_h
         expected_r = 2 * layer1_aggregate / 337.5
-        assert point.rating_r == pytest.approx(expected_r)
+        assert row["R"] == pytest.approx(expected_r)
 
 
 class TestTradeoffCurve:
     def test_fpp_matches_closed_form(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         packs = keyed_packs(dist, 9, 25, seed=3)
-        (point,) = tradeoff_curve("fpp", dist, [0.2], packs, horizon_h=HORIZON_H)
+        (row,) = curve_rows("fpp", dist, [0.2], packs)
         # Re-derive each pack by hand: sum_j min(E_j, cap) over its total.
         basis = left_fold(flatten_distribution(dist, 9).tolist())
         cap = 0.2 * basis / 9
@@ -343,87 +363,77 @@ class TestTradeoffCurve:
         for energy in packs.tolist():
             total = left_fold(energy)
             utils.append(left_fold(min(e, cap) for e in energy) / total)
-        assert point.utilization_mean == pytest.approx(float(np.mean(utils)))
+        assert row["util_mean"] == pytest.approx(float(np.mean(utils)))
 
     def test_common_random_packs_across_kinds(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         packs = keyed_packs(dist, 9, 15, seed=11)
-        a = tradeoff_curve("cppp", dist, [10.0], packs, horizon_h=HORIZON_H)
-        b = tradeoff_curve(
-            "lshippp", dist, [10.0], packs, horizon_h=HORIZON_H, layer1=layer1_9
-        )
+        (a,) = curve_rows("cppp", dist, [10.0], packs)
+        (b,) = curve_rows("lshippp", dist, [10.0], packs, layer1_9)
         # At absurdly generous budgets both families deliver everything,
         # so equal packs force exactly equal utilization statistics.
-        assert a[0].utilization_mean == pytest.approx(
-            b[0].utilization_mean, abs=1e-9
-        )
-        assert a[0].utilization_mean == pytest.approx(1.0, abs=1e-9)
+        assert a["util_mean"] == pytest.approx(b["util_mean"], abs=1e-9)
+        assert a["util_mean"] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_rating_collapses_to_string(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         packs = keyed_packs(dist, 9, 10, seed=5)
-        (cp,) = tradeoff_curve("cppp", dist, [0.0], packs, horizon_h=HORIZON_H)
+        (cp,) = curve_rows("cppp", dist, [0.0], packs)
         utils = []
         for energy in packs.tolist():
             utils.append(9 * min(energy) / left_fold(energy))
-        assert cp.utilization_mean == pytest.approx(float(np.mean(utils)))
+        assert cp["util_mean"] == pytest.approx(float(np.mean(utils)))
 
     def test_lambda_reported_for_lshippp_only(self, layer1_9):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         packs = keyed_packs(dist, 9, 5, seed=2)
-        (ls,) = tradeoff_curve(
-            "lshippp", dist, [0.25], packs, horizon_h=HORIZON_H, layer1=layer1_9
-        )
-        (fp,) = tradeoff_curve("fpp", dist, [0.25], packs, horizon_h=HORIZON_H)
-        assert ls.lambda_h >= 0
-        assert math.isnan(fp.lambda_h)
+        (ls,) = curve_rows("lshippp", dist, [0.25], packs, layer1_9)
+        (fp,) = curve_rows("fpp", dist, [0.25], packs)
+        assert ls["lambda_h"] >= 0
+        assert math.isnan(fp["lambda_h"])
 
     def test_lshippp_needs_its_layer1(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         packs = keyed_packs(dist, 9, 2, seed=2)
         with pytest.raises(ConfigurationError, match="layer-1 design"):
-            tradeoff_curve("lshippp", dist, [0.25], packs, horizon_h=HORIZON_H)
+            curve_rows("lshippp", dist, [0.25], packs)
 
     def test_quantile_fields_consistent(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         packs = keyed_packs(dist, 9, 40, seed=9)
-        (point,) = tradeoff_curve("cppp", dist, [0.3], packs, horizon_h=HORIZON_H)
-        assert point.utilization_p10 <= point.utilization_mean + 1e-9
-        assert point.utilization_mean <= point.utilization_p90 + 1e-9
-        assert point.utilization_idr == pytest.approx(
-            point.utilization_p90 - point.utilization_p10
-        )
+        (row,) = curve_rows("cppp", dist, [0.3], packs)
+        assert row["util_p10"] <= row["util_mean"] + 1e-9
+        assert row["util_mean"] <= row["util_p90"] + 1e-9
+        assert row["util_idr"] == pytest.approx(row["util_p90"] - row["util_p10"])
 
     def test_module_count_comes_from_the_packs(self):
         dist = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
         packs = keyed_packs(dist, 6, 8, seed=1)
-        (point,) = tradeoff_curve("fpp", dist, [10.0], packs, horizon_h=HORIZON_H)
-        assert point.utilization_mean == pytest.approx(1.0, abs=1e-12)
+        (row,) = curve_rows("fpp", dist, [10.0], packs)
+        assert row["util_mean"] == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="at least one pack"):
-            tradeoff_curve("fpp", dist, [0.2], packs[:0], horizon_h=HORIZON_H)
+            curve_rows("fpp", dist, [0.2], packs[:0])
 
 
-def reference_point(kind, r, lam, packs, outputs):
-    """The point of one sweep value from per-pack reference outputs."""
+def reference_row(kind, r, lam, packs, outputs):
+    """The row of one sweep value from per-pack reference outputs."""
     utils = [out / left_fold(energy) for energy, out in zip(packs.tolist(), outputs)]
-    return _make_point(kind, r, lam, utils)
+    return (kind, r, lam, *utilization_stats(utils))
 
 
 class TestSweepsEqualBuiltNetworks:
-    """Every sweep point equals, bit for bit, one reference per pack."""
+    """Every sweep row equals, bit for bit, one reference per pack."""
 
     @pytest.mark.parametrize("kind", ["fpp", "cppp", "lshippp"])
     def test_tradeoff_curve(self, kind, layer1_9, supply9, expected9):
         r_grid = [0.0, 0.05, 0.1, 0.2, 0.35, 0.6, 1.5]
         horizon = layer1_9.horizon_h
         packs = keyed_packs(supply9, 9, 45, seed=4)
-        points = tradeoff_curve(
-            kind, supply9, r_grid, packs, horizon_h=horizon, layer1=layer1_9
-        )
-        assert len(points) == len(r_grid)
         basis = left_fold(expected9.tolist())
-        for r, point in zip(r_grid, points):
-            split = split_budget(kind, 9, r, basis, horizon, layer1_9)
+        splits = [split_budget(kind, 9, r, basis, horizon, layer1_9) for r in r_grid]
+        rows = sweep_rows(packs, supply9.voltage_v, splits)
+        assert len(rows) == len(r_grid)
+        for r, split, row in zip(r_grid, splits, rows):
             if kind == "fpp":
                 outputs = [
                     left_fold(min(e, split.caps_kwh[0]) for e in p)
@@ -434,26 +444,26 @@ class TestSweepsEqualBuiltNetworks:
                     cut_reference(*wired(p, split.pairs, split.caps_kwh))
                     for p in packs
                 ]
-            expected = reference_point(kind, r, split.lambda_h, packs, outputs)
-            assert repr(point) == repr(expected)
+            expected = reference_row(kind, r, split.lambda_h, packs, outputs)
+            assert repr(row) == repr(expected)
 
     def test_design_layer2(self, layer1_9, supply9, expected9):
         lambda_grid = [0.0, 0.05, 0.3, 1.0, 2.5, 5.0]
         packs = keyed_packs(supply9, 9, 45, seed=8)
-        points = design_layer2(layer1_9, supply9, lambda_grid, packs)
+        basis = left_fold(expected9.tolist())
+        splits = [split_lambda(layer1_9, lam, basis) for lam in lambda_grid]
+        rows = sweep_rows(packs, supply9.voltage_v, splits)
         horizon = layer1_9.horizon_h
         aggregate = 3 * layer1_9.rating_kw * horizon
         pairs = layer1_9.edges + tuple((j, j + 1) for j in range(8))
         duty = tuple(abs(flow) for flow in layer1_9.optimal_flows_kwh)
-        for lam, point in zip(lambda_grid, points):
+        for lam, row in zip(lambda_grid, rows):
             cap2 = lam * aggregate / 8
             caps = duty + (cap2,) * 8
             outputs = [cut_reference(*wired(p, pairs, caps)) for p in packs]
-            expected = reference_point("lshippp", 0.0, lam, packs, outputs)
-            rating_r = (1 + lam) * aggregate / left_fold(expected9.tolist())
-            assert repr(point) == repr(
-                dataclasses.replace(expected, rating_r=rating_r)
-            )
+            rating_r = (1 + lam) * aggregate / basis
+            expected = reference_row("lshippp", rating_r, lam, packs, outputs)
+            assert repr(row) == repr(expected)
 
     def test_sweep_needs_a_pack(self):
         with pytest.raises(ValueError, match="at least one pack"):
@@ -472,7 +482,7 @@ class TestSweepsEqualBuiltNetworks:
         )
         for splits in (
             [split("cppp"), split("fpp")],
-            [split("cppp"), split_lambda(layer1_9, 0.5)],
+            [split("cppp"), split_lambda(layer1_9, 0.5, basis)],
             [split("lshippp"), other_layer1],
             [],
         ):

@@ -596,7 +596,7 @@ class TestCutForm:
         # More packs than one chunk of the batched evaluator holds.
         # The lambda whose ladder rungs get ``cap2`` each.
         lam = cap2 * 8 / layer1_aggregate_kwh(layer1_9, layer1_9.horizon_h)
-        split = split_lambda(layer1_9, lam)
+        split = split_lambda(layer1_9, lam, 337.5)
         assert split.rung_kwh == pytest.approx(cap2, rel=1e-12)
         assert_three_way(sampled_wirings(split, n_packs=40))
 
@@ -620,7 +620,7 @@ class TestCutForm:
         # 40 packs and 21 cap rows span several chunks of packs and rows.
         energy = sampled_packs(n_packs=40)
         volts = np.full(energy.shape, SAMPLED_VOLTS)
-        splits = [split_lambda(layer1_9, lam) for lam in np.linspace(0, 5, 21)]
+        splits = [split_lambda(layer1_9, lam, 337.5) for lam in np.linspace(0, 5, 21)]
         pairs = [e for e in layer1_9.edges] + [(j, j + 1) for j in range(8)]
         rows = [s.caps_kwh for s in splits]
         got = cut_form_energy(energy, volts, pairs, rows)
@@ -655,7 +655,7 @@ class TestCutForm:
     def test_mixed_batch_keeps_order(self, layer1_9):
         # Packs and cap rows of one wiring: the batch equals pack by pack.
         packs = sampled_packs(n_packs=40)
-        splits = [split_lambda(layer1_9, lam) for lam in (0.0, 0.4, 2.0)]
+        splits = [split_lambda(layer1_9, lam, 337.5) for lam in (0.0, 0.4, 2.0)]
         batched = sweep_energy(packs, SAMPLED_VOLTS, splits)
         one_by_one = [
             [cut_reference(*string) for string in sampled_wirings(s, n_packs=40)]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besspp.architectures import split_budget
-from besspp.designer import _make_point, _utilization_rows
+from besspp.designer import TRADEOFF_HEADER, sweep_rows
 from besspp.metrics import (
     captured_value,
     derating_factor,
@@ -20,16 +20,26 @@ from besspp.metrics import (
 )
 
 
+def sweep_row(packs, rating_r, basis_kwh) -> dict:
+    """The fpp sweep row of one budget over ``packs``, keyed by column."""
+    split = split_budget("fpp", len(packs[0]), rating_r, basis_kwh, 1.0)
+    (row,) = sweep_rows(packs, 50.0, [split])
+    return dict(zip(TRADEOFF_HEADER, row))
+
+
 class TestEnergyUtilization:
     """Delivered energy over the pack's usable energy, as the sweeps report it."""
 
     def test_from_total(self):
-        packs = np.full((1, 9), 37.5)
-        assert _utilization_rows([[270.0]], packs).tolist() == [[pytest.approx(0.8)]]
+        # 30 kWh converters on 37.5 kWh modules deliver 270 of 337.5 kWh.
+        row = sweep_row(np.full((1, 9), 37.5), 0.8, 337.5)
+        assert row["util_mean"] == pytest.approx(0.8)
 
     def test_from_modules(self):
-        packs = np.array([[3.0, 5.0], [1.0, 3.0]])
-        assert _utilization_rows([[4.0, 2.0]], packs).tolist() == [[0.5, 0.5]]
+        # 2 kWh converters deliver 4 of 8 and 3 of 4 kWh: each pack is
+        # divided by its own total, so the utilizations are 0.5 and 0.75.
+        row = sweep_row(np.array([[3.0, 5.0], [1.0, 3.0]]), 1.0, 4.0)
+        assert (row["util_mean"], row["util_std"]) == (0.625, 0.125)
 
 
 class TestNormalizedRating:
@@ -77,7 +87,8 @@ class TestInterdecileRange:
 
     @staticmethod
     def idr(samples):
-        return _make_point("cppp", 0.2, math.nan, list(samples)).utilization_idr
+        _, _, idr, _, _ = utilization_stats(list(samples))
+        return idr
 
     def test_eleven_point_ramp(self):
         # 0..100 in steps of 10: deciles sit on sample points exactly.

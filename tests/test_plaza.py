@@ -482,6 +482,19 @@ class TestReplayLanes:
         with pytest.raises(ValueError, match="one stream index and one capacity"):
             replay_lanes(two, [0, 1], [10.0], 150.0, grid, 150.0)
 
+    @pytest.mark.parametrize("demand", [-30.0, -1e-300, math.nan, math.inf])
+    def test_rejects_demands_it_cannot_serve(self, demand):
+        # A negative demand would be served as negative energy over a
+        # negative time, and a NaN one would vanish from delivered and unmet.
+        with pytest.raises(ValueError, match="demands must be finite and >= 0"):
+            Arrivals((1.0, 2.0), (5.0, demand), (2,), 24.0)
+        # Zero is a demand the replay serves: a cycle that delivers nothing.
+        grid = GridProfile(((0.0, 40.0),))
+        zero = Arrivals((1.0,), (0.0,), (1,), 24.0)
+        cycles = replay_lanes(zero, [0], [10.0], 150.0, grid, 150.0).cycles()
+        assert cycles.counts.tolist() == [1]
+        assert cycles.demand_kwh.tolist() == [0.0]
+
     def test_no_lanes_and_empty_streams(self):
         grid = GridProfile(((0.0, 40.0),))
         empty = Arrivals((), (), (0,), 24.0)

@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 import besspp.studies
 from besspp import flows
 from besspp.cli import main
-from besspp.designer import derive_seed
+from besspp.designer import TRADEOFF_HEADER, derive_seed
 from besspp.plaza import ArrivalModel, DemandModel, draw_arrivals
 from besspp.scenario import ScenarioError, load_scenario
 from besspp.studies import (
     CELLS_HEADER,
     DAY_HORIZON_H,
-    TRADEOFF_HEADER,
     TRAJECTORY_HEADER,
     _cell_batches,
     _parallel_map,
@@ -525,6 +524,18 @@ class TestCli:
         assert main(["validate", "--scenario", str(path)]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "ensemble"])
+    def test_one_pack_exits_1_and_writes_nothing(self, command, tmp_path, capsys):
+        # Derating is a three-sigma statistic over the packs: one pack has
+        # no spread, so the scenario is refused at load, before --out exists.
+        path = write_doc_with(tmp_path / "one.json", "n_packs", "1")
+        args = [command, "--scenario", str(path)]
+        if command == "ensemble":
+            args += ["--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert "n_packs must be >= 2: derating" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["one.json"]
+
     def test_module_count_above_subset_limit_exits_1(self, tmp_path, capsys):
         doc = small_doc()
         doc["supply"]["n_modules"] = 17
@@ -936,3 +947,46 @@ class TestStartup:
             run_python(code, *args, env={"OPENBLAS_NUM_THREADS": threads})
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
+
+
+SCRIPTS = SRC.parent / "scripts"
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    """Run ``scripts/<name>`` with this checkout's ``src``; its stdout lines."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+class TestScripts:
+    def test_headline_prints_the_rows_near_its_rating(self, small_scenario, tmp_path):
+        path, _ = small_scenario
+        out = tmp_path / "headline"
+        lines = run_script("run_headline.py", "--scenario", str(path), "--out", str(out))
+        assert lines[0].split() == ["kind", "R", "util_mean", "util_idr"]
+        # Both points of the r_grid [0.15, 0.3] lie within half a step of 0.2.
+        assert [line.split()[:2] for line in lines[1:-1]] == [
+            [kind, r] for kind in ("lshippp", "cppp", "fpp") for r in ("0.150", "0.300")
+        ]
+        assert lines[-1] == f"artifacts in {out}"
+        assert (out / "design" / "lambda_sweep.csv").is_file()
+        assert (out / "tradeoff" / "tradeoff.csv").is_file()
+
+    def test_plaza_studies_print_metrics_and_curtailment(self, small_scenario, tmp_path):
+        path, _ = small_scenario
+        out = tmp_path / "plaza"
+        lines = run_script(
+            "run_plaza_studies.py", "--scenario", str(path), "--out", str(out)
+        )
+        kinds = ["lshippp", "cppp"]
+        assert [line.split(":")[0] for line in lines[:-1]] == kinds + kinds
+        assert all(" derating=" in line for line in lines[:2])
+        assert all("min/EV (exemplar cell)" in line for line in lines[2:4])
+        assert lines[-1] == f"artifacts in {out}"
