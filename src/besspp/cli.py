@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--scenario",
             type=Path,
             default=None,
-            help="scenario JSON file (default: the built-in scenario)",
+            help="scenario JSON file (default: the shipped "
+            "besspp/default_scenario.json)",
         )
         p.add_argument(
             "--seed",

@@ -59,7 +59,6 @@ __all__ = [
     "design_layer1",
     "sweep_rows",
     "sweep_energy",
-    "default_lambda_grid",
 ]
 
 # Relative slack used when comparing candidate objectives during the search.
@@ -211,12 +210,6 @@ def _tie_set(outputs: np.ndarray) -> tuple[float, np.ndarray]:
     tie = _TIE_RTOL * (1.0 + abs(best))
     later = last + 1 + np.flatnonzero(outputs[last + 1 :] >= best - tie)
     return best, np.concatenate([[last], later])
-
-
-def default_lambda_grid() -> list[float]:
-    """Zero plus 20 log-spaced ladder-to-layer-1 ratios in [0.05, 5]."""
-    grid = np.logspace(math.log10(0.05), math.log10(5.0), 20)
-    return [0.0] + [float(v) for v in grid]
 
 
 def sweep_rows(

@@ -113,15 +113,6 @@ class GridProfile:
             )
         return cls(segments)
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["time_h", "power_kw"])
-            for start, kw in self.segments:
-                writer.writerow([repr(float(start)), repr(float(kw))])
-
 
 @dataclass(frozen=True)
 class ArrivalModel:

@@ -2,9 +2,12 @@
 
 A scenario pins the supply distribution, the architecture roster, the
 plaza environment (grid profile, charger, arrival and demand menus), the
-sweep grids, the sample counts, and the master seed.  Loading never falls
-back to wall-clock seeding; a scenario without a seed is invalid, so every
-run is reproducible by construction.
+sweep grids, the sample counts, and the master seed.  The schema is closed:
+every key is required except the few named in :func:`load_scenario`, and an
+unknown key is refused, so a misspelled key never falls back to a default.
+Loading never falls back to wall-clock seeding either; every run is
+reproducible by construction.  The default scenario is the shipped document
+``default_scenario.json``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from besspp.architectures import ArchitectureConfig, ArchitectureKind
-from besspp.designer import check_placement_limit, default_lambda_grid
+from besspp.designer import check_placement_limit
 from besspp.flows import MAX_CUT_MODULES, _module_totals
 from besspp.plaza import DemandModel, GridProfile
 from besspp.supply import SupplyDistribution, flatten_distribution
@@ -28,10 +31,6 @@ __all__ = [
     "default_scenario",
     "scenario_to_dict",
 ]
-
-# Rated output power of a pack, kW; with the expected pack energy it sets
-# the design horizon.
-DEFAULT_RATED_POWER_KW = 150.0
 
 # Hours of one plaza day: the horizon of every arrival stream.
 DAY_HORIZON_H = 24.0
@@ -49,18 +48,6 @@ MAX_PACKS = 10**5
 # grid), so this limit stands for about 140 MB.  The default scenario's
 # cells expect 1,584.
 MAX_CELL_ARRIVALS = 10**6
-
-# Available grid power over a day, kW: generous at night, pinched during
-# the morning and evening load peaks.
-DEFAULT_GRID_SEGMENTS = (
-    (0.0, 55.0),
-    (6.0, 35.0),
-    (9.0, 45.0),
-    (12.0, 40.0),
-    (14.0, 45.0),
-    (17.0, 30.0),
-    (21.0, 50.0),
-)
 
 
 class ScenarioError(ValueError):
@@ -171,6 +158,13 @@ class Scenario:
                     problems.append(
                         f"{entry}: {name} must be null; the studies derive it"
                     )
+        # A repeated kind would run, and write its rows, twice.
+        for label, kinds in [
+            ("architectures", [config.kind for config in self.architectures]),
+            ("plaza.kinds", self.plaza.kinds),
+        ]:
+            for kind in dict.fromkeys(k for k in kinds if kinds.count(k) > 1):
+                problems.append(f"{label}: kind {kind.value} is repeated")
         for seq, label in [
             (self.arrival_rates_per_h, "arrival_rates_per_h"),
             (self.demand_means_kwh, "demand_means_kwh"),
@@ -225,51 +219,11 @@ class Scenario:
 
 
 def default_scenario() -> Scenario:
-    """Built-in scenario used when the CLI is given no --scenario file."""
-    supply = SupplyDistribution(mean_kwh=37.5, std_kwh=9.375)
-    plaza_supply = SupplyDistribution(mean_kwh=37.5 / 9, std_kwh=9.375 / 9)
-    n_r = 20
-    r_grid = tuple(0.1 + 0.9 * i / (n_r - 1) for i in range(n_r))
-    return Scenario(
-        name="default",
-        seed=20240915,
-        supply=supply,
-        n_modules=9,
-        n_layer1=3,
-        rated_power_kw=DEFAULT_RATED_POWER_KW,
-        architectures=(
-            ArchitectureConfig(
-                kind=ArchitectureKind.LSHIPPP,
-                n_modules=9,
-                rating_r=0.2,
-                eta_c=0.85,
-                n_layer1=3,
-            ),
-            ArchitectureConfig(
-                kind=ArchitectureKind.CPPP, n_modules=9, rating_r=0.2, eta_c=0.85
-            ),
-            ArchitectureConfig(
-                kind=ArchitectureKind.FPP, n_modules=9, rating_r=0.2, eta_c=0.85
-            ),
-        ),
-        grid_profile=GridProfile(DEFAULT_GRID_SEGMENTS),
-        arrival_rates_per_h=(1 / 0.5, 1 / 1.5, 1 / 2.5),
-        demand_means_kwh=(33.0, 50.0),
-        demand_stds_kwh=(5.0, 10.0, 15.0, 20.0, 25.0),
-        r_grid=r_grid,
-        lambda_grid=tuple(default_lambda_grid()),
-        n_packs=100,
-        n_trajectories=1000,
-        plaza=PlazaSettings(
-            charger_max_kw=150.0,
-            bess_power_kw=150.0,
-            supply=plaza_supply,
-            rating_r=0.2,
-            kinds=(ArchitectureKind.LSHIPPP, ArchitectureKind.CPPP),
-            exemplar_demand=DemandModel(mean_kwh=50.0, std_kwh=25.0),
-            exemplar_rate_per_h=2.0,
-        ),
-    )
+    """The shipped default scenario, used when the CLI is given no --scenario.
+
+    It is package data, ``default_scenario.json`` beside this module.
+    """
+    return load_scenario(Path(__file__).with_name("default_scenario.json"))
 
 
 def _integer(value, field: str) -> int:
@@ -281,23 +235,35 @@ def _integer(value, field: str) -> int:
     raise ScenarioError(f"{field} must be an integer, got {value!r}")
 
 
-def _object(value, label: str) -> dict:
-    """A block of the document that must be a JSON object."""
+def _block(value, label: str, required, optional=()) -> dict:
+    """A JSON object holding every ``required`` key and no key unknown.
+
+    ``label`` is the block's key path (empty for the document itself), so
+    each missing or unknown key is named by its full path.
+    """
     if not isinstance(value, dict):
-        raise ScenarioError(f"{label} must be a JSON object")
+        raise ScenarioError(f"{label or 'scenario document'} must be a JSON object")
+    prefix = f"{label}." if label else ""
+    problems = [f"missing key {prefix}{key}" for key in required if key not in value]
+    problems += [
+        f"unknown key {prefix}{key}"
+        for key in value
+        if key not in required and key not in optional
+    ]
+    if problems:
+        raise ScenarioError("; ".join(problems))
     return value
 
 
-def _supply_from_dict(data: dict, label: str) -> SupplyDistribution:
+def _supply(value, label: str, *extra: str) -> SupplyDistribution:
+    """A supply block; ``dod`` and ``voltage_v`` take the class defaults."""
+    data = _block(value, label, ("mean_kwh", "std_kwh", *extra), ("dod", "voltage_v"))
     try:
         return SupplyDistribution(
-            mean_kwh=float(data["mean_kwh"]),
-            std_kwh=float(data["std_kwh"]),
-            dod=float(data.get("dod", 1.0)),
-            voltage_v=float(data.get("voltage_v", 50.0)),
+            **{key: float(v) for key, v in data.items() if key not in extra}
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad {label} supply block: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad {label} block: {exc}") from exc
 
 
 def _grid_from_value(value, base_dir: Path) -> GridProfile:
@@ -317,7 +283,13 @@ def _grid_from_value(value, base_dir: Path) -> GridProfile:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario JSON file."""
+    """Parse and validate a scenario JSON file.
+
+    Every key is required except ``name`` (default: the file stem),
+    ``supply.dod`` and ``supply.voltage_v`` (in either supply block),
+    ``plaza.supply`` (default: the pack supply) and the fields an
+    :class:`ArchitectureConfig` entry may leave out.
+    """
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
@@ -327,23 +299,39 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    data = _object(data, "scenario document")
-    if "seed" not in data:
-        raise ScenarioError("scenario must pin a seed; wall-clock seeding is not allowed")
+    data = _block(
+        data,
+        "",
+        (
+            "seed",
+            "supply",
+            "n_layer1",
+            "rated_power_kw",
+            "architectures",
+            "grid_profile",
+            "arrival_rates_per_h",
+            "demand_means_kwh",
+            "demand_stds_kwh",
+            "r_grid",
+            "lambda_grid",
+            "n_packs",
+            "n_trajectories",
+            "plaza",
+        ),
+        ("name",),
+    )
+    supply = _supply(data["supply"], "supply", "n_modules")
+    n_modules = _integer(data["supply"]["n_modules"], "supply.n_modules")
 
-    base_dir = path.parent
-    supply_data = _object(data.get("supply", {}), "supply")
-    supply = _supply_from_dict(supply_data, "pack")
-    n_modules = _integer(supply_data.get("n_modules", 0), "supply.n_modules")
-    n_layer1 = _integer(data.get("n_layer1", 3), "n_layer1")
-
-    arch_entries = data.get("architectures", [])
+    arch_entries = data["architectures"]
     if not isinstance(arch_entries, list):
         raise ScenarioError("architectures must be a JSON list")
     architectures = []
     for i, entry in enumerate(arch_entries):
         field = f"architectures[{i}]"
-        entry = {"n_modules": n_modules, **_object(entry, field)}
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"{field} must be a JSON object")
+        entry = {"n_modules": n_modules, **entry}
         for key in ("n_modules", "n_layer1"):
             if entry.get(key) is not None:
                 entry[key] = _integer(entry[key], f"{field}.{key}")
@@ -352,28 +340,34 @@ def load_scenario(path) -> Scenario:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"bad architecture entry {entry}: {exc}") from exc
 
-    plaza_data = _object(data.get("plaza", {}), "plaza")
+    plaza_data = _block(
+        data["plaza"],
+        "plaza",
+        ("charger_max_kw", "bess_power_kw", "rating_r", "kinds", "exemplar"),
+        ("supply",),
+    )
     plaza_supply = (
-        _supply_from_dict(plaza_data["supply"], "plaza")
+        _supply(plaza_data["supply"], "plaza.supply")
         if "supply" in plaza_data
         else supply
     )
-    exemplar = _object(plaza_data.get("exemplar", {}), "plaza.exemplar")
+    exemplar = _block(
+        plaza_data["exemplar"],
+        "plaza.exemplar",
+        ("demand_mean_kwh", "demand_std_kwh", "arrival_rate_per_h"),
+    )
     try:
         plaza = PlazaSettings(
-            charger_max_kw=float(plaza_data.get("charger_max_kw", 150.0)),
-            bess_power_kw=float(plaza_data.get("bess_power_kw", 150.0)),
+            charger_max_kw=float(plaza_data["charger_max_kw"]),
+            bess_power_kw=float(plaza_data["bess_power_kw"]),
             supply=plaza_supply,
-            rating_r=float(plaza_data.get("rating_r", 0.2)),
-            kinds=tuple(
-                ArchitectureKind(k)
-                for k in plaza_data.get("kinds", ["lshippp", "cppp"])
-            ),
+            rating_r=float(plaza_data["rating_r"]),
+            kinds=tuple(ArchitectureKind(k) for k in plaza_data["kinds"]),
             exemplar_demand=DemandModel(
-                mean_kwh=float(exemplar.get("demand_mean_kwh", 50.0)),
-                std_kwh=float(exemplar.get("demand_std_kwh", 25.0)),
+                mean_kwh=float(exemplar["demand_mean_kwh"]),
+                std_kwh=float(exemplar["demand_std_kwh"]),
             ),
-            exemplar_rate_per_h=float(exemplar.get("arrival_rate_per_h", 2.0)),
+            exemplar_rate_per_h=float(exemplar["arrival_rate_per_h"]),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
@@ -386,21 +380,17 @@ def load_scenario(path) -> Scenario:
             seed=_integer(data["seed"], "seed"),
             supply=supply,
             n_modules=n_modules,
-            n_layer1=n_layer1,
-            rated_power_kw=float(data.get("rated_power_kw", DEFAULT_RATED_POWER_KW)),
+            n_layer1=_integer(data["n_layer1"], "n_layer1"),
+            rated_power_kw=float(data["rated_power_kw"]),
             architectures=tuple(architectures),
-            grid_profile=_grid_from_value(
-                data.get("grid_profile", list(DEFAULT_GRID_SEGMENTS)), base_dir
-            ),
-            arrival_rates_per_h=tuple(
-                float(v) for v in data.get("arrival_rates_per_h", [])
-            ),
-            demand_means_kwh=tuple(float(v) for v in data.get("demand_means_kwh", [])),
-            demand_stds_kwh=tuple(float(v) for v in data.get("demand_stds_kwh", [])),
-            r_grid=tuple(float(v) for v in data.get("r_grid", [])),
-            lambda_grid=tuple(float(v) for v in data.get("lambda_grid", [])),
-            n_packs=_integer(data.get("n_packs", 100), "n_packs"),
-            n_trajectories=_integer(data.get("n_trajectories", 1000), "n_trajectories"),
+            grid_profile=_grid_from_value(data["grid_profile"], path.parent),
+            arrival_rates_per_h=tuple(float(v) for v in data["arrival_rates_per_h"]),
+            demand_means_kwh=tuple(float(v) for v in data["demand_means_kwh"]),
+            demand_stds_kwh=tuple(float(v) for v in data["demand_stds_kwh"]),
+            r_grid=tuple(float(v) for v in data["r_grid"]),
+            lambda_grid=tuple(float(v) for v in data["lambda_grid"]),
+            n_packs=_integer(data["n_packs"], "n_packs"),
+            n_trajectories=_integer(data["n_trajectories"], "n_trajectories"),
             plaza=plaza,
         )
     except ScenarioError:

@@ -253,18 +253,14 @@ def run_tradeoff(
         horizon = scenario.design_horizon_h
         layer1 = design_layer1(expected, supply.voltage_v, scenario.n_layer1, horizon)
 
-    kinds = []
-    for config in scenario.architectures:
-        if config.kind not in kinds:
-            kinds.append(config.kind)
     n = scenario.n_modules
     expected_total = _module_totals(expected).item()
     rows: list[tuple] = []
     with timer.stage("sweep"):
         packs = _sweep_packs(scenario, "tradeoff-packs")
-        for kind in kinds:
+        for config in scenario.architectures:
             splits = [
-                split_budget(kind, n, r, expected_total, horizon, layer1)
+                split_budget(config.kind, n, r, expected_total, horizon, layer1)
                 for r in scenario.r_grid
             ]
             rows.extend(sweep_rows(packs, supply.voltage_v, splits))

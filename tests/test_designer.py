@@ -14,7 +14,6 @@ from besspp.designer import (
     MAX_PLACEMENTS,
     TRADEOFF_HEADER,
     _tie_set,
-    default_lambda_grid,
     derive_seed,
     derive_seeds,
     design_layer1,
@@ -28,6 +27,7 @@ from besspp.flows import (
     uncapped_placement_energy,
 )
 from besspp.metrics import utilization_stats
+from besspp.scenario import default_scenario
 from besspp.supply import SupplyDistribution, flatten_distribution, sample_packs
 
 from lp_reference import max_deliverable_energy
@@ -523,8 +523,11 @@ class TestDeriveSeed:
 
 class TestDefaultLambdaGrid:
     def test_starts_at_zero_and_spans_range(self):
-        grid = default_lambda_grid()
+        # Zero, then 20 log-spaced ladder-to-layer-1 ratios in [0.05, 5].
+        grid = default_scenario().lambda_grid
         assert grid[0] == 0.0
         assert grid[1] == pytest.approx(0.05)
         assert grid[-1] == pytest.approx(5.0)
         assert len(grid) == 21
+        log_spaced = np.logspace(math.log10(0.05), math.log10(5.0), 20)
+        assert list(grid[1:]) == log_spaced.tolist()

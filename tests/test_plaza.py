@@ -73,7 +73,8 @@ class TestGridProfile:
     def test_csv_roundtrip(self, tmp_path):
         grid = GridProfile(((0.0, 55.0), (7.5, 32.5), (21.0, 48.0)))
         path = tmp_path / "grid.csv"
-        grid.to_csv(path)
+        rows = [f"{start!r},{kw!r}" for start, kw in grid.segments]
+        path.write_text("\r\n".join(["time_h,power_kw", *rows, ""]), newline="")
         assert GridProfile.from_csv(path) == grid
 
     def test_csv_header_enforced(self, tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import besspp.scenario
 from besspp.architectures import ArchitectureKind
 from besspp.designer import MAX_PLACEMENTS
 from besspp.flows import MAX_CUT_MODULES
@@ -83,6 +84,21 @@ class TestDefaultScenario:
             ArchitectureKind.CPPP,
             ArchitectureKind.FPP,
         ]
+
+    def test_fingerprint_is_pinned(self):
+        # Every manifest of a default-scenario study hashes this fingerprint.
+        assert scenario_fingerprint(default_scenario()) == (
+            "3482e08f7a48ec0c8634798c858e28837e0df6ce3575a2f1ead049b9efbb0a23"
+        )
+
+    def test_document_ships_as_package_data(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        config = tomllib.loads((root / "pyproject.toml").read_text())
+        shipped = config["tool"]["setuptools"]["package-data"]["besspp"]
+        assert "default_scenario.json" in shipped
+        for name in shipped:
+            assert (root / "src" / "besspp" / name).is_file(), name
 
     def test_shipped_file_matches_builtin(self):
         from pathlib import Path
@@ -172,6 +188,116 @@ class TestLoadScenario:
         again = load_scenario(path)
         assert scenario_fingerprint(again) == scenario_fingerprint(scenario)
         assert again.name == scenario.name
+
+
+# Every key path of a scenario document but the optional ones; the plaza
+# supply's keys are required whenever that block is given.
+REQUIRED_KEYS = [
+    "seed",
+    "supply",
+    "supply.mean_kwh",
+    "supply.std_kwh",
+    "supply.n_modules",
+    "n_layer1",
+    "rated_power_kw",
+    "architectures",
+    "grid_profile",
+    "arrival_rates_per_h",
+    "demand_means_kwh",
+    "demand_stds_kwh",
+    "r_grid",
+    "lambda_grid",
+    "n_packs",
+    "n_trajectories",
+    "plaza",
+    "plaza.charger_max_kw",
+    "plaza.bess_power_kw",
+    "plaza.rating_r",
+    "plaza.kinds",
+    "plaza.exemplar",
+    "plaza.exemplar.demand_mean_kwh",
+    "plaza.exemplar.demand_std_kwh",
+    "plaza.exemplar.arrival_rate_per_h",
+    "plaza.supply.mean_kwh",
+    "plaza.supply.std_kwh",
+]
+OPTIONAL_KEYS = [
+    "name",
+    "supply.dod",
+    "supply.voltage_v",
+    "plaza.supply",
+    "plaza.supply.dod",
+    "plaza.supply.voltage_v",
+]
+
+
+def shipped_doc() -> dict:
+    path = Path(besspp.scenario.__file__).with_name("default_scenario.json")
+    return json.loads(path.read_text())
+
+
+def key_paths(doc: dict, prefix: str = "") -> list[str]:
+    """Dotted paths of every object key, not descending into lists."""
+    paths = []
+    for key, value in doc.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths += key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+def without(doc: dict, key_path: str) -> dict:
+    *parents, key = key_path.split(".")
+    block = doc
+    for step in parents:
+        block = block[step]
+    del block[key]
+    return doc
+
+
+class TestClosedSchema:
+    def test_key_lists_cover_the_shipped_document(self):
+        assert sorted(key_paths(shipped_doc())) == sorted(
+            REQUIRED_KEYS + OPTIONAL_KEYS
+        )
+
+    @pytest.mark.parametrize("key_path", REQUIRED_KEYS)
+    def test_missing_required_key_is_named(self, key_path, tmp_path):
+        path = write_doc(tmp_path, without(shipped_doc(), key_path))
+        with pytest.raises(ScenarioError, match=rf"^missing key {key_path}$"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key_path", OPTIONAL_KEYS)
+    def test_optional_key_may_be_left_out(self, key_path, tmp_path):
+        scenario = load_scenario(write_doc(tmp_path, without(shipped_doc(), key_path)))
+        default = default_scenario()
+        if key_path == "name":
+            assert scenario.name == "scenario"  # the file's stem
+        elif key_path == "plaza.supply":
+            assert scenario.plaza.supply == default.supply
+        else:
+            assert scenario_fingerprint(scenario) == scenario_fingerprint(default)
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            ("", "n_trajectory"),
+            ("supply", "voltage"),
+            ("plaza", "kind"),
+            ("plaza.supply", "mean"),
+            ("plaza.exemplar", "arrival_rate"),
+        ],
+    )
+    def test_unknown_key_is_named(self, block, key, tmp_path):
+        # A misspelled key must fail by name, not be ignored.
+        doc = shipped_doc()
+        target = doc
+        for step in filter(None, block.split(".")):
+            target = target[step]
+        target[key] = 9
+        key_path = f"{block}.{key}" if block else key
+        with pytest.raises(ScenarioError, match=rf"^unknown key {key_path}$"):
+            load_scenario(write_doc(tmp_path, doc))
 
 
 class TestScenarioValidation:

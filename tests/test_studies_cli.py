@@ -516,6 +516,30 @@ class TestCli:
         assert main(["validate", "--scenario", str(path)]) == 0
         assert "valid" in capsys.readouterr().out.lower()
 
+    def test_validate_without_scenario_runs_the_shipped_default(self, capsys):
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out == "scenario 'default' is valid\n"
+
+    @pytest.mark.parametrize(
+        "field, literal, problem",
+        [
+            ("plaza.kinds", '["lshippp", "lshippp"]', "plaza.kinds: kind lshippp"),
+            ("architectures.2.kind", '"cppp"', "architectures: kind cppp"),
+        ],
+    )
+    def test_repeated_kind_exits_1_and_writes_nothing(
+        self, field, literal, problem, tmp_path, capsys
+    ):
+        # A repeated kind would write its rows twice; the scenario is
+        # refused at load, before --out exists.
+        path = write_doc_with(tmp_path / "twice.json", field, literal)
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert f"{problem} is repeated" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["ensemble", "--scenario", str(path), "--out", str(out)]) == 1
+        assert f"{problem} is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_bad_scenario_exits_1(self, tmp_path, capsys):
         doc = small_doc()
         del doc["seed"]
