@@ -26,9 +26,9 @@ def main() -> None:
     )
 
     run_design(scenario, args.out / "design")
-    result = run_tradeoff(scenario, args.out / "tradeoff")
+    run_tradeoff(scenario, args.out / "tradeoff")
 
-    with open(result.out_dir / "tradeoff.csv", newline="") as handle:
+    with open(args.out / "tradeoff" / "tradeoff.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     print(f"{'kind':10s} {'R':>6s} {'util_mean':>10s} {'util_idr':>9s}")
     for row in rows:

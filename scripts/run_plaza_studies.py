@@ -8,6 +8,7 @@ exemplar service cell.
 import argparse
 import csv
 import json
+import math
 from pathlib import Path
 
 from besspp.cli import _worker_count
@@ -26,19 +27,24 @@ def main() -> None:
     )
 
     run_day(scenario, args.out / "day")
-    result = run_ensemble(scenario, args.out / "ensemble", args.workers)
+    out_dir = args.out / "ensemble"
+    run_ensemble(scenario, out_dir, args.workers)
 
     for kind in (k.value for k in scenario.plaza.kinds):
-        payload = json.loads((result.out_dir / f"metrics_{kind}.json").read_text())
-        metrics = payload["metrics"]
+        payload = json.loads((out_dir / f"metrics_{kind}.json").read_text())
+        # A statistic with no sample is null; it prints as nan.
+        metrics = {
+            name: math.nan if metric["value"] is None else metric["value"]
+            for name, metric in payload["metrics"].items()
+        }
         print(
-            f"{kind}: derating={metrics['derating_factor']['value']:.3f} "
-            f"util@worst={metrics['utilization_at_worst_gap']['value']:.3f} "
-            f"captured={metrics['captured_value_kwh']['value']:.1f} kWh"
+            f"{kind}: derating={metrics['derating_factor']:.3f} "
+            f"util@worst={metrics['utilization_at_worst_gap']:.3f} "
+            f"captured={metrics['captured_value_kwh']:.1f} kWh"
         )
 
     exemplar = scenario.plaza.exemplar_demand
-    with open(result.out_dir / "cells.csv", newline="") as handle:
+    with open(out_dir / "cells.csv", newline="") as handle:
         for row in csv.DictReader(handle):
             if (
                 float(row["demand_mean_kwh"]) == exemplar.mean_kwh

@@ -160,13 +160,13 @@ def main(argv=None) -> int:
         startup = (time.perf_counter() - _START_WALL_S, time.process_time())
         timer = StageTimer()
         if args.command == "design":
-            result = run_design(scenario, args.out, timer=timer)
+            written = run_design(scenario, args.out, timer=timer)
         elif args.command == "tradeoff":
-            result = run_tradeoff(scenario, args.out, timer=timer)
+            written = run_tradeoff(scenario, args.out, timer=timer)
         elif args.command == "day":
-            result = run_day(scenario, args.out, kinds=args.kind, timer=timer)
+            written = run_day(scenario, args.out, kinds=args.kind, timer=timer)
         else:
-            result = run_ensemble(scenario, args.out, args.workers, timer=timer)
+            written = run_ensemble(scenario, args.out, args.workers, timer=timer)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -174,8 +174,8 @@ def main(argv=None) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    for name in result.files:
-        print(result.out_dir / name)
+    for path in written:
+        print(path)
     if args.timings:
         for stage, wall_s, cpu_s in [("startup", *startup), *timer.stages]:
             print(

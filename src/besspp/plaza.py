@@ -21,7 +21,8 @@ EVs arrive with exponential interarrival times and Gaussian demands
 demand is drawn per arrival whether or not it is served, so the arrival
 and demand stream depends on the seed alone, never on the storage unit.
 
-A day is therefore two steps: :func:`draw_arrivals` draws the streams and
+A day is therefore two steps: :func:`draw_arrivals` draws the streams, one
+per key of each ``(rate_per_h, demand_model, keys)`` group, and
 :func:`replay_lanes`, the event loop, serves them from a full storage unit.
 The draw writes every stream of a call end to end into one
 :class:`Arrivals` table of float64 arrays over one horizon, and the loop
@@ -50,9 +51,7 @@ from besspp.supply import _philox
 
 __all__ = [
     "GridProfile",
-    "ArrivalModel",
     "DemandModel",
-    "CyclePhases",
     "Arrivals",
     "LaneCycles",
     "LaneReplay",
@@ -115,17 +114,6 @@ class GridProfile:
 
 
 @dataclass(frozen=True)
-class ArrivalModel:
-    """Exponential standby: EV arrivals at ``rate_per_h`` while idle."""
-
-    rate_per_h: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rate_per_h < math.inf:
-            raise ValueError("rate_per_h must be positive and finite")
-
-
-@dataclass(frozen=True)
 class DemandModel:
     """Gaussian per-EV energy demand, clamped to [0, 2 * mean_kwh]."""
 
@@ -139,22 +127,6 @@ class DemandModel:
             raise ValueError("std_kwh must be nonnegative and finite")
         if not 2.0 * self.mean_kwh < math.inf:
             raise ValueError("2 x mean_kwh, the demand clamp, must be finite")
-
-
-@dataclass(frozen=True)
-class CyclePhases:
-    """Closed-form outcome of charging cycles, before truncation.
-
-    Arrays of the arguments' broadcast shape from :func:`cycle_phases`.
-    """
-
-    full_power_kw: np.ndarray
-    bess_kw: np.ndarray
-    full_h: np.ndarray
-    curtailed_h: np.ndarray
-    bess_delivered_kwh: np.ndarray
-    unmet_kwh: np.ndarray
-    recharge_h: np.ndarray
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -299,24 +271,24 @@ class LaneReplay:
 
 def cycle_phases(
     capacity_kwh, grid_kw, demand_kwh, charger_max_kw: float, bess_power_kw
-) -> CyclePhases:
+) -> tuple[np.ndarray, ...]:
     """Phase arithmetic of cycles that start from a full storage unit.
 
     Capacity, grid power, demand and storage power may be arrays; each
-    element of the result is the outcome of its own cycle.
+    element of the result is the outcome of its own cycle, before the
+    horizon cuts it: ``full_power_kw, bess_kw, full_h, curtailed_h,
+    bess_delivered_kwh, unmet_kwh, recharge_h``, arrays of one shape.
     """
     if charger_max_kw <= 0:
         raise ValueError("charger_max_kw must be positive")
     demand = np.asarray(demand_kwh, dtype=float)
     if (demand < 0).any():
         raise ValueError("demand_kwh must be nonnegative")
-    return CyclePhases(
-        *_phases(capacity_kwh, grid_kw, demand, charger_max_kw, bess_power_kw)
-    )
+    return _phases(capacity_kwh, grid_kw, demand, charger_max_kw, bess_power_kw)
 
 
 def _phases(capacity, grid, demand, charger, bess_power) -> tuple:
-    """:class:`CyclePhases` fields, element-wise, with no validation.
+    """:func:`cycle_phases`' seven arrays, element-wise, with no validation.
 
     ``np.where(b > a, b, a)`` is Python's ``max(a, b)`` and
     ``np.where(b < a, b, a)`` its ``min(a, b)``, NaN included.  Divisors
@@ -366,12 +338,13 @@ def _phases(capacity, grid, demand, charger, bess_power) -> tuple:
 def draw_arrivals(groups: Iterable[tuple], horizon_h: float) -> Arrivals:
     """Arrival times and clamped demands over ``[0, horizon_h)``, one stream per key.
 
-    ``groups`` holds ``(arrival_model, demand_model, keys)`` triples, and the
-    table holds their streams group by group, key by key.  A key's draws
-    alternate interarrival, demand, interarrival, ... from one Philox
-    stream, so a stream depends only on its models, the horizon and its
-    key, never on the other streams or on the storage unit that later
-    serves it.
+    ``groups`` holds ``(rate_per_h, demand_model, keys)`` triples: EVs arrive
+    at ``rate_per_h`` while the charger idles, with demands from
+    ``demand_model``.  The table holds their streams group by group, key by
+    key.  A key's draws alternate interarrival, demand, interarrival, ...
+    from one Philox stream, so a stream depends only on its group, the
+    horizon and its key, never on the other streams or on the storage unit
+    that later serves it.
     """
     # Imported here because it loads an extension module, which the studies
     # that draw no arrivals (design, tradeoff) would carry in their RSS.
@@ -380,8 +353,10 @@ def draw_arrivals(groups: Iterable[tuple], horizon_h: float) -> Arrivals:
     times, demands, lengths = array("d"), array("d"), []
     # Scalar draws return Python floats; bound methods save a lookup each.
     add_time, add_demand = times.append, demands.append
-    for arrivals, demand, keys in groups:
-        scale_h = 1.0 / arrivals.rate_per_h
+    for rate_per_h, demand, keys in groups:
+        if not 0 < rate_per_h < math.inf:
+            raise ValueError("rate_per_h must be positive and finite")
+        scale_h = 1.0 / rate_per_h
         mean_kwh, std_kwh = demand.mean_kwh, demand.std_kwh
         max_kwh = 2.0 * mean_kwh
         for key in keys:

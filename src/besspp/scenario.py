@@ -19,9 +19,9 @@ from pathlib import Path
 
 from besspp.architectures import ArchitectureConfig, ArchitectureKind
 from besspp.designer import check_placement_limit
-from besspp.flows import MAX_CUT_MODULES, _module_totals
+from besspp.flows import MAX_CUT_MODULES
 from besspp.plaza import DemandModel, GridProfile
-from besspp.supply import SupplyDistribution, flatten_distribution
+from besspp.supply import SupplyDistribution
 
 __all__ = [
     "PlazaSettings",
@@ -165,6 +165,13 @@ class Scenario:
         ]:
             for kind in dict.fromkeys(k for k in kinds if kinds.count(k) > 1):
                 problems.append(f"{label}: kind {kind.value} is repeated")
+        # The plaza reads each kind's converter efficiency from its entry.
+        listed = {config.kind for config in self.architectures}
+        for kind in dict.fromkeys(self.plaza.kinds):
+            if kind not in listed:
+                problems.append(
+                    f"plaza.kinds: kind {kind.value} has no architectures entry"
+                )
         for seq, label in [
             (self.arrival_rates_per_h, "arrival_rates_per_h"),
             (self.demand_means_kwh, "demand_means_kwh"),
@@ -210,12 +217,6 @@ class Scenario:
                 )
         if problems:
             raise ScenarioError("; ".join(problems))
-
-    @property
-    def design_horizon_h(self) -> float:
-        """Discharge horizon: expected pack energy over rated output power."""
-        expected = flatten_distribution(self.supply, self.n_modules)
-        return _module_totals(expected).item() / self.rated_power_kw
 
 
 def default_scenario() -> Scenario:

@@ -3,7 +3,10 @@
 Every study takes a :class:`~besspp.scenario.Scenario` and an output
 directory, writes its artifacts (CSV tables, JSON reports) plus a
 ``manifest.json`` that fingerprints the scenario and hashes the outputs,
-and returns a :class:`StudyResult`.
+and returns the paths of the files it wrote: the artifacts sorted by name,
+then the manifest.  A statistic with no sample (a mean over no completed
+cycle, a derating of a zero output) is ``null`` in JSON and an empty CSV
+field; no artifact holds a NaN.
 
 Determinism contract: all randomness flows from the scenario seed through
 ``derive_seed`` labels, work is split into tasks whose results do not
@@ -20,7 +23,6 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,6 @@ from besspp.metrics import (
     utilization_stats,
 )
 from besspp.plaza import (
-    ArrivalModel,
     Arrivals,
     DemandModel,
     GridProfile,
@@ -62,7 +63,6 @@ from besspp.scenario import (
 from besspp.supply import flatten_distribution, sample_packs
 
 __all__ = [
-    "StudyResult",
     "StageTimer",
     "scenario_fingerprint",
     "run_design",
@@ -73,13 +73,6 @@ __all__ = [
 
 TRAJECTORY_HEADER = ("t", "p_grid", "p_bess", "e_bess", "p_ev")
 MINUTES_PER_HOUR = 60
-
-
-@dataclass(frozen=True)
-class StudyResult:
-    study: str
-    out_dir: Path
-    files: tuple[str, ...]
 
 
 class StageTimer:
@@ -135,7 +128,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
 
 
 def _file_sha256(path: Path) -> str:
@@ -151,7 +146,7 @@ def scenario_fingerprint(scenario: Scenario) -> str:
 
 def _finish(
     study: str, scenario: Scenario, out_dir: Path, files: list[str]
-) -> StudyResult:
+) -> list[Path]:
     manifest = {
         "study": study,
         "tool_version": besspp.__version__,
@@ -161,7 +156,7 @@ def _finish(
         "outputs": {name: _file_sha256(out_dir / name) for name in sorted(files)},
     }
     _write_json(out_dir / "manifest.json", manifest)
-    return StudyResult(study, out_dir, tuple(sorted(files) + ["manifest.json"]))
+    return [out_dir / name for name in [*sorted(files), "manifest.json"]]
 
 
 def _parallel_map(fn, items, workers: int) -> list:
@@ -182,20 +177,32 @@ def _parallel_map(fn, items, workers: int) -> list:
 # design study
 
 
+def _layer1(scenario: Scenario, supply, power_kw: float):
+    """``supply``'s expected set, its total, and its layer-1 design.
+
+    The design's horizon is the expected total over ``power_kw``.
+    """
+    expected = flatten_distribution(supply, scenario.n_modules)
+    total = _module_totals(expected).item()
+    layer1 = design_layer1(
+        expected, supply.voltage_v, scenario.n_layer1, total / power_kw
+    )
+    return expected, total, layer1
+
+
 def run_design(
     scenario: Scenario, out_dir, timer: StageTimer | None = None
-) -> StudyResult:
+) -> list[Path]:
     """Design the sparse layer, then sweep the adjacent-ladder ratio."""
     timer = timer or StageTimer()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     supply = scenario.supply
     with timer.stage("search"):
-        expected = flatten_distribution(supply, scenario.n_modules)
-        horizon = scenario.design_horizon_h
-        layer1 = design_layer1(expected, supply.voltage_v, scenario.n_layer1, horizon)
+        expected, expected_total, layer1 = _layer1(
+            scenario, supply, scenario.rated_power_kw
+        )
 
-    expected_total = _module_totals(expected).item()
     design_doc = {
         "n_modules": layer1.n_batteries,
         "n_layer1": len(layer1.edges),
@@ -238,7 +245,7 @@ def _sweep_packs(scenario: Scenario, label: str) -> np.ndarray:
 
 def run_tradeoff(
     scenario: Scenario, out_dir, timer: StageTimer | None = None
-) -> StudyResult:
+) -> list[Path]:
     """Utilization-versus-rating curves for every architecture family.
 
     The packs are sampled once and every kind's R grid is one sweep over
@@ -249,12 +256,9 @@ def run_tradeoff(
     out_dir.mkdir(parents=True, exist_ok=True)
     supply = scenario.supply
     with timer.stage("search"):
-        expected = flatten_distribution(supply, scenario.n_modules)
-        horizon = scenario.design_horizon_h
-        layer1 = design_layer1(expected, supply.voltage_v, scenario.n_layer1, horizon)
+        _, expected_total, layer1 = _layer1(scenario, supply, scenario.rated_power_kw)
 
-    n = scenario.n_modules
-    expected_total = _module_totals(expected).item()
+    n, horizon = scenario.n_modules, layer1.horizon_h
     rows: list[tuple] = []
     with timer.stage("sweep"):
         packs = _sweep_packs(scenario, "tradeoff-packs")
@@ -273,27 +277,18 @@ def run_tradeoff(
 # plaza studies (day, ensemble)
 
 
-@dataclass(frozen=True)
-class _PlazaSetup:
-    """Per-kind effective capacities for the sampled plaza packs."""
+def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> tuple:
+    """``(expected_total_kwh, pack_totals, capacities)`` of the plaza packs.
 
-    expected_total_kwh: float
-    pack_totals: tuple[float, ...]
-    capacities: dict[str, tuple[float, ...]]
-
-
-def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
-    """Capacities of the first ``n_packs`` plaza packs (all by default).
-
-    Pack ``i`` is seeded by its index alone, so a shorter prefix leaves
-    every pack and capacity it keeps unchanged.
+    ``capacities`` maps each kind to the effective capacity of the first
+    ``n_packs`` packs (all by default).  Pack ``i`` is seeded by its index
+    alone, so a shorter prefix leaves every pack and capacity it keeps
+    unchanged.
     """
     plaza = scenario.plaza
     supply, n = plaza.supply, scenario.n_modules
-    expected = flatten_distribution(supply, n)
-    expected_total = _module_totals(expected).item()
-    horizon = expected_total / plaza.bess_power_kw
-    layer1 = design_layer1(expected, supply.voltage_v, scenario.n_layer1, horizon)
+    _, expected_total, layer1 = _layer1(scenario, supply, plaza.bess_power_kw)
+    horizon = layer1.horizon_h
     count = scenario.n_packs if n_packs is None else n_packs
     keys = derive_seeds(scenario.seed, "plaza-pack", indices=range(count))
     packs = sample_packs(supply, n, keys)
@@ -302,18 +297,14 @@ def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> _PlazaSetup:
         split = split_budget(kind, n, plaza.rating_r, expected_total, horizon, layer1)
         (row,) = sweep_energy(packs, supply.voltage_v, [split])
         capacities[kind.value] = tuple(row.tolist())
-    return _PlazaSetup(
-        expected_total_kwh=expected_total,
-        pack_totals=tuple(_module_totals(packs).tolist()),
-        capacities=capacities,
-    )
+    return expected_total, tuple(_module_totals(packs).tolist()), capacities
 
 
 def _exemplar_day(scenario: Scenario, label: str) -> Arrivals:
     """One day of the exemplar cell's arrivals, keyed ``(seed, label)``."""
     plaza = scenario.plaza
     key = derive_seed(scenario.seed, label)
-    groups = [(ArrivalModel(plaza.exemplar_rate_per_h), plaza.exemplar_demand, [key])]
+    groups = [(plaza.exemplar_rate_per_h, plaza.exemplar_demand, [key])]
     return draw_arrivals(groups, DAY_HORIZON_H)
 
 
@@ -322,7 +313,7 @@ def run_day(
     out_dir,
     kinds=None,
     timer: StageTimer | None = None,
-) -> StudyResult:
+) -> list[Path]:
     """One exemplar day per architecture kind, on a common sampled pack.
 
     The day's arrival and demand stream is drawn once and every kind
@@ -346,11 +337,11 @@ def run_day(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with timer.stage("plaza setup"):
-        setup = _plaza_setup(scenario, n_packs=1)
+        _, pack_totals, kind_caps = _plaza_setup(scenario, n_packs=1)
 
     with timer.stage("days"):
         arrivals = _exemplar_day(scenario, "day")
-        capacities = [setup.capacities[kind][0] for kind in kinds]
+        capacities = [kind_caps[kind][0] for kind in kinds]
         replay = replay_lanes(
             arrivals,
             [0] * len(kinds),
@@ -373,7 +364,7 @@ def run_day(
             report = {
                 "kind": kind,
                 "effective_capacity_kwh": capacities[i],
-                "pack_total_kwh": setup.pack_totals[0],
+                "pack_total_kwh": pack_totals[0],
                 "horizon_h": DAY_HORIZON_H,
                 "dropped_arrivals": int(lane.dropped[0]),
                 "n_cycles": len(cycles),
@@ -443,15 +434,15 @@ def _minute_series(
 
 def _curtailed_minutes(
     curtailed_h: np.ndarray, truncated: np.ndarray
-) -> tuple[float, float, int]:
+) -> tuple[float | None, float | None, int]:
     """Mean and worst pedestal minutes over the cycles the horizon left whole.
 
     Also returns the number of those cycles; with none, both statistics
-    are NaN.
+    are None.
     """
     minutes = curtailed_h[~truncated] * MINUTES_PER_HOUR
     if not minutes.size:
-        return math.nan, math.nan, 0
+        return None, None, 0
     return float(np.mean(minutes)), float(np.max(minutes)), int(minutes.size)
 
 
@@ -516,10 +507,11 @@ def _reference_schedule(scenario: Scenario) -> list[tuple[float, float, float]]:
 
 
 def _dispersion_rows(
-    scenario: Scenario, setup: _PlazaSetup
+    scenario: Scenario, expected_total_kwh: float, pack_totals, capacities
 ) -> tuple[list[tuple], dict[str, dict]]:
     """``dispersion.csv`` rows and each kind's ``metrics_<kind>.json`` document."""
     plaza = scenario.plaza
+    eta_c = {config.kind.value: config.eta_c for config in scenario.architectures}
     schedule = _reference_schedule(scenario)
     if not schedule:
         raise RuntimeError("exemplar day produced no charging intervals")
@@ -541,20 +533,20 @@ def _dispersion_rows(
     }
     rows: list[tuple] = []
     reports: dict[str, dict] = {}
-    pack_totals = np.array(setup.pack_totals)
+    pack_totals = np.array(pack_totals)
     for kind in (k.value for k in plaza.kinds):
-        caps = setup.capacities[kind]
+        caps = capacities[kind]
         caps_kwh = np.array(caps)
-        worst_stats: dict[str, float] = {}
+        worst_stats: dict[str, float | None] = {}
         for k_int, (start_h, grid_kw, demand) in enumerate(schedule):
-            phases = cycle_phases(
+            _, _, _, _, delivered, _, _ = cycle_phases(
                 caps_kwh, grid_kw, demand, plaza.charger_max_kw,
                 plaza.bess_power_kw,
             )
-            utils = phases.bess_delivered_kwh / pack_totals
+            utils = delivered / pack_totals
             stats = utilization_stats(utils)
             mean, _, idr, _, _ = stats
-            rating = derating_factor(utils) if mean > 0 else math.nan
+            rating = derating_factor(utils) if mean > 0 else None
             rows.append(
                 (kind, k_int, start_h, demand, grid_kw, gaps[k_int], *stats, rating)
             )
@@ -568,31 +560,26 @@ def _dispersion_rows(
                 }
         d_f = worst_stats["derating_factor"]
         u_e = worst_stats["utilization_at_worst_gap"]
-        captured = (
-            captured_value(d_f, min(u_e, 1.0), setup.expected_total_kwh)
-            if not math.isnan(d_f)
-            else math.nan
-        )
-        eta = next(
-            (
-                system_efficiency(c.eta_c, plaza.rating_r)
-                for c in scenario.architectures
-                if c.kind.value == kind
-            ),
-            math.nan,
-        )
+        if d_f is None:
+            captured = fraction = None
+        else:
+            captured = captured_value(d_f, min(u_e, 1.0), expected_total_kwh)
+            fraction = d_f * u_e
         values = {
             **worst_stats,
             "captured_value_kwh": captured,
-            "captured_fraction": d_f * u_e,
-            "system_efficiency": eta,
+            "captured_fraction": fraction,
+            "system_efficiency": system_efficiency(eta_c[kind], plaza.rating_r),
             "n_intervals": len(schedule),
             "n_packs": len(caps),
         }
         reports[kind] = {
             "study": f"ensemble-dispersion-{kind}",
             "metrics": {
-                name: {"value": float(value), "unit": units.get(name, "")}
+                name: {
+                    "value": None if value is None else float(value),
+                    "unit": units.get(name, ""),
+                }
                 for name, value in values.items()
             },
         }
@@ -642,7 +629,7 @@ def _batch_task(args) -> list[tuple]:
     arrivals = draw_arrivals(
         [
             (
-                ArrivalModel(rate),
+                rate,
                 DemandModel(mean_kwh=mean, std_kwh=std),
                 derive_seeds(seed, "traj", mean, std, rate, indices=range(per_cell)),
             )
@@ -680,7 +667,7 @@ def _batch_task(args) -> list[tuple]:
                     *cell,
                     per_cell,
                     n_done,
-                    float(np.mean(utils)) if utils.size else math.nan,
+                    float(np.mean(utils)) if utils.size else None,
                     mean_min,
                     max_min,
                     float(cycles.unmet_total_kwh.mean()),
@@ -693,7 +680,7 @@ def _batch_task(args) -> list[tuple]:
 
 def run_ensemble(
     scenario: Scenario, out_dir, workers: int = 1, timer: StageTimer | None = None
-) -> StudyResult:
+) -> list[Path]:
     """Dispersion statistics plus the stochastic service-cell sweep.
 
     The demand cells are replayed in batches of whole cells
@@ -705,10 +692,12 @@ def run_ensemble(
     out_dir.mkdir(parents=True, exist_ok=True)
     plaza = scenario.plaza
     with timer.stage("plaza setup"):
-        setup = _plaza_setup(scenario)
+        expected_total, pack_totals, capacities = _plaza_setup(scenario)
 
     with timer.stage("dispersion"):
-        rows, reports = _dispersion_rows(scenario, setup)
+        rows, reports = _dispersion_rows(
+            scenario, expected_total, pack_totals, capacities
+        )
 
     cells = [
         (mean, std, rate)
@@ -719,7 +708,7 @@ def run_ensemble(
     per_cell = max(1, scenario.n_trajectories // len(cells))
     traj_seed = derive_seed(scenario.seed, "ensemble")
     capacities_by_kind = tuple(
-        (kind.value, setup.capacities[kind.value]) for kind in plaza.kinds
+        (kind.value, capacities[kind.value]) for kind in plaza.kinds
     )
     batches = _cell_batches([rate for _, _, rate in cells], per_cell)
     tasks = [
@@ -728,7 +717,7 @@ def run_ensemble(
             per_cell,
             traj_seed,
             capacities_by_kind,
-            setup.pack_totals,
+            pack_totals,
             scenario.grid_profile,
             plaza.charger_max_kw,
             plaza.bess_power_kw,

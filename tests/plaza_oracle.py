@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from besspp.plaza import HOURS_PER_DAY, CyclePhases
+from besspp.plaza import HOURS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Cycle:
 CYCLE_FIELDS = tuple(f.name for f in fields(Cycle))[1:]
 
 
-def reference_draw(arrivals, demand, horizon_h, key):
+def reference_draw(rate_per_h, demand, horizon_h, key):
     """One stream's arrival times and clamped demands, as two lists.
 
     Interarrival, demand, interarrival, ... from a fresh
@@ -44,7 +44,7 @@ def reference_draw(arrivals, demand, horizon_h, key):
     ``[0, 2 * mean_kwh]``, until an arrival falls at or past the horizon.
     """
     rng = np.random.Generator(np.random.Philox(key=key))
-    scale_h = 1.0 / arrivals.rate_per_h
+    scale_h = 1.0 / rate_per_h
     times, demands = [], []
     t_arrival = rng.exponential(scale_h)
     while t_arrival < horizon_h:
@@ -71,13 +71,14 @@ def power_at(grid, t_h):
 
 
 def reference_phases(capacity, grid_kw, demand, charger, bess_power):
+    """One cycle's seven values, in the order of ``plaza.cycle_phases``."""
     bess_kw = min(bess_power, max(0.0, charger - grid_kw))
     full_power = min(charger, grid_kw + bess_kw)
     if full_power <= 0:
-        return CyclePhases(0.0, 0.0, 0.0, 0.0, 0.0, demand, 0.0)
+        return (0.0, 0.0, 0.0, 0.0, 0.0, demand, 0.0)
     t_demand = demand / full_power
     if not math.isfinite(t_demand):
-        return CyclePhases(full_power, bess_kw, 0.0, 0.0, 0.0, demand, 0.0)
+        return (full_power, bess_kw, 0.0, 0.0, 0.0, demand, 0.0)
     t_deplete = capacity / bess_kw if bess_kw > 0 else math.inf
     if t_demand <= t_deplete:
         full_h, curtailed_h, delivered, unmet = (
@@ -96,9 +97,7 @@ def reference_phases(capacity, grid_kw, demand, charger, bess_power):
         recharge_h = math.inf
     else:
         recharge_h = 0.0
-    return CyclePhases(
-        full_power, bess_kw, full_h, curtailed_h, delivered, unmet, recharge_h
-    )
+    return full_power, bess_kw, full_h, curtailed_h, delivered, unmet, recharge_h
 
 
 def reference_replay(capacity, bess_power, grid, arrivals, stream, charger):
@@ -116,28 +115,27 @@ def reference_replay(capacity, bess_power, grid, arrivals, stream, charger):
             dropped += 1
             continue
         grid_kw = power_at(grid, start)
-        phases = reference_phases(capacity, grid_kw, demand, charger, bess_power)
-        full_h, curtailed_h = phases.full_h, phases.curtailed_h
-        delivered, unmet = phases.bess_delivered_kwh, phases.unmet_kwh
-        recharge_h = phases.recharge_h
+        full_power, bess_kw, full_h, curtailed_h, delivered, unmet, recharge_h = (
+            reference_phases(capacity, grid_kw, demand, charger, bess_power)
+        )
         room = arrivals.horizon_h - start
         truncated = False
         if full_h > room:
             full_h = room
-            delivered = phases.bess_kw * full_h
-            unmet = demand - phases.full_power_kw * full_h
+            delivered = bess_kw * full_h
+            unmet = demand - full_power * full_h
             curtailed_h = recharge_h = 0.0
             truncated = True
         elif full_h + curtailed_h > room:
             curtailed_h = room - full_h
-            unmet = demand - phases.full_power_kw * full_h - grid_kw * curtailed_h
+            unmet = demand - full_power * full_h - grid_kw * curtailed_h
             recharge_h = 0.0
             truncated = True
         elif not math.isfinite(recharge_h) or full_h + curtailed_h + recharge_h > room:
             recharge_h = room - full_h - curtailed_h
         cycles.append(
             Cycle(
-                len(cycles), start, demand, grid_kw, phases.full_power_kw,
+                len(cycles), start, demand, grid_kw, full_power,
                 full_h, curtailed_h, delivered, recharge_h, max(0.0, unmet),
                 truncated,
             )

@@ -46,7 +46,6 @@ from besspp.flows import (
 )
 from besspp.metrics import system_efficiency
 from besspp.plaza import (
-    ArrivalModel,
     DemandModel,
     GridProfile,
     cycle_phases,
@@ -95,13 +94,16 @@ def tradeoff_points():
     keys = [derive_seed(scenario.seed, "tradeoff-packs", i) for i in range(100)]
     packs = sample_packs(supply, scenario.n_modules, keys)
     expected = flatten_distribution(supply, scenario.n_modules)
-    horizon = scenario.design_horizon_h
-    layer1 = design_layer1(expected, supply.voltage_v, scenario.n_layer1, horizon)
     basis = left_fold(expected.tolist())
+    layer1 = design_layer1(
+        expected, supply.voltage_v, scenario.n_layer1, basis / scenario.rated_power_kw
+    )
     curves = {}
     for kind in ("lshippp", "cppp", "fpp"):
         splits = [
-            split_budget(kind, scenario.n_modules, r, basis, horizon, layer1)
+            split_budget(
+                kind, scenario.n_modules, r, basis, layer1.horizon_h, layer1
+            )
             for r in R_GRID
         ]
         rows = [
@@ -125,13 +127,12 @@ def exemplar_ensemble(tmp_path_factory):
         n_trajectories=33,
     )
     out = tmp_path_factory.mktemp("acceptance-ensemble")
-    result = run_ensemble(scenario, out, workers=2)
-    out_dir = Path(result.out_dir)
+    run_ensemble(scenario, out, workers=2)
     reports = {
-        kind: json.loads((out_dir / f"metrics_{kind}.json").read_text())["metrics"]
+        kind: json.loads((out / f"metrics_{kind}.json").read_text())["metrics"]
         for kind in ("lshippp", "cppp")
     }
-    with (out_dir / "cells.csv").open(newline="") as fh:
+    with (out / "cells.csv").open(newline="") as fh:
         cells = {row["kind"]: row for row in csv.DictReader(fh)}
     return reports, cells
 
@@ -521,16 +522,13 @@ def prop_min_peak_lp(seed):
     bess_power=st.floats(0.0, 300.0, allow_nan=False),
 )
 def prop_cycle_energy_balance(capacity, grid, demand, charger, bess_power):
-    phases = cycle_phases(capacity, grid, demand, charger, bess_power)
-    served = (
-        phases.full_power_kw * phases.full_h
-        + min(grid, charger) * phases.curtailed_h
+    full_power, bess_kw, full_h, curtailed_h, delivered, unmet, _ = cycle_phases(
+        capacity, grid, demand, charger, bess_power
     )
-    assert served + phases.unmet_kwh == pytest.approx(demand, rel=1e-9, abs=1e-9)
-    assert phases.bess_delivered_kwh <= capacity + 1e-9
-    assert phases.bess_delivered_kwh == pytest.approx(
-        phases.bess_kw * phases.full_h, rel=1e-9, abs=1e-9
-    )
+    served = full_power * full_h + min(grid, charger) * curtailed_h
+    assert served + unmet == pytest.approx(demand, rel=1e-9, abs=1e-9)
+    assert delivered <= capacity + 1e-9
+    assert delivered == pytest.approx(bess_kw * full_h, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=1000)
@@ -543,7 +541,7 @@ def prop_cycle_energy_balance(capacity, grid, demand, charger, bess_power):
     std=st.floats(0.0, 40.0, allow_nan=False),
 )
 def prop_storage_full_at_cycle_start(seed, capacity, grid, rate, mean, std):
-    stream = draw_arrivals([(ArrivalModel(rate), DemandModel(mean, std), [seed])], 24.0)
+    stream = draw_arrivals([(rate, DemandModel(mean, std), [seed])], 24.0)
     profile = GridProfile(((0.0, grid),))
     cycles = lane_cycles(
         replay_lanes(stream, [0], [capacity], 150.0, profile, 150.0).cycles(), 0
@@ -655,12 +653,10 @@ def test_criterion_9_determinism(tmp_path):
             n_packs=6,
             n_trajectories=8,
         )
-        runs = [
-            run_ensemble(scenario, tmp_path / "e1", workers=1),
-            run_ensemble(scenario, tmp_path / "e2", workers=1),
-            run_ensemble(scenario, tmp_path / "e3", workers=3),
-        ]
-        digests = [_tree_digest(Path(r.out_dir)) for r in runs]
+        runs = [("e1", 1), ("e2", 1), ("e3", 3)]
+        for name, workers in runs:
+            run_ensemble(scenario, tmp_path / name, workers=workers)
+        digests = [_tree_digest(tmp_path / name) for name, _ in runs]
         assert digests[0] == digests[1], "rerun differs"
         assert digests[0] == digests[2], "worker count changed the bytes"
         path = tmp_path / "scenario.json"

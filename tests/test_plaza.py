@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besspp.plaza import (
-    ArrivalModel,
     Arrivals,
-    CyclePhases,
     DemandModel,
     GridProfile,
     cycle_phases,
@@ -94,10 +92,22 @@ class TestEffectiveCapacity:
         assert got == pytest.approx(12.0)
 
 
-def _scalar_phases(capacity, grid_kw, demand, charger, bess_power) -> CyclePhases:
-    """:func:`cycle_phases` of one cycle, with float fields."""
+# The seven arrays of cycle_phases, in order.
+PHASES = (
+    "full_power_kw",
+    "bess_kw",
+    "full_h",
+    "curtailed_h",
+    "bess_delivered_kwh",
+    "unmet_kwh",
+    "recharge_h",
+)
+
+
+def _scalar_phases(capacity, grid_kw, demand, charger, bess_power) -> dict:
+    """:func:`cycle_phases` of one cycle, as floats by name."""
     phases = cycle_phases(capacity, grid_kw, demand, charger, bess_power)
-    return CyclePhases(*(float(getattr(phases, f.name)) for f in fields(phases)))
+    return dict(zip(PHASES, map(float, phases), strict=True))
 
 
 class TestEvaluateCycle:
@@ -106,50 +116,50 @@ class TestEvaluateCycle:
     def test_reference_uncurtailed(self):
         # 200 kWh unit, 50 kW grid, 150 kW charger: the unit covers 100 kW.
         phases = _scalar_phases(200.0, 50.0, 30.0, 150.0, 150.0)
-        assert phases.full_power_kw == 150.0
-        assert phases.bess_kw == 100.0
-        assert phases.full_h == pytest.approx(0.2)
-        assert phases.curtailed_h == 0.0
-        assert phases.bess_delivered_kwh == pytest.approx(20.0)
-        assert phases.recharge_h == pytest.approx(0.4)
-        assert phases.unmet_kwh == 0.0
+        assert phases["full_power_kw"] == 150.0
+        assert phases["bess_kw"] == 100.0
+        assert phases["full_h"] == pytest.approx(0.2)
+        assert phases["curtailed_h"] == 0.0
+        assert phases["bess_delivered_kwh"] == pytest.approx(20.0)
+        assert phases["recharge_h"] == pytest.approx(0.4)
+        assert phases["unmet_kwh"] == 0.0
 
     def test_reference_curtailed(self):
         # Same cycle with a 10 kWh unit: depletion after 0.1 h, pedestal
         # covers the remaining 15 kWh at 50 kW.
         phases = _scalar_phases(10.0, 50.0, 30.0, 150.0, 150.0)
-        assert phases.full_h == pytest.approx(0.1)
-        assert phases.bess_delivered_kwh == pytest.approx(10.0)
-        assert phases.curtailed_h == pytest.approx(0.3)
-        assert phases.unmet_kwh == 0.0
-        assert phases.recharge_h == pytest.approx(0.2)
+        assert phases["full_h"] == pytest.approx(0.1)
+        assert phases["bess_delivered_kwh"] == pytest.approx(10.0)
+        assert phases["curtailed_h"] == pytest.approx(0.3)
+        assert phases["unmet_kwh"] == 0.0
+        assert phases["recharge_h"] == pytest.approx(0.2)
 
     def test_no_grid_terminates_with_unmet(self):
         phases = _scalar_phases(10.0, 0.0, 30.0, 150.0, 150.0)
-        assert phases.full_power_kw == 150.0
-        assert phases.full_h == pytest.approx(10.0 / 150.0)
-        assert phases.curtailed_h == 0.0
-        assert phases.unmet_kwh == pytest.approx(20.0)
-        assert math.isinf(phases.recharge_h)
+        assert phases["full_power_kw"] == 150.0
+        assert phases["full_h"] == pytest.approx(10.0 / 150.0)
+        assert phases["curtailed_h"] == 0.0
+        assert phases["unmet_kwh"] == pytest.approx(20.0)
+        assert math.isinf(phases["recharge_h"])
 
     def test_no_source_at_all(self):
         phases = _scalar_phases(0.0, 0.0, 30.0, 150.0, 150.0)
-        assert phases.unmet_kwh == pytest.approx(30.0)
-        assert phases.full_h == 0.0
-        assert phases.recharge_h == 0.0
+        assert phases["unmet_kwh"] == pytest.approx(30.0)
+        assert phases["full_h"] == 0.0
+        assert phases["recharge_h"] == 0.0
 
     def test_grid_larger_than_charger(self):
         # Grid alone saturates the charger: the unit is never tapped.
         phases = _scalar_phases(50.0, 200.0, 30.0, 150.0, 150.0)
-        assert phases.bess_kw == 0.0
-        assert phases.bess_delivered_kwh == 0.0
-        assert phases.full_h == pytest.approx(0.2)
-        assert phases.recharge_h == 0.0
+        assert phases["bess_kw"] == 0.0
+        assert phases["bess_delivered_kwh"] == 0.0
+        assert phases["full_h"] == pytest.approx(0.2)
+        assert phases["recharge_h"] == 0.0
 
     def test_bess_power_limit(self):
         phases = _scalar_phases(100.0, 50.0, 30.0, 150.0, 60.0)
-        assert phases.bess_kw == 60.0
-        assert phases.full_power_kw == 110.0
+        assert phases["bess_kw"] == 60.0
+        assert phases["full_power_kw"] == 110.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="charger_max_kw"):
@@ -178,18 +188,18 @@ class TestEvaluateCycle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             phases = cycle_phases(capacity, grid, demand, charger, bess_power)
-        names = [f.name for f in fields(CyclePhases)]
+        assert len(phases) == len(PHASES)
         for k, (cap, grid_kw, dem, power) in enumerate(cases):
             expected = reference_phases(cap, grid_kw, dem, charger, power)
-            got = CyclePhases(*(float(getattr(phases, n)[k]) for n in names))
-            assert got == expected
-            assert _scalar_phases(cap, grid_kw, dem, charger, power) == expected
+            assert tuple(float(values[k]) for values in phases) == expected
+            scalar = _scalar_phases(cap, grid_kw, dem, charger, power)
+            assert tuple(scalar.values()) == expected
 
     def test_zero_demand(self):
         phases = _scalar_phases(100.0, 50.0, 0.0, 150.0, 150.0)
-        assert phases.full_h == 0.0
-        assert phases.bess_delivered_kwh == 0.0
-        assert phases.recharge_h == 0.0
+        assert phases["full_h"] == 0.0
+        assert phases["bess_delivered_kwh"] == 0.0
+        assert phases["recharge_h"] == 0.0
 
     @given(
         capacity=st.floats(0.0, 300.0),
@@ -201,14 +211,14 @@ class TestEvaluateCycle:
     def test_energy_balance(self, capacity, grid, demand, bess_power):
         phases = _scalar_phases(capacity, grid, demand, 150.0, bess_power)
         delivered_to_ev = (
-            phases.full_power_kw * phases.full_h
-            + grid * phases.curtailed_h
-            + phases.unmet_kwh
+            phases["full_power_kw"] * phases["full_h"]
+            + grid * phases["curtailed_h"]
+            + phases["unmet_kwh"]
         )
         assert delivered_to_ev == pytest.approx(demand, abs=1e-6)
-        assert 0 <= phases.bess_delivered_kwh <= capacity + 1e-9
-        assert phases.bess_delivered_kwh == pytest.approx(
-            phases.bess_kw * phases.full_h, abs=1e-6
+        assert 0 <= phases["bess_delivered_kwh"] <= capacity + 1e-9
+        assert phases["bess_delivered_kwh"] == pytest.approx(
+            phases["bess_kw"] * phases["full_h"], abs=1e-6
         )
 
 
@@ -218,7 +228,7 @@ def _demand(mean=50.0, std=25.0):
 
 def _drawn(rate, demand, horizon, seed) -> Arrivals:
     """A table of one stream, drawn from ``seed``."""
-    return draw_arrivals([(ArrivalModel(rate), demand, [seed])], horizon)
+    return draw_arrivals([(rate, demand, [seed])], horizon)
 
 
 def _table(streams, horizon) -> Arrivals:
@@ -291,11 +301,11 @@ class TestSimulateDay:
 
     def test_minute_series_shapes_and_bounds(self, tmp_path):
         scenario = default_scenario()
-        result = run_day(scenario, tmp_path)
+        run_day(scenario, tmp_path)
         for kind in (k.value for k in scenario.plaza.kinds):
-            report = json.loads((result.out_dir / f"day_{kind}.json").read_text())
+            report = json.loads((tmp_path / f"day_{kind}.json").read_text())
             capacity = report["effective_capacity_kwh"]
-            with (result.out_dir / f"day_{kind}.csv").open(newline="") as fh:
+            with (tmp_path / f"day_{kind}.csv").open(newline="") as fh:
                 rows = list(csv.reader(fh))[1:]
             _, _, _, e_bess, p_ev = np.array(rows, dtype=float).T
             assert len(rows) == 24 * 60 + 1
@@ -531,8 +541,8 @@ def _assert_draws_like_reference(groups, horizon) -> Arrivals:
     """``draw_arrivals(groups, horizon)``, checked key by key against the oracle."""
     table = draw_arrivals(groups, horizon)
     streams = [
-        reference_draw(arrivals, demand, horizon, key)
-        for arrivals, demand, keys in groups
+        reference_draw(rate, demand, horizon, key)
+        for rate, demand, keys in groups
         for key in keys
     ]
     assert table.lengths.tolist() == [len(times) for times, _ in streams]
@@ -561,7 +571,7 @@ class TestDrawArrivals:
     def test_one_call_draws_every_key_like_the_reference(self, groups, horizon):
         _assert_draws_like_reference(
             [
-                (ArrivalModel(rate), DemandModel(mean, std), keys)
+                (rate, DemandModel(mean, std), keys)
                 for rate, mean, std, keys in groups
             ],
             horizon,
@@ -573,8 +583,8 @@ class TestDrawArrivals:
         # group clamps at twice its own mean.
         table = _assert_draws_like_reference(
             [
-                (ArrivalModel(0.5), DemandModel(10.0, 500.0), range(20)),
-                (ArrivalModel(4.0), DemandModel(26.0, 30.0), range(20, 30)),
+                (0.5, DemandModel(10.0, 500.0), range(20)),
+                (4.0, DemandModel(26.0, 30.0), range(20, 30)),
             ],
             2.0,
         )
@@ -619,10 +629,13 @@ class TestSharedStream:
     def test_stream_validation(self):
         with pytest.raises(ValueError, match="horizon_h"):
             _drawn(1.0, _demand(), 0.0, 1)
-        # An infinite rate would draw zero interarrivals forever.
-        for rate in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="rate_per_h"):
-                ArrivalModel(rate)
+        # An infinite rate would draw zero interarrivals forever.  Each
+        # group's rate is checked, even a group with no keys.
+        for rate in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="rate_per_h must be positive"):
+                draw_arrivals([(rate, _demand(), [1])], 24.0)
+            with pytest.raises(ValueError, match="rate_per_h must be positive"):
+                draw_arrivals([(1.0, _demand(), [1]), (rate, _demand(), [])], 24.0)
         with pytest.raises(ValueError, match="std_kwh"):
             DemandModel(mean_kwh=50.0, std_kwh=math.nan)
         with pytest.raises(ValueError, match="2 x mean_kwh"):
@@ -668,4 +681,4 @@ class TestCurtailedMinutes:
             lanes.curtailed_h, lanes.truncated
         )
         assert n_cycles == 0
-        assert math.isnan(mean_min) and math.isnan(max_min)
+        assert mean_min is None and max_min is None

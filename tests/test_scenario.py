@@ -18,7 +18,7 @@ from besspp.scenario import (
     load_scenario,
     scenario_to_dict,
 )
-from besspp.studies import _plaza_setup, scenario_fingerprint
+from besspp.studies import _layer1, scenario_fingerprint
 
 from plaza_oracle import power_at
 
@@ -74,9 +74,11 @@ class TestDefaultScenario:
         assert scenario.n_modules == 9
         assert scenario.n_layer1 == 3
         assert scenario.supply.std_kwh / scenario.supply.mean_kwh == 0.25
-        assert scenario.design_horizon_h == pytest.approx(2.25)
-        plaza_total_kwh = _plaza_setup(scenario).expected_total_kwh
-        assert plaza_total_kwh / scenario.plaza.bess_power_kw == pytest.approx(0.25)
+        _, _, layer1 = _layer1(scenario, scenario.supply, scenario.rated_power_kw)
+        assert layer1.horizon_h == pytest.approx(2.25)
+        plaza = scenario.plaza
+        _, _, layer1 = _layer1(scenario, plaza.supply, plaza.bess_power_kw)
+        assert layer1.horizon_h == pytest.approx(0.25)
         assert len(scenario.r_grid) == 20
         kinds = [c.kind for c in scenario.architectures]
         assert kinds == [

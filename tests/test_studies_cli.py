@@ -21,7 +21,7 @@ import besspp.studies
 from besspp import flows
 from besspp.cli import main
 from besspp.designer import TRADEOFF_HEADER, derive_seed
-from besspp.plaza import ArrivalModel, DemandModel, draw_arrivals
+from besspp.plaza import DemandModel, draw_arrivals
 from besspp.scenario import ScenarioError, load_scenario
 from besspp.studies import (
     CELLS_HEADER,
@@ -200,11 +200,34 @@ def test_layer1_rating_keeps_its_pinned_pivots(small_scenario, tmp_path, monkeyp
     assert iterations == [13, 17]
 
 
+@pytest.mark.parametrize(
+    "run", [run_design, run_tradeoff, run_day, run_ensemble], ids=lambda f: f.__name__
+)
+def test_study_returns_the_files_it_wrote(small_scenario, tmp_path, run):
+    # The artifacts sorted by name, then the manifest: every file in the
+    # directory, and nothing else.
+    _, scenario = small_scenario
+    out = tmp_path / "out"
+    written = run(scenario, out)
+    assert written[-1] == out / "manifest.json"
+    assert written[:-1] == sorted(written[:-1])
+    assert sorted(written) == sorted(out.iterdir())
+
+
+def _strict_json(path: Path):
+    """``path``'s JSON, refusing the NaN and Infinity tokens strict parsers reject."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 class TestRunDesign:
     def test_artifacts_and_manifest(self, small_scenario, tmp_path):
         _, scenario = small_scenario
-        result = run_design(scenario, tmp_path / "design")
-        out = Path(result.out_dir)
+        out = tmp_path / "design"
+        run_design(scenario, out)
         design = json.loads((out / "design.json").read_text())
         assert design["n_layer1"] == 3
         assert len(design["edges"]) == 3
@@ -222,8 +245,8 @@ class TestRunDesign:
 class TestRunTradeoff:
     def test_columns_and_rows(self, small_scenario, tmp_path):
         _, scenario = small_scenario
-        result = run_tradeoff(scenario, tmp_path / "t")
-        path = Path(result.out_dir) / "tradeoff.csv"
+        run_tradeoff(scenario, tmp_path / "t")
+        path = tmp_path / "t" / "tradeoff.csv"
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             header = tuple(next(reader))
@@ -251,7 +274,7 @@ def _day_stream(scenario):
     plaza = scenario.plaza
     key = derive_seed(scenario.seed, "day")
     return draw_arrivals(
-        [(ArrivalModel(plaza.exemplar_rate_per_h), plaza.exemplar_demand, [key])],
+        [(plaza.exemplar_rate_per_h, plaza.exemplar_demand, [key])],
         DAY_HORIZON_H,
     )
 
@@ -259,8 +282,8 @@ def _day_stream(scenario):
 class TestRunDay:
     def test_minute_series_shape(self, small_scenario, tmp_path):
         _, scenario = small_scenario
-        result = run_day(scenario, tmp_path / "day")
-        out = Path(result.out_dir)
+        out = tmp_path / "day"
+        run_day(scenario, out)
         for kind in ("lshippp", "cppp"):
             with (out / f"day_{kind}.csv").open(newline="") as fh:
                 reader = csv.reader(fh)
@@ -279,13 +302,16 @@ class TestRunDay:
         # kind's packs are evaluated in one batch, so a shorter prefix must
         # give the same leading capacities bit for bit.
         _, scenario = small_scenario
-        full = _plaza_setup(scenario)
+        total, pack_totals, capacities = _plaza_setup(scenario)
         for n_packs in (1, 2):
-            prefix = _plaza_setup(scenario, n_packs=n_packs)
-            assert prefix.pack_totals == full.pack_totals[:n_packs]
-            assert prefix.expected_total_kwh == full.expected_total_kwh
-            for kind, caps in full.capacities.items():
-                assert prefix.capacities[kind] == caps[:n_packs]
+            short_total, short_totals, short_caps = _plaza_setup(
+                scenario, n_packs=n_packs
+            )
+            assert short_totals == pack_totals[:n_packs]
+            assert short_total == total
+            assert short_caps.keys() == capacities.keys()
+            for kind, caps in capacities.items():
+                assert short_caps[kind] == caps[:n_packs]
 
     def test_unknown_kind_rejected(self, small_scenario, tmp_path):
         _, scenario = small_scenario
@@ -299,8 +325,8 @@ class TestRunDay:
         _, scenario = small_scenario
         stream = _day_stream(scenario)
         arrivals = list(zip(stream.times_h, stream.demands_kwh))
-        result = run_day(scenario, tmp_path / "day")
-        out = Path(result.out_dir)
+        out = tmp_path / "day"
+        run_day(scenario, out)
         for kind in ("lshippp", "cppp"):
             day = json.loads((out / f"day_{kind}.json").read_text())
             served = [(c["start_h"], c["demand_kwh"]) for c in day["cycles"]]
@@ -315,11 +341,11 @@ class TestRunDay:
         _, scenario = small_scenario
         plaza = scenario.plaza
         stream = _day_stream(scenario)
-        setup = _plaza_setup(scenario, n_packs=1)
-        result = run_day(scenario, tmp_path / "day")
+        _, _, capacities = _plaza_setup(scenario, n_packs=1)
+        run_day(scenario, tmp_path / "day")
         for kind in ("lshippp", "cppp"):
-            day = json.loads((result.out_dir / f"day_{kind}.json").read_text())
-            capacity = setup.capacities[kind][0]
+            day = json.loads((tmp_path / "day" / f"day_{kind}.json").read_text())
+            capacity = capacities[kind][0]
             cycles, dropped = reference_replay(
                 capacity, plaza.bess_power_kw, scenario.grid_profile, stream, 0,
                 plaza.charger_max_kw,
@@ -345,8 +371,8 @@ class TestRunDay:
 class TestRunEnsemble:
     def test_artifacts(self, small_scenario, tmp_path):
         _, scenario = small_scenario
-        result = run_ensemble(scenario, tmp_path / "e", workers=2)
-        out = Path(result.out_dir)
+        out = tmp_path / "e"
+        run_ensemble(scenario, out, workers=2)
         with (out / "dispersion.csv").open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         kinds = {r["kind"] for r in rows}
@@ -376,7 +402,8 @@ class TestRunEnsemble:
             entry["eta_c"] = 0.85
         path = tmp_path / "rated.json"
         path.write_text(json.dumps(doc))
-        out = run_ensemble(load_scenario(path), tmp_path / "e").out_dir
+        out = tmp_path / "e"
+        run_ensemble(load_scenario(path), out)
         for kind in ("lshippp", "cppp"):
             report = json.loads((out / f"metrics_{kind}.json").read_text())
             efficiency = report["metrics"]["system_efficiency"]["value"]
@@ -400,7 +427,7 @@ class TestRunEnsemble:
         path.write_text(json.dumps(doc))
         scenario = load_scenario(path)
         plaza = scenario.plaza
-        setup = _plaza_setup(scenario)
+        _, pack_totals, capacities = _plaza_setup(scenario)
         seed = derive_seed(scenario.seed, "ensemble")
         n_traj = 2
 
@@ -421,11 +448,11 @@ class TestRunEnsemble:
                 pack = t % scenario.n_packs
                 key = derive_seed(seed, "traj", mean, std, rate, t)
                 stream = draw_arrivals(
-                    [(ArrivalModel(rate), DemandModel(mean, std), [key])],
+                    [(rate, DemandModel(mean, std), [key])],
                     DAY_HORIZON_H,
                 )
                 cycles, day_dropped = reference_replay(
-                    setup.capacities[kind][pack],
+                    capacities[kind][pack],
                     plaza.bess_power_kw,
                     scenario.grid_profile,
                     stream,
@@ -433,7 +460,7 @@ class TestRunEnsemble:
                     plaza.charger_max_kw,
                 )
                 completed += [
-                    (c, setup.pack_totals[pack]) for c in cycles if not c.truncated
+                    (c, pack_totals[pack]) for c in cycles if not c.truncated
                 ]
                 unmet.append(left_fold(c.unmet_kwh for c in cycles))
                 dropped.append(day_dropped)
@@ -451,8 +478,8 @@ class TestRunEnsemble:
             )
             expected.append([fmt(v) for v in row])
 
-        result = run_ensemble(scenario, tmp_path / "e", workers=1)
-        with (Path(result.out_dir) / "cells.csv").open(newline="") as fh:
+        run_ensemble(scenario, tmp_path / "e", workers=1)
+        with (tmp_path / "e" / "cells.csv").open(newline="") as fh:
             reader = csv.reader(fh)
             assert tuple(next(reader)) == CELLS_HEADER
             rows = list(reader)
@@ -469,13 +496,14 @@ class TestRunEnsemble:
         path = tmp_path / "cells.json"
         path.write_text(json.dumps(doc))
         scenario = load_scenario(path)
-        whole = tree_digest(run_ensemble(scenario, tmp_path / "whole").out_dir)
+        run_ensemble(scenario, tmp_path / "whole")
+        whole = tree_digest(tmp_path / "whole")
         assert _cell_batches([2.0, 0.667] * 2, 2) == [[0, 1, 2, 3]]
         monkeypatch.setattr(besspp.studies, "_BATCH_ARRIVALS", 1)
         assert _cell_batches([2.0, 0.667] * 2, 2) == [[0], [1], [2], [3]]
         for workers in (1, 2, 3):
-            split = run_ensemble(scenario, tmp_path / f"w{workers}", workers=workers)
-            assert tree_digest(split.out_dir) == whole
+            run_ensemble(scenario, tmp_path / f"w{workers}", workers=workers)
+            assert tree_digest(tmp_path / f"w{workers}") == whole
 
     @given(
         rates=st.lists(
@@ -500,12 +528,9 @@ class TestRunEnsemble:
 
     def test_rerun_and_workers_byte_identical(self, small_scenario, tmp_path):
         _, scenario = small_scenario
-        first = run_ensemble(scenario, tmp_path / "a", workers=1)
-        second = run_ensemble(scenario, tmp_path / "b", workers=1)
-        third = run_ensemble(scenario, tmp_path / "c", workers=3)
-        da = tree_digest(Path(first.out_dir))
-        db = tree_digest(Path(second.out_dir))
-        dc = tree_digest(Path(third.out_dir))
+        for name, workers in (("a", 1), ("b", 1), ("c", 3)):
+            run_ensemble(scenario, tmp_path / name, workers=workers)
+        da, db, dc = (tree_digest(tmp_path / name) for name in "abc")
         assert da == db
         assert da == dc
 
@@ -539,6 +564,55 @@ class TestCli:
         assert main(["ensemble", "--scenario", str(path), "--out", str(out)]) == 1
         assert f"{problem} is repeated" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_plaza_kind_without_an_entry_exits_1_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # The plaza reads each kind's converter efficiency from its
+        # architectures entry; without one, metrics_cppp.json held a NaN.
+        doc = small_doc()
+        del doc["architectures"][1]
+        path = tmp_path / "no-cppp.json"
+        path.write_text(json.dumps(doc))
+        problem = "plaza.kinds: kind cppp has no architectures entry"
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert problem in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["ensemble", "--scenario", str(path), "--out", str(out)]) == 1
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["no-cycles", "zero-rating"])
+    def test_statistics_with_no_sample_are_null(self, case, tmp_path):
+        # A day with no cycle has no curtailed minutes, and a zero rating
+        # leaves fpp with no output to derate; each is null, never a NaN.
+        # (The ensemble needs an exemplar day with cycles.)
+        doc = small_doc()
+        if case == "no-cycles":
+            doc["plaza"]["exemplar"]["arrival_rate_per_h"] = 0.01
+            studies = ["day"]
+        else:
+            doc["plaza"]["kinds"] = ["lshippp", "fpp"]
+            doc["plaza"]["rating_r"] = 0.0
+            studies = ["day", "ensemble"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        docs = {}
+        for study in studies:
+            out = tmp_path / study
+            assert main([study, "--scenario", str(path), "--out", str(out)]) == 0
+            docs.update({p.name: _strict_json(p) for p in out.glob("*.json")})
+        if case == "no-cycles":
+            for kind in ("lshippp", "cppp"):
+                day = docs[f"day_{kind}.json"]
+                assert day["n_cycles"] == 0
+                assert day["curtailed_mean_min"] is None
+                assert day["curtailed_max_min"] is None
+        else:
+            metrics = docs["metrics_fpp.json"]["metrics"]
+            for name in ("derating_factor", "captured_value_kwh", "captured_fraction"):
+                assert metrics[name]["value"] is None
+            assert metrics["utilization_at_worst_gap"]["value"] == 0.0
 
     def test_validate_bad_scenario_exits_1(self, tmp_path, capsys):
         doc = small_doc()

@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import importlib
 import math
 import statistics
 import sys
@@ -297,3 +298,63 @@ class TestLeftSum:
                 ):
                     defined.add(node.name)
         assert sorted(defined - named) == []
+
+    def test_every_exported_name_resolves(self):
+        # Each ``__all__`` entry of each module names something it binds.
+        root = Path(sys.modules["besspp"].__file__).parent
+        missing = {}
+        for path in sorted(root.glob("*.py")):
+            name = "besspp" if path.stem == "__init__" else f"besspp.{path.stem}"
+            module = importlib.import_module(name)
+            gone = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+            if gone:
+                missing[path.name] = gone
+        assert missing == {}
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        # The caller check above counts an import as a caller, so a leftover
+        # import would keep a dead name alive.  A name that only a string
+        # annotation reads (a TYPE_CHECKING import) counts as used, and so
+        # does one that ``__all__`` exports.
+        root = Path(sys.modules["besspp"].__file__).parent
+        unused = []
+        for path in sorted(root.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            imported = {}
+            used = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.partition(".")[0]
+                        imported[bound] = node.lineno
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = node.lineno
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                annotations = []
+                if isinstance(node, ast.arg):
+                    annotations.append(node.annotation)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    annotations.append(node.returns)
+                elif isinstance(node, ast.AnnAssign):
+                    annotations.append(node.annotation)
+                elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    used.update(ast.literal_eval(node.value))
+                strings = [
+                    part.value
+                    for annotation in filter(None, annotations)
+                    for part in ast.walk(annotation)
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                ]
+                for text in strings:
+                    parsed = ast.walk(ast.parse(text, mode="eval"))
+                    used.update(n.id for n in parsed if isinstance(n, ast.Name))
+            unused += [
+                f"{path.name}:{line} {name}"
+                for name, line in imported.items()
+                if name not in used
+            ]
+        assert unused == []
