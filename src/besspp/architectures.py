@@ -152,9 +152,9 @@ class BudgetSplit:
     lambda_h: float
 
 
-def layer1_aggregate_kwh(layer1: "Layer1Design", horizon_h: float) -> float:
+def layer1_aggregate_kwh(layer1: "Layer1Design") -> float:
     """Energy cap of the whole designed layer at its procured rating."""
-    return len(layer1.edges) * layer1.rating_kw * horizon_h
+    return len(layer1.edges) * layer1.rating_kw * layer1.horizon_h
 
 
 def split_budget(
@@ -162,7 +162,6 @@ def split_budget(
     n_modules: int,
     rating_r: float,
     budget_basis_kwh: float,
-    horizon_h: float,
     layer1: "Layer1Design | None" = None,
 ) -> BudgetSplit:
     """Spread the budget ``rating_r * budget_basis_kwh`` over ``kind``.
@@ -171,12 +170,13 @@ def split_budget(
     N-1 rungs.  lshippp funds layer 1 first: below its design point the
     layer-1 caps are scaled down uniformly and the ladder gets nothing;
     above it, the surplus is spread evenly over the ladder and ``lambda_h``
-    is the resulting aggregate ratio.
+    is the resulting aggregate ratio.  The design point is
+    :func:`layer1_aggregate_kwh`, over the design's own ``horizon_h``.
     """
     kind = ArchitectureKind(kind)
     if kind is ArchitectureKind.LSHIPPP:
         _check_layer1(layer1, n_modules)
-    _check_split(n_modules, rating_r, horizon_h)
+    _check_split(n_modules, rating_r)
     budget = rating_r * budget_basis_kwh
     if kind is ArchitectureKind.FPP:
         cap = budget / n_modules
@@ -187,13 +187,13 @@ def split_budget(
         caps = (cap,) * (n_modules - 1)
         return BudgetSplit(kind, ladder, caps, cap, rating_r, math.nan)
     m = len(layer1.edges)
-    design_point = layer1_aggregate_kwh(layer1, horizon_h)
+    design_point = layer1_aggregate_kwh(layer1)
     if budget <= design_point:
         cap1 = budget / m
         lambda_h = 0.0
         cap2 = 0.0
     else:
-        cap1 = layer1.rating_kw * horizon_h
+        cap1 = layer1.rating_kw * layer1.horizon_h
         lambda_h = (budget - design_point) / design_point
         cap2 = (budget - design_point) / (n_modules - 1)
     caps = (cap1,) * m + (cap2,) * (n_modules - 1)
@@ -215,7 +215,7 @@ def split_lambda(
     if lambda_h < 0:
         raise ConfigurationError("lambda_h must be >= 0")
     n = layer1.n_batteries
-    aggregate = layer1_aggregate_kwh(layer1, layer1.horizon_h)
+    aggregate = layer1_aggregate_kwh(layer1)
     rung = lambda_h * aggregate / (n - 1)
     duty = tuple(abs(flow) for flow in layer1.optimal_flows_kwh)
     return BudgetSplit(
@@ -241,11 +241,9 @@ def _check_layer1(layer1: "Layer1Design | None", n: int) -> None:
         )
 
 
-def _check_split(n: int, rating_r: float, horizon_h: float) -> None:
+def _check_split(n: int, rating_r: float) -> None:
     if n < 2:
         raise ConfigurationError("need at least two modules")
     if rating_r < 0:
         raise ConfigurationError("rating_r must be >= 0")
-    if horizon_h <= 0:
-        raise ConfigurationError("horizon_h must be positive")
 

@@ -6,6 +6,8 @@ Subcommands map one-to-one onto the study drivers:
 * ``tradeoff`` - utilization versus normalized converter rating
 * ``day``      - one exemplar plaza day per architecture kind
 * ``ensemble`` - dispersion statistics and the stochastic service sweep
+* ``reproduce`` - all four studies in one process, into ``design/``,
+  ``tradeoff/``, ``day/`` and ``ensemble/`` under ``--out``
 * ``validate`` - load and check the scenario, run no study
 
 Every command checks the scenario as it loads it, so a scenario that
@@ -53,6 +55,9 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+
+# The studies ``reproduce`` runs, in order, each into its own subdirectory.
+STUDIES = ("design", "tradeoff", "day", "ensemble")
 
 
 def _worker_count(text: str) -> int:
@@ -120,6 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(sub.add_parser("ensemble", help="stochastic plaza ensemble"))
     add_common(
+        sub.add_parser(
+            "reproduce", help="run every study in one process, one subdirectory each"
+        )
+    )
+    add_common(
         sub.add_parser("validate", help="load and check a scenario"),
         needs_out=False,
     )
@@ -135,6 +145,17 @@ def _load(args) -> Scenario:
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     return scenario
+
+
+def _run(study: str, scenario: Scenario, args, out_dir: Path, timer=None) -> list[Path]:
+    """Run one study into ``out_dir``; the paths it wrote."""
+    if study == "design":
+        return run_design(scenario, out_dir, timer=timer)
+    if study == "tradeoff":
+        return run_tradeoff(scenario, out_dir, timer=timer)
+    if study == "day":
+        return run_day(scenario, out_dir, getattr(args, "kind", None), timer=timer)
+    return run_ensemble(scenario, out_dir, args.workers, timer=timer)
 
 
 def main(argv=None) -> int:
@@ -159,14 +180,14 @@ def main(argv=None) -> int:
     try:
         startup = (time.perf_counter() - _START_WALL_S, time.process_time())
         timer = StageTimer()
-        if args.command == "design":
-            written = run_design(scenario, args.out, timer=timer)
-        elif args.command == "tradeoff":
-            written = run_tradeoff(scenario, args.out, timer=timer)
-        elif args.command == "day":
-            written = run_day(scenario, args.out, kinds=args.kind, timer=timer)
+        if args.command == "reproduce":
+            # One timing line per study; the studies' own stages go unprinted.
+            written = []
+            for study in STUDIES:
+                with timer.stage(study):
+                    written += _run(study, scenario, args, args.out / study)
         else:
-            written = run_ensemble(scenario, args.out, args.workers, timer=timer)
+            written = _run(args.command, scenario, args, args.out, timer)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -205,9 +205,8 @@ class Scenario:
         if self.n_trajectories < 1:
             problems.append("n_trajectories must be >= 1")
         rates = self.arrival_rates_per_h
-        cells = len(rates) * len(self.demand_means_kwh) * len(self.demand_stds_kwh)
-        if cells and all(0 < r < math.inf for r in rates):
-            per_cell = max(1, self.n_trajectories // cells)
+        if self.demand_cells and all(0 < r < math.inf for r in rates):
+            per_cell = self.trajectories_per_cell
             arrivals = max(rates) * DAY_HORIZON_H * per_cell
             if arrivals > MAX_CELL_ARRIVALS:
                 problems.append(
@@ -217,6 +216,21 @@ class Scenario:
                 )
         if problems:
             raise ScenarioError("; ".join(problems))
+
+    @property
+    def demand_cells(self) -> list[tuple[float, float, float]]:
+        """``(mean_kwh, std_kwh, rate_per_h)`` per ensemble cell, rates fastest."""
+        return [
+            (mean, std, rate)
+            for mean in self.demand_means_kwh
+            for std in self.demand_stds_kwh
+            for rate in self.arrival_rates_per_h
+        ]
+
+    @property
+    def trajectories_per_cell(self) -> int:
+        """``n_trajectories`` per demand cell, rounded down, at least 1."""
+        return max(1, self.n_trajectories // len(self.demand_cells))
 
 
 def default_scenario() -> Scenario:

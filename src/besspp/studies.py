@@ -4,9 +4,11 @@ Every study takes a :class:`~besspp.scenario.Scenario` and an output
 directory, writes its artifacts (CSV tables, JSON reports) plus a
 ``manifest.json`` that fingerprints the scenario and hashes the outputs,
 and returns the paths of the files it wrote: the artifacts sorted by name,
-then the manifest.  A statistic with no sample (a mean over no completed
-cycle, a derating of a zero output) is ``null`` in JSON and an empty CSV
-field; no artifact holds a NaN.
+then the manifest.  A study creates its output directory only as its
+writes begin, so one that fails before then leaves no directory behind.
+A statistic with no sample (a mean over no completed cycle, a derating of
+a zero output) is ``null`` in JSON and an empty CSV field; no artifact
+holds a NaN.
 
 Determinism contract: all randomness flows from the scenario seed through
 ``derive_seed`` labels, work is split into tasks whose results do not
@@ -195,8 +197,6 @@ def run_design(
 ) -> list[Path]:
     """Design the sparse layer, then sweep the adjacent-ladder ratio."""
     timer = timer or StageTimer()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     supply = scenario.supply
     with timer.stage("search"):
         expected, expected_total, layer1 = _layer1(
@@ -223,6 +223,8 @@ def run_design(
         rows = sweep_rows(packs, supply.voltage_v, splits)
 
     with timer.stage("writes"):
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "design.json", design_doc)
         _write_csv(out_dir / "lambda_sweep.csv", TRADEOFF_HEADER, rows)
         files = ["design.json", "lambda_sweep.csv"]
@@ -252,23 +254,23 @@ def run_tradeoff(
     them, in this process: the whole study is a few array passes.
     """
     timer = timer or StageTimer()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     supply = scenario.supply
     with timer.stage("search"):
         _, expected_total, layer1 = _layer1(scenario, supply, scenario.rated_power_kw)
 
-    n, horizon = scenario.n_modules, layer1.horizon_h
+    n = scenario.n_modules
     rows: list[tuple] = []
     with timer.stage("sweep"):
         packs = _sweep_packs(scenario, "tradeoff-packs")
         for config in scenario.architectures:
             splits = [
-                split_budget(config.kind, n, r, expected_total, horizon, layer1)
+                split_budget(config.kind, n, r, expected_total, layer1)
                 for r in scenario.r_grid
             ]
             rows.extend(sweep_rows(packs, supply.voltage_v, splits))
     with timer.stage("writes"):
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(out_dir / "tradeoff.csv", TRADEOFF_HEADER, rows)
         return _finish("tradeoff", scenario, out_dir, ["tradeoff.csv"])
 
@@ -288,13 +290,12 @@ def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> tuple:
     plaza = scenario.plaza
     supply, n = plaza.supply, scenario.n_modules
     _, expected_total, layer1 = _layer1(scenario, supply, plaza.bess_power_kw)
-    horizon = layer1.horizon_h
     count = scenario.n_packs if n_packs is None else n_packs
     keys = derive_seeds(scenario.seed, "plaza-pack", indices=range(count))
     packs = sample_packs(supply, n, keys)
     capacities: dict[str, tuple[float, ...]] = {}
     for kind in plaza.kinds:
-        split = split_budget(kind, n, plaza.rating_r, expected_total, horizon, layer1)
+        split = split_budget(kind, n, plaza.rating_r, expected_total, layer1)
         (row,) = sweep_energy(packs, supply.voltage_v, [split])
         capacities[kind.value] = tuple(row.tolist())
     return expected_total, tuple(_module_totals(packs).tolist()), capacities
@@ -334,8 +335,6 @@ def run_day(
                 f"kinds {unknown} are not part of the scenario plaza roster"
             )
     timer = timer or StageTimer()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with timer.stage("plaza setup"):
         _, pack_totals, kind_caps = _plaza_setup(scenario, n_packs=1)
 
@@ -376,6 +375,8 @@ def run_day(
             days.append((report, series))
 
     with timer.stage("writes"):
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         files: list[str] = []
         for report, series in days:
             csv_name = f"day_{report['kind']}.csv"
@@ -514,7 +515,10 @@ def _dispersion_rows(
     eta_c = {config.kind.value: config.eta_c for config in scenario.architectures}
     schedule = _reference_schedule(scenario)
     if not schedule:
-        raise RuntimeError("exemplar day produced no charging intervals")
+        raise ScenarioError(
+            "plaza.exemplar: the exemplar day completes no charging interval "
+            "to read the dispersion at"
+        )
     gaps = [
         grid_ev_energy_gap(demand, grid_kw, demand / plaza.charger_max_kw)
         for _, grid_kw, demand in schedule
@@ -688,8 +692,6 @@ def run_ensemble(
     cells' finished rows.
     """
     timer = timer or StageTimer()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     plaza = scenario.plaza
     with timer.stage("plaza setup"):
         expected_total, pack_totals, capacities = _plaza_setup(scenario)
@@ -699,13 +701,8 @@ def run_ensemble(
             scenario, expected_total, pack_totals, capacities
         )
 
-    cells = [
-        (mean, std, rate)
-        for mean in scenario.demand_means_kwh
-        for std in scenario.demand_stds_kwh
-        for rate in scenario.arrival_rates_per_h
-    ]
-    per_cell = max(1, scenario.n_trajectories // len(cells))
+    cells = scenario.demand_cells
+    per_cell = scenario.trajectories_per_cell
     traj_seed = derive_seed(scenario.seed, "ensemble")
     capacities_by_kind = tuple(
         (kind.value, capacities[kind.value]) for kind in plaza.kinds
@@ -735,6 +732,8 @@ def run_ensemble(
     cell_rows = [row for k in range(n_kinds) for row in lane_rows[k::n_kinds]]
 
     with timer.stage("writes"):
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(out_dir / "dispersion.csv", DISPERSION_HEADER, rows)
         files = ["dispersion.csv"]
         for kind, report in reports.items():

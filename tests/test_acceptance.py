@@ -101,9 +101,7 @@ def tradeoff_points():
     curves = {}
     for kind in ("lshippp", "cppp", "fpp"):
         splits = [
-            split_budget(
-                kind, scenario.n_modules, r, basis, layer1.horizon_h, layer1
-            )
+            split_budget(kind, scenario.n_modules, r, basis, layer1)
             for r in R_GRID
         ]
         rows = [
@@ -309,7 +307,7 @@ def prop_sparse_layer_flows_within_ratings(pack_seed, lambda_h):
     modules = pack(*energy, voltage=supply.voltage_v)
     n = len(energy)
     # Layer 1 at its procured rating, a lambda_h ladder on top.
-    aggregate = layer1_aggregate_kwh(layer1, 2.25)
+    aggregate = layer1_aggregate_kwh(layer1)
     rung = lambda_h * aggregate / (n - 1)
     split = BudgetSplit(
         ArchitectureKind.LSHIPPP,
@@ -665,3 +663,10 @@ def test_criterion_9_determinism(tmp_path):
             args = ["tradeoff", "--scenario", str(path), "--workers", workers]
             assert main([*args, "--out", str(tmp_path / f"t{workers}")]) == 0
         assert _tree_digest(tmp_path / "t1") == _tree_digest(tmp_path / "t2")
+        # The whole reproduction tree, rerun and across worker counts.
+        for name, workers in (("r1", "1"), ("r2", "1"), ("r3", "2")):
+            args = ["reproduce", "--scenario", str(path), "--workers", workers]
+            assert main([*args, "--out", str(tmp_path / name)]) == 0
+        trees = [_tree_digest(tmp_path / name) for name in ("r1", "r2", "r3")]
+        assert trees[0] == trees[1], "reproduce rerun differs"
+        assert trees[0] == trees[2], "worker count changed the reproduce bytes"

@@ -80,12 +80,12 @@ class TestConfig:
         assert config.kind is ArchitectureKind.CPPP
 
 
-def cppp_split(modules, rating_r, horizon_h, basis=None):
+def cppp_split(modules, rating_r, basis=None):
     """The cppp split whose budget is ``rating_r`` times the pack's energy."""
     energy, _ = modules
     if basis is None:
         basis = sum(energy)
-    return split_budget("cppp", len(energy), rating_r, basis, horizon_h)
+    return split_budget("cppp", len(energy), rating_r, basis)
 
 
 def lshippp_split(modules, layer1, lambda_h):
@@ -93,7 +93,7 @@ def lshippp_split(modules, layer1, lambda_h):
     energy, _ = modules
     n = len(energy)
     cap1 = layer1.rating_kw * layer1.horizon_h
-    aggregate = layer1_aggregate_kwh(layer1, layer1.horizon_h)
+    aggregate = layer1_aggregate_kwh(layer1)
     rung = lambda_h * aggregate / (n - 1)
     ladder = tuple((j, j + 1) for j in range(n - 1))
     return BudgetSplit(
@@ -109,40 +109,40 @@ def lshippp_split(modules, layer1, lambda_h):
 def budget_split(modules, layer1, rating_r):
     """The lshippp split of a total budget ``rating_r``."""
     energy, _ = modules
-    return split_budget("lshippp", len(energy), rating_r, sum(energy), 1.0, layer1)
+    return split_budget("lshippp", len(energy), rating_r, sum(energy), layer1)
 
 
 class TestFppBuilder:
     """fpp is its split alone: one cap per module and no string edges."""
 
     def test_budget_split_evenly(self):
-        split = split_budget("fpp", 3, 0.5, 12.0, 1.0)
+        split = split_budget("fpp", 3, 0.5, 12.0)
         assert split.caps_kwh == pytest.approx((2.0, 2.0, 2.0))
         assert split.pairs == ()
 
     def test_budget_invariant_exact(self):
-        split = split_budget("fpp", 3, 0.37, 12.0, 2.0)
+        split = split_budget("fpp", 3, 0.37, 12.0)
         assert sum(split.caps_kwh) == pytest.approx(0.37 * 12.0, abs=1e-12)
 
     def test_procurement_basis_override(self):
-        split = split_budget("fpp", 3, 0.5, 24.0, 1.0)
+        split = split_budget("fpp", 3, 0.5, 24.0)
         assert split.caps_kwh == pytest.approx((4.0, 4.0, 4.0))
 
 
 class TestCpppBuilder:
     def test_adjacent_ladder(self):
-        split = cppp_split(pack(3, 4, 5), rating_r=0.5, horizon_h=1.0)
+        split = cppp_split(pack(3, 4, 5), rating_r=0.5)
         assert split.pairs == ((0, 1), (1, 2))
         # Budget 0.5 * 12 split over 2 rungs.
         assert split.caps_kwh == pytest.approx((3.0, 3.0))
 
     def test_budget_invariant_exact(self):
-        split = cppp_split(pack(2, 2, 2, 2), 0.123, 1.5)
+        split = cppp_split(pack(2, 2, 2, 2), 0.123)
         assert sum(split.caps_kwh) == pytest.approx(0.123 * 8.0, abs=1e-12)
 
     def test_zero_rating_allowed(self):
         modules = pack(3, 4, 5)
-        split = cppp_split(modules, 0.0, 1.0)
+        split = cppp_split(modules, 0.0)
         assert all(cap == 0.0 for cap in split.caps_kwh)
         total, _ = max_deliverable_energy(*wiring(modules, split.pairs, split.caps_kwh))
         assert total == pytest.approx(9.0)
@@ -175,7 +175,7 @@ class TestLshipppBuilder:
 
     def test_mismatched_pack_size(self, layer1_345):
         with pytest.raises(ConfigurationError):
-            split_budget("lshippp", 4, 0.25, 18.0, 1.0, layer1_345)
+            split_budget("lshippp", 4, 0.25, 18.0, layer1_345)
 
 
 class TestBudgetedLshippp:
@@ -207,7 +207,7 @@ class TestBudgetedLshippp:
 class TestBudgetSplit:
     @pytest.mark.parametrize("kind", ["fpp", "cppp", "lshippp"])
     def test_one_cap_per_converter(self, kind, layer1_345):
-        split = split_budget(kind, 3, 0.25, 12.0, 1.0, layer1_345)
+        split = split_budget(kind, 3, 0.25, 12.0, layer1_345)
         n_converters = 3 if kind == "fpp" else len(split.pairs)
         assert split.kind is ArchitectureKind(kind)
         assert len(split.caps_kwh) == n_converters
@@ -220,7 +220,7 @@ class TestBudgetSplit:
         wiring = {"fpp": (), "cppp": ladder, "lshippp": layer1_9.edges + ladder}
         for kind, pairs in wiring.items():
             basis = left_fold(expected9.tolist())
-            split = split_budget(kind, 9, 0.2, basis, 2.25, layer1_9)
+            split = split_budget(kind, 9, 0.2, basis, layer1_9)
             assert split.pairs == pairs
         assert split_lambda(layer1_9, 0.5, 337.5).pairs == layer1_9.edges + ladder
 
@@ -231,7 +231,7 @@ class TestBudgetSplit:
     ):
         # R = P * T / E: the caps of every kind add up to R times the basis.
         basis = left_fold(expected9.tolist())
-        split = split_budget(kind, 9, rating_r, basis, 2.25, layer1_9)
+        split = split_budget(kind, 9, rating_r, basis, layer1_9)
         assert sum(split.caps_kwh) == pytest.approx(rating_r * basis, rel=1e-12)
 
     def test_rating_r_is_pinned_to_the_bit(self, layer1_9, expected9):
@@ -241,7 +241,7 @@ class TestBudgetSplit:
         basis = left_fold(expected9.tolist())
         for kind in ("fpp", "cppp", "lshippp"):
             for r in (0.0, 0.19473684210526315, 0.2, 1.5):
-                split = split_budget(kind, 9, r, basis, 2.25, layer1_9)
+                split = split_budget(kind, 9, r, basis, layer1_9)
                 assert split.rating_r.hex() == r.hex()
         pinned = {
             0.0: "0x1.bf7d2950fe035p-4",
@@ -253,13 +253,13 @@ class TestBudgetSplit:
 
     def test_fpp_split_has_no_network(self):
         # No string edges: the sweep takes the closed form, one cap a module.
-        split = split_budget("fpp", 3, 0.5, 12.0, 1.0)
+        split = split_budget("fpp", 3, 0.5, 12.0)
         assert split.pairs == ()
         assert sweep_energy([[3.0, 4.0, 5.0]], VOLTS, [split]).tolist() == [[6.0]]
 
     def test_lshippp_needs_a_layer1_design(self):
         with pytest.raises(ConfigurationError, match="layer-1 design"):
-            split_budget("lshippp", 3, 0.25, 12.0, 1.0)
+            split_budget("lshippp", 3, 0.25, 12.0)
 
     def test_lambda_split_caps_layer1_at_designed_duty(self, layer1_345):
         split = split_lambda(layer1_345, 0.8, 12.0)

@@ -70,7 +70,7 @@ def curve_rows(kind, dist, r_grid, packs, layer1=None) -> list[dict]:
     """The budget sweep of ``kind`` over ``packs``, one row per rating."""
     n = packs.shape[1]
     basis = basis_kwh(dist, n)
-    splits = [split_budget(kind, n, r, basis, HORIZON_H, layer1) for r in r_grid]
+    splits = [split_budget(kind, n, r, basis, layer1) for r in r_grid]
     return [dict(zip(TRADEOFF_HEADER, row)) for row in sweep_rows(packs, VOLTS, splits)]
 
 
@@ -427,10 +427,9 @@ class TestSweepsEqualBuiltNetworks:
     @pytest.mark.parametrize("kind", ["fpp", "cppp", "lshippp"])
     def test_tradeoff_curve(self, kind, layer1_9, supply9, expected9):
         r_grid = [0.0, 0.05, 0.1, 0.2, 0.35, 0.6, 1.5]
-        horizon = layer1_9.horizon_h
         packs = keyed_packs(supply9, 9, 45, seed=4)
         basis = left_fold(expected9.tolist())
-        splits = [split_budget(kind, 9, r, basis, horizon, layer1_9) for r in r_grid]
+        splits = [split_budget(kind, 9, r, basis, layer1_9) for r in r_grid]
         rows = sweep_rows(packs, supply9.voltage_v, splits)
         assert len(rows) == len(r_grid)
         for r, split, row in zip(r_grid, splits, rows):
@@ -474,7 +473,7 @@ class TestSweepsEqualBuiltNetworks:
         basis = left_fold(expected9.tolist())
 
         def split(kind, r=0.2):
-            return split_budget(kind, 9, r, basis, 2.25, layer1_9)
+            return split_budget(kind, 9, r, basis, layer1_9)
 
         ladder = tuple((j, j + 1) for j in range(8))
         other_layer1 = dataclasses.replace(

@@ -221,7 +221,7 @@ class TestDedicatedConverters:
 
     def test_network_route_matches_closed_form(self):
         # The sweeps' route for an fpp split: 3 x 1.5 kWh converters.
-        split = split_budget("fpp", 3, 0.375, 12.0, 1.0)
+        split = split_budget("fpp", 3, 0.375, 12.0)
         assert sweep_energy([[3.0, 4.0, 5.0]], 1.0, [split]).tolist() == [[4.5]]
 
     @given(
@@ -583,19 +583,19 @@ class TestCutForm:
 
     @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.6])
     def test_three_way_cppp_packs(self, rating_r):
-        split = split_budget("cppp", 9, rating_r, 337.5, 2.25)
+        split = split_budget("cppp", 9, rating_r, 337.5)
         assert_three_way(sampled_wirings(split))
 
     @pytest.mark.parametrize("rating_r", [0.0, 0.05, 0.2, 0.6])
     def test_three_way_lshippp_budget_packs(self, layer1_9, rating_r):
-        split = split_budget("lshippp", 9, rating_r, 337.5, 2.25, layer1_9)
+        split = split_budget("lshippp", 9, rating_r, 337.5, layer1_9)
         assert_three_way(sampled_wirings(split))
 
     @pytest.mark.parametrize("cap2", [0.0, 0.5, 3.0, 40.0])
     def test_three_way_frozen_layer1_packs(self, layer1_9, cap2):
         # More packs than one chunk of the batched evaluator holds.
         # The lambda whose ladder rungs get ``cap2`` each.
-        lam = cap2 * 8 / layer1_aggregate_kwh(layer1_9, layer1_9.horizon_h)
+        lam = cap2 * 8 / layer1_aggregate_kwh(layer1_9)
         split = split_lambda(layer1_9, lam, 337.5)
         assert split.rung_kwh == pytest.approx(cap2, rel=1e-12)
         assert_three_way(sampled_wirings(split, n_packs=40))
@@ -679,7 +679,7 @@ class TestCutForm:
 
     def test_largest_supported_string(self):
         batteries = pack(*np.linspace(1.0, 4.0, MAX_CUT_MODULES))
-        split = split_budget("cppp", MAX_CUT_MODULES, 0.1, 40.0, 1.0)
+        split = split_budget("cppp", MAX_CUT_MODULES, 0.1, 40.0)
         string = wiring(batteries, split.pairs, split.caps_kwh)
         lp, _ = max_deliverable_energy(*string)
         assert kernel_energy(*string) == pytest.approx(lp, rel=1e-12)
@@ -693,7 +693,7 @@ class TestCutForm:
 
     def test_dedicated_converters_have_no_subset_limit(self):
         n = MAX_CUT_MODULES + 1
-        split = split_budget("fpp", n, 0.75, 2.0 * n, 1.0)
+        split = split_budget("fpp", n, 0.75, 2.0 * n)
         assert sweep_energy([[2.0] * n], 1.0, [split]).tolist() == [[1.5 * n]]
 
     def test_invalid_network_rejected(self):

@@ -22,7 +22,7 @@ from besspp.metrics import (
 
 def sweep_row(packs, rating_r, basis_kwh) -> dict:
     """The fpp sweep row of one budget over ``packs``, keyed by column."""
-    split = split_budget("fpp", len(packs[0]), rating_r, basis_kwh, 1.0)
+    split = split_budget("fpp", len(packs[0]), rating_r, basis_kwh)
     (row,) = sweep_rows(packs, 50.0, [split])
     return dict(zip(TRADEOFF_HEADER, row))
 
@@ -47,7 +47,7 @@ class TestNormalizedRating:
 
     @staticmethod
     def aggregate_power_kw(kind, rating_r, layer1):
-        split = split_budget(kind, 9, rating_r, 337.5, 2.25, layer1)
+        split = split_budget(kind, 9, rating_r, 337.5, layer1)
         return sum(split.caps_kwh) / 2.25
 
     def test_reference_point(self, layer1_9):

@@ -87,6 +87,20 @@ class TestDefaultScenario:
             ArchitectureKind.FPP,
         ]
 
+    def test_demand_cells_and_trajectories_per_cell(self):
+        # 2 means x 5 spreads x 3 rates, rates fastest; 1,000 trajectories
+        # over 30 cells run 33 each.
+        scenario = default_scenario()
+        cells = scenario.demand_cells
+        assert len(cells) == 30
+        assert cells[:3] == [
+            (scenario.demand_means_kwh[0], scenario.demand_stds_kwh[0], rate)
+            for rate in scenario.arrival_rates_per_h
+        ]
+        assert scenario.trajectories_per_cell == 33
+        single = dataclasses.replace(scenario, n_trajectories=1)
+        assert single.trajectories_per_cell == 1
+
     def test_fingerprint_is_pinned(self):
         # Every manifest of a default-scenario study hashes this fingerprint.
         assert scenario_fingerprint(default_scenario()) == (

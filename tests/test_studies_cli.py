@@ -867,6 +867,54 @@ class TestCli:
         assert "design.json" in printed
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_reproduce_equals_the_single_studies(
+        self, small_scenario, tmp_path, capsys, workers
+    ):
+        path, _ = small_scenario
+        flags = ["--scenario", str(path), "--workers", workers]
+        out = tmp_path / "all"
+        assert main(["reproduce", *flags, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(printed) == sorted(
+            str(p) for p in out.rglob("*") if p.is_file()
+        )
+        assert sorted(p.name for p in out.iterdir()) == sorted(besspp.cli.STUDIES)
+        for study in besspp.cli.STUDIES:
+            single = tmp_path / study
+            assert main([study, *flags, "--out", str(single)]) == 0
+            assert tree_digest(out / study) == tree_digest(single), study
+
+    def test_exemplar_day_without_an_interval_exits_1_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # The dispersion is read at the exemplar day's worst interval; a day
+        # with none stops the ensemble before its directory exists.  (The
+        # day study runs on this scenario: see the no-cycles case of
+        # test_statistics_with_no_sample_are_null.)
+        path = write_doc_with(
+            tmp_path / "quiet.json", "plaza.exemplar.arrival_rate_per_h", "0.01"
+        )
+        out = tmp_path / "ensemble"
+        assert main(["ensemble", "--scenario", str(path), "--out", str(out)]) == 1
+        assert "plaza.exemplar" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study", ["design", "tradeoff", "day", "ensemble"])
+    def test_failed_study_leaves_no_out(
+        self, small_scenario, tmp_path, monkeypatch, study
+    ):
+        # Every study draws its packs before it writes; a failure there
+        # leaves --out uncreated.
+        def failing(*args, **kwargs):
+            raise RuntimeError("draw failed")
+
+        monkeypatch.setattr(besspp.studies, "derive_seeds", failing)
+        path, _ = small_scenario
+        out = tmp_path / "nested" / "out"
+        assert main([study, "--scenario", str(path), "--out", str(out)]) == 2
+        assert not (tmp_path / "nested").exists()
+
     def test_seed_override_changes_outputs(self, small_scenario, tmp_path):
         path, _ = small_scenario
         base = tmp_path / "s0"
@@ -897,6 +945,7 @@ class TestCli:
             ("tradeoff", ("search", "sweep", "writes")),
             ("day", ("plaza setup", "days", "writes")),
             ("ensemble", ("plaza setup", "dispersion", "cells", "writes")),
+            ("reproduce", ("design", "tradeoff", "day", "ensemble")),
         ],
     )
     def test_timings_reach_stderr_not_out(
@@ -1047,44 +1096,24 @@ class TestStartup:
         assert manifests[0] == manifests[1]
 
 
-SCRIPTS = SRC.parent / "scripts"
-
-
-def run_script(name: str, *args: str) -> list[str]:
-    """Run ``scripts/<name>`` with this checkout's ``src``; its stdout lines."""
+@pytest.mark.parametrize("study", ["design", "tradeoff", "ensemble"])
+def test_traced_study_searches_layer1_once(small_scenario, tmp_path, study):
+    # The benchmark's traced run wraps functions at their import sites and
+    # refuses a run whose study did not run its own layer-1 search.
+    path, _ = small_scenario
+    report = tmp_path / "report.json"
     done = subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
+        [
+            sys.executable, "perfbench/child.py", str(report), "--trace", "--",
+            study, "--scenario", str(path), "--seed", "7",
+            "--out", str(tmp_path / "out"),
+        ],
+        cwd=SRC.parent,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
-
-
-class TestScripts:
-    def test_headline_prints_the_rows_near_its_rating(self, small_scenario, tmp_path):
-        path, _ = small_scenario
-        out = tmp_path / "headline"
-        lines = run_script("run_headline.py", "--scenario", str(path), "--out", str(out))
-        assert lines[0].split() == ["kind", "R", "util_mean", "util_idr"]
-        # Both points of the r_grid [0.15, 0.3] lie within half a step of 0.2.
-        assert [line.split()[:2] for line in lines[1:-1]] == [
-            [kind, r] for kind in ("lshippp", "cppp", "fpp") for r in ("0.150", "0.300")
-        ]
-        assert lines[-1] == f"artifacts in {out}"
-        assert (out / "design" / "lambda_sweep.csv").is_file()
-        assert (out / "tradeoff" / "tradeoff.csv").is_file()
-
-    def test_plaza_studies_print_metrics_and_curtailment(self, small_scenario, tmp_path):
-        path, _ = small_scenario
-        out = tmp_path / "plaza"
-        lines = run_script(
-            "run_plaza_studies.py", "--scenario", str(path), "--out", str(out)
-        )
-        kinds = ["lshippp", "cppp"]
-        assert [line.split(":")[0] for line in lines[:-1]] == kinds + kinds
-        assert all(" derating=" in line for line in lines[:2])
-        assert all("min/EV (exemplar cell)" in line for line in lines[2:4])
-        assert lines[-1] == f"artifacts in {out}"
+    trace = json.loads(report.read_text())["trace"]
+    assert trace["designer.layer1.searches"] == 1
