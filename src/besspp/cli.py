@@ -24,10 +24,10 @@ import time
 
 _START_WALL_S = time.perf_counter()
 
-# OpenBLAS would start a helper thread as numpy loads.  The only BLAS calls
-# are simplex solves of at most ~30 rows, where it never pays off, yet it
-# nearly doubles numpy's import time or spins on a core of its own.  Set
-# before numpy first loads; a user's own value wins, pool workers inherit it.
+# OpenBLAS would start a helper thread per extra core as numpy loads.  The
+# package calls no BLAS routine, so those threads can never pay off; they
+# only add start-up work and threads, the more the more cores.  Set before
+# numpy first loads; a user's own value wins, pool workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402 - after the start-up clock and the variable above
@@ -147,15 +147,18 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _run(study: str, scenario: Scenario, args, out_dir: Path, timer=None) -> list[Path]:
-    """Run one study into ``out_dir``; the paths it wrote."""
+def _run(study: str, scenario: Scenario, args, out_dir: Path, timer=None) -> None:
+    """Run one study into ``out_dir``, then print the paths it wrote."""
     if study == "design":
-        return run_design(scenario, out_dir, timer=timer)
-    if study == "tradeoff":
-        return run_tradeoff(scenario, out_dir, timer=timer)
-    if study == "day":
-        return run_day(scenario, out_dir, getattr(args, "kind", None), timer=timer)
-    return run_ensemble(scenario, out_dir, args.workers, timer=timer)
+        written = run_design(scenario, out_dir, timer=timer)
+    elif study == "tradeoff":
+        written = run_tradeoff(scenario, out_dir, timer=timer)
+    elif study == "day":
+        written = run_day(scenario, out_dir, getattr(args, "kind", None), timer=timer)
+    else:
+        written = run_ensemble(scenario, out_dir, args.workers, timer=timer)
+    for path in written:
+        print(path)
 
 
 def main(argv=None) -> int:
@@ -182,12 +185,11 @@ def main(argv=None) -> int:
         timer = StageTimer()
         if args.command == "reproduce":
             # One timing line per study; the studies' own stages go unprinted.
-            written = []
             for study in STUDIES:
                 with timer.stage(study):
-                    written += _run(study, scenario, args, args.out / study)
+                    _run(study, scenario, args, args.out / study)
         else:
-            written = _run(args.command, scenario, args, args.out, timer)
+            _run(args.command, scenario, args, args.out, timer)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -195,8 +197,6 @@ def main(argv=None) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    for path in written:
-        print(path)
     if args.timings:
         for stage, wall_s, cpu_s in [("startup", *startup), *timer.stages]:
             print(

@@ -8,10 +8,10 @@ at most :data:`MAX_PLACEMENTS` placements are searched.  Ties are broken by
 the smaller minimum-peak flow, which the parametric cut form
 :func:`~besspp.flows.uncapped_min_peak` gives for every tied placement in
 one array pass, and then by enumeration order, so designs are
-deterministic.  Only the winner is solved as an LP
-(:func:`~besspp.flows.min_peak_flow`, two simplex passes), which fixes its
-flows; the shared layer-1 converter rating is their peak over the
-discharge horizon.
+deterministic.  The winner's flows follow from the same argument in closed
+form (``_winner_flows``): on a forest, each edge carries the deficit of the
+side it feeds, so the package solves no LP.  The shared layer-1 converter
+rating is the flows' peak over the discharge horizon.
 
 Layer 2 sizing is Monte Carlo: with layer-1 flows capped at their designed
 optima, sweep the ladder-to-layer-1 aggregate ratio ``lambda_h`` and record
@@ -42,9 +42,9 @@ import numpy as np
 from besspp.architectures import BudgetSplit
 from besspp.flows import (
     _module_totals,
+    _subset_sums,
     cut_form_energy,
     fpp_deliverable,
-    min_peak_flow,
     uncapped_min_peak,
     uncapped_placement_energy,
 )
@@ -155,7 +155,8 @@ def design_layer1(
     maximizing deliverable energy; among optima, the one whose minimum-peak
     flow is smallest, and among those the first in enumeration order.  The
     tied placements' peaks come from the parametric cut form; the winner's
-    flows, and so its rating, from the min-peak LP.
+    flows, and so its rating, from ``_winner_flows``, which raises
+    ``ValueError`` for a winner whose flows are not unique.
     """
     if horizon_h <= 0:
         raise ValueError("horizon_h must be positive")
@@ -173,9 +174,7 @@ def design_layer1(
         if peak < peaks[best] * (1 - _TIE_RTOL) - _TIE_RTOL:
             best = k
     placement = tuple(tuple(pair) for pair in candidates[best].tolist())
-    flows = min_peak_flow(
-        energy, volts, placement, [math.inf] * len(placement), best_output
-    )
+    flows = _winner_flows(energy, volts, placement, best_output, peaks[best])
     peak = max((abs(f) for f in flows), default=0.0)
 
     return Layer1Design(
@@ -186,6 +185,58 @@ def design_layer1(
         expected_output_kwh=best_output,
         horizon_h=horizon_h,
     )
+
+
+def _winner_flows(
+    energy, volts, placement, output_kwh: float, peak_kwh: float
+) -> tuple[float, ...]:
+    """The winner's uncapped edge flows at ``output_kwh``, in closed form.
+
+    ``need(S)`` is what module subset ``S`` lacks at the string charge, as
+    :func:`~besspp.flows.uncapped_min_peak` folds it.  Edge ``(i, j)`` of a
+    forest carries ``need(B)`` into side B, the modules its other edges join
+    to ``j``, or else ``need(A)`` into side A, or nothing.  Where that
+    overdraws a module, it carries the most any subset ``S`` holding ``j``
+    and not ``i`` must take through it while its other crossing edges run
+    at ``peak_kwh``.  Every optimum of the minimum-peak, then
+    minimum-total-flow problem carries at least these flows, so flows within
+    every module's room (1e-9 kWh slack) are its one optimum.  A cycle, or
+    bounds that overdraw a module, raise ``ValueError``.  A positive flow
+    runs from ``i`` to ``j``.
+    """
+    n = len(energy)
+    string = volts * (output_kwh / volts.sum())
+    room = energy - string
+    member = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1 == 1
+    ends = np.array(placement)
+    cut = member[ends[:, 0]] != member[ends[:, 1]]
+    crossing = cut.sum(axis=0)
+    # Where one edge crosses S, this reads need(S) exactly.
+    need = _subset_sums((string - energy)[None])[0]
+    through = need - peak_kwh * (crossing - 1)
+    # A side is the smallest subset that only its own edge crosses; on a
+    # cycle, every subset that parts i from j is crossed twice.
+    size = np.where(crossing == 1, member.sum(axis=0), n + 1)
+    sides, bounds = [], []
+    for k, (i, j) in enumerate(placement):
+        into_j, into_i = cut[k] & member[j], cut[k] & member[i]
+        side_b = np.where(into_j, size, n + 1).argmin()
+        side_a = np.where(into_i, size, n + 1).argmin()
+        if size[side_b] > n:
+            raise ValueError(f"layer-1 winner {placement} has a cycle: no unique flows")
+        sides.append((through[side_b], through[side_a]))
+        bounds.append((through[into_j].max(), through[into_i].max()))
+    for needs in (sides, bounds):
+        flows = tuple(
+            float(b) if b > 0 else -float(a) if a > 0 else 0.0 for b, a in needs
+        )
+        outflow = np.zeros(n)
+        for (i, j), f in zip(placement, flows):
+            outflow[i] += f
+            outflow[j] -= f
+        if np.all(outflow <= room + 1e-9):
+            return flows
+    raise ValueError(f"layer-1 winner {placement} overdraws a module: no unique flows")
 
 
 def _tie_set(outputs: np.ndarray) -> tuple[float, np.ndarray]:

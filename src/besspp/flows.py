@@ -33,45 +33,32 @@ Dedicated per-module converters (fpp) have no string: their deliverable
 energy is the closed form :func:`fpp_deliverable`, ``sum_j min(E_j, cap)``,
 evaluated for every pack x cap in one array pass.
 
-The cut form and the min-peak LP take a wired string in one form: module
-energies and voltages, the ``(i, j)`` module pairs of its edges and one
-energy cap per edge, the pairs and caps a
-:class:`~besspp.architectures.BudgetSplit` carries.  The uncapped
-evaluators take one pack's energy and voltage arrays and placements of
-uncapped edges.  One check, ``_check_wiring``, validates the wiring for
-all of them.  Every pack total, fpp's included, is one fold,
-``_module_totals``, which adds module columns left to right.  A pair may be
-listed twice (an lshippp split puts a ladder rung beside a layer-1 edge on
-the same pair); its caps then add.
+The cut form takes a wired string in one form: module energies and
+voltages, the ``(i, j)`` module pairs of its edges and one energy cap per
+edge, the pairs and caps a :class:`~besspp.architectures.BudgetSplit`
+carries.  The uncapped evaluators take one pack's energy and voltage
+arrays and placements of uncapped edges.  One check, ``_check_wiring``,
+validates the wiring for all of them.  Every pack total, fpp's included,
+is one fold, ``_module_totals``, which adds module columns left to right.
+A pair may be listed twice (an lshippp split puts a ladder rung beside a
+layer-1 edge on the same pair); its caps then add.
 
-The package evaluates each quantity one way: deliverable energy by the cut
-form, and flows by the simplex, where :func:`min_peak_flow` fixes the
-designed converter flows in two passes.  One builder, ``_flow_rows``,
-writes the rows both share (per edge ``f+ + f- + w_k``, per module the net
-outflow plus a slack against its energy minus its string energy); the
-peak pass puts its ``t`` column in front of them.  The LP above survives
-only as the tests' reference (``tests/lp_reference.py``), which criterion 4
-checks against vertex enumeration and the cut-form tests check the kernels
-against.
+The package solves no LP: deliverable energy has the cut form as its one
+path, and :mod:`besspp.designer` fixes the layer-1 flows by the same
+argument.  The LP above and the two-pass minimum-peak LP it replaced are
+the tests' references (``tests/lp_reference.py``), which criterion 4 and
+the kernel and designer tests check the package against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from besspp.simplex import (
-    BoundedLp,
-    LpInfeasible,
-    solve_bounded_lp,
-)
-
 __all__ = [
-    "InfeasibleFlowError",
     "MAX_CUT_MODULES",
     "cut_form_energy",
     "uncapped_placement_energy",
     "uncapped_min_peak",
-    "min_peak_flow",
     "fpp_deliverable",
 ]
 
@@ -82,10 +69,6 @@ MAX_CUT_MODULES = 16
 
 # Entries per temporary table of the cut form; bounds its working memory.
 _CHUNK_ENTRIES = 1 << 14
-
-
-class InfeasibleFlowError(Exception):
-    """Raised when a requested output cannot be met by any feasible flow."""
 
 
 def cut_form_energy(energy_kwh, volts_v, pairs, caps_kwh) -> np.ndarray:
@@ -177,7 +160,7 @@ def uncapped_min_peak(
     """
     energy, volts, pairs = _placement_pairs(energy_kwh, volts_v, placements)
     n = len(energy)
-    # The string energy per module exactly as min_peak_flow fixes it.
+    # The string energy per module, exactly as the designer's flows fix it.
     string = volts * (output_kwh / volts.sum())
     need = _subset_sums((string - energy)[None, :])[0, 1:]
     ids = np.arange(1, 1 << n)
@@ -254,86 +237,6 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
     for j in range(n):
         table[:, 1 << j : 2 << j] = table[:, : 1 << j] + values[:, j : j + 1]
     return table
-
-
-def min_peak_flow(
-    energy_kwh, volts_v, pairs, caps_kwh, required_output_kwh: float
-) -> tuple[float, ...]:
-    """Meet a required output while minimizing the largest converter flow.
-
-    ``energy_kwh`` and ``volts_v`` hold the n module energies and voltages,
-    ``pairs`` the ``(i, j)`` module pairs of the edges and ``caps_kwh`` one
-    energy cap per edge (``math.inf`` allowed).  The string charge is fixed
-    by the required output; the LP chooses edge flows, positive from ``i``
-    to ``j``.  A first pass minimizes the peak ``max_e |f_e|`` and a second
-    pass minimizes total moved energy at that peak, which pins the flow
-    vector for reporting and rating purposes.  Both passes take their edge
-    and module rows from one builder, ``_flow_rows``; each adds only its
-    own column (the peak ``t``), bounds, right-hand side and objective.
-    Returns the edge flows.
-    """
-    energy = np.asarray(energy_kwh, dtype=float)
-    volts = np.asarray(volts_v, dtype=float)
-    caps = np.asarray(caps_kwh, dtype=float)
-    if energy.ndim != 1:
-        raise ValueError("energy_kwh and volts_v must be equal (n,) arrays")
-    if caps.shape != (len(pairs),):
-        raise ValueError("caps_kwh must hold one cap per edge")
-    _check_wiring(energy, volts, pairs, caps)
-    if required_output_kwh < 0:
-        raise ValueError("required_output_kwh must be nonnegative")
-    string = volts * (required_output_kwh / volts.sum())
-
-    if len(pairs) == 0:
-        if np.any(string > energy + 1e-9 * (1 + energy.max(initial=0.0))):
-            raise InfeasibleFlowError(
-                "required output exceeds the stringwise deliverable energy"
-            )
-        return ()
-
-    n_edges, room = len(pairs), energy - string
-    try:
-        # Pass 1, columns [t, flows...]: f+ + f- - t + w_k = 0, f <= cap.
-        a, b, lower, upper = _flow_rows(pairs, room, 1)
-        a[:n_edges, 0] = -1.0
-        upper[1 : 1 + 2 * n_edges] = np.repeat(caps, 2)
-        c = np.zeros(len(lower))
-        c[0] = -1.0  # minimize the peak
-        peak = float(solve_bounded_lp(BoundedLp(c, a, b, lower, upper)).x[0])
-
-        # Pass 2: f+ + f- + w_k = min(cap, peak).
-        a, b, lower, upper = _flow_rows(pairs, room, 0)
-        b[:n_edges] = np.minimum(caps, peak * (1 + 1e-9) + 1e-12)
-        c = np.zeros(len(lower))
-        c[: 2 * n_edges] = -1.0  # minimize total moved energy
-        split = solve_bounded_lp(BoundedLp(c, a, b, lower, upper)).x[: 2 * n_edges]
-    except LpInfeasible as exc:
-        raise InfeasibleFlowError(
-            "required output exceeds the deliverable energy of this string"
-        ) from exc
-    return tuple(float(v) for v in split[0::2] - split[1::2])
-
-
-def _flow_rows(pairs, room: np.ndarray, lead: int):
-    """Rows, right-hand side and bounds that both min-peak passes share.
-
-    Columns: ``lead`` columns left to the caller, then each edge's split
-    flows ``f+, f-`` (positive from ``i`` to ``j``), one slack ``w_k`` per
-    edge and one per module, all in ``[0, inf)``.  Rows: ``f+ + f- + w_k``
-    per edge with right-hand side 0, then each module's net outflow plus its
-    slack with right-hand side ``room``, the module's energy minus its
-    string energy.  Returns ``(a, b, lower, upper)``.
-    """
-    n_edges, n = len(pairs), len(room)
-    a = np.zeros((n_edges + n, lead + 3 * n_edges + n))
-    for k, (i, j) in enumerate(pairs):
-        f = lead + 2 * k
-        a[k, f] = a[k, f + 1] = a[k, lead + 2 * n_edges + k] = 1.0
-        a[n_edges + i, f] = a[n_edges + j, f + 1] = 1.0
-        a[n_edges + j, f] = a[n_edges + i, f + 1] = -1.0
-    a[n_edges:, lead + 3 * n_edges :] = np.eye(n)
-    b = np.concatenate([np.zeros(n_edges), room])
-    return a, b, np.zeros(a.shape[1]), np.full(a.shape[1], np.inf)
 
 
 def fpp_deliverable(energy_kwh, caps_kwh) -> np.ndarray:

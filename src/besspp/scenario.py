@@ -35,10 +35,10 @@ __all__ = [
 # Hours of one plaza day: the horizon of every arrival stream.
 DAY_HORIZON_H = 24.0
 
-# Largest pack sample.  A sweep holds about 2 kB per pack at its peak (its
-# cap rows x modules of deliverable energy): on a 2-core host, tradeoff on
-# the default scenario traced 98 MB of peak and ran 5 s at 50,000 packs, so
-# this limit stands for about 200 MB and 10 s.  The default draws 100.
+# Largest pack sample.  On a 2-core host, tradeoff on the default 9 modules
+# traced 98 MB of peak and ran 5 s at 50,000 packs: about 200 MB and 10 s at
+# this limit.  At 16 modules its sweep took 15.6 s per 1,000 packs, so about
+# 26 minutes at this limit.  The default draws 100.
 MAX_PACKS = 10**5
 
 # Largest expected arrival count of one demand cell: its top arrival rate x

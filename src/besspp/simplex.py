@@ -1,18 +1,24 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded-variable primal simplex: the tests' LP solver.
 
 Solves ``maximize c @ x`` subject to ``A x = b`` and ``lower <= x <= upper``
 (a lower bound may be ``-inf`` and an upper bound ``+inf``).  The
 implementation is a textbook two-phase method with Bland's anti-cycling
-rule.  Every instance in this package is tiny (tens of variables), so each
-iteration refactorizes the basis with dense solves; determinism and
-robustness matter far more here than speed.
+rule.  Every instance is tiny (tens of variables), so each iteration
+refactorizes the basis with dense solves; determinism and robustness
+matter far more here than speed.
+
+No package module imports it: the package evaluates every quantity in
+closed form, and this solver runs only the tests' reference LPs
+(``tests/lp_reference.py``) and ``tests/test_simplex.py``.  It stays in
+the package only until perfbench's layer trace tolerates a missing
+module; then it moves to ``tests/``.
 
 The ratio test is one scalar pass over the basis that records each blocking
 row's step, variable and bound; the step taken and Bland's leaving row (the
 smallest variable index among the rows within :data:`FEASIBILITY_TOL` of
 that step) both come from it.  It stays a scalar scan because an array form
-made :func:`~besspp.flows.min_peak_flow` about 2x slower on its 9-20-row
-LPs (3.1-4.9 ms rose to 6.2-6.8 ms on a 2-core x86 host).
+made the two-pass minimum-peak LP about 2x slower on its 9-20-row LPs
+(3.1-4.9 ms rose to 6.2-6.8 ms on a 2-core x86 host).
 
 Outcomes are signalled distinctly: :class:`LpInfeasible` when phase 1 cannot
 drive the artificial variables to zero, :class:`LpUnbounded` when an

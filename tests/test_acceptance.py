@@ -40,7 +40,6 @@ from besspp.designer import (
 from besspp.flows import (
     cut_form_energy,
     fpp_deliverable,
-    min_peak_flow,
     uncapped_min_peak,
     uncapped_placement_energy,
 )
@@ -56,7 +55,7 @@ from besspp.scenario import default_scenario, scenario_to_dict
 from besspp.studies import _minute_series, run_ensemble
 from besspp.supply import flatten_distribution, sample_packs
 
-from lp_reference import max_deliverable_energy
+from lp_reference import max_deliverable_energy, min_peak_flow
 from plaza_oracle import lane_cycles
 from test_flows import (
     extraction,

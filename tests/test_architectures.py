@@ -12,13 +12,9 @@ from besspp.architectures import (
     split_lambda,
 )
 from besspp.designer import design_layer1, sweep_energy
-from besspp.flows import (
-    cut_form_energy,
-    min_peak_flow,
-    uncapped_placement_energy,
-)
+from besspp.flows import cut_form_energy, uncapped_placement_energy
 
-from lp_reference import max_deliverable_energy
+from lp_reference import max_deliverable_energy, min_peak_flow
 from test_flows import left_fold, wiring
 from test_flows import pack as volt_pack
 

@@ -1,13 +1,13 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besspp import flows
 from besspp.architectures import ConfigurationError, split_budget, split_lambda
 from besspp.designer import (
     _TIE_RTOL,
@@ -21,16 +21,12 @@ from besspp.designer import (
     sweep_energy,
     sweep_rows,
 )
-from besspp.flows import (
-    min_peak_flow,
-    uncapped_min_peak,
-    uncapped_placement_energy,
-)
+from besspp.flows import uncapped_min_peak, uncapped_placement_energy
 from besspp.metrics import utilization_stats
 from besspp.scenario import default_scenario
 from besspp.supply import SupplyDistribution, flatten_distribution, sample_packs
 
-from lp_reference import max_deliverable_energy
+from lp_reference import max_deliverable_energy, min_peak_flow
 from test_flows import cut_reference, left_fold, pack, wiring
 
 # Expected pack energy over the 150 kW rating for the 9-module reference.
@@ -291,7 +287,8 @@ class TestSearchAgainstLpSweep:
     def test_closed_form_tie_break_is_the_lp_loop(self, expected9, n_edges, n_tied):
         # The default expected set, where 13 (3 edges) or 18 (2 edges)
         # placements tie: one LP per tied placement picks the same winner,
-        # with the same flows and rating, as the closed form plus one LP.
+        # with the same flows and rating, as the closed-form tie-break and
+        # flows.
         winner, flows_kwh, peak, best, candidates, lp_peaks = lp_loop_design(
             expected9, n_edges, HORIZON_H
         )
@@ -304,18 +301,76 @@ class TestSearchAgainstLpSweep:
         assert design.optimal_flows_kwh == flows_kwh
         assert design.rating_kw == peak / HORIZON_H
 
-    def test_two_simplex_solves_per_search(self, expected9, monkeypatch):
-        # Only the winner's two min-peak passes reach the simplex.
-        solves = []
-        solve = flows.solve_bounded_lp
 
-        def counting(*args, **kwargs):
-            solves.append(1)
-            return solve(*args, **kwargs)
+@st.composite
+def expected_search(draw):
+    """An expected set and a layer-1 size whose search stays small.
 
-        monkeypatch.setattr(flows, "solve_bounded_lp", counting)
-        design_layer1(expected9, VOLTS, 3, HORIZON_H)
-        assert len(solves) == 2
+    The set is a flattened supply, or sorted uniform energies, whose
+    winners more often need the peak bound.  ``n_layer1 < n_modules``, the
+    scenario's own rule, and at most 20,000 placements, so each example
+    searches in a few milliseconds.
+    """
+    n = draw(st.integers(3, 12))
+    sizes = [m for m in range(1, n) if math.comb(math.comb(n, 2), m) <= 20_000]
+    m = draw(st.sampled_from(sizes))
+    if draw(st.booleans()):
+        spread = draw(st.floats(0.05, 0.5))
+        return flatten_distribution(SupplyDistribution(37.5, 37.5 * spread), n), m
+    energy = draw(st.lists(st.floats(1.0, 9.0), min_size=n, max_size=n))
+    return np.sort(energy), m
+
+
+class TestWinnerFlows:
+    """The closed-form layer-1 flows against the two-pass min-peak LP."""
+
+    @given(case=expected_search())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_the_lp_where_not_refused(self, case):
+        expected, m = case
+        try:
+            design = design_layer1(expected, VOLTS, m, HORIZON_H)
+        except ValueError:
+            return
+        lp = min_peak_flow(
+            *uncapped(expected, design.edges), design.expected_output_kwh
+        )
+        peak = max(abs(f) for f in design.optimal_flows_kwh)
+        np.testing.assert_allclose(
+            design.optimal_flows_kwh, lp, rtol=0, atol=2e-9 * (1 + peak)
+        )
+        assert design.rating_kw == peak / HORIZON_H
+
+    def test_the_peak_bound_fixes_a_hub(self):
+        # Module 0 lacks 2 kWh at the string charge.  Each edge's sides need
+        # nothing through (0, 2) and 1 kWh through (0, 3), which overdraws
+        # module 0; at the peak of 1 kWh, (0, 3) brings at most 1, so (0, 2)
+        # must bring the other 1.  That is the LP's one optimum.
+        expected = expected_set(1.0, 3.0, 4.0, 5.0)
+        design = design_layer1(expected, VOLTS, 2, 1.0)
+        assert design.edges == ((0, 2), (0, 3))
+        assert design.optimal_flows_kwh == (-1.0, -1.0)
+        lp = min_peak_flow(*uncapped(expected, design.edges), 12.0)
+        assert lp == design.optimal_flows_kwh
+
+    def test_refuses_a_winner_with_two_optimal_duties(self):
+        # The winner's least edge flows overdraw module 3 even at the peak
+        # bound; the LP returns one of two optima, whichever its pivots
+        # reach, both with a 2.15 kWh peak and 5.55 kWh moved.
+        expected = expected_set(5.4, 3.5, 2.3, 2.0, 8.3, 5.3)
+        winner = ((0, 1), (2, 4), (3, 4), (3, 5))
+        with pytest.raises(ValueError, match=re.escape(f"{winner} overdraw")):
+            design_layer1(expected, VOLTS, 4, HORIZON_H)
+        (output,) = uncapped_placement_energy(expected, np.full(6, VOLTS), [winner])
+        lp = np.abs(min_peak_flow(*uncapped(expected, winner), output))
+        assert lp.max() == pytest.approx(2.15)
+        assert lp.sum() == pytest.approx(5.55)
+
+    def test_refuses_a_winner_with_a_cycle(self):
+        expected = expected_set(6.1, 5.9, 6.7, 4.6, 8.2)
+        winner = ((0, 3), (0, 4), (1, 2), (3, 4))
+        with pytest.raises(ValueError, match=re.escape(f"{winner} has a cycle")):
+            design_layer1(expected, VOLTS, 4, HORIZON_H)
 
 
 class TestDesignLayer2:

@@ -14,16 +14,14 @@ from besspp.architectures import layer1_aggregate_kwh, split_budget, split_lambd
 from besspp.designer import derive_seed, sweep_energy
 from besspp.flows import (
     MAX_CUT_MODULES,
-    InfeasibleFlowError,
     cut_form_energy,
     fpp_deliverable,
-    min_peak_flow,
     uncapped_min_peak,
     uncapped_placement_energy,
 )
 from besspp.supply import SupplyDistribution, sample_packs
 
-from lp_reference import max_deliverable_energy
+from lp_reference import InfeasibleFlowError, max_deliverable_energy, min_peak_flow
 
 
 def pack(*caps: float, voltage: float = 1.0) -> tuple[list, list]:

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import besspp.studies
-from besspp import flows
 from besspp.cli import main
 from besspp.designer import TRADEOFF_HEADER, derive_seed
 from besspp.plaza import DemandModel, draw_arrivals
@@ -179,25 +178,6 @@ def test_study_outputs_keep_their_pinned_bytes(small_scenario, tmp_path, study):
         assert main([study, "--scenario", str(path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == PINNED_OUTPUTS[study][name], name
-
-
-@pytest.mark.parametrize("name", ["small", "default"])
-def test_layer1_rating_keeps_its_pinned_pivots(small_scenario, tmp_path, monkeypatch, name):
-    # The winner's two min-peak passes take these simplex iteration counts.
-    # A change to the pivot rule moves them even where the vertex, and so
-    # every artifact byte, stays put.
-    path = small_scenario[0] if name == "small" else DEFAULT_SCENARIO
-    iterations = []
-    solve = flows.solve_bounded_lp
-
-    def counting(*args, **kwargs):
-        solution = solve(*args, **kwargs)
-        iterations.append(solution.iterations)
-        return solution
-
-    monkeypatch.setattr(flows, "solve_bounded_lp", counting)
-    run_design(load_scenario(path), tmp_path / "design")
-    assert iterations == [13, 17]
 
 
 @pytest.mark.parametrize(
@@ -900,6 +880,21 @@ class TestCli:
         assert "plaza.exemplar" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_reproduce_prints_the_studies_it_finished(self, tmp_path, capsys):
+        # The exemplar day with no interval stops the ensemble after the
+        # other three studies have written their subtrees; each was printed
+        # as it finished.
+        path = write_doc_with(
+            tmp_path / "quiet.json", "plaza.exemplar.arrival_rate_per_h", "0.01"
+        )
+        out = tmp_path / "all"
+        assert main(["reproduce", "--scenario", str(path), "--out", str(out)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(p.name for p in out.iterdir()) == ["day", "design", "tradeoff"]
+        assert sorted(printed) == sorted(
+            str(p) for p in out.rglob("*") if p.is_file()
+        )
+
     @pytest.mark.parametrize("study", ["design", "tradeoff", "day", "ensemble"])
     def test_failed_study_leaves_no_out(
         self, small_scenario, tmp_path, monkeypatch, study
@@ -1057,16 +1052,18 @@ class TestStartup:
         # np.quantile would import numpy.ma (about 17 ms and 1.2 MB) through
         # np.unique; the deciles of every sweep point avoid it.  Nor does the
         # design study, which draws no arrivals, load the array extension
-        # that the arrival draw writes into.
+        # that the arrival draw writes into, or the simplex, which only the
+        # tests' LPs use.
         path, _ = small_scenario
         code = (
             "import sys\n"
             "from besspp.scenario import load_scenario\n"
             "from besspp.studies import run_design\n"
             "run_design(load_scenario(sys.argv[1]), sys.argv[2])\n"
-            "print('numpy.ma' in sys.modules, 'array' in sys.modules)"
+            "print('numpy.ma' in sys.modules, 'array' in sys.modules,"
+            " 'besspp.simplex' in sys.modules)"
         )
-        assert run_python(code, str(path), str(tmp_path / "d")) == "False False"
+        assert run_python(code, str(path), str(tmp_path / "d")) == "False False False"
 
     def test_tradeoff_runs_in_one_process(self, small_scenario, tmp_path):
         # Every kind sweeps the common packs in the study process, so
