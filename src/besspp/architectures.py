@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ArchitectureKind",
-    "ArchitectureConfig",
     "BudgetSplit",
     "ConfigurationError",
     "layer1_aggregate_kwh",
@@ -56,77 +55,6 @@ class ArchitectureKind(str, Enum):
     FPP = "fpp"
     CPPP = "cppp"
     LSHIPPP = "lshippp"
-
-
-@dataclass(frozen=True)
-class ArchitectureConfig:
-    """Declarative architecture description, one-to-one with scenario JSON."""
-
-    kind: ArchitectureKind
-    n_modules: int
-    rating_r: float
-    eta_c: float = 1.0
-    n_layer1: int | None = None
-    lambda_h: float | None = None
-    horizon_h: float | None = None
-
-    def __post_init__(self) -> None:
-        kind = ArchitectureKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if self.n_modules < 2:
-            raise ConfigurationError("n_modules must be >= 2")
-        if not 0 <= self.rating_r < math.inf:
-            raise ConfigurationError("rating_r must be >= 0 and finite")
-        if not 0 < self.eta_c <= 1:
-            raise ConfigurationError("eta_c must be in (0, 1]")
-        if self.lambda_h is not None and not 0 <= self.lambda_h < math.inf:
-            raise ConfigurationError("lambda_h must be >= 0 and finite")
-        if self.horizon_h is not None and not 0 < self.horizon_h < math.inf:
-            raise ConfigurationError("horizon_h must be positive and finite")
-        if kind is ArchitectureKind.LSHIPPP:
-            if self.n_layer1 is None or not 1 <= self.n_layer1 < self.n_modules:
-                raise ConfigurationError(
-                    "lshippp needs n_layer1 with 1 <= n_layer1 < n_modules"
-                )
-        elif self.n_layer1 is not None:
-            raise ConfigurationError(f"{kind.value} takes no n_layer1")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "n_modules": self.n_modules,
-            "n_layer1": self.n_layer1,
-            "lambda_h": self.lambda_h,
-            "rating_r": self.rating_r,
-            "eta_c": self.eta_c,
-            "horizon_h": self.horizon_h,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArchitectureConfig":
-        known = {
-            "kind",
-            "n_modules",
-            "n_layer1",
-            "lambda_h",
-            "rating_r",
-            "eta_c",
-            "horizon_h",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown architecture keys: {sorted(unknown)}")
-        return cls(
-            kind=ArchitectureKind(data["kind"]),
-            n_modules=int(data["n_modules"]),
-            rating_r=float(data["rating_r"]),
-            eta_c=float(data.get("eta_c", 1.0)),
-            n_layer1=None if data.get("n_layer1") is None else int(data["n_layer1"]),
-            lambda_h=None if data.get("lambda_h") is None else float(data["lambda_h"]),
-            horizon_h=None
-            if data.get("horizon_h") is None
-            else float(data["horizon_h"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from besspp.architectures import ArchitectureConfig, ArchitectureKind
+from besspp.architectures import ArchitectureKind
 from besspp.designer import check_placement_limit
 from besspp.flows import MAX_CUT_MODULES
 from besspp.plaza import DemandModel, GridProfile
 from besspp.supply import SupplyDistribution
 
 __all__ = [
+    "ArchitectureConfig",
     "PlazaSettings",
     "Scenario",
     "ScenarioError",
@@ -49,9 +50,30 @@ MAX_PACKS = 10**5
 # cells expect 1,584.
 MAX_CELL_ARRIVALS = 10**6
 
+# The scenario's number lists, each nonempty and finite, with positive
+# values in the first two and nonnegative ones in the rest.
+_POSITIVE_LISTS = ("arrival_rates_per_h", "demand_means_kwh")
+_NUMBER_LISTS = (*_POSITIVE_LISTS, "demand_stds_kwh", "r_grid", "lambda_grid")
+
 
 class ScenarioError(ValueError):
-    """Scenario document is malformed; the message lists every problem."""
+    """Scenario document is malformed; the message lists every problem.
+
+    A missing, unknown or wrongly typed key stops the load at once instead,
+    named by its key path.
+    """
+
+
+@dataclass(frozen=True)
+class ArchitectureConfig:
+    """One ``architectures`` entry: the studies read ``kind`` and ``eta_c``.
+
+    ``rating_r`` is echoed into the manifest and read by no study.
+    """
+
+    kind: ArchitectureKind
+    rating_r: float
+    eta_c: float
 
 
 @dataclass(frozen=True)
@@ -71,30 +93,6 @@ class PlazaSettings:
     kinds: tuple[ArchitectureKind, ...]
     exemplar_demand: DemandModel
     exemplar_rate_per_h: float
-
-    def __post_init__(self) -> None:
-        non_finite = [
-            name
-            for name in (
-                "charger_max_kw",
-                "bess_power_kw",
-                "rating_r",
-                "exemplar_rate_per_h",
-            )
-            if not math.isfinite(getattr(self, name))
-        ]
-        if non_finite:
-            raise ScenarioError(f"plaza {', '.join(non_finite)} must be finite")
-        if self.charger_max_kw <= 0:
-            raise ScenarioError("plaza charger_max_kw must be positive")
-        if self.bess_power_kw <= 0:
-            raise ScenarioError("plaza bess_power_kw must be positive")
-        if self.rating_r < 0:
-            raise ScenarioError("plaza rating_r must be nonnegative")
-        if not self.kinds:
-            raise ScenarioError("plaza needs at least one architecture kind")
-        if self.exemplar_rate_per_h <= 0:
-            raise ScenarioError("plaza exemplar arrival rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,65 +132,48 @@ class Scenario:
                 check_placement_limit(self.n_modules, self.n_layer1)
             except ValueError as exc:
                 problems.append(f"n_layer1: {exc}")
-        if not 0 < self.rated_power_kw < math.inf:
-            problems.append("rated_power_kw must be positive and finite")
-        if not self.architectures:
-            problems.append("architectures must be nonempty")
+        plaza = self.plaza
+        for label, value in [
+            ("rated_power_kw", self.rated_power_kw),
+            ("plaza.charger_max_kw", plaza.charger_max_kw),
+            ("plaza.bess_power_kw", plaza.bess_power_kw),
+            ("plaza.exemplar.arrival_rate_per_h", plaza.exemplar_rate_per_h),
+        ]:
+            if not 0 < value < math.inf:
+                problems.append(f"{label} must be positive and finite")
+        if not 0 <= plaza.rating_r < math.inf:
+            problems.append("plaza.rating_r must be nonnegative and finite")
         for i, config in enumerate(self.architectures):
             entry = f"architectures[{i}] ({config.kind.value})"
-            if config.n_modules != self.n_modules:
-                problems.append(
-                    f"{entry}: n_modules {config.n_modules} does not match "
-                    f"the supply ({self.n_modules})"
-                )
-            if (
-                config.kind is ArchitectureKind.LSHIPPP
-                and config.n_layer1 != self.n_layer1
-            ):
-                problems.append(
-                    f"{entry}: n_layer1 {config.n_layer1} does not match "
-                    f"the scenario's n_layer1 ({self.n_layer1})"
-                )
-            for name in ("lambda_h", "horizon_h"):
-                if getattr(config, name) is not None:
-                    problems.append(
-                        f"{entry}: {name} must be null; the studies derive it"
-                    )
+            if not 0 <= config.rating_r < math.inf:
+                problems.append(f"{entry}: rating_r must be nonnegative and finite")
+            if not 0 < config.eta_c <= 1:
+                problems.append(f"{entry}: eta_c must be in (0, 1]")
         # A repeated kind would run, and write its rows, twice.
         for label, kinds in [
             ("architectures", [config.kind for config in self.architectures]),
-            ("plaza.kinds", self.plaza.kinds),
+            ("plaza.kinds", plaza.kinds),
         ]:
+            if not kinds:
+                problems.append(f"{label} must be nonempty")
             for kind in dict.fromkeys(k for k in kinds if kinds.count(k) > 1):
                 problems.append(f"{label}: kind {kind.value} is repeated")
         # The plaza reads each kind's converter efficiency from its entry.
         listed = {config.kind for config in self.architectures}
-        for kind in dict.fromkeys(self.plaza.kinds):
+        for kind in dict.fromkeys(plaza.kinds):
             if kind not in listed:
                 problems.append(
                     f"plaza.kinds: kind {kind.value} has no architectures entry"
                 )
-        for seq, label in [
-            (self.arrival_rates_per_h, "arrival_rates_per_h"),
-            (self.demand_means_kwh, "demand_means_kwh"),
-            (self.demand_stds_kwh, "demand_stds_kwh"),
-            (self.r_grid, "r_grid"),
-            (self.lambda_grid, "lambda_grid"),
-        ]:
+        for label in _NUMBER_LISTS:
+            seq, positive = getattr(self, label), label in _POSITIVE_LISTS
             if not seq:
                 problems.append(f"{label} must be nonempty")
             elif not all(map(math.isfinite, seq)):
                 problems.append(f"{label} must be finite")
-        if any(r <= 0 for r in self.arrival_rates_per_h):
-            problems.append("arrival rates must be positive")
-        if any(m <= 0 for m in self.demand_means_kwh):
-            problems.append("demand means must be positive")
-        if any(s < 0 for s in self.demand_stds_kwh):
-            problems.append("demand stds must be nonnegative")
-        if any(r < 0 for r in self.r_grid):
-            problems.append("r_grid values must be nonnegative")
-        if any(v < 0 for v in self.lambda_grid):
-            problems.append("lambda_grid values must be nonnegative")
+            if any(v <= 0 if positive else v < 0 for v in seq):
+                sign = "positive" if positive else "nonnegative"
+                problems.append(f"{label} values must be {sign}")
         if self.n_packs < 2:
             problems.append(
                 "n_packs must be >= 2: derating is a three-sigma statistic "
@@ -250,6 +231,39 @@ def _integer(value, field: str) -> int:
     raise ScenarioError(f"{field} must be an integer, got {value!r}")
 
 
+def _number(value, field: str) -> float:
+    """What ``float()`` makes of ``value``; a value it refuses is named by ``field``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{field} must be a number, got {value!r}") from exc
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{field} must be a JSON list")
+    return value
+
+
+def _numbers(value, field: str) -> tuple[float, ...]:
+    return tuple(_number(v, f"{field}[{i}]") for i, v in enumerate(_list(value, field)))
+
+
+def _kind(value, field: str) -> ArchitectureKind:
+    try:
+        return ArchitectureKind(value)
+    except ValueError as exc:
+        raise ScenarioError(f"{field}: unknown kind {value!r}") from exc
+
+
+def _build(cls, label: str, **fields):
+    """``cls(**fields)``, a value it refuses reported under ``label``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ScenarioError(f"bad {label} block: {exc}") from exc
+
+
 def _block(value, label: str, required, optional=()) -> dict:
     """A JSON object holding every ``required`` key and no key unknown.
 
@@ -273,12 +287,8 @@ def _block(value, label: str, required, optional=()) -> dict:
 def _supply(value, label: str, *extra: str) -> SupplyDistribution:
     """A supply block; ``dod`` and ``voltage_v`` take the class defaults."""
     data = _block(value, label, ("mean_kwh", "std_kwh", *extra), ("dod", "voltage_v"))
-    try:
-        return SupplyDistribution(
-            **{key: float(v) for key, v in data.items() if key not in extra}
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad {label} block: {exc}") from exc
+    fields = {k: _number(v, f"{label}.{k}") for k, v in data.items() if k not in extra}
+    return _build(SupplyDistribution, label, **fields)
 
 
 def _grid_from_value(value, base_dir: Path) -> GridProfile:
@@ -290,11 +300,50 @@ def _grid_from_value(value, base_dir: Path) -> GridProfile:
             raise ScenarioError(f"grid profile file not found: {path}")
         try:
             return GridProfile.from_csv(path)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ScenarioError(f"cannot read grid profile {path}: {exc}") from exc
-    if isinstance(value, (list, tuple)):
-        return GridProfile(tuple((float(t), float(kw)) for t, kw in value))
-    raise ScenarioError("grid_profile must be a CSV path or a segment list")
+    if not isinstance(value, list):
+        raise ScenarioError("grid_profile must be a CSV path or a segment list")
+    segments = [_numbers(seg, f"grid_profile[{i}]") for i, seg in enumerate(value)]
+    return _build(GridProfile, "grid_profile", segments=tuple(segments))
+
+
+def _entry_dict(config: ArchitectureConfig, n_modules: int, n_layer1: int) -> dict:
+    """An entry's canonical form: its derived keys hold what the studies use."""
+    return {
+        "kind": config.kind.value,
+        "n_modules": n_modules,
+        "n_layer1": n_layer1 if config.kind is ArchitectureKind.LSHIPPP else None,
+        "lambda_h": None,
+        "rating_r": config.rating_r,
+        "eta_c": config.eta_c,
+        "horizon_h": None,
+    }
+
+
+def _architecture(value, label: str, n_modules: int, n_layer1: int, problems: list):
+    """One ``architectures`` entry; a derived key that disagrees is a problem."""
+    derived = ("n_modules", "n_layer1", "lambda_h", "horizon_h")
+    entry = _block(value, label, ("kind", "rating_r"), ("eta_c", *derived))
+    config = ArchitectureConfig(
+        _kind(entry["kind"], f"{label}.kind"),
+        _number(entry["rating_r"], f"{label}.rating_r"),
+        _number(entry.get("eta_c", 1.0), f"{label}.eta_c"),
+    )
+    if config.kind is ArchitectureKind.LSHIPPP and "n_layer1" not in entry:
+        raise ScenarioError(f"missing key {label}.n_layer1")
+    canonical = _entry_dict(config, n_modules, n_layer1)
+    for key in derived:
+        want = canonical[key]
+        got = entry.get(key, want)
+        if want is not None:
+            got = _integer(got, f"{label}.{key}")
+        if got != want:
+            problems.append(
+                f"{label} ({config.kind.value}): {key} must be {json.dumps(want)}, "
+                f"got {json.dumps(got)}"
+            )
+    return config
 
 
 def load_scenario(path) -> Scenario:
@@ -302,8 +351,10 @@ def load_scenario(path) -> Scenario:
 
     Every key is required except ``name`` (default: the file stem),
     ``supply.dod`` and ``supply.voltage_v`` (in either supply block),
-    ``plaza.supply`` (default: the pack supply) and the fields an
-    :class:`ArchitectureConfig` entry may leave out.
+    ``plaza.supply`` (default: the pack supply), and an ``architectures``
+    entry's ``eta_c`` (default: 1.0) and its derived keys, which may only
+    restate what the studies use (see :func:`_entry_dict`); lshippp's
+    ``n_layer1`` is required all the same.
     """
     path = Path(path)
     if not path.exists():
@@ -324,94 +375,75 @@ def load_scenario(path) -> Scenario:
             "rated_power_kw",
             "architectures",
             "grid_profile",
-            "arrival_rates_per_h",
-            "demand_means_kwh",
-            "demand_stds_kwh",
-            "r_grid",
-            "lambda_grid",
+            *_NUMBER_LISTS,
             "n_packs",
             "n_trajectories",
             "plaza",
         ),
         ("name",),
     )
+    name = data.get("name", path.stem)
+    if not isinstance(name, str):
+        raise ScenarioError(f"name must be a string, got {name!r}")
     supply = _supply(data["supply"], "supply", "n_modules")
     n_modules = _integer(data["supply"]["n_modules"], "supply.n_modules")
+    n_layer1 = _integer(data["n_layer1"], "n_layer1")
+    problems: list[str] = []
+    architectures = tuple(
+        _architecture(entry, f"architectures[{i}]", n_modules, n_layer1, problems)
+        for i, entry in enumerate(_list(data["architectures"], "architectures"))
+    )
 
-    arch_entries = data["architectures"]
-    if not isinstance(arch_entries, list):
-        raise ScenarioError("architectures must be a JSON list")
-    architectures = []
-    for i, entry in enumerate(arch_entries):
-        field = f"architectures[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{field} must be a JSON object")
-        entry = {"n_modules": n_modules, **entry}
-        for key in ("n_modules", "n_layer1"):
-            if entry.get(key) is not None:
-                entry[key] = _integer(entry[key], f"{field}.{key}")
-        try:
-            architectures.append(ArchitectureConfig.from_dict(entry))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"bad architecture entry {entry}: {exc}") from exc
-
-    plaza_data = _block(
+    plaza = _block(
         data["plaza"],
         "plaza",
         ("charger_max_kw", "bess_power_kw", "rating_r", "kinds", "exemplar"),
         ("supply",),
     )
-    plaza_supply = (
-        _supply(plaza_data["supply"], "plaza.supply")
-        if "supply" in plaza_data
-        else supply
-    )
     exemplar = _block(
-        plaza_data["exemplar"],
+        plaza["exemplar"],
         "plaza.exemplar",
         ("demand_mean_kwh", "demand_std_kwh", "arrival_rate_per_h"),
     )
+    demand = {
+        key: _number(exemplar[f"demand_{key}"], f"plaza.exemplar.demand_{key}")
+        for key in ("mean_kwh", "std_kwh")
+    }
+    kinds = enumerate(_list(plaza["kinds"], "plaza.kinds"))
     try:
-        plaza = PlazaSettings(
-            charger_max_kw=float(plaza_data["charger_max_kw"]),
-            bess_power_kw=float(plaza_data["bess_power_kw"]),
-            supply=plaza_supply,
-            rating_r=float(plaza_data["rating_r"]),
-            kinds=tuple(ArchitectureKind(k) for k in plaza_data["kinds"]),
-            exemplar_demand=DemandModel(
-                mean_kwh=float(exemplar["demand_mean_kwh"]),
-                std_kwh=float(exemplar["demand_std_kwh"]),
-            ),
-            exemplar_rate_per_h=float(exemplar["arrival_rate_per_h"]),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"bad plaza block: {exc}") from exc
-
-    try:
-        return Scenario(
-            name=str(data.get("name", path.stem)),
+        scenario = Scenario(
+            name=name,
             seed=_integer(data["seed"], "seed"),
             supply=supply,
             n_modules=n_modules,
-            n_layer1=_integer(data["n_layer1"], "n_layer1"),
-            rated_power_kw=float(data["rated_power_kw"]),
-            architectures=tuple(architectures),
+            n_layer1=n_layer1,
+            rated_power_kw=_number(data["rated_power_kw"], "rated_power_kw"),
+            architectures=architectures,
             grid_profile=_grid_from_value(data["grid_profile"], path.parent),
-            arrival_rates_per_h=tuple(float(v) for v in data["arrival_rates_per_h"]),
-            demand_means_kwh=tuple(float(v) for v in data["demand_means_kwh"]),
-            demand_stds_kwh=tuple(float(v) for v in data["demand_stds_kwh"]),
-            r_grid=tuple(float(v) for v in data["r_grid"]),
-            lambda_grid=tuple(float(v) for v in data["lambda_grid"]),
+            **{key: _numbers(data[key], key) for key in _NUMBER_LISTS},
             n_packs=_integer(data["n_packs"], "n_packs"),
             n_trajectories=_integer(data["n_trajectories"], "n_trajectories"),
-            plaza=plaza,
+            plaza=PlazaSettings(
+                charger_max_kw=_number(plaza["charger_max_kw"], "plaza.charger_max_kw"),
+                bess_power_kw=_number(plaza["bess_power_kw"], "plaza.bess_power_kw"),
+                supply=(
+                    _supply(plaza["supply"], "plaza.supply")
+                    if "supply" in plaza
+                    else supply
+                ),
+                rating_r=_number(plaza["rating_r"], "plaza.rating_r"),
+                kinds=tuple(_kind(k, f"plaza.kinds[{i}]") for i, k in kinds),
+                exemplar_demand=_build(DemandModel, "plaza.exemplar", **demand),
+                exemplar_rate_per_h=_number(
+                    exemplar["arrival_rate_per_h"], "plaza.exemplar.arrival_rate_per_h"
+                ),
+            ),
         )
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad scenario field: {exc}") from exc
+    except ScenarioError as exc:  # the entries' derived keys join its problems
+        problems.insert(0, str(exc))
+    if problems:
+        raise ScenarioError("; ".join(problems))
+    return scenario
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -430,7 +462,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "supply": {**_supply(scenario.supply), "n_modules": scenario.n_modules},
         "n_layer1": scenario.n_layer1,
         "rated_power_kw": scenario.rated_power_kw,
-        "architectures": [a.to_dict() for a in scenario.architectures],
+        "architectures": [
+            _entry_dict(a, scenario.n_modules, scenario.n_layer1)
+            for a in scenario.architectures
+        ],
         "grid_profile": [list(seg) for seg in scenario.grid_profile.segments],
         "arrival_rates_per_h": list(scenario.arrival_rates_per_h),
         "demand_means_kwh": list(scenario.demand_means_kwh),

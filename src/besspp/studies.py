@@ -282,10 +282,10 @@ def run_tradeoff(
 def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> tuple:
     """``(expected_total_kwh, pack_totals, capacities)`` of the plaza packs.
 
-    ``capacities`` maps each kind to the effective capacity of the first
-    ``n_packs`` packs (all by default).  Pack ``i`` is seeded by its index
-    alone, so a shorter prefix leaves every pack and capacity it keeps
-    unchanged.
+    ``pack_totals`` and each kind's entry of ``capacities`` are arrays over
+    the first ``n_packs`` packs (all by default).  Pack ``i`` is seeded by
+    its index alone, so a shorter prefix leaves every pack and capacity it
+    keeps unchanged.
     """
     plaza = scenario.plaza
     supply, n = plaza.supply, scenario.n_modules
@@ -293,12 +293,11 @@ def _plaza_setup(scenario: Scenario, n_packs: int | None = None) -> tuple:
     count = scenario.n_packs if n_packs is None else n_packs
     keys = derive_seeds(scenario.seed, "plaza-pack", indices=range(count))
     packs = sample_packs(supply, n, keys)
-    capacities: dict[str, tuple[float, ...]] = {}
+    capacities: dict[str, np.ndarray] = {}
     for kind in plaza.kinds:
         split = split_budget(kind, n, plaza.rating_r, expected_total, layer1)
-        (row,) = sweep_energy(packs, supply.voltage_v, [split])
-        capacities[kind.value] = tuple(row.tolist())
-    return expected_total, tuple(_module_totals(packs).tolist()), capacities
+        (capacities[kind.value],) = sweep_energy(packs, supply.voltage_v, [split])
+    return expected_total, _module_totals(packs), capacities
 
 
 def _exemplar_day(scenario: Scenario, label: str) -> Arrivals:
@@ -340,7 +339,7 @@ def run_day(
 
     with timer.stage("days"):
         arrivals = _exemplar_day(scenario, "day")
-        capacities = [kind_caps[kind][0] for kind in kinds]
+        capacities = [float(kind_caps[kind][0]) for kind in kinds]
         replay = replay_lanes(
             arrivals,
             [0] * len(kinds),
@@ -363,7 +362,7 @@ def run_day(
             report = {
                 "kind": kind,
                 "effective_capacity_kwh": capacities[i],
-                "pack_total_kwh": pack_totals[0],
+                "pack_total_kwh": float(pack_totals[0]),
                 "horizon_h": DAY_HORIZON_H,
                 "dropped_arrivals": int(lane.dropped[0]),
                 "n_cycles": len(cycles),
@@ -537,14 +536,12 @@ def _dispersion_rows(
     }
     rows: list[tuple] = []
     reports: dict[str, dict] = {}
-    pack_totals = np.array(pack_totals)
     for kind in (k.value for k in plaza.kinds):
         caps = capacities[kind]
-        caps_kwh = np.array(caps)
         worst_stats: dict[str, float | None] = {}
         for k_int, (start_h, grid_kw, demand) in enumerate(schedule):
             _, _, _, _, delivered, _, _ = cycle_phases(
-                caps_kwh, grid_kw, demand, plaza.charger_max_kw,
+                caps, grid_kw, demand, plaza.charger_max_kw,
                 plaza.bess_power_kw,
             )
             utils = delivered / pack_totals
@@ -629,7 +626,7 @@ def _batch_task(args) -> list[tuple]:
     """
     cells, per_cell, seed, kind_caps, pack_totals, grid, charger_kw, bess_kw = args
     pack = np.arange(per_cell) % len(pack_totals)
-    totals = np.array(pack_totals)[pack]
+    totals = pack_totals[pack]
     arrivals = draw_arrivals(
         [
             (
@@ -647,7 +644,7 @@ def _batch_task(args) -> list[tuple]:
         arrivals,
         np.repeat(trajectories, len(kind_caps), axis=1).ravel(),
         np.tile(
-            np.concatenate([np.array(caps)[pack] for _, caps in kind_caps]),
+            np.concatenate([caps[pack] for _, caps in kind_caps]),
             len(cells),
         ),
         bess_kw,
@@ -704,9 +701,7 @@ def run_ensemble(
     cells = scenario.demand_cells
     per_cell = scenario.trajectories_per_cell
     traj_seed = derive_seed(scenario.seed, "ensemble")
-    capacities_by_kind = tuple(
-        (kind.value, capacities[kind.value]) for kind in plaza.kinds
-    )
+    capacities_by_kind = tuple(capacities.items())
     batches = _cell_batches([rate for _, _, rate in cells], per_cell)
     tasks = [
         (

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from besspp.architectures import (
-    ArchitectureConfig,
     ArchitectureKind,
     BudgetSplit,
     ConfigurationError,
@@ -29,51 +28,6 @@ def pack(*caps: float) -> tuple[list, list]:
 @pytest.fixture(scope="module")
 def layer1_345():
     return design_layer1([3.0, 4.0, 5.0], VOLTS, 1, 1.0)
-
-
-class TestConfig:
-    def test_roundtrip(self):
-        config = ArchitectureConfig(
-            kind="lshippp",
-            n_modules=9,
-            rating_r=0.2,
-            eta_c=0.85,
-            n_layer1=3,
-            lambda_h=0.83,
-            horizon_h=2.25,
-        )
-        again = ArchitectureConfig.from_dict(config.to_dict())
-        assert again == config
-
-    def test_json_keys(self):
-        config = ArchitectureConfig(kind="fpp", n_modules=9, rating_r=0.3)
-        assert set(config.to_dict()) == {
-            "kind",
-            "n_modules",
-            "n_layer1",
-            "lambda_h",
-            "rating_r",
-            "eta_c",
-            "horizon_h",
-        }
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ArchitectureConfig.from_dict(
-                {"kind": "fpp", "n_modules": 9, "rating_r": 0.3, "bogus": 1}
-            )
-
-    def test_lshippp_requires_layer1_count(self):
-        with pytest.raises(ConfigurationError):
-            ArchitectureConfig(kind="lshippp", n_modules=9, rating_r=0.2)
-
-    def test_dedicated_kinds_reject_layer1_count(self):
-        with pytest.raises(ConfigurationError):
-            ArchitectureConfig(kind="fpp", n_modules=9, rating_r=0.2, n_layer1=3)
-
-    def test_kind_coercion(self):
-        config = ArchitectureConfig(kind="cppp", n_modules=4, rating_r=0.1)
-        assert config.kind is ArchitectureKind.CPPP
 
 
 def cppp_split(modules, rating_r, basis=None):

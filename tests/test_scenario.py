@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -166,8 +167,52 @@ class TestLoadScenario:
     def test_bad_architecture_kind(self, tmp_path):
         doc = minimal_doc()
         doc["architectures"][0]["kind"] = "mystery"
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=r"^architectures\[0\]\.kind: unkn"):
             load_scenario(write_doc(tmp_path, doc))
+
+    def test_entry_kinds_load_as_members(self, tmp_path):
+        scenario = load_scenario(write_doc(tmp_path, minimal_doc()))
+        kinds = [config.kind for config in scenario.architectures]
+        assert kinds == [ArchitectureKind.LSHIPPP, ArchitectureKind.CPPP]
+        assert scenario.architectures[1].eta_c == 1.0  # the default
+
+    @pytest.mark.parametrize("entry, value", [(0, None), (0, 2), (1, 3), (1, 3.0)])
+    def test_layer1_count_only_on_lshippp(self, entry, value, tmp_path):
+        # lshippp's entry must restate the scenario's n_layer1; cppp's and
+        # fpp's must leave it null.
+        doc = minimal_doc()
+        doc["architectures"][entry]["n_layer1"] = value
+        kind = doc["architectures"][entry]["kind"]
+        if value is None:
+            problem = r"architectures\[0\]\.n_layer1 must be an integer"
+        else:
+            want = 3 if kind == "lshippp" else "null"
+            problem = rf"architectures\[{entry}\] \({kind}\): n_layer1 must be {want}"
+        with pytest.raises(ScenarioError, match=problem):
+            load_scenario(write_doc(tmp_path, doc))
+
+    def test_entries_keep_their_canonical_keys(self, tmp_path):
+        # Every entry is written with all seven keys, the derived ones at the
+        # values the studies use, as the shipped document holds them; and
+        # the written form loads back to the same scenario.
+        entries = scenario_to_dict(default_scenario())["architectures"]
+        assert entries == shipped_doc()["architectures"]
+        scenario = load_scenario(write_doc(tmp_path, minimal_doc()))
+        written = scenario_to_dict(scenario)
+        assert all(len(entry) == 7 for entry in written["architectures"])
+        assert load_scenario(write_doc(tmp_path, written)) == scenario
+
+    def test_every_value_problem_in_one_message(self, tmp_path):
+        doc = minimal_doc()
+        doc["plaza"]["charger_max_kw"] = 0
+        doc["n_packs"] = 1
+        doc["architectures"][1]["eta_c"] = 0
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_doc(tmp_path, doc))
+        message = str(exc.value)
+        assert "plaza.charger_max_kw must be positive" in message
+        assert "n_packs must be >= 2" in message
+        assert "architectures[1] (cppp): eta_c must be in (0, 1]" in message
 
     def test_grid_profile_from_csv_path(self, tmp_path):
         doc = minimal_doc()
@@ -207,7 +252,8 @@ class TestLoadScenario:
 
 
 # Every key path of a scenario document but the optional ones; the plaza
-# supply's keys are required whenever that block is given.
+# supply's keys are required whenever that block is given, and lshippp's
+# n_layer1 (the shipped document's first entry) is required.
 REQUIRED_KEYS = [
     "seed",
     "supply",
@@ -236,6 +282,8 @@ REQUIRED_KEYS = [
     "plaza.exemplar.arrival_rate_per_h",
     "plaza.supply.mean_kwh",
     "plaza.supply.std_kwh",
+    *(f"architectures[{i}].{key}" for i in range(3) for key in ("kind", "rating_r")),
+    "architectures[0].n_layer1",
 ]
 OPTIONAL_KEYS = [
     "name",
@@ -244,6 +292,13 @@ OPTIONAL_KEYS = [
     "plaza.supply",
     "plaza.supply.dod",
     "plaza.supply.voltage_v",
+    *(
+        f"architectures[{i}].{key}"
+        for i in range(3)
+        for key in ("eta_c", "n_modules", "lambda_h", "horizon_h")
+    ),
+    "architectures[1].n_layer1",
+    "architectures[2].n_layer1",
 ]
 
 
@@ -253,17 +308,27 @@ def shipped_doc() -> dict:
 
 
 def key_paths(doc: dict, prefix: str = "") -> list[str]:
-    """Dotted paths of every object key, not descending into lists."""
+    """Paths of every object key, ``architectures[1].eta_c`` into lists."""
     paths = []
     for key, value in doc.items():
         paths.append(prefix + key)
         if isinstance(value, dict):
             paths += key_paths(value, f"{prefix}{key}.")
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    paths += key_paths(item, f"{prefix}{key}[{i}].")
     return paths
 
 
+def steps(key_path: str) -> list:
+    """``"architectures[1].eta_c"`` as ``["architectures", 1, "eta_c"]``."""
+    parts = filter(None, re.split(r"[.\[\]]+", key_path))
+    return [int(part) if part.isdigit() else part for part in parts]
+
+
 def without(doc: dict, key_path: str) -> dict:
-    *parents, key = key_path.split(".")
+    *parents, key = steps(key_path)
     block = doc
     for step in parents:
         block = block[step]
@@ -280,7 +345,8 @@ class TestClosedSchema:
     @pytest.mark.parametrize("key_path", REQUIRED_KEYS)
     def test_missing_required_key_is_named(self, key_path, tmp_path):
         path = write_doc(tmp_path, without(shipped_doc(), key_path))
-        with pytest.raises(ScenarioError, match=rf"^missing key {key_path}$"):
+        problem = rf"^missing key {re.escape(key_path)}$"
+        with pytest.raises(ScenarioError, match=problem):
             load_scenario(path)
 
     @pytest.mark.parametrize("key_path", OPTIONAL_KEYS)
@@ -291,6 +357,10 @@ class TestClosedSchema:
             assert scenario.name == "scenario"  # the file's stem
         elif key_path == "plaza.supply":
             assert scenario.plaza.supply == default.supply
+        elif key_path.endswith(".eta_c"):
+            entry = scenario.architectures[steps(key_path)[1]]
+            assert entry.eta_c == 1.0  # the default
+            assert scenario_fingerprint(scenario) != scenario_fingerprint(default)
         else:
             assert scenario_fingerprint(scenario) == scenario_fingerprint(default)
 
@@ -302,17 +372,19 @@ class TestClosedSchema:
             ("plaza", "kind"),
             ("plaza.supply", "mean"),
             ("plaza.exemplar", "arrival_rate"),
+            *((f"architectures[{i}]", "eta") for i in range(3)),
         ],
     )
     def test_unknown_key_is_named(self, block, key, tmp_path):
         # A misspelled key must fail by name, not be ignored.
         doc = shipped_doc()
         target = doc
-        for step in filter(None, block.split(".")):
+        for step in steps(block):
             target = target[step]
         target[key] = 9
         key_path = f"{block}.{key}" if block else key
-        with pytest.raises(ScenarioError, match=rf"^unknown key {key_path}$"):
+        problem = rf"^unknown key {re.escape(key_path)}$"
+        with pytest.raises(ScenarioError, match=problem):
             load_scenario(write_doc(tmp_path, doc))
 
 
@@ -358,8 +430,10 @@ class TestScenarioValidation:
         doc = minimal_doc()
         doc["supply"]["n_modules"] = 16
         doc["n_layer1"] = n_layer1
-        with pytest.raises(ScenarioError, match="layer-1 placements"):
+        with pytest.raises(ScenarioError, match="layer-1 placements") as exc:
             load_scenario(write_doc(tmp_path, doc))
+        # The entry's n_layer1, still 3, is named in the same message.
+        assert f"(lshippp): n_layer1 must be {n_layer1}, got 3" in str(exc.value)
 
     def test_shipped_scenario_search_fits(self):
         path = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"

@@ -287,11 +287,11 @@ class TestRunDay:
             short_total, short_totals, short_caps = _plaza_setup(
                 scenario, n_packs=n_packs
             )
-            assert short_totals == pack_totals[:n_packs]
+            assert short_totals.tolist() == pack_totals[:n_packs].tolist()
             assert short_total == total
             assert short_caps.keys() == capacities.keys()
             for kind, caps in capacities.items():
-                assert short_caps[kind] == caps[:n_packs]
+                assert short_caps[kind].tolist() == caps[:n_packs].tolist()
 
     def test_unknown_kind_rejected(self, small_scenario, tmp_path):
         _, scenario = small_scenario
@@ -697,6 +697,35 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["tradeoff", "--scenario", str(path), "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, key_path",
+        [
+            ("r_grid", '[1, "a"]', "r_grid[1]"),
+            ("lambda_grid", '[0.0, null]', "lambda_grid[1]"),
+            ("arrival_rates_per_h", '[[2.0]]', "arrival_rates_per_h[0]"),
+            ("rated_power_kw", '"fast"', "rated_power_kw"),
+            ("plaza.charger_max_kw", "null", "plaza.charger_max_kw"),
+            ("plaza.exemplar.demand_mean_kwh", "{}", "plaza.exemplar.demand_mean_kwh"),
+            ("supply.dod", '"x"', "supply.dod"),
+            ("architectures.0.eta_c", "[0.85]", "architectures[0].eta_c"),
+        ],
+    )
+    def test_wrongly_typed_value_exits_1_by_its_path(
+        self, field, value, key_path, tmp_path, capsys
+    ):
+        path = write_doc_with(tmp_path / "typed.json", field, value)
+        assert main(["validate", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key_path} must be a number, got ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["null", "5", '["small"]'])
+    def test_name_that_is_not_a_string_exits_1(self, value, tmp_path, capsys):
+        # A null name must not load, nor be recorded, as the label "None".
+        path = write_doc_with(tmp_path / "named.json", "name", value)
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: name must be a string")
 
     @pytest.mark.parametrize(
         "case",

@@ -270,18 +270,14 @@ class TestLeftSum:
 
     def test_every_public_name_has_a_caller(self):
         # No public API that only tests call: each public function, class
-        # and method of the package is named in the package or in scripts/
-        # besides its own definition.  besspp.simplex is the one exception:
-        # it is the tests' LP, which no package module calls, and it stays
-        # in src/ only until perfbench's trace tolerates a missing module.
-        repo = Path(__file__).resolve().parents[1]
-        package = repo / "src" / "besspp"
+        # and method of the package is named in the package besides its own
+        # definition.  besspp.simplex is the one exception: it is the tests'
+        # LP, which no package module calls, and it stays in src/ only until
+        # perfbench's trace tolerates a missing module.
+        package = Path(__file__).resolve().parents[1] / "src" / "besspp"
         trees = {
             path: ast.parse(path.read_text(), str(path))
-            for path in [
-                *sorted(package.glob("*.py")),
-                *sorted((repo / "scripts").glob("*.py")),
-            ]
+            for path in sorted(package.glob("*.py"))
         }
         named = set()
         defined = set()
