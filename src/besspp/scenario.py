@@ -232,11 +232,13 @@ def _integer(value, field: str) -> int:
 
 
 def _number(value, field: str) -> float:
-    """What ``float()`` makes of ``value``; a value it refuses is named by ``field``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{field} must be a number, got {value!r}") from exc
+    """A JSON number as a float, never text or a boolean."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ScenarioError(f"{field} must be a number, got {value!r}")
 
 
 def _list(value, field: str) -> list:

@@ -135,10 +135,6 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def scenario_fingerprint(scenario: Scenario) -> str:
     canonical = json.dumps(
         scenario_to_dict(scenario), sort_keys=True, separators=(",", ":")
@@ -146,19 +142,38 @@ def scenario_fingerprint(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _finish(
-    study: str, scenario: Scenario, out_dir: Path, files: list[str]
+def _write_study(
+    study: str, scenario: Scenario, out_dir, artifacts: dict, timer: StageTimer
 ) -> list[Path]:
-    manifest = {
-        "study": study,
-        "tool_version": besspp.__version__,
-        "seed": scenario.seed,
-        "scenario_sha256": scenario_fingerprint(scenario),
-        "scenario": scenario_to_dict(scenario),
-        "outputs": {name: _file_sha256(out_dir / name) for name in sorted(files)},
-    }
-    _write_json(out_dir / "manifest.json", manifest)
-    return [out_dir / name for name in [*sorted(files), "manifest.json"]]
+    """Write ``artifacts`` and their manifest into ``out_dir``, as stage ``writes``.
+
+    ``artifacts`` maps each file name to its content: ``(header, rows)`` for
+    a ``.csv`` name, a JSON document for any other.  ``out_dir`` is made only
+    here, as the writes begin.  Returns the artifact paths in name order,
+    then the manifest's.
+    """
+    with timer.stage("writes"):
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in artifacts.items():
+            if name.endswith(".csv"):
+                _write_csv(out_dir / name, *content)
+            else:
+                _write_json(out_dir / name, content)
+        names = sorted(artifacts)
+        manifest = {
+            "study": study,
+            "tool_version": besspp.__version__,
+            "seed": scenario.seed,
+            "scenario_sha256": scenario_fingerprint(scenario),
+            "scenario": scenario_to_dict(scenario),
+            "outputs": {
+                name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                for name in names
+            },
+        }
+        _write_json(out_dir / "manifest.json", manifest)
+        return [out_dir / name for name in [*names, "manifest.json"]]
 
 
 def _parallel_map(fn, items, workers: int) -> list:
@@ -222,13 +237,11 @@ def run_design(
         ]
         rows = sweep_rows(packs, supply.voltage_v, splits)
 
-    with timer.stage("writes"):
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "design.json", design_doc)
-        _write_csv(out_dir / "lambda_sweep.csv", TRADEOFF_HEADER, rows)
-        files = ["design.json", "lambda_sweep.csv"]
-        return _finish("design", scenario, out_dir, files)
+    artifacts = {
+        "design.json": design_doc,
+        "lambda_sweep.csv": (TRADEOFF_HEADER, rows),
+    }
+    return _write_study("design", scenario, out_dir, artifacts, timer)
 
 
 def _sweep_packs(scenario: Scenario, label: str) -> np.ndarray:
@@ -268,11 +281,8 @@ def run_tradeoff(
                 for r in scenario.r_grid
             ]
             rows.extend(sweep_rows(packs, supply.voltage_v, splits))
-    with timer.stage("writes"):
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "tradeoff.csv", TRADEOFF_HEADER, rows)
-        return _finish("tradeoff", scenario, out_dir, ["tradeoff.csv"])
+    artifacts = {"tradeoff.csv": (TRADEOFF_HEADER, rows)}
+    return _write_study("tradeoff", scenario, out_dir, artifacts, timer)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +358,7 @@ def run_day(
             scenario.grid_profile,
             plaza.charger_max_kw,
         )
-        days = []
+        artifacts = {}
         for i, kind in enumerate(kinds):
             lane = replay.cycles(i, i + 1)
             columns = [getattr(lane, name).tolist() for name in _CYCLE_FIELDS]
@@ -371,23 +381,10 @@ def run_day(
                 "cycles": cycles,
             }
             series = _minute_series(cycles, capacities[i], scenario.grid_profile)
-            days.append((report, series))
-
-    with timer.stage("writes"):
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        files: list[str] = []
-        for report, series in days:
-            csv_name = f"day_{report['kind']}.csv"
-            json_name = f"day_{report['kind']}.json"
-            _write_csv(
-                out_dir / csv_name,
-                TRAJECTORY_HEADER,
-                zip(*(column.tolist() for column in series)),
-            )
-            _write_json(out_dir / json_name, report)
-            files.extend([csv_name, json_name])
-        return _finish("day", scenario, out_dir, files)
+            rows = zip(*(column.tolist() for column in series))
+            artifacts[f"day_{kind}.csv"] = (TRAJECTORY_HEADER, rows)
+            artifacts[f"day_{kind}.json"] = report
+    return _write_study("day", scenario, out_dir, artifacts, timer)
 
 
 def _minute_series(
@@ -726,15 +723,9 @@ def run_ensemble(
     n_kinds = len(plaza.kinds)
     cell_rows = [row for k in range(n_kinds) for row in lane_rows[k::n_kinds]]
 
-    with timer.stage("writes"):
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "dispersion.csv", DISPERSION_HEADER, rows)
-        files = ["dispersion.csv"]
-        for kind, report in reports.items():
-            name = f"metrics_{kind}.json"
-            _write_json(out_dir / name, report)
-            files.append(name)
-        _write_csv(out_dir / "cells.csv", CELLS_HEADER, cell_rows)
-        files.append("cells.csv")
-        return _finish("ensemble", scenario, out_dir, files)
+    artifacts = {
+        "dispersion.csv": (DISPERSION_HEADER, rows),
+        **{f"metrics_{kind}.json": report for kind, report in reports.items()},
+        "cells.csv": (CELLS_HEADER, cell_rows),
+    }
+    return _write_study("ensemble", scenario, out_dir, artifacts, timer)

@@ -13,13 +13,13 @@ Criterion 4 checks it against vertex enumeration, and the cut-form tests
 check the kernels against it and against scipy.  The designer fixes the
 layer-1 flows in closed form; :func:`min_peak_flow` is the two-pass LP it
 replaced, the oracle the designer and parametric cut-form tests check
-against.  Both LPs are solved by :mod:`besspp.simplex`.
+against.  Both LPs are solved by the tests' own simplex, :mod:`simplex`.
 """
 
 import numpy as np
 
 from besspp.flows import _check_wiring
-from besspp.simplex import BoundedLp, LpInfeasible, solve_bounded_lp
+from simplex import BoundedLp, LpInfeasible, solve_bounded_lp
 
 
 class InfeasibleFlowError(Exception):

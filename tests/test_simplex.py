@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from besspp.simplex import (
+from simplex import (
     BoundedLp,
     LpInfeasible,
     LpIterationLimit,

@@ -709,6 +709,12 @@ class TestCli:
             ("plaza.exemplar.demand_mean_kwh", "{}", "plaza.exemplar.demand_mean_kwh"),
             ("supply.dod", '"x"', "supply.dod"),
             ("architectures.0.eta_c", "[0.85]", "architectures[0].eta_c"),
+            # A number is a JSON number: numeric text and booleans are refused.
+            ("rated_power_kw", '"150"', "rated_power_kw"),
+            ("r_grid", "[true]", "r_grid[0]"),
+            ("plaza.rating_r", "true", "plaza.rating_r"),
+            ("architectures.0.rating_r", '"0.2"', "architectures[0].rating_r"),
+            ("grid_profile", '[["0", "1e3"]]', "grid_profile[0][0]"),
         ],
     )
     def test_wrongly_typed_value_exits_1_by_its_path(
@@ -1081,8 +1087,8 @@ class TestStartup:
         # np.quantile would import numpy.ma (about 17 ms and 1.2 MB) through
         # np.unique; the deciles of every sweep point avoid it.  Nor does the
         # design study, which draws no arrivals, load the array extension
-        # that the arrival draw writes into, or the simplex, which only the
-        # tests' LPs use.
+        # that the arrival draw writes into, or the besspp.simplex placeholder,
+        # which only perfbench's trace imports.
         path, _ = small_scenario
         code = (
             "import sys\n"

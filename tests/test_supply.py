@@ -271,9 +271,8 @@ class TestLeftSum:
     def test_every_public_name_has_a_caller(self):
         # No public API that only tests call: each public function, class
         # and method of the package is named in the package besides its own
-        # definition.  besspp.simplex is the one exception: it is the tests'
-        # LP, which no package module calls, and it stays in src/ only until
-        # perfbench's trace tolerates a missing module.
+        # definition.  The tests' LP solver lives in tests/, so no module
+        # is excepted.
         package = Path(__file__).resolve().parents[1] / "src" / "besspp"
         trees = {
             path: ast.parse(path.read_text(), str(path))
@@ -292,7 +291,6 @@ class TestLeftSum:
                 elif (
                     isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and path.parent == package
-                    and path.name != "simplex.py"
                     and not node.name.startswith("_")
                 ):
                     defined.add(node.name)
