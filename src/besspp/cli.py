@@ -19,6 +19,7 @@ bad arguments or flags, failed validation), 2 for runtime failures.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -30,7 +31,16 @@ _START_WALL_S = time.perf_counter()
 # numpy first loads; a user's own value wins, pool workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import argparse  # noqa: E402 - after the start-up clock and the variable above
+# numpy, the stdlib and besspp build tens of thousands of objects as they
+# load that live until exit.  Build them with the cyclic collector off, then
+# freeze them (``gc.freeze``), so no collection scans them again: not while
+# they load, not in the interpreter's final passes at exit, not in a forked
+# pool worker.  The collector comes back on only if it was on to begin with.
+_GC_WAS_ENABLED = gc.isenabled()
+gc.disable()
+
+import argparse  # noqa: E402 - after the start-up clock and the lines above
+import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -49,6 +59,10 @@ from besspp.studies import (  # noqa: E402
     run_ensemble,
     run_tradeoff,
 )
+
+gc.freeze()
+if _GC_WAS_ENABLED:
+    gc.enable()
 
 __all__ = ["main", "build_parser"]
 
@@ -161,6 +175,33 @@ def _run(study: str, scenario: Scenario, args, out_dir: Path, timer=None) -> Non
         print(path)
 
 
+class _CollectorTally:
+    """Collections per generation, and their wall seconds, while installed.
+
+    A ``gc.callbacks`` hook for one run under ``--timings``; it sees this
+    process's collections only, not those of pool workers.
+    """
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.wall_s = 0.0
+        self._began = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._began = time.perf_counter()
+        else:
+            self.collections[info["generation"]] += 1
+            self.wall_s += time.perf_counter() - self._began
+
+    def __enter__(self) -> _CollectorTally:
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -183,13 +224,17 @@ def main(argv=None) -> int:
     try:
         startup = (time.perf_counter() - _START_WALL_S, time.process_time())
         timer = StageTimer()
-        if args.command == "reproduce":
-            # One timing line per study; the studies' own stages go unprinted.
-            for study in STUDIES:
-                with timer.stage(study):
-                    _run(study, scenario, args, args.out / study)
-        else:
-            _run(args.command, scenario, args, args.out, timer)
+        with (
+            _CollectorTally() if args.timings else contextlib.nullcontext()
+        ) as collector:
+            if args.command == "reproduce":
+                # One timing line per study; the studies' own stages go
+                # unprinted.
+                for study in STUDIES:
+                    with timer.stage(study):
+                        _run(study, scenario, args, args.out / study)
+            else:
+                _run(args.command, scenario, args, args.out, timer)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -204,6 +249,13 @@ def main(argv=None) -> int:
                 f"wall {wall_s:.3f} s, cpu {cpu_s:.3f} s",
                 file=sys.stderr,
             )
+        print(
+            f"timing {args.command} gc: collections "
+            f"{'/'.join(map(str, collector.collections))}, "
+            f"wall {collector.wall_s:.3f} s, "
+            f"frozen {gc.get_freeze_count()} objects",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

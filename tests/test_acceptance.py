@@ -11,6 +11,7 @@ import collections
 import csv
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -641,6 +642,8 @@ def _tree_digest(root: Path) -> dict:
 
 def test_criterion_9_determinism(tmp_path):
     with criterion(9, "byte-identical reruns and worker counts"):
+        # The pools below fork from a heap that importing besspp.cli froze.
+        assert gc.get_freeze_count() > 0
         scenario = dataclasses.replace(
             default_scenario(),
             demand_means_kwh=(50.0,),

@@ -1,9 +1,11 @@
 import concurrent.futures
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -986,11 +988,32 @@ class TestCli:
         assert main([study, "--scenario", str(path), "--out", str(plain)]) == 0
         assert "timing" not in capsys.readouterr().err
         args = [study, "--scenario", str(path), "--out", str(timed), "--timings"]
+        hooks = list(gc.callbacks)
         assert main(args) == 0
+        assert gc.callbacks == hooks
         err = capsys.readouterr().err
         assert tree_digest(timed) == tree_digest(plain)
         for stage in ("startup", *stages):
             assert f"timing {study} {stage}: wall " in err
+        line = (
+            rf"^timing {study} gc: collections \d+/\d+/\d+, "
+            r"wall \d+\.\d{3} s, frozen [1-9]\d* objects$"
+        )
+        assert re.search(line, err, re.MULTILINE)
+
+    def test_plain_run_installs_no_collector_hook(
+        self, small_scenario, tmp_path, monkeypatch
+    ):
+        path, _ = small_scenario
+        hooks, seen = list(gc.callbacks), []
+
+        def record_hooks(*args, **kwargs):
+            seen.append(list(gc.callbacks))
+            return []
+
+        monkeypatch.setattr(besspp.cli, "run_design", record_hooks)
+        assert main(["design", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        assert seen == [hooks]
 
     def test_unreadable_output_dir_exits_2(self, small_scenario, tmp_path):
         path, _ = small_scenario
@@ -1055,6 +1078,30 @@ class TestStartup:
     def test_package_import_loads_no_numpy(self):
         code = "import besspp, sys; print('numpy' in sys.modules)"
         assert run_python(code) == "False"
+
+    # The CLI freezes what is alive once its imports finish; the library
+    # modules leave the collector alone.  Criterion 9 runs ``tradeoff`` and
+    # ``reproduce`` (so ``ensemble``) at --workers 1 and 2 from a test
+    # process that imported besspp.cli, so it checks the bytes that pool
+    # workers forked from a frozen heap write.
+    def test_cli_import_freezes_and_reenables_the_collector(self):
+        code = "import gc, besspp.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+        assert run_python(code) == "True True"
+
+    def test_cli_import_leaves_a_disabled_collector_off(self):
+        code = (
+            "import gc; gc.disable()\n"
+            "import besspp.cli\n"
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)"
+        )
+        assert run_python(code) == "False True"
+
+    def test_library_import_freezes_nothing(self):
+        code = (
+            "import gc, sys, besspp.studies\n"
+            "print(gc.isenabled(), gc.get_freeze_count(), 'besspp.cli' in sys.modules)"
+        )
+        assert run_python(code) == "True 0 False"
 
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
     def test_cli_sets_single_blas_thread_unless_preset(self, preset, expected):
