@@ -33,20 +33,17 @@ def system_efficiency(converter_efficiency: float, rating_r: float) -> float:
     return 1.0 - (1.0 - converter_efficiency) * min(rating_r, 1.0)
 
 
-def grid_ev_energy_gap(
-    demand_kwh: float, grid_kw: float, interval_h: float
-) -> float:
-    """Energy the grid cannot supply over a charging interval.
+def grid_ev_energy_gap(demand_kwh, grid_kw, interval_h):
+    """Energy the grid cannot supply over each charging interval.
 
     Positive when the EV wants more than the available grid power can
-    deliver in the interval; the storage unit must cover it.
+    deliver in the interval; the storage unit must cover it.  The arguments
+    may be arrays, one element per interval.
     """
-    if demand_kwh < 0:
-        raise ValueError("demand_kwh must be nonnegative")
-    if interval_h < 0:
-        raise ValueError("interval_h must be nonnegative")
-    if grid_kw < 0:
-        raise ValueError("grid_kw must be nonnegative")
+    named = {"demand_kwh": demand_kwh, "interval_h": interval_h, "grid_kw": grid_kw}
+    for name, value in named.items():
+        if (np.asarray(value) < 0).any():
+            raise ValueError(f"{name} must be nonnegative")
     return demand_kwh - grid_kw * interval_h
 
 

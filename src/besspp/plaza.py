@@ -25,25 +25,25 @@ A day is therefore two steps: :func:`draw_arrivals` draws the streams, one
 per key of each ``(rate_per_h, demand_model, keys)`` group, and
 :func:`replay_lanes`, the event loop, serves them from a full storage unit.
 The draw writes every stream of a call end to end into one
-:class:`Arrivals` table of float64 arrays over one horizon, and the loop
-runs many (capacity, stream) lanes in lockstep over that table as it is:
-each step finds, on every lane still active, the next servable arrival by
-one exact search and serves it with the phase arithmetic of
-:func:`cycle_phases`.  It records only which arrivals each lane served, as a
-:class:`LaneReplay`; :meth:`LaneReplay.cycles` derives the cycles of any run
-of lanes as :class:`LaneCycles` arrays, so a caller can take them a few
-lanes at a time.  Every study replays through it: the exemplar day draws
-its stream once and replays one lane per kind, the reference schedule is
-one lane with an unlimited unit, and the ensemble draws every trajectory of
-a batch of demand cells into one table and replays each trajectory x kind
-as one lane of a single call.
+:class:`Arrivals` table of float64 arrays over one horizon, keyed once by
+(stream, time), and the loop runs many (capacity, stream) lanes in lockstep
+over that table as it is: each step finds, on every lane still active, the
+next servable arrival by one search of those keys and serves it with the
+phase arithmetic of :func:`cycle_phases`.  It records only which arrivals
+each lane served, as a :class:`LaneReplay`; :meth:`LaneReplay.cycles`
+derives the cycles of any run of lanes as :class:`LaneCycles` arrays, so a
+caller can take them a few lanes at a time.  Every study replays through
+it: the exemplar day draws its stream once and replays one lane per kind,
+the reference schedule is one lane with an unlimited unit, and the ensemble
+draws every trajectory of a batch of demand cells into one table and
+replays each trajectory x kind as one lane of a single call.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,19 +98,27 @@ class GridProfile:
 
     @classmethod
     def from_csv(cls, path) -> "GridProfile":
+        """The profile of a ``time_h,power_kw`` CSV, one segment per data row.
+
+        Every data row must hold exactly two values; blank lines are skipped.
+        """
         import csv
 
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames != ["time_h", "power_kw"]:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header != ["time_h", "power_kw"]:
                 raise ValueError(
-                    f"grid profile CSV must have columns time_h,power_kw, "
-                    f"got {reader.fieldnames}"
+                    f"grid profile CSV must have columns time_h,power_kw, got {header}"
                 )
-            segments = tuple(
-                (float(row["time_h"]), float(row["power_kw"])) for row in reader
-            )
-        return cls(segments)
+            segments = []
+            for row in filter(None, reader):
+                if len(row) != 2:
+                    raise ValueError(
+                        f"line {reader.line_num} holds {len(row)} values, not 2"
+                    )
+                segments.append((float(row[0]), float(row[1])))
+        return cls(tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -136,16 +144,20 @@ class Arrivals:
     Stream ``s`` is the ``lengths[s]`` arrivals that follow those of streams
     ``0 .. s-1`` in ``times_h`` and ``demands_kwh``.  Both are float64
     arrays (sequences are converted, buffers are not copied), and the
-    lengths are integers that sum to their size.  :func:`replay_lanes`
-    searches a stream by time, so its times must be numbers that never
-    decrease; they may fall from one stream to the next.  Every demand must
-    be a finite number >= 0, as the replay serves it.
+    lengths are integers that sum to their size.  ``keys`` holds one complex
+    key per arrival, its stream as the real part and its time as the
+    imaginary part; numpy orders complex numbers by real part, then
+    imaginary part, so :func:`replay_lanes` searches every stream in them at
+    once.  They must never decrease: the times are numbers that never
+    decrease within a stream, and may fall from one stream to the next.
+    Every demand must be a finite number >= 0, as the replay serves it.
     """
 
     times_h: np.ndarray
     demands_kwh: np.ndarray
     lengths: np.ndarray
     horizon_h: float
+    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times_h, dtype=float)
@@ -159,11 +171,9 @@ class Arrivals:
             raise ValueError(
                 "stream lengths must be nonnegative and add up to the arrivals"
             )
-        falls = ~(times[1:] >= times[:-1])
-        # A pair that straddles two streams may fall.
-        starts = np.cumsum(lengths)[:-1]
-        falls[starts[(starts > 0) & (starts < times.size)] - 1] = False
-        if falls.any() or np.isnan(times).any():
+        keys = _keys(np.repeat(np.arange(lengths.size), lengths), times)
+        # NaN first: comparing a NaN key would warn.
+        if np.isnan(times).any() or not (keys[1:] >= keys[:-1]).all():
             raise ValueError(
                 "arrival times must be numbers that never decrease within a stream"
             )
@@ -172,6 +182,18 @@ class Arrivals:
         object.__setattr__(self, "times_h", times)
         object.__setattr__(self, "demands_kwh", demands)
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "keys", keys)
+
+
+def _keys(streams, times) -> np.ndarray:
+    """Complex keys, ``streams`` as the real parts and ``times`` the imaginary.
+
+    The parts are set one by one: ``1j * math.inf`` has a NaN real part.
+    """
+    keys = np.empty(len(times), dtype=complex)
+    keys.real = streams
+    keys.imag = times
+    return keys
 
 
 # The per-cycle arrays of LaneCycles, in the order _serve returns them.
@@ -219,20 +241,18 @@ class LaneReplay:
     """Which arrivals every lane of one :func:`replay_lanes` call served.
 
     Lane ``i`` served ``counts[i]`` arrivals and dropped ``dropped[i]``.
-    ``arrival`` indexes the :class:`Arrivals` table the lanes replayed: the
-    served arrivals lane by lane, each lane's in service order.  The
-    table's per-arrival arrays (``start_h``, ``demand_kwh``) with their grid
-    powers (``grid_kw``), each lane's ``capacity_kwh`` and the table's one
-    ``horizon_h`` are what :meth:`cycles` serves them with.
+    ``arrival`` indexes ``table``, the :class:`Arrivals` the lanes replayed:
+    the served arrivals lane by lane, each lane's in service order.  The
+    table's times, demands and horizon, the grid power at each arrival
+    (``grid_kw``) and each lane's ``capacity_kwh`` are what :meth:`cycles`
+    serves them with.
     """
 
     counts: np.ndarray
     dropped: np.ndarray
     arrival: np.ndarray
-    start_h: np.ndarray
-    demand_kwh: np.ndarray
+    table: Arrivals
     grid_kw: np.ndarray
-    horizon_h: float
     capacity_kwh: np.ndarray
     bess_power_kw: float
     charger_max_kw: float
@@ -247,17 +267,13 @@ class LaneReplay:
         start, stop, _ = slice(start, stop).indices(self.counts.size)
         stop = max(start, stop)
         counts = self.counts[start:stop]
-        bounds = np.cumsum(self.counts[:stop])
-        first = int(bounds[start - 1]) if start else 0
+        first = int(self.counts[:start].sum())
         arrival = self.arrival[first : first + int(counts.sum())]
         lane = np.repeat(np.arange(start, stop), counts)
+        table = self.table
         values, _ = _serve(
-            self.start_h[arrival],
-            self.demand_kwh[arrival],
-            self.grid_kw[arrival],
-            self.capacity_kwh[lane],
-            self.horizon_h,
-            self.charger_max_kw,
+            table.times_h[arrival], table.demands_kwh[arrival], self.grid_kw[arrival],
+            self.capacity_kwh[lane], table.horizon_h, self.charger_max_kw,
             self.bess_power_kw,
         )
         cycles = dict(zip(_CYCLE_FIELDS, values))
@@ -397,10 +413,12 @@ def replay_lanes(
     copying them, so the kinds of an ensemble cell share one draw.  Each
     step serves, on every lane still active, the first arrival at or after
     the lane's cursor (the arrival after the last one served) whose time is
-    at least the lane's busy-until time; the arrivals skipped on the way are
-    dropped, and a lane with no such arrival left, a busy-until of +inf
-    included, is done.  The loop records only which arrivals each lane
-    served; :meth:`LaneReplay.cycles` derives their cycles.
+    at least the lane's busy-until time ``b``: on stream ``s`` that is the
+    first of the table's keys at or above the key of ``(s, b)``, one search
+    of them all.  The arrivals skipped on the way are dropped, and a lane
+    with no such arrival left, a busy-until of +inf included, is done.  The
+    loop records only which arrivals each lane served;
+    :meth:`LaneReplay.cycles` derives their cycles.
     """
     if charger_max_kw <= 0:
         raise ValueError("charger_max_kw must be positive")
@@ -411,20 +429,6 @@ def replay_lanes(
     times, demands = arrivals.times_h, arrivals.demands_kwh
     lengths = arrivals.lengths
     offsets = np.cumsum(lengths) - lengths
-    n = times.size
-    # Arrival k of stream s has the key s * (n + 1) + p, where p is its
-    # position in a sort of every arrival time.  The arrivals before
-    # position r = searchsorted(ordered, b) are exactly those earlier than
-    # b, ties or not, so within each stream the keys below s * (n + 1) + r
-    # are the arrivals earlier than b, a prefix.  A lane on stream s that is
-    # busy until b finds its first arrival at b or later by searching the
-    # keys for s * (n + 1) + r: an exact integer search, with no float key
-    # to round.
-    order = np.argsort(times)
-    ordered = times[order]
-    keys = np.argsort(order)
-    del order
-    keys += np.repeat(np.arange(lengths.size) * (n + 1), lengths)
     grid_kw = grid.powers_at(times)
 
     lane_len = lengths[rows]
@@ -435,26 +439,20 @@ def replay_lanes(
     live = np.flatnonzero(lane_len > 0)
     cursor = offsets[rows[live]]
     end = cursor + lane_len[live]
-    base = rows[live] * (n + 1)
     busy = np.zeros(live.size)
     while live.size:
-        pick = np.searchsorted(keys, base + np.searchsorted(ordered, busy))
+        pick = np.searchsorted(arrivals.keys, _keys(rows[live], busy))
         pick = np.maximum(pick, cursor)
         found = pick < end
         if not found.all():
-            live, pick, end, base = live[found], pick[found], end[found], base[found]
+            live, pick, end = live[found], pick[found], end[found]
             if not live.size:
                 break
         served[pick + shift[live]] = True
         counts[live] += 1
         _, busy = _serve(
-            times[pick],
-            demands[pick],
-            grid_kw[pick],
-            capacity[live],
-            arrivals.horizon_h,
-            charger_max_kw,
-            bess_power_kw,
+            times[pick], demands[pick], grid_kw[pick], capacity[live],
+            arrivals.horizon_h, charger_max_kw, bess_power_kw,
         )
         cursor = pick + 1
 
@@ -462,10 +460,8 @@ def replay_lanes(
         counts=counts,
         dropped=lane_len - counts,
         arrival=np.flatnonzero(served) - np.repeat(shift, counts),
-        start_h=times,
-        demand_kwh=demands,
+        table=arrivals,
         grid_kw=grid_kw,
-        horizon_h=arrivals.horizon_h,
         capacity_kwh=capacity,
         bess_power_kw=bess_power_kw,
         charger_max_kw=charger_max_kw,

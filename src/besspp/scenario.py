@@ -348,6 +348,16 @@ def _architecture(value, label: str, n_modules: int, n_layer1: int, problems: li
     return config
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object as a dict, refusing a repeated key (json keeps the last)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioError(f"scenario key {json.dumps(key)} is repeated")
+        data[key] = value
+    return data
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario JSON file.
 
@@ -362,7 +372,8 @@ def load_scenario(path) -> Scenario:
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8

@@ -474,13 +474,13 @@ CELLS_HEADER = (
 )
 
 
-def _reference_schedule(scenario: Scenario) -> list[tuple[float, float, float]]:
+def _reference_schedule(scenario: Scenario) -> tuple[np.ndarray, ...]:
     """Exemplar charging intervals from an unconstrained reference day.
 
     Simulated with an effectively unlimited storage unit so the schedule
     depends only on the scenario (grid, arrivals, demands), never on the
-    architecture under test.  Returns ``(start_h, grid_kw, demand_kwh)``
-    per completed cycle.
+    architecture under test.  Returns the ``start_h``, ``grid_kw`` and
+    ``demand_kwh`` arrays of the completed cycles that demand energy.
     """
     plaza = scenario.plaza
     lanes = replay_lanes(
@@ -491,35 +491,33 @@ def _reference_schedule(scenario: Scenario) -> list[tuple[float, float, float]]:
         scenario.grid_profile,
         plaza.charger_max_kw,
     ).cycles()
-    return [
-        (start_h, grid_kw, demand)
-        for start_h, grid_kw, demand, truncated in zip(
-            lanes.start_h.tolist(),
-            lanes.grid_kw.tolist(),
-            lanes.demand_kwh.tolist(),
-            lanes.truncated.tolist(),
-        )
-        if not truncated and demand > 0
-    ]
+    kept = ~lanes.truncated & (lanes.demand_kwh > 0)
+    return lanes.start_h[kept], lanes.grid_kw[kept], lanes.demand_kwh[kept]
 
 
 def _dispersion_rows(
     scenario: Scenario, expected_total_kwh: float, pack_totals, capacities
 ) -> tuple[list[tuple], dict[str, dict]]:
-    """``dispersion.csv`` rows and each kind's ``metrics_<kind>.json`` document."""
+    """``dispersion.csv`` rows and each kind's ``metrics_<kind>.json`` document.
+
+    Each kind's cycles, every reference interval on every pack, are one
+    broadcast :func:`cycle_phases` call; its ``metrics_<kind>.json`` reads
+    the row of the interval with the worst grid-EV energy gap.
+    """
     plaza = scenario.plaza
     eta_c = {config.kind.value: config.eta_c for config in scenario.architectures}
-    schedule = _reference_schedule(scenario)
-    if not schedule:
+    start_h, grid_kw, demand = _reference_schedule(scenario)
+    if not start_h.size:
         raise ScenarioError(
             "plaza.exemplar: the exemplar day completes no charging interval "
             "to read the dispersion at"
         )
-    gaps = [
-        grid_ev_energy_gap(demand, grid_kw, demand / plaza.charger_max_kw)
-        for _, grid_kw, demand in schedule
-    ]
+    gaps = grid_ev_energy_gap(demand, grid_kw, demand / plaza.charger_max_kw)
     worst = int(np.argmax(gaps))
+    # The leading columns of each kind's rows, interval by interval.
+    intervals = list(
+        zip(range(gaps.size), *(a.tolist() for a in (start_h, demand, grid_kw, gaps)))
+    )
 
     units = {
         "derating_factor": "fraction",
@@ -535,40 +533,33 @@ def _dispersion_rows(
     reports: dict[str, dict] = {}
     for kind in (k.value for k in plaza.kinds):
         caps = capacities[kind]
-        worst_stats: dict[str, float | None] = {}
-        for k_int, (start_h, grid_kw, demand) in enumerate(schedule):
-            _, _, _, _, delivered, _, _ = cycle_phases(
-                caps, grid_kw, demand, plaza.charger_max_kw,
-                plaza.bess_power_kw,
-            )
-            utils = delivered / pack_totals
-            stats = utilization_stats(utils)
-            mean, _, idr, _, _ = stats
-            rating = derating_factor(utils) if mean > 0 else None
-            rows.append(
-                (kind, k_int, start_h, demand, grid_kw, gaps[k_int], *stats, rating)
-            )
-            if k_int == worst:
-                worst_stats = {
-                    "derating_factor": rating,
-                    "utilization_at_worst_gap": mean,
-                    "utilization_idr_at_worst_gap": idr,
-                    "worst_gap_kwh": gaps[k_int],
-                    "worst_interval_start_h": start_h,
-                }
-        d_f = worst_stats["derating_factor"]
-        u_e = worst_stats["utilization_at_worst_gap"]
+        _, _, _, _, delivered, _, _ = cycle_phases(
+            caps, grid_kw[:, None], demand[:, None], plaza.charger_max_kw,
+            plaza.bess_power_kw,
+        )
+        utils = delivered / pack_totals
+        stats = [utilization_stats(u) for u in utils]
+        ratings = [
+            derating_factor(u) if s[0] > 0 else None for u, s in zip(utils, stats)
+        ]
+        rows += [(kind, *i, *s, r) for i, s, r in zip(intervals, stats, ratings)]
+        mean, _, idr, _, _ = stats[worst]
+        d_f = ratings[worst]
         if d_f is None:
             captured = fraction = None
         else:
-            captured = captured_value(d_f, min(u_e, 1.0), expected_total_kwh)
-            fraction = d_f * u_e
+            captured = captured_value(d_f, min(mean, 1.0), expected_total_kwh)
+            fraction = d_f * mean
         values = {
-            **worst_stats,
+            "derating_factor": d_f,
+            "utilization_at_worst_gap": mean,
+            "utilization_idr_at_worst_gap": idr,
+            "worst_gap_kwh": gaps[worst],
+            "worst_interval_start_h": start_h[worst],
             "captured_value_kwh": captured,
             "captured_fraction": fraction,
             "system_efficiency": system_efficiency(eta_c[kind], plaza.rating_r),
-            "n_intervals": len(schedule),
+            "n_intervals": gaps.size,
             "n_packs": len(caps),
         }
         reports[kind] = {

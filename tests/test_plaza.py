@@ -485,13 +485,50 @@ class TestReplayLanes:
         for horizon in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="horizon_h"):
                 Arrivals((), (), (), horizon)
-        # Times may fall from one stream to the next.
+        # A NaN opening a later stream is refused too.
+        with pytest.raises(ValueError, match="numbers"):
+            Arrivals((1.0, math.nan), (5.0, 5.0), (1, 1), 24.0)
+        # Times may fall from one stream to the next, across an empty one too.
         two = Arrivals((5.0, 1.0), (5.0, 5.0), (1, 1), 24.0)
         lanes = replay_lanes(two, [0, 1], [10.0, 10.0], 150.0, grid, 150.0)
         assert lanes.counts.tolist() == [1, 1]
         assert lanes.cycles(1).start_h.tolist() == [1.0]
+        gap = Arrivals((5.0, 1.0), (5.0, 5.0), (1, 0, 1), 24.0)
+        lanes = replay_lanes(gap, [0, 1, 2], [10.0] * 3, 150.0, grid, 150.0)
+        assert lanes.counts.tolist() == [1, 0, 1]
+        assert lanes.cycles(2).start_h.tolist() == [1.0]
+        # Equal times, -0.0 and 0.0 included, never decrease.
+        for times in ((2.0, 2.0), (-0.0, 0.0)):
+            same = Arrivals(times, (0.0, 0.0), (2,), 24.0)
+            lanes = replay_lanes(same, [0], [10.0], 150.0, grid, 150.0)
+            assert lanes.counts.tolist() == [2]
         with pytest.raises(ValueError, match="one stream index and one capacity"):
             replay_lanes(two, [0, 1], [10.0], 150.0, grid, 150.0)
+
+    @given(
+        streams=st.lists(
+            st.lists(
+                st.sampled_from([-0.0, 0.0, 1.0, 2.0, math.inf, math.nan]),
+                max_size=4,
+            ),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300)
+    def test_accepts_exactly_the_streams_that_never_decrease(self, streams):
+        # A per-stream check in plain Python is the contract.
+        valid = all(
+            not any(map(math.isnan, times))
+            and all(a <= b for a, b in zip(times, times[1:]))
+            for times in streams
+        )
+        times = [t for stream in streams for t in stream]
+        table = (times, [1.0] * len(times), [len(stream) for stream in streams])
+        if valid:
+            Arrivals(*table, 24.0)
+        else:
+            with pytest.raises(ValueError, match="never decrease"):
+                Arrivals(*table, 24.0)
 
     @pytest.mark.parametrize("demand", [-30.0, -1e-300, math.nan, math.inf])
     def test_rejects_demands_it_cannot_serve(self, demand):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import besspp.studies
 from besspp.cli import main
 from besspp.designer import TRADEOFF_HEADER, derive_seed
-from besspp.plaza import DemandModel, draw_arrivals
+from besspp.plaza import DemandModel, cycle_phases, draw_arrivals
 from besspp.scenario import ScenarioError, load_scenario
 from besspp.studies import (
     CELLS_HEADER,
@@ -374,6 +374,27 @@ class TestRunEnsemble:
             assert float(cell["curtailed_max_min"]) >= float(
                 cell["curtailed_mean_min"]
             )
+
+    def test_dispersion_is_one_phase_call_per_kind(
+        self, small_scenario, tmp_path, monkeypatch
+    ):
+        # Every reference interval on every pack is one broadcast call.
+        _, scenario = small_scenario
+        shapes = []
+
+        def counting(capacity, grid_kw, demand_kwh, charger_max_kw, bess_power_kw):
+            phases = cycle_phases(
+                capacity, grid_kw, demand_kwh, charger_max_kw, bess_power_kw
+            )
+            shapes.append(phases[4].shape)
+            return phases
+
+        monkeypatch.setattr(besspp.studies, "cycle_phases", counting)
+        out = tmp_path / "e"
+        run_ensemble(scenario, out)
+        with (out / "dispersion.csv").open(newline="") as fh:
+            n_intervals = len(list(csv.DictReader(fh))) // 2
+        assert shapes == [(n_intervals, scenario.n_packs)] * 2
 
     def test_system_efficiency_at_the_plaza_rating(self, tmp_path):
         # Derating and captured value are read at the plaza's rating, and so
@@ -727,6 +748,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key_path} must be a number, got ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, literal, key",
+        [
+            ("seed", '20240915, "seed": 7', "seed"),
+            ("plaza.rating_r", '0.2, "rating_r": 0.3', "rating_r"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_json_key_exits_1(self, field, literal, key, tmp_path, capsys):
+        # json.loads keeps the last of a repeated key, so the closed schema
+        # would never see the first: the run would silently use seed 7.
+        path = write_doc_with(tmp_path / "twice.json", field, literal)
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == f'error: scenario key "{key}" is repeated\n'
+
+    @pytest.mark.parametrize(
+        "row, count", [("6.0", 1), ("0.0,55.0,7", 3)], ids=["missing", "extra"]
+    )
+    def test_grid_csv_row_without_two_values_exits_1(
+        self, row, count, tmp_path, capsys
+    ):
+        # A missing value must not crash the load, nor an extra one be dropped.
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"time_h,power_kw\n0.0,40.0\n\n{row}\n")
+        path = write_doc_with(tmp_path / "grid.json", "grid_profile", '"grid.csv"')
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read grid profile {grid}: "
+            f"line 4 holds {count} values, not 2\n"
+        )
 
     @pytest.mark.parametrize("value", ["null", "5", '["small"]'])
     def test_name_that_is_not_a_string_exits_1(self, value, tmp_path, capsys):
