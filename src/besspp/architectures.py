@@ -98,7 +98,8 @@ def split_budget(
     N-1 rungs.  lshippp funds layer 1 first: below its design point the
     layer-1 caps are scaled down uniformly and the ladder gets nothing;
     above it, the surplus is spread evenly over the ladder and ``lambda_h``
-    is the resulting aggregate ratio.  The design point is
+    is the resulting aggregate ratio, ``inf`` when layer 1 carries nothing
+    (a zero design point).  The design point is
     :func:`layer1_aggregate_kwh`, over the design's own ``horizon_h``.
     """
     kind = ArchitectureKind(kind)
@@ -122,8 +123,10 @@ def split_budget(
         cap2 = 0.0
     else:
         cap1 = layer1.rating_kw * layer1.horizon_h
-        lambda_h = (budget - design_point) / design_point
-        cap2 = (budget - design_point) / (n_modules - 1)
+        # inf: the ratio's limit as the design point falls to 0.
+        surplus = budget - design_point
+        lambda_h = surplus / design_point if design_point else math.inf
+        cap2 = surplus / (n_modules - 1)
     caps = (cap1,) * m + (cap2,) * (n_modules - 1)
     pairs = tuple(layer1.edges) + ladder
     return BudgetSplit(kind, pairs, caps, cap2, rating_r, lambda_h)

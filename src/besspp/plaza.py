@@ -262,7 +262,8 @@ class LaneReplay:
 
         They come from the served arrivals through the same arithmetic the
         replay ran, so a caller may take the lanes a run at a time and keep
-        its temporaries small.
+        its temporaries small.  Every lane's ``unmet_total_kwh`` comes from
+        one ``np.bincount``, which folds each lane in service order.
         """
         start, stop, _ = slice(start, stop).indices(self.counts.size)
         stop = max(start, stop)
@@ -277,10 +278,17 @@ class LaneReplay:
             self.bess_power_kw,
         )
         cycles = dict(zip(_CYCLE_FIELDS, values))
+        # bincount adds each bin's weights in input order from 0.0: a lane's
+        # left fold in service order, where ndarray.sum and np.add.reduceat
+        # may add pairwise and round differently.  With no cycle at all it
+        # returns integer zeros, hence the cast.
+        unmet_total = np.bincount(
+            lane - start, weights=cycles["unmet_kwh"], minlength=counts.size
+        ).astype(float, copy=False)
         return LaneCycles(
             counts=counts,
             dropped=self.dropped[start:stop],
-            unmet_total_kwh=_lane_sums(cycles["unmet_kwh"], counts),
+            unmet_total_kwh=unmet_total,
             **cycles,
         )
 
@@ -466,20 +474,6 @@ def replay_lanes(
         bess_power_kw=bess_power_kw,
         charger_max_kw=charger_max_kw,
     )
-
-
-def _lane_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each lane's values added left to right from 0.0, in service order.
-
-    ``values`` holds ``counts[i]`` entries for lane ``i`` after those of
-    lanes ``0 .. i-1``.  They go down the columns of a table under a row of
-    zeros, and one running sum down the table is every lane's fold; the
-    zeros that pad a lane's column leave its sum as it is.
-    """
-    table = np.zeros((int(counts.max(initial=0)) + 1, counts.size))
-    rank = np.arange(values.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    table[rank + 1, np.repeat(np.arange(counts.size), counts)] = values
-    return np.add.accumulate(table, axis=0, out=table)[-1].copy()
 
 
 def _serve(start_h, demand_kwh, grid_kw, capacity, horizon_h, charger, bess_power):

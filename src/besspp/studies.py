@@ -20,6 +20,7 @@ produces byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -119,20 +120,23 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _render(name: str, content) -> bytes:
+    """The bytes of file ``name``.
+
+    ``content`` is ``(header, rows)`` for a ``.csv`` name, a JSON document
+    for any other.
+    """
+    if not name.endswith(".csv"):
+        text = json.dumps(content, indent=2, sort_keys=True, allow_nan=False)
+        return (text + "\n").encode()
     import csv
 
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    header, rows = content
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([_format_cell(v) for v in row] for row in rows)
+    return buffer.getvalue().encode()
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
@@ -147,20 +151,13 @@ def _write_study(
 ) -> list[Path]:
     """Write ``artifacts`` and their manifest into ``out_dir``, as stage ``writes``.
 
-    ``artifacts`` maps each file name to its content: ``(header, rows)`` for
-    a ``.csv`` name, a JSON document for any other.  ``out_dir`` is made only
-    here, as the writes begin.  Returns the artifact paths in name order,
-    then the manifest's.
+    ``artifacts`` maps each file name to its content, as :func:`_render`
+    takes it.  Each file is rendered to bytes once, and the manifest hashes
+    those same bytes.  ``out_dir`` is made only here, once every file has
+    rendered.  Returns the artifact paths in name order, then the manifest's.
     """
     with timer.stage("writes"):
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, content in artifacts.items():
-            if name.endswith(".csv"):
-                _write_csv(out_dir / name, *content)
-            else:
-                _write_json(out_dir / name, content)
-        names = sorted(artifacts)
+        files = {name: _render(name, artifacts[name]) for name in sorted(artifacts)}
         manifest = {
             "study": study,
             "tool_version": besspp.__version__,
@@ -168,12 +165,15 @@ def _write_study(
             "scenario_sha256": scenario_fingerprint(scenario),
             "scenario": scenario_to_dict(scenario),
             "outputs": {
-                name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-                for name in names
+                name: hashlib.sha256(data).hexdigest() for name, data in files.items()
             },
         }
-        _write_json(out_dir / "manifest.json", manifest)
-        return [out_dir / name for name in [*names, "manifest.json"]]
+        files["manifest.json"] = _render("manifest.json", manifest)
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            (out_dir / name).write_bytes(data)
+        return [out_dir / name for name in files]
 
 
 def _parallel_map(fn, items, workers: int) -> list:
@@ -197,13 +197,22 @@ def _parallel_map(fn, items, workers: int) -> list:
 def _layer1(scenario: Scenario, supply, power_kw: float):
     """``supply``'s expected set, its total, and its layer-1 design.
 
-    The design's horizon is the expected total over ``power_kw``.
+    The design's horizon is the expected total over ``power_kw``.  A search
+    whose winner has no unique flows raises :class:`ScenarioError`, naming
+    ``n_layer1`` and the supply block.
     """
     expected = flatten_distribution(supply, scenario.n_modules)
     total = _module_totals(expected).item()
-    layer1 = design_layer1(
-        expected, supply.voltage_v, scenario.n_layer1, total / power_kw
-    )
+    try:
+        layer1 = design_layer1(
+            expected, supply.voltage_v, scenario.n_layer1, total / power_kw
+        )
+    except ValueError as exc:
+        block = "supply" if supply is scenario.supply else "plaza.supply"
+        raise ScenarioError(
+            f"n_layer1: {scenario.n_layer1} converters have no layer-1 design "
+            f"on the {block} expected set: {exc}"
+        ) from exc
     return expected, total, layer1
 
 
@@ -502,7 +511,8 @@ def _dispersion_rows(
 
     Each kind's cycles, every reference interval on every pack, are one
     broadcast :func:`cycle_phases` call; its ``metrics_<kind>.json`` reads
-    the row of the interval with the worst grid-EV energy gap.
+    the row of the interval with the worst grid-EV energy gap.  Each metric
+    is stated once, as ``name: (value, unit)``.
     """
     plaza = scenario.plaza
     eta_c = {config.kind.value: config.eta_c for config in scenario.architectures}
@@ -519,16 +529,6 @@ def _dispersion_rows(
         zip(range(gaps.size), *(a.tolist() for a in (start_h, demand, grid_kw, gaps)))
     )
 
-    units = {
-        "derating_factor": "fraction",
-        "utilization_at_worst_gap": "fraction",
-        "utilization_idr_at_worst_gap": "fraction",
-        "worst_gap_kwh": "kWh",
-        "worst_interval_start_h": "h",
-        "captured_value_kwh": "kWh",
-        "captured_fraction": "fraction",
-        "system_efficiency": "fraction",
-    }
     rows: list[tuple] = []
     reports: dict[str, dict] = {}
     for kind in (k.value for k in plaza.kinds):
@@ -550,26 +550,24 @@ def _dispersion_rows(
         else:
             captured = captured_value(d_f, min(mean, 1.0), expected_total_kwh)
             fraction = d_f * mean
-        values = {
-            "derating_factor": d_f,
-            "utilization_at_worst_gap": mean,
-            "utilization_idr_at_worst_gap": idr,
-            "worst_gap_kwh": gaps[worst],
-            "worst_interval_start_h": start_h[worst],
-            "captured_value_kwh": captured,
-            "captured_fraction": fraction,
-            "system_efficiency": system_efficiency(eta_c[kind], plaza.rating_r),
-            "n_intervals": gaps.size,
-            "n_packs": len(caps),
+        efficiency = system_efficiency(eta_c[kind], plaza.rating_r)
+        metrics = {
+            "derating_factor": (d_f, "fraction"),
+            "utilization_at_worst_gap": (mean, "fraction"),
+            "utilization_idr_at_worst_gap": (idr, "fraction"),
+            "worst_gap_kwh": (gaps[worst], "kWh"),
+            "worst_interval_start_h": (start_h[worst], "h"),
+            "captured_value_kwh": (captured, "kWh"),
+            "captured_fraction": (fraction, "fraction"),
+            "system_efficiency": (efficiency, "fraction"),
+            "n_intervals": (gaps.size, ""),
+            "n_packs": (len(caps), ""),
         }
         reports[kind] = {
             "study": f"ensemble-dispersion-{kind}",
             "metrics": {
-                name: {
-                    "value": None if value is None else float(value),
-                    "unit": units.get(name, ""),
-                }
-                for name, value in values.items()
+                name: {"value": None if value is None else float(value), "unit": unit}
+                for name, (value, unit) in metrics.items()
             },
         }
     return rows, reports
@@ -604,15 +602,21 @@ def _cell_batches(rates: list[float], per_cell: int) -> list[list[int]]:
 def _batch_task(args) -> list[tuple]:
     """The ``cells.csv`` rows of a batch of demand cells, cell by cell.
 
-    Trajectory ``t`` of the cell with demand mean ``mean``, spread ``std``
-    and arrival rate ``rate`` is keyed ``(seed, "traj", mean, std, rate, t)``
-    and runs on pack ``t % n_packs``.  One :func:`draw_arrivals` call draws
-    every trajectory of the batch, cell by cell, into one arrivals table,
-    and every trajectory x kind of the batch is one lane of a single
-    :func:`replay_lanes` call over that table.  A cell's statistics
-    are taken over all of its cycles at once; its rows follow the kinds.
+    ``args`` is ``(scenario, cells, capacities, pack_totals)``: the batch's
+    ``(mean, std, rate)`` cells and :func:`_plaza_setup`'s capacities by
+    kind and pack totals; everything else comes from the scenario.
+    Trajectory ``t`` of cell ``(mean, std, rate)`` is keyed
+    ``(derive_seed(seed, "ensemble"), "traj", mean, std, rate, t)`` and runs
+    on pack ``t % n_packs``.  One :func:`draw_arrivals` call draws every
+    trajectory of the batch, cell by cell, into one arrivals table, and
+    every trajectory x kind of the batch is one lane of a single
+    :func:`replay_lanes` call over that table.  A cell's statistics are
+    taken over all of its cycles at once; its rows follow the kinds.
     """
-    cells, per_cell, seed, kind_caps, pack_totals, grid, charger_kw, bess_kw = args
+    scenario, cells, capacities, pack_totals = args
+    plaza = scenario.plaza
+    per_cell = scenario.trajectories_per_cell
+    seed = derive_seed(scenario.seed, "ensemble")
     pack = np.arange(per_cell) % len(pack_totals)
     totals = pack_totals[pack]
     arrivals = draw_arrivals(
@@ -630,19 +634,19 @@ def _batch_task(args) -> list[tuple]:
     trajectories = np.arange(len(cells) * per_cell).reshape(len(cells), 1, per_cell)
     replay = replay_lanes(
         arrivals,
-        np.repeat(trajectories, len(kind_caps), axis=1).ravel(),
+        np.repeat(trajectories, len(capacities), axis=1).ravel(),
         np.tile(
-            np.concatenate([caps[pack] for _, caps in kind_caps]),
+            np.concatenate([caps[pack] for caps in capacities.values()]),
             len(cells),
         ),
-        bess_kw,
-        grid,
-        charger_kw,
+        plaza.bess_power_kw,
+        scenario.grid_profile,
+        plaza.charger_max_kw,
     )
     rows = []
     lane = 0
     for cell in cells:
-        for kind, _ in kind_caps:
+        for kind in capacities:
             cycles = replay.cycles(lane, lane + per_cell)
             lane += per_cell
             utils = cycles.bess_delivered_kwh / np.repeat(totals, cycles.counts)
@@ -673,11 +677,11 @@ def run_ensemble(
     """Dispersion statistics plus the stochastic service-cell sweep.
 
     The demand cells are replayed in batches of whole cells
-    (:func:`_cell_batches`), one task each, and every task returns its
-    cells' finished rows.
+    (:func:`_cell_batches`), one task each.  A task carries the scenario
+    itself, with the batch's cells and the plaza capacities and pack
+    totals, and returns its cells' finished rows.
     """
     timer = timer or StageTimer()
-    plaza = scenario.plaza
     with timer.stage("plaza setup"):
         expected_total, pack_totals, capacities = _plaza_setup(scenario)
 
@@ -687,21 +691,11 @@ def run_ensemble(
         )
 
     cells = scenario.demand_cells
-    per_cell = scenario.trajectories_per_cell
-    traj_seed = derive_seed(scenario.seed, "ensemble")
-    capacities_by_kind = tuple(capacities.items())
-    batches = _cell_batches([rate for _, _, rate in cells], per_cell)
+    batches = _cell_batches(
+        [rate for _, _, rate in cells], scenario.trajectories_per_cell
+    )
     tasks = [
-        (
-            [cells[cell] for cell in batch],
-            per_cell,
-            traj_seed,
-            capacities_by_kind,
-            pack_totals,
-            scenario.grid_profile,
-            plaza.charger_max_kw,
-            plaza.bess_power_kw,
-        )
+        (scenario, [cells[cell] for cell in batch], capacities, pack_totals)
         for batch in batches
     ]
     with timer.stage("cells"):
@@ -711,7 +705,7 @@ def run_ensemble(
             for row in rows_of_batch
         ]
     # Kind-major: every cell of the first kind, then of the next.
-    n_kinds = len(plaza.kinds)
+    n_kinds = len(capacities)
     cell_rows = [row for k in range(n_kinds) for row in lane_rows[k::n_kinds]]
 
     artifacts = {

@@ -153,6 +153,18 @@ class TestBudgetedLshippp:
             split = budget_split(pack(3, 4, 5), layer1_345, r)
             assert sum(split.caps_kwh) == pytest.approx(r * 12.0, abs=1e-9)
 
+    def test_layer1_that_carries_nothing_sends_the_budget_to_the_ladder(self):
+        # Equal modules need no layer-1 flow, so the design point is 0: a
+        # positive budget goes to the ladder, and lambda_h is its limit, inf.
+        layer1 = design_layer1([4.0, 4.0, 4.0], VOLTS, 1, 1.0)
+        assert layer1_aggregate_kwh(layer1) == 0.0
+        split = budget_split(pack(4, 4, 4), layer1, 0.25)
+        assert split.lambda_h == math.inf
+        assert split.caps_kwh == (0.0, 1.5, 1.5)
+        assert split.rung_kwh == 1.5
+        zero = budget_split(pack(4, 4, 4), layer1, 0.0)
+        assert (zero.lambda_h, zero.caps_kwh) == (0.0, (0.0, 0.0, 0.0))
+
 
 class TestBudgetSplit:
     @pytest.mark.parametrize("kind", ["fpp", "cppp", "lshippp"])

@@ -180,6 +180,14 @@ def test_study_outputs_keep_their_pinned_bytes(small_scenario, tmp_path, study):
         assert main([study, "--scenario", str(path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == PINNED_OUTPUTS[study][name], name
+        # The writer hashes the bytes it renders; the files on disk must be
+        # those bytes.
+        on_disk = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()
+            if p.name != "manifest.json"
+        }
+        assert on_disk == manifest["outputs"], name
 
 
 @pytest.mark.parametrize(
@@ -954,6 +962,48 @@ class TestCli:
             assert main([study, *flags, "--out", str(single)]) == 0
             assert tree_digest(out / study) == tree_digest(single), study
 
+    @pytest.mark.parametrize("block", ["supply", "plaza.supply"])
+    def test_supply_with_no_spread_runs(self, block, tmp_path):
+        # Equal modules need no layer-1 flow, so the design point is 0;
+        # lshippp's budget goes to the ladder with lambda_h inf, and every
+        # string kind then delivers its whole pack.
+        path = write_doc_with(tmp_path / "flat.json", f"{block}.std_kwh", "0")
+        out = tmp_path / "all"
+        assert main(["reproduce", "--scenario", str(path), "--out", str(out)]) == 0
+        if block == "supply":
+            with (out / "tradeoff" / "tradeoff.csv").open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                if row["kind"] != "fpp":
+                    assert float(row["util_mean"]) == 1.0
+                if row["kind"] == "lshippp":
+                    assert row["lambda_h"] == "inf"
+        else:
+            for kind in ("lshippp", "cppp"):
+                report = _strict_json(out / "ensemble" / f"metrics_{kind}.json")
+                fraction = report["metrics"]["captured_fraction"]["value"]
+                assert fraction == pytest.approx(1.0, abs=1e-15)
+
+    def test_layer1_winner_without_unique_flows_exits_1_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # On 5 modules, the 4-converter winner holds a cycle, so its flows
+        # are not unique.  validate runs no search and accepts it; the study
+        # refuses it as a configuration error.
+        doc = small_doc()
+        doc["supply"]["n_modules"] = 5
+        doc["n_layer1"] = doc["architectures"][0]["n_layer1"] = 4
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["design", "--scenario", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_layer1: 4 converters")
+        assert "on the supply expected set" in err and "has a cycle" in err
+        assert not out.exists()
+
     def test_exemplar_day_without_an_interval_exits_1_and_writes_nothing(
         self, tmp_path, capsys
     ):
@@ -997,6 +1047,17 @@ class TestCli:
         path, _ = small_scenario
         out = tmp_path / "nested" / "out"
         assert main([study, "--scenario", str(path), "--out", str(out)]) == 2
+        assert not (tmp_path / "nested").exists()
+
+    def test_artifact_the_writer_refuses_leaves_no_out(
+        self, small_scenario, tmp_path, monkeypatch
+    ):
+        # Every file renders before --out is made, so a NaN that JSON
+        # refuses stops the study with nothing written.
+        monkeypatch.setattr(besspp.studies, "system_efficiency", lambda *a: math.nan)
+        path, _ = small_scenario
+        out = tmp_path / "nested" / "out"
+        assert main(["ensemble", "--scenario", str(path), "--out", str(out)]) == 2
         assert not (tmp_path / "nested").exists()
 
     def test_seed_override_changes_outputs(self, small_scenario, tmp_path):
