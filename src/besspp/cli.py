@@ -11,7 +11,11 @@ Subcommands map one-to-one onto the study drivers:
 * ``validate`` - load and check the scenario, run no study
 
 Every command checks the scenario as it loads it, so a scenario that
-``validate`` rejects stops a study before it writes anything.
+``validate`` rejects stops a study before it writes anything.  Checking a
+scenario loads no numpy: :mod:`besspp.studies`, and with it numpy and the
+numeric modules, is imported only once the scenario is valid and a study is
+about to run.  So ``validate``, ``--help``, ``--version`` and every
+configuration error exit without loading them.
 
 Exit codes: 0 on success, 1 for configuration problems (bad scenario file,
 bad arguments or flags, failed validation), 2 for runtime failures.
@@ -31,11 +35,13 @@ _START_WALL_S = time.perf_counter()
 # numpy first loads; a user's own value wins, pool workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# numpy, the stdlib and besspp build tens of thousands of objects as they
-# load that live until exit.  Build them with the cyclic collector off, then
-# freeze them (``gc.freeze``), so no collection scans them again: not while
-# they load, not in the interpreter's final passes at exit, not in a forked
-# pool worker.  The collector comes back on only if it was on to begin with.
+# The stdlib and besspp build thousands of objects as they load that live
+# until exit.  Build them with the cyclic collector off, then freeze them
+# (``gc.freeze``), so no collection scans them again: not while they load,
+# not in the interpreter's final passes at exit, not in a forked pool
+# worker.  The collector comes back on only if it was on to begin with.
+# numpy and the numeric modules load the same way, but only once a study
+# runs (``_studies``): checking a scenario needs none of them.
 _GC_WAS_ENABLED = gc.isenabled()
 gc.disable()
 
@@ -51,13 +57,6 @@ from besspp.scenario import (  # noqa: E402
     ScenarioError,
     default_scenario,
     load_scenario,
-)
-from besspp.studies import (  # noqa: E402
-    StageTimer,
-    run_day,
-    run_design,
-    run_ensemble,
-    run_tradeoff,
 )
 
 gc.freeze()
@@ -161,16 +160,56 @@ def _load(args) -> Scenario:
     return scenario
 
 
+# The study drivers of besspp.studies, module attributes of this module too.
+_STUDY_RUNNERS = ("run_design", "run_tradeoff", "run_day", "run_ensemble")
+_STUDIES = None
+
+
+def _studies():
+    """:mod:`besspp.studies`, imported the first time a study runs.
+
+    It loads numpy and the numeric modules with the collector off, then
+    freezes them with everything else alive, as the imports above were:
+    once per process, so a later call freezes nothing new.
+    """
+    global _STUDIES
+    if _STUDIES is None:
+        # The parser is cyclic garbage by now; collect it (about 0.1 ms) so
+        # that the freeze below does not keep it for the life of the process.
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            import besspp.studies
+        finally:
+            gc.freeze()
+            if was_enabled:
+                gc.enable()
+        _STUDIES = besspp.studies
+    return _STUDIES
+
+
+def __getattr__(name: str):
+    # ``run_design`` and the other drivers resolve here (PEP 562) until one
+    # is set on this module.
+    if name in _STUDY_RUNNERS:
+        return getattr(_studies(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _run(study: str, scenario: Scenario, args, out_dir: Path, timer=None) -> None:
     """Run one study into ``out_dir``, then print the paths it wrote."""
+    # Through this module's attributes: a driver set on it is the one that runs.
+    cli = sys.modules[__name__]
     if study == "design":
-        written = run_design(scenario, out_dir, timer=timer)
+        written = cli.run_design(scenario, out_dir, timer=timer)
     elif study == "tradeoff":
-        written = run_tradeoff(scenario, out_dir, timer=timer)
+        written = cli.run_tradeoff(scenario, out_dir, timer=timer)
     elif study == "day":
-        written = run_day(scenario, out_dir, getattr(args, "kind", None), timer=timer)
+        kinds = getattr(args, "kind", None)
+        written = cli.run_day(scenario, out_dir, kinds, timer=timer)
     else:
-        written = run_ensemble(scenario, out_dir, args.workers, timer=timer)
+        written = cli.run_ensemble(scenario, out_dir, args.workers, timer=timer)
     for path in written:
         print(path)
 
@@ -222,8 +261,9 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
+        # Start-up ends once the numeric modules have loaded.
+        timer = _studies().StageTimer()
         startup = (time.perf_counter() - _START_WALL_S, time.process_time())
-        timer = StageTimer()
         with (
             _CollectorTally() if args.timings else contextlib.nullcontext()
         ) as collector:

@@ -4,10 +4,10 @@ Layer 1 placement is an exhaustive search: for every size-``m`` set of
 module pairs, evaluate the uncapped deliverable energy on the expected
 (flattened) pack and keep the set with the largest output.  The search uses
 the cut form of :mod:`besspp.flows`, so it solves no LP per placement, and
-at most :data:`MAX_PLACEMENTS` placements are searched.  Ties are broken by
-the smaller minimum-peak flow, which the parametric cut form
-:func:`~besspp.flows.uncapped_min_peak` gives for every tied placement in
-one array pass, and then by enumeration order, so designs are
+at most :data:`~besspp.scenario.MAX_PLACEMENTS` placements are searched.
+Ties are broken by the smaller minimum-peak flow, which the parametric cut
+form :func:`~besspp.flows.uncapped_min_peak` gives for every tied placement
+in one array pass, and then by enumeration order, so designs are
 deterministic.  The winner's flows follow from the same argument in closed
 form (``_winner_flows``): on a forest, each edge carries the deficit of the
 side it feeds, so the package solves no LP.  The shared layer-1 converter
@@ -49,13 +49,12 @@ from besspp.flows import (
     uncapped_placement_energy,
 )
 from besspp.metrics import utilization_stats
+from besspp.scenario import check_placement_limit
 
 __all__ = [
     "Layer1Design",
-    "MAX_PLACEMENTS",
     "TRADEOFF_HEADER",
     "enumerate_placements",
-    "check_placement_limit",
     "design_layer1",
     "sweep_rows",
     "sweep_energy",
@@ -63,12 +62,6 @@ __all__ = [
 
 # Relative slack used when comparing candidate objectives during the search.
 _TIE_RTOL = 1e-9
-
-# Largest layer-1 search, in placements: C(C(n, 2), m) for m converters on
-# n modules.  The default 9 modules with 3 converters search 7,140; 16
-# modules with 3 search 280,840, and with 4 already 8.2 million, so larger
-# searches are refused rather than left to run for hours.
-MAX_PLACEMENTS = 10**6
 
 # Columns of a sweep row: the split's kind, R and lambda_h, then the
 # utilization statistics in the order of metrics.utilization_stats.
@@ -106,7 +99,7 @@ def enumerate_placements(n_batteries: int, n_edges: int) -> np.ndarray:
 
     A (placements x n_edges x 2) array of 0-based ``(i, j)`` pairs with
     ``i < j``, built from the combinations of pair ids; the search space is
-    checked by :func:`check_placement_limit`.
+    checked by :func:`~besspp.scenario.check_placement_limit`.
     """
     if n_batteries < 2:
         raise ValueError("n_batteries must be >= 2")
@@ -125,21 +118,6 @@ def enumerate_placements(n_batteries: int, n_edges: int) -> np.ndarray:
         count=count * n_edges,
     )
     return pairs[ids.reshape(count, n_edges)]
-
-
-def check_placement_limit(n_batteries: int, n_edges: int) -> None:
-    """Refuse a layer-1 search of more than :data:`MAX_PLACEMENTS` placements.
-
-    The search space is ``C(P, n_edges)`` with ``P = C(n_batteries, 2)``
-    module pairs; a larger one raises ``ValueError``.
-    """
-    count = math.comb(math.comb(n_batteries, 2), n_edges)
-    if count > MAX_PLACEMENTS:
-        raise ValueError(
-            f"{n_edges} converters on {n_batteries} modules give {count:,} "
-            f"layer-1 placements; the exhaustive search supports at most "
-            f"{MAX_PLACEMENTS:,}"
-        )
 
 
 def design_layer1(

@@ -27,7 +27,9 @@ per curve.  :func:`uncapped_placement_energy` evaluates many uncapped
 placements on one pack, and :func:`uncapped_min_peak` the same argument's
 parametric form: the smallest shared edge rating at which each placement
 meets a required output.  All three enumerate the ``2**n - 1`` subsets, so
-series strings are limited to :data:`MAX_CUT_MODULES` modules.
+series strings are limited to :data:`~besspp.scenario.MAX_CUT_MODULES`
+modules: a limit that :mod:`besspp.scenario` states and checks as a
+scenario loads, and that the kernels check again.
 
 Dedicated per-module converters (fpp) have no string: their deliverable
 energy is the closed form :func:`fpp_deliverable`, ``sum_j min(E_j, cap)``,
@@ -54,18 +56,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from besspp.scenario import MAX_CUT_MODULES
+
 __all__ = [
-    "MAX_CUT_MODULES",
     "cut_form_energy",
     "uncapped_placement_energy",
     "uncapped_min_peak",
     "fpp_deliverable",
 ]
 
-
-# The cut form enumerates every nonempty module subset: 2**16 - 1 = 65,535
-# subsets at this limit.  Larger series strings are rejected, not attempted.
-MAX_CUT_MODULES = 16
 
 # Entries per temporary table of the cut form; bounds its working memory.
 _CHUNK_ENTRIES = 1 << 14

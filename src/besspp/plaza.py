@@ -1,9 +1,10 @@
 """Event-driven EV charging plaza with a storage-backed fast charger.
 
 Three actors: the distribution grid offers a piecewise-constant available
-power (held quasistatic for each charging cycle), a single fast charger
-serves one EV at a time, and the storage unit is a monolith whose usable
-energy is the architecture's deliverable energy.
+power (a :class:`~besspp.scenario.GridProfile`, looked up by
+:func:`powers_at` and held quasistatic for each charging cycle), a single
+fast charger serves one EV at a time, and the storage unit is a monolith
+whose usable energy is the architecture's deliverable energy.
 
 Service policy per cycle:
 
@@ -47,94 +48,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from besspp.scenario import DAY_HORIZON_H, GridProfile
 from besspp.supply import _philox
 
 __all__ = [
-    "GridProfile",
-    "DemandModel",
     "Arrivals",
     "LaneCycles",
     "LaneReplay",
     "cycle_phases",
     "draw_arrivals",
+    "powers_at",
     "replay_lanes",
 ]
 
-HOURS_PER_DAY = 24.0
 
-
-@dataclass(frozen=True)
-class GridProfile:
-    """Piecewise-constant available grid power over a day.
-
-    ``segments`` are ``(start_hour, available_kw)`` with the first start at
-    0 and strictly increasing starts below 24; each level holds until the
-    next start.  Lookups wrap modulo 24 h.
-    """
-
-    segments: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("grid profile needs at least one segment")
-        if not all(map(math.isfinite, (v for seg in self.segments for v in seg))):
-            raise ValueError("grid segment starts and powers must be finite")
-        starts = [s for s, _ in self.segments]
-        if starts[0] != 0:
-            raise ValueError("first grid segment must start at hour 0")
-        if any(a >= b for a, b in zip(starts, starts[1:])):
-            raise ValueError("grid segment starts must be strictly increasing")
-        if starts[-1] >= HOURS_PER_DAY:
-            raise ValueError("grid segment starts must lie below 24 h")
-        if any(kw < 0 for _, kw in self.segments):
-            raise ValueError("available grid power must be nonnegative")
-
-    def powers_at(self, times_h: np.ndarray) -> np.ndarray:
-        """Available grid power at each of an array of nonnegative times."""
-        starts = np.array([s for s, _ in self.segments], dtype=float)
-        levels = np.array([kw for _, kw in self.segments], dtype=float)
-        index = np.searchsorted(starts, times_h % HOURS_PER_DAY, side="right")
-        return levels[index - 1]
-
-    @classmethod
-    def from_csv(cls, path) -> "GridProfile":
-        """The profile of a ``time_h,power_kw`` CSV, one segment per data row.
-
-        Every data row must hold exactly two values; blank lines are skipped.
-        """
-        import csv
-
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["time_h", "power_kw"]:
-                raise ValueError(
-                    f"grid profile CSV must have columns time_h,power_kw, got {header}"
-                )
-            segments = []
-            for row in filter(None, reader):
-                if len(row) != 2:
-                    raise ValueError(
-                        f"line {reader.line_num} holds {len(row)} values, not 2"
-                    )
-                segments.append((float(row[0]), float(row[1])))
-        return cls(tuple(segments))
-
-
-@dataclass(frozen=True)
-class DemandModel:
-    """Gaussian per-EV energy demand, clamped to [0, 2 * mean_kwh]."""
-
-    mean_kwh: float
-    std_kwh: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.mean_kwh < math.inf:
-            raise ValueError("mean_kwh must be positive and finite")
-        if not 0 <= self.std_kwh < math.inf:
-            raise ValueError("std_kwh must be nonnegative and finite")
-        if not 2.0 * self.mean_kwh < math.inf:
-            raise ValueError("2 x mean_kwh, the demand clamp, must be finite")
+def powers_at(grid: GridProfile, times_h: np.ndarray) -> np.ndarray:
+    """Available power of ``grid`` at each of an array of nonnegative times."""
+    starts = np.array([s for s, _ in grid.segments], dtype=float)
+    levels = np.array([kw for _, kw in grid.segments], dtype=float)
+    index = np.searchsorted(starts, times_h % DAY_HORIZON_H, side="right")
+    return levels[index - 1]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -437,7 +370,7 @@ def replay_lanes(
     times, demands = arrivals.times_h, arrivals.demands_kwh
     lengths = arrivals.lengths
     offsets = np.cumsum(lengths) - lengths
-    grid_kw = grid.powers_at(times)
+    grid_kw = powers_at(grid, times)
 
     lane_len = lengths[rows]
     # Lane i's slots hold its stream's arrivals, slot = arrival + shift[i].

@@ -8,6 +8,14 @@ unknown key is refused, so a misspelled key never falls back to a default.
 Loading never falls back to wall-clock seeding either; every run is
 reproducible by construction.  The default scenario is the shipped document
 ``default_scenario.json``.
+
+The module also holds the input records a scenario is built from
+(:class:`SupplyDistribution`, :class:`DemandModel`, :class:`GridProfile`)
+and the limits it checks (:data:`MAX_CUT_MODULES`,
+:func:`check_placement_limit`), so it imports the standard library and
+:mod:`besspp.architectures` only: loading and checking a scenario never
+loads numpy.  Constructing a :class:`Scenario` stays numpy-free; a check
+that needs the numeric modules belongs to the study that runs them.
 """
 
 from __future__ import annotations
@@ -18,23 +26,42 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from besspp.architectures import ArchitectureKind
-from besspp.designer import check_placement_limit
-from besspp.flows import MAX_CUT_MODULES
-from besspp.plaza import DemandModel, GridProfile
-from besspp.supply import SupplyDistribution
 
 __all__ = [
     "ArchitectureConfig",
+    "DemandModel",
+    "GridProfile",
+    "MAX_CUT_MODULES",
+    "MAX_HETEROGENEITY",
+    "MAX_PLACEMENTS",
     "PlazaSettings",
     "Scenario",
     "ScenarioError",
+    "SupplyDistribution",
+    "check_placement_limit",
     "load_scenario",
     "default_scenario",
     "scenario_to_dict",
 ]
 
-# Hours of one plaza day: the horizon of every arrival stream.
+# Hours of one plaza day: the horizon of every arrival stream and the period
+# of the grid profile.
 DAY_HORIZON_H = 24.0
+
+# Beyond 50% relative spread the curated-supply Gaussian model is no longer
+# a sensible description (negative-capacity mass stops being negligible).
+MAX_HETEROGENEITY = 0.5
+
+# The cut form of besspp.flows enumerates every nonempty module subset:
+# 2**16 - 1 = 65,535 subsets at this limit.  Larger series strings are
+# rejected, not attempted.
+MAX_CUT_MODULES = 16
+
+# Largest layer-1 search, in placements: C(C(n, 2), m) for m converters on
+# n modules.  The default 9 modules with 3 converters search 7,140; 16
+# modules with 3 search 280,840, and with 4 already 8.2 million, so larger
+# searches are refused rather than left to run for hours.
+MAX_PLACEMENTS = 10**6
 
 # Largest pack sample.  On a 2-core host, tradeoff on the default 9 modules
 # traced 98 MB of peak and ran 5 s at 50,000 packs: about 200 MB and 10 s at
@@ -62,6 +89,120 @@ class ScenarioError(ValueError):
     A missing, unknown or wrongly typed key stops the load at once instead,
     named by its key path.
     """
+
+
+@dataclass(frozen=True)
+class SupplyDistribution:
+    """Gaussian population of second-use module energies.
+
+    ``mean_kwh`` and ``std_kwh`` describe intrinsic module energy before the
+    depth-of-discharge derate.  Their relative spread ``std/mean`` is at
+    most :data:`MAX_HETEROGENEITY`.
+    """
+
+    mean_kwh: float
+    std_kwh: float
+    dod: float = 1.0
+    voltage_v: float = 50.0
+
+    def __post_init__(self) -> None:
+        if not (self.mean_kwh > 0 and math.isfinite(self.mean_kwh)):
+            raise ValueError(f"mean_kwh must be positive, got {self.mean_kwh}")
+        if not (self.std_kwh >= 0 and math.isfinite(self.std_kwh)):
+            raise ValueError(f"std_kwh must be nonnegative, got {self.std_kwh}")
+        if self.std_kwh / self.mean_kwh > MAX_HETEROGENEITY:
+            raise ValueError(
+                f"heterogeneity {self.std_kwh / self.mean_kwh:.3f} exceeds "
+                f"the supported maximum {MAX_HETEROGENEITY}"
+            )
+        if not 0 < self.dod <= 1:
+            raise ValueError(f"dod must be in (0, 1], got {self.dod}")
+        if not 0 < self.voltage_v < math.inf:
+            raise ValueError(
+                f"voltage_v must be positive and finite, got {self.voltage_v}"
+            )
+
+
+@dataclass(frozen=True)
+class DemandModel:
+    """Gaussian per-EV energy demand, clamped to [0, 2 * mean_kwh]."""
+
+    mean_kwh: float
+    std_kwh: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.mean_kwh < math.inf:
+            raise ValueError("mean_kwh must be positive and finite")
+        if not 0 <= self.std_kwh < math.inf:
+            raise ValueError("std_kwh must be nonnegative and finite")
+        if not 2.0 * self.mean_kwh < math.inf:
+            raise ValueError("2 x mean_kwh, the demand clamp, must be finite")
+
+
+@dataclass(frozen=True)
+class GridProfile:
+    """Piecewise-constant available grid power over a day.
+
+    ``segments`` are ``(start_hour, available_kw)`` with the first start at
+    0 and strictly increasing starts below 24; each level holds until the
+    next start.  Lookups (:func:`besspp.plaza.powers_at`) wrap modulo 24 h.
+    """
+
+    segments: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("grid profile needs at least one segment")
+        if not all(map(math.isfinite, (v for seg in self.segments for v in seg))):
+            raise ValueError("grid segment starts and powers must be finite")
+        starts = [s for s, _ in self.segments]
+        if starts[0] != 0:
+            raise ValueError("first grid segment must start at hour 0")
+        if any(a >= b for a, b in zip(starts, starts[1:])):
+            raise ValueError("grid segment starts must be strictly increasing")
+        if starts[-1] >= DAY_HORIZON_H:
+            raise ValueError("grid segment starts must lie below 24 h")
+        if any(kw < 0 for _, kw in self.segments):
+            raise ValueError("available grid power must be nonnegative")
+
+    @classmethod
+    def from_csv(cls, path) -> "GridProfile":
+        """The profile of a ``time_h,power_kw`` CSV, one segment per data row.
+
+        Every data row must hold exactly two values; blank lines are skipped.
+        """
+        import csv
+
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header != ["time_h", "power_kw"]:
+                raise ValueError(
+                    f"grid profile CSV must have columns time_h,power_kw, got {header}"
+                )
+            segments = []
+            for row in filter(None, reader):
+                if len(row) != 2:
+                    raise ValueError(
+                        f"line {reader.line_num} holds {len(row)} values, not 2"
+                    )
+                segments.append((float(row[0]), float(row[1])))
+        return cls(tuple(segments))
+
+
+def check_placement_limit(n_batteries: int, n_edges: int) -> None:
+    """Refuse a layer-1 search of more than :data:`MAX_PLACEMENTS` placements.
+
+    The search space is ``C(P, n_edges)`` with ``P = C(n_batteries, 2)``
+    module pairs; a larger one raises ``ValueError``.
+    """
+    count = math.comb(math.comb(n_batteries, 2), n_edges)
+    if count > MAX_PLACEMENTS:
+        raise ValueError(
+            f"{n_edges} converters on {n_batteries} modules give {count:,} "
+            f"layer-1 placements; the exhaustive search supports at most "
+            f"{MAX_PLACEMENTS:,}"
+        )
 
 
 @dataclass(frozen=True)

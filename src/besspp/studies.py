@@ -50,15 +50,16 @@ from besspp.metrics import (
 )
 from besspp.plaza import (
     Arrivals,
-    DemandModel,
-    GridProfile,
     _CYCLE_FIELDS,
     cycle_phases,
     draw_arrivals,
+    powers_at,
     replay_lanes,
 )
 from besspp.scenario import (
     DAY_HORIZON_H,
+    DemandModel,
+    GridProfile,
     Scenario,
     ScenarioError,
     scenario_to_dict,
@@ -406,7 +407,7 @@ def _minute_series(
     """
     n = int(round(DAY_HORIZON_H * MINUTES_PER_HOUR)) + 1
     time_h = np.arange(n) / MINUTES_PER_HOUR
-    grid_kw = grid.powers_at(time_h)
+    grid_kw = powers_at(grid, time_h)
     bess_kw = np.zeros(n)
     ev_kw = np.zeros(n)
     bess_kwh = np.full(n, capacity_kwh)

@@ -1,10 +1,10 @@
 """Supply-side model of heterogeneous second-use battery modules.
 
-The module pool is described by a Gaussian over per-module intrinsic energy.
-A pack is a float64 row of usable module energies, sorted ascending: the
-intrinsic draw, clamped at zero and scaled by the second-use depth of
-discharge.  Every module of a supply has its one ``voltage_v``.  Two views
-of a pack are used downstream:
+The module pool is described by a Gaussian over per-module intrinsic energy,
+a :class:`~besspp.scenario.SupplyDistribution`.  A pack is a float64 row
+of usable module energies, sorted ascending: the intrinsic draw, clamped at
+zero and scaled by the second-use depth of discharge.  Every module of a
+supply has its one ``voltage_v``.  Two views of a pack are used downstream:
 
 * a deterministic "flattened" expected set built by mid-quantile
   stratification, one row that stands in for the population during
@@ -15,15 +15,14 @@ of a pack are used downstream:
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
+from besspp.scenario import SupplyDistribution
+
 __all__ = [
-    "SupplyDistribution",
     "flatten_distribution",
     "sample_packs",
 ]
@@ -34,43 +33,6 @@ _STD_NORMAL = NormalDist()
 # so that importing the package does not import ``numpy.random``.
 _PHILOX = threading.local()
 _WORD = (1 << 64) - 1
-
-# Beyond 50% relative spread the curated-supply Gaussian model is no longer
-# a sensible description (negative-capacity mass stops being negligible).
-MAX_HETEROGENEITY = 0.5
-
-
-@dataclass(frozen=True)
-class SupplyDistribution:
-    """Gaussian population of second-use module energies.
-
-    ``mean_kwh`` and ``std_kwh`` describe intrinsic module energy before the
-    depth-of-discharge derate.  Their relative spread ``std/mean`` is at
-    most :data:`MAX_HETEROGENEITY`.
-    """
-
-    mean_kwh: float
-    std_kwh: float
-    dod: float = 1.0
-    voltage_v: float = 50.0
-
-    def __post_init__(self) -> None:
-        if not (self.mean_kwh > 0 and math.isfinite(self.mean_kwh)):
-            raise ValueError(f"mean_kwh must be positive, got {self.mean_kwh}")
-        if not (self.std_kwh >= 0 and math.isfinite(self.std_kwh)):
-            raise ValueError(f"std_kwh must be nonnegative, got {self.std_kwh}")
-        if self.std_kwh / self.mean_kwh > MAX_HETEROGENEITY:
-            raise ValueError(
-                f"heterogeneity {self.std_kwh / self.mean_kwh:.3f} exceeds "
-                f"the supported maximum {MAX_HETEROGENEITY}"
-            )
-        if not 0 < self.dod <= 1:
-            raise ValueError(f"dod must be in (0, 1], got {self.dod}")
-        if not 0 < self.voltage_v < math.inf:
-            raise ValueError(
-                f"voltage_v must be positive and finite, got {self.voltage_v}"
-            )
-
 
 def flatten_distribution(dist: SupplyDistribution, n_modules: int) -> np.ndarray:
     """Mid-quantile stratification of the supply into ``n_modules`` modules.

@@ -2,8 +2,8 @@ import hypothesis
 import pytest
 
 from besspp.designer import design_layer1
-from besspp.scenario import default_scenario
-from besspp.supply import SupplyDistribution, flatten_distribution
+from besspp.scenario import SupplyDistribution, default_scenario
+from besspp.supply import flatten_distribution
 
 hypothesis.settings.register_profile(
     "besspp", deadline=None, derandomize=True

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from besspp.plaza import HOURS_PER_DAY
+from besspp.scenario import DAY_HORIZON_H
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,10 @@ def reference_draw(rate_per_h, demand, horizon_h, key):
 def power_at(grid, t_h):
     """Available power of ``grid`` at hour ``t_h``, one segment at a time.
 
-    The scalar lookup that :meth:`besspp.plaza.GridProfile.powers_at` does
+    The scalar lookup that :func:`besspp.plaza.powers_at` does
     over an array of times.
     """
-    t = t_h % HOURS_PER_DAY
+    t = t_h % DAY_HORIZON_H
     level = grid.segments[0][1]
     for start, kw in grid.segments:
         if start > t:

@@ -45,14 +45,13 @@ from besspp.flows import (
     uncapped_placement_energy,
 )
 from besspp.metrics import system_efficiency
-from besspp.plaza import (
+from besspp.plaza import cycle_phases, draw_arrivals, replay_lanes
+from besspp.scenario import (
     DemandModel,
     GridProfile,
-    cycle_phases,
-    draw_arrivals,
-    replay_lanes,
+    default_scenario,
+    scenario_to_dict,
 )
-from besspp.scenario import default_scenario, scenario_to_dict
 from besspp.studies import _minute_series, run_ensemble
 from besspp.supply import flatten_distribution, sample_packs
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from besspp.architectures import ConfigurationError, split_budget, split_lambda
 from besspp.designer import (
     _TIE_RTOL,
-    MAX_PLACEMENTS,
     TRADEOFF_HEADER,
     _tie_set,
     derive_seed,
@@ -23,8 +22,8 @@ from besspp.designer import (
 )
 from besspp.flows import uncapped_min_peak, uncapped_placement_energy
 from besspp.metrics import utilization_stats
-from besspp.scenario import default_scenario
-from besspp.supply import SupplyDistribution, flatten_distribution, sample_packs
+from besspp.scenario import MAX_PLACEMENTS, SupplyDistribution, default_scenario
+from besspp.supply import flatten_distribution, sample_packs
 
 from lp_reference import max_deliverable_energy, min_peak_flow
 from test_flows import cut_reference, left_fold, pack, wiring

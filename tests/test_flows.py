@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from besspp.architectures import layer1_aggregate_kwh, split_budget, split_lambda
 from besspp.designer import derive_seed, sweep_energy
 from besspp.flows import (
-    MAX_CUT_MODULES,
     cut_form_energy,
     fpp_deliverable,
     uncapped_min_peak,
     uncapped_placement_energy,
 )
-from besspp.supply import SupplyDistribution, sample_packs
+from besspp.scenario import MAX_CUT_MODULES, SupplyDistribution
+from besspp.supply import sample_packs
 
 from lp_reference import InfeasibleFlowError, max_deliverable_energy, min_peak_flow
 

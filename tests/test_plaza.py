@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from besspp.plaza import (
     Arrivals,
-    DemandModel,
-    GridProfile,
     cycle_phases,
     draw_arrivals,
+    powers_at,
     replay_lanes,
 )
 from besspp.flows import cut_form_energy
-from besspp.scenario import default_scenario
+from besspp.scenario import DemandModel, GridProfile, default_scenario
 from besspp.studies import _curtailed_minutes, run_day
 
 from plaza_oracle import (
@@ -36,12 +35,12 @@ class TestGridProfile:
         times = np.array([0.0, 5.99, 6.0, 17.9, 23.0, 24.5])
         # 24.5 h wraps into the next day.
         expected = [50.0, 50.0, 30.0, 30.0, 40.0, 50.0]
-        assert grid.powers_at(times).tolist() == expected
+        assert powers_at(grid, times).tolist() == expected
         assert [power_at(grid, t) for t in times.tolist()] == expected
 
     def test_constant(self):
         grid = GridProfile(((0.0, 42.0),))
-        assert grid.powers_at(np.array([0.0, 13.7, 30.0])).tolist() == [42.0] * 3
+        assert powers_at(grid, np.array([0.0, 13.7, 30.0])).tolist() == [42.0] * 3
 
     @pytest.mark.parametrize(
         "grid",
@@ -54,7 +53,7 @@ class TestGridProfile:
             [np.arange(48 * 60 + 1) / 60.0, starts, starts + 24.0, starts + 48.0]
         )
         expected = [power_at(grid, float(t)) for t in times]
-        assert np.array_equal(grid.powers_at(times), expected)
+        assert np.array_equal(powers_at(grid, times), expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):

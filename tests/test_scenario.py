@@ -8,11 +8,11 @@ import pytest
 
 import besspp.scenario
 from besspp.architectures import ArchitectureKind
-from besspp.designer import MAX_PLACEMENTS
-from besspp.flows import MAX_CUT_MODULES
 from besspp.scenario import (
     MAX_CELL_ARRIVALS,
+    MAX_CUT_MODULES,
     MAX_PACKS,
+    MAX_PLACEMENTS,
     Scenario,
     ScenarioError,
     default_scenario,

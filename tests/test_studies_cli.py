@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import besspp.studies
 from besspp.cli import main
 from besspp.designer import TRADEOFF_HEADER, derive_seed
-from besspp.plaza import DemandModel, cycle_phases, draw_arrivals
-from besspp.scenario import ScenarioError, load_scenario
+from besspp.plaza import cycle_phases, draw_arrivals
+from besspp.scenario import DemandModel, ScenarioError, load_scenario
 from besspp.studies import (
     CELLS_HEADER,
     DAY_HORIZON_H,
@@ -1221,16 +1221,95 @@ class TestStartup:
         code = "import os, besspp.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert run_python(code, env={"OPENBLAS_NUM_THREADS": preset}) == expected
 
-    def test_start_up_loads_no_numpy_random(self):
-        # The Philox generators are made on first draw: numpy.random costs
-        # about 15-25 ms and 6 MB that start-up should not pay.
+    def test_start_up_loads_no_numpy(self):
+        # The scenario layer holds its own records, and the CLI imports the
+        # numeric modules only for a study: checking a scenario, which is
+        # all that validate and every exit-1 path do, costs no numpy import.
         code = (
             "import sys, besspp.cli\n"
-            "from besspp.scenario import load_scenario\n"
-            "load_scenario(sys.argv[1])\n"
-            "print('numpy.random' in sys.modules)"
+            "from besspp.scenario import default_scenario, load_scenario\n"
+            "default_scenario(), load_scenario(sys.argv[1])\n"
+            "print('numpy' in sys.modules)"
         )
         assert run_python(code, str(DEFAULT_SCENARIO)) == "False"
+
+    def test_validate_version_and_config_errors_load_no_numpy(self, tmp_path):
+        bad = write_doc_with(tmp_path / "one.json", "n_packs", "1")
+        code = (
+            "import sys\n"
+            "from besspp.cli import main\n"
+            "codes = [\n"
+            "    main(['validate']),\n"
+            "    main(['validate', '--scenario', sys.argv[1]]),\n"
+            "    main(['design', '--scenario', sys.argv[1], '--out', sys.argv[2]]),\n"
+            "    main(['design', '--scenario', sys.argv[2], '--out', sys.argv[2]]),\n"
+            "]\n"
+            "for flag in ('--version', '--help'):\n"
+            "    try:\n"
+            "        main([flag])\n"
+            "    except SystemExit as exc:\n"
+            "        codes.append(exc.code)\n"
+            "print(codes, 'numpy' in sys.modules)"
+        )
+        out = run_python(code, str(bad), str(tmp_path / "missing.json"))
+        assert out.splitlines()[-1] == "[0, 1, 1, 1, 0, 0] False"
+        assert [p.name for p in tmp_path.iterdir()] == ["one.json"]
+
+    def test_first_study_imports_and_freezes_the_numeric_modules(
+        self, small_scenario, tmp_path
+    ):
+        # The studies import runs with the collector off and ends in a
+        # freeze, once per process: a second study freezes nothing new.
+        path, _ = small_scenario
+        code = (
+            "import gc, sys\n"
+            "import besspp.cli\n"
+            "during_import = []\n"
+            "def hook(phase, info):\n"
+            "    if besspp.cli._STUDIES is None and 'besspp.studies' in sys.modules:\n"
+            "        during_import.append(phase)\n"
+            "gc.callbacks.append(hook)\n"
+            "def design(out):\n"
+            "    assert besspp.cli.main(['design', '--scenario', sys.argv[1],"
+            " '--out', out]) == 0\n"
+            "design(sys.argv[2])\n"
+            "first = gc.get_freeze_count()\n"
+            "design(sys.argv[3])\n"
+            "print('numpy' in sys.modules, len(during_import), first,"
+            " gc.get_freeze_count())"
+        )
+        out = run_python(code, str(path), str(tmp_path / "a"), str(tmp_path / "b"))
+        numpy_loaded, collections, first, second = out.splitlines()[-1].split()
+        assert (numpy_loaded, collections) == ("True", "0")
+        assert int(first) == int(second)
+        bare = (
+            "import gc; gc.disable()\n"
+            "import besspp.studies\n"
+            "gc.freeze(); print(gc.get_freeze_count())"
+        )
+        assert int(first) >= int(run_python(bare))
+
+    def test_driver_set_on_the_cli_is_the_one_that_runs(
+        self, small_scenario, tmp_path
+    ):
+        # perfbench's trace wraps the drivers at besspp.cli, where they
+        # resolve to besspp.studies' until one is set there.
+        path, _ = small_scenario
+        code = (
+            "import sys\n"
+            "import besspp.cli, besspp.studies\n"
+            "names = ('run_design', 'run_tradeoff', 'run_day', 'run_ensemble')\n"
+            "same = all(\n"
+            "    getattr(besspp.cli, n) is getattr(besspp.studies, n) for n in names\n"
+            ")\n"
+            "calls = []\n"
+            "besspp.cli.run_design = lambda *args, **kwargs: calls.append(args) or []\n"
+            "code = besspp.cli.main(['design', '--scenario', sys.argv[1],"
+            " '--out', sys.argv[2]])\n"
+            "print(same, code, len(calls))"
+        )
+        assert run_python(code, str(path), str(tmp_path / "o")) == "True 0 1"
+        assert not (tmp_path / "o").exists()
 
     def test_one_worker_study_never_imports_the_pool(self, small_scenario, tmp_path):
         path, _ = small_scenario

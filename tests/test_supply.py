@@ -14,12 +14,8 @@ from hypothesis import strategies as st
 from besspp.designer import design_layer1
 
 from besspp.flows import _module_totals
-from besspp.supply import (
-    SupplyDistribution,
-    _philox,
-    flatten_distribution,
-    sample_packs,
-)
+from besspp.scenario import SupplyDistribution
+from besspp.supply import _philox, flatten_distribution, sample_packs
 
 from test_flows import left_fold
 
