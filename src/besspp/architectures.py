@@ -65,9 +65,8 @@ class BudgetSplit:
     ``(i, j)`` module pairs of the string edges in build order, the designed
     layer first and then the adjacent ladder; fpp has none.  ``caps_kwh``
     holds one energy cap per converter in the same order: one per edge for
-    the string families, one per module for fpp.  ``rung_kwh`` is the cap
-    of one ladder rung (for fpp, of one module's converter).  ``rating_r``
-    is the normalized rating the split spends, the R of its sweep row, and
+    the string families, one per module for fpp.  ``rating_r`` is the
+    normalized rating the split spends, the R of its sweep row, and
     ``lambda_h`` the ladder-to-layer-1 aggregate ratio (NaN outside
     lshippp).
     """
@@ -75,7 +74,6 @@ class BudgetSplit:
     kind: ArchitectureKind
     pairs: tuple[tuple[int, int], ...]
     caps_kwh: tuple[float, ...]
-    rung_kwh: float
     rating_r: float
     lambda_h: float
 
@@ -109,12 +107,11 @@ def split_budget(
     budget = rating_r * budget_basis_kwh
     if kind is ArchitectureKind.FPP:
         cap = budget / n_modules
-        return BudgetSplit(kind, (), (cap,) * n_modules, cap, rating_r, math.nan)
+        return BudgetSplit(kind, (), (cap,) * n_modules, rating_r, math.nan)
     ladder = _ladder(n_modules)
     if kind is ArchitectureKind.CPPP:
         cap = budget / (n_modules - 1)
-        caps = (cap,) * (n_modules - 1)
-        return BudgetSplit(kind, ladder, caps, cap, rating_r, math.nan)
+        return BudgetSplit(kind, ladder, (cap,) * (n_modules - 1), rating_r, math.nan)
     m = len(layer1.edges)
     design_point = layer1_aggregate_kwh(layer1)
     if budget <= design_point:
@@ -129,7 +126,7 @@ def split_budget(
         cap2 = surplus / (n_modules - 1)
     caps = (cap1,) * m + (cap2,) * (n_modules - 1)
     pairs = tuple(layer1.edges) + ladder
-    return BudgetSplit(kind, pairs, caps, cap2, rating_r, lambda_h)
+    return BudgetSplit(kind, pairs, caps, rating_r, lambda_h)
 
 
 def split_lambda(
@@ -153,7 +150,6 @@ def split_lambda(
         ArchitectureKind.LSHIPPP,
         tuple(layer1.edges) + _ladder(n),
         duty + (rung,) * (n - 1),
-        rung,
         (1 + lambda_h) * aggregate / budget_basis_kwh,
         lambda_h,
     )

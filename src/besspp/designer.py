@@ -280,7 +280,7 @@ def sweep_energy(
         raise ValueError("a sweep needs splits of one kind and one wiring")
     ((_, pairs),) = wirings
     if not pairs:
-        return fpp_deliverable(packs, [s.rung_kwh for s in splits])
+        return fpp_deliverable(packs, [s.caps_kwh[0] for s in splits])
     return cut_form_energy(
         packs,
         np.full(packs.shape, float(voltage_v)),

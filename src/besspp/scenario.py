@@ -12,10 +12,13 @@ reproducible by construction.  The default scenario is the shipped document
 The module also holds the input records a scenario is built from
 (:class:`SupplyDistribution`, :class:`DemandModel`, :class:`GridProfile`)
 and the limits it checks (:data:`MAX_CUT_MODULES`,
-:func:`check_placement_limit`), so it imports the standard library and
-:mod:`besspp.architectures` only: loading and checking a scenario never
-loads numpy.  Constructing a :class:`Scenario` stays numpy-free; a check
-that needs the numeric modules belongs to the study that runs them.
+:func:`check_placement_limit`).  The records are plain values: one rule
+list, :meth:`Scenario.__post_init__`, checks every value on every
+construction and names each problem by its path (``plaza.supply.dod``).
+It imports the standard library and :mod:`besspp.architectures` only:
+loading and checking a scenario never loads numpy.  Constructing a
+:class:`Scenario` stays numpy-free; a check that needs the numeric modules
+belongs to the study that runs them.
 """
 
 from __future__ import annotations
@@ -77,17 +80,18 @@ MAX_PACKS = 10**5
 # cells expect 1,584.
 MAX_CELL_ARRIVALS = 10**6
 
-# The scenario's number lists, each nonempty and finite, with positive
-# values in the first two and nonnegative ones in the rest.
-_POSITIVE_LISTS = ("arrival_rates_per_h", "demand_means_kwh")
-_NUMBER_LISTS = (*_POSITIVE_LISTS, "demand_stds_kwh", "r_grid", "lambda_grid")
+# Every number, listed or not, must be finite and positive, or nonnegative
+# where its key path ends in one of _NONNEGATIVE.
+_NONNEGATIVE_LISTS = ("demand_stds_kwh", "r_grid", "lambda_grid")
+_NUMBER_LISTS = ("arrival_rates_per_h", "demand_means_kwh", *_NONNEGATIVE_LISTS)
+_NONNEGATIVE = ("rating_r", "std_kwh", *_NONNEGATIVE_LISTS)
 
 
 class ScenarioError(ValueError):
-    """Scenario document is malformed; the message lists every problem.
+    """Scenario document is malformed; each problem is named by its key path.
 
-    A missing, unknown or wrongly typed key stops the load at once instead,
-    named by its key path.
+    A missing, unknown or wrongly typed key stops the load at once; every
+    value problem, in any block, is collected into one message.
     """
 
 
@@ -96,31 +100,14 @@ class SupplyDistribution:
     """Gaussian population of second-use module energies.
 
     ``mean_kwh`` and ``std_kwh`` describe intrinsic module energy before the
-    depth-of-discharge derate.  Their relative spread ``std/mean`` is at
-    most :data:`MAX_HETEROGENEITY`.
+    depth-of-discharge derate.  A scenario holds their relative spread
+    ``std/mean`` to at most :data:`MAX_HETEROGENEITY`.
     """
 
     mean_kwh: float
     std_kwh: float
     dod: float = 1.0
     voltage_v: float = 50.0
-
-    def __post_init__(self) -> None:
-        if not (self.mean_kwh > 0 and math.isfinite(self.mean_kwh)):
-            raise ValueError(f"mean_kwh must be positive, got {self.mean_kwh}")
-        if not (self.std_kwh >= 0 and math.isfinite(self.std_kwh)):
-            raise ValueError(f"std_kwh must be nonnegative, got {self.std_kwh}")
-        if self.std_kwh / self.mean_kwh > MAX_HETEROGENEITY:
-            raise ValueError(
-                f"heterogeneity {self.std_kwh / self.mean_kwh:.3f} exceeds "
-                f"the supported maximum {MAX_HETEROGENEITY}"
-            )
-        if not 0 < self.dod <= 1:
-            raise ValueError(f"dod must be in (0, 1], got {self.dod}")
-        if not 0 < self.voltage_v < math.inf:
-            raise ValueError(
-                f"voltage_v must be positive and finite, got {self.voltage_v}"
-            )
 
 
 @dataclass(frozen=True)
@@ -129,14 +116,6 @@ class DemandModel:
 
     mean_kwh: float
     std_kwh: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.mean_kwh < math.inf:
-            raise ValueError("mean_kwh must be positive and finite")
-        if not 0 <= self.std_kwh < math.inf:
-            raise ValueError("std_kwh must be nonnegative and finite")
-        if not 2.0 * self.mean_kwh < math.inf:
-            raise ValueError("2 x mean_kwh, the demand clamp, must be finite")
 
 
 @dataclass(frozen=True)
@@ -149,21 +128,6 @@ class GridProfile:
     """
 
     segments: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("grid profile needs at least one segment")
-        if not all(map(math.isfinite, (v for seg in self.segments for v in seg))):
-            raise ValueError("grid segment starts and powers must be finite")
-        starts = [s for s, _ in self.segments]
-        if starts[0] != 0:
-            raise ValueError("first grid segment must start at hour 0")
-        if any(a >= b for a, b in zip(starts, starts[1:])):
-            raise ValueError("grid segment starts must be strictly increasing")
-        if starts[-1] >= DAY_HORIZON_H:
-            raise ValueError("grid segment starts must lie below 24 h")
-        if any(kw < 0 for _, kw in self.segments):
-            raise ValueError("available grid power must be nonnegative")
 
     @classmethod
     def from_csv(cls, path) -> "GridProfile":
@@ -256,34 +220,89 @@ class Scenario:
     plaza: PlazaSettings
 
     def __post_init__(self) -> None:
+        """Check every value, each problem named by its document path."""
         problems = []
         if self.seed < 0:
             problems.append("seed must be a nonnegative integer")
-        if self.n_modules < 2:
-            problems.append("n_modules must be >= 2")
-        if self.n_modules > MAX_CUT_MODULES:
+        n = self.n_modules
+        if n < 2:
+            problems.append("supply.n_modules must be >= 2")
+        if n > MAX_CUT_MODULES:
             problems.append(
-                f"n_modules must be <= {MAX_CUT_MODULES}: deliverable energy "
-                f"enumerates all 2**n_modules - 1 module subsets"
+                f"supply.n_modules must be <= {MAX_CUT_MODULES}: deliverable "
+                f"energy enumerates all 2**n_modules - 1 module subsets"
             )
-        if not 1 <= self.n_layer1 < self.n_modules:
+        if not 1 <= self.n_layer1 < n:
             problems.append("n_layer1 must satisfy 1 <= n_layer1 < n_modules")
-        elif 2 <= self.n_modules <= MAX_CUT_MODULES:
+        elif 2 <= n <= MAX_CUT_MODULES:
             try:
-                check_placement_limit(self.n_modules, self.n_layer1)
+                check_placement_limit(n, self.n_layer1)
             except ValueError as exc:
                 problems.append(f"n_layer1: {exc}")
         plaza = self.plaza
-        for label, value in [
-            ("rated_power_kw", self.rated_power_kw),
-            ("plaza.charger_max_kw", plaza.charger_max_kw),
-            ("plaza.bess_power_kw", plaza.bess_power_kw),
-            ("plaza.exemplar.arrival_rate_per_h", plaza.exemplar_rate_per_h),
+        # The plaza supply is its own block only when the document gives it.
+        supplies = {"supply": self.supply}
+        if plaza.supply is not self.supply:
+            supplies["plaza.supply"] = plaza.supply
+        numbers = {
+            "rated_power_kw": self.rated_power_kw,
+            "plaza.charger_max_kw": plaza.charger_max_kw,
+            "plaza.bess_power_kw": plaza.bess_power_kw,
+            "plaza.rating_r": plaza.rating_r,
+            "plaza.exemplar.demand_mean_kwh": plaza.exemplar_demand.mean_kwh,
+            "plaza.exemplar.demand_std_kwh": plaza.exemplar_demand.std_kwh,
+            "plaza.exemplar.arrival_rate_per_h": plaza.exemplar_rate_per_h,
+            **{
+                f"{label}.{key}": getattr(supply, key)
+                for label, supply in supplies.items()
+                for key in ("mean_kwh", "std_kwh", "voltage_v")
+            },
+            **{label: getattr(self, label) for label in _NUMBER_LISTS},
+        }
+        numbers = {k: v if isinstance(v, tuple) else (v,) for k, v in numbers.items()}
+        for label, values in numbers.items():
+            nonnegative = label.endswith(_NONNEGATIVE)
+            if not values:
+                problems.append(f"{label} must be nonempty")
+            elif not all(0 < v < math.inf or nonnegative and v == 0 for v in values):
+                sign = "nonnegative" if nonnegative else "positive"
+                problems.append(f"{label} must be {sign} and finite")
+        # A demand is clamped to [0, 2 x mean], the exemplar's and each cell's.
+        for label in ("plaza.exemplar.demand_mean_kwh", "demand_means_kwh"):
+            if any(mean < math.inf <= 2.0 * mean for mean in numbers[label]):
+                problems.append(f"{label}: 2 x mean, the demand clamp, must be finite")
+        # The studies sum over the n modules: their voltages in series, and
+        # their expected energies over a power for the layer-1 design horizon.
+        # No expected module clamps at zero, so each sum is n times one
+        # module's value up to rounding, which a 1e-12 margin covers.
+        sums = []
+        for label, supply in supplies.items():
+            if supply.std_kwh > MAX_HETEROGENEITY * supply.mean_kwh:
+                problems.append(f"{label}.std_kwh is over {MAX_HETEROGENEITY} x mean")
+            if not 0 < supply.dod <= 1:
+                problems.append(f"{label}.dod must be in (0, 1]")
+            sums.append((supply.voltage_v, f"{label}.voltage_v: the series voltage"))
+        for label, power, supply in [
+            ("rated_power_kw", self.rated_power_kw, self.supply),
+            ("plaza.bess_power_kw", plaza.bess_power_kw, plaza.supply),
         ]:
-            if not 0 < value < math.inf:
-                problems.append(f"{label} must be positive and finite")
-        if not 0 <= plaza.rating_r < math.inf:
-            problems.append("plaza.rating_r must be nonnegative and finite")
+            module_h = supply.mean_kwh * supply.dod / power if power > 0 else 0.0
+            sums.append((module_h, f"{label}: the layer-1 design horizon"))
+        for value, what in sums:
+            if 2 <= n <= MAX_CUT_MODULES and n * value * (1 + 1e-12) >= math.inf:
+                problems.append(f"{what} must be finite")
+        segments = self.grid_profile.segments
+        starts = [start for start, _ in segments]
+        if not all(math.isfinite(v) for segment in segments for v in segment):
+            problems.append("grid_profile starts and powers must be finite")
+        if starts[:1] != [0]:
+            problems.append("grid_profile must have a first segment, at hour 0")
+        if any(a >= b for a, b in zip(starts, starts[1:])):
+            problems.append("grid_profile starts must strictly increase")
+        if any(start >= DAY_HORIZON_H for start in starts):
+            problems.append("grid_profile starts must lie below 24 h")
+        if any(kw < 0 for _, kw in segments):
+            problems.append("grid_profile powers must be nonnegative")
         for i, config in enumerate(self.architectures):
             entry = f"architectures[{i}] ({config.kind.value})"
             if not 0 <= config.rating_r < math.inf:
@@ -306,24 +325,13 @@ class Scenario:
                 problems.append(
                     f"plaza.kinds: kind {kind.value} has no architectures entry"
                 )
-        for label in _NUMBER_LISTS:
-            seq, positive = getattr(self, label), label in _POSITIVE_LISTS
-            if not seq:
-                problems.append(f"{label} must be nonempty")
-            elif not all(map(math.isfinite, seq)):
-                problems.append(f"{label} must be finite")
-            if any(v <= 0 if positive else v < 0 for v in seq):
-                sign = "positive" if positive else "nonnegative"
-                problems.append(f"{label} values must be {sign}")
         if self.n_packs < 2:
             problems.append(
                 "n_packs must be >= 2: derating is a three-sigma statistic "
                 "over the packs, and one pack has no spread"
             )
         if self.n_packs > MAX_PACKS:
-            problems.append(
-                f"n_packs must be <= {MAX_PACKS:,}, got {self.n_packs:,}"
-            )
+            problems.append(f"n_packs must be <= {MAX_PACKS:,}, got {self.n_packs:,}")
         if self.n_trajectories < 1:
             problems.append("n_trajectories must be >= 1")
         rates = self.arrival_rates_per_h
@@ -399,14 +407,6 @@ def _kind(value, field: str) -> ArchitectureKind:
         raise ScenarioError(f"{field}: unknown kind {value!r}") from exc
 
 
-def _build(cls, label: str, **fields):
-    """``cls(**fields)``, a value it refuses reported under ``label``."""
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ScenarioError(f"bad {label} block: {exc}") from exc
-
-
 def _block(value, label: str, required, optional=()) -> dict:
     """A JSON object holding every ``required`` key and no key unknown.
 
@@ -431,7 +431,7 @@ def _supply(value, label: str, *extra: str) -> SupplyDistribution:
     """A supply block; ``dod`` and ``voltage_v`` take the class defaults."""
     data = _block(value, label, ("mean_kwh", "std_kwh", *extra), ("dod", "voltage_v"))
     fields = {k: _number(v, f"{label}.{k}") for k, v in data.items() if k not in extra}
-    return _build(SupplyDistribution, label, **fields)
+    return SupplyDistribution(**fields)
 
 
 def _grid_from_value(value, base_dir: Path) -> GridProfile:
@@ -448,7 +448,10 @@ def _grid_from_value(value, base_dir: Path) -> GridProfile:
     if not isinstance(value, list):
         raise ScenarioError("grid_profile must be a CSV path or a segment list")
     segments = [_numbers(seg, f"grid_profile[{i}]") for i, seg in enumerate(value)]
-    return _build(GridProfile, "grid_profile", segments=tuple(segments))
+    for i, segment in enumerate(segments):
+        if len(segment) != 2:
+            raise ScenarioError(f"grid_profile[{i}] must be a [time_h, power_kw] pair")
+    return GridProfile(tuple(segments))
 
 
 def _entry_dict(config: ArchitectureConfig, n_modules: int, n_layer1: int) -> dict:
@@ -587,7 +590,7 @@ def load_scenario(path) -> Scenario:
                 ),
                 rating_r=_number(plaza["rating_r"], "plaza.rating_r"),
                 kinds=tuple(_kind(k, f"plaza.kinds[{i}]") for i, k in kinds),
-                exemplar_demand=_build(DemandModel, "plaza.exemplar", **demand),
+                exemplar_demand=DemandModel(**demand),
                 exemplar_rate_per_h=_number(
                     exemplar["arrival_rate_per_h"], "plaza.exemplar.arrival_rate_per_h"
                 ),

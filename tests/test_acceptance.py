@@ -312,7 +312,6 @@ def prop_sparse_layer_flows_within_ratings(pack_seed, lambda_h):
         ArchitectureKind.LSHIPPP,
         layer1.edges + tuple((j, j + 1) for j in range(n - 1)),
         (layer1.rating_kw * 2.25,) * len(layer1.edges) + (rung,) * (n - 1),
-        rung,
         (1 + lambda_h) * aggregate / left_fold(energy.tolist()),
         lambda_h,
     )

@@ -50,7 +50,6 @@ def lshippp_split(modules, layer1, lambda_h):
         ArchitectureKind.LSHIPPP,
         tuple(layer1.edges) + ladder,
         (cap1,) * len(layer1.edges) + (rung,) * (n - 1),
-        rung,
         (1 + lambda_h) * aggregate / sum(energy),
         lambda_h,
     )
@@ -161,7 +160,6 @@ class TestBudgetedLshippp:
         split = budget_split(pack(4, 4, 4), layer1, 0.25)
         assert split.lambda_h == math.inf
         assert split.caps_kwh == (0.0, 1.5, 1.5)
-        assert split.rung_kwh == 1.5
         zero = budget_split(pack(4, 4, 4), layer1, 0.0)
         assert (zero.lambda_h, zero.caps_kwh) == (0.0, (0.0, 0.0, 0.0))
 
@@ -174,7 +172,6 @@ class TestBudgetSplit:
         assert split.kind is ArchitectureKind(kind)
         assert len(split.caps_kwh) == n_converters
         assert sum(split.caps_kwh) == pytest.approx(0.25 * 12.0)
-        assert split.rung_kwh == split.caps_kwh[-1]
         assert math.isnan(split.lambda_h) == (kind != "lshippp")
 
     def test_each_kind_carries_its_wiring(self, layer1_9, expected9):
@@ -227,8 +224,8 @@ class TestBudgetSplit:
         split = split_lambda(layer1_345, 0.8, 12.0)
         (flow,) = layer1_345.optimal_flows_kwh
         aggregate = layer1_345.rating_kw * layer1_345.horizon_h
-        assert split.caps_kwh == (abs(flow), split.rung_kwh, split.rung_kwh)
-        assert split.rung_kwh == pytest.approx(0.8 * aggregate / 2)
+        rung = pytest.approx(0.8 * aggregate / 2)
+        assert split.caps_kwh == (abs(flow), rung, rung)
         with pytest.raises(ConfigurationError):
             split_lambda(layer1_345, -0.1, 12.0)
 

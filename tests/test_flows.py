@@ -595,7 +595,7 @@ class TestCutForm:
         # The lambda whose ladder rungs get ``cap2`` each.
         lam = cap2 * 8 / layer1_aggregate_kwh(layer1_9)
         split = split_lambda(layer1_9, lam, 337.5)
-        assert split.rung_kwh == pytest.approx(cap2, rel=1e-12)
+        assert split.caps_kwh[-1] == pytest.approx(cap2, rel=1e-12)
         assert_three_way(sampled_wirings(split, n_packs=40))
 
     @given(cap_rows_strategy())

@@ -1,8 +1,9 @@
 import csv
 import json
 import math
+import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from besspp.plaza import (
     replay_lanes,
 )
 from besspp.flows import cut_form_energy
-from besspp.scenario import DemandModel, GridProfile, default_scenario
+from besspp.scenario import DemandModel, GridProfile, ScenarioError, default_scenario
 from besspp.studies import _curtailed_minutes, run_day
 
 from plaza_oracle import (
@@ -56,16 +57,19 @@ class TestGridProfile:
         assert np.array_equal(powers_at(grid, times), expected)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GridProfile(((1.0, 50.0),))  # must start at 0
-        with pytest.raises(ValueError):
-            GridProfile(((0.0, 50.0), (0.0, 40.0)))  # strictly increasing
-        with pytest.raises(ValueError):
-            GridProfile(((0.0, -1.0),))
-        with pytest.raises(ValueError, match="finite"):
-            GridProfile(((0.0, 50.0), (math.nan, 40.0)))
-        with pytest.raises(ValueError, match="finite"):
-            GridProfile(((0.0, math.inf),))
+        # The record checks nothing: a scenario built on it refuses each bad
+        # profile, named grid_profile.
+        base = default_scenario()
+        for segments, problem in [
+            (((1.0, 50.0),), "must have a first segment, at hour 0"),
+            (((0.0, 50.0), (0.0, 40.0)), "starts must strictly increase"),
+            (((0.0, -1.0),), "powers must be nonnegative"),
+            (((0.0, 50.0), (math.nan, 40.0)), "starts and powers must be finite"),
+            (((0.0, math.inf),), "starts and powers must be finite"),
+        ]:
+            problem = re.escape(f"grid_profile {problem}")
+            with pytest.raises(ScenarioError, match=problem):
+                replace(base, grid_profile=GridProfile(segments))
 
     def test_csv_roundtrip(self, tmp_path):
         grid = GridProfile(((0.0, 55.0), (7.5, 32.5), (21.0, 48.0)))
@@ -672,10 +676,6 @@ class TestSharedStream:
                 draw_arrivals([(rate, _demand(), [1])], 24.0)
             with pytest.raises(ValueError, match="rate_per_h must be positive"):
                 draw_arrivals([(1.0, _demand(), [1]), (rate, _demand(), [])], 24.0)
-        with pytest.raises(ValueError, match="std_kwh"):
-            DemandModel(mean_kwh=50.0, std_kwh=math.nan)
-        with pytest.raises(ValueError, match="2 x mean_kwh"):
-            DemandModel(mean_kwh=1e308, std_kwh=1.0)  # 2 x mean overflows
         stream = _drawn(1.0, _demand(), 24.0, 1)
         with pytest.raises(ValueError, match="charger_max_kw"):
             replay_lanes(

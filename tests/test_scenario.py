@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 import re
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import besspp.scenario
@@ -19,7 +21,9 @@ from besspp.scenario import (
     load_scenario,
     scenario_to_dict,
 )
+from besspp.flows import _module_totals, _subset_sums
 from besspp.studies import _layer1, scenario_fingerprint
+from besspp.supply import flatten_distribution
 
 from plaza_oracle import power_at
 
@@ -207,12 +211,22 @@ class TestLoadScenario:
         doc["plaza"]["charger_max_kw"] = 0
         doc["n_packs"] = 1
         doc["architectures"][1]["eta_c"] = 0
+        # One bad value in each block, the input records' included.
+        doc["supply"]["std_kwh"] = -1.0
+        doc["plaza"]["supply"]["dod"] = 0.0
+        doc["plaza"]["exemplar"]["demand_std_kwh"] = -1.0
+        doc["grid_profile"][1][1] = -5.0
         with pytest.raises(ScenarioError) as exc:
             load_scenario(write_doc(tmp_path, doc))
         message = str(exc.value)
         assert "plaza.charger_max_kw must be positive" in message
         assert "n_packs must be >= 2" in message
         assert "architectures[1] (cppp): eta_c must be in (0, 1]" in message
+        assert "supply.std_kwh must be nonnegative and finite" in message
+        assert "plaza.supply.dod must be in (0, 1]" in message
+        assert "plaza.exemplar.demand_std_kwh must be nonnegative" in message
+        assert "grid_profile powers must be nonnegative" in message
+        assert len(message.split("; ")) == 7
 
     def test_grid_profile_from_csv_path(self, tmp_path):
         doc = minimal_doc()
@@ -457,3 +471,137 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=r"^n_trajectories: 20,834 traj"):
             dataclasses.replace(base, n_trajectories=30 * 20_834)
         assert 2.0 * 24 * 20_834 > MAX_CELL_ARRIVALS >= 2.0 * 24 * 20_833
+
+
+
+# One bad value for each rule on a value of a supply block, the exemplar
+# demand, the demand cells and the grid profile: the key path it is set at,
+# its JSON value, and the start of the problem that names it.
+SUPPLY_RULES = [
+    ("mean_kwh", 0.0, "{}.mean_kwh must be positive and finite"),
+    ("std_kwh", -1.0, "{}.std_kwh must be nonnegative and finite"),
+    ("std_kwh", "heterogeneity", "{}.std_kwh is over 0.5 x mean"),
+    ("dod", 1.2, "{}.dod must be in (0, 1]"),
+    ("voltage_v", 0.0, "{}.voltage_v must be positive and finite"),
+    # 9 modules of 2e307 V sum beyond the float range: the studies would
+    # divide by an infinite subset voltage and report nothing delivered.
+    ("voltage_v", 2e307, "{}.voltage_v: the series voltage must be finite"),
+]
+EXEMPLAR = "plaza.exemplar.demand"
+VALUE_RULES = [
+    *(
+        (f"{block}.{key}", value, problem.format(block))
+        for block in ("supply", "plaza.supply")
+        for key, value, problem in SUPPLY_RULES
+    ),
+    (f"{EXEMPLAR}_mean_kwh", 0.0, f"{EXEMPLAR}_mean_kwh must be positive and finite"),
+    (f"{EXEMPLAR}_std_kwh", -1.0, f"{EXEMPLAR}_std_kwh must be nonnegative and finite"),
+    # A demand is clamped to [0, 2 x mean]: 2e308 is beyond the float range.
+    (f"{EXEMPLAR}_mean_kwh", 1e308, f"{EXEMPLAR}_mean_kwh: 2 x mean, the demand clamp"),
+    ("demand_means_kwh", [50.0, 1e308], "demand_means_kwh: 2 x mean, the demand clamp"),
+    # The expected module total over the power overflows.
+    ("rated_power_kw", 1e-308, "rated_power_kw: the layer-1 design horizon must be"),
+    ("plaza.bess_power_kw", 1e-308, "plaza.bess_power_kw: the layer-1 design horizon"),
+    ("grid_profile", [[1.0, 50.0]], "grid_profile must have a first segment, at hour"),
+    ("grid_profile", [], "grid_profile must have a first segment, at hour 0"),
+    ("grid_profile", [[0.0, 50.0], [0.0, 40.0]], "grid_profile starts must strictly"),
+    ("grid_profile", [[0.0, 50.0], [24.0, 40.0]], "grid_profile starts must lie below"),
+    ("grid_profile", [[0.0, 50.0], [math.nan, 40.0]], "grid_profile starts and powers"),
+    ("grid_profile", [[0.0, math.inf]], "grid_profile starts and powers must be fini"),
+    ("grid_profile", [[0.0, 50.0], [12.0, -1.0]], "grid_profile powers must be nonneg"),
+]
+
+
+def edge_of(admits, lo: float, hi: float) -> tuple[float, float]:
+    """The adjacent floats ``(a, b)`` in ``[lo, hi]`` where ``admits`` flips.
+
+    ``admits`` is monotone on positive floats and differs at ``lo`` and
+    ``hi``; a positive float's bits order it, so this bisects the bits.
+    """
+    bits = [struct.unpack("<q", struct.pack("<d", x))[0] for x in (lo, hi)]
+    flips = admits(lo)
+    while bits[1] - bits[0] > 1:
+        mid = sum(bits) // 2
+        value = struct.unpack("<d", struct.pack("<q", mid))[0]
+        bits[admits(value) != flips] = mid
+    return tuple(struct.unpack("<d", struct.pack("<q", b))[0] for b in bits)
+
+
+def with_value(doc: dict, key_path: str, value) -> dict:
+    *parents, key = steps(key_path)
+    block = doc
+    for step in parents:
+        block = block[step]
+    if value == "heterogeneity":  # just above the supported maximum, 0.5
+        value = 0.51 * block["mean_kwh"]
+    block[key] = value
+    return doc
+
+
+class TestValueRules:
+    @pytest.mark.parametrize(
+        "key_path, value, problem",
+        VALUE_RULES,
+        ids=[f"{path}={value}".replace(" ", "") for path, value, _ in VALUE_RULES],
+    )
+    def test_bad_value_is_named_by_its_path(self, key_path, value, problem, tmp_path):
+        path = write_doc(tmp_path, with_value(minimal_doc(), key_path, value))
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert any(p.startswith(problem) for p in str(exc.value).split("; "))
+
+    def test_values_at_the_overflow_rules_edge_load(self, tmp_path):
+        # 9 modules of 1e307 V, and a horizon near 1e306 h, stay finite.
+        doc = minimal_doc()
+        doc["supply"]["voltage_v"] = 1e307
+        doc["rated_power_kw"] = 337.5 / 1e306
+        doc["demand_means_kwh"] = [8e307]
+        assert load_scenario(write_doc(tmp_path, doc)).supply.voltage_v == 1e307
+
+    @pytest.mark.parametrize("n", range(2, MAX_CUT_MODULES + 1))
+    def test_overflow_rules_admit_only_finite_sums(self, n):
+        # The voltage and horizon rules bound a sum over the n modules by n
+        # times one module's value.  At the edge of what each admits, the
+        # studies' own sums stay finite: the subset voltages, and the
+        # expected module total over the power.  The widest supported
+        # spread, and a derate, exercise the flattened set.
+        base = default_scenario()
+        supply = dataclasses.replace(base.supply, std_kwh=18.75, dod=0.8)
+        base = dataclasses.replace(base, supply=supply, n_modules=n, n_layer1=1)
+
+        def admits(**changes):
+            try:
+                dataclasses.replace(base, **changes)
+            except ScenarioError:
+                return False
+            return True
+
+        volts, over = edge_of(
+            lambda v: admits(supply=dataclasses.replace(supply, voltage_v=v)),
+            1.0,
+            math.inf,
+        )
+        assert np.isfinite(_subset_sums(np.full((1, n), volts))).all()
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(_subset_sums(np.full((1, n), over * 1.01))).all()
+        _, power = edge_of(
+            lambda kw: admits(rated_power_kw=kw), 5e-324, base.rated_power_kw
+        )
+        total = _module_totals(flatten_distribution(supply, n)).item()
+        assert math.isfinite(total / power)
+        assert not math.isfinite(total / (power / 1.01))
+
+    def test_shared_supply_is_named_once(self, tmp_path):
+        # Without a plaza.supply block the plaza designs on the pack supply,
+        # whose problems are named by its own path only.
+        doc = minimal_doc()
+        del doc["plaza"]["supply"]
+        doc["supply"]["dod"] = 0.0
+        with pytest.raises(ScenarioError, match=r"^supply\.dod must be in \(0, 1\]$"):
+            load_scenario(write_doc(tmp_path, doc))
+
+    def test_grid_segment_must_be_a_pair(self, tmp_path):
+        doc = minimal_doc()
+        doc["grid_profile"][1].append(3.0)
+        with pytest.raises(ScenarioError, match=r"^grid_profile\[1\] must be a \[time"):
+            load_scenario(write_doc(tmp_path, doc))

@@ -667,6 +667,29 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "field, value, command, problem",
+        [
+            # The ensemble's demand clamp, 2 x mean, overflows.
+            ("demand_means_kwh", "[1e308]", "ensemble", "demand_means_kwh: 2 x mean"),
+            # Subset voltages overflow: tradeoff wrote util_mean 0.0 everywhere.
+            ("supply.voltage_v", "2e307", "tradeoff", "supply.voltage_v: the series"),
+            # The layer-1 design horizon overflows.
+            ("rated_power_kw", "1e-308", "design", "rated_power_kw: the layer-1"),
+            ("rated_power_kw", "1e-308", "tradeoff", "rated_power_kw: the layer-1"),
+            ("plaza.bess_power_kw", "1e-308", "day", "plaza.bess_power_kw: the layer"),
+        ],
+    )
+    def test_value_that_overflows_a_study_exits_1_and_writes_nothing(
+        self, field, value, command, problem, tmp_path, capsys
+    ):
+        path = write_doc_with(tmp_path / "huge.json", field, value)
+        out = tmp_path / "o"
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count(problem) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("demand_stds_kwh", "[NaN]"),
@@ -1254,6 +1277,33 @@ class TestStartup:
         out = run_python(code, str(bad), str(tmp_path / "missing.json"))
         assert out.splitlines()[-1] == "[0, 1, 1, 1, 0, 0] False"
         assert [p.name for p in tmp_path.iterdir()] == ["one.json"]
+
+    def test_every_block_problem_in_one_message_loads_no_numpy(self, tmp_path):
+        doc = small_doc()
+        doc["seed"] = -1
+        doc["supply"]["std_kwh"] = -1.0
+        doc["plaza"]["supply"]["dod"] = 2.0
+        doc["plaza"]["exemplar"]["demand_mean_kwh"] = 1e308
+        doc["grid_profile"][0][0] = 1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = (
+            "import contextlib, sys\n"
+            "from besspp.cli import main\n"
+            "with contextlib.redirect_stderr(sys.stdout):\n"
+            "    code = main(['validate', '--scenario', sys.argv[1]])\n"
+            "print(code, 'numpy' in sys.modules)"
+        )
+        message, status = run_python(code, str(bad)).splitlines()
+        assert status == "1 False"
+        assert message.removeprefix("error: ").split("; ") == [
+            "seed must be a nonnegative integer",
+            "supply.std_kwh must be nonnegative and finite",
+            "plaza.exemplar.demand_mean_kwh: 2 x mean, the demand clamp, "
+            "must be finite",
+            "plaza.supply.dod must be in (0, 1]",
+            "grid_profile must have a first segment, at hour 0",
+        ]
 
     def test_first_study_imports_and_freezes_the_numeric_modules(
         self, small_scenario, tmp_path

@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import dataclasses
 import importlib
 import math
 import statistics
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from besspp.designer import design_layer1
 
 from besspp.flows import _module_totals
-from besspp.scenario import SupplyDistribution
+from besspp.scenario import ScenarioError, SupplyDistribution, default_scenario
 from besspp.supply import _philox, flatten_distribution, sample_packs
 
 from test_flows import left_fold
@@ -25,23 +26,27 @@ Z_75 = statistics.NormalDist().inv_cdf(0.75)
 
 
 class TestSupplyDistribution:
+    """The record checks nothing: a scenario built on it refuses bad values."""
+
+    @staticmethod
+    def refused(**fields) -> str:
+        supply = SupplyDistribution(**{"mean_kwh": 10.0, "std_kwh": 1.0, **fields})
+        with pytest.raises(ScenarioError) as exc:
+            dataclasses.replace(default_scenario(), supply=supply)
+        return str(exc.value)
+
     def test_rejects_nonpositive_mean(self):
-        with pytest.raises(ValueError):
-            SupplyDistribution(mean_kwh=0.0, std_kwh=1.0)
+        assert "supply.mean_kwh must be positive" in self.refused(mean_kwh=0.0)
 
     def test_rejects_negative_std(self):
-        with pytest.raises(ValueError):
-            SupplyDistribution(mean_kwh=10.0, std_kwh=-1.0)
+        assert "supply.std_kwh must be nonnegative" in self.refused(std_kwh=-1.0)
 
     def test_rejects_excessive_heterogeneity(self):
-        with pytest.raises(ValueError):
-            SupplyDistribution(mean_kwh=10.0, std_kwh=5.1)
+        assert "supply.std_kwh is over 0.5 x mean" in self.refused(std_kwh=5.1)
 
     def test_rejects_bad_dod(self):
-        with pytest.raises(ValueError):
-            SupplyDistribution(mean_kwh=10.0, std_kwh=1.0, dod=0.0)
-        with pytest.raises(ValueError):
-            SupplyDistribution(mean_kwh=10.0, std_kwh=1.0, dod=1.2)
+        assert "supply.dod must be in (0, 1]" in self.refused(dod=0.0)
+        assert "supply.dod must be in (0, 1]" in self.refused(dod=1.2)
 
 
 class TestUsableEnergy:
@@ -91,8 +96,6 @@ class TestFlatten:
         assert expected.shape == (3,) and expected.dtype == np.float64
         design = design_layer1(expected, dist.voltage_v, 1, 1.0)
         assert design.expected_output_kwh == pytest.approx(120.0)
-        with pytest.raises(ValueError, match="voltage_v"):
-            SupplyDistribution(mean_kwh=40.0, std_kwh=8.0, voltage_v=0.0)
 
     def test_rejects_single_module(self):
         with pytest.raises(ValueError):
