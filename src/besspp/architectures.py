@@ -30,9 +30,10 @@ closed form :func:`~besspp.flows.fpp_deliverable`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
+
+from besspp._record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from besspp.designer import Layer1Design
@@ -57,8 +58,7 @@ class ArchitectureKind(str, Enum):
     LSHIPPP = "lshippp"
 
 
-@dataclass(frozen=True)
-class BudgetSplit:
+class BudgetSplit(Record):
     """A converter budget spread over an architecture's converters.
 
     This is the one description of a wired architecture.  ``pairs`` are the

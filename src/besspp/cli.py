@@ -47,7 +47,6 @@ gc.disable()
 
 import argparse  # noqa: E402 - after the start-up clock and the lines above
 import contextlib  # noqa: E402
-import dataclasses  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -156,7 +155,7 @@ def _load(args) -> Scenario:
         else default_scenario()
     )
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        scenario = scenario.replace(seed=args.seed)
     return scenario
 
 

@@ -35,10 +35,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from besspp._record import Record
 from besspp.architectures import BudgetSplit
 from besspp.flows import (
     _module_totals,
@@ -77,8 +77,7 @@ TRADEOFF_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class Layer1Design:
+class Layer1Design(Record):
     """Designed sparse layer for a given pack size.
 
     ``optimal_flows_kwh`` are the signed per-edge flows of the minimum-peak

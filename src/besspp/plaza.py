@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from besspp._record import Record
 from besspp.scenario import DAY_HORIZON_H, GridProfile
 from besspp.supply import _philox
 
@@ -70,8 +70,7 @@ def powers_at(grid: GridProfile, times_h: np.ndarray) -> np.ndarray:
     return levels[index - 1]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Arrivals:
+class Arrivals(Record, eq=False):
     """EV arrivals of many days over one horizon: a table of streams end to end.
 
     Stream ``s`` is the ``lengths[s]`` arrivals that follow those of streams
@@ -90,13 +89,12 @@ class Arrivals:
     demands_kwh: np.ndarray
     lengths: np.ndarray
     horizon_h: float
-    keys: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times_h, dtype=float)
-        demands = np.asarray(self.demands_kwh, dtype=float)
-        lengths = np.asarray(self.lengths, dtype=np.intp)
-        if not self.horizon_h > 0:
+    def __init__(self, times_h, demands_kwh, lengths, horizon_h: float) -> None:
+        times = np.asarray(times_h, dtype=float)
+        demands = np.asarray(demands_kwh, dtype=float)
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if not horizon_h > 0:
             raise ValueError("horizon_h must be positive")
         if times.ndim != 1 or demands.shape != times.shape:
             raise ValueError("every arrival needs one time and one demand")
@@ -112,10 +110,13 @@ class Arrivals:
             )
         if not ((demands >= 0) & (demands < math.inf)).all():
             raise ValueError("arrival demands must be finite and >= 0")
-        object.__setattr__(self, "times_h", times)
-        object.__setattr__(self, "demands_kwh", demands)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "keys", keys)
+        vars(self).update(
+            times_h=times,
+            demands_kwh=demands,
+            lengths=lengths,
+            horizon_h=horizon_h,
+            keys=keys,
+        )
 
 
 def _keys(streams, times) -> np.ndarray:
@@ -144,8 +145,7 @@ _CYCLE_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class LaneCycles:
+class LaneCycles(Record):
     """The cycles of many replays, flattened lane by lane.
 
     Lane ``i`` served ``counts[i]`` cycles, which follow those of lanes
@@ -169,8 +169,7 @@ class LaneCycles:
     truncated: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class LaneReplay:
+class LaneReplay(Record, eq=False):
     """Which arrivals every lane of one :func:`replay_lanes` call served.
 
     Lane ``i`` served ``counts[i]`` arrivals and dropped ``dropped[i]``.

@@ -12,22 +12,24 @@ reproducible by construction.  The default scenario is the shipped document
 The module also holds the input records a scenario is built from
 (:class:`SupplyDistribution`, :class:`DemandModel`, :class:`GridProfile`)
 and the limits it checks (:data:`MAX_CUT_MODULES`,
-:func:`check_placement_limit`).  The records are plain values: one rule
-list, :meth:`Scenario.__post_init__`, checks every value on every
-construction and names each problem by its path (``plaza.supply.dod``).
-It imports the standard library and :mod:`besspp.architectures` only:
-loading and checking a scenario never loads numpy.  Constructing a
-:class:`Scenario` stays numpy-free; a check that needs the numeric modules
-belongs to the study that runs them.
+:func:`check_placement_limit`).  The records are plain frozen values, each
+a :class:`~besspp._record.Record`: one rule list,
+:meth:`Scenario.__post_init__`, checks every value on every construction,
+``replace`` included, and names each problem by its path
+(``plaza.supply.dod``).  It imports the standard library,
+:mod:`besspp._record` and :mod:`besspp.architectures` only: loading and
+checking a scenario never loads numpy, and its records generate no code
+as they load.  Constructing a :class:`Scenario` stays numpy-free; a check
+that needs the numeric modules belongs to the study that runs them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
+from besspp._record import Record
 from besspp.architectures import ArchitectureKind
 
 __all__ = [
@@ -80,6 +82,12 @@ MAX_PACKS = 10**5
 # cells expect 1,584.
 MAX_CELL_ARRIVALS = 10**6
 
+# The largest module draw a scenario's sums allow for, in standard
+# deviations above the mean: a Gaussian draw passes 8 sd with odds of about
+# 6e-16, so about 1e-9 for the largest sample of MAX_PACKS packs of
+# MAX_CUT_MODULES modules.
+PACK_SIGMAS = 8.0
+
 # Every number, listed or not, must be finite and positive, or nonnegative
 # where its key path ends in one of _NONNEGATIVE.
 _NONNEGATIVE_LISTS = ("demand_stds_kwh", "r_grid", "lambda_grid")
@@ -95,8 +103,7 @@ class ScenarioError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class SupplyDistribution:
+class SupplyDistribution(Record):
     """Gaussian population of second-use module energies.
 
     ``mean_kwh`` and ``std_kwh`` describe intrinsic module energy before the
@@ -110,16 +117,14 @@ class SupplyDistribution:
     voltage_v: float = 50.0
 
 
-@dataclass(frozen=True)
-class DemandModel:
+class DemandModel(Record):
     """Gaussian per-EV energy demand, clamped to [0, 2 * mean_kwh]."""
 
     mean_kwh: float
     std_kwh: float
 
 
-@dataclass(frozen=True)
-class GridProfile:
+class GridProfile(Record):
     """Piecewise-constant available grid power over a day.
 
     ``segments`` are ``(start_hour, available_kw)`` with the first start at
@@ -169,8 +174,7 @@ def check_placement_limit(n_batteries: int, n_edges: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ArchitectureConfig:
+class ArchitectureConfig(Record):
     """One ``architectures`` entry: the studies read ``kind`` and ``eta_c``.
 
     ``rating_r`` is echoed into the manifest and read by no study.
@@ -181,8 +185,7 @@ class ArchitectureConfig:
     eta_c: float
 
 
-@dataclass(frozen=True)
-class PlazaSettings:
+class PlazaSettings(Record):
     """Plaza-side environment shared by the day and ensemble studies.
 
     The plaza carries its own (typically smaller) module supply: service
@@ -200,8 +203,9 @@ class PlazaSettings:
     exemplar_rate_per_h: float
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
+    """One scenario document as values, every one checked as it is built."""
+
     name: str
     seed: int
     supply: SupplyDistribution
@@ -271,10 +275,18 @@ class Scenario:
         for label in ("plaza.exemplar.demand_mean_kwh", "demand_means_kwh"):
             if any(mean < math.inf <= 2.0 * mean for mean in numbers[label]):
                 problems.append(f"{label}: 2 x mean, the demand clamp, must be finite")
-        # The studies sum over the n modules: their voltages in series, and
-        # their expected energies over a power for the layer-1 design horizon.
-        # No expected module clamps at zero, so each sum is n times one
+        # The studies sum over the n modules: their voltages in series, their
+        # expected energies over a power for the layer-1 design horizon, and
+        # the Monte Carlo packs' energies with a cut's terms added.  No
+        # expected module clamps at zero, a drawn one holds at most mean +
+        # PACK_SIGMAS x std, and a cut adds at most its split's whole budget:
+        # R times the expected total, or up to n_layer1 x (1 + lambda_h) times
+        # it for a layer-1 design point and its ladder (a layer-1 flow moves
+        # at most the expected total).  So each sum is at most n times one
         # module's value up to rounding, which a 1e-12 margin covers.
+        lam = max([0.0, *(v for v in self.lambda_grid if v < math.inf)])
+        ratings = (v for v in (*self.r_grid, plaza.rating_r) if v < math.inf)
+        budget = max([self.n_layer1 * (1.0 + lam), *ratings])
         sums = []
         for label, supply in supplies.items():
             if supply.std_kwh > MAX_HETEROGENEITY * supply.mean_kwh:
@@ -282,6 +294,9 @@ class Scenario:
             if not 0 < supply.dod <= 1:
                 problems.append(f"{label}.dod must be in (0, 1]")
             sums.append((supply.voltage_v, f"{label}.voltage_v: the series voltage"))
+            drawn = (supply.mean_kwh + PACK_SIGMAS * supply.std_kwh) * supply.dod
+            pack = f"{label}.mean_kwh: a pack at mean + {PACK_SIGMAS:g} x std"
+            sums.append((drawn * (1.0 + budget), f"{pack}, with its cut terms,"))
         for label, power, supply in [
             ("rated_power_kw", self.rated_power_kw, self.supply),
             ("plaza.bess_power_kw", plaza.bess_power_kw, plaza.supply),

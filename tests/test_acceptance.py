@@ -116,8 +116,7 @@ def exemplar_ensemble(tmp_path_factory):
     # Slice the default scenario down to its exemplar demand cell.  The
     # per-trajectory seeds are derived from (mean, std, rate, index), so the
     # numbers below are identical to the same cell inside the full study.
-    scenario = dataclasses.replace(
-        default_scenario(),
+    scenario = default_scenario().replace(
         demand_means_kwh=(50.0,),
         demand_stds_kwh=(25.0,),
         arrival_rates_per_h=(2.0,),
@@ -642,8 +641,7 @@ def test_criterion_9_determinism(tmp_path):
     with criterion(9, "byte-identical reruns and worker counts"):
         # The pools below fork from a heap that importing besspp.cli froze.
         assert gc.get_freeze_count() > 0
-        scenario = dataclasses.replace(
-            default_scenario(),
+        scenario = default_scenario().replace(
             demand_means_kwh=(50.0,),
             demand_stds_kwh=(25.0,),
             arrival_rates_per_h=(2.0,),

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import re
@@ -530,9 +529,7 @@ class TestSweepsEqualBuiltNetworks:
             return split_budget(kind, 9, r, basis, layer1_9)
 
         ladder = tuple((j, j + 1) for j in range(8))
-        other_layer1 = dataclasses.replace(
-            split("lshippp"), pairs=((0, 1), (0, 2), (0, 3)) + ladder
-        )
+        other_layer1 = split("lshippp").replace(pairs=((0, 1), (0, 2), (0, 3)) + ladder)
         for splits in (
             [split("cppp"), split("fpp")],
             [split("cppp"), split_lambda(layer1_9, 0.5, basis)],

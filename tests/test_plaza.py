@@ -3,7 +3,6 @@ import json
 import math
 import re
 import warnings
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -69,7 +68,7 @@ class TestGridProfile:
         ]:
             problem = re.escape(f"grid_profile {problem}")
             with pytest.raises(ScenarioError, match=problem):
-                replace(base, grid_profile=GridProfile(segments))
+                base.replace(grid_profile=GridProfile(segments))
 
     def test_csv_roundtrip(self, tmp_path):
         grid = GridProfile(((0.0, 55.0), (7.5, 32.5), (21.0, 48.0)))
@@ -462,10 +461,10 @@ class TestReplayLanes:
                     grid,
                     150.0,
                 ).cycles()
-                for field in fields(run):
-                    got, want = getattr(run, field.name), getattr(alone, field.name)
-                    assert got.dtype == want.dtype, field.name
-                    assert got.tobytes() == want.tobytes(), field.name
+                for field in run._fields:
+                    got, want = getattr(run, field), getattr(alone, field)
+                    assert got.dtype == want.dtype, field
+                    assert got.tobytes() == want.tobytes(), field
                 for lane, (row, cap) in enumerate(spec):
                     cycles, dropped = reference_replay(
                         cap, bess_power, grid, cell, row, 150.0
@@ -559,6 +558,19 @@ class TestReplayLanes:
         assert none.counts.size == 0
         with pytest.raises(ValueError, match="charger_max_kw"):
             replay_lanes(empty, [0], [1.0], 150.0, grid, 0.0)
+
+    def test_tables_and_replays_compare_by_identity(self):
+        # Records of arrays compare and hash as objects, never element-wise.
+        grid = GridProfile(((0.0, 40.0),))
+        table, twin = (Arrivals((1.0,), (5.0,), (1,), 24.0) for _ in range(2))
+        replays = [
+            replay_lanes(t, [0], [1.0], 150.0, grid, 150.0) 
+            for t in (table, twin)
+        ]
+        for one, other in (table, twin), replays:
+            assert one == one and one != other and len({one, other}) == 2
+        with pytest.raises(AttributeError):
+            table.horizon_h = 12.0
 
 
     def test_an_overflowing_refill_warns_nothing(self):

@@ -1,8 +1,11 @@
+import csv
 import dataclasses
 import json
 import math
+import pickle
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from besspp.scenario import (
     scenario_to_dict,
 )
 from besspp.flows import _module_totals, _subset_sums
-from besspp.studies import _layer1, scenario_fingerprint
+from besspp.studies import _layer1, run_tradeoff, scenario_fingerprint
 from besspp.supply import flatten_distribution
 
 from plaza_oracle import power_at
@@ -103,7 +106,7 @@ class TestDefaultScenario:
             for rate in scenario.arrival_rates_per_h
         ]
         assert scenario.trajectories_per_cell == 33
-        single = dataclasses.replace(scenario, n_trajectories=1)
+        single = scenario.replace(n_trajectories=1)
         assert single.trajectories_per_cell == 1
 
     def test_fingerprint_is_pinned(self):
@@ -409,7 +412,7 @@ class TestScenarioValidation:
                 **{
                     **{
                         f: getattr(default_scenario(), f)
-                        for f in Scenario.__dataclass_fields__
+                        for f in Scenario._fields
                     },
                     "seed": -1,
                 }
@@ -421,7 +424,7 @@ class TestScenarioValidation:
                 **{
                     **{
                         f: getattr(default_scenario(), f)
-                        for f in Scenario.__dataclass_fields__
+                        for f in Scenario._fields
                     },
                     "n_layer1": 9,
                 }
@@ -460,16 +463,16 @@ class TestScenarioValidation:
         # the 4,500-trajectory benchmark and a 30,000-trajectory ensemble.
         base = default_scenario()
         for n_trajectories in (100 * base.n_trajectories, 4_500, 30_000):
-            dataclasses.replace(base, n_trajectories=n_trajectories)
-        dataclasses.replace(base, n_packs=100 * base.n_packs)
-        dataclasses.replace(base, n_packs=MAX_PACKS)
+            base.replace(n_trajectories=n_trajectories)
+        base.replace(n_packs=100 * base.n_packs)
+        base.replace(n_packs=MAX_PACKS)
         with pytest.raises(ScenarioError, match=r"^n_packs must be <= 100,000"):
-            dataclasses.replace(base, n_packs=MAX_PACKS + 1)
+            base.replace(n_packs=MAX_PACKS + 1)
         # 30 demand cells at up to 2 arrivals an hour: 20,833 trajectories a
         # cell expect 999,984 arrivals, 20,834 expect 1,000,032.
-        dataclasses.replace(base, n_trajectories=30 * 20_833)
+        base.replace(n_trajectories=30 * 20_833)
         with pytest.raises(ScenarioError, match=r"^n_trajectories: 20,834 traj"):
-            dataclasses.replace(base, n_trajectories=30 * 20_834)
+            base.replace(n_trajectories=30 * 20_834)
         assert 2.0 * 24 * 20_834 > MAX_CELL_ARRIVALS >= 2.0 * 24 * 20_833
 
 
@@ -566,18 +569,18 @@ class TestValueRules:
         # expected module total over the power.  The widest supported
         # spread, and a derate, exercise the flattened set.
         base = default_scenario()
-        supply = dataclasses.replace(base.supply, std_kwh=18.75, dod=0.8)
-        base = dataclasses.replace(base, supply=supply, n_modules=n, n_layer1=1)
+        supply = base.supply.replace(std_kwh=18.75, dod=0.8)
+        base = base.replace(supply=supply, n_modules=n, n_layer1=1)
 
         def admits(**changes):
             try:
-                dataclasses.replace(base, **changes)
+                base.replace(**changes)
             except ScenarioError:
                 return False
             return True
 
         volts, over = edge_of(
-            lambda v: admits(supply=dataclasses.replace(supply, voltage_v=v)),
+            lambda v: admits(supply=supply.replace(voltage_v=v)),
             1.0,
             math.inf,
         )
@@ -590,6 +593,36 @@ class TestValueRules:
         total = _module_totals(flatten_distribution(supply, n)).item()
         assert math.isfinite(total / power)
         assert not math.isfinite(total / (power / 1.01))
+
+    def test_tradeoff_at_the_largest_supply_mean_fills_every_field(self, tmp_path):
+        # The pack rule allows for module draws up to 8 sd above the mean and
+        # for the cut terms of every split: at the largest mean it admits, with
+        # a quarter of it as the spread (as in 1.9e307 and 4.75e306, whose
+        # pack totals overflowed), tradeoff warns of no overflow and fills
+        # every util_* field.
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
+        base = load_scenario(path)
+
+        def at_mean(mean):
+            supply = base.supply.replace(mean_kwh=mean, std_kwh=mean / 4)
+            return base.replace(supply=supply)
+
+        def admits(mean):
+            try:
+                at_mean(mean)
+            except ScenarioError:
+                return False
+            return True
+
+        mean, _ = edge_of(admits, base.supply.mean_kwh, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_tradeoff(at_mean(mean), tmp_path)
+        with open(tmp_path / "tradeoff.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == len(base.architectures) * len(base.r_grid)
+        utils = [v for row in rows for k, v in row.items() if k.startswith("util_")]
+        assert len(utils) == 5 * len(rows) and all(utils)
 
     def test_shared_supply_is_named_once(self, tmp_path):
         # Without a plaza.supply block the plaza designs on the pack supply,
@@ -605,3 +638,60 @@ class TestValueRules:
         doc["grid_profile"][1].append(3.0)
         with pytest.raises(ScenarioError, match=r"^grid_profile\[1\] must be a \[time"):
             load_scenario(write_doc(tmp_path, doc))
+
+
+class TestRecords:
+    """The scenario records: checked, frozen and pickled as values."""
+
+    def test_replace_rebuilds_and_checks(self):
+        scenario = default_scenario()
+        assert scenario.replace(seed=5).seed == 5
+        assert scenario.replace() == scenario
+        supply = scenario.supply.replace(std_kwh=-1.0)
+        with pytest.raises(ScenarioError, match=r"^supply\.std_kwh must be nonneg"):
+            scenario.replace(supply=supply)
+        with pytest.raises(ScenarioError, match=r"^plaza\.rating_r must be nonneg"):
+            scenario.replace(plaza=scenario.plaza.replace(rating_r=math.nan))
+
+    def test_fields_are_frozen(self):
+        scenario = default_scenario()
+        for record, field in [
+            (scenario, "seed"),
+            (scenario.supply, "mean_kwh"),
+            (scenario.plaza, "rating_r"),
+            (scenario.architectures[0], "eta_c"),
+        ]:
+            value = getattr(record, field)
+            with pytest.raises(AttributeError, match=f"assign to field '{field}'"):
+                setattr(record, field, 1)
+            with pytest.raises(AttributeError, match=f"delete field '{field}'"):
+                delattr(record, field)
+            assert getattr(record, field) == value
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trips_a_scenario(self, protocol):
+        # The ensemble's process pool ships the scenario to its workers.
+        scenario = default_scenario()
+        copy = pickle.loads(pickle.dumps(scenario, protocol))
+        assert copy == scenario and copy is not scenario
+        assert scenario_to_dict(copy) == scenario_to_dict(scenario)
+        with pytest.raises(AttributeError):
+            copy.seed = 1
+
+    def test_repr_eq_and_hash_keep_the_dataclass_forms(self):
+        scenario = default_scenario()
+        plaza = scenario.plaza
+        for record in [
+            scenario,
+            scenario.supply,
+            scenario.grid_profile,
+            *scenario.architectures,
+            plaza,
+            plaza.exemplar_demand,
+        ]:
+            cls = type(record)
+            twin = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+            twin = twin(**{field: getattr(record, field) for field in cls._fields})
+            assert repr(record) == repr(twin)
+            assert hash(record) == hash(twin)
+            assert record == record.replace() != twin

@@ -633,6 +633,23 @@ class TestCli:
         assert main(["validate", "--scenario", str(path)]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", ["supply", "plaza.supply"])
+    def test_supply_whose_packs_overflow_exits_1(self, block, tmp_path, capsys):
+        # At this mean and spread the expected set's total is finite, but 27
+        # of tradeoff's 100 packs summed to inf and every util_* field was
+        # written empty.
+        doc = json.loads(DEFAULT_SCENARIO.read_text())
+        doc["grid_profile"] = str(DEFAULT_SCENARIO.with_name(doc["grid_profile"]))
+        supply = doc["plaza"]["supply"] if block == "plaza.supply" else doc["supply"]
+        supply.update(mean_kwh=1.9e307, std_kwh=4.75e306)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {block}.mean_kwh: a pack at mean + 8 x std, with its cut "
+            "terms, must be finite\n"
+        )
+
     @pytest.mark.parametrize("command", ["validate", "ensemble"])
     def test_one_pack_exits_1_and_writes_nothing(self, command, tmp_path, capsys):
         # Derating is a three-sigma statistic over the packs: one pack has
@@ -1255,6 +1272,24 @@ class TestStartup:
             "print('numpy' in sys.modules)"
         )
         assert run_python(code, str(DEFAULT_SCENARIO)) == "False"
+
+    def test_start_up_and_validate_load_no_dataclasses(self):
+        # The records are written out once (besspp._record), not generated:
+        # neither the CLI's imports nor a validate run load dataclasses, or
+        # the inspect module it imports.
+        code = (
+            "import sys\n"
+            "import besspp.cli\n"
+            "names = ('dataclasses', 'inspect')\n"
+            "imported = [name in sys.modules for name in names]\n"
+            "codes = [\n"
+            "    besspp.cli.main(['validate']),\n"
+            "    besspp.cli.main(['validate', '--scenario', sys.argv[1]]),\n"
+            "]\n"
+            "print(codes, imported, [name in sys.modules for name in names])"
+        )
+        out = run_python(code, str(DEFAULT_SCENARIO))
+        assert out.splitlines()[-1] == "[0, 0] [False, False] [False, False]"
 
     def test_validate_version_and_config_errors_load_no_numpy(self, tmp_path):
         bad = write_doc_with(tmp_path / "one.json", "n_packs", "1")

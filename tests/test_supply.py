@@ -1,6 +1,5 @@
 import ast
 import concurrent.futures
-import dataclasses
 import importlib
 import math
 import statistics
@@ -32,7 +31,7 @@ class TestSupplyDistribution:
     def refused(**fields) -> str:
         supply = SupplyDistribution(**{"mean_kwh": 10.0, "std_kwh": 1.0, **fields})
         with pytest.raises(ScenarioError) as exc:
-            dataclasses.replace(default_scenario(), supply=supply)
+            default_scenario().replace(supply=supply)
         return str(exc.value)
 
     def test_rejects_nonpositive_mean(self):
